@@ -1,9 +1,8 @@
 // Open-loop load curve for the net::Server front-end (DESIGN.md §12), swept
-// across the server's event-loop ladder and both real event backends.
+// across the server's event-loop ladder.
 //
-// For each backend B ∈ QREG_LOAD_BACKENDS (default poll,epoll) and each loop
-// count L ∈ {1, 2, 4} ({1, 2} under --smoke) the bench starts a fresh server
-// with `backend = B, event_loops = L`, sweeps the *same* absolute
+// For each loop count L ∈ {1, 2, 4} ({1, 2} under --smoke) the bench starts
+// a fresh epoll server with `event_loops = L`, sweeps the *same* absolute
 // offered-QPS ladder against it, and records per rung: achieved QPS, p50/p99
 // latency measured from the *scheduled* send time (coordinated-omission-
 // free), shed rate (typed kResourceExhausted frames), client-observed
@@ -31,19 +30,16 @@
 //   QREG_LOAD_RATES     comma-separated absolute QPS ladder (overrides the
 //                       capacity-relative fractions)
 //   QREG_LOAD_LOOPS     comma-separated loop ladder (overrides {1,2,4})
-//   QREG_LOAD_BACKENDS  comma-separated backend ladder (default "poll,epoll")
 //
-// Output: bench/out/bench_load_curve_<B>_l<L>.json per (backend, loop count)
-// plus the combined bench/out/bench_load_curve.json ("runs" array +
-// knee_scaling + knee_by_backend).
+// Output: bench/out/bench_load_curve_l<L>.json per loop count plus the
+// combined bench/out/bench_load_curve.json ("runs" array + knee_scaling).
 //
 // `--smoke` shrinks everything (tiny dataset, short rungs) and exits
 // non-zero unless every curve is non-empty with a strictly monotone
 // offered-QPS axis, zero drops anywhere, zero backpressure evictions at any
 // rung at or below the knee (pre-saturation, the write caps must never fire
-// on a reader that keeps up), and — on multi-core hosts — knee(2) ≥ knee(1)
-// per backend *and* knee(epoll) ≥ 0.9·knee(poll): the CI gates for the
-// multi-loop front-end and the epoll backend.
+// on a reader that keeps up), and — on multi-core hosts — knee(2) ≥
+// knee(1): the CI gate for the multi-loop front-end.
 
 #include <algorithm>
 #include <chrono>
@@ -138,12 +134,10 @@ struct RungResult {
   int64_t backpressure_closed = 0;
 };
 
-/// One full sweep against a server running `loops` event loops on `backend`.
+/// One full sweep against a server running `loops` event loops.
 struct LoopRun {
-  net::BackendKind backend = net::BackendKind::kPoll;
   size_t loops = 1;
   int conns = 0;
-  bool shared_listener = false;
   double knee_qps = 0.0;
   std::vector<RungResult> curve;
   service::ServiceSnapshot snap;
@@ -272,10 +266,8 @@ std::string LoopRunJson(const LoopRun& run, double inproc_p99_ms,
   std::ostringstream os;
   os << indent << "{\n";
   os << indent
-     << util::Format("  \"backend\": \"%s\", \"event_loops\": %zu, "
-                     "\"conns\": %d, \"shared_listener\": %s,\n",
-                     net::BackendKindName(run.backend), run.loops, run.conns,
-                     run.shared_listener ? "true" : "false");
+     << util::Format("  \"event_loops\": %zu, \"conns\": %d,\n", run.loops,
+                     run.conns);
   os << indent << util::Format("  \"knee_qps\": %.1f,\n", run.knee_qps);
   // Best (lowest) pre-knee service-p99 ratio vs the in-process run. This is
   // the acceptance-facing number; it is CPU-topology sensitive (on a
@@ -522,51 +514,25 @@ int Run(bool smoke) {
                         : std::vector<size_t>{1, 2, 4};
   }
 
-  // --- Backend ladder -----------------------------------------------------
-  // Both real backends by default: the curve is the measured statement that
-  // the epoll seam carries at least what poll does (the smoke gate below).
-  std::vector<net::BackendKind> backend_ladder;
-  {
-    std::stringstream ss(util::GetEnvString("QREG_LOAD_BACKENDS", "poll,epoll"));
-    std::string tok;
-    while (std::getline(ss, tok, ',')) {
-      net::BackendKind kind = net::BackendKind::kPoll;
-      if (!net::ParseBackendKind(tok, &kind) ||
-          kind == net::BackendKind::kSim) {
-        std::cerr << "QREG_LOAD_BACKENDS: skipping '" << tok
-                  << "' (want poll/epoll)\n";
-        continue;
-      }
-      backend_ladder.push_back(kind);
-    }
-    if (backend_ladder.empty()) backend_ladder = {net::BackendKind::kPoll};
-  }
-
   std::vector<LoopRun> runs;
-  for (net::BackendKind backend : backend_ladder) {
   for (size_t loops : loop_ladder) {
     LoopRun run;
-    run.backend = backend;
     run.loops = loops;
     run.conns = conns_per_loop * static_cast<int>(loops);
 
     net::ServerConfig server_cfg;
     server_cfg.executor_threads = 2;
     server_cfg.event_loops = loops;
-    server_cfg.backend = backend;
     net::Server server(&router, server_cfg);
     const util::Result<net::Endpoint> ep = server.Start();
     if (!ep.ok()) {
-      std::cerr << "server start (backend=" << net::BackendKindName(backend)
-                << ", loops=" << loops << "): " << ep.status() << "\n";
+      std::cerr << "server start (loops=" << loops << "): " << ep.status()
+                << "\n";
       return 1;
     }
-    run.shared_listener = server.using_shared_listener();
 
-    std::cout << util::Format(
-        "--- backend = %s, event_loops = %zu (%d conns%s) ---\n",
-        net::BackendKindName(backend), loops, run.conns,
-        run.shared_listener ? ", shared listener" : "");
+    std::cout << util::Format("--- event_loops = %zu (%d conns) ---\n", loops,
+                              run.conns);
     util::TablePrinter table({"offered_qps", "achieved_qps", "p50_ms",
                               "p99_ms", "service_p99_ms", "shed_rate",
                               "drops", "bp_closed"});
@@ -596,23 +562,19 @@ int Run(bool smoke) {
     run.snap = router.Stats();
     server.Shutdown();
     router.ResetStats();
-    EmitTable("bench_load_curve",
-              util::Format("load_curve_%s_l%zu",
-                           net::BackendKindName(backend), loops),
-              table, env);
+    EmitTable("bench_load_curve", util::Format("load_curve_l%zu", loops), table,
+              env);
 
     for (const RungResult& r : run.curve) {
       if (r.offered_qps > 0.0 && r.achieved_qps / r.offered_qps >= 0.9) {
         run.knee_qps = std::max(run.knee_qps, r.offered_qps);
       }
     }
-    std::cout << util::Format("knee(%s, loops=%zu): ~%.0f qps\n\n",
-                              net::BackendKindName(backend), loops,
+    std::cout << util::Format("knee(loops=%zu): ~%.0f qps\n\n", loops,
                               run.knee_qps);
 
     const std::string per_loop_name =
-        util::Format("bench_load_curve_%s_l%zu.json",
-                     net::BackendKindName(backend), loops);
+        util::Format("bench_load_curve_l%zu.json", loops);
     std::ostringstream per;
     per << "{\n  \"bench\": \"bench_load_curve\",\n";
     per << util::Format(
@@ -626,22 +588,14 @@ int Run(bool smoke) {
     }
     runs.push_back(std::move(run));
   }
-  }
 
   // --- Combined document --------------------------------------------------
-  // Loop scaling (knee_top/knee1) is computed over the poll runs — the
-  // baseline backend — so it stays comparable with earlier revisions of this
-  // bench; per-backend best knees ride alongside in knee_by_backend.
-  double knee1 = 0.0, knee_top = 0.0;
-  double best_knee_poll = 0.0, best_knee_epoll = 0.0;
+  // Loop scaling: the best knee over the ladder relative to one loop.
+  double knee1 = 0.0, knee2 = 0.0, knee_top = 0.0;
   for (const LoopRun& run : runs) {
-    if (run.backend == net::BackendKind::kPoll) {
-      if (run.loops == 1) knee1 = run.knee_qps;
-      knee_top = std::max(knee_top, run.knee_qps);
-      best_knee_poll = std::max(best_knee_poll, run.knee_qps);
-    } else if (run.backend == net::BackendKind::kEpoll) {
-      best_knee_epoll = std::max(best_knee_epoll, run.knee_qps);
-    }
+    if (run.loops == 1) knee1 = run.knee_qps;
+    if (run.loops == 2) knee2 = run.knee_qps;
+    knee_top = std::max(knee_top, run.knee_qps);
   }
   const double knee_scaling = knee1 > 0.0 ? knee_top / knee1 : 0.0;
 
@@ -655,9 +609,6 @@ int Run(bool smoke) {
   combined << util::Format("  \"hardware_concurrency\": %u,\n",
                            std::thread::hardware_concurrency());
   combined << util::Format("  \"knee_scaling\": %.2f,\n", knee_scaling);
-  combined << util::Format(
-      "  \"knee_by_backend\": {\"poll\": %.1f, \"epoll\": %.1f},\n",
-      best_knee_poll, best_knee_epoll);
   combined << "  \"runs\": [\n";
   for (size_t i = 0; i < runs.size(); ++i) {
     combined << LoopRunJson(runs[i], inproc_p99, "    ")
@@ -671,9 +622,7 @@ int Run(bool smoke) {
 
   std::cout << "knees:";
   for (const LoopRun& run : runs) {
-    std::cout << util::Format(" %s/l%zu ~%.0f qps",
-                              net::BackendKindName(run.backend), run.loops,
-                              run.knee_qps);
+    std::cout << util::Format(" l%zu ~%.0f qps", run.loops, run.knee_qps);
   }
   std::cout << util::Format("  (scaling %.2fx)\n", knee_scaling);
   std::cout << "JSON curves written to " << OutDir()
@@ -709,9 +658,9 @@ int Run(bool smoke) {
         if (r.offered_qps <= run.knee_qps && r.backpressure_closed != 0) {
           std::cerr << util::Format(
               "SMOKE FAIL: %lld backpressure close(s) at pre-knee rung "
-              "%.0f qps (%s, loops=%zu)\n",
+              "%.0f qps (loops=%zu)\n",
               static_cast<long long>(r.backpressure_closed), r.offered_qps,
-              net::BackendKindName(run.backend), run.loops);
+              run.loops);
           ok = false;
         }
       }
@@ -721,42 +670,21 @@ int Run(bool smoke) {
                    "strictly increasing\n";
       return 1;
     }
-    // The scaling gates need real parallelism: on a single-core host the
-    // loops time-slice one CPU and the comparisons are noise, so they are
-    // skipped with a message rather than asserted.
+    // The scaling gate needs real parallelism: on a single-core host the
+    // loops time-slice one CPU and the comparison is noise, so it is skipped
+    // with a message rather than asserted.
     if (std::thread::hardware_concurrency() < 2) {
-      std::cout << "smoke: single-core host, knee scaling gates skipped\n";
-    } else {
-      // Per backend: more loops must not regress the knee.
-      for (net::BackendKind backend : backend_ladder) {
-        double k1 = 0.0, k2 = 0.0;
-        for (const LoopRun& run : runs) {
-          if (run.backend != backend) continue;
-          if (run.loops == 1) k1 = run.knee_qps;
-          if (run.loops == 2) k2 = run.knee_qps;
-        }
-        if (k1 > 0.0 && k2 > 0.0 && k2 + 1e-9 < k1) {
-          std::cerr << util::Format(
-              "SMOKE FAIL: knee regressed with more loops on %s: "
-              "knee(2)=%.0f < knee(1)=%.0f\n",
-              net::BackendKindName(backend), k2, k1);
-          return 1;
-        }
-      }
-      // Across backends: the epoll seam must carry what poll carries (10%
-      // tolerance absorbs run-to-run knee quantization on the shared
-      // ladder).
-      if (best_knee_poll > 0.0 && best_knee_epoll > 0.0 &&
-          best_knee_epoll + 1e-9 < 0.9 * best_knee_poll) {
-        std::cerr << util::Format(
-            "SMOKE FAIL: epoll knee below 0.9x poll: %.0f < 0.9*%.0f\n",
-            best_knee_epoll, best_knee_poll);
-        return 1;
-      }
+      std::cout << "smoke: single-core host, knee scaling gate skipped\n";
+    } else if (knee1 > 0.0 && knee2 > 0.0 && knee2 + 1e-9 < knee1) {
+      // More loops must not regress the knee.
+      std::cerr << util::Format(
+          "SMOKE FAIL: knee regressed with more loops: knee(2)=%.0f < "
+          "knee(1)=%.0f\n",
+          knee2, knee1);
+      return 1;
     }
     std::cout << "smoke OK: " << runs.size()
-              << " (backend, loop-count) runs, monotone offered axes, zero "
-                 "drops\n";
+              << " loop-count runs, monotone offered axes, zero drops\n";
   }
   return 0;
 }

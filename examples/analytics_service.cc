@@ -14,13 +14,12 @@
 //
 // The same service over the wire (DESIGN.md §12):
 //
-//   ./build/examples/analytics_service --serve 7077 --loops=4 --backend=epoll
+//   ./build/examples/analytics_service --serve 7077 --loops=4
 //   ./build/examples/analytics_service --connect 127.0.0.1:7077
 //
 // --serve stands the catalog up behind the framed-binary TCP front-end
-// (net::Server; --loops=N spreads connections across N event loops via
-// SO_REUSEPORT accept sharding, --backend=poll|epoll picks the event
-// demultiplexer — DESIGN.md §12.6) and drains on Ctrl-C; --connect issues
+// (net::Server on epoll; --loops=N spreads connections across N event loops
+// via SO_REUSEPORT accept sharding) and drains on Ctrl-C; --connect issues
 // one Q1 and one pipelined Q2 batch through net::Client, plus an
 // already-expired deadline budget to show the typed rejection path.
 
@@ -47,9 +46,8 @@ namespace {
 volatile std::sig_atomic_t g_stop = 0;
 void OnSignal(int) { g_stop = 1; }
 
-/// --serve <port> [--loops=N] [--backend=poll|epoll]: the demo catalog
-/// behind the wire front-end.
-int Serve(uint16_t port, size_t loops, net::BackendKind backend) {
+/// --serve <port> [--loops=N]: the demo catalog behind the wire front-end.
+int Serve(uint16_t port, size_t loops) {
   auto sensors = data::MakeR1(/*d=*/2, /*n=*/50000, /*seed=*/1);
   if (!sensors.ok()) {
     std::fprintf(stderr, "dataset generation failed\n");
@@ -82,7 +80,6 @@ int Serve(uint16_t port, size_t loops, net::BackendKind backend) {
   server_cfg.port = port;
   server_cfg.bind_address = "127.0.0.1";
   server_cfg.event_loops = loops;
-  server_cfg.backend = backend;
   net::Server server(&router, server_cfg);
   const util::Result<net::Endpoint> endpoint = server.Start();
   if (!endpoint.ok()) {
@@ -91,11 +88,9 @@ int Serve(uint16_t port, size_t loops, net::BackendKind backend) {
     return 1;
   }
   std::printf(
-      "serving 'sensors' on %s with %zu event loop(s), backend=%s%s  "
+      "serving 'sensors' on %s with %zu event loop(s)  "
       "(Ctrl-C drains and exits)\n",
-      endpoint->ToString().c_str(), server.num_loops(),
-      net::BackendKindName(backend),
-      server.using_shared_listener() ? " [shared listener]" : "");
+      endpoint->ToString().c_str(), server.num_loops());
 
   std::signal(SIGINT, OnSignal);
   std::signal(SIGTERM, OnSignal);
@@ -169,24 +164,15 @@ int main(int argc, char** argv) {
   if (argc >= 2 && std::strcmp(argv[1], "--serve") == 0) {
     long port = 7077;
     long loops = 1;
-    net::BackendKind backend = net::BackendKind::kPoll;
     for (int i = 2; i < argc; ++i) {
       if (std::strncmp(argv[i], "--loops=", 8) == 0) {
         loops = std::strtol(argv[i] + 8, nullptr, 10);
-      } else if (std::strncmp(argv[i], "--backend=", 10) == 0) {
-        if (!net::ParseBackendKind(argv[i] + 10, &backend) ||
-            backend == net::BackendKind::kSim) {
-          std::fprintf(stderr, "--backend wants poll or epoll, got '%s'\n",
-                       argv[i] + 10);
-          return 2;
-        }
       } else {
         port = std::strtol(argv[i], nullptr, 10);
       }
     }
     if (loops < 1) loops = 1;
-    return Serve(static_cast<uint16_t>(port), static_cast<size_t>(loops),
-                 backend);
+    return Serve(static_cast<uint16_t>(port), static_cast<size_t>(loops));
   }
   if (argc >= 3 && std::strcmp(argv[1], "--connect") == 0) {
     std::string target = argv[2];
@@ -202,8 +188,7 @@ int main(int argc, char** argv) {
   if (argc >= 2) {
     std::fprintf(
         stderr,
-        "usage: %s [--serve [port] [--loops=N] [--backend=poll|epoll] | "
-        "--connect <host>:<port>]\n",
+        "usage: %s [--serve [port] [--loops=N] | --connect <host>:<port>]\n",
         argv[0]);
     return 2;
   }

@@ -6,9 +6,6 @@
 // The loop logic is written once against this interface; what plugs in
 // underneath is chosen per ServerConfig:
 //
-//   kPoll   poll(2). The interest set is rebuilt into a pollfd array on
-//           every Wait — O(n) per wakeup in the number of registered
-//           handles. Portable baseline.
 //   kEpoll  epoll(7), level-triggered, one epoll instance per loop.
 //           Interest changes are incremental (epoll_ctl) and Wait returns
 //           only ready handles — O(ready) dispatch, the regime for large
@@ -24,9 +21,9 @@
 // not running). Wake() is thread-safe and interrupts a concurrent — or the
 // next — Wait().
 //
-// Handles are plain ints. For the real backends they are file descriptors;
-// for the sim they are transport-assigned ids. Server code never does I/O
-// on a handle directly — always through the backend that produced it.
+// Handles are plain ints. For epoll they are file descriptors; for the sim
+// they are transport-assigned ids. Server code never does I/O on a handle
+// directly — always through the backend that produced it.
 
 #ifndef QREG_NET_BACKEND_H_
 #define QREG_NET_BACKEND_H_
@@ -45,17 +42,9 @@ namespace net {
 
 /// \brief Which event backend a server runs its loops on.
 enum class BackendKind : int {
-  kPoll = 0,
-  kEpoll = 1,
-  kSim = 2,
+  kEpoll,  ///< The real-socket backend.
+  kSim,    ///< The deterministic test transport.
 };
-
-/// "poll" / "epoll" / "sim".
-const char* BackendKindName(BackendKind kind);
-
-/// Parses "poll"/"epoll"/"sim" (exact match). Returns false — leaving *kind
-/// untouched — for anything else.
-bool ParseBackendKind(const std::string& name, BackendKind* kind);
 
 /// \brief Readiness report for one registered handle.
 struct ReadyEvent {
@@ -89,16 +78,14 @@ class EventBackend {
  public:
   virtual ~EventBackend() = default;
 
-  virtual BackendKind kind() const = 0;
-
   /// Allocates the backend's internal resources (wakeup channel, epoll fd).
   /// Must be called — and must succeed — before any other method.
   virtual util::Status Init() = 0;
 
   /// Opens a non-blocking listener on address:port (port 0 = ephemeral).
-  /// `reuse_port` asks for kernel accept sharding (SO_REUSEPORT); a backend
-  /// that cannot honor it returns kNotImplemented so Start() can fall back
-  /// to the shared-listener handoff path.
+  /// `reuse_port` asks for kernel accept sharding (SO_REUSEPORT). Any
+  /// failure (address in use, option refused) is a typed error that Start()
+  /// returns as is.
   virtual util::Result<int> OpenListener(const std::string& address,
                                          uint16_t port, bool reuse_port) = 0;
 
@@ -142,9 +129,8 @@ class EventBackend {
   virtual void Close(int handle) = 0;
 };
 
-/// Real-socket backends. A kSim backend is created by its SimTransport
+/// The real-socket backend. A kSim backend is created by its SimTransport
 /// (backend_sim.h) — the server reaches it through ServerConfig::sim.
-std::unique_ptr<EventBackend> CreatePollBackend();
 std::unique_ptr<EventBackend> CreateEpollBackend();
 
 }  // namespace net

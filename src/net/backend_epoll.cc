@@ -1,11 +1,11 @@
 // epoll(7) backend: one level-triggered epoll instance per event loop.
 //
 // Interest changes are incremental epoll_ctl calls and Wait() returns only
-// the ready handles — O(ready) dispatch per wakeup where poll() pays O(n)
-// rebuilding and scanning its pollfd array. Level-triggered on purpose: the
-// server's loop logic (drain-on-short-read, retry-flush-on-next-readiness)
-// was written against poll semantics and must behave identically here; the
-// wire bytes are pinned bit-for-bit against the poll backend by
+// the ready handles — O(ready) dispatch per wakeup. Level-triggered on
+// purpose: the server's loop logic (drain-on-short-read,
+// retry-flush-on-next-readiness) relies on a still-ready handle being
+// reported again by the next Wait(), exactly as SimBackend reports it; the
+// wire bytes are pinned bit-for-bit against in-process execution by
 // net_socket_test.
 
 #include <sys/epoll.h>
@@ -30,8 +30,6 @@ class EpollBackend final : public EventBackend {
   ~EpollBackend() override {
     if (epfd_ >= 0) ::close(epfd_);
   }
-
-  BackendKind kind() const override { return BackendKind::kEpoll; }
 
   util::Status Init() override {
     QREG_RETURN_NOT_OK(wake_.Open());

@@ -79,14 +79,12 @@ class SimBackend final : public EventBackend {
  public:
   explicit SimBackend(Shared* shared) : shared_(shared) {}
 
-  BackendKind kind() const override { return BackendKind::kSim; }
-
   util::Status Init() override { return util::Status::OK(); }
 
   util::Result<int> OpenListener(const std::string& address, uint16_t port,
                                  bool /*reuse_port*/) override {
-    // Every backend of one transport may listen on "the" port — that is the
-    // SO_REUSEPORT-sharding analogue, so no shared-listener fallback fires.
+    // Every backend of one transport may listen on "the" port — the
+    // SO_REUSEPORT-sharding analogue.
     (void)address;
     util::MutexLock lock(&shared_->mu);
     if (shared_->port == 0) {

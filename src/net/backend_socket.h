@@ -1,6 +1,7 @@
-// Socket plumbing shared by the poll and epoll backends: listener setup,
-// accept, readv/sendmsg I/O, and the self-pipe wakeup channel. Internal to
-// src/net/ — server code talks to EventBackend, never to these directly.
+// Socket plumbing under the epoll backend (and the client's receive-timeout
+// wait): listener setup, accept, readv/sendmsg I/O, and the self-pipe wakeup
+// channel. Internal to src/net/ — server code talks to EventBackend, never
+// to these directly.
 
 #ifndef QREG_NET_BACKEND_SOCKET_H_
 #define QREG_NET_BACKEND_SOCKET_H_
@@ -25,8 +26,8 @@ util::Status SyscallIoError(const std::string& what);
 /// True when the last syscall failed with EINTR (restart the call).
 bool SyscallInterrupted();
 
-/// Opens a non-blocking CLOEXEC listener; kNotImplemented when `reuse_port`
-/// is asked for but refused (the Start() fallback trigger).
+/// Opens a non-blocking CLOEXEC listener, with SO_REUSEPORT when
+/// `reuse_port` is set. Any refusal (option, bind, listen) is a typed error.
 util::Result<int> SocketOpenListener(const std::string& address, uint16_t port,
                                      bool reuse_port);
 

@@ -172,69 +172,30 @@ util::Result<Endpoint> Server::Start() {
     loops_.clear();
   };
 
-  for (auto& loop : loops_) {
-    switch (config_.backend) {
-      case BackendKind::kPoll:
-        loop->backend = CreatePollBackend();
-        break;
-      case BackendKind::kEpoll:
-        loop->backend = CreateEpollBackend();
-        break;
-      case BackendKind::kSim:
-        loop->backend = config_.sim->CreateBackend();
-        break;
+  // Listener topology: every loop gets its own listener on the same
+  // endpoint — SO_REUSEPORT when there is more than one, so the kernel
+  // shards accepts. Loop 0's bind resolves an ephemeral port; the siblings
+  // bind that port concretely. Any refusal closes what was opened.
+  const bool reuse_port = nloops > 1;
+  uint16_t port = config_.port;
+  auto open_listener = [&](Loop* loop) -> util::Status {
+    loop->backend = config_.backend == BackendKind::kSim
+                        ? config_.sim->CreateBackend()
+                        : CreateEpollBackend();
+    QREG_RETURN_NOT_OK(loop->backend->Init());
+    QREG_ASSIGN_OR_RETURN(loop->listen_h, loop->backend->OpenListener(
+                                              config_.bind_address, port,
+                                              reuse_port));
+    if (loop->index == 0) {
+      QREG_ASSIGN_OR_RETURN(port, loop->backend->ListenerPort(loop->listen_h));
     }
-    const util::Status st = loop->backend->Init();
+    return util::Status::OK();
+  };
+  for (auto& loop : loops_) {
+    const util::Status st = open_listener(loop.get());
     if (!st.ok()) {
       cleanup();
       return st;
-    }
-  }
-
-  // Listener topology: every loop gets its own SO_REUSEPORT listener on the
-  // same endpoint (kernel accept sharding). If the platform refuses — or the
-  // test hook forces it — loop 0 keeps a sole plain listener and hands
-  // accepted connections round-robin to the other loops.
-  shared_listener_ = config_.force_shared_listener;
-  const bool want_reuseport = !config_.force_shared_listener && nloops > 1;
-  util::Result<int> first = loops_[0]->backend->OpenListener(
-      config_.bind_address, config_.port, want_reuseport);
-  if (!first.ok() && want_reuseport) {
-    // Kernel without SO_REUSEPORT: shared-listener fallback.
-    shared_listener_ = true;
-    first = loops_[0]->backend->OpenListener(config_.bind_address,
-                                             config_.port,
-                                             /*reuse_port=*/false);
-  }
-  if (!first.ok()) {
-    cleanup();
-    return first.status();
-  }
-  loops_[0]->listen_h = *first;
-
-  util::Result<uint16_t> bound =
-      loops_[0]->backend->ListenerPort(loops_[0]->listen_h);
-  if (!bound.ok()) {
-    cleanup();
-    return bound.status();
-  }
-  const uint16_t bound_port = *bound;
-
-  if (!shared_listener_) {
-    for (size_t i = 1; i < nloops; ++i) {
-      // Ephemeral first bind resolved the port; siblings bind it concretely.
-      util::Result<int> h = loops_[i]->backend->OpenListener(
-          config_.bind_address, bound_port, /*reuse_port=*/true);
-      if (!h.ok()) {
-        // Mid-way refusal: close the sibling listeners and fall back.
-        for (size_t j = 1; j < i; ++j) {
-          loops_[j]->backend->Close(loops_[j]->listen_h);
-          loops_[j]->listen_h = -1;
-        }
-        shared_listener_ = true;
-        break;
-      }
-      loops_[i]->listen_h = *h;
     }
   }
 
@@ -247,7 +208,7 @@ util::Result<Endpoint> Server::Start() {
     Loop* l = loop.get();
     l->thread = std::thread([this, l] { EventLoop(l); });
   }
-  return Endpoint{config_.bind_address, bound_port};
+  return Endpoint{config_.bind_address, port};
 }
 
 void Server::Shutdown() {
@@ -279,15 +240,6 @@ void Server::Shutdown() {
       loop->backend->Deregister(loop->listen_h);
       loop->backend->Close(loop->listen_h);
       loop->listen_h = -1;
-    }
-    // Handoff handles never adopted by the exiting loop: close and un-count.
-    {
-      util::MutexLock hlock(&loop->handoff_mu);
-      for (int h : loop->handoff) {
-        loop->backend->Close(h);
-        open_conns_.fetch_sub(1, std::memory_order_relaxed);
-      }
-      loop->handoff.clear();
     }
     // Completions that arrived after the loop exited (executors drain every
     // queued job before stopping): their buffers still go home to the arena,
@@ -378,11 +330,6 @@ void Server::EventLoop(Loop* loop) {
         DispatchIfReady(loop, entry.second.get());
       }
     }
-
-    // Adopt connections the accepting loop handed over (shared-listener
-    // mode). During drain a handed-off connection has never been read —
-    // close it.
-    AdoptHandoffs(loop);
 
     // Reap connections that are finished: nothing pending, nothing in
     // flight, every response flushed.
@@ -505,27 +452,6 @@ void Server::EventLoop(Loop* loop) {
   }
 }
 
-void Server::AdoptHandoffs(Loop* loop) {
-  std::deque<int> handles;
-  {
-    util::MutexLock lock(&loop->handoff_mu);
-    if (loop->handoff.empty()) return;
-    handles.swap(loop->handoff);
-  }
-  service::NetActivity activity;
-  for (int h : handles) {
-    if (shutdown_requested_.load()) {
-      // Drain began before this connection was ever read; refuse it.
-      loop->backend->Close(h);
-      open_conns_.fetch_sub(1, std::memory_order_relaxed);
-      ++activity.connections_closed;
-      continue;
-    }
-    RegisterConnection(loop, h);
-  }
-  if (!activity.empty()) stats_->RecordNet(loop->index, activity);
-}
-
 void Server::RegisterConnection(Loop* loop, int handle) {
   const uint64_t id = loop->next_conn_id++;
   auto conn =
@@ -552,22 +478,7 @@ void Server::AcceptNew(Loop* loop) {
       continue;
     }
     ++activity.connections_accepted;
-    if (shared_listener_ && loops_.size() > 1) {
-      // Software accept sharding: round-robin across every loop (self
-      // included) through the per-loop handoff queues.
-      Loop* target = loops_[handoff_next_++ % loops_.size()].get();
-      if (target == loop) {
-        RegisterConnection(loop, h);
-      } else {
-        {
-          util::MutexLock lock(&target->handoff_mu);
-          target->handoff.push_back(h);
-        }
-        WakeLoop(target);
-      }
-    } else {
-      RegisterConnection(loop, h);
-    }
+    RegisterConnection(loop, h);
   }
   if (!activity.empty()) stats_->RecordNet(loop->index, activity);
 }

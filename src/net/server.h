@@ -1,20 +1,19 @@
 // Framed-binary TCP front-end over service::QueryRouter (DESIGN.md §12).
 //
 // Architecture: N independent event loops (config.event_loops), each owning
-// its *own* EventBackend (the demultiplexer/I-O seam — poll, epoll, or the
-// deterministic SimBackend, selected by config.backend), listener,
+// its *own* EventBackend (the demultiplexer/I-O seam — epoll, or the
+// deterministic SimBackend in tests, selected by config.backend), listener,
 // connection table, arena, and completion queue — no socket is ever touched
 // by two threads — plus one shared fixed pool of batch-executor threads
 // running the router. A loop never executes a query and the executors never
 // touch a socket, so a slow scan cannot stall frame decoding on any
 // connection and a slow client cannot stall the router.
 //
-// Accept sharding: every loop binds its own SO_REUSEPORT listener to the
-// same address, and the kernel spreads incoming connections across them.
-// When the platform refuses SO_REUSEPORT (or the test hook
-// `force_shared_listener` is set), loop 0 keeps the sole listener and hands
-// accepted fds to the other loops round-robin through per-loop handoff
-// queues — same ownership invariant, software sharding.
+// Accept sharding: with more than one loop, every loop binds its own
+// SO_REUSEPORT listener to the same address, and the kernel spreads
+// incoming connections across them. A single loop binds a plain listener.
+// If any bind is refused, Start() closes every listener it opened and
+// returns the typed error — there is no fallback topology.
 //
 // Pipelining: frames a client sends back-to-back are decoded into a
 // per-connection pending list; the whole list is handed to one
@@ -140,12 +139,10 @@ struct ServerConfig {
   /// (Validate). 0 disables.
   size_t max_loop_pending_write_bytes = 0;
 
-  /// Event demultiplexer per loop: kPoll (portable baseline), kEpoll
-  /// (level-triggered, O(ready) dispatch), or kSim (the deterministic
-  /// in-memory transport in `sim` — tests only). The wire bytes are
-  /// backend-independent; net_socket_test pins epoll bit-for-bit against
-  /// poll.
-  BackendKind backend = BackendKind::kPoll;
+  /// Event demultiplexer per loop: kEpoll (level-triggered, O(ready)
+  /// dispatch), or kSim (the deterministic in-memory transport in `sim` —
+  /// tests only). The wire bytes are backend-independent.
+  BackendKind backend = BackendKind::kEpoll;
 
   /// The transport a kSim server runs on. Borrowed; must outlive the
   /// server. Required (Validate) iff backend == kSim.
@@ -159,11 +156,6 @@ struct ServerConfig {
   /// clock). Borrowed; must outlive the server. Tests inject a FakeClock and
   /// drive expiries with SimTransport::Poke() — no real sleeps.
   const util::Clock* clock = nullptr;
-
-  /// Test hook: pretend the platform lacks SO_REUSEPORT, forcing the
-  /// shared-listener round-robin handoff path even where the kernel would
-  /// shard accepts natively.
-  bool force_shared_listener = false;
 
   /// Typed kInvalidArgument for a config no socket syscall should ever see:
   /// zero executor threads, zero or > kMaxEventLoops event loops, a bind
@@ -193,7 +185,9 @@ class Server {
 
   /// Validates the config, binds every loop's listener, and starts the
   /// event-loop + executor threads. Returns the bound endpoint (with the
-  /// kernel-chosen port when config.port == 0). A server is single-use:
+  /// kernel-chosen port when config.port == 0). A refused bind (port in
+  /// use, SO_REUSEPORT refused) returns the typed error with every listener
+  /// closed, running() false and num_loops() 0. A server is single-use:
   /// Start() after Shutdown() is an error.
   util::Result<Endpoint> Start();
 
@@ -201,10 +195,6 @@ class Server {
 
   /// Number of event loops actually running (0 before Start()).
   size_t num_loops() const { return loops_.size(); }
-
-  /// True when Start() fell back to the shared-listener handoff path
-  /// instead of per-loop SO_REUSEPORT listeners.
-  bool using_shared_listener() const { return shared_listener_; }
 
   /// Loop `i`'s arena, for post-Shutdown() leak-invariant checks
   /// (acquired() == released() no matter how each connection died).
@@ -235,9 +225,8 @@ class Server {
 
   /// Everything one event loop owns. Only the loop's thread touches the
   /// connection table, arena, or backend (Wake() excepted — it is the one
-  /// thread-safe backend call); the mutex-guarded queues are the only
-  /// cross-thread seams (executors push completions, the accepting loop
-  /// pushes handoff handles in shared-listener mode).
+  /// thread-safe backend call); the mutex-guarded completion queue is the
+  /// only cross-thread seam (executors push finished batches).
   struct Loop {
     // Out-of-line (Connection/Completion are incomplete here).
     explicit Loop(WireArena::Options arena_options);
@@ -245,7 +234,7 @@ class Server {
 
     size_t index = 0;
     std::unique_ptr<EventBackend> backend;
-    int listen_h = -1;  // Backend listener handle; -1 on non-accepting loops.
+    int listen_h = -1;  // Backend listener handle; -1 once closed.
     std::thread thread;
 
     // --- loop-thread-only state ---
@@ -265,11 +254,6 @@ class Server {
     // Executors → loop: finished batches.
     util::Mutex done_mu;
     std::deque<Completion> done QREG_GUARDED_BY(done_mu);
-
-    // Accepting loop → loop: round-robin handle handoff (shared-listener
-    // mode).
-    util::Mutex handoff_mu;
-    std::deque<int> handoff QREG_GUARDED_BY(handoff_mu);
   };
 
   void EventLoop(Loop* loop);
@@ -278,7 +262,6 @@ class Server {
 
   // Event-loop helpers (only called on `loop`'s own thread).
   void AcceptNew(Loop* loop);
-  void AdoptHandoffs(Loop* loop);
   void RegisterConnection(Loop* loop, int fd);
   void HandleReadable(Loop* loop, Connection* conn);
   void HandleFrame(Loop* loop, Connection* conn, Frame frame);
@@ -327,8 +310,6 @@ class Server {
   service::ServiceStats* stats_;  // The router's collector (net_* counters).
 
   std::vector<std::unique_ptr<Loop>> loops_;
-  bool shared_listener_ = false;
-  size_t handoff_next_ = 0;  // Round-robin cursor (accepting loop only).
 
   // Shared across loops: the global connection count behind
   // config.max_connections (satellite fix — one cap, not one per loop).

@@ -65,41 +65,56 @@ util::Status ProtocolError(std::string msg) {
 
 constexpr size_t kFieldHeaderBytes = 6;
 
-class FieldWriter {
+void PatchU32(std::vector<uint8_t>* out, size_t at, uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    (*out)[at + i] = static_cast<uint8_t>(v >> (8 * i));
+  }
+}
+
+/// Appends tagged fields straight onto a caller-owned buffer — no
+/// intermediate buffers. Nested messages backpatch their length instead of
+/// being built separately and copied. The one writer every message uses.
+class InplaceFieldWriter {
  public:
+  explicit InplaceFieldWriter(std::vector<uint8_t>* out) : out_(out) {}
+
   void PutBytes(uint16_t tag, const uint8_t* data, size_t n) {
-    PutU16(&buf_, tag);
-    PutU32(&buf_, static_cast<uint32_t>(n));
-    buf_.insert(buf_.end(), data, data + n);
+    PutU16(out_, tag);
+    PutU32(out_, static_cast<uint32_t>(n));
+    out_->insert(out_->end(), data, data + n);
   }
   void PutString(uint16_t tag, const std::string& s) {
     PutBytes(tag, reinterpret_cast<const uint8_t*>(s.data()), s.size());
   }
   void PutVarU64(uint16_t tag, uint64_t v) {
-    std::vector<uint8_t> tmp;
-    PutU64(&tmp, v);
-    PutBytes(tag, tmp.data(), tmp.size());
+    PutU16(out_, tag);
+    PutU32(out_, 8);
+    PutU64(out_, v);
   }
   void PutVarU32(uint16_t tag, uint32_t v) {
-    std::vector<uint8_t> tmp;
-    PutU32(&tmp, v);
-    PutBytes(tag, tmp.data(), tmp.size());
+    PutU16(out_, tag);
+    PutU32(out_, 4);
+    PutU32(out_, v);
   }
   void PutF64(uint16_t tag, double d) { PutVarU64(tag, DoubleBits(d)); }
   void PutF64Array(uint16_t tag, const std::vector<double>& v) {
-    std::vector<uint8_t> tmp;
-    tmp.reserve(v.size() * 8);
-    for (double d : v) PutU64(&tmp, DoubleBits(d));
-    PutBytes(tag, tmp.data(), tmp.size());
-  }
-  void PutNested(uint16_t tag, const FieldWriter& nested) {
-    PutBytes(tag, nested.buf_.data(), nested.buf_.size());
+    PutU16(out_, tag);
+    PutU32(out_, static_cast<uint32_t>(v.size() * 8));
+    for (double d : v) PutU64(out_, DoubleBits(d));
   }
 
-  std::vector<uint8_t> Take() { return std::move(buf_); }
+  /// Opens a nested-message field; returns the mark EndNested() patches.
+  size_t BeginNested(uint16_t tag) {
+    PutU16(out_, tag);
+    PutU32(out_, 0);  // Length — backpatched by EndNested.
+    return out_->size();
+  }
+  void EndNested(size_t mark) {
+    PatchU32(out_, mark - 4, static_cast<uint32_t>(out_->size() - mark));
+  }
 
  private:
-  std::vector<uint8_t> buf_;
+  std::vector<uint8_t>* out_;
 };
 
 /// Iterates the fields of one payload. Usage:
@@ -212,6 +227,41 @@ enum StatusTag : uint16_t {
   kStatusMessage = 2,
 };
 
+// The answer and status field orders, written once: the standalone payload
+// encoders and the in-place frame encoders both go through these, so the
+// two paths are bit-for-bit identical by construction.
+void WriteAnswerFields(const service::Answer& answer, InplaceFieldWriter* w) {
+  w->PutVarU32(kAnsKind, static_cast<uint32_t>(answer.kind));
+  w->PutVarU32(kAnsSource, static_cast<uint32_t>(answer.source));
+  w->PutF64(kAnsMean, answer.mean);
+  for (const core::LocalLinearModel& piece : answer.pieces) {
+    const size_t nested = w->BeginNested(kAnsPiece);
+    w->PutF64(kPieceIntercept, piece.intercept);
+    w->PutF64Array(kPieceSlope, piece.slope);
+    w->PutVarU32(kPiecePrototypeId, static_cast<uint32_t>(piece.prototype_id));
+    w->PutF64(kPieceWeight, piece.weight);
+    w->EndNested(nested);
+  }
+  w->PutF64(kAnsCacheDelta, answer.cache_delta);
+  w->PutVarU32(kAnsUsedFallback, answer.used_fallback ? 1 : 0);
+  const size_t exec = w->BeginNested(kAnsExec);
+  w->PutVarU64(kExecTuplesExamined,
+               static_cast<uint64_t>(answer.exec.tuples_examined));
+  w->PutVarU64(kExecTuplesMatched,
+               static_cast<uint64_t>(answer.exec.tuples_matched));
+  w->PutVarU64(kExecNanos, static_cast<uint64_t>(answer.exec.nanos));
+  w->PutVarU64(kExecChunksCompleted,
+               static_cast<uint64_t>(answer.exec.chunks_completed));
+  w->PutVarU64(kExecChunksTotal,
+               static_cast<uint64_t>(answer.exec.chunks_total));
+  w->EndNested(exec);
+}
+
+void WriteStatusFields(const util::Status& status, InplaceFieldWriter* w) {
+  w->PutVarU32(kStatusCode, static_cast<uint32_t>(status.code()));
+  w->PutString(kStatusMessage, status.message());
+}
+
 }  // namespace
 
 // ------------------------------------------------------------------ frames --
@@ -228,16 +278,39 @@ uint32_t FrameChecksum(const uint8_t* header20, const uint8_t* payload,
   return h;
 }
 
-void AppendFrame(std::vector<uint8_t>* out, FrameType type, uint64_t request_id,
-                 const uint8_t* payload, size_t payload_len) {
+namespace {
+
+// Starts a frame with payload_len and checksum left as zero placeholders;
+// EndFrame backpatches both once the payload has been appended in place.
+size_t BeginFrame(std::vector<uint8_t>* out, FrameType type,
+                  uint64_t request_id) {
   const size_t header_at = out->size();
   PutU32(out, kMagic);
   PutU16(out, kWireVersion);
   PutU16(out, static_cast<uint16_t>(type));
   PutU64(out, request_id);
-  PutU32(out, static_cast<uint32_t>(payload_len));
-  PutU32(out, FrameChecksum(out->data() + header_at, payload, payload_len));
+  PutU32(out, 0);  // payload_len — backpatched.
+  PutU32(out, 0);  // checksum — backpatched.
+  return header_at;
+}
+
+void EndFrame(std::vector<uint8_t>* out, size_t header_at) {
+  const size_t payload_len = out->size() - header_at - kHeaderBytes;
+  PatchU32(out, header_at + 16, static_cast<uint32_t>(payload_len));
+  // The checksum covers the first 20 header bytes (payload_len included, so
+  // it must be patched first) plus the payload.
+  PatchU32(out, header_at + 20,
+           FrameChecksum(out->data() + header_at,
+                         out->data() + header_at + kHeaderBytes, payload_len));
+}
+
+}  // namespace
+
+void AppendFrame(std::vector<uint8_t>* out, FrameType type, uint64_t request_id,
+                 const uint8_t* payload, size_t payload_len) {
+  const size_t frame = BeginFrame(out, type, request_id);
   out->insert(out->end(), payload, payload + payload_len);
+  EndFrame(out, frame);
 }
 
 void FrameDecoder::Feed(const uint8_t* data, size_t n) {
@@ -304,7 +377,8 @@ FrameDecoder::Event FrameDecoder::Next(Frame* frame) {
 // ---------------------------------------------------------------- messages --
 
 std::vector<uint8_t> EncodeRequest(const WireRequest& request) {
-  FieldWriter w;
+  std::vector<uint8_t> out;
+  InplaceFieldWriter w(&out);
   w.PutString(kReqDataset, request.dataset);
   w.PutVarU32(kReqKind, static_cast<uint32_t>(request.kind));
   w.PutF64Array(kReqCenter, request.q.center);
@@ -312,7 +386,7 @@ std::vector<uint8_t> EncodeRequest(const WireRequest& request) {
   if (request.deadline_budget_nanos > 0) {
     w.PutVarU64(kReqDeadlineBudget, request.deadline_budget_nanos);
   }
-  return w.Take();
+  return out;
 }
 
 util::Result<WireRequest> DecodeRequest(const uint8_t* data, size_t n) {
@@ -356,31 +430,18 @@ util::Result<WireRequest> DecodeRequest(const uint8_t* data, size_t n) {
 }
 
 std::vector<uint8_t> EncodeAnswer(const service::Answer& answer) {
-  FieldWriter w;
-  w.PutVarU32(kAnsKind, static_cast<uint32_t>(answer.kind));
-  w.PutVarU32(kAnsSource, static_cast<uint32_t>(answer.source));
-  w.PutF64(kAnsMean, answer.mean);
-  for (const core::LocalLinearModel& piece : answer.pieces) {
-    FieldWriter pw;
-    pw.PutF64(kPieceIntercept, piece.intercept);
-    pw.PutF64Array(kPieceSlope, piece.slope);
-    pw.PutVarU32(kPiecePrototypeId, static_cast<uint32_t>(piece.prototype_id));
-    pw.PutF64(kPieceWeight, piece.weight);
-    w.PutNested(kAnsPiece, pw);
-  }
-  w.PutF64(kAnsCacheDelta, answer.cache_delta);
-  w.PutVarU32(kAnsUsedFallback, answer.used_fallback ? 1 : 0);
-  FieldWriter ew;
-  ew.PutVarU64(kExecTuplesExamined,
-               static_cast<uint64_t>(answer.exec.tuples_examined));
-  ew.PutVarU64(kExecTuplesMatched,
-               static_cast<uint64_t>(answer.exec.tuples_matched));
-  ew.PutVarU64(kExecNanos, static_cast<uint64_t>(answer.exec.nanos));
-  ew.PutVarU64(kExecChunksCompleted,
-               static_cast<uint64_t>(answer.exec.chunks_completed));
-  ew.PutVarU64(kExecChunksTotal, static_cast<uint64_t>(answer.exec.chunks_total));
-  w.PutNested(kAnsExec, ew);
-  return w.Take();
+  std::vector<uint8_t> out;
+  InplaceFieldWriter w(&out);
+  WriteAnswerFields(answer, &w);
+  return out;
+}
+
+void AppendAnswerFrame(std::vector<uint8_t>* out, uint64_t request_id,
+                       const service::Answer& answer) {
+  const size_t frame = BeginFrame(out, FrameType::kAnswer, request_id);
+  InplaceFieldWriter w(out);
+  WriteAnswerFields(answer, &w);
+  EndFrame(out, frame);
 }
 
 namespace {
@@ -499,155 +560,17 @@ util::Result<service::Answer> DecodeAnswer(const uint8_t* data, size_t n) {
 }
 
 std::vector<uint8_t> EncodeStatus(const util::Status& status) {
-  FieldWriter w;
-  w.PutVarU32(kStatusCode, static_cast<uint32_t>(status.code()));
-  w.PutString(kStatusMessage, status.message());
-  return w.Take();
-}
-
-// ------------------------------------------------------------ arena encode --
-
-std::vector<uint8_t> WireArena::Acquire() {
-  ++acquired_;
-  if (!pool_.empty()) {
-    std::vector<uint8_t> buf = std::move(pool_.back());
-    pool_.pop_back();
-    buf.clear();  // Keeps capacity — that is the whole point.
-    ++reused_;
-    return buf;
-  }
-  return {};
-}
-
-void WireArena::Release(std::vector<uint8_t> buf) {
-  ++released_;
-  if (pool_.size() >= options_.max_pooled_buffers ||
-      buf.capacity() > options_.max_retained_bytes) {
-    return;  // Over the caps: let it free here.
-  }
-  pool_.push_back(std::move(buf));
-}
-
-namespace {
-
-void PatchU32(std::vector<uint8_t>* out, size_t at, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    (*out)[at + i] = static_cast<uint8_t>(v >> (8 * i));
-  }
-}
-
-// Starts a frame with payload_len and checksum left as zero placeholders;
-// EndFrame backpatches both once the payload has been appended in place.
-size_t BeginFrame(std::vector<uint8_t>* out, FrameType type,
-                  uint64_t request_id) {
-  const size_t header_at = out->size();
-  PutU32(out, kMagic);
-  PutU16(out, kWireVersion);
-  PutU16(out, static_cast<uint16_t>(type));
-  PutU64(out, request_id);
-  PutU32(out, 0);  // payload_len — backpatched.
-  PutU32(out, 0);  // checksum — backpatched.
-  return header_at;
-}
-
-void EndFrame(std::vector<uint8_t>* out, size_t header_at) {
-  const size_t payload_len = out->size() - header_at - kHeaderBytes;
-  PatchU32(out, header_at + 16, static_cast<uint32_t>(payload_len));
-  // The checksum covers the first 20 header bytes (payload_len included, so
-  // it must be patched first) plus the payload.
-  PatchU32(out, header_at + 20,
-           FrameChecksum(out->data() + header_at,
-                         out->data() + header_at + kHeaderBytes, payload_len));
-}
-
-// Tagged-field writer that appends straight onto a caller-owned buffer —
-// same wire bytes as FieldWriter, zero intermediate buffers. Nested messages
-// backpatch their length instead of being built separately and copied.
-class InplaceFieldWriter {
- public:
-  explicit InplaceFieldWriter(std::vector<uint8_t>* out) : out_(out) {}
-
-  void PutBytes(uint16_t tag, const uint8_t* data, size_t n) {
-    PutU16(out_, tag);
-    PutU32(out_, static_cast<uint32_t>(n));
-    out_->insert(out_->end(), data, data + n);
-  }
-  void PutString(uint16_t tag, const std::string& s) {
-    PutBytes(tag, reinterpret_cast<const uint8_t*>(s.data()), s.size());
-  }
-  void PutVarU64(uint16_t tag, uint64_t v) {
-    PutU16(out_, tag);
-    PutU32(out_, 8);
-    PutU64(out_, v);
-  }
-  void PutVarU32(uint16_t tag, uint32_t v) {
-    PutU16(out_, tag);
-    PutU32(out_, 4);
-    PutU32(out_, v);
-  }
-  void PutF64(uint16_t tag, double d) { PutVarU64(tag, DoubleBits(d)); }
-  void PutF64Array(uint16_t tag, const std::vector<double>& v) {
-    PutU16(out_, tag);
-    PutU32(out_, static_cast<uint32_t>(v.size() * 8));
-    for (double d : v) PutU64(out_, DoubleBits(d));
-  }
-
-  /// Opens a nested-message field; returns the mark EndNested() patches.
-  size_t BeginNested(uint16_t tag) {
-    PutU16(out_, tag);
-    PutU32(out_, 0);  // Length — backpatched by EndNested.
-    return out_->size();
-  }
-  void EndNested(size_t mark) {
-    PatchU32(out_, mark - 4, static_cast<uint32_t>(out_->size() - mark));
-  }
-
- private:
-  std::vector<uint8_t>* out_;
-};
-
-}  // namespace
-
-void AppendAnswerFrame(std::vector<uint8_t>* out, uint64_t request_id,
-                       const service::Answer& answer) {
-  // Field order mirrors EncodeAnswer exactly: the in-place frame must be
-  // bit-for-bit what AppendFrame(out, ..., EncodeAnswer(answer)) produces
-  // (net_wire_test pins this).
-  const size_t frame = BeginFrame(out, FrameType::kAnswer, request_id);
-  InplaceFieldWriter w(out);
-  w.PutVarU32(kAnsKind, static_cast<uint32_t>(answer.kind));
-  w.PutVarU32(kAnsSource, static_cast<uint32_t>(answer.source));
-  w.PutF64(kAnsMean, answer.mean);
-  for (const core::LocalLinearModel& piece : answer.pieces) {
-    const size_t nested = w.BeginNested(kAnsPiece);
-    w.PutF64(kPieceIntercept, piece.intercept);
-    w.PutF64Array(kPieceSlope, piece.slope);
-    w.PutVarU32(kPiecePrototypeId, static_cast<uint32_t>(piece.prototype_id));
-    w.PutF64(kPieceWeight, piece.weight);
-    w.EndNested(nested);
-  }
-  w.PutF64(kAnsCacheDelta, answer.cache_delta);
-  w.PutVarU32(kAnsUsedFallback, answer.used_fallback ? 1 : 0);
-  const size_t exec = w.BeginNested(kAnsExec);
-  w.PutVarU64(kExecTuplesExamined,
-              static_cast<uint64_t>(answer.exec.tuples_examined));
-  w.PutVarU64(kExecTuplesMatched,
-              static_cast<uint64_t>(answer.exec.tuples_matched));
-  w.PutVarU64(kExecNanos, static_cast<uint64_t>(answer.exec.nanos));
-  w.PutVarU64(kExecChunksCompleted,
-              static_cast<uint64_t>(answer.exec.chunks_completed));
-  w.PutVarU64(kExecChunksTotal,
-              static_cast<uint64_t>(answer.exec.chunks_total));
-  w.EndNested(exec);
-  EndFrame(out, frame);
+  std::vector<uint8_t> out;
+  InplaceFieldWriter w(&out);
+  WriteStatusFields(status, &w);
+  return out;
 }
 
 void AppendStatusFrame(std::vector<uint8_t>* out, uint64_t request_id,
                        const util::Status& status) {
   const size_t frame = BeginFrame(out, FrameType::kError, request_id);
   InplaceFieldWriter w(out);
-  w.PutVarU32(kStatusCode, static_cast<uint32_t>(status.code()));
-  w.PutString(kStatusMessage, status.message());
+  WriteStatusFields(status, &w);
   EndFrame(out, frame);
 }
 
@@ -675,6 +598,29 @@ util::Status DecodeStatus(const uint8_t* data, size_t n, util::Status* decoded) 
   }
   *decoded = util::Status(static_cast<util::StatusCode>(code), std::move(message));
   return util::Status::OK();
+}
+
+// ------------------------------------------------------------ arena encode --
+
+std::vector<uint8_t> WireArena::Acquire() {
+  ++acquired_;
+  if (!pool_.empty()) {
+    std::vector<uint8_t> buf = std::move(pool_.back());
+    pool_.pop_back();
+    buf.clear();  // Keeps capacity — that is the whole point.
+    ++reused_;
+    return buf;
+  }
+  return {};
+}
+
+void WireArena::Release(std::vector<uint8_t> buf) {
+  ++released_;
+  if (pool_.size() >= options_.max_pooled_buffers ||
+      buf.capacity() > options_.max_retained_bytes) {
+    return;  // Over the caps: let it free here.
+  }
+  pool_.push_back(std::move(buf));
 }
 
 }  // namespace net

@@ -35,10 +35,10 @@ QueryRouter::QueryRouter(ModelCatalog* catalog, RouterConfig config)
       config_(config),
       cache_(config.cache),
       stats_(config.latency_window),
-      pool_(std::make_unique<ThreadPool>(config.num_threads,
-                                         config.queue_capacity)) {
+      pool_(std::make_unique<util::ThreadPool>(config.num_threads,
+                                               config.queue_capacity)) {
   if (config_.exact_threads > 0) {
-    exact_pool_ = std::make_unique<ThreadPool>(config_.exact_threads);
+    exact_pool_ = std::make_unique<util::ThreadPool>(config_.exact_threads);
     query::ParallelOptions par;
     par.pool = exact_pool_.get();
     par.target_partitions = config_.exact_partitions;
@@ -375,7 +375,7 @@ std::vector<ExecResult> QueryRouter::ExecuteBatch(
     for (size_t i = 0; i < batch.size(); ++i) results[i] = Execute(batch[i]);
     return results;
   }
-  BlockingCounter done(static_cast<int64_t>(batch.size()));
+  util::BlockingCounter done(static_cast<int64_t>(batch.size()));
   for (size_t i = 0; i < batch.size(); ++i) {
     auto task = [this, &batch, &results, &done, i] {
       results[i] = Execute(batch[i]);

@@ -28,9 +28,9 @@
 #include "service/answer_cache.h"
 #include "service/model_catalog.h"
 #include "service/service_stats.h"
-#include "service/thread_pool.h"
 #include "util/cancellation.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace qreg {
 namespace service {
@@ -232,7 +232,7 @@ class QueryRouter {
   ServiceStats* stats_sink() { return &stats_; }
 
   /// The batch worker pool — exposed so tests can saturate it on purpose.
-  ThreadPool* pool_for_testing() { return pool_.get(); }
+  util::ThreadPool* pool_for_testing() { return pool_.get(); }
 
  private:
   /// `outcome` collects what the returned ExecError cannot locate on its
@@ -277,8 +277,8 @@ class QueryRouter {
   ServiceStats stats_;
   // Owned via pointer so ~QueryRouter can drain in-flight batch tasks and
   // drift probes *before* detaching the exact pool from the catalog.
-  std::unique_ptr<ThreadPool> pool_;
-  std::unique_ptr<ThreadPool> exact_pool_;  // Only with exact_threads > 0.
+  std::unique_ptr<util::ThreadPool> pool_;
+  std::unique_ptr<util::ThreadPool> exact_pool_;  // Only if exact_threads > 0.
 };
 
 }  // namespace service

@@ -670,7 +670,7 @@ TEST(LifecycleRouterTest, CancelledRequestOnShedPathStaysCancelled) {
   Request warm = Request::Q1("r1", query::Query({0.5, 0.5}, 0.1));
   ASSERT_TRUE(router.Execute(warm).ok());
   Gate worker_started, release_worker;
-  service::ThreadPool* pool = router.pool_for_testing();
+  util::ThreadPool* pool = router.pool_for_testing();
   pool->Submit([&] {
     worker_started.Open();
     release_worker.Wait();
@@ -706,7 +706,7 @@ TEST(LifecycleRouterTest, ExpiredDeadlineOnShedPathStaysTypedReject) {
   Request warm = Request::Q1("r1", query::Query({0.5, 0.5}, 0.1));
   ASSERT_TRUE(router.Execute(warm).ok());
   Gate worker_started, release_worker;
-  service::ThreadPool* pool = router.pool_for_testing();
+  util::ThreadPool* pool = router.pool_for_testing();
   pool->Submit([&] {
     worker_started.Open();
     release_worker.Wait();

@@ -4,7 +4,8 @@
 // deadlines are rejected at admission without touching the δ-cache; a
 // saturated server sheds with typed kResourceExhausted frames (never a
 // dropped connection); shutdown drains everything already decoded; malformed
-// streams get a typed error frame and a clean close.
+// streams get a typed error frame and a clean close; a port already held is
+// a typed Start() failure that leaves no listener behind.
 
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
@@ -13,7 +14,6 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <thread>
@@ -47,25 +47,6 @@ bool WaitFor(Cond cond) {
   return cond();
 }
 
-// The backend every server in this file runs on. CI's net-fault-gate sweeps
-// QREG_NET_BACKEND over {poll, epoll}; unset means poll. The wire bytes must
-// be identical either way — that is the whole point of the seam.
-BackendKind TestBackend() {
-  const char* env = std::getenv("QREG_NET_BACKEND");
-  BackendKind kind = BackendKind::kPoll;
-  if (env != nullptr && *env != '\0') {
-    EXPECT_TRUE(ParseBackendKind(env, &kind))
-        << "bad QREG_NET_BACKEND: " << env;
-  }
-  return kind;
-}
-
-ServerConfig BaseConfig() {
-  ServerConfig cfg;
-  cfg.backend = TestBackend();
-  return cfg;
-}
-
 WireRequest ToWire(const service::Request& request) {
   WireRequest wire;
   wire.dataset = request.dataset;
@@ -75,7 +56,7 @@ WireRequest ToWire(const service::Request& request) {
 }
 
 // Core determinism check, shared by the single-loop, multi-loop, and
-// shared-listener-fallback tests: a pipelined batch striped across
+// occupied-port tests: a pipelined batch striped across
 // `client_conns` connections must come back positionally aligned and
 // bit-for-bit equal to the synchronous in-process reference, whatever the
 // server's loop topology.
@@ -94,9 +75,6 @@ void RunBitForBitOverWire(ServerConfig server_cfg, size_t client_conns) {
   const util::Result<Endpoint> ep = server.Start();
   ASSERT_TRUE(ep.ok()) << ep.status();
   ASSERT_EQ(server.num_loops(), server_cfg.event_loops);
-  if (server_cfg.force_shared_listener) {
-    EXPECT_TRUE(server.using_shared_listener());
-  }
 
   ClientPool pool;
   ASSERT_TRUE(pool.Connect(ep->address, ep->port, client_conns).ok());
@@ -165,22 +143,46 @@ void RunBitForBitOverWire(ServerConfig server_cfg, size_t client_conns) {
 }
 
 TEST(NetServerTest, PipelinedBatchMatchesInProcessBitForBit) {
-  RunBitForBitOverWire(BaseConfig(), /*client_conns=*/1);
+  RunBitForBitOverWire(ServerConfig(), /*client_conns=*/1);
 }
 
 TEST(NetServerTest, MultiLoopPipelinedBatchesMatchInProcessBitForBit) {
-  ServerConfig cfg = BaseConfig();
+  ServerConfig cfg;
   cfg.event_loops = 4;
   RunBitForBitOverWire(cfg, /*client_conns=*/8);
 }
 
-TEST(NetServerTest, SharedListenerFallbackMatchesInProcessBitForBit) {
-  // Pretend the platform lacks SO_REUSEPORT: the round-robin fd-handoff
-  // path must be exactly as correct as kernel accept sharding.
-  ServerConfig cfg = BaseConfig();
-  cfg.event_loops = 4;
-  cfg.force_shared_listener = true;
-  RunBitForBitOverWire(cfg, /*client_conns=*/8);
+// A port another server holds is a typed Start() failure at every loop
+// count — there is no fallback topology — and the failed Start() leaves
+// nothing bound: once the holder shuts down, a fresh four-loop server on
+// that port serves every connection. A leaked SO_REUSEPORT listener would
+// swallow some of those connections and stall the batch.
+TEST(NetServerTest, OccupiedPortFailsStartAndLeavesNoListenerBehind) {
+  service::RouterConfig rcfg;
+  rcfg.num_threads = 1;
+  service::QueryRouter router(SharedCatalog(), rcfg);
+
+  Server holder(&router);
+  const util::Result<Endpoint> held = holder.Start();
+  ASSERT_TRUE(held.ok()) << held.status();
+
+  for (size_t loops : {size_t{1}, size_t{4}}) {
+    ServerConfig cfg;
+    cfg.port = held->port;
+    cfg.event_loops = loops;
+    Server second(&router, cfg);
+    const util::Result<Endpoint> ep = second.Start();
+    ASSERT_FALSE(ep.ok()) << "loops=" << loops;
+    EXPECT_EQ(ep.status().code(), util::StatusCode::kIoError) << ep.status();
+    EXPECT_FALSE(second.running());
+    EXPECT_EQ(second.num_loops(), 0u);
+  }
+  holder.Shutdown();
+
+  ServerConfig fresh;
+  fresh.port = held->port;
+  fresh.event_loops = 4;
+  RunBitForBitOverWire(fresh, /*client_conns=*/8);
 }
 
 TEST(NetServerTest, ConfigValidateRejectsBadConfigsBeforeAnySocket) {
@@ -293,33 +295,9 @@ TEST(NetServerTest, ConfigValidateRejectsBadConfigsBeforeAnySocket) {
   }
 }
 
-TEST(NetServerTest, ParseBackendKindRoundTripsAndRejectsGarbage) {
-  BackendKind kind = BackendKind::kSim;
-  ASSERT_TRUE(ParseBackendKind("poll", &kind));
-  EXPECT_EQ(kind, BackendKind::kPoll);
-  ASSERT_TRUE(ParseBackendKind("epoll", &kind));
-  EXPECT_EQ(kind, BackendKind::kEpoll);
-  ASSERT_TRUE(ParseBackendKind("sim", &kind));
-  EXPECT_EQ(kind, BackendKind::kSim);
-  for (BackendKind k :
-       {BackendKind::kPoll, BackendKind::kEpoll, BackendKind::kSim}) {
-    BackendKind parsed = BackendKind::kPoll;
-    ASSERT_TRUE(ParseBackendKind(BackendKindName(k), &parsed));
-    EXPECT_EQ(parsed, k);
-  }
-  kind = BackendKind::kEpoll;
-  EXPECT_FALSE(ParseBackendKind("", &kind));
-  EXPECT_FALSE(ParseBackendKind("Epoll", &kind));
-  EXPECT_FALSE(ParseBackendKind("io_uring", &kind));
-  EXPECT_EQ(kind, BackendKind::kEpoll);  // Untouched on failure.
-}
-
-// The PR 8 acceptance pin: the epoll backend must be bit-for-bit identical
-// to poll over the wire — same frames, same payload bytes, same per-loop
-// counter rollup — at one loop and at four, pipelined batches striped over
-// several connections. (RunBitForBitOverWire compares against the in-process
-// reference, which the poll runs above also match; equality to the same
-// reference is equality to each other.)
+// ServerConfig's default backend is epoll; these pin the explicit setting
+// the benchmark uses to the same in-process reference, at one loop and at
+// four with pipelined batches striped over several connections.
 TEST(NetServerTest, EpollSingleLoopMatchesInProcessBitForBit) {
   ServerConfig cfg;
   cfg.backend = BackendKind::kEpoll;
@@ -338,7 +316,7 @@ TEST(NetServerTest, StartReturnsBoundEndpoint) {
   rcfg.num_threads = 1;
   service::QueryRouter router(SharedCatalog(), rcfg);
 
-  ServerConfig cfg = BaseConfig();
+  ServerConfig cfg;
   cfg.event_loops = 2;
   Server server(&router, cfg);
   const util::Result<Endpoint> ep = server.Start();
@@ -363,7 +341,7 @@ TEST(NetServerTest, MultiLoopShutdownDrainsEveryLoopsDecodedRequests) {
   cfg.num_threads = 2;
   service::QueryRouter router(SharedCatalog(), cfg);
 
-  ServerConfig server_cfg = BaseConfig();
+  ServerConfig server_cfg;
   server_cfg.event_loops = 4;
   Server server(&router, server_cfg);
   const auto ep = server.Start();
@@ -421,7 +399,7 @@ TEST(NetServerTest, GlobalConnectionCapHoldsAcrossLoops) {
   rcfg.num_threads = 1;
   service::QueryRouter router(SharedCatalog(), rcfg);
 
-  ServerConfig cfg = BaseConfig();
+  ServerConfig cfg;
   cfg.event_loops = 4;
   cfg.max_connections = 6;  // Global cap, NOT per loop.
   Server server(&router, cfg);
@@ -473,7 +451,7 @@ TEST(NetServerTest, ExpiredClientDeadlineRejectedAtAdmissionWithoutCacheTouch) {
   cfg.num_threads = 1;
   service::QueryRouter router(SharedCatalog(), cfg);
 
-  Server server(&router, BaseConfig());
+  Server server(&router);
   const auto ep = server.Start();
   ASSERT_TRUE(ep.ok()) << ep.status();
   Client client;
@@ -511,7 +489,7 @@ TEST(NetServerTest, SaturatedRouterShedsWithTypedFramesNotConnectionDrops) {
   cfg.overload = service::OverloadPolicy::kShed;
   service::QueryRouter router(SharedCatalog(), cfg);
 
-  Server server(&router, BaseConfig());
+  Server server(&router);
   const auto ep = server.Start();
   ASSERT_TRUE(ep.ok()) << ep.status();
   Client client;
@@ -558,7 +536,7 @@ TEST(NetServerTest, ServerPipelineCapShedsAtAdmission) {
   cfg.num_threads = 1;
   service::QueryRouter router(SharedCatalog(), cfg);
 
-  ServerConfig server_cfg = BaseConfig();
+  ServerConfig server_cfg;
   server_cfg.max_pipeline = 8;  // Tiny per-connection backlog bound.
   Server server(&router, server_cfg);
   const auto ep = server.Start();
@@ -591,7 +569,7 @@ TEST(NetServerTest, ShutdownDrainsDecodedRequestsThenCloses) {
   cfg.num_threads = 2;
   service::QueryRouter router(SharedCatalog(), cfg);
 
-  Server server(&router, BaseConfig());
+  Server server(&router);
   const auto ep = server.Start();
   ASSERT_TRUE(ep.ok()) << ep.status();
   Client client;
@@ -640,7 +618,7 @@ TEST(NetServerTest, MalformedStreamGetsTypedErrorFrameAndCleanClose) {
   service::RouterConfig cfg;
   cfg.num_threads = 1;
   service::QueryRouter router(SharedCatalog(), cfg);
-  Server server(&router, BaseConfig());
+  Server server(&router);
   const auto ep = server.Start();
   ASSERT_TRUE(ep.ok()) << ep.status();
 
@@ -703,7 +681,7 @@ TEST(NetServerTest, OversizedFramePoisonPersistsOverSocket) {
   service::RouterConfig cfg;
   cfg.num_threads = 1;
   service::QueryRouter router(SharedCatalog(), cfg);
-  Server server(&router, BaseConfig());
+  Server server(&router);
   const auto ep = server.Start();
   ASSERT_TRUE(ep.ok()) << ep.status();
 
@@ -804,7 +782,7 @@ TEST(NetServerTest, UnknownDatasetComesBackAsTypedNotFound) {
   service::RouterConfig cfg;
   cfg.num_threads = 1;
   service::QueryRouter router(SharedCatalog(), cfg);
-  Server server(&router, BaseConfig());
+  Server server(&router);
   const auto ep = server.Start();
   ASSERT_TRUE(ep.ok()) << ep.status();
   Client client;
@@ -823,7 +801,7 @@ TEST(NetServerTest, PingPongAndServerIsSingleUse) {
   service::RouterConfig cfg;
   cfg.num_threads = 1;
   service::QueryRouter router(SharedCatalog(), cfg);
-  Server server(&router, BaseConfig());
+  Server server(&router);
   const auto ep = server.Start();
   ASSERT_TRUE(ep.ok()) << ep.status();
   EXPECT_TRUE(server.running());
@@ -858,7 +836,7 @@ struct PoolFixture {
   PoolFixture()
       : router(SharedCatalog(), RouterCfg(2)),
         ref(SharedCatalog(), RouterCfg(0)),
-        server(&router, BaseConfig()) {
+        server(&router) {
     const util::Result<Endpoint> started = server.Start();
     EXPECT_TRUE(started.ok()) << started.status();
     if (started.ok()) ep = *started;
@@ -1001,7 +979,7 @@ TEST(ClientPoolTest, RetryRecoversBatchAfterResetFirstAttempt) {
   service::RouterConfig refcfg = rcfg;
   refcfg.num_threads = 0;
   service::QueryRouter ref(SharedCatalog(), refcfg);
-  ServerConfig scfg = BaseConfig();
+  ServerConfig scfg;
   scfg.port = port;
   Server server(&router, scfg);
   ASSERT_TRUE(server.Start().ok());
@@ -1059,7 +1037,7 @@ TEST(ClientPoolTest, DeadlineCarryingRequestsAreNeverRetried) {
   service::RouterConfig rcfg;
   rcfg.num_threads = 1;
   service::QueryRouter router(SharedCatalog(), rcfg);
-  ServerConfig scfg = BaseConfig();
+  ServerConfig scfg;
   scfg.port = port;
   Server server(&router, scfg);
   ASSERT_TRUE(server.Start().ok());

@@ -22,9 +22,9 @@
 #include "service/model_catalog.h"
 #include "service/query_router.h"
 #include "service/service_stats.h"
-#include "service/thread_pool.h"
 #include "test_support.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace qreg {
 namespace service {
@@ -45,9 +45,9 @@ CatalogOptions TestOptions() { return DefaultCatalogOptions(); }
 // ---------- ThreadPool ----------
 
 TEST(ThreadPoolTest, ExecutesAllSubmittedTasks) {
-  ThreadPool pool(4, /*queue_capacity=*/16);
+  util::ThreadPool pool(4, /*queue_capacity=*/16);
   std::atomic<int> count{0};
-  BlockingCounter done(1000);
+  util::BlockingCounter done(1000);
   for (int i = 0; i < 1000; ++i) {
     pool.Submit([&count, &done] {
       count.fetch_add(1, std::memory_order_relaxed);
@@ -59,7 +59,7 @@ TEST(ThreadPoolTest, ExecutesAllSubmittedTasks) {
 }
 
 TEST(ThreadPoolTest, ZeroWorkersRunsInline) {
-  ThreadPool pool(0);
+  util::ThreadPool pool(0);
   EXPECT_EQ(pool.num_threads(), 0u);
   std::thread::id task_thread;
   pool.Submit([&task_thread] { task_thread = std::this_thread::get_id(); });
@@ -67,7 +67,7 @@ TEST(ThreadPoolTest, ZeroWorkersRunsInline) {
 }
 
 TEST(ThreadPoolTest, TrySubmitAppliesBackpressure) {
-  ThreadPool pool(1, /*queue_capacity=*/1);
+  util::ThreadPool pool(1, /*queue_capacity=*/1);
   std::mutex gate;
   gate.lock();
   pool.Submit([&gate] { gate.lock(); gate.unlock(); });  // Blocks the worker.
@@ -83,7 +83,7 @@ TEST(ThreadPoolTest, TrySubmitAppliesBackpressure) {
 TEST(ThreadPoolTest, DestructorDrainsQueuedTasks) {
   std::atomic<int> count{0};
   {
-    ThreadPool pool(2, 64);
+    util::ThreadPool pool(2, 64);
     for (int i = 0; i < 50; ++i) {
       pool.Submit([&count] { count.fetch_add(1); });
     }
@@ -737,7 +737,7 @@ TEST(OverloadSheddingTest, SaturatedBatchShedsToCacheOrRejects) {
   // Saturate: gate the lone worker, then fill the 1-slot queue.
   std::mutex gate;
   gate.lock();
-  ThreadPool* pool = router.pool_for_testing();
+  util::ThreadPool* pool = router.pool_for_testing();
   pool->Submit([&gate] { gate.lock(); gate.unlock(); });
   while (pool->queue_depth() > 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
