@@ -13,6 +13,7 @@
 #include "linalg/ols.h"
 #include "plr/mars.h"
 #include "query/exact_engine.h"
+#include "query/scan_kernels.h"
 #include "query/workload.h"
 #include "storage/kdtree.h"
 #include "storage/scan_index.h"
@@ -35,11 +36,9 @@ void BM_ScanRadius(benchmark::State& state) {
   const double center[] = {0.5, 0.5};
   for (auto _ : state) {
     storage::SelectionStats stats;
-    int64_t count = 0;
-    index.RadiusVisit(
-        center, 0.1, storage::LpNorm::L2(),
-        [&count](int64_t, const double*, double) { ++count; }, &stats);
-    benchmark::DoNotOptimize(count);
+    query::SumBlockKernel kernel;
+    index.BlockVisit(center, 0.1, storage::LpNorm::L2(), &kernel, &stats);
+    benchmark::DoNotOptimize(kernel.count());
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
@@ -52,11 +51,9 @@ void BM_KdTreeRadius(benchmark::State& state) {
   const double center[] = {0.5, 0.5};
   for (auto _ : state) {
     storage::SelectionStats stats;
-    int64_t count = 0;
-    index.RadiusVisit(
-        center, 0.1, storage::LpNorm::L2(),
-        [&count](int64_t, const double*, double) { ++count; }, &stats);
-    benchmark::DoNotOptimize(count);
+    query::SumBlockKernel kernel;
+    index.BlockVisit(center, 0.1, storage::LpNorm::L2(), &kernel, &stats);
+    benchmark::DoNotOptimize(kernel.count());
   }
   state.SetItemsProcessed(state.iterations() * n);
 }

@@ -1,37 +1,36 @@
 // Scan-kernel throughput: per-row type-erased dispatch vs the block-at-a-time
-// kernel pipeline (ISSUE-5 tentpole), plus the AnswerCache read-path
-// micro-bench (mutex-serialized readers vs the wait-free epoch path).
+// kernel pipeline, plus the AnswerCache wait-free read-path micro-bench.
 //
 // Part 1 — scan kernels. For every (d, selectivity) cell the bench runs a
 // full-table radius scan two ways over the same data and the same
 // selectivity-calibrated L2 ball:
-//   - rowvisitor: the legacy hot loop this PR replaced — per-row
+//   - rowvisitor: the legacy per-row hot loop, local to this bench —
 //     LpNorm::Within with its early-exit branch, one std::function call per
 //     matching row (kept here as the measured baseline);
 //   - blockvisit: ScanIndex::BlockVisit streaming 256-row blocks through the
 //     branch-free filter into a fused SumBlockKernel.
 // Reported as rows/sec (candidate rows examined per wall second).
 //
-// Part 2 — cache read path. N reader threads hammer AnswerCache::Lookup on
-// a warm group, once with config.mutex_reader_baseline (every reader takes
-// the shard mutex, the pre-epoch design) and once wait-free.
+// Part 2 — cache read path. N reader threads hammer AnswerCache::Lookup's
+// wait-free epoch read path on a warm group.
 //
 // Always writes machine-readable JSON to OutDir() (default bench/out/):
 //   bench_scan_kernels.json       — one record per (d, selectivity, path)
-//   bench_cache_read_path.json    — one record per (readers, mode)
+//   bench_cache_read_path.json    — one record per reader count
 // picked up by the CI bench-smoke artifact upload. The table JSON includes
 // bytes/row from the Table::MemoryBytes breakdown.
 //
 // --smoke: scaled-down sizes for CI, plus a hard gate: exits non-zero if
 // blockvisit is not at least as fast as rowvisitor on the d=6, 10% L2
-// profile (guards against the RowVisitor adapter accidentally becoming the
-// fast path).
+// profile (guards against the block pipeline regressing below the per-row
+// loop it replaced).
 //
 // Env knobs: QREG_SCAN_ROWS (default 200000), QREG_SCAN_REPS (default
 // auto), QREG_SEED.
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -80,11 +79,14 @@ double CalibrateRadius(const storage::Table& t, const std::vector<double>& cente
   return dist[static_cast<size_t>(k)];
 }
 
-// The legacy per-row hot loop (pre-block-pipeline ScanIndex::RadiusVisit):
-// early-exit Within per row, type-erased visitor call per match.
+// Per-row callback of the legacy loop: (row id, features, output).
+using RowCallback = std::function<void(int64_t id, const double* x, double u)>;
+
+// The legacy per-row hot loop the block pipeline replaced: early-exit
+// Within per row, type-erased callback per match.
 int64_t LegacyRowScan(const storage::Table& t, const double* center,
                       double radius, const storage::LpNorm& norm,
-                      const storage::RowVisitor& visit) {
+                      const RowCallback& visit) {
   const size_t d = t.dimension();
   const int64_t n = t.num_rows();
   int64_t matched = 0;
@@ -168,16 +170,14 @@ ScanCell RunScanCell(size_t d, double selectivity, int64_t rows, int64_t reps,
 
 struct CacheCell {
   int readers = 0;
-  bool mutex_baseline = false;
   double lookups_per_sec = 0.0;
   double hit_rate = 0.0;
 };
 
-CacheCell RunCacheCell(int readers, bool mutex_baseline, int64_t lookups_each) {
+CacheCell RunCacheCell(int readers, int64_t lookups_each) {
   service::AnswerCacheConfig cfg;
   cfg.delta_min = 0.9;
   cfg.num_shards = 8;
-  cfg.mutex_reader_baseline = mutex_baseline;
   service::AnswerCache cache(cfg);
   const std::string group = "ds/g0/Q1";
   for (int i = 0; i < 64; ++i) {
@@ -204,7 +204,6 @@ CacheCell RunCacheCell(int readers, bool mutex_baseline, int64_t lookups_each) {
 
   CacheCell cell;
   cell.readers = readers;
-  cell.mutex_baseline = mutex_baseline;
   cell.lookups_per_sec =
       static_cast<double>(lookups_each * readers) / std::max(1e-9, secs);
   cell.hit_rate = cache.stats().HitRate();
@@ -265,27 +264,23 @@ int Run(bool smoke) {
   }
   EmitTable("scan_kernels", util::Format("matrix_rows%lld", static_cast<long long>(rows)), table, env);
 
-  // ---- Cache read path: mutex-serialized vs wait-free readers ----
+  // ---- Cache read path: wait-free readers ----
   const std::vector<int> reader_counts =
       smoke ? std::vector<int>{1, 4} : std::vector<int>{1, 8, 32};
   const int64_t lookups_each = smoke ? 20000 : 200000;
 
-  util::TablePrinter cache_table(
-      {"readers", "mode", "lookups_per_sec", "hit_rate"});
+  util::TablePrinter cache_table({"readers", "lookups_per_sec", "hit_rate"});
   std::string cache_json = "[\n";
   for (int readers : reader_counts) {
-    for (bool baseline : {true, false}) {
-      const CacheCell cell = RunCacheCell(readers, baseline, lookups_each);
-      const char* mode = baseline ? "mutex" : "waitfree";
-      cache_table.AddRow({util::Format("%d", readers), mode,
-                          util::Format("%.3g", cell.lookups_per_sec),
-                          util::Format("%.3f", cell.hit_rate)});
-      cache_json += util::Format(
-          "  {\"readers\": %d, \"mode\": \"%s\", \"lookups_per_sec\": %.1f, "
-          "\"hit_rate\": %.4f, \"hardware_concurrency\": %u},\n",
-          readers, mode, cell.lookups_per_sec, cell.hit_rate,
-          std::thread::hardware_concurrency());
-    }
+    const CacheCell cell = RunCacheCell(readers, lookups_each);
+    cache_table.AddRow({util::Format("%d", readers),
+                        util::Format("%.3g", cell.lookups_per_sec),
+                        util::Format("%.3f", cell.hit_rate)});
+    cache_json += util::Format(
+        "  {\"readers\": %d, \"lookups_per_sec\": %.1f, "
+        "\"hit_rate\": %.4f, \"hardware_concurrency\": %u},\n",
+        readers, cell.lookups_per_sec, cell.hit_rate,
+        std::thread::hardware_concurrency());
   }
   if (cache_json.size() > 2 && cache_json[cache_json.size() - 2] == ',') {
     cache_json.erase(cache_json.size() - 2, 1);

@@ -20,11 +20,8 @@ namespace {
 constexpr int64_t kRowsPerPartition = 8192;
 constexpr int64_t kMaxPartitions = 64;
 
-MeanValueResult MakeMeanResult(double sum, int64_t count) {
-  MeanValueResult r;
-  r.mean = sum / static_cast<double>(count);
-  r.count = count;
-  return r;
+util::Status EmptySubspace() {
+  return util::Status::NotFound("empty data subspace D(x, theta)");
 }
 
 // Admission-time lifecycle check shared by the query paths: an already
@@ -152,39 +149,32 @@ ExactEngine::ChunkRunResult ExactEngine::RunChunks(
   return result;
 }
 
-util::Result<MeanValueResult> ExactEngine::MeanValue(
-    const Query& q, ExecStats* stats, const util::ExecControl* control) const {
+template <typename Kernel>
+util::Status ExactEngine::Reduce(const Query& q, Kernel* total,
+                                 ExecStats* stats,
+                                 const util::ExecControl* control) const {
   util::Stopwatch sw;
-  storage::SelectionStats sel;
-  double sum = 0.0;
-  int64_t count = 0;
-  ChunkRunResult run;
   QREG_RETURN_NOT_OK(CheckAdmission(control, stats, sw));
+  storage::SelectionStats sel;
+  ChunkRunResult run;
   if (!parallel_enabled() && control == nullptr) {
-    SumBlockKernel kernel;
-    index_.BlockVisit(q.center.data(), q.theta, norm_, &kernel, &sel);
-    sum = kernel.sum();
-    count = kernel.count();
+    index_.BlockVisit(q.center.data(), q.theta, norm_, total, &sel);
   } else {
     const std::vector<storage::ScanPartition> plan = PartitionPlan();
-    struct Part {
-      SumBlockKernel kernel;
-      storage::SelectionStats sel;
-    };
-    std::vector<Part> parts(plan.size());
+    // Every part starts as a copy of the still-zeroed total.
+    std::vector<Kernel> parts(plan.size(), *total);
+    std::vector<storage::SelectionStats> part_sel(plan.size());
     run = RunChunks(
         plan.size(),
-        [this, &q, &plan, &parts](size_t i) {
-          Part& p = parts[i];
+        [this, &q, &plan, &parts, &part_sel](size_t i) {
           index_.BlockVisitPartition(plan[i], q.center.data(), q.theta, norm_,
-                                     &p.kernel, &p.sel);
+                                     &parts[i], &part_sel[i]);
         },
         control);
-    for (const Part& p : parts) {  // Deterministic: always plan order.
-      sum += p.kernel.sum();
-      count += p.kernel.count();
-      sel.tuples_examined += p.sel.tuples_examined;
-      sel.tuples_matched += p.sel.tuples_matched;
+    for (size_t i = 0; i < plan.size(); ++i) {  // Deterministic: plan order.
+      total->Merge(parts[i]);
+      sel.tuples_examined += part_sel[i].tuples_examined;
+      sel.tuples_matched += part_sel[i].tuples_matched;
     }
     if (stats != nullptr) {
       stats->chunks_completed = static_cast<int64_t>(run.executed);
@@ -196,68 +186,29 @@ util::Result<MeanValueResult> ExactEngine::MeanValue(
     stats->tuples_matched = sel.tuples_matched;
     stats->nanos = sw.ElapsedNanos();
   }
-  if (!run.status.ok()) return run.status;
-  if (count == 0) {
-    return util::Status::NotFound("empty data subspace D(x, theta)");
-  }
-  return MakeMeanResult(sum, count);
+  return run.status;
+}
+
+util::Result<MeanValueResult> ExactEngine::MeanValue(
+    const Query& q, ExecStats* stats, const util::ExecControl* control) const {
+  SumBlockKernel total;
+  QREG_RETURN_NOT_OK(Reduce(q, &total, stats, control));
+  if (total.count() == 0) return EmptySubspace();
+  MeanValueResult r;
+  r.mean = total.sum() / static_cast<double>(total.count());
+  r.count = total.count();
+  return r;
 }
 
 util::Result<MomentsResult> ExactEngine::Moments(
     const Query& q, ExecStats* stats, const util::ExecControl* control) const {
-  util::Stopwatch sw;
-  storage::SelectionStats sel;
-  double sum = 0.0;
-  double sum_sq = 0.0;
-  int64_t count = 0;
-  ChunkRunResult run;
-  QREG_RETURN_NOT_OK(CheckAdmission(control, stats, sw));
-  if (!parallel_enabled() && control == nullptr) {
-    MomentsBlockKernel kernel;
-    index_.BlockVisit(q.center.data(), q.theta, norm_, &kernel, &sel);
-    sum = kernel.sum();
-    sum_sq = kernel.sum_sq();
-    count = kernel.count();
-  } else {
-    const std::vector<storage::ScanPartition> plan = PartitionPlan();
-    struct Part {
-      MomentsBlockKernel kernel;
-      storage::SelectionStats sel;
-    };
-    std::vector<Part> parts(plan.size());
-    run = RunChunks(
-        plan.size(),
-        [this, &q, &plan, &parts](size_t i) {
-          Part& p = parts[i];
-          index_.BlockVisitPartition(plan[i], q.center.data(), q.theta, norm_,
-                                     &p.kernel, &p.sel);
-        },
-        control);
-    for (const Part& p : parts) {
-      sum += p.kernel.sum();
-      sum_sq += p.kernel.sum_sq();
-      count += p.kernel.count();
-      sel.tuples_examined += p.sel.tuples_examined;
-      sel.tuples_matched += p.sel.tuples_matched;
-    }
-    if (stats != nullptr) {
-      stats->chunks_completed = static_cast<int64_t>(run.executed);
-      stats->chunks_total = static_cast<int64_t>(plan.size());
-    }
-  }
-  if (stats != nullptr) {
-    stats->tuples_examined = sel.tuples_examined;
-    stats->tuples_matched = sel.tuples_matched;
-    stats->nanos = sw.ElapsedNanos();
-  }
-  if (!run.status.ok()) return run.status;
-  if (count == 0) {
-    return util::Status::NotFound("empty data subspace D(x, theta)");
-  }
+  MomentsBlockKernel total;
+  QREG_RETURN_NOT_OK(Reduce(q, &total, stats, control));
+  if (total.count() == 0) return EmptySubspace();
   MomentsResult r;
-  r.count = count;
-  r.mean = sum / static_cast<double>(count);
-  r.second_moment = sum_sq / static_cast<double>(count);
+  r.count = total.count();
+  r.mean = total.sum() / static_cast<double>(r.count);
+  r.second_moment = total.sum_sq() / static_cast<double>(r.count);
   r.variance = std::max(0.0, r.second_moment - r.mean * r.mean);
   return r;
 }
@@ -265,100 +216,20 @@ util::Result<MomentsResult> ExactEngine::Moments(
 util::Result<linalg::OlsFit> ExactEngine::Regression(
     const Query& q, ExecStats* stats, const util::ExecControl* control) const {
   util::Stopwatch sw;
-  storage::SelectionStats sel;
-  linalg::OlsAccumulator acc(table_.dimension());
-  ChunkRunResult run;
-  QREG_RETURN_NOT_OK(CheckAdmission(control, stats, sw));
-  if (!parallel_enabled() && control == nullptr) {
-    GramBlockKernel kernel(&acc);
-    index_.BlockVisit(q.center.data(), q.theta, norm_, &kernel, &sel);
-  } else {
-    const std::vector<storage::ScanPartition> plan = PartitionPlan();
-    struct Part {
-      explicit Part(size_t d) : acc(d), kernel(&acc) {}
-      linalg::OlsAccumulator acc;
-      GramBlockKernel kernel;
-      storage::SelectionStats sel;
-    };
-    std::vector<Part> parts;
-    parts.reserve(plan.size());
-    for (size_t i = 0; i < plan.size(); ++i) parts.emplace_back(table_.dimension());
-    run = RunChunks(
-        plan.size(),
-        [this, &q, &plan, &parts](size_t i) {
-          Part& p = parts[i];
-          index_.BlockVisitPartition(plan[i], q.center.data(), q.theta, norm_,
-                                     &p.kernel, &p.sel);
-        },
-        control);
-    for (const Part& p : parts) {  // MADlib-style merge, plan order.
-      (void)acc.Merge(p.acc);
-      sel.tuples_examined += p.sel.tuples_examined;
-      sel.tuples_matched += p.sel.tuples_matched;
-    }
-    if (stats != nullptr) {
-      stats->chunks_completed = static_cast<int64_t>(run.executed);
-      stats->chunks_total = static_cast<int64_t>(plan.size());
-    }
-  }
-  auto fit = !run.status.ok()
-                 ? util::Result<linalg::OlsFit>(run.status)
-                 : acc.count() == 0
-                       ? util::Result<linalg::OlsFit>(util::Status::NotFound(
-                             "empty data subspace D(x, theta)"))
-                       : acc.Solve();
-  if (stats != nullptr) {
-    stats->tuples_examined = sel.tuples_examined;
-    stats->tuples_matched = sel.tuples_matched;
-    stats->nanos = sw.ElapsedNanos();
-  }
+  GramBlockKernel total(table_.dimension());
+  QREG_RETURN_NOT_OK(Reduce(q, &total, stats, control));
+  auto fit = total.acc().count() == 0
+                 ? util::Result<linalg::OlsFit>(EmptySubspace())
+                 : total.acc().Solve();
+  if (stats != nullptr) stats->nanos = sw.ElapsedNanos();  // Incl. the solve.
   return fit;
 }
 
 util::Result<std::vector<int64_t>> ExactEngine::Select(
     const Query& q, ExecStats* stats, const util::ExecControl* control) const {
-  util::Stopwatch sw;
-  storage::SelectionStats sel;
-  std::vector<int64_t> ids;
-  ChunkRunResult run;
-  QREG_RETURN_NOT_OK(CheckAdmission(control, stats, sw));
-  if (!parallel_enabled() && control == nullptr) {
-    CollectIdsBlockKernel kernel(&ids);
-    index_.BlockVisit(q.center.data(), q.theta, norm_, &kernel, &sel);
-  } else {
-    const std::vector<storage::ScanPartition> plan = PartitionPlan();
-    struct Part {
-      Part() : kernel(&ids) {}
-      std::vector<int64_t> ids;
-      CollectIdsBlockKernel kernel;
-      storage::SelectionStats sel;
-    };
-    std::vector<Part> parts(plan.size());
-    run = RunChunks(
-        plan.size(),
-        [this, &q, &plan, &parts](size_t i) {
-          Part& p = parts[i];
-          index_.BlockVisitPartition(plan[i], q.center.data(), q.theta, norm_,
-                                     &p.kernel, &p.sel);
-        },
-        control);
-    for (Part& p : parts) {  // Plan order == sequential visit order.
-      ids.insert(ids.end(), p.ids.begin(), p.ids.end());
-      sel.tuples_examined += p.sel.tuples_examined;
-      sel.tuples_matched += p.sel.tuples_matched;
-    }
-    if (stats != nullptr) {
-      stats->chunks_completed = static_cast<int64_t>(run.executed);
-      stats->chunks_total = static_cast<int64_t>(plan.size());
-    }
-  }
-  if (stats != nullptr) {
-    stats->tuples_examined = sel.tuples_examined;
-    stats->tuples_matched = sel.tuples_matched;
-    stats->nanos = sw.ElapsedNanos();
-  }
-  if (!run.status.ok()) return run.status;
-  return ids;
+  CollectIdsBlockKernel total;
+  QREG_RETURN_NOT_OK(Reduce(q, &total, stats, control));
+  return total.TakeIds();
 }
 
 }  // namespace query

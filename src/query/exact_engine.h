@@ -4,22 +4,26 @@
 //  - Q1 (MeanValue): average of u over D(x, θ)          [Definition 4]
 //  - Q2 (Regression): multivariate OLS over D(x, θ)     [the REG baseline]
 //
-// Both run the selection through a SpatialIndex access path and aggregate in
-// one streaming pass (no subspace materialization). Execution is
-// block-at-a-time: the access path streams filtered candidate blocks into
-// fused accumulator kernels (query/scan_kernels.h) — one virtual call per
-// block instead of a type-erased std::function call per row, with the Lp
-// filter kernel resolved once per scan. Scalar accumulators are
-// Kahan-compensated; see scan_kernels.h for why determinism nevertheless
-// comes from the plan-order merge, not the compensation.
+// Every operator runs through one reduction routine (Reduce): the operator
+// supplies its transition state — a fused block kernel from
+// query/scan_kernels.h that owns its accumulator and can Merge a partial —
+// and its final step (NotFound / the moments / the OLS solve); Reduce owns
+// the scan. Execution is block-at-a-time: the access path streams
+// filtered candidate blocks into the kernel, one virtual call per block,
+// with the Lp filter kernel resolved once per scan. Nothing is
+// materialized.
 //
-// With a ParallelOptions attached, the selection is split into the access
-// path's ScanPartitions, each partition fills its own accumulator (the
-// MADlib-style transition state), partitions execute on a ThreadPool, and
-// the partials merge in partition order. The partition plan and merge order
-// depend only on the data, so answers are bit-for-bit identical across
-// thread counts — including the 0-worker inline mode tests use as the
-// deterministic baseline.
+// Serially, Reduce runs one SpatialIndex::BlockVisit straight into the
+// operator's state. With a ParallelOptions attached (or an ExecControl to
+// honor), it splits the selection into the access path's ScanPartitions,
+// gives each partition its own copy of the zeroed state (the MADlib-style
+// transition state), runs the partitions on a ThreadPool, and merges the
+// partials in partition order. The partition plan and merge order depend
+// only on the data, so answers are bit-for-bit identical across thread
+// counts — including the 0-worker inline mode tests use as the
+// deterministic baseline. Scalar accumulators are Kahan-compensated; see
+// scan_kernels.h for why determinism nevertheless comes from the
+// plan-order merge, not the compensation.
 
 #ifndef QREG_QUERY_EXACT_ENGINE_H_
 #define QREG_QUERY_EXACT_ENGINE_H_
@@ -162,6 +166,16 @@ class ExactEngine {
   ChunkRunResult RunChunks(size_t chunks,
                            const std::function<void(size_t)>& body,
                            const util::ExecControl* control) const;
+
+  /// The one scan loop behind every operator. `total` is the operator's
+  /// zeroed transition state: a BlockKernel with `void Merge(const Kernel&)`.
+  /// Serial (no parallel options, no control): one BlockVisit into `total`.
+  /// Otherwise: one copy of `total` per plan partition, run by RunChunks
+  /// through BlockVisitPartition, merged into `total` in plan order. Fills
+  /// `stats` and returns the admission or mid-scan lifecycle status.
+  template <typename Kernel>
+  util::Status Reduce(const Query& q, Kernel* total, ExecStats* stats,
+                      const util::ExecControl* control) const;
 
   const storage::Table& table_;
   const storage::SpatialIndex& index_;

@@ -2,9 +2,11 @@
 // the ExactEngine drives through SpatialIndex::BlockVisit[Partition].
 //
 // Each kernel consumes a filtered BlockSpan's selected lanes in one tight
-// loop — no per-row virtual or std::function dispatch — and keeps the
-// MADlib-style transition state (sum / moments / Gram matrix / id list)
-// that partitioned scans later merge in plan order.
+// loop — no per-row virtual or std::function dispatch — and *is* the
+// MADlib-style transition state (sum / moments / Gram matrix / id list):
+// it owns its accumulator, copies cheaply while zeroed (one copy per
+// partition), and Merge() folds a partition's partial into the total in
+// plan order.
 //
 // Scalar accumulators are Kahan-compensated. Compensation is an accuracy
 // measure, not the determinism mechanism: bit-for-bit reproducibility
@@ -12,12 +14,15 @@
 // plan-order merge (each partition's kernel sees exactly the same rows in
 // the same order regardless of which worker runs it). Compensation keeps
 // those per-partition partials (and the serial whole-scan stream) accurate
-// enough that plan-shape changes stay within ~1 ulp of each other.
+// enough that plan-shape changes stay within ~1 ulp of each other. Merges
+// are plain adds, so merging one partial into a zeroed total reproduces
+// the partial bit for bit (0.0 + x == x).
 
 #ifndef QREG_QUERY_SCAN_KERNELS_H_
 #define QREG_QUERY_SCAN_KERNELS_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "linalg/ols.h"
@@ -39,6 +44,9 @@ struct KahanSum {
     sum = t;
   }
 
+  /// Folds in another stream's partial with one plain add.
+  void Merge(const KahanSum& part) { sum += part.sum; }
+
   double value() const { return sum; }
 };
 
@@ -48,6 +56,11 @@ class SumBlockKernel : public storage::BlockKernel {
   void OnBlock(const storage::BlockSpan& span) override {
     for (int32_t k = 0; k < span.count; ++k) sum_.Add(span.UAt(k));
     count_ += span.count;
+  }
+
+  void Merge(const SumBlockKernel& part) {
+    sum_.Merge(part.sum_);
+    count_ += part.count_;
   }
 
   double sum() const { return sum_.value(); }
@@ -70,6 +83,12 @@ class MomentsBlockKernel : public storage::BlockKernel {
     count_ += span.count;
   }
 
+  void Merge(const MomentsBlockKernel& part) {
+    sum_.Merge(part.sum_);
+    sum_sq_.Merge(part.sum_sq_);
+    count_ += part.count_;
+  }
+
   double sum() const { return sum_.value(); }
   double sum_sq() const { return sum_sq_.value(); }
   int64_t count() const { return count_; }
@@ -84,27 +103,35 @@ class MomentsBlockKernel : public storage::BlockKernel {
 /// the selected lanes of each block (OlsAccumulator::AddBlock).
 class GramBlockKernel : public storage::BlockKernel {
  public:
-  explicit GramBlockKernel(linalg::OlsAccumulator* acc) : acc_(acc) {}
+  explicit GramBlockKernel(size_t d) : acc_(d) {}
 
   void OnBlock(const storage::BlockSpan& span) override {
-    acc_->AddBlock(span.xs, span.us, span.sel, span.count);
+    acc_.AddBlock(span.xs, span.us, span.sel, span.count);
   }
 
+  void Merge(const GramBlockKernel& part) { (void)acc_.Merge(part.acc_); }
+
+  const linalg::OlsAccumulator& acc() const { return acc_; }
+
  private:
-  linalg::OlsAccumulator* acc_;
+  linalg::OlsAccumulator acc_;
 };
 
 /// \brief Select transition state: the matched row ids in scan order.
 class CollectIdsBlockKernel : public storage::BlockKernel {
  public:
-  explicit CollectIdsBlockKernel(std::vector<int64_t>* ids) : ids_(ids) {}
-
   void OnBlock(const storage::BlockSpan& span) override {
-    for (int32_t k = 0; k < span.count; ++k) ids_->push_back(span.IdAt(k));
+    for (int32_t k = 0; k < span.count; ++k) ids_.push_back(span.IdAt(k));
   }
 
+  void Merge(const CollectIdsBlockKernel& part) {
+    ids_.insert(ids_.end(), part.ids_.begin(), part.ids_.end());
+  }
+
+  std::vector<int64_t> TakeIds() { return std::move(ids_); }
+
  private:
-  std::vector<int64_t>* ids_;
+  std::vector<int64_t> ids_;
 };
 
 }  // namespace query

@@ -154,19 +154,6 @@ const AnswerCache::Entry* AnswerCache::FindBest(const GroupSnapshot& g,
 bool AnswerCache::Lookup(const std::string& group_key, const query::Query& q,
                          CachedAnswer* out) {
   Shard& shard = ShardFor(group_key);
-  if (config_.mutex_reader_baseline) {
-    // Bench/testing baseline only: serialize readers like the pre-epoch
-    // cache. The branch (instead of a conditionally-engaged lock object)
-    // keeps the scoped acquire/release provable by the thread-safety
-    // analysis.
-    util::MutexLock baseline_lock(&shard.mu);
-    return LookupImpl(shard, group_key, q, out);
-  }
-  return LookupImpl(shard, group_key, q, out);
-}
-
-bool AnswerCache::LookupImpl(Shard& shard, const std::string& group_key,
-                             const query::Query& q, CachedAnswer* out) {
   shard.lookups.fetch_add(1, std::memory_order_relaxed);
   // The whole read runs against this immutable snapshot; holding the
   // shared_ptr keeps every entry alive even if writers publish (or erase)

@@ -79,12 +79,6 @@ struct AnswerCacheConfig {
   /// Grid lookups probing more than this many cells fall back to the linear
   /// probe (the grid only pays off when cells hold few entries each).
   size_t max_grid_cells = 64;
-
-  /// Bench/testing baseline: make Lookup serialize on the shard mutex like
-  /// the pre-epoch implementation, so the reader-scaling micro-bench can
-  /// measure mutex-vs-wait-free on the same build. Never enable in
-  /// production.
-  bool mutex_reader_baseline = false;
 };
 
 /// \brief The reusable payload of one cached answer (Q1 scalar and/or the
@@ -209,11 +203,6 @@ class AnswerCache {
                         double* delta_out, bool* used_grid) const;
   const Entry* LinearProbe(const GroupSnapshot& g, const query::Query& q,
                            double* delta_out) const;
-
-  /// The snapshot-probing body of Lookup(). Lock-free against `shard`; the
-  /// mutex_reader_baseline branch of Lookup() wraps it in the shard mutex.
-  bool LookupImpl(Shard& shard, const std::string& group_key,
-                  const query::Query& q, CachedAnswer* out);
 
   AnswerCacheConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;  // Fixed size after ctor.

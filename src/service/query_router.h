@@ -84,7 +84,7 @@ struct RouterConfig {
   OverloadPolicy overload = OverloadPolicy::kShed;
 
   /// Intra-query parallelism for the exact path: worker threads of a second,
-  /// router-owned pool that partitioned RadiusVisit scans fan out on. 0
+  /// router-owned pool that partitioned BlockVisit scans fan out on. 0
   /// keeps exact queries single-threaded. Applied to the catalog's engines
   /// at construction (and detached at destruction), so configure one router
   /// per catalog when using this.

@@ -162,12 +162,6 @@ void KdTree::BlockVisitPartition(const ScanPartition& part, const double* center
   }
 }
 
-void KdTree::RadiusVisit(const double* center, double radius, const LpNorm& norm,
-                         const RowVisitor& visit, SelectionStats* stats) const {
-  RowVisitorBlockKernel adapter(visit);
-  BlockVisit(center, radius, norm, &adapter, stats);
-}
-
 std::vector<ScanPartition> KdTree::MakePartitions(size_t target) const {
   std::vector<ScanPartition> plan;
   if (root_ < 0) return plan;
@@ -212,14 +206,6 @@ std::vector<ScanPartition> KdTree::MakePartitions(size_t target) const {
     plan.push_back(p);
   }
   return plan;
-}
-
-void KdTree::RadiusVisitPartition(const ScanPartition& part, const double* center,
-                                  double radius, const LpNorm& norm,
-                                  const RowVisitor& visit,
-                                  SelectionStats* stats) const {
-  RowVisitorBlockKernel adapter(visit);
-  BlockVisitPartition(part, center, radius, norm, &adapter, stats);
 }
 
 std::vector<Neighbor> KdTree::NearestNeighbors(const double* center, int k,

@@ -38,9 +38,6 @@ class KdTree : public SpatialIndex {
   /// default for d <= 8.
   explicit KdTree(const Table& table, int leaf_size = 32);
 
-  void RadiusVisit(const double* center, double radius, const LpNorm& norm,
-                   const RowVisitor& visit, SelectionStats* stats) const override;
-
   void BlockVisit(const double* center, double radius, const LpNorm& norm,
                   BlockKernel* kernel, SelectionStats* stats) const override;
 
@@ -48,13 +45,8 @@ class KdTree : public SpatialIndex {
   /// repeatedly splitting the largest frontier node until `target` subtrees
   /// exist (or only leaves remain), then ordered left-to-right so that
   /// visiting partitions in plan order enumerates rows in the same order as
-  /// a sequential RadiusVisit.
+  /// a sequential BlockVisit.
   std::vector<ScanPartition> MakePartitions(size_t target) const override;
-
-  void RadiusVisitPartition(const ScanPartition& part, const double* center,
-                            double radius, const LpNorm& norm,
-                            const RowVisitor& visit,
-                            SelectionStats* stats) const override;
 
   void BlockVisitPartition(const ScanPartition& part, const double* center,
                            double radius, const LpNorm& norm,

@@ -64,12 +64,6 @@ void ScanIndex::BlockVisitPartition(const ScanPartition& part,
                  center, radius, norm, kernel, stats);
 }
 
-void ScanIndex::RadiusVisit(const double* center, double radius, const LpNorm& norm,
-                            const RowVisitor& visit, SelectionStats* stats) const {
-  RowVisitorBlockKernel adapter(visit);
-  BlockVisit(center, radius, norm, &adapter, stats);
-}
-
 std::vector<ScanPartition> ScanIndex::MakePartitions(size_t target) const {
   const int64_t n = table_.num_rows();
   const int64_t parts = std::max<int64_t>(
@@ -86,14 +80,6 @@ std::vector<ScanPartition> ScanIndex::MakePartitions(size_t target) const {
     plan.push_back(p);
   }
   return plan;
-}
-
-void ScanIndex::RadiusVisitPartition(const ScanPartition& part, const double* center,
-                                     double radius, const LpNorm& norm,
-                                     const RowVisitor& visit,
-                                     SelectionStats* stats) const {
-  RowVisitorBlockKernel adapter(visit);
-  BlockVisitPartition(part, center, radius, norm, &adapter, stats);
 }
 
 }  // namespace storage

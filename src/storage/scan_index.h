@@ -4,8 +4,8 @@
 //
 // Execution is block-at-a-time: the row-major feature array is streamed in
 // kScanBlockRows-row blocks through the branch-free Lp filter and the
-// selected lanes are handed to the caller's BlockKernel. RadiusVisit is the
-// row-callback adapter over the same blocked scan.
+// selected lanes are handed to the caller's BlockKernel. A partition is a
+// contiguous row range of the same scan.
 
 #ifndef QREG_STORAGE_SCAN_INDEX_H_
 #define QREG_STORAGE_SCAN_INDEX_H_
@@ -21,19 +21,11 @@ class ScanIndex : public SpatialIndex {
   /// The table must outlive the index.
   explicit ScanIndex(const Table& table) : table_(table) {}
 
-  void RadiusVisit(const double* center, double radius, const LpNorm& norm,
-                   const RowVisitor& visit, SelectionStats* stats) const override;
-
   void BlockVisit(const double* center, double radius, const LpNorm& norm,
                   BlockKernel* kernel, SelectionStats* stats) const override;
 
   /// Equal-size contiguous row ranges (the last absorbs the remainder).
   std::vector<ScanPartition> MakePartitions(size_t target) const override;
-
-  void RadiusVisitPartition(const ScanPartition& part, const double* center,
-                            double radius, const LpNorm& norm,
-                            const RowVisitor& visit,
-                            SelectionStats* stats) const override;
 
   void BlockVisitPartition(const ScanPartition& part, const double* center,
                            double radius, const LpNorm& norm,

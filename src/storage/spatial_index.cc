@@ -3,62 +3,6 @@
 namespace qreg {
 namespace storage {
 
-std::vector<ScanPartition> SpatialIndex::MakePartitions(size_t) const {
-  ScanPartition all;
-  all.begin = 0;
-  all.end = -1;  // Sentinel: "everything"; only RadiusVisitPartition reads it.
-  return {all};
-}
-
-void SpatialIndex::RadiusVisitPartition(const ScanPartition&, const double* center,
-                                        double radius, const LpNorm& norm,
-                                        const RowVisitor& visit,
-                                        SelectionStats* stats) const {
-  RadiusVisit(center, radius, norm, visit, stats);
-}
-
-void SpatialIndex::BlockVisit(const double* center, double radius,
-                              const LpNorm& norm, BlockKernel* kernel,
-                              SelectionStats* stats) const {
-  // Fallback for access paths without native blocked storage: wrap each
-  // visited row as a one-row span. Native indexes override this.
-  RadiusVisit(
-      center, radius, norm,
-      [kernel](int64_t id, const double* x, double u) {
-        static constexpr int32_t kLane0 = 0;
-        BlockSpan span;
-        span.xs = x;
-        span.us = &u;
-        span.ids = &id;
-        span.sel = &kLane0;
-        span.count = 1;
-        span.rows = 1;
-        // d is unknown here; XAt(0) still returns `x` because sel[0] == 0.
-        kernel->OnBlock(span);
-      },
-      stats);
-}
-
-void SpatialIndex::BlockVisitPartition(const ScanPartition& part,
-                                       const double* center, double radius,
-                                       const LpNorm& norm, BlockKernel* kernel,
-                                       SelectionStats* stats) const {
-  RadiusVisitPartition(
-      part, center, radius, norm,
-      [kernel](int64_t id, const double* x, double u) {
-        static constexpr int32_t kLane0 = 0;
-        BlockSpan span;
-        span.xs = x;
-        span.us = &u;
-        span.ids = &id;
-        span.sel = &kLane0;
-        span.count = 1;
-        span.rows = 1;
-        kernel->OnBlock(span);
-      },
-      stats);
-}
-
 std::vector<int64_t> SpatialIndex::RadiusSearch(const double* center, double radius,
                                                 const LpNorm& norm,
                                                 SelectionStats* stats) const {

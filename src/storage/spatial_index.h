@@ -1,22 +1,18 @@
 // Selection-operator interface: visit every row of a Table whose feature
 // vector lies within an Lp ball (Definition 3's data subspace D(x, θ)).
 //
-// Two call styles share one contract:
-//   - BlockVisit (the native hot path): the index streams contiguous
-//     candidate blocks of its row storage through a branch-free Lp filter
-//     (storage/block_filter.h) and hands each block's selected lanes to a
-//     BlockKernel — one virtual call per ~256 rows instead of one
-//     type-erased std::function call per matching row.
-//   - RadiusVisit (the classic row-at-a-time API): kept for callers that
-//     want a per-row callback; implemented as a thin adapter over BlockVisit
-//     in every native index, so both styles always select identical rows in
-//     identical order with identical SelectionStats.
+// One contract, block-at-a-time: BlockVisit streams contiguous candidate
+// blocks of the index's row storage through a branch-free Lp filter
+// (storage/block_filter.h) and hands each block's selected lanes to a
+// BlockKernel — one virtual call per ~256 rows. BlockVisitPartition is the
+// same selection restricted to one partition of a MakePartitions plan, so
+// a partitioned scan selects the rows of one BlockVisit, in the same order,
+// with the same SelectionStats.
 
 #ifndef QREG_STORAGE_SPATIAL_INDEX_H_
 #define QREG_STORAGE_SPATIAL_INDEX_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -25,9 +21,6 @@
 
 namespace qreg {
 namespace storage {
-
-/// \brief Callback receiving (row id, features pointer, output value).
-using RowVisitor = std::function<void(int64_t id, const double* x, double u)>;
 
 /// \brief Statistics of one selection execution.
 struct SelectionStats {
@@ -62,27 +55,17 @@ struct BlockSpan {
 };
 
 /// \brief Fused filter+accumulate consumer of a block scan. One OnBlock call
-/// per candidate block that has at least one selected lane.
+/// per candidate block that has at least one selected lane. Copyable, so a
+/// zeroed kernel can seed one copy per scan partition.
 class BlockKernel {
  public:
+  BlockKernel() = default;
+  BlockKernel(const BlockKernel&) = default;
+  BlockKernel& operator=(const BlockKernel&) = default;
+  BlockKernel(BlockKernel&&) = default;
+  BlockKernel& operator=(BlockKernel&&) = default;
   virtual ~BlockKernel() = default;
   virtual void OnBlock(const BlockSpan& span) = 0;
-};
-
-/// \brief The RowVisitor compatibility shim: replays a block's selected
-/// lanes through a per-row callback in scan order.
-class RowVisitorBlockKernel : public BlockKernel {
- public:
-  explicit RowVisitorBlockKernel(const RowVisitor& visit) : visit_(visit) {}
-
-  void OnBlock(const BlockSpan& span) override {
-    for (int32_t k = 0; k < span.count; ++k) {
-      visit_(span.IdAt(k), span.XAt(k), span.UAt(k));
-    }
-  }
-
- private:
-  const RowVisitor& visit_;
 };
 
 /// \brief One disjoint unit of parallel selection work, produced by
@@ -90,7 +73,7 @@ class RowVisitorBlockKernel : public BlockKernel {
 ///
 /// Scan-style access paths use [begin, end) row ranges; tree-style paths
 /// use a subtree root. Visiting every partition of a plan is equivalent to
-/// one RadiusVisit: partitions are disjoint and jointly exhaustive, and the
+/// one BlockVisit: partitions are disjoint and jointly exhaustive, and the
 /// partition plan depends only on the indexed data — never on thread
 /// counts — so a partitioned reduction is deterministic across pool sizes.
 struct ScanPartition {
@@ -104,17 +87,10 @@ class SpatialIndex {
  public:
   virtual ~SpatialIndex() = default;
 
-  /// Invokes `visit` for every row within `radius` of `center` under `norm`.
-  /// `stats` may be null.
-  virtual void RadiusVisit(const double* center, double radius, const LpNorm& norm,
-                           const RowVisitor& visit, SelectionStats* stats) const = 0;
-
-  /// Streams every in-ball row to `kernel` block-at-a-time. Selects exactly
-  /// the rows RadiusVisit visits, in the same order, with identical stats.
-  /// The default implementation adapts over RadiusVisit with one-row spans;
-  /// native indexes override it with true blocked execution.
+  /// Streams every row within `radius` of `center` under `norm` to `kernel`,
+  /// block-at-a-time in the index's row visit order. `stats` may be null.
   virtual void BlockVisit(const double* center, double radius, const LpNorm& norm,
-                          BlockKernel* kernel, SelectionStats* stats) const;
+                          BlockKernel* kernel, SelectionStats* stats) const = 0;
 
   /// Collects matching row ids (convenience wrapper over BlockVisit).
   std::vector<int64_t> RadiusSearch(const double* center, double radius,
@@ -126,26 +102,16 @@ class SpatialIndex {
   /// than max(1, rows)) — notably a single partition when the data is too
   /// small to be worth splitting. The plan is a pure function of the indexed
   /// data, so repeated calls with the same `target` return the same plan.
-  ///
-  /// The default implementation returns one partition covering everything.
-  virtual std::vector<ScanPartition> MakePartitions(size_t target) const;
+  virtual std::vector<ScanPartition> MakePartitions(size_t target) const = 0;
 
-  /// RadiusVisit restricted to one partition of a plan produced by *this*
-  /// index's MakePartitions. Visiting all partitions of a plan invokes
-  /// `visit` for exactly the rows one RadiusVisit would, with identical
-  /// aggregate SelectionStats.
-  virtual void RadiusVisitPartition(const ScanPartition& part, const double* center,
-                                    double radius, const LpNorm& norm,
-                                    const RowVisitor& visit,
-                                    SelectionStats* stats) const;
-
-  /// BlockVisit restricted to one partition: the blocked analogue of
-  /// RadiusVisitPartition, with the same all-partitions == one-BlockVisit
-  /// equivalence.
+  /// BlockVisit restricted to one partition of a plan produced by *this*
+  /// index's MakePartitions. Visiting all partitions of a plan in plan order
+  /// hands `kernel` exactly the rows one BlockVisit would, in the same
+  /// order, with identical aggregate SelectionStats.
   virtual void BlockVisitPartition(const ScanPartition& part, const double* center,
                                    double radius, const LpNorm& norm,
                                    BlockKernel* kernel,
-                                   SelectionStats* stats) const;
+                                   SelectionStats* stats) const = 0;
 
   /// Access-path name for logs and bench tables ("kdtree", "scan").
   virtual std::string name() const = 0;

@@ -1,7 +1,9 @@
-// Tests for the block-at-a-time scan pipeline (ISSUE-5 tentpole):
-//   - BlockVisit selects bit-for-bit the same (id, x, u) sequence as the
-//     RowVisitor API, for all norms × both access paths × whole/partitioned
-//     execution, with identical SelectionStats;
+// Tests for the block-at-a-time scan pipeline:
+//   - BlockVisit selects exactly the rows of a brute-force LpNorm::Within
+//     loop over the Table, for all norms × both access paths (the scan in
+//     row order with tuples_examined == n, the k-d tree as the same row
+//     set), and a partitioned visit reproduces the whole visit's order and
+//     SelectionStats;
 //   - the engine's block-kernel answers stay bit-for-bit identical across
 //     thread counts and survive a mid-scan ExecControl trip with consistent
 //     partial-work accounting;
@@ -10,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -65,7 +68,28 @@ class CollectRowsKernel : public storage::BlockKernel {
   size_t d_;
 };
 
-// ---------- BlockVisit ≡ RowVisit, all norms × paths × whole/partitioned ----
+// The reference selection: every row of the table, in row order, that
+// LpNorm::Within admits.
+std::vector<Row> BruteForceRows(const storage::Table& table, const double* c,
+                                double radius, const storage::LpNorm& norm) {
+  const size_t d = table.dimension();
+  std::vector<Row> rows;
+  for (int64_t id = 0; id < table.num_rows(); ++id) {
+    const double* x = table.x(id);
+    if (norm.Within(x, c, d, radius)) {
+      rows.push_back({id, std::vector<double>(x, x + d), table.u(id)});
+    }
+  }
+  return rows;
+}
+
+std::vector<Row> SortedById(std::vector<Row> rows) {
+  std::sort(rows.begin(), rows.end(),
+            [](const Row& a, const Row& b) { return a.id < b.id; });
+  return rows;
+}
+
+// ---------- BlockVisit ≡ brute force, all norms × paths × whole/partitioned --
 
 class BlockRowEquivalenceTest
     : public ::testing::TestWithParam<std::tuple<int, double>> {};
@@ -81,32 +105,29 @@ TEST_P(BlockRowEquivalenceTest, SameRowsSameOrderSameStats) {
   for (const storage::SpatialIndex* index :
        {static_cast<const storage::SpatialIndex*>(&scan),
         static_cast<const storage::SpatialIndex*>(&tree)}) {
+    const bool is_scan = index == &scan;
     for (int trial = 0; trial < 10; ++trial) {
       std::vector<double> c(d);
       for (auto& v : c) v = rng.Uniform(-0.1, 1.1);
       const double radius = rng.Uniform(0.05, 0.6);
+      const std::vector<Row> want = BruteForceRows(table, c.data(), radius, norm);
 
-      // Row path (the adapter).
-      std::vector<Row> row_rows;
-      storage::SelectionStats row_stats;
-      index->RadiusVisit(
-          c.data(), radius, norm,
-          [&row_rows, d](int64_t id, const double* x, double u) {
-            row_rows.push_back({id, std::vector<double>(x, x + d), u});
-          },
-          &row_stats);
-
-      // Block path, whole scan.
+      // Whole visit: the scan reproduces the reference sequence and examines
+      // every row; the tree selects the same row set in its own order.
       std::vector<Row> block_rows;
       storage::SelectionStats block_stats;
       CollectRowsKernel kernel(&block_rows, d);
       index->BlockVisit(c.data(), radius, norm, &kernel, &block_stats);
 
-      EXPECT_EQ(block_rows, row_rows) << index->name() << " p=" << norm.p();
-      EXPECT_EQ(block_stats.tuples_examined, row_stats.tuples_examined);
-      EXPECT_EQ(block_stats.tuples_matched, row_stats.tuples_matched);
+      if (is_scan) {
+        EXPECT_EQ(block_rows, want) << "scan p=" << norm.p();
+        EXPECT_EQ(block_stats.tuples_examined, table.num_rows());
+      } else {
+        EXPECT_EQ(SortedById(block_rows), want) << "kdtree p=" << norm.p();
+      }
+      EXPECT_EQ(block_stats.tuples_matched, static_cast<int64_t>(want.size()));
 
-      // Block path, partitioned: plan order reproduces the whole-scan order.
+      // Partitioned: plan order reproduces the whole visit's order and stats.
       std::vector<Row> part_rows;
       storage::SelectionStats part_stats;
       CollectRowsKernel part_kernel(&part_rows, d);
@@ -114,9 +135,9 @@ TEST_P(BlockRowEquivalenceTest, SameRowsSameOrderSameStats) {
         index->BlockVisitPartition(part, c.data(), radius, norm, &part_kernel,
                                    &part_stats);
       }
-      EXPECT_EQ(part_rows, row_rows) << index->name() << " p=" << norm.p();
-      EXPECT_EQ(part_stats.tuples_examined, row_stats.tuples_examined);
-      EXPECT_EQ(part_stats.tuples_matched, row_stats.tuples_matched);
+      EXPECT_EQ(part_rows, block_rows) << index->name() << " p=" << norm.p();
+      EXPECT_EQ(part_stats.tuples_examined, block_stats.tuples_examined);
+      EXPECT_EQ(part_stats.tuples_matched, block_stats.tuples_matched);
     }
   }
 }

@@ -295,22 +295,6 @@ TEST(NetServerTest, ConfigValidateRejectsBadConfigsBeforeAnySocket) {
   }
 }
 
-// ServerConfig's default backend is epoll; these pin the explicit setting
-// the benchmark uses to the same in-process reference, at one loop and at
-// four with pipelined batches striped over several connections.
-TEST(NetServerTest, EpollSingleLoopMatchesInProcessBitForBit) {
-  ServerConfig cfg;
-  cfg.backend = BackendKind::kEpoll;
-  RunBitForBitOverWire(cfg, /*client_conns=*/1);
-}
-
-TEST(NetServerTest, EpollFourLoopsMatchInProcessBitForBit) {
-  ServerConfig cfg;
-  cfg.backend = BackendKind::kEpoll;
-  cfg.event_loops = 4;
-  RunBitForBitOverWire(cfg, /*client_conns=*/8);
-}
-
 TEST(NetServerTest, StartReturnsBoundEndpoint) {
   service::RouterConfig rcfg;
   rcfg.num_threads = 1;

@@ -1,6 +1,8 @@
-// Tests for the partitioned parallel exact engine (ISSUE-2 tentpole):
+// Tests for the partitioned parallel exact engine:
 //   - partition plans are disjoint, exhaustive, and visit-equivalent to a
-//     full RadiusVisit on both access paths;
+//     whole BlockVisit on both access paths;
+//   - a one-partition plan merged into the zeroed result reproduces the
+//     serial scan bit for bit;
 //   - parallel Q1/Q2/moments/select answers are bit-for-bit identical
 //     across every thread count (including the 0-worker inline mode);
 //   - parallel answers agree with the classic one-pass sequential engine
@@ -16,6 +18,7 @@
 #include <vector>
 
 #include "query/exact_engine.h"
+#include "query/scan_kernels.h"
 #include "query/workload.h"
 #include "storage/kdtree.h"
 #include "storage/scan_index.h"
@@ -54,14 +57,13 @@ TEST(PartitionPlanTest, CoversAllRowsDisjointly) {
       // Visiting every partition with an all-covering ball yields each row
       // exactly once.
       const double center[2] = {0.5, 0.5};
-      std::vector<int64_t> seen;
+      CollectIdsBlockKernel collect;
       storage::SelectionStats stats;
       for (const auto& part : plan) {
-        index->RadiusVisitPartition(
-            part, center, /*radius=*/100.0, storage::LpNorm::L2(),
-            [&seen](int64_t id, const double*, double) { seen.push_back(id); },
-            &stats);
+        index->BlockVisitPartition(part, center, /*radius=*/100.0,
+                                   storage::LpNorm::L2(), &collect, &stats);
       }
+      std::vector<int64_t> seen = collect.TakeIds();
       ASSERT_EQ(seen.size(), static_cast<size_t>(kRows))
           << index->name() << " target=" << target;
       std::sort(seen.begin(), seen.end());
@@ -84,7 +86,7 @@ TEST(PartitionPlanTest, IsDeterministic) {
   }
 }
 
-TEST(PartitionPlanTest, PartitionedVisitMatchesRadiusVisit) {
+TEST(PartitionPlanTest, PartitionedVisitMatchesWholeVisit) {
   for (const storage::SpatialIndex* index : BothIndexes()) {
     for (const Query& q : TestQueries(20, 31)) {
       storage::SelectionStats full_stats;
@@ -92,17 +94,14 @@ TEST(PartitionPlanTest, PartitionedVisitMatchesRadiusVisit) {
           index->RadiusSearch(q.center.data(), q.theta, storage::LpNorm::L2(),
                               &full_stats);
 
+      CollectIdsBlockKernel collect;
       storage::SelectionStats part_stats;
-      std::vector<int64_t> parted;
       for (const auto& part : index->MakePartitions(16)) {
-        index->RadiusVisitPartition(
-            part, q.center.data(), q.theta, storage::LpNorm::L2(),
-            [&parted](int64_t id, const double*, double) {
-              parted.push_back(id);
-            },
-            &part_stats);
+        index->BlockVisitPartition(part, q.center.data(), q.theta,
+                                   storage::LpNorm::L2(), &collect,
+                                   &part_stats);
       }
-      EXPECT_EQ(parted, full) << index->name();  // Order included.
+      EXPECT_EQ(collect.TakeIds(), full) << index->name();  // Order included.
       EXPECT_EQ(part_stats.tuples_examined, full_stats.tuples_examined);
       EXPECT_EQ(part_stats.tuples_matched, full_stats.tuples_matched);
     }
@@ -174,6 +173,46 @@ TEST(ParallelExactTest, BitForBitIdenticalAcrossThreadCounts) {
       par.target_partitions = 16;
       engine.set_parallel(par);
       ExpectBitwiseEqual(want, Collect(engine, qs));
+    }
+  }
+}
+
+// ---------- Reduce's merge: one partition == the serial scan ----------
+
+TEST(ParallelExactTest, OnePartitionMergeMatchesSerialBitForBit) {
+  // A one-partition plan takes the partitioned branch of Reduce (copy
+  // of the zeroed state, BlockVisitPartition, merge into the zeroed total)
+  // over exactly the rows of the serial BlockVisit, so every answer and
+  // tuple counter must agree to the bit.
+  Fixture* f = SharedFixture();
+  const std::vector<Query> qs = TestQueries(25, 59);
+  for (const storage::SpatialIndex* index : BothIndexes()) {
+    ExactEngine serial(f->dataset->table, *index);
+    ExactEngine one_part(f->dataset->table, *index);
+    ParallelOptions par;
+    par.target_partitions = 1;
+    one_part.set_parallel(par);
+    ASSERT_EQ(one_part.PartitionPlan().size(), 1u) << index->name();
+
+    ExpectBitwiseEqual(Collect(serial, qs), Collect(one_part, qs));
+    for (const Query& q : qs) {
+      ExecStats stats[2][4];  // [serial, one_part] × [Q1, moments, Q2, select]
+      const ExactEngine* engines[2] = {&serial, &one_part};
+      for (int e = 0; e < 2; ++e) {
+        (void)engines[e]->MeanValue(q, &stats[e][0]);
+        (void)engines[e]->Moments(q, &stats[e][1]);
+        (void)engines[e]->Regression(q, &stats[e][2]);
+        (void)engines[e]->Select(q, &stats[e][3]);
+      }
+      for (int op = 0; op < 4; ++op) {
+        EXPECT_EQ(stats[0][op].tuples_examined, stats[1][op].tuples_examined)
+            << index->name() << " op " << op;
+        EXPECT_EQ(stats[0][op].tuples_matched, stats[1][op].tuples_matched)
+            << index->name() << " op " << op;
+        EXPECT_EQ(stats[0][op].chunks_total, 0);
+        EXPECT_EQ(stats[1][op].chunks_total, 1);
+        EXPECT_EQ(stats[1][op].chunks_completed, 1);
+      }
     }
   }
 }

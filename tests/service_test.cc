@@ -341,46 +341,6 @@ TEST(AnswerCacheShardingTest, ShardCountDoesNotChangeBehavior) {
   EXPECT_EQ(sa.evictions, sb.evictions);
 }
 
-// Regression for the Lookup() → LookupImpl() split (the mutex_reader_baseline
-// branch now wraps the shared probe body in the shard mutex instead of
-// conditionally engaging a lock around it): both reader modes must produce
-// identical hits, payloads, and stats on an identical op sequence.
-TEST(AnswerCacheShardingTest, MutexReaderBaselineMatchesLockFreeReader) {
-  AnswerCacheConfig lock_free;
-  lock_free.delta_min = 0.8;
-  lock_free.capacity_per_shard = 16;
-  lock_free.num_shards = 4;
-  AnswerCacheConfig baseline = lock_free;
-  baseline.mutex_reader_baseline = true;
-  AnswerCache a(lock_free), b(baseline);
-
-  const std::vector<std::string> groups = {"ds1/Q1", "ds1/Q2", "ds2/Q1"};
-  const std::vector<query::Query> qs = RandomQueries(300, 97);
-  for (size_t i = 0; i < qs.size(); ++i) {
-    const std::string& g = groups[i % groups.size()];
-    CachedAnswer out_a, out_b;
-    const bool hit_a = a.Lookup(g, qs[i], &out_a);
-    const bool hit_b = b.Lookup(g, qs[i], &out_b);
-    ASSERT_EQ(hit_a, hit_b) << "query " << i;
-    if (hit_a) {
-      EXPECT_EQ(out_a.mean, out_b.mean) << "query " << i;
-      EXPECT_EQ(out_a.delta, out_b.delta) << "query " << i;
-    } else {
-      CachedAnswer ins;
-      ins.q = qs[i];
-      ins.mean = static_cast<double>(i);
-      a.Insert(g, ins);
-      b.Insert(g, ins);
-    }
-  }
-  EXPECT_EQ(a.size(), b.size());
-  const AnswerCacheStats sa = a.stats(), sb = b.stats();
-  EXPECT_EQ(sa.hits, sb.hits);
-  EXPECT_EQ(sa.misses, sb.misses);
-  EXPECT_EQ(sa.inserts, sb.inserts);
-  EXPECT_EQ(sa.evictions, sb.evictions);
-}
-
 TEST(AnswerCacheGridTest, GridLookupMatchesLinearProbeAdmissions) {
   // The satellite contract: the spatial-grid δ-lookup admits exactly the
   // entries the linear probe admits, with the same best-δ choice.
@@ -792,7 +752,7 @@ TEST(QueryRouterTest, ExactParallelismMatchesStandaloneEngine) {
   RouterConfig cfg;
   cfg.policy = RoutePolicy::kExactOnly;
   cfg.enable_cache = false;
-  cfg.exact_threads = 4;  // Partitioned RadiusVisit on a router-owned pool.
+  cfg.exact_threads = 4;  // Partitioned BlockVisit on a router-owned pool.
   QueryRouter router(&catalog, cfg);
 
   int64_t answered = 0;
