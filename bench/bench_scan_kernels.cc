@@ -14,9 +14,17 @@
 // Part 2 — cache read path. N reader threads hammer AnswerCache::Lookup's
 // wait-free epoch read path on a warm group.
 //
+// Part 3 — cache write path. One group is filled to a given occupancy, then
+// churned by cache_churn-like traffic (jittered hot spots, d = 2, θ ≈ 0.1,
+// δ_min = 0.93): lookup, and insert on a miss. Reports ns per insert, ns per
+// lookup and the hit rate — the cache probe cost vs δ-cache occupancy. The
+// identical operation sequence is replayed through an enable_grid = false
+// twin (the linear correctness baseline), whose timings are reported beside.
+//
 // Always writes machine-readable JSON to OutDir() (default bench/out/):
 //   bench_scan_kernels.json       — one record per (d, selectivity, path)
 //   bench_cache_read_path.json    — one record per reader count
+//   bench_cache_write_path.json   — one record per occupancy
 // picked up by the CI bench-smoke artifact upload. The table JSON includes
 // bytes/row from the Table::MemoryBytes breakdown.
 //
@@ -24,6 +32,10 @@
 // blockvisit is not at least as fast as rowvisitor on the d=6, 10% L2
 // profile (guards against the block pipeline regressing below the per-row
 // loop it replaced).
+//
+// Self-checks (every run): exits non-zero if the block scan's answer
+// diverges from the row scan's, or if any lookup of the grid cache differs
+// from its linear twin in hit/miss or δ.
 //
 // Env knobs: QREG_SCAN_ROWS (default 200000), QREG_SCAN_REPS (default
 // auto), QREG_SEED.
@@ -210,6 +222,106 @@ CacheCell RunCacheCell(int readers, int64_t lookups_each) {
   return cell;
 }
 
+struct WriteCell {
+  size_t occupancy = 0;
+  double ns_per_insert = 0.0;
+  double ns_per_lookup = 0.0;
+  double hit_rate = 0.0;
+  double linear_ns_per_insert = 0.0;  // enable_grid = false twin.
+  double linear_ns_per_lookup = 0.0;
+};
+
+// cache_churn's traffic shape: radii in a narrow band around 0.1, centers
+// jittered around a fixed set of hot spots.
+std::vector<query::Query> ChurnQueries(int64_t n, uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<query::Query> spots(8192);
+  for (query::Query& h : spots) {
+    h = query::Query({rng.Uniform(0.05, 0.95), rng.Uniform(0.05, 0.95)},
+                     rng.Uniform(0.09, 0.11));
+  }
+  std::vector<query::Query> out;
+  out.reserve(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    const query::Query& h = spots[rng.UniformInt(spots.size())];
+    out.push_back(query::Query(
+        {h.center[0] + rng.Gaussian(0.0, 0.01),
+         h.center[1] + rng.Gaussian(0.0, 0.01)},
+        h.theta * std::min(1.05, std::max(0.95, 1.0 + rng.Gaussian(0.0, 0.02)))));
+  }
+  return out;
+}
+
+// One write-path replay: the δ of every lookup (0 on a miss; a hit's δ is
+// at least δ_min > 0) and the total time spent in Lookup and Insert.
+struct Replay {
+  std::vector<double> deltas;
+  int64_t lookup_ns = 0;
+  int64_t insert_ns = 0;
+  int64_t inserts = 0;
+};
+
+// Fills one group with the first `occupancy` queries, then replays the rest
+// as lookup-then-insert-on-miss.
+Replay ReplayChurn(bool enable_grid, size_t occupancy,
+                   const std::vector<query::Query>& qs) {
+  service::AnswerCacheConfig cfg;
+  cfg.delta_min = 0.93;
+  cfg.capacity_per_shard = occupancy;
+  cfg.enable_grid = enable_grid;
+  service::AnswerCache cache(cfg);
+  const std::string group = "ds/g0/Q1";
+  for (size_t i = 0; i < occupancy; ++i) {
+    service::CachedAnswer a;
+    a.q = qs[i];
+    cache.Insert(group, std::move(a));
+  }
+  Replay r;
+  service::CachedAnswer out;
+  for (size_t i = occupancy; i < qs.size(); ++i) {
+    int64_t t0 = util::NowNanos();
+    const bool hit = cache.Lookup(group, qs[i], &out);
+    int64_t t1 = util::NowNanos();
+    r.lookup_ns += t1 - t0;
+    r.deltas.push_back(hit ? out.delta : 0.0);
+    if (hit) continue;
+    service::CachedAnswer a;
+    a.q = qs[i];
+    a.mean = static_cast<double>(i);
+    t0 = util::NowNanos();
+    cache.Insert(group, std::move(a));
+    t1 = util::NowNanos();
+    r.insert_ns += t1 - t0;
+    ++r.inserts;
+  }
+  return r;
+}
+
+WriteCell RunWriteCell(size_t occupancy, int64_t ops, uint64_t seed) {
+  const std::vector<query::Query> qs =
+      ChurnQueries(static_cast<int64_t>(occupancy) + ops, seed);
+  const Replay grid = ReplayChurn(/*enable_grid=*/true, occupancy, qs);
+  const Replay linear = ReplayChurn(/*enable_grid=*/false, occupancy, qs);
+  // The grid must admit exactly what the linear probe admits; a wrong grid
+  // edit would make the timings meaningless.
+  if (grid.deltas != linear.deltas) {
+    std::cerr << "FATAL: grid cache diverged from its linear twin "
+              << "(occupancy=" << occupancy << ")\n";
+    std::exit(1);
+  }
+  const auto per = [](int64_t ns, int64_t n) {
+    return static_cast<double>(ns) / static_cast<double>(std::max<int64_t>(1, n));
+  };
+  WriteCell cell;
+  cell.occupancy = occupancy;
+  cell.ns_per_insert = per(grid.insert_ns, grid.inserts);
+  cell.ns_per_lookup = per(grid.lookup_ns, ops);
+  cell.hit_rate = static_cast<double>(ops - grid.inserts) / static_cast<double>(ops);
+  cell.linear_ns_per_insert = per(linear.insert_ns, linear.inserts);
+  cell.linear_ns_per_lookup = per(linear.lookup_ns, ops);
+  return cell;
+}
+
 int Run(bool smoke) {
   BenchEnv env = BenchEnv::FromEnv();
   PrintHeader("bench_scan_kernels",
@@ -291,6 +403,43 @@ int Run(bool smoke) {
   }
   std::cout << "\ncache read path (Lookup):\n";
   EmitTable("scan_kernels", "cache_read_path", cache_table, env);
+
+  // ---- Cache write path: lookup, insert on miss, at occupancy ----
+  const std::vector<size_t> occupancies =
+      smoke ? std::vector<size_t>{64, 256, 1024}
+            : std::vector<size_t>{64, 1024, 4096};
+  const int64_t churn_ops = smoke ? 10000 : 50000;
+
+  util::TablePrinter write_table({"occupancy", "ns_per_insert", "ns_per_lookup",
+                                  "hit_rate", "linear_ns_per_insert",
+                                  "linear_ns_per_lookup"});
+  std::string write_json = "[\n";
+  for (size_t occupancy : occupancies) {
+    const WriteCell cell = RunWriteCell(occupancy, churn_ops, env.seed);
+    write_table.AddRow({util::Format("%zu", occupancy),
+                        util::Format("%.0f", cell.ns_per_insert),
+                        util::Format("%.0f", cell.ns_per_lookup),
+                        util::Format("%.3f", cell.hit_rate),
+                        util::Format("%.0f", cell.linear_ns_per_insert),
+                        util::Format("%.0f", cell.linear_ns_per_lookup)});
+    write_json += util::Format(
+        "  {\"occupancy\": %zu, \"ops\": %lld, \"d\": 2, "
+        "\"delta_min\": 0.93, \"ns_per_insert\": %.1f, "
+        "\"ns_per_lookup\": %.1f, \"hit_rate\": %.4f, "
+        "\"linear_ns_per_insert\": %.1f, \"linear_ns_per_lookup\": %.1f},\n",
+        occupancy, static_cast<long long>(churn_ops), cell.ns_per_insert,
+        cell.ns_per_lookup, cell.hit_rate, cell.linear_ns_per_insert,
+        cell.linear_ns_per_lookup);
+  }
+  if (write_json.size() > 2 && write_json[write_json.size() - 2] == ',') {
+    write_json.erase(write_json.size() - 2, 1);
+  }
+  write_json += "]\n";
+  if (!WriteOutFile("bench_cache_write_path.json", write_json)) {
+    std::cerr << "warning: could not write bench_cache_write_path.json\n";
+  }
+  std::cout << "\ncache write path (lookup, insert on miss; grid vs linear twin):\n";
+  EmitTable("scan_kernels", "cache_write_path", write_table, env);
 
   const double gate_speedup = gate_block_rps / std::max(1e-9, gate_row_rps);
   std::cout << util::Format(

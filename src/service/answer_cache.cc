@@ -46,14 +46,19 @@ uint64_t AnswerCache::CellHash(const double* center, size_t d, double cell) cons
   return h;
 }
 
-void AnswerCache::RebuildGrid(GroupSnapshot* g) const {
-  g->grid.clear();
-  if (!config_.enable_grid || g->cell <= 0.0) return;
-  for (size_t i = 0; i < g->entries.size(); ++i) {
-    const query::Query& q = g->entries[i]->answer.q;
-    g->grid[CellHash(q.center.data(), q.dimension(), g->cell)].push_back(
-        static_cast<int32_t>(i));
-  }
+void AnswerCache::AddSlot(GroupSnapshot* g, const Entry& e) const {
+  if (g->cell <= 0.0) return;
+  const query::Query& q = e.answer.q;
+  const Slot s{CellHash(q.center.data(), q.dimension(), g->cell), e.seq, &e};
+  g->grid.insert(std::lower_bound(g->grid.begin(), g->grid.end(), s), s);
+}
+
+void AnswerCache::EraseSlot(GroupSnapshot* g, const Entry& e) const {
+  if (g->cell <= 0.0) return;
+  const query::Query& q = e.answer.q;
+  const Slot s{CellHash(q.center.data(), q.dimension(), g->cell), e.seq, &e};
+  // Seq is unique per shard, so (cell, seq) pins exactly this entry's slot.
+  g->grid.erase(std::lower_bound(g->grid.begin(), g->grid.end(), s));
 }
 
 const AnswerCache::Entry* AnswerCache::LinearProbe(const GroupSnapshot& g,
@@ -119,24 +124,25 @@ const AnswerCache::Entry* AnswerCache::FindBest(const GroupSnapshot& g,
   for (;;) {
     uint64_t h = 0xcbf29ce484222325ULL ^ d;
     for (size_t j = 0; j < d; ++j) h = Mix(h, static_cast<uint64_t>(coord[j]));
-    auto cell_it = g.grid.find(h);
-    if (cell_it != g.grid.end()) {
-      for (int32_t idx : cell_it->second) {
-        if (config_.max_probe > 0 && probed >= config_.max_probe) break;
-        ++probed;
-        const Entry* e = g.entries[static_cast<size_t>(idx)].get();
-        const query::Query& eq = e->answer.q;
-        if (eq.dimension() != d) continue;
-        if (eq == q) {
-          *delta_out = 1.0;
-          return e;
-        }
-        if (!query::Overlaps(q, eq)) continue;
-        const double delta = query::DegreeOfOverlap(q, eq);
-        if (delta >= config_.delta_min && delta > best_delta) {
-          best = e;
-          best_delta = delta;
-        }
+    // The cell's run of slots, newest insert first.
+    for (auto it = std::lower_bound(
+             g.grid.begin(), g.grid.end(), h,
+             [](const Slot& s, uint64_t cell) { return s.cell < cell; });
+         it != g.grid.end() && it->cell == h; ++it) {
+      if (config_.max_probe > 0 && probed >= config_.max_probe) break;
+      ++probed;
+      const Entry* e = it->e;
+      const query::Query& eq = e->answer.q;
+      if (eq.dimension() != d) continue;
+      if (eq == q) {
+        *delta_out = 1.0;
+        return e;
+      }
+      if (!query::Overlaps(q, eq)) continue;
+      const double delta = query::DegreeOfOverlap(q, eq);
+      if (delta >= config_.delta_min && delta > best_delta) {
+        best = e;
+        best_delta = delta;
       }
     }
     // Odometer over the cell box.
@@ -206,6 +212,7 @@ void AnswerCache::Insert(const std::string& group_key, CachedAnswer answer) {
   if (old_it != next->groups.end()) {
     const GroupSnapshot& old = *old_it->second;
     g->entries = old.entries;  // Pointer-sized copies; entries are shared.
+    g->grid = old.grid;        // One flat copy; edited in place below.
     g->cell = old.cell;
     g->theta_max = old.theta_max;
   }
@@ -229,6 +236,7 @@ void AnswerCache::Insert(const std::string& group_key, CachedAnswer answer) {
   bool replaced = false;
   for (size_t i = 0; i < g->entries.size(); ++i) {
     if (g->entries[i]->answer.q == entry->answer.q) {
+      EraseSlot(g.get(), *g->entries[i]);
       g->entries.erase(g->entries.begin() + static_cast<int64_t>(i));
       g->entries.insert(g->entries.begin(), entry);
       replaced = true;
@@ -252,6 +260,7 @@ void AnswerCache::Insert(const std::string& group_key, CachedAnswer answer) {
         }
       }
       const double victim_theta = g->entries[victim]->answer.q.theta;
+      EraseSlot(g.get(), *g->entries[victim]);
       g->entries.erase(g->entries.begin() + static_cast<int64_t>(victim));
       shard.size.fetch_sub(1, std::memory_order_relaxed);
       shard.evictions.fetch_add(1, std::memory_order_relaxed);
@@ -265,7 +274,7 @@ void AnswerCache::Insert(const std::string& group_key, CachedAnswer answer) {
       }
     }
   }
-  RebuildGrid(g.get());
+  AddSlot(g.get(), *entry);
 
   next->groups[group_key] = std::move(g);
   std::atomic_store_explicit(&shard.snap, SnapshotPtr(std::move(next)),

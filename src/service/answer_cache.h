@@ -21,17 +21,22 @@
 //     there is nothing to retry and nothing to block on.
 //   - Writers (Insert / EraseGroupsWithPrefix / Clear) still serialize on
 //     the shard mutex, copy-on-write the touched group (entry handles are
-//     shared, so the copy is pointer-sized per entry), and publish the next
-//     snapshot generation with one atomic release store. This trades O(group)
-//     writer-side copying for zero reader-side coordination — the right side
-//     of the bargain for the write-light production workload.
+//     shared, so the copy is pointer-sized per entry; the probe grid is one
+//     flat copy), and publish the next snapshot generation with one atomic
+//     release store. An insert edits the copied grid in place — at most
+//     three binary-searched slot edits (replaced entry, LRU victim, new
+//     entry) — instead of rebuilding it, so a miss costs a few flat copies,
+//     not an O(group) rehash. That matters: a churning hot-spot workload
+//     writes on ~40% of its requests, so writers share the shard mutex far
+//     more often than a write-light workload would.
 //   - Hit/miss/insert counters are per-shard atomics, so they stay exact
 //     under any reader/writer interleaving.
-//   - Within a group, cached query centers are bucketed on a uniform grid.
-//     Since admission requires ||x - x'|| ≤ (1 - δ_min)(θ + θ'), a lookup
-//     only probes the grid cells within that radius — O(neighbouring cells)
-//     instead of O(group) — and falls back to the linear probe whenever the
-//     cell fan-out would exceed the group size (small groups, high d). Both
+//   - Within a group, cached query centers are bucketed on a uniform grid,
+//     kept as a flat vector of slots sorted by cell hash. Since admission
+//     requires ||x - x'|| ≤ (1 - δ_min)(θ + θ'), a lookup only probes the
+//     grid cells within that radius — one binary search per cell instead of
+//     O(group) — and falls back to the linear probe whenever the cell
+//     fan-out would exceed the group size (small groups, high d). Both
 //     paths admit exactly the same entries.
 //
 // All operations are thread-safe.
@@ -150,19 +155,37 @@ class AnswerCache {
   /// visible to the writer that picks the eviction victim.
   struct Entry {
     CachedAnswer answer;
+    const uint64_t seq;  // Insert ticket: orders a group newest-first.
     mutable std::atomic<uint64_t> last_used;
 
     Entry(CachedAnswer a, uint64_t stamp)
-        : answer(std::move(a)), last_used(stamp) {}
+        : answer(std::move(a)), seq(stamp), last_used(stamp) {}
   };
   using EntryPtr = std::shared_ptr<const Entry>;
 
-  /// Immutable per-group state: entries newest-insert-first plus the probe
-  /// grid over entry centers (cell-coordinate hash → entry indices; hash
-  /// collisions merely merge cells — extra candidates, never missed ones).
+  /// One probe-grid slot: an entry filed under the hash of its center's
+  /// cell. `e` is a raw pointer on purpose (the slot vector stays trivially
+  /// copyable): it is kept alive by the `entries` of the same snapshot, and
+  /// every writer that drops an entry also erases its slot.
+  struct Slot {
+    uint64_t cell;  // CellHash of the entry's center.
+    uint64_t seq;   // Entry::seq.
+    const Entry* e;
+
+    /// Grid order: cell ascending, then newest insert first within a cell.
+    bool operator<(const Slot& o) const {
+      return cell != o.cell ? cell < o.cell : seq > o.seq;
+    }
+  };
+
+  /// Immutable per-group state: entries newest-insert-first (descending
+  /// seq) plus the probe grid over entry centers, a flat slot vector sorted
+  /// by cell hash ascending, then seq descending. A cell is one contiguous
+  /// run walked in the same order as `entries`; hash collisions merely merge
+  /// cells — extra candidates, never missed ones.
   struct GroupSnapshot {
     std::vector<EntryPtr> entries;
-    std::unordered_map<uint64_t, std::vector<int32_t>> grid;
+    std::vector<Slot> grid;  // Empty while the grid is disabled.
     double cell = 0.0;       // Cell edge length; 0 until the first insert.
     double theta_max = 0.0;  // Largest cached θ (bounds the probe radius).
   };
@@ -194,7 +217,10 @@ class AnswerCache {
   Shard& ShardFor(const std::string& group) const;
 
   uint64_t CellHash(const double* center, size_t d, double cell) const;
-  void RebuildGrid(GroupSnapshot* g) const;
+  /// Grid edits of a writer's private group copy: one binary search plus
+  /// one vector insert/erase each. No-ops while the grid is disabled.
+  void AddSlot(GroupSnapshot* g, const Entry& e) const;
+  void EraseSlot(GroupSnapshot* g, const Entry& e) const;
 
   /// Best admissible entry of an immutable group snapshot, or null. Sets
   /// *delta_out and *used_grid (whether the grid path answered). The caller

@@ -427,6 +427,70 @@ TEST(AnswerCacheGridTest, EvictedOutlierThetaDoesNotPinProbeRadius) {
   EXPECT_GT(cache.stats().grid_probes, 0);
 }
 
+TEST(AnswerCacheGridTest, ChurnAtCapacityMatchesLinearProbe) {
+  // Grid edits under eviction and replacement: a full group churned by
+  // jittered hot-spot traffic (d = 2, θ ≈ 0.1) must answer every lookup
+  // exactly as the linear probe does, step for step.
+  AnswerCacheConfig linear_cfg;
+  linear_cfg.delta_min = 0.93;
+  linear_cfg.capacity_per_shard = 256;
+  linear_cfg.enable_grid = false;
+  AnswerCacheConfig grid_cfg = linear_cfg;
+  grid_cfg.enable_grid = true;
+  AnswerCache linear(linear_cfg), grid(grid_cfg);
+
+  // Far more hot spots than capacity, so the group evicts throughout.
+  util::Rng rng(149);
+  std::vector<query::Query> spots;
+  for (int i = 0; i < 2048; ++i) {
+    spots.push_back(query::Query({rng.Uniform(0.05, 0.95), rng.Uniform(0.05, 0.95)},
+                                 rng.Uniform(0.09, 0.11)));
+  }
+  std::vector<query::Query> seen;
+  int64_t insert_calls = 0;
+  for (int step = 0; step < 6000; ++step) {
+    // ~5% exact repeats, re-inserted with a fresh answer: replacements.
+    const bool repeat = !seen.empty() && rng.Uniform(0.0, 1.0) < 0.05;
+    query::Query q;
+    if (repeat) {
+      q = seen[rng.UniformInt(seen.size())];
+    } else {
+      const query::Query& h = spots[rng.UniformInt(spots.size())];
+      q = query::Query({h.center[0] + rng.Gaussian(0.0, 0.01),
+                        h.center[1] + rng.Gaussian(0.0, 0.01)},
+                       h.theta * (1.0 + rng.Gaussian(0.0, 0.02)));
+      seen.push_back(q);
+    }
+    CachedAnswer want, got;
+    const bool hit_linear = linear.Lookup("g", q, &want);
+    const bool hit_grid = grid.Lookup("g", q, &got);
+    ASSERT_EQ(hit_linear, hit_grid) << "step " << step;
+    if (hit_linear) {
+      ASSERT_EQ(want.mean, got.mean) << "step " << step;
+      ASSERT_EQ(want.delta, got.delta) << "step " << step;
+    }
+    if (!hit_linear || repeat) {
+      CachedAnswer ins;
+      ins.q = q;
+      ins.mean = static_cast<double>(step);
+      linear.Insert("g", ins);
+      grid.Insert("g", ins);
+      ++insert_calls;
+    }
+    ASSERT_EQ(linear.size(), grid.size()) << "step " << step;
+  }
+  const AnswerCacheStats sl = linear.stats(), sg = grid.stats();
+  EXPECT_EQ(sl.hits, sg.hits);
+  EXPECT_EQ(sl.misses, sg.misses);
+  EXPECT_EQ(sl.inserts, sg.inserts);
+  EXPECT_EQ(sl.evictions, sg.evictions);
+  // The run really took the grid path, evicted and replaced.
+  EXPECT_GT(sg.grid_probes, 0);
+  EXPECT_GT(sg.evictions, 0);
+  EXPECT_LT(sg.inserts, insert_calls);
+  EXPECT_GT(sg.hits, 0);
+}
+
 // ---------- AnswerCache: wait-free reads under concurrent writes ----------
 
 // Readers hammer Lookup (no mutex on that path: one atomic snapshot load)
@@ -516,6 +580,9 @@ TEST(AnswerCacheConcurrencyTest, LookupsNeverTornDuringInsertAndErase) {
   EXPECT_EQ(stats.lookups, stats.hits + stats.misses);
   EXPECT_GE(stats.lookups, reader_lookups.load());
   EXPECT_EQ(stats.hits, reader_hits.load());
+  // The readers walked grid slots (raw Entry pointers) while the writer
+  // evicted and replaced entries, not only the linear probe.
+  EXPECT_GT(stats.grid_probes, 0);
 }
 
 // ---------- ModelCatalog sharding ----------
