@@ -3,12 +3,22 @@
 // against the DBMS — cost any system would pay anyway — and the model
 // updates are negligible. This bench reproduces the split across dataset
 // sizes and access paths.
+//
+// The trainer is given a pool of hardware_concurrency() - 1 workers, so it
+// answers a lookahead window of training queries on all cores, as
+// ModelCatalog::TrainAll does. The split is therefore over *work*: train_ms
+// sums every query's scan time and every model update, wall_ms is the
+// elapsed time of Trainer::Train, and speedup = train_ms / wall_ms is what
+// the read-ahead buys on the machine running the bench.
 
 #include <iostream>
+#include <thread>
 
 #include "bench/bench_common.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
+#include "util/thread_pool.h"
+#include "util/timer.h"
 
 namespace qreg {
 namespace bench {
@@ -21,7 +31,10 @@ void Run() {
               env);
 
   util::TablePrinter table({"rows", "access", "pairs|T|", "train_ms",
-                            "query_exec_%", "update_us/pair"});
+                            "wall_ms", "speedup", "query_exec_%",
+                            "update_us/pair"});
+  const unsigned cores = std::thread::hardware_concurrency();
+  util::ThreadPool pool(cores > 1 ? cores - 1 : 0);
 
   for (int64_t rows : {100000L, 300000L, 1000000L}) {
     DataBundle bundle = MakeR2Bundle(2, rows, env.seed);
@@ -34,7 +47,9 @@ void Run() {
       tc.min_pairs = tc.max_pairs;  // fixed-budget run for comparable splits
       core::Trainer trainer(use_scan ? *bundle.scan_engine : *bundle.engine, tc);
       query::WorkloadGenerator gen = MakeWorkload(bundle, env.seed + 5);
-      auto report = trainer.Train(&gen, &model);
+      util::Stopwatch wall;
+      auto report = trainer.Train(&gen, &model, nullptr, nullptr, &pool);
+      const double wall_ms = wall.ElapsedMillis();
       if (!report.ok()) continue;
       const double total_ms =
           static_cast<double>(report->query_exec_nanos +
@@ -49,7 +64,8 @@ void Run() {
           {util::Format("%lld", static_cast<long long>(rows)),
            use_scan ? "scan" : "kdtree",
            util::Format("%lld", static_cast<long long>(report->pairs_used)),
-           util::Format("%.1f", total_ms),
+           util::Format("%.1f", total_ms), util::Format("%.1f", wall_ms),
+           util::Format("%.2fx", wall_ms > 0.0 ? total_ms / wall_ms : 0.0),
            util::Format("%.2f%%", 100.0 * report->QueryExecFraction()),
            util::Format("%.2f", update_us_per_pair)});
     }
@@ -58,7 +74,8 @@ void Run() {
 
   std::cout << "\npaper shape check: the query-execution share dominates and\n"
                "grows with dataset size / slower access paths (paper: 99.62%);\n"
-               "the model-update cost per pair is constant microseconds.\n";
+               "the model-update cost per pair is constant microseconds.\n"
+               "speedup > 1 is the lookahead window overlapping the scans.\n";
 }
 
 }  // namespace

@@ -2,7 +2,13 @@
 // *exactly* against the DBMS substrate to obtain answers y, feed the
 // (q, y) pairs to the model until Γ ≤ γ (or a pair budget runs out).
 //
-// The trainer instruments where wall time goes (query execution vs model
+// The exact answers depend only on the deterministic query stream, never on
+// the model, so given a thread pool the trainer answers a lookahead window
+// of upcoming queries on the pool and the calling thread, and feeds them to
+// LlmModel::Observe one by one in stream order: the model is bit-for-bit the
+// one the serial scan-then-observe loop builds, on any number of threads.
+//
+// The trainer instruments where the work goes (query execution vs model
 // update), reproducing the paper's claim that ~99.6% of training cost is the
 // unavoidable exact query execution. Because that cost is a stream of exact
 // scans, Train() honors an optional util::ExecControl: the lifecycle is
@@ -22,6 +28,7 @@
 #include "query/workload.h"
 #include "util/cancellation.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace qreg {
 namespace core {
@@ -51,13 +58,17 @@ struct TrainingReport {
   double final_gamma = 0.0;
   int32_t num_prototypes = 0;
 
-  int64_t query_exec_nanos = 0;  ///< Time in the exact engine.
-  int64_t model_update_nanos = 0;
+  /// Exact-engine work: the sum of the consumed queries' own scan times.
+  /// With a pool the scans of one lookahead window overlap, so this is work,
+  /// not wall time (it can exceed the wall time of Train()).
+  int64_t query_exec_nanos = 0;
+  int64_t model_update_nanos = 0;  ///< Time in LlmModel::Observe.
 
   /// (pair index, Γ) samples when trace_every > 0.
   std::vector<std::pair<int64_t, double>> gamma_trace;
 
-  /// Fraction of training time spent executing queries (paper: 99.62%).
+  /// Fraction of training work spent executing queries (paper: 99.62%).
+  /// A work split, independent of how many cores ran the scans.
   double QueryExecFraction() const {
     const double total =
         static_cast<double>(query_exec_nanos + model_update_nanos);
@@ -74,6 +85,16 @@ class Trainer {
   /// Streams queries from `workload` into `model` until convergence or the
   /// pair budget. The model is mutated in place.
   ///
+  /// With a null `pool` (or one with 0 workers) each query is drawn, scanned
+  /// and observed in turn on the calling thread. With workers, the scans run
+  /// a lookahead window of up to W queries (a constant in trainer.cc, never
+  /// past the remaining pair budget) at a time on `pool` plus the calling
+  /// thread, drawn from a copy of `*workload`; at most W - 1 scans are wasted
+  /// when training converges mid-window. Either way the model, the report's
+  /// counters and Γ trace are identical, and `workload` is advanced by
+  /// exactly the queries consumed. Pass a pool only where taking every core
+  /// is fine (set-up); serving-time callers pass none.
+  ///
   /// With a non-null `control`, the request lifecycle is checked once per
   /// training query (and inside each exact scan, per partition chunk): a
   /// trip returns the typed kDeadlineExceeded / kCancelled status within one
@@ -84,7 +105,8 @@ class Trainer {
   util::Result<TrainingReport> Train(query::WorkloadGenerator* workload,
                                      LlmModel* model,
                                      const util::ExecControl* control = nullptr,
-                                     TrainingReport* partial = nullptr) const;
+                                     TrainingReport* partial = nullptr,
+                                     util::ThreadPool* pool = nullptr) const;
 
   /// Trains from pre-computed pairs (used by benches that reuse workloads).
   util::Result<TrainingReport> TrainFromPairs(

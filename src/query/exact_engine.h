@@ -150,27 +150,10 @@ class ExactEngine {
   const storage::LpNorm& norm() const { return norm_; }
 
  private:
-  /// Outcome of a chunked run: how many chunks executed their body, and the
-  /// lifecycle status that aborted the run (OK when it ran to completion).
-  struct ChunkRunResult {
-    size_t executed = 0;
-    util::Status status;
-  };
-
-  /// Runs `body(i)` for every i in [0, chunks). Pool workers help through an
-  /// atomic claim counter and the caller always participates, so nesting on
-  /// a shared pool degrades to inline execution instead of deadlocking.
-  /// With a non-null `control`, its Check() runs before each chunk's body;
-  /// on failure the remaining chunks are claimed-and-skipped (a fast drain,
-  /// not a hard stop) and the failing status is returned.
-  ChunkRunResult RunChunks(size_t chunks,
-                           const std::function<void(size_t)>& body,
-                           const util::ExecControl* control) const;
-
   /// The one scan loop behind every operator. `total` is the operator's
   /// zeroed transition state: a BlockKernel with `void Merge(const Kernel&)`.
   /// Serial (no parallel options, no control): one BlockVisit into `total`.
-  /// Otherwise: one copy of `total` per plan partition, run by RunChunks
+  /// Otherwise: one copy of `total` per plan partition, run by util::RunChunks
   /// through BlockVisitPartition, merged into `total` in plan order. Fills
   /// `stats` and returns the admission or mid-scan lifecycle status.
   template <typename Kernel>

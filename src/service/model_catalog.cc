@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <thread>
 #include <utility>
 
 #include "core/model_io.h"
@@ -149,6 +150,12 @@ CatalogSnapshot ModelCatalog::MakeSnapshot(
 
 util::Result<CatalogSnapshot> ModelCatalog::GetOrTrain(
     const std::string& name, const util::ExecControl* control) {
+  return GetOrTrainOn(name, control, /*train_pool=*/nullptr);
+}
+
+util::Result<CatalogSnapshot> ModelCatalog::GetOrTrainOn(
+    const std::string& name, const util::ExecControl* control,
+    util::ThreadPool* train_pool) {
   std::shared_ptr<Entry> e = FindEntry(name);
   if (!e) {
     return util::Status::NotFound(
@@ -196,7 +203,7 @@ util::Result<CatalogSnapshot> ModelCatalog::GetOrTrain(
     // can observe their own deadlines while it is in flight.
     e->training = true;
   }
-  util::Status st = TrainEntry(e.get(), control);
+  util::Status st = TrainEntry(e.get(), control, train_pool);
   {
     util::MutexLock lock(&e->train_mu);
     e->training = false;
@@ -208,7 +215,8 @@ util::Result<CatalogSnapshot> ModelCatalog::GetOrTrain(
   return MakeSnapshot(*e, std::atomic_load(&e->trained));
 }
 
-util::Status ModelCatalog::TrainEntry(Entry* e, const util::ExecControl* control) {
+util::Status ModelCatalog::TrainEntry(Entry* e, const util::ExecControl* control,
+                                      util::ThreadPool* train_pool) {
   // Warm start: a previously persisted parameter set α skips training
   // entirely (Algorithm 1 freezes α, so the file is authoritative).
   if (FileExists(e->opts.warm_start_path)) {
@@ -238,7 +246,8 @@ util::Status ModelCatalog::TrainEntry(Entry* e, const util::ExecControl* control
   query::WorkloadGenerator workload(e->opts.workload);
   core::Trainer trainer(*e->engine, e->opts.trainer);
   core::TrainingReport partial;
-  auto report = trainer.Train(&workload, model.get(), control, &partial);
+  auto report =
+      trainer.Train(&workload, model.get(), control, &partial, train_pool);
   if (!report.ok()) {
     const util::StatusCode code = report.status().code();
     if (code == util::StatusCode::kDeadlineExceeded ||
@@ -460,8 +469,10 @@ util::Result<CatalogSnapshot> ModelCatalog::Get(const std::string& name) const {
 }
 
 util::Status ModelCatalog::TrainAll() {
+  const unsigned cores = std::thread::hardware_concurrency();
+  util::ThreadPool train_pool(cores > 1 ? cores - 1 : 0);  // + the caller.
   for (const std::string& name : Names()) {
-    auto snap = GetOrTrain(name);
+    auto snap = GetOrTrainOn(name, /*control=*/nullptr, &train_pool);
     if (!snap.ok()) return snap.status();
   }
   return util::Status::OK();

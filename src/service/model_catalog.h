@@ -13,7 +13,9 @@
 // query's util::ExecControl into the trainer, so an expired or cancelled
 // request aborts training at a query boundary and leaves the entry
 // untrained (retryable), and waiters never block behind a training their
-// own deadline would abandon.
+// own deadline would abandon. Only TrainAll() (set-up) runs the training
+// scans on every core; lazy training and drift retrains run them on the
+// calling thread, so serving-time training never takes the whole machine.
 //
 // Model freshness: with a DriftPolicy enabled, each trained model carries a
 // calibrated core::DriftMonitor and a monotonically increasing *generation*.
@@ -45,6 +47,7 @@
 #include "util/mutex.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
+#include "util/thread_pool.h"
 
 namespace qreg {
 namespace service {
@@ -181,7 +184,10 @@ class ModelCatalog {
   /// unknown names.
   util::Result<CatalogSnapshot> Get(const std::string& name) const;
 
-  /// Eagerly trains every registered dataset (first error aborts).
+  /// Eagerly trains every registered dataset (first error aborts). A set-up
+  /// call: the training scans run on a pool of hardware_concurrency() - 1
+  /// threads plus the caller (core::Trainer's lookahead window), joined
+  /// before it returns. The models are byte-identical to lazy training's.
   util::Status TrainAll();
 
   /// Persists a trained model with core::ModelSerializer. FailedPrecondition
@@ -296,7 +302,13 @@ class ModelCatalog {
 
   CatalogSnapshot MakeSnapshot(const Entry& e,
                                std::shared_ptr<const TrainedState> trained) const;
-  util::Status TrainEntry(Entry* e, const util::ExecControl* control);
+  /// GetOrTrain with the pool an elected trainer runs its scans on (null =
+  /// on the calling thread).
+  util::Result<CatalogSnapshot> GetOrTrainOn(const std::string& name,
+                                             const util::ExecControl* control,
+                                             util::ThreadPool* train_pool);
+  util::Status TrainEntry(Entry* e, const util::ExecControl* control,
+                          util::ThreadPool* train_pool);
 
   /// Shared implementation of the two ReportObservation overloads
   /// (`residual` null = unmetered observation).

@@ -15,6 +15,7 @@
 #include "storage/kdtree.h"
 #include "storage/scan_index.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace qreg {
 namespace core {
@@ -513,6 +514,121 @@ TEST_F(TrainerTest, TrainFromPairsMatchesOnlineTraining) {
     EXPECT_EQ(m1.prototypes()[static_cast<size_t>(k)].y,
               m2.prototypes()[static_cast<size_t>(k)].y);
   }
+}
+
+// ---------- Lookahead training == serial training ----------
+
+// The serial trainer's stream, replayed on a copy of a generator: draw one
+// query, scan it, keep it when its subspace is non-empty. drawn[i] counts
+// the queries drawn through pairs[i].
+struct SerialReplay {
+  std::vector<query::QueryAnswer> pairs;
+  std::vector<int64_t> drawn;
+};
+
+SerialReplay ReplaySerial(const query::ExactEngine& engine,
+                          query::WorkloadGenerator gen, int64_t max_pairs) {
+  SerialReplay replay;
+  int64_t drawn = 0;
+  while (static_cast<int64_t>(replay.pairs.size()) < max_pairs) {
+    const query::Query q = gen.Next();
+    ++drawn;
+    auto mean = engine.MeanValue(q);
+    if (!mean.ok()) continue;
+    replay.pairs.push_back({q, mean->mean});
+    replay.drawn.push_back(drawn);
+  }
+  return replay;
+}
+
+std::string ModelBytes(const LlmModel& model) {
+  std::ostringstream os;
+  EXPECT_TRUE(ModelSerializer::Save(model, &os).ok());
+  return os.str();
+}
+
+// Trains with Trainer::Train on pools of 0, 1 and 3 workers (0 = the serial
+// loop, otherwise lookahead windows) and with TrainFromPairs over serially
+// computed answers, and requires the same model bytes, the same report
+// counters and Γ trace, and the caller's generator left exactly where the
+// serial trainer leaves it, for every pool.
+void ExpectTrainMatchesSerial(const query::ExactEngine& engine,
+                              const TrainerConfig& tc,
+                              const query::WorkloadConfig& workload,
+                              TrainingReport* out = nullptr) {
+  const LlmConfig llm = LlmConfig::ForDimension(2, 0.25);
+  Trainer trainer(engine, tc);
+
+  const SerialReplay replay =
+      ReplaySerial(engine, query::WorkloadGenerator(workload), tc.max_pairs);
+  LlmModel serial_model(llm);
+  auto serial = trainer.TrainFromPairs(replay.pairs, &serial_model);
+  ASSERT_TRUE(serial.ok()) << serial.status();
+  ASSERT_GT(serial->pairs_used, 0);
+  // The serial trainer drew exactly the queries through its last pair.
+  const int64_t drawn = replay.drawn[static_cast<size_t>(serial->pairs_used) - 1];
+
+  for (size_t workers : {0, 1, 3}) {
+    SCOPED_TRACE(::testing::Message() << workers << " pool workers");
+    util::ThreadPool pool(workers);
+    LlmModel model(llm);
+    query::WorkloadGenerator gen(workload);
+    auto report = trainer.Train(&gen, &model, nullptr, nullptr, &pool);
+    ASSERT_TRUE(report.ok()) << report.status();
+
+    ASSERT_EQ(report->pairs_used, serial->pairs_used);
+    EXPECT_EQ(ModelBytes(model), ModelBytes(serial_model));
+    EXPECT_EQ(model.frozen(), serial_model.frozen());
+    EXPECT_EQ(report->converged, serial->converged);
+    EXPECT_EQ(report->final_gamma, serial->final_gamma);
+    EXPECT_EQ(report->num_prototypes, serial->num_prototypes);
+    EXPECT_EQ(report->gamma_trace, serial->gamma_trace);
+    EXPECT_EQ(report->pairs_skipped, drawn - serial->pairs_used);
+    query::WorkloadGenerator serial_gen(workload);
+    for (int64_t i = 0; i < drawn; ++i) serial_gen.Next();
+    EXPECT_EQ(gen.Next(), serial_gen.Next());
+    if (out != nullptr) *out = std::move(report).value();
+  }
+}
+
+TEST_F(TrainerTest, LookaheadMatchesSerialOnFixedBudget) {
+  TrainerConfig tc;
+  tc.max_pairs = 1000;    // Several windows, the last one clamped.
+  tc.min_pairs = 100000;  // never converge
+  tc.trace_every = 100;
+  TrainingReport report;
+  ExpectTrainMatchesSerial(
+      *engine_, tc, query::WorkloadConfig::Cube(2, 0.0, 1.0, 0.15, 0.03, 79),
+      &report);
+  EXPECT_EQ(report.pairs_used, 1000);
+  EXPECT_EQ(report.gamma_trace.size(), 10u);
+}
+
+TEST_F(TrainerTest, LookaheadMatchesSerialWhenConvergingMidWindow) {
+  TrainerConfig tc;
+  tc.max_pairs = 5000;
+  tc.min_pairs = 200;
+  tc.trace_every = 50;
+  TrainingReport report;
+  ExpectTrainMatchesSerial(
+      *engine_, tc, query::WorkloadConfig::Cube(2, 0.0, 1.0, 0.15, 0.03, 71),
+      &report);
+  // Convergence stopped training inside a window: the scans read ahead of
+  // the converging pair must leak into neither the model nor the counters.
+  EXPECT_TRUE(report.converged);
+  EXPECT_LT(report.pairs_used, tc.max_pairs);
+}
+
+TEST_F(TrainerTest, LookaheadMatchesSerialWithEmptySubspaces) {
+  TrainerConfig tc;
+  tc.max_pairs = 600;
+  tc.min_pairs = 100000;  // never converge
+  TrainingReport report;
+  ExpectTrainMatchesSerial(
+      *engine_, tc, query::WorkloadConfig::Cube(2, 0.0, 3.0, 0.05, 0.001, 73),
+      &report);
+  EXPECT_GT(report.pairs_skipped, 0);
+  EXPECT_EQ(report.pairs_used, 600);
 }
 
 }  // namespace

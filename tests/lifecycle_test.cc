@@ -18,12 +18,14 @@
 #include <atomic>
 #include <cmath>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/drift.h"
 #include "core/llm_model.h"
+#include "core/model_io.h"
 #include "core/trainer.h"
 #include "query/exact_engine.h"
 #include "query/workload.h"
@@ -377,6 +379,68 @@ TEST(LifecycleTrainTest, MidTrainDeadlineKeepsPartialReport) {
   EXPECT_EQ(partial.num_prototypes, model.num_prototypes());
   EXPECT_GT(partial.query_exec_nanos, 0);  // Where the aborted time went.
   EXPECT_FALSE(partial.converged);
+}
+
+std::string ModelBytes(const core::LlmModel& model) {
+  std::ostringstream os;
+  EXPECT_TRUE(core::ModelSerializer::Save(model, &os).ok());
+  return os.str();
+}
+
+TEST(LifecycleTrainTest, MidTrainTripLeavesTheSerialPrefixModel) {
+  // With a pool the trainer scans a lookahead window of queries ahead of the
+  // model, but a trip at pair k must leave exactly the model a serial
+  // trainer fed the first k pairs builds: read-ahead answers past the trip
+  // are never used.
+  EngineFixture* f = testsupport::SharedServiceFixture();
+  const service::CatalogOptions opts = testsupport::DefaultCatalogOptions();
+  constexpr int64_t kTripAt = 300;  // Inside the second lookahead window.
+  FakeClock clock(0);
+  core::TrainerConfig tc;
+  tc.max_pairs = 400;
+  tc.min_pairs = tc.max_pairs;  // No convergence before the trip.
+  tc.on_pair_for_testing = [&clock](int64_t pairs_done) {
+    if (pairs_done == kTripAt) clock.SetNanos(2000);
+  };
+  core::Trainer trainer(*f->engine, tc);
+  core::LlmModel model(opts.llm);
+  query::WorkloadGenerator gen(opts.workload);
+  util::ExecControl ctl;
+  ctl.deadline = util::Deadline::AtNanos(1000, &clock);
+  core::TrainingReport partial;
+  util::ThreadPool pool(3);
+  auto report = trainer.Train(&gen, &model, &ctl, &partial, &pool);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), util::StatusCode::kDeadlineExceeded);
+  ASSERT_EQ(partial.pairs_used, kTripAt);
+
+  // The serial reference: draw, scan, keep non-empty answers, k of them.
+  query::WorkloadGenerator serial_gen(opts.workload);
+  std::vector<query::QueryAnswer> pairs;
+  int64_t skipped = 0;
+  while (static_cast<int64_t>(pairs.size()) < kTripAt) {
+    const query::Query q = serial_gen.Next();
+    auto mean = f->engine->MeanValue(q);
+    if (mean.ok()) {
+      pairs.push_back({q, mean->mean});
+    } else {
+      ++skipped;
+    }
+  }
+  core::TrainerConfig serial_tc = tc;
+  serial_tc.on_pair_for_testing = nullptr;
+  core::LlmModel serial_model(opts.llm);
+  auto serial = core::Trainer(*f->engine, serial_tc)
+                    .TrainFromPairs(pairs, &serial_model);
+  ASSERT_TRUE(serial.ok()) << serial.status();
+
+  EXPECT_EQ(ModelBytes(model), ModelBytes(serial_model));
+  EXPECT_EQ(partial.pairs_skipped, skipped);
+  EXPECT_EQ(partial.num_prototypes, serial->num_prototypes);
+  EXPECT_EQ(partial.final_gamma, serial->final_gamma);
+  EXPECT_FALSE(partial.converged);
+  // The tripped query was never consumed: the caller's stream resumes there.
+  EXPECT_EQ(gen.Next(), serial_gen.Next());
 }
 
 TEST(LifecycleTrainTest, GetOrTrainExpiredControlRunsZeroTrainingQueries) {

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <string>
@@ -430,9 +431,11 @@ std::vector<uint8_t> NormalizedStream(const std::vector<Frame>& frames) {
 TEST(NetFaultTest, ReorderedReadinessIsDeterministicAcrossRuns) {
   // Two connections, readiness ranks inverted relative to arrival order, a
   // fault-laced schedule on each. The entire scenario runs three times; the
-  // per-connection response streams (normalized only for the encoded
-  // wall-clock latency) must be identical run to run — that is the
-  // determinism CI's --gtest_repeat leans on.
+  // per-connection responses (normalized only for the encoded wall-clock
+  // latency) must be identical run to run — that is the determinism CI's
+  // --gtest_repeat leans on. On conn A the server promises each frame's
+  // bytes, not the order of a pong and an answer (see below), so A's frames
+  // are compared keyed by request id.
   std::vector<std::vector<uint8_t>> golden_a, golden_b;
   for (int run = 0; run < 3; ++run) {
     SimTransport transport;
@@ -469,13 +472,18 @@ TEST(NetFaultTest, ReorderedReadinessIsDeterministicAcrossRuns) {
     std::vector<Frame> frames_a, frames_b;
     ASSERT_TRUE(CollectFrames(conn_a, &dec_a, 2, &frames_a));
     ASSERT_TRUE(CollectFrames(conn_b, &dec_b, 1, &frames_b));
-    // The pong legitimately overtakes the answer: pings are answered inline
-    // by the loop, requests round-trip through the executor pool. What must
-    // hold is that *this* interleaving is the same every run.
-    EXPECT_EQ(frames_a[0].header.request_id, 12u);
-    EXPECT_EQ(frames_a[0].header.type, FrameType::kPong);
-    EXPECT_EQ(frames_a[1].header.request_id, 11u);
-    EXPECT_EQ(frames_a[1].header.type, FrameType::kAnswer);
+    // Pings are answered inline by the loop, requests round-trip through the
+    // executor pool, and A's bytes arrive 3 at a time: the executor may
+    // finish request 11 before the loop has read the trailing ping, so the
+    // answer and the pong may arrive in either order. Both must arrive.
+    std::sort(frames_a.begin(), frames_a.end(),
+              [](const Frame& x, const Frame& y) {
+                return x.header.request_id < y.header.request_id;
+              });
+    EXPECT_EQ(frames_a[0].header.request_id, 11u);
+    EXPECT_EQ(frames_a[0].header.type, FrameType::kAnswer);
+    EXPECT_EQ(frames_a[1].header.request_id, 12u);
+    EXPECT_EQ(frames_a[1].header.type, FrameType::kPong);
     EXPECT_EQ(frames_b[0].header.request_id, 21u);
     EXPECT_EQ(frames_b[0].header.type, FrameType::kAnswer);
 

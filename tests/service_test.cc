@@ -12,10 +12,12 @@
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/model_io.h"
 #include "eval/metrics.h"
 #include "query/workload.h"
 #include "service/answer_cache.h"
@@ -158,6 +160,33 @@ TEST(ModelCatalogTest, ConcurrentGetOrTrainYieldsOneModel) {
   for (int i = 1; i < kThreads; ++i) {
     EXPECT_EQ(models[0].get(), models[static_cast<size_t>(i)].get());
   }
+}
+
+TEST(ModelCatalogTest, TrainAllMatchesLazyTrainingByteForByte) {
+  // TrainAll runs the training scans on every core; lazy GetOrTrain runs
+  // them on the calling thread. Both must publish the same model.
+  TestData* d = SharedData();
+  CatalogOptions opts = TestOptions();
+  opts.trainer.max_pairs = 1500;  // Several lookahead windows.
+  ModelCatalog eager;
+  ModelCatalog lazy;
+  ASSERT_TRUE(eager.Register("ds", &d->dataset->table, d->kdtree.get(), opts).ok());
+  ASSERT_TRUE(lazy.Register("ds", &d->dataset->table, d->kdtree.get(), opts).ok());
+  ASSERT_TRUE(eager.TrainAll().ok());
+  auto a = eager.Get("ds");
+  auto b = lazy.GetOrTrain("ds");
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  ASSERT_NE(a->model, nullptr);
+  ASSERT_NE(b->model, nullptr);
+  std::ostringstream bytes_a;
+  std::ostringstream bytes_b;
+  ASSERT_TRUE(core::ModelSerializer::Save(*a->model, &bytes_a).ok());
+  ASSERT_TRUE(core::ModelSerializer::Save(*b->model, &bytes_b).ok());
+  EXPECT_EQ(bytes_a.str(), bytes_b.str());
+  EXPECT_EQ(a->report.pairs_used, b->report.pairs_used);
+  EXPECT_EQ(a->report.pairs_skipped, b->report.pairs_skipped);
+  EXPECT_EQ(a->report.converged, b->report.converged);
 }
 
 TEST(ModelCatalogTest, WarmStartSkipsTrainingAndMatchesPredictions) {
