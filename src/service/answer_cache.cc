@@ -24,6 +24,37 @@ inline int64_t CellCoord(double x, double cell) {
 
 }  // namespace
 
+std::atomic<int64_t> AnswerCache::live_entries_{0};
+
+AnswerCache::GroupSnapshot::~GroupSnapshot() {
+  // The lineage head owns every entry it holds; an older snapshot owns only
+  // the entry its successor dropped (the rest are owned further down the
+  // chain, which `successor` keeps alive until this point).
+  if (successor == nullptr) {
+    for (const Entry* e : entries) delete e;
+  }
+  delete retired;
+}
+
+void AnswerCache::GroupDeleter::operator()(const GroupSnapshot* g) const {
+  // A reader stalled on an old snapshot can hold a chain as long as the
+  // inserts published meanwhile; deleting one link releases the next, so a
+  // plain recursive release would run the stack out. Releases nested inside
+  // a delete only queue their snapshot; the outermost call frees the queue.
+  thread_local const GroupSnapshot* pending = nullptr;
+  thread_local bool draining = false;
+  g->next_dead = pending;
+  pending = g;
+  if (draining) return;
+  draining = true;
+  while (pending != nullptr) {
+    const GroupSnapshot* p = pending;
+    pending = p->next_dead;
+    delete p;
+  }
+  draining = false;
+}
+
 AnswerCache::AnswerCache(AnswerCacheConfig config) : config_(config) {
   config_.delta_min = std::min(1.0, std::max(0.0, config_.delta_min));
   if (config_.capacity_per_shard == 0) config_.capacity_per_shard = 1;
@@ -67,19 +98,19 @@ const AnswerCache::Entry* AnswerCache::LinearProbe(const GroupSnapshot& g,
   const Entry* best = nullptr;
   double best_delta = 0.0;
   size_t probed = 0;
-  for (const EntryPtr& e : g.entries) {
+  for (const Entry* e : g.entries) {
     if (config_.max_probe > 0 && probed >= config_.max_probe) break;
     ++probed;
     const query::Query& eq = e->answer.q;
     if (eq.dimension() != q.dimension()) continue;
     if (eq == q) {  // Exact repeat: δ = 1, nothing can beat it.
       *delta_out = 1.0;
-      return e.get();
+      return e;
     }
     if (!query::Overlaps(q, eq)) continue;  // Predicate A (Definition 6).
     const double delta = query::DegreeOfOverlap(q, eq);  // Equation 9.
     if (delta >= config_.delta_min && delta > best_delta) {
-      best = e.get();
+      best = e;
       best_delta = delta;
     }
   }
@@ -160,12 +191,18 @@ const AnswerCache::Entry* AnswerCache::FindBest(const GroupSnapshot& g,
 bool AnswerCache::Lookup(const std::string& group_key, const query::Query& q,
                          CachedAnswer* out) {
   Shard& shard = ShardFor(group_key);
-  shard.lookups.fetch_add(1, std::memory_order_relaxed);
   // The whole read runs against this immutable snapshot; holding the
-  // shared_ptr keeps every entry alive even if writers publish (or erase)
-  // newer generations meanwhile.
+  // shared_ptr keeps every entry it reaches alive even if writers publish
+  // (or erase) newer generations meanwhile.
   const SnapshotPtr snap =
       std::atomic_load_explicit(&shard.snap, std::memory_order_acquire);
+  return LookupIn(shard, snap.get(), group_key, q, out);
+}
+
+bool AnswerCache::LookupIn(Shard& shard, const ShardSnapshot* snap,
+                           const std::string& group_key, const query::Query& q,
+                           CachedAnswer* out) {
+  shard.lookups.fetch_add(1, std::memory_order_relaxed);
   const GroupSnapshot* g = nullptr;
   if (snap != nullptr) {
     auto it = snap->groups.find(group_key);
@@ -207,15 +244,21 @@ void AnswerCache::Insert(const std::string& group_key, CachedAnswer answer) {
   auto next = std::make_shared<ShardSnapshot>();
   if (cur != nullptr) next->groups = cur->groups;  // Other groups shared.
 
-  auto g = std::make_shared<GroupSnapshot>();
+  // The successor group is built in `g`, but its entry handles stay in the
+  // local `entries` until nothing can throw any more: a snapshot owns the
+  // entries it holds, so it must not hold borrowed ones while it could
+  // still be destroyed unpublished.
+  std::unique_ptr<GroupSnapshot> g(new GroupSnapshot);
+  const GroupSnapshot* old = nullptr;
   auto old_it = next->groups.find(group_key);
   if (old_it != next->groups.end()) {
-    const GroupSnapshot& old = *old_it->second;
-    g->entries = old.entries;  // Pointer-sized copies; entries are shared.
-    g->grid = old.grid;        // One flat copy; edited in place below.
-    g->cell = old.cell;
-    g->theta_max = old.theta_max;
+    old = old_it->second.get();
+    g->grid = old->grid;  // One flat copy; edited in place below.
+    g->cell = old->cell;
+    g->theta_max = old->theta_max;
   }
+  const std::vector<const Entry*> no_entries;
+  const std::vector<const Entry*>& prev = old != nullptr ? old->entries : no_entries;
 
   if (config_.enable_grid && g->cell <= 0.0) {
     // Cell edge fixed from the first cached ball: matches the typical probe
@@ -228,55 +271,93 @@ void AnswerCache::Insert(const std::string& group_key, CachedAnswer answer) {
   g->theta_max = std::max(g->theta_max, answer.q.theta);
 
   const uint64_t stamp = shard.ticket.fetch_add(1, std::memory_order_relaxed);
-  auto entry = std::make_shared<const Entry>(std::move(answer), stamp);
+  std::unique_ptr<const Entry> fresh(new Entry(std::move(answer), stamp));
+  const query::Query& fq = fresh->answer.q;
 
-  // Replace an exact-duplicate query in place (keeps the group canonical).
-  // Writers own the group copy, so a plain scan over ≤ capacity entries is
-  // fine here — the grid only accelerates the reader path.
-  bool replaced = false;
-  for (size_t i = 0; i < g->entries.size(); ++i) {
-    if (g->entries[i]->answer.q == entry->answer.q) {
-      EraseSlot(g.get(), *g->entries[i]);
-      g->entries.erase(g->entries.begin() + static_cast<int64_t>(i));
-      g->entries.insert(g->entries.begin(), entry);
-      replaced = true;
-      break;
+  // Replace an exact-duplicate query (keeps the group canonical). An
+  // identical center has an identical cell hash, so the duplicate, if any,
+  // sits in the new entry's grid run; only a grid-less group needs the
+  // O(group) scan.
+  const Entry* dropped = nullptr;
+  if (g->cell > 0.0) {
+    const uint64_t h = CellHash(fq.center.data(), fq.dimension(), g->cell);
+    for (auto it = std::lower_bound(
+             g->grid.begin(), g->grid.end(), h,
+             [](const Slot& s, uint64_t cell) { return s.cell < cell; });
+         it != g->grid.end() && it->cell == h; ++it) {
+      if (it->e->answer.q == fq) {
+        dropped = it->e;
+        g->grid.erase(it);
+        break;
+      }
+    }
+  } else {
+    for (const Entry* e : prev) {
+      if (e->answer.q == fq) {
+        dropped = e;
+        break;
+      }
     }
   }
-  if (!replaced) {
-    g->entries.insert(g->entries.begin(), entry);
+  bool evicted = false;
+  if (dropped == nullptr) {
     shard.size.fetch_add(1, std::memory_order_relaxed);
     shard.inserts.fetch_add(1, std::memory_order_relaxed);
-    if (g->entries.size() > config_.capacity_per_shard) {
+    if (prev.size() + 1 > config_.capacity_per_shard) {
       // Evict the minimum LRU stamp: exact LRU, since every insert and
-      // every hit draws a fresh monotone ticket.
-      size_t victim = 0;
-      uint64_t victim_stamp = g->entries[0]->last_used.load(std::memory_order_relaxed);
-      for (size_t i = 1; i < g->entries.size(); ++i) {
-        const uint64_t s = g->entries[i]->last_used.load(std::memory_order_relaxed);
+      // every hit draws a fresh monotone ticket (the new entry's is the
+      // newest, so only the old entries compete).
+      dropped = prev[0];
+      uint64_t victim_stamp = dropped->last_used.load(std::memory_order_relaxed);
+      for (size_t i = 1; i < prev.size(); ++i) {
+        const uint64_t s = prev[i]->last_used.load(std::memory_order_relaxed);
         if (s < victim_stamp) {
           victim_stamp = s;
-          victim = i;
+          dropped = prev[i];
         }
       }
-      const double victim_theta = g->entries[victim]->answer.q.theta;
-      EraseSlot(g.get(), *g->entries[victim]);
-      g->entries.erase(g->entries.begin() + static_cast<int64_t>(victim));
+      EraseSlot(g.get(), *dropped);
+      evicted = true;
       shard.size.fetch_sub(1, std::memory_order_relaxed);
       shard.evictions.fetch_add(1, std::memory_order_relaxed);
-      // Don't let one evicted large-θ outlier pin the probe radius (and with
-      // it the grid fallback) forever: re-derive the maximum when it leaves.
-      if (victim_theta >= g->theta_max) {
-        g->theta_max = 0.0;
-        for (const EntryPtr& e : g->entries) {
-          g->theta_max = std::max(g->theta_max, e->answer.q.theta);
-        }
-      }
     }
   }
-  AddSlot(g.get(), *entry);
 
-  next->groups[group_key] = std::move(g);
+  // Newest first: the new entry, then the old ones (already in descending
+  // seq) minus the dropped one, located by binary search on seq.
+  std::vector<const Entry*> entries;
+  entries.reserve(prev.size() + 1);
+  entries.push_back(fresh.get());
+  auto cut = prev.end();
+  if (dropped != nullptr) {
+    cut = std::lower_bound(prev.begin(), prev.end(), dropped->seq,
+                           [](const Entry* e, uint64_t seq) { return e->seq > seq; });
+  }
+  entries.insert(entries.end(), prev.begin(), cut);
+  if (cut != prev.end()) entries.insert(entries.end(), cut + 1, prev.end());
+
+  // Don't let one evicted large-θ outlier pin the probe radius (and with it
+  // the grid fallback) forever: re-derive the maximum when it leaves.
+  if (evicted && dropped->answer.q.theta >= g->theta_max) {
+    g->theta_max = 0.0;
+    for (const Entry* e : entries) {
+      g->theta_max = std::max(g->theta_max, e->answer.q.theta);
+    }
+  }
+  AddSlot(g.get(), *fresh);
+
+  GroupSnapshot* const built = g.get();
+  GroupPtr published(g.release(), GroupDeleter());
+  next->groups[group_key] = published;
+
+  // Nothing below allocates or throws: the new snapshot takes its entries
+  // (the fresh one included), the old one its dropped entry and successor.
+  built->entries = std::move(entries);
+  built->entries.front() = fresh.release();
+  if (old != nullptr) {
+    old->retired = dropped;
+    old->successor = std::move(published);
+  }
   std::atomic_store_explicit(&shard.snap, SnapshotPtr(std::move(next)),
                              std::memory_order_release);
 }
@@ -314,6 +395,24 @@ void AnswerCache::Clear() {
                                std::memory_order_release);
     shard->size.store(0, std::memory_order_relaxed);
   }
+}
+
+std::shared_ptr<const void> AnswerCache::pin_for_testing(
+    const std::string& group) const {
+  return std::atomic_load_explicit(&ShardFor(group).snap,
+                                   std::memory_order_acquire);
+}
+
+bool AnswerCache::LookupPinnedForTesting(const std::shared_ptr<const void>& pin,
+                                         const std::string& group,
+                                         const query::Query& q,
+                                         CachedAnswer* out) {
+  return LookupIn(ShardFor(group), static_cast<const ShardSnapshot*>(pin.get()),
+                  group, q, out);
+}
+
+int64_t AnswerCache::live_entries_for_testing() {
+  return live_entries_.load(std::memory_order_relaxed);
 }
 
 AnswerCacheStats AnswerCache::stats() const {

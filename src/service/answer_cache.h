@@ -20,15 +20,30 @@
 //     a *new* fully-built snapshot, so readers never observe a torn entry —
 //     there is nothing to retry and nothing to block on.
 //   - Writers (Insert / EraseGroupsWithPrefix / Clear) still serialize on
-//     the shard mutex, copy-on-write the touched group (entry handles are
-//     shared, so the copy is pointer-sized per entry; the probe grid is one
-//     flat copy), and publish the next snapshot generation with one atomic
-//     release store. An insert edits the copied grid in place — at most
-//     three binary-searched slot edits (replaced entry, LRU victim, new
-//     entry) — instead of rebuilding it, so a miss costs a few flat copies,
-//     not an O(group) rehash. That matters: a churning hot-spot workload
-//     writes on ~40% of its requests, so writers share the shard mutex far
-//     more often than a write-light workload would.
+//     the shard mutex, copy-on-write the touched group, and publish the
+//     next snapshot generation with one atomic release store. Entry handles
+//     are raw pointers, so the copy is two flat copies (handles and probe
+//     grid) with no per-entry refcount traffic. An insert edits the copied
+//     grid in place — at most three binary-searched slot edits (replaced
+//     entry, LRU victim, new entry) — and finds an exact-duplicate query
+//     through the new entry's grid cell rather than an O(group) scan. That
+//     matters: a churning hot-spot workload writes on ~40% of its requests,
+//     so writers share the shard mutex far more often than a write-light
+//     workload would.
+//   - Entries are owned by the lineage of group snapshots. When a writer
+//     publishes the successor of group snapshot S, S takes ownership of the
+//     one entry the successor dropped (the replaced duplicate or the LRU
+//     victim) and a reference to the successor; the entries S shares with
+//     later snapshots are owned further down the chain, which S keeps
+//     alive. A snapshot with no successor (the current one, or an erased
+//     or cleared group) owns all of its entries. So a reader's snapshot
+//     keeps every entry it can reach alive, as shared entry handles did —
+//     but those cost an atomic increment per entry on every copy and a
+//     decrement per entry when the old snapshot died (1,024 of each per
+//     insert into a full group, on cache lines the executors share, under
+//     the shard mutex); now an insert touches no refcount but the
+//     snapshots'. Chains are released iteratively, so a reader stalled
+//     across 100k inserts cannot overflow the stack when it lets go.
 //   - Hit/miss/insert counters are per-shard atomics, so they stay exact
 //     under any reader/writer interleaving.
 //   - Within a group, cached query centers are bucketed on a uniform grid,
@@ -149,6 +164,19 @@ class AnswerCache {
 
   const AnswerCacheConfig& config() const { return config_; }
 
+  /// Test-only: the current snapshot of `group`'s shard, held the way a
+  /// reader holds it for the length of a Lookup. Every entry that snapshot
+  /// reaches stays alive until the handle is dropped.
+  std::shared_ptr<const void> pin_for_testing(const std::string& group) const;
+  /// Test-only: Lookup against a handle from pin_for_testing instead of the
+  /// shard's current snapshot (counters and LRU stamps as in Lookup).
+  bool LookupPinnedForTesting(const std::shared_ptr<const void>& pin,
+                              const std::string& group, const query::Query& q,
+                              CachedAnswer* out);
+  /// Test-only: cached entries alive in this process, over every cache and
+  /// every snapshot still held.
+  static int64_t live_entries_for_testing();
+
  private:
   /// One immutable cached entry plus its mutable LRU ticket. Entries are
   /// shared between consecutive snapshots, so a reader's ticket stamp is
@@ -159,14 +187,15 @@ class AnswerCache {
     mutable std::atomic<uint64_t> last_used;
 
     Entry(CachedAnswer a, uint64_t stamp)
-        : answer(std::move(a)), seq(stamp), last_used(stamp) {}
+        : answer(std::move(a)), seq(stamp), last_used(stamp) {
+      live_entries_.fetch_add(1, std::memory_order_relaxed);
+    }
+    ~Entry() { live_entries_.fetch_sub(1, std::memory_order_relaxed); }
   };
-  using EntryPtr = std::shared_ptr<const Entry>;
 
   /// One probe-grid slot: an entry filed under the hash of its center's
-  /// cell. `e` is a raw pointer on purpose (the slot vector stays trivially
-  /// copyable): it is kept alive by the `entries` of the same snapshot, and
-  /// every writer that drops an entry also erases its slot.
+  /// cell. `e` is one of the same snapshot's entries; every writer that
+  /// drops an entry also erases its slot.
   struct Slot {
     uint64_t cell;  // CellHash of the entry's center.
     uint64_t seq;   // Entry::seq.
@@ -178,18 +207,38 @@ class AnswerCache {
     }
   };
 
+  struct GroupSnapshot;
+  /// Frees a group snapshot once its last reference goes. Releasing a
+  /// snapshot releases its successor, so nested releases are queued and
+  /// freed in a loop by the outermost call on the thread.
+  struct GroupDeleter {
+    void operator()(const GroupSnapshot* g) const;
+  };
+  using GroupPtr = std::shared_ptr<const GroupSnapshot>;
+
   /// Immutable per-group state: entries newest-insert-first (descending
   /// seq) plus the probe grid over entry centers, a flat slot vector sorted
   /// by cell hash ascending, then seq descending. A cell is one contiguous
   /// run walked in the same order as `entries`; hash collisions merely merge
   /// cells — extra candidates, never missed ones.
   struct GroupSnapshot {
-    std::vector<EntryPtr> entries;
+    std::vector<const Entry*> entries;
     std::vector<Slot> grid;  // Empty while the grid is disabled.
     double cell = 0.0;       // Cell edge length; 0 until the first insert.
     double theta_max = 0.0;  // Largest cached θ (bounds the probe radius).
+
+    // Lineage links, set once under the shard mutex when a writer publishes
+    // this group's successor (readers never look at them): the successor
+    // itself, and the one entry it dropped, which this snapshot now owns.
+    mutable GroupPtr successor;
+    mutable const Entry* retired = nullptr;
+    mutable const GroupSnapshot* next_dead = nullptr;  // GroupDeleter queue.
+
+    GroupSnapshot() = default;
+    GroupSnapshot(const GroupSnapshot&) = delete;
+    GroupSnapshot& operator=(const GroupSnapshot&) = delete;
+    ~GroupSnapshot();
   };
-  using GroupPtr = std::shared_ptr<const GroupSnapshot>;
 
   struct ShardSnapshot {
     std::unordered_map<std::string, GroupPtr> groups;
@@ -216,6 +265,11 @@ class AnswerCache {
 
   Shard& ShardFor(const std::string& group) const;
 
+  /// Lookup against `snap` (null = empty shard); the caller keeps it alive.
+  bool LookupIn(Shard& shard, const ShardSnapshot* snap,
+                const std::string& group, const query::Query& q,
+                CachedAnswer* out);
+
   uint64_t CellHash(const double* center, size_t d, double cell) const;
   /// Grid edits of a writer's private group copy: one binary search plus
   /// one vector insert/erase each. No-ops while the grid is disabled.
@@ -232,6 +286,8 @@ class AnswerCache {
 
   AnswerCacheConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;  // Fixed size after ctor.
+
+  static std::atomic<int64_t> live_entries_;  // Entry objects, process-wide.
 };
 
 }  // namespace service

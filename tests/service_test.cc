@@ -4,12 +4,14 @@
 // parallelism determinism).
 
 #include <gtest/gtest.h>
+#include <pthread.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -518,6 +520,294 @@ TEST(AnswerCacheGridTest, ChurnAtCapacityMatchesLinearProbe) {
   EXPECT_GT(sg.evictions, 0);
   EXPECT_LT(sg.inserts, insert_calls);
   EXPECT_GT(sg.hits, 0);
+}
+
+// ---------- AnswerCache vs a brute-force reference model ----------
+
+// The cache's contract, written as plainly as possible: a vector of entries,
+// exact LRU by ticket, max-δ admission over the whole group (ties go to the
+// newest insert), and replace-on-duplicate. Tickets are drawn in the same
+// places as the cache draws them (every insert, every hit), so the LRU
+// victim is the same entry.
+class ReferenceCache {
+ public:
+  ReferenceCache(size_t capacity, double delta_min)
+      : capacity_(capacity), delta_min_(delta_min) {}
+
+  bool Lookup(const std::string& group, const query::Query& q, CachedAnswer* out) {
+    ++stats_.lookups;
+    std::vector<Item>& items = groups_[group];
+    Item* best = nullptr;
+    double best_delta = 0.0;
+    for (auto it = items.rbegin(); it != items.rend(); ++it) {  // Newest first.
+      if (!query::Overlaps(q, it->answer.q)) continue;
+      const double delta = it->answer.q == q ? 1.0 : query::DegreeOfOverlap(q, it->answer.q);
+      if (delta >= delta_min_ && delta > best_delta) {
+        best = &*it;
+        best_delta = delta;
+      }
+    }
+    if (best == nullptr) {
+      ++stats_.misses;
+      return false;
+    }
+    ++stats_.hits;
+    best->last_used = ticket_++;
+    *out = best->answer;
+    out->delta = best_delta;
+    return true;
+  }
+
+  void Insert(const std::string& group, const CachedAnswer& answer) {
+    std::vector<Item>& items = groups_[group];
+    const uint64_t stamp = ticket_++;
+    auto dup = std::find_if(items.begin(), items.end(),
+                            [&](const Item& e) { return e.answer.q == answer.q; });
+    const bool replaced = dup != items.end();
+    if (replaced) items.erase(dup);
+    items.push_back(Item{answer, stamp});
+    if (replaced) return;
+    ++stats_.inserts;
+    if (items.size() > capacity_) {
+      items.erase(std::min_element(items.begin(), items.end(),
+                                   [](const Item& a, const Item& b) {
+                                     return a.last_used < b.last_used;
+                                   }));
+      ++stats_.evictions;
+    }
+  }
+
+  size_t EraseGroupsWithPrefix(const std::string& prefix) {
+    size_t erased = 0;
+    for (auto& [group, items] : groups_) {
+      if (group.compare(0, prefix.size(), prefix) != 0) continue;
+      erased += items.size();
+      items.clear();
+    }
+    return erased;
+  }
+
+  size_t size() const {
+    size_t n = 0;
+    for (const auto& kv : groups_) n += kv.second.size();
+    return n;
+  }
+  const AnswerCacheStats& stats() const { return stats_; }
+
+ private:
+  struct Item {
+    CachedAnswer answer;
+    uint64_t last_used;  // Insert ticket, then the ticket of the last hit.
+  };
+  const size_t capacity_;
+  const double delta_min_;
+  std::map<std::string, std::vector<Item>> groups_;  // Oldest insert first.
+  uint64_t ticket_ = 1;
+  AnswerCacheStats stats_;
+};
+
+// Replays one seeded stream of lookups, inserts (with exact-repeat
+// replacements) and prefix erases against the cache, grid on and off, and
+// against the reference, and requires the same outcome at every step.
+TEST(AnswerCacheReferenceTest, MatchesBruteForceModelStepForStep) {
+  for (const bool enable_grid : {true, false}) {
+    SCOPED_TRACE(enable_grid ? "grid" : "linear");
+    AnswerCacheConfig cfg;
+    cfg.capacity_per_shard = 256;
+    cfg.delta_min = 0.93;
+    cfg.enable_grid = enable_grid;
+    AnswerCache cache(cfg);
+    ReferenceCache ref(cfg.capacity_per_shard, cfg.delta_min);
+
+    util::Rng rng(4231);
+    const std::vector<std::string> groups = {"ds/g0/Q1", "ds/g0/Q2", "ds/g1/Q1"};
+    // More hot spots than capacity, so every group evicts throughout.
+    std::vector<query::Query> spots;
+    for (int i = 0; i < 1500; ++i) {
+      spots.push_back(query::Query({rng.Uniform(0.05, 0.95), rng.Uniform(0.05, 0.95)},
+                                   rng.Uniform(0.09, 0.11)));
+    }
+    std::vector<query::Query> seen;
+    int64_t replacements = 0;
+    for (int step = 0; step < 24000; ++step) {
+      if (step % 2500 == 2499) {
+        const std::string prefix = step % 5000 == 4999 ? "ds/g1/" : "ds/g0/";
+        ASSERT_EQ(cache.EraseGroupsWithPrefix(prefix), ref.EraseGroupsWithPrefix(prefix))
+            << "step " << step;
+        continue;
+      }
+      const std::string& group = groups[rng.UniformInt(groups.size())];
+      const bool repeat = !seen.empty() && rng.Uniform(0.0, 1.0) < 0.05;
+      query::Query q;
+      if (repeat) {
+        q = seen[rng.UniformInt(seen.size())];
+      } else {
+        const query::Query& h = spots[rng.UniformInt(spots.size())];
+        q = query::Query({h.center[0] + rng.Gaussian(0.0, 0.01),
+                          h.center[1] + rng.Gaussian(0.0, 0.01)},
+                         h.theta * (1.0 + rng.Gaussian(0.0, 0.02)));
+        seen.push_back(q);
+      }
+      CachedAnswer got, want;
+      const bool hit = cache.Lookup(group, q, &got);
+      ASSERT_EQ(hit, ref.Lookup(group, q, &want)) << "step " << step;
+      if (hit) {
+        ASSERT_EQ(got.mean, want.mean) << "step " << step;
+        ASSERT_EQ(got.delta, want.delta) << "step " << step;
+        ASSERT_TRUE(query::Overlaps(q, got.q)) << "step " << step;
+        ASSERT_GE(got.delta, cfg.delta_min) << "step " << step;
+      }
+      if (!hit || repeat) {
+        CachedAnswer ins;
+        ins.q = q;
+        ins.mean = static_cast<double>(step);
+        if (repeat) ++replacements;
+        cache.Insert(group, ins);
+        ref.Insert(group, ins);
+      }
+      ASSERT_EQ(cache.size(), ref.size()) << "step " << step;
+    }
+    const AnswerCacheStats got = cache.stats();
+    const AnswerCacheStats& want = ref.stats();
+    EXPECT_EQ(got.lookups, want.lookups);
+    EXPECT_EQ(got.hits, want.hits);
+    EXPECT_EQ(got.misses, want.misses);
+    EXPECT_EQ(got.inserts, want.inserts);
+    EXPECT_EQ(got.evictions, want.evictions);
+    // The probe-path split is the cache's own business; the reference
+    // cannot predict it, only that a grid-less cache never takes the grid.
+    EXPECT_LE(got.grid_probes + got.linear_probes, got.lookups);
+    if (enable_grid) {
+      EXPECT_GT(got.grid_probes, 0);
+    } else {
+      EXPECT_EQ(got.grid_probes, 0);
+    }
+    // The stream really exercised every path.
+    EXPECT_GT(want.hits, 0);
+    EXPECT_GT(want.evictions, 0);
+    EXPECT_GT(replacements, 0);
+  }
+}
+
+// ---------- AnswerCache: entry reclamation ----------
+
+// Payload whose parts all re-encode one number, so a freed or torn entry
+// shows up as an inconsistent copy (and as a use-after-free under ASan).
+CachedAnswer PinnedPayload(double cx) {
+  CachedAnswer a;
+  a.q = query::Query({cx, 0.5}, 0.1);
+  a.mean = cx * 1000.0;
+  a.pieces.resize(3);
+  for (auto& piece : a.pieces) piece.intercept = a.mean;
+  return a;
+}
+
+// Drops `pin` on a thread with a 512 KiB stack. Releasing a snapshot chain
+// recursively takes at least one frame per link, so a 100k-link chain
+// would overflow it; the iterative release needs a few frames in all.
+void ReleaseOnSmallStack(std::shared_ptr<const void> pin) {
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&attr, 512 * 1024), 0);
+  pthread_t thread;
+  ASSERT_EQ(pthread_create(
+                &thread, &attr,
+                [](void* arg) -> void* {
+                  static_cast<std::shared_ptr<const void>*>(arg)->reset();
+                  return nullptr;
+                },
+                &pin),
+            0);
+  pthread_join(thread, nullptr);
+  pthread_attr_destroy(&attr);
+}
+
+// A reader stalled on an old snapshot while 100k inserts evict everything
+// it can see: the entries it reaches must stay intact, and letting go of
+// the resulting 100k-long snapshot chain must not recurse.
+TEST(AnswerCacheReclamationTest, PinnedSnapshotSurvivesEvictingChurn) {
+  const int64_t base = AnswerCache::live_entries_for_testing();
+  {
+    AnswerCacheConfig cfg;
+    cfg.capacity_per_shard = 4;
+    cfg.delta_min = 0.95;
+    AnswerCache cache(cfg);
+    for (int i = 0; i < 4; ++i) cache.Insert("g", PinnedPayload(0.1 * i));
+    std::shared_ptr<const void> pin = cache.pin_for_testing("g");
+
+    constexpr int kChurn = 100000;
+    for (int i = 0; i < kChurn; ++i) {
+      CachedAnswer a;
+      a.q = query::Query({2.0 + 1e-4 * i, 0.5}, 0.1);
+      cache.Insert("g", a);
+    }
+    EXPECT_EQ(cache.stats().evictions, kChurn);
+    // The current snapshot no longer holds the pinned entries...
+    EXPECT_FALSE(cache.Lookup("g", PinnedPayload(0.0).q, nullptr));
+    // ...but every snapshot since the pin is alive, and with them each
+    // entry that was ever inserted.
+    EXPECT_EQ(AnswerCache::live_entries_for_testing() - base, 4 + kChurn);
+    for (int i = 0; i < 4; ++i) {
+      const CachedAnswer want = PinnedPayload(0.1 * i);
+      CachedAnswer got;
+      ASSERT_TRUE(cache.LookupPinnedForTesting(pin, "g", want.q, &got)) << i;
+      EXPECT_EQ(got.mean, want.mean);
+      ASSERT_EQ(got.pieces.size(), want.pieces.size());
+      for (const auto& piece : got.pieces) EXPECT_EQ(piece.intercept, want.mean);
+    }
+
+    ReleaseOnSmallStack(std::move(pin));  // Releases the whole chain.
+    EXPECT_EQ(AnswerCache::live_entries_for_testing() - base,
+              static_cast<int64_t>(cache.size()));
+  }
+  EXPECT_EQ(AnswerCache::live_entries_for_testing(), base);
+}
+
+// Without readers, exactly the cached entries are alive: eviction and
+// replacement free what they drop, and erase, Clear and destruction free
+// everything.
+TEST(AnswerCacheReclamationTest, LiveEntriesMatchSizeAndReturnToZero) {
+  const int64_t base = AnswerCache::live_entries_for_testing();
+  auto live = [base] {
+    return static_cast<size_t>(AnswerCache::live_entries_for_testing() - base);
+  };
+  {
+    AnswerCacheConfig cfg;
+    cfg.capacity_per_shard = 64;
+    cfg.delta_min = 0.95;
+    AnswerCache cache(cfg);
+    util::Rng rng(77);
+    auto churn = [&cache, &rng] {
+      for (int i = 0; i < 2000; ++i) {
+        const std::string group = i % 2 == 0 ? "ds/g0/Q1" : "ds/g1/Q1";
+        // A small id range, so some inserts replace an identical query.
+        const query::Query q({0.001 * rng.UniformInt(300), 0.5}, 0.1);
+        cache.Lookup(group, q, nullptr);
+        CachedAnswer a;
+        a.q = q;
+        cache.Insert(group, a);
+      }
+    };
+    churn();
+    EXPECT_GT(cache.stats().evictions, 0);
+    EXPECT_LT(cache.stats().inserts, 2000);  // Some inserts replaced.
+    EXPECT_EQ(live(), cache.size());
+
+    EXPECT_GT(cache.EraseGroupsWithPrefix("ds/g0/"), 0u);
+    EXPECT_EQ(live(), cache.size());
+    EXPECT_EQ(live(), 64u);
+    EXPECT_GT(cache.EraseGroupsWithPrefix("ds/g1/"), 0u);
+    EXPECT_EQ(live(), 0u);
+
+    churn();
+    EXPECT_EQ(live(), cache.size());
+    cache.Clear();
+    EXPECT_EQ(live(), 0u);
+
+    churn();
+    EXPECT_EQ(live(), 128u);
+  }
+  EXPECT_EQ(live(), 0u);
 }
 
 // ---------- AnswerCache: wait-free reads under concurrent writes ----------
