@@ -21,10 +21,17 @@
 // identical operation sequence is replayed through an enable_grid = false
 // twin (the linear correctness baseline), whose timings are reported beside.
 //
+// Part 4 — contained subtrees. R1 at d = 2 with 300,000 rows, θ ∈ {0.05,
+// 0.1, 0.2}: the kd-tree engine's serial MeanValue and Regression µs per
+// query, and per query how many rows were summarised (taken from subtrees
+// inside the ball) vs filtered (boundary-leaf rows run through the block
+// filter), counted by a bench-local kernel.
+//
 // Always writes machine-readable JSON to OutDir() (default bench/out/):
 //   bench_scan_kernels.json       — one record per (d, selectivity, path)
 //   bench_cache_read_path.json    — one record per reader count
 //   bench_cache_write_path.json   — one record per occupancy
+//   bench_contained_subtrees.json — one record per θ
 // picked up by the CI bench-smoke artifact upload. The table JSON includes
 // bytes/row from the Table::MemoryBytes breakdown.
 //
@@ -34,13 +41,15 @@
 // loop it replaced).
 //
 // Self-checks (every run): exits non-zero if the block scan's answer
-// diverges from the row scan's, or if any lookup of the grid cache differs
-// from its linear twin in hit/miss or δ.
+// diverges from the row scan's, if any lookup of the grid cache differs
+// from its linear twin in hit/miss or δ, or if a kd-tree MeanValue differs
+// from the ScanIndex one in count or, beyond 1e-12 relative, in mean.
 //
 // Env knobs: QREG_SCAN_ROWS (default 200000), QREG_SCAN_REPS (default
 // auto), QREG_SEED.
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <functional>
 #include <iostream>
@@ -49,6 +58,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "query/exact_engine.h"
 #include "query/scan_kernels.h"
 #include "service/answer_cache.h"
 #include "storage/scan_index.h"
@@ -322,6 +332,79 @@ WriteCell RunWriteCell(size_t occupancy, int64_t ops, uint64_t seed) {
   return cell;
 }
 
+// Counts what the kd-tree summarised: subtrees offered whole, and their rows.
+class SummaryCountingKernel : public storage::BlockKernel {
+ public:
+  void OnBlock(const storage::BlockSpan&) override {}
+  bool OnSubtree(const storage::SubtreeSummary& summary) override {
+    ++summaries;
+    rows += summary.count;
+    return true;
+  }
+
+  int64_t summaries = 0;
+  int64_t rows = 0;
+};
+
+struct SubtreeCell {
+  double theta = 0.0;
+  double mean_value_us = 0.0;
+  double regression_us = 0.0;
+  double summarised_rows = 0.0;  // Per query.
+  double filtered_rows = 0.0;    // Per query.
+  double summaries = 0.0;        // Per query.
+  double matched = 0.0;          // Per query.
+};
+
+SubtreeCell RunSubtreeCell(const DataBundle& bundle, double theta,
+                           int64_t queries, uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<query::Query> qs;
+  for (int64_t i = 0; i < queries; ++i) {
+    qs.push_back(query::Query({rng.Uniform(0, 1), rng.Uniform(0, 1)}, theta));
+  }
+  SubtreeCell cell;
+  cell.theta = theta;
+  const double n = static_cast<double>(queries);
+
+  std::vector<query::MeanValueResult> tree_means(qs.size());
+  util::Stopwatch sw;
+  for (size_t i = 0; i < qs.size(); ++i) {
+    auto r = bundle.engine->MeanValue(qs[i]);
+    if (r.ok()) tree_means[i] = *r;
+  }
+  cell.mean_value_us = sw.ElapsedMillis() * 1e3 / n;
+  sw.Restart();
+  for (const query::Query& q : qs) (void)bundle.engine->Regression(q);
+  cell.regression_us = sw.ElapsedMillis() * 1e3 / n;
+
+  const storage::LpNorm norm = bundle.engine->norm();
+  for (size_t i = 0; i < qs.size(); ++i) {
+    SummaryCountingKernel counting;
+    storage::SelectionStats stats;
+    bundle.kdtree->BlockVisit(qs[i].center.data(), theta, norm, &counting, &stats);
+    cell.summaries += static_cast<double>(counting.summaries) / n;
+    cell.summarised_rows += static_cast<double>(counting.rows) / n;
+    cell.filtered_rows +=
+        static_cast<double>(stats.tuples_examined - counting.rows) / n;
+    cell.matched += static_cast<double>(stats.tuples_matched) / n;
+
+    // The summaries must not change the answer: same count, same mean
+    // within compensation, as the filtering scan.
+    auto want = bundle.scan_engine->MeanValue(qs[i]);
+    const int64_t want_count = want.ok() ? want->count : 0;
+    const double want_mean = want.ok() ? want->mean : 0.0;
+    if (tree_means[i].count != want_count ||
+        std::fabs(tree_means[i].mean - want_mean) >
+            1e-12 * std::max(1.0, std::fabs(want_mean))) {
+      std::cerr << "FATAL: kd-tree MeanValue diverged from the scan (theta="
+                << theta << ", query " << i << ")\n";
+      std::exit(1);
+    }
+  }
+  return cell;
+}
+
 int Run(bool smoke) {
   BenchEnv env = BenchEnv::FromEnv();
   PrintHeader("bench_scan_kernels",
@@ -440,6 +523,45 @@ int Run(bool smoke) {
   }
   std::cout << "\ncache write path (lookup, insert on miss; grid vs linear twin):\n";
   EmitTable("scan_kernels", "cache_write_path", write_table, env);
+
+  // ---- Contained subtrees: kd-tree Q1/Q2 over R1, d = 2 ----
+  const int64_t subtree_rows = 300000;
+  const int64_t subtree_queries = smoke ? 200 : 2000;
+  const DataBundle r1 = MakeR1Bundle(2, subtree_rows, env.seed);
+  util::TablePrinter subtree_table(
+      {"theta", "mean_value_us", "regression_us", "rows_summarised",
+       "rows_filtered", "summaries", "matched"});
+  std::string subtree_json = "[\n";
+  for (double theta : {0.05, 0.1, 0.2}) {
+    const SubtreeCell cell =
+        RunSubtreeCell(r1, theta, subtree_queries, env.seed + 101);
+    subtree_table.AddRow({util::Format("%.2f", theta),
+                          util::Format("%.1f", cell.mean_value_us),
+                          util::Format("%.1f", cell.regression_us),
+                          util::Format("%.0f", cell.summarised_rows),
+                          util::Format("%.0f", cell.filtered_rows),
+                          util::Format("%.1f", cell.summaries),
+                          util::Format("%.0f", cell.matched)});
+    subtree_json += util::Format(
+        "  {\"dataset\": \"R1\", \"d\": 2, \"rows\": %lld, "
+        "\"queries\": %lld, \"theta\": %.2f, \"mean_value_us\": %.2f, "
+        "\"regression_us\": %.2f, \"rows_summarised_per_query\": %.1f, "
+        "\"rows_filtered_per_query\": %.1f, \"summaries_per_query\": %.2f, "
+        "\"matched_per_query\": %.1f},\n",
+        static_cast<long long>(subtree_rows),
+        static_cast<long long>(subtree_queries), theta, cell.mean_value_us,
+        cell.regression_us, cell.summarised_rows, cell.filtered_rows,
+        cell.summaries, cell.matched);
+  }
+  if (subtree_json.size() > 2 && subtree_json[subtree_json.size() - 2] == ',') {
+    subtree_json.erase(subtree_json.size() - 2, 1);
+  }
+  subtree_json += "]\n";
+  if (!WriteOutFile("bench_contained_subtrees.json", subtree_json)) {
+    std::cerr << "warning: could not write bench_contained_subtrees.json\n";
+  }
+  std::cout << "\ncontained subtrees (kd-tree, R1, d=2, per query):\n";
+  EmitTable("scan_kernels", "contained_subtrees", subtree_table, env);
 
   const double gate_speedup = gate_block_rps / std::max(1e-9, gate_row_rps);
   std::cout << util::Format(

@@ -10,7 +10,12 @@
 // sums every query's scan time and every model update, wall_ms is the
 // elapsed time of Trainer::Train, and speedup = train_ms / wall_ms is what
 // the read-ahead buys on the machine running the bench.
+//
+// Paper-claim gate: §VI's shape is "exact execution dominates training".
+// The bench exits non-zero if any row's query-execution share of the
+// training work is below kMinQueryExecShare.
 
+#include <algorithm>
 #include <iostream>
 #include <thread>
 
@@ -24,7 +29,9 @@ namespace qreg {
 namespace bench {
 namespace {
 
-void Run() {
+constexpr double kMinQueryExecShare = 0.9;
+
+int Run() {
   BenchEnv env = BenchEnv::FromEnv();
   PrintHeader("bench_training_cost",
               "Section VI-B: training-time split (query exec vs model update)",
@@ -35,6 +42,7 @@ void Run() {
                             "update_us/pair"});
   const unsigned cores = std::thread::hardware_concurrency();
   util::ThreadPool pool(cores > 1 ? cores - 1 : 0);
+  double min_share = 1.0;
 
   for (int64_t rows : {100000L, 300000L, 1000000L}) {
     DataBundle bundle = MakeR2Bundle(2, rows, env.seed);
@@ -51,6 +59,7 @@ void Run() {
       auto report = trainer.Train(&gen, &model, nullptr, nullptr, &pool);
       const double wall_ms = wall.ElapsedMillis();
       if (!report.ok()) continue;
+      min_share = std::min(min_share, report->QueryExecFraction());
       const double total_ms =
           static_cast<double>(report->query_exec_nanos +
                               report->model_update_nanos) /
@@ -76,13 +85,18 @@ void Run() {
                "grows with dataset size / slower access paths (paper: 99.62%);\n"
                "the model-update cost per pair is constant microseconds.\n"
                "speedup > 1 is the lookahead window overlapping the scans.\n";
+  if (min_share < kMinQueryExecShare) {
+    std::cerr << util::Format(
+        "FATAL: query execution is %.2f%% of training work on some row, "
+        "below the %.0f%% the paper's shape needs\n",
+        100.0 * min_share, 100.0 * kMinQueryExecShare);
+    return 1;
+  }
+  return 0;
 }
 
 }  // namespace
 }  // namespace bench
 }  // namespace qreg
 
-int main() {
-  qreg::bench::Run();
-  return 0;
-}
+int main() { return qreg::bench::Run(); }

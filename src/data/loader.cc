@@ -1,5 +1,6 @@
 #include "data/loader.h"
 
+#include <cmath>
 #include <cstdlib>
 
 #include "util/csv.h"
@@ -10,11 +11,24 @@ namespace data {
 
 namespace {
 
-bool ParseDouble(const std::string& s, double* out) {
-  if (s.empty()) return false;
+// Parses one numeric field. strtod also accepts "nan", "inf", "infinity"
+// and overflows like "1e400" to ±inf; none of those is a usable feature or
+// output, so they are rejected like unparsable text.
+util::Status ParseField(const std::string& s, int64_t line, int32_t column,
+                        double* out) {
   char* end = nullptr;
-  *out = std::strtod(s.c_str(), &end);
-  return end == s.c_str() + s.size();
+  if (!s.empty()) *out = std::strtod(s.c_str(), &end);
+  if (s.empty() || end != s.c_str() + s.size()) {
+    return util::Status::InvalidArgument(
+        util::Format("unparsable numeric '%s' at line %lld, column %d",
+                     s.c_str(), static_cast<long long>(line), column));
+  }
+  if (!std::isfinite(*out)) {
+    return util::Status::InvalidArgument(
+        util::Format("non-finite value '%s' at line %lld, column %d",
+                     s.c_str(), static_cast<long long>(line), column));
+  }
+  return util::Status::OK();
 }
 
 /// Resolves the effective feature/output column indexes for a row width.
@@ -97,20 +111,22 @@ util::Status LoadTableFromCsv(const std::string& path, const CsvLoadOptions& opt
           util::Format("short row at line %lld",
                        static_cast<long long>(reader.line_number())));
     }
-    bool ok = true;
-    for (size_t j = 0; j < features.size() && ok; ++j) {
-      ok = ParseDouble(fields[static_cast<size_t>(features[j])], &x[j]);
+    const int64_t line = reader.line_number();
+    util::Status parsed;
+    for (size_t j = 0; j < features.size() && parsed.ok(); ++j) {
+      parsed = ParseField(fields[static_cast<size_t>(features[j])], line,
+                          features[j], &x[j]);
     }
     double u = 0.0;
-    ok = ok && ParseDouble(fields[static_cast<size_t>(output)], &u);
-    if (!ok) {
+    if (parsed.ok()) {
+      parsed = ParseField(fields[static_cast<size_t>(output)], line, output, &u);
+    }
+    if (!parsed.ok()) {
       if (options.skip_bad_rows) {
         ++local_report.rows_skipped;
         continue;
       }
-      return util::Status::InvalidArgument(
-          util::Format("unparsable numeric at line %lld",
-                       static_cast<long long>(reader.line_number())));
+      return parsed;
     }
     table->AppendUnchecked(x.data(), u);
     ++local_report.rows_loaded;

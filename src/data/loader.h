@@ -22,8 +22,9 @@ struct CsvLoadOptions {
   std::vector<int32_t> feature_columns;
   /// 0-based column of the output u; -1 means the last column.
   int32_t output_column = -1;
-  /// Rows with unparsable numerics are skipped (counted) when true,
-  /// otherwise loading fails on the first bad row.
+  /// Rows with unparsable or non-finite numerics (nan, inf, overflow) are
+  /// skipped (counted) when true; otherwise loading fails on the first bad
+  /// row with InvalidArgument naming its line and 0-based column.
   bool skip_bad_rows = false;
 };
 

@@ -8,6 +8,11 @@
 // partition), and Merge() folds a partition's partial into the total in
 // plan order.
 //
+// The Q1 kernels (Sum, Moments) need only count, Σu and Σu², so they take a
+// subtree the index found wholly inside the ball from its precomputed
+// SubtreeSummary in O(1). Gram and CollectIds need the rows themselves and
+// decline the offer; the index then streams them the subtree's rows.
+//
 // Scalar accumulators are Kahan-compensated. Compensation is an accuracy
 // measure, not the determinism mechanism: bit-for-bit reproducibility
 // across thread counts comes from the fixed partition plan and the fixed
@@ -58,6 +63,12 @@ class SumBlockKernel : public storage::BlockKernel {
     count_ += span.count;
   }
 
+  bool OnSubtree(const storage::SubtreeSummary& summary) override {
+    sum_.Add(summary.sum_u);
+    count_ += summary.count;
+    return true;
+  }
+
   void Merge(const SumBlockKernel& part) {
     sum_.Merge(part.sum_);
     count_ += part.count_;
@@ -81,6 +92,13 @@ class MomentsBlockKernel : public storage::BlockKernel {
       sum_sq_.Add(u * u);
     }
     count_ += span.count;
+  }
+
+  bool OnSubtree(const storage::SubtreeSummary& summary) override {
+    sum_.Add(summary.sum_u);
+    sum_sq_.Add(summary.sum_u2);
+    count_ += summary.count;
+    return true;
   }
 
   void Merge(const MomentsBlockKernel& part) {

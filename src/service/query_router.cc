@@ -1,5 +1,6 @@
 #include "service/query_router.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -132,6 +133,13 @@ ExecResult QueryRouter::ExecuteUnrecorded(const Request& request,
         "query dimension %zu does not match dataset '%s' dimension %zu",
         request.q.dimension(), request.dataset.c_str(),
         snap.engine->table().dimension()));
+  }
+  const auto finite = [](double v) { return std::isfinite(v); };
+  if (!std::all_of(request.q.center.begin(), request.q.center.end(), finite) ||
+      !finite(request.q.theta) || request.q.theta <= 0.0) {
+    return util::Status::InvalidArgument(util::Format(
+        "query %s needs a finite center and a finite theta > 0",
+        request.q.ToString().c_str()));
   }
 
   const std::string shard = ShardKey(request, snap.generation);

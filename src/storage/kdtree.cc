@@ -1,11 +1,52 @@
 #include "storage/kdtree.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <numeric>
 #include <queue>
 
 namespace qreg {
 namespace storage {
+
+namespace {
+
+// Lane offsets 0..kScanBlockRows-1: the selection of a block whose every
+// row is inside the ball.
+const std::array<int32_t, kScanBlockRows> kAllLanes = [] {
+  std::array<int32_t, kScanBlockRows> lanes{};
+  std::iota(lanes.begin(), lanes.end(), 0);
+  return lanes;
+}();
+
+// Bounding box of rows ids[0, rows) into lo/hi. KD > 0 fixes the dimension
+// at compile time, which keeps the running bounds in registers (the output
+// pointers could otherwise alias the table's rows); KD == 0 reads d.
+template <size_t KD>
+void RowBounds(const Table& table, const int32_t* ids, int32_t rows, size_t d,
+               double* lo, double* hi) {
+  const size_t dim = KD > 0 ? KD : d;
+  double local_lo[KD > 0 ? KD : 1];
+  double local_hi[KD > 0 ? KD : 1];
+  double* l = KD > 0 ? local_lo : lo;
+  double* h = KD > 0 ? local_hi : hi;
+  const double* first = table.x(ids[0]);
+  std::copy(first, first + dim, l);
+  std::copy(first, first + dim, h);
+  for (int32_t i = 1; i < rows; ++i) {
+    const double* row = table.x(ids[i]);
+    for (size_t j = 0; j < dim; ++j) {
+      l[j] = row[j] < l[j] ? row[j] : l[j];
+      h[j] = row[j] > h[j] ? row[j] : h[j];
+    }
+  }
+  if (KD > 0) {
+    std::copy(l, l + dim, lo);
+    std::copy(h, h + dim, hi);
+  }
+}
+
+}  // namespace
 
 KdTree::KdTree(const Table& table, int leaf_size)
     : table_(table), leaf_size_(std::max(1, leaf_size)) {
@@ -13,11 +54,13 @@ KdTree::KdTree(const Table& table, int leaf_size)
   ids_.resize(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) ids_[static_cast<size_t>(i)] = static_cast<int32_t>(i);
   if (n > 0) {
-    nodes_.reserve(static_cast<size_t>(2 * n / leaf_size_ + 2));
+    const size_t d = table_.dimension();
+    const size_t max_nodes = static_cast<size_t>(2 * n / leaf_size_ + 2);
+    nodes_.reserve(max_nodes);
+    boxes_.reserve(max_nodes * 2 * d);
     root_ = Build(0, static_cast<int32_t>(n));
     // Leaf-blocked re-layout: copy rows into permuted contiguous storage so
     // every subtree's [begin, end) range is one row-major span.
-    const size_t d = table_.dimension();
     xs_perm_.resize(static_cast<size_t>(n) * d);
     us_perm_.resize(static_cast<size_t>(n));
     row_ids_.resize(static_cast<size_t>(n));
@@ -31,47 +74,44 @@ KdTree::KdTree(const Table& table, int leaf_size)
     // The build permutation is fully captured by row_ids_ now; release the
     // int32 scratch instead of carrying n dead entries for the tree's life.
     std::vector<int32_t>().swap(ids_);
+    ComputeSummaries();
   }
 }
 
-void KdTree::ComputeBox(Node* node) const {
+void KdTree::ComputeBox(int32_t node_idx) {
+  const Node& node = nodes_[static_cast<size_t>(node_idx)];
   const size_t d = table_.dimension();
-  node->box_lo.assign(d, 0.0);
-  node->box_hi.assign(d, 0.0);
-  const double* first = table_.x(ids_[static_cast<size_t>(node->begin)]);
-  for (size_t j = 0; j < d; ++j) {
-    node->box_lo[j] = first[j];
-    node->box_hi[j] = first[j];
-  }
-  for (int32_t i = node->begin + 1; i < node->end; ++i) {
-    const double* row = table_.x(ids_[static_cast<size_t>(i)]);
-    for (size_t j = 0; j < d; ++j) {
-      if (row[j] < node->box_lo[j]) node->box_lo[j] = row[j];
-      if (row[j] > node->box_hi[j]) node->box_hi[j] = row[j];
-    }
+  double* lo = &boxes_[static_cast<size_t>(node_idx) * 2 * d];
+  double* hi = lo + d;
+  const int32_t* ids = ids_.data() + node.begin;
+  const int32_t rows = node.end - node.begin;
+  switch (d) {
+    case 1: return RowBounds<1>(table_, ids, rows, d, lo, hi);
+    case 2: return RowBounds<2>(table_, ids, rows, d, lo, hi);
+    case 3: return RowBounds<3>(table_, ids, rows, d, lo, hi);
+    case 4: return RowBounds<4>(table_, ids, rows, d, lo, hi);
+    default: return RowBounds<0>(table_, ids, rows, d, lo, hi);
   }
 }
 
 int32_t KdTree::Build(int32_t begin, int32_t end) {
   const int32_t node_idx = static_cast<int32_t>(nodes_.size());
   nodes_.emplace_back();
-  {
-    Node& node = nodes_.back();
-    node.begin = begin;
-    node.end = end;
-  }
-  // ComputeBox reads through ids_; safe to call with the node in place.
-  ComputeBox(&nodes_[static_cast<size_t>(node_idx)]);
+  nodes_.back().begin = begin;
+  nodes_.back().end = end;
+  const size_t d = table_.dimension();
+  boxes_.resize(nodes_.size() * 2 * d);
+  ComputeBox(node_idx);
 
   if (end - begin <= leaf_size_) return node_idx;
 
   // Split on the widest box dimension at the median.
-  const Node& node = nodes_[static_cast<size_t>(node_idx)];
-  const size_t d = table_.dimension();
+  const double* lo = BoxLo(node_idx);
+  const double* hi = BoxHi(node_idx);
   size_t split_dim = 0;
   double widest = -1.0;
   for (size_t j = 0; j < d; ++j) {
-    const double w = node.box_hi[j] - node.box_lo[j];
+    const double w = hi[j] - lo[j];
     if (w > widest) {
       widest = w;
       split_dim = j;
@@ -92,26 +132,108 @@ int32_t KdTree::Build(int32_t begin, int32_t end) {
   return node_idx;
 }
 
-void KdTree::BlockVisitNode(int32_t node_idx, const double* center,
-                            double radius, const LpNorm& norm,
-                            const BlockFilter& filter, BlockKernel* kernel,
-                            int64_t* examined, int64_t* matched) const {
+void KdTree::ComputeSummaries() {
+  const size_t d = table_.dimension();
+  // Build emits nodes in pre-order, so every child has a larger index than
+  // its parent: a reverse sweep sees both children before their parent.
+  for (size_t idx = nodes_.size(); idx-- > 0;) {
+    Node& node = nodes_[idx];
+    if (node.left >= 0) {
+      const Node& l = nodes_[static_cast<size_t>(node.left)];
+      const Node& r = nodes_[static_cast<size_t>(node.right)];
+      node.sum_u = l.sum_u + r.sum_u;
+      node.sum_u2 = l.sum_u2 + r.sum_u2;
+      node.finite = l.finite && r.finite;
+      continue;
+    }
+    // Leaf: Kahan-compensated sums over its rows.
+    double sum = 0.0, carry = 0.0, sum2 = 0.0, carry2 = 0.0;
+    for (int32_t i = node.begin; i < node.end; ++i) {
+      const double u = us_perm_[static_cast<size_t>(i)];
+      const double y = u - carry;
+      const double t = sum + y;
+      carry = (t - sum) - y;
+      sum = t;
+      const double y2 = u * u - carry2;
+      const double t2 = sum2 + y2;
+      carry2 = (t2 - sum2) - y2;
+      sum2 = t2;
+    }
+    node.sum_u = sum;
+    node.sum_u2 = sum2;
+    const double* xs = xs_perm_.data() + static_cast<size_t>(node.begin) * d;
+    const double* xs_end = xs_perm_.data() + static_cast<size_t>(node.end) * d;
+    node.finite =
+        std::all_of(xs, xs_end, [](double v) { return std::isfinite(v); });
+  }
+}
+
+bool KdTree::InsideBall(int32_t node_idx, const Ball& ball) const {
+  if (!nodes_[static_cast<size_t>(node_idx)].finite) return false;
+  // The box's farthest corner from the center, as the filter computes
+  // |x_j - c_j|. Rounded subtraction is monotone in x_j, so no row of the
+  // box has a larger |x_j - c_j| in any coordinate, and the filter (monotone
+  // in each) accepts every row of the box if it accepts this corner.
+  const size_t d = table_.dimension();
+  const double* lo = BoxLo(node_idx);
+  const double* hi = BoxHi(node_idx);
+  for (size_t j = 0; j < d; ++j) {
+    const double to_lo = std::fabs(lo[j] - ball.center[j]);
+    const double to_hi = std::fabs(hi[j] - ball.center[j]);
+    ball.corner[j] = to_hi > to_lo ? hi[j] : lo[j];
+  }
+  int32_t sel;
+  double scratch;
+  return ball.filter.Run(ball.corner, 1, d, ball.center, ball.radius, &sel,
+                         &scratch) == 1;
+}
+
+void KdTree::EmitRows(int32_t begin, int32_t end, BlockKernel* kernel) const {
+  BlockSpan span;
+  span.sel = kAllLanes.data();
+  span.d = table_.dimension();
+  for (int32_t b = begin; b < end; b += kScanBlockRows) {
+    span.rows = std::min<int32_t>(kScanBlockRows, end - b);
+    span.count = span.rows;
+    span.xs = PermRow(b);
+    span.us = &us_perm_[static_cast<size_t>(b)];
+    span.ids = &row_ids_[static_cast<size_t>(b)];
+    kernel->OnBlock(span);
+  }
+}
+
+void KdTree::VisitNode(int32_t node_idx, const Ball& ball, BlockKernel* kernel,
+                       SelectionStats* stats) const {
   const Node& node = nodes_[static_cast<size_t>(node_idx)];
   const size_t d = table_.dimension();
-  if (norm.MinDistanceToBox(center, node.box_lo.data(), node.box_hi.data(), d) >
-      radius) {
+  // A box skips NaN coordinates, so a subtree holding a non-finite feature
+  // is neither pruned nor summarized: the filter judges each of its rows.
+  if (node.finite &&
+      ball.norm->MinDistanceToBox(ball.center, BoxLo(node_idx),
+                                  BoxHi(node_idx), d) > ball.radius) {
     return;  // Ball cannot intersect this subtree.
   }
-  if (node.left < 0) {  // Leaf: stream its contiguous span block-at-a-time.
+  if (InsideBall(node_idx, ball)) {  // Every row selected, none filtered.
+    const int64_t rows = node.end - node.begin;
+    stats->tuples_examined += rows;
+    stats->tuples_matched += rows;
+    SubtreeSummary summary;
+    summary.count = rows;
+    summary.sum_u = node.sum_u;
+    summary.sum_u2 = node.sum_u2;
+    if (!kernel->OnSubtree(summary)) EmitRows(node.begin, node.end, kernel);
+    return;
+  }
+  if (node.left < 0) {  // Boundary leaf: stream its span block-at-a-time.
     double scratch[kScanBlockRows];
     int32_t sel[kScanBlockRows];
     for (int32_t b = node.begin; b < node.end; b += kScanBlockRows) {
       const int32_t rows = std::min<int32_t>(kScanBlockRows, node.end - b);
       const double* xs = PermRow(b);
       const int32_t count =
-          filter.Run(xs, rows, d, center, radius, sel, scratch);
-      *examined += rows;
-      *matched += count;
+          ball.filter.Run(xs, rows, d, ball.center, ball.radius, sel, scratch);
+      stats->tuples_examined += rows;
+      stats->tuples_matched += count;
       if (count > 0) {
         BlockSpan span;
         span.xs = xs;
@@ -126,24 +248,29 @@ void KdTree::BlockVisitNode(int32_t node_idx, const double* center,
     }
     return;
   }
-  BlockVisitNode(node.left, center, radius, norm, filter, kernel, examined,
-                 matched);
-  BlockVisitNode(node.right, center, radius, norm, filter, kernel, examined,
-                 matched);
+  VisitNode(node.left, ball, kernel, stats);
+  VisitNode(node.right, ball, kernel, stats);
+}
+
+void KdTree::VisitSubtree(int32_t root, const double* center, double radius,
+                          const LpNorm& norm, BlockKernel* kernel,
+                          SelectionStats* stats) const {
+  const size_t d = table_.dimension();
+  std::vector<double> corner(d);
+  const Ball ball{center, radius, &norm, SelectBlockFilter(norm, d),
+                  corner.data()};
+  SelectionStats local;
+  VisitNode(root, ball, kernel, &local);
+  if (stats != nullptr) {
+    stats->tuples_examined += local.tuples_examined;
+    stats->tuples_matched += local.tuples_matched;
+  }
 }
 
 void KdTree::BlockVisit(const double* center, double radius, const LpNorm& norm,
                         BlockKernel* kernel, SelectionStats* stats) const {
   if (root_ < 0) return;
-  const BlockFilter filter = SelectBlockFilter(norm, table_.dimension());
-  int64_t examined = 0;
-  int64_t matched = 0;
-  BlockVisitNode(root_, center, radius, norm, filter, kernel, &examined,
-                 &matched);
-  if (stats != nullptr) {
-    stats->tuples_examined += examined;
-    stats->tuples_matched += matched;
-  }
+  VisitSubtree(root_, center, radius, norm, kernel, stats);
 }
 
 void KdTree::BlockVisitPartition(const ScanPartition& part, const double* center,
@@ -151,15 +278,7 @@ void KdTree::BlockVisitPartition(const ScanPartition& part, const double* center
                                  BlockKernel* kernel,
                                  SelectionStats* stats) const {
   if (part.node < 0 || part.node >= static_cast<int32_t>(nodes_.size())) return;
-  const BlockFilter filter = SelectBlockFilter(norm, table_.dimension());
-  int64_t examined = 0;
-  int64_t matched = 0;
-  BlockVisitNode(part.node, center, radius, norm, filter, kernel, &examined,
-                 &matched);
-  if (stats != nullptr) {
-    stats->tuples_examined += examined;
-    stats->tuples_matched += matched;
-  }
+  VisitSubtree(part.node, center, radius, norm, kernel, stats);
 }
 
 std::vector<ScanPartition> KdTree::MakePartitions(size_t target) const {
@@ -228,7 +347,7 @@ std::vector<Neighbor> KdTree::NearestNeighbors(const double* center, int k,
     const double bound =
         (heap.size() == static_cast<size_t>(k)) ? heap.top().distance
                                                 : LpNorm::kInf;
-    if (norm.MinDistanceToBox(center, node.box_lo.data(), node.box_hi.data(), d) >
+    if (norm.MinDistanceToBox(center, BoxLo(node_idx), BoxHi(node_idx), d) >
         bound) {
       continue;
     }
@@ -246,10 +365,10 @@ std::vector<Neighbor> KdTree::NearestNeighbors(const double* center, int k,
       continue;
     }
     // Descend nearer child first so the bound shrinks early.
-    const Node& ln = nodes_[static_cast<size_t>(node.left)];
-    const Node& rn = nodes_[static_cast<size_t>(node.right)];
-    const double dl = norm.MinDistanceToBox(center, ln.box_lo.data(), ln.box_hi.data(), d);
-    const double dr = norm.MinDistanceToBox(center, rn.box_lo.data(), rn.box_hi.data(), d);
+    const double dl =
+        norm.MinDistanceToBox(center, BoxLo(node.left), BoxHi(node.left), d);
+    const double dr =
+        norm.MinDistanceToBox(center, BoxLo(node.right), BoxHi(node.right), d);
     if (dl <= dr) {
       stack.push_back(node.right);
       stack.push_back(node.left);

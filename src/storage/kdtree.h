@@ -3,13 +3,26 @@
 // Supports radius (dNN) selection under any Lp norm — the paper's selection
 // operator — plus k-nearest-neighbour search used by tests and examples.
 // Nodes own contiguous index ranges; leaves hold up to `leaf_size` rows and
-// interior nodes keep their bounding boxes for Lp pruning.
+// every node keeps its bounding box for Lp pruning, stored flat (2·d
+// doubles per node: lo then hi) in one array.
 //
 // Storage is leaf-blocked: after the build permutes the row order, the
 // feature rows and outputs are re-laid out into contiguous permuted arrays,
 // so every leaf (and every subtree-frontier partition) owns a contiguous
 // span of row-major storage. Radius selection streams those spans through
 // the branch-free block filter instead of pointer-chasing per-row ids.
+//
+// Aggregate tree: each node also stores a summary of its rows — count, Σu
+// (Kahan-summed in a leaf, left + right above it) and Σu² — built once from
+// the data. A radius visit tests each unpruned node for containment by
+// running the scan's own block filter on the box's farthest corner; every
+// filter is monotone in each |x_j − c_j|, so an accepted corner means every
+// row of the box is accepted. A contained subtree is offered to the
+// kernel's OnSubtree (O(1) for the Q1 kernels) and otherwise streamed to
+// OnBlock unfiltered, so the scan's filter cost grows with the ball's
+// boundary rather than its volume. A subtree holding a non-finite feature
+// is never pruned or treated as contained, so the filter alone decides its
+// rows (a box's min/max skip NaN coordinates).
 
 #ifndef QREG_STORAGE_KDTREE_H_
 #define QREG_STORAGE_KDTREE_H_
@@ -69,17 +82,41 @@ class KdTree : public SpatialIndex {
     int32_t right = -1;
     int32_t begin = 0;    // range in the permuted row storage
     int32_t end = 0;
-    std::vector<double> box_lo;
-    std::vector<double> box_hi;
+    double sum_u = 0.0;   // Σu over [begin, end)
+    double sum_u2 = 0.0;  // Σu² over [begin, end)
+    bool finite = true;   // every feature of every row is finite
+  };
+
+  // One radius selection's resolved arguments.
+  struct Ball {
+    const double* center;
+    double radius;
+    const LpNorm* norm;
+    BlockFilter filter;
+    double* corner;  // d doubles of scratch for the containment test
   };
 
   int32_t Build(int32_t begin, int32_t end);
-  void ComputeBox(Node* node) const;
+  void ComputeBox(int32_t node_idx);
+  void ComputeSummaries();
 
-  void BlockVisitNode(int32_t node_idx, const double* center, double radius,
-                      const LpNorm& norm, const BlockFilter& filter,
-                      BlockKernel* kernel, int64_t* examined,
-                      int64_t* matched) const;
+  /// Runs one radius selection over the subtree rooted at `root`.
+  void VisitSubtree(int32_t root, const double* center, double radius,
+                    const LpNorm& norm, BlockKernel* kernel,
+                    SelectionStats* stats) const;
+  void VisitNode(int32_t node_idx, const Ball& ball, BlockKernel* kernel,
+                 SelectionStats* stats) const;
+  /// True when the ball's filter accepts every row of the node's box.
+  bool InsideBall(int32_t node_idx, const Ball& ball) const;
+  /// Streams rows [begin, end) to OnBlock with every lane selected.
+  void EmitRows(int32_t begin, int32_t end, BlockKernel* kernel) const;
+
+  const double* BoxLo(int32_t node_idx) const {
+    return &boxes_[static_cast<size_t>(node_idx) * 2 * table_.dimension()];
+  }
+  const double* BoxHi(int32_t node_idx) const {
+    return BoxLo(node_idx) + table_.dimension();
+  }
 
   /// Features of permuted position i (valid after the build re-layout).
   const double* PermRow(int32_t i) const {
@@ -90,6 +127,7 @@ class KdTree : public SpatialIndex {
   int leaf_size_;
   std::vector<int32_t> ids_;      // permutation of row ids (build order)
   std::vector<Node> nodes_;
+  std::vector<double> boxes_;     // 2·d per node: box lo, then box hi
   int32_t root_ = -1;
   // Leaf-blocked re-layout of the table in ids_ order: position i holds the
   // features/output/original id of row ids_[i], so node [begin, end) ranges

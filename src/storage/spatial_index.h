@@ -8,6 +8,12 @@
 // same selection restricted to one partition of a MakePartitions plan, so
 // a partitioned scan selects the rows of one BlockVisit, in the same order,
 // with the same SelectionStats.
+//
+// A tree path may also find a whole subtree inside the ball. It then offers
+// the kernel that subtree's precomputed SubtreeSummary (count, Σu, Σu²)
+// through OnSubtree; a kernel that only needs those sums takes the subtree
+// in O(1), and any other kernel gets the subtree's rows as OnBlock spans
+// with every lane selected, in the same order a filtered visit would give.
 
 #ifndef QREG_STORAGE_SPATIAL_INDEX_H_
 #define QREG_STORAGE_SPATIAL_INDEX_H_
@@ -24,8 +30,19 @@ namespace storage {
 
 /// \brief Statistics of one selection execution.
 struct SelectionStats {
-  int64_t tuples_examined = 0;  ///< Rows whose distance was evaluated.
-  int64_t tuples_matched = 0;   ///< Rows inside the ball.
+  /// Rows of visited leaves, distance-filtered or inside a contained
+  /// subtree.
+  int64_t tuples_examined = 0;
+  int64_t tuples_matched = 0;  ///< Rows inside the ball.
+};
+
+/// \brief Sufficient statistics of a subtree that lies wholly inside the
+/// ball: every one of its `count` rows is selected. Computed once at index
+/// build time from the data alone.
+struct SubtreeSummary {
+  int64_t count = 0;
+  double sum_u = 0.0;   ///< Σu over the subtree's rows.
+  double sum_u2 = 0.0;  ///< Σu² over the subtree's rows.
 };
 
 /// \brief One filtered candidate block: `rows` contiguous row-major feature
@@ -55,7 +72,8 @@ struct BlockSpan {
 };
 
 /// \brief Fused filter+accumulate consumer of a block scan. One OnBlock call
-/// per candidate block that has at least one selected lane. Copyable, so a
+/// per candidate block that has at least one selected lane, and one
+/// OnSubtree offer per subtree found wholly inside the ball. Copyable, so a
 /// zeroed kernel can seed one copy per scan partition.
 class BlockKernel {
  public:
@@ -66,6 +84,15 @@ class BlockKernel {
   BlockKernel& operator=(BlockKernel&&) = default;
   virtual ~BlockKernel() = default;
   virtual void OnBlock(const BlockSpan& span) = 0;
+
+  /// Offered instead of the rows of a subtree that lies wholly inside the
+  /// ball. Return true to consume the subtree from its summary; the default
+  /// declines, and the index then streams the subtree's rows to OnBlock as
+  /// spans with every lane selected.
+  virtual bool OnSubtree(const SubtreeSummary& summary) {
+    (void)summary;
+    return false;
+  }
 };
 
 /// \brief One disjoint unit of parallel selection work, produced by

@@ -1,5 +1,7 @@
 #include "storage/table.h"
 
+#include <cmath>
+
 #include "util/string_util.h"
 
 namespace qreg {
@@ -40,6 +42,15 @@ util::Status Table::Append(const std::vector<double>& x, double u) {
   if (x.size() != d_) {
     return util::Status::InvalidArgument(
         util::Format("row has %zu features, table expects %zu", x.size(), d_));
+  }
+  for (size_t j = 0; j < d_; ++j) {
+    if (!std::isfinite(x[j])) {
+      return util::Status::InvalidArgument(
+          util::Format("row feature %zu is not finite", j));
+    }
+  }
+  if (!std::isfinite(u)) {
+    return util::Status::InvalidArgument("row output is not finite");
   }
   AppendUnchecked(x.data(), u);
   return util::Status::OK();

@@ -43,10 +43,13 @@ class Table {
     us_.reserve(static_cast<size_t>(rows));
   }
 
-  /// Appends one row; x.size() must equal dimension().
+  /// Appends one row; x.size() must equal dimension() and every value must
+  /// be finite (InvalidArgument otherwise).
   util::Status Append(const std::vector<double>& x, double u);
 
-  /// Appends from a raw pointer (d doubles), no validation.
+  /// Appends from a raw pointer (d doubles), no validation: non-finite
+  /// values can get in this way, so access paths must not assume finite
+  /// data.
   void AppendUnchecked(const double* x, double u) {
     xs_.insert(xs_.end(), x, x + d_);
     us_.push_back(u);

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <fstream>
 
 #include "data/loader.h"
@@ -114,6 +115,39 @@ TEST(LoaderTest, BadRowsSkippedWhenRequested) {
   ASSERT_TRUE(table.ok());
   EXPECT_EQ(report.rows_loaded, 2);
   EXPECT_EQ(report.rows_skipped, 2);
+}
+
+TEST(LoaderTest, NonFiniteValuesRejectedWithLineAndColumn) {
+  // strtod accepts every one of these spellings (the last overflows to inf).
+  for (const std::string bad : {"nan", "inf", "-inf", "infinity", "1e400"}) {
+    for (const bool in_output : {false, true}) {
+      const std::string row = in_output ? "0.2,0.3," + bad : "0.2," + bad + ",3";
+      const std::string path = WriteTemp(
+          "nonfinite.csv", "x1,x2,u\n0.1,0.1,1\n" + row + "\n0.4,0.4,4\n");
+      const std::string where = bad + (in_output ? " in u" : " in x2");
+
+      const auto strict = LoadCsv(path);
+      ASSERT_FALSE(strict.ok()) << where;
+      EXPECT_EQ(strict.status().code(), util::StatusCode::kInvalidArgument)
+          << where;
+      const std::string msg = strict.status().message();
+      EXPECT_NE(msg.find("line 3"), std::string::npos) << msg;
+      EXPECT_NE(msg.find(in_output ? "column 2" : "column 1"), std::string::npos)
+          << msg;
+
+      CsvLoadOptions skip;
+      skip.skip_bad_rows = true;
+      CsvLoadReport report;
+      const auto table = LoadCsv(path, skip, &report);
+      ASSERT_TRUE(table.ok()) << where;
+      EXPECT_EQ(report.rows_loaded, 2) << where;
+      EXPECT_EQ(report.rows_skipped, 1) << where;
+      for (int64_t i = 0; i < table->num_rows(); ++i) {
+        EXPECT_TRUE(std::isfinite(table->u(i)));
+        EXPECT_TRUE(std::isfinite(table->x(i)[0]) && std::isfinite(table->x(i)[1]));
+      }
+    }
+  }
 }
 
 TEST(LoaderTest, RejectsBadColumnSpecs) {

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -1014,6 +1015,26 @@ TEST(QueryRouterTest, WrongDimensionQueryIsRejected) {
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), util::StatusCode::kInvalidArgument);
   EXPECT_EQ(router.Stats().errors, 1);
+}
+
+TEST(QueryRouterTest, NonFiniteCenterOrBadThetaIsRejected) {
+  RouterConfig cfg;
+  cfg.policy = RoutePolicy::kExactOnly;
+  QueryRouter router(SharedCatalog(), cfg);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<query::Query> bad = {
+      query::Query({nan, 0.5}, 0.1), query::Query({0.5, 0.5}, 0.0),
+      query::Query({0.5, 0.5}, -0.1), query::Query({0.5, 0.5}, nan)};
+  for (const query::Query& q : bad) {
+    for (const Request& r : {Request::Q1("r1", q), Request::Q2("r1", q)}) {
+      auto got = router.Execute(r);
+      ASSERT_FALSE(got.ok()) << q.ToString();
+      EXPECT_EQ(got.status().code(), util::StatusCode::kInvalidArgument)
+          << q.ToString();
+    }
+  }
+  EXPECT_EQ(router.Stats().errors, static_cast<int64_t>(2 * bad.size()));
+  EXPECT_TRUE(router.Execute(Request::Q1("r1", query::Query({0.5, 0.5}, 0.1))).ok());
 }
 
 TEST(QueryRouterTest, HybridRoutesByTrainedRegion) {

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "storage/kdtree.h"
 #include "storage/lp_norm.h"
@@ -53,6 +54,18 @@ TEST(TableTest, AppendAndAccess) {
 TEST(TableTest, AppendWrongDimensionRejected) {
   Table t(2);
   EXPECT_EQ(t.Append({0.1}, 5.0).code(), util::StatusCode::kInvalidArgument);
+}
+
+TEST(TableTest, AppendNonFiniteRejected) {
+  Table t(2);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(t.Append({nan, 0.1}, 1.0).code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(t.Append({0.1, -inf}, 1.0).code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(t.Append({0.1, 0.2}, inf).code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(t.Append({0.1, 0.2}, nan).code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(t.num_rows(), 0);
+  EXPECT_TRUE(t.Append({0.1, 0.2}, 1.0).ok());
 }
 
 TEST(TableTest, FeatureRanges) {
