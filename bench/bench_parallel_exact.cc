@@ -1,19 +1,18 @@
 // Speedup-vs-threads for the partitioned exact engine: the multi-core
-// single-query latency the ISSUE-2 tentpole adds on top of Figure 12's
-// single-threaded exact baselines.
+// single-query latency on top of Figure 12's single-threaded exact
+// baselines.
 //
 // For both access paths (sequential scan and k-d tree) this bench measures
-// per-query Q1/Q2 latency of
-//   - the classic one-pass sequential engine (the Fig-12 baseline), and
-//   - the partitioned engine at 1, 2, 4 and 8 pool threads,
-// on the Fig-12-scale R2 dataset, and verifies that the partitioned answers
-// are (a) bit-for-bit identical across thread counts and (b) equal to the
-// sequential answers within floating-point reassociation tolerance.
+// per-query Q1/Q2 latency of the partitioned engine run inline (0 workers,
+// the baseline) and at 1, 2, 4 and 8 pool threads, on the Fig-12-scale R2
+// dataset. Every run uses the same partition plan, so the answers must be
+// bit-for-bit identical to the inline run's: the bench is a determinism
+// gate and exits 1 on any divergence.
 //
 // Always writes machine-readable JSON to OutDir() (default bench/out/):
 //   bench_parallel_exact.json — one record per (path, threads) with ms and
-//   speedup over the sequential baseline — the artifact CI uploads for
-//   cross-PR perf-trajectory tracking.
+//   speedup over the inline run — the artifact CI uploads for cross-PR
+//   perf-trajectory tracking.
 //
 // Extra env knobs: QREG_PARALLEL_D (default 2), QREG_PARALLEL_QUERIES
 // (default 24), QREG_MAX_THREADS (default 8).
@@ -21,6 +20,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -96,28 +96,10 @@ bool BitwiseEqual(const ExactAnswers& a, const ExactAnswers& b) {
   return true;
 }
 
-bool NearlyEqual(const ExactAnswers& a, const ExactAnswers& b, double rel) {
-  auto close = [rel](double x, double y) {
-    if (std::isnan(x) || std::isnan(y)) return std::isnan(x) == std::isnan(y);
-    const double scale = std::max({1.0, std::fabs(x), std::fabs(y)});
-    return std::fabs(x - y) <= rel * scale;
-  };
-  if (a.q1_count != b.q1_count) return false;  // Counts are exact integers.
-  for (size_t i = 0; i < a.q1_mean.size(); ++i) {
-    if (!close(a.q1_mean[i], b.q1_mean[i])) return false;
-    if (!close(a.q2_intercept[i], b.q2_intercept[i])) return false;
-    if (a.q2_slope[i].size() != b.q2_slope[i].size()) return false;
-    for (size_t j = 0; j < a.q2_slope[i].size(); ++j) {
-      if (!close(a.q2_slope[i][j], b.q2_slope[i][j])) return false;
-    }
-  }
-  return true;
-}
-
 void Run() {
   BenchEnv env = BenchEnv::FromEnv();
   PrintHeader("bench_parallel_exact",
-              "tentpole: partitioned exact Q1/Q2 speedup vs pool threads", env);
+              "partitioned exact Q1/Q2 speedup vs pool threads", env);
 
   const size_t d =
       static_cast<size_t>(util::GetEnvInt64("QREG_PARALLEL_D", 2));
@@ -128,51 +110,52 @@ void Run() {
   query::WorkloadGenerator gen = MakeWorkload(bundle, env.seed + 1);
   const std::vector<query::Query> queries = gen.Generate(reps);
 
-  std::vector<int64_t> thread_counts;
+  // 0 = no pool: the partitions run inline on the calling thread.
+  std::vector<int64_t> thread_counts = {0};
   for (int64_t t = 1; t <= max_threads; t *= 2) thread_counts.push_back(t);
 
   std::string json = "[\n";
   bool all_identical = true;
-  bool all_match_sequential = true;
 
   struct Path {
     const char* name;
-    const query::ExactEngine* sequential;
     const storage::SpatialIndex* index;
   };
   const Path paths[] = {
-      {"scan", bundle.scan_engine.get(), bundle.scan.get()},
-      {"kdtree", bundle.engine.get(), bundle.kdtree.get()},
+      {"scan", bundle.scan.get()},
+      {"kdtree", bundle.kdtree.get()},
   };
 
   for (const Path& path : paths) {
-    ExactAnswers seq_answers;
-    const Timing seq = MeasureEngine(*path.sequential, queries, &seq_answers);
-
     util::TablePrinter table(
         {"threads", "q1_ms", "q1_speedup", "q2_ms", "q2_speedup", "identical"});
-    table.AddRow({"seq", util::Format("%.4f", seq.q1_ms), "1.00",
-                  util::Format("%.4f", seq.q2_ms), "1.00", "-"});
 
-    ExactAnswers reference;  // The t = 1 partitioned answers.
-    for (size_t ti = 0; ti < thread_counts.size(); ++ti) {
-      const int64_t threads = thread_counts[ti];
-      util::ThreadPool pool(static_cast<size_t>(threads));
+    ExactAnswers reference;  // The inline run's answers.
+    Timing inline_timing;
+    for (const int64_t threads : thread_counts) {
+      std::unique_ptr<util::ThreadPool> pool;
       query::ExactEngine engine(bundle.table(), *path.index);
-      query::ParallelOptions par;
-      par.pool = &pool;
-      engine.set_parallel(par);
+      if (threads > 0) {
+        pool = std::make_unique<util::ThreadPool>(static_cast<size_t>(threads));
+        query::ParallelOptions par;
+        par.pool = pool.get();
+        engine.set_parallel(par);
+      }
 
+      (void)MeasureEngine(engine, queries, nullptr);  // Untimed warm-up.
       ExactAnswers answers;
       const Timing t = MeasureEngine(engine, queries, &answers);
-      if (ti == 0) reference = answers;
+      if (threads == 0) {
+        reference = answers;
+        inline_timing = t;
+      }
       const bool identical = BitwiseEqual(reference, answers);
       all_identical = all_identical && identical;
-      all_match_sequential =
-          all_match_sequential && NearlyEqual(seq_answers, answers, 1e-9);
 
-      const double q1_speedup = t.q1_ms > 0.0 ? seq.q1_ms / t.q1_ms : 0.0;
-      const double q2_speedup = t.q2_ms > 0.0 ? seq.q2_ms / t.q2_ms : 0.0;
+      const double q1_speedup =
+          t.q1_ms > 0.0 ? inline_timing.q1_ms / t.q1_ms : 0.0;
+      const double q2_speedup =
+          t.q2_ms > 0.0 ? inline_timing.q2_ms / t.q2_ms : 0.0;
       table.AddRow({util::Format("%lld", static_cast<long long>(threads)),
                     util::Format("%.4f", t.q1_ms),
                     util::Format("%.2f", q1_speedup),
@@ -184,13 +167,11 @@ void Run() {
           "  {\"path\": \"%s\", \"threads\": %lld, \"rows\": %lld, \"d\": %zu, "
           "\"hardware_concurrency\": %u, "
           "\"q1_ms\": %.6f, \"q1_speedup\": %.4f, \"q2_ms\": %.6f, "
-          "\"q2_speedup\": %.4f, \"identical_across_threads\": %s, "
-          "\"matches_sequential\": %s},\n",
+          "\"q2_speedup\": %.4f, \"identical_to_inline\": %s},\n",
           path.name, static_cast<long long>(threads),
           static_cast<long long>(env.rows_r2), d,
           std::thread::hardware_concurrency(), t.q1_ms, q1_speedup, t.q2_ms,
-          q2_speedup, identical ? "true" : "false",
-          NearlyEqual(seq_answers, answers, 1e-9) ? "true" : "false");
+          q2_speedup, identical ? "true" : "false");
     }
     EmitTable("parallel_exact", util::Format("%s_d%zu", path.name, d), table,
               env);
@@ -205,15 +186,13 @@ void Run() {
 
   std::cout << util::Format(
       "\nhardware threads on this machine: %u (speedup is bounded by this)\n"
-      "answers identical across thread counts: %s\n"
-      "answers match sequential engine (rel 1e-9): %s\n",
-      std::thread::hardware_concurrency(), all_identical ? "yes" : "NO",
-      all_match_sequential ? "yes" : "NO");
+      "answers identical to the inline run at every thread count: %s\n",
+      std::thread::hardware_concurrency(), all_identical ? "yes" : "NO");
   std::cout << "speedup expectation: near-linear for the scan path while the\n"
                "ball has work in every partition; the kd path saturates\n"
                "earlier because pruning leaves fewer partitions with work.\n";
-  if (!all_identical || !all_match_sequential) {
-    std::cerr << "FATAL: parallel exact answers diverged\n";
+  if (!all_identical) {
+    std::cerr << "FATAL: exact answers diverged across thread counts\n";
     std::exit(1);
   }
 }

@@ -37,13 +37,21 @@ util::Status CheckAdmission(const util::ExecControl* control, ExecStats* stats,
 
 }  // namespace
 
-std::vector<storage::ScanPartition> ExactEngine::PartitionPlan() const {
+ExactEngine::ExactEngine(const storage::Table& table,
+                         const storage::SpatialIndex& index,
+                         storage::LpNorm norm)
+    : table_(table), index_(index), norm_(norm) {
+  set_parallel(ParallelOptions());
+}
+
+void ExactEngine::set_parallel(ParallelOptions options) {
+  parallel_ = options;
   size_t target = parallel_.target_partitions;
   if (target == 0) {
     target = static_cast<size_t>(std::max<int64_t>(
         1, std::min(kMaxPartitions, table_.num_rows() / kRowsPerPartition)));
   }
-  return index_.MakePartitions(target);
+  plan_ = index_.MakePartitions(target);
 }
 
 template <typename Kernel>
@@ -52,36 +60,28 @@ util::Status ExactEngine::Reduce(const Query& q, Kernel* total,
                                  const util::ExecControl* control) const {
   util::Stopwatch sw;
   QREG_RETURN_NOT_OK(CheckAdmission(control, stats, sw));
+  // Every part starts as a copy of the still-zeroed total.
+  std::vector<Kernel> parts(plan_.size(), *total);
+  std::vector<storage::SelectionStats> part_sel(plan_.size());
+  const util::ChunkRunResult run = util::RunChunks(
+      parallel_.pool, plan_.size(),
+      [this, &q, &parts, &part_sel](size_t i) {
+        index_.BlockVisitPartition(plan_[i], q.center.data(), q.theta, norm_,
+                                   &parts[i], &part_sel[i]);
+      },
+      control);
   storage::SelectionStats sel;
-  util::ChunkRunResult run;
-  if (!parallel_enabled() && control == nullptr) {
-    index_.BlockVisit(q.center.data(), q.theta, norm_, total, &sel);
-  } else {
-    const std::vector<storage::ScanPartition> plan = PartitionPlan();
-    // Every part starts as a copy of the still-zeroed total.
-    std::vector<Kernel> parts(plan.size(), *total);
-    std::vector<storage::SelectionStats> part_sel(plan.size());
-    run = util::RunChunks(
-        parallel_.pool, plan.size(),
-        [this, &q, &plan, &parts, &part_sel](size_t i) {
-          index_.BlockVisitPartition(plan[i], q.center.data(), q.theta, norm_,
-                                     &parts[i], &part_sel[i]);
-        },
-        control);
-    for (size_t i = 0; i < plan.size(); ++i) {  // Deterministic: plan order.
-      total->Merge(parts[i]);
-      sel.tuples_examined += part_sel[i].tuples_examined;
-      sel.tuples_matched += part_sel[i].tuples_matched;
-    }
-    if (stats != nullptr) {
-      stats->chunks_completed = static_cast<int64_t>(run.executed);
-      stats->chunks_total = static_cast<int64_t>(plan.size());
-    }
+  for (size_t i = 0; i < plan_.size(); ++i) {  // Deterministic: plan order.
+    total->Merge(parts[i]);
+    sel.tuples_examined += part_sel[i].tuples_examined;
+    sel.tuples_matched += part_sel[i].tuples_matched;
   }
   if (stats != nullptr) {
     stats->tuples_examined = sel.tuples_examined;
     stats->tuples_matched = sel.tuples_matched;
     stats->nanos = sw.ElapsedNanos();
+    stats->chunks_completed = static_cast<int64_t>(run.executed);
+    stats->chunks_total = static_cast<int64_t>(plan_.size());
   }
   return run.status;
 }

@@ -13,15 +13,14 @@
 // with the Lp filter kernel resolved once per scan. Nothing is
 // materialized.
 //
-// Serially, Reduce runs one SpatialIndex::BlockVisit straight into the
-// operator's state. With a ParallelOptions attached (or an ExecControl to
-// honor), it splits the selection into the access path's ScanPartitions,
-// gives each partition its own copy of the zeroed state (the MADlib-style
-// transition state), runs the partitions on a ThreadPool, and merges the
-// partials in partition order. The partition plan and merge order depend
-// only on the data, so answers are bit-for-bit identical across thread
-// counts — including the 0-worker inline mode tests use as the
-// deterministic baseline. Scalar accumulators are Kahan-compensated; see
+// Reduce has one path. It splits the selection into the engine's partition
+// plan (computed once, from the data), gives each partition its own copy of
+// the zeroed state (the MADlib-style transition state), runs the partitions
+// through util::RunChunks — on a ThreadPool when one is attached, inline
+// otherwise — and merges the partials in plan order. The plan and the merge
+// order depend only on the data, so an answer is bit-for-bit the same with
+// or without a pool, at any worker count, and with or without a deadline or
+// cancel token to honor. Scalar accumulators are Kahan-compensated; see
 // scan_kernels.h for why determinism nevertheless comes from the
 // plan-order merge, not the compensation.
 
@@ -67,7 +66,7 @@ struct ExecStats {
   int64_t tuples_matched = 0;
   int64_t nanos = 0;
   int64_t chunks_completed = 0;  ///< Partition chunks fully executed.
-  int64_t chunks_total = 0;      ///< Chunks in the plan (0 = unpartitioned).
+  int64_t chunks_total = 0;      ///< Chunks in the plan (0 if not admitted).
 
   double millis() const { return static_cast<double>(nanos) / 1e6; }
 };
@@ -90,10 +89,10 @@ struct MomentsResult {
 /// \brief Exact Q1/Q2 executor over a table + access path.
 class ExactEngine {
  public:
-  /// Both referents must outlive the engine.
+  /// Both referents must outlive the engine. The partition plan is computed
+  /// here (and again only by set_parallel), not per query.
   ExactEngine(const storage::Table& table, const storage::SpatialIndex& index,
-              storage::LpNorm norm = storage::LpNorm::L2())
-      : table_(table), index_(index), norm_(norm) {}
+              storage::LpNorm norm = storage::LpNorm::L2());
 
   /// Q1: mean of u over D(x, θ). NotFound if the subspace is empty.
   ///
@@ -101,9 +100,9 @@ class ExactEngine {
   /// already-expired deadline (or tripped token) returns the typed status
   /// without visiting any partition, and a mid-scan trip aborts within one
   /// chunk-claim, returning kDeadlineExceeded / kCancelled with the partial
-  /// work recorded in `stats`. A control forces the partitioned-reduction
-  /// path (inline when no pool is attached) so checks happen per chunk,
-  /// never per row. Same for Moments and Regression below.
+  /// work recorded in `stats`. Checks happen per chunk of the partition
+  /// plan, never per row, and never change the answer's bits. Same for
+  /// Moments and Regression below.
   util::Result<MeanValueResult> MeanValue(
       const Query& q, ExecStats* stats = nullptr,
       const util::ExecControl* control = nullptr) const;
@@ -131,19 +130,16 @@ class ExactEngine {
       const util::ExecControl* control = nullptr) const;
 
   /// Attaches (or, with a default-constructed value, detaches) intra-query
-  /// parallelism. Not thread-safe against in-flight queries: configure
-  /// before serving traffic. The engine never owns the pool.
-  void set_parallel(ParallelOptions options) { parallel_ = options; }
+  /// parallelism and recomputes the partition plan. Not thread-safe against
+  /// in-flight queries: configure before serving traffic. The engine never
+  /// owns the pool.
+  void set_parallel(ParallelOptions options);
   const ParallelOptions& parallel() const { return parallel_; }
 
-  /// True when queries run the partitioned-reduction path (a parallel
-  /// options struct was attached, even one that executes inline).
-  bool parallel_enabled() const {
-    return parallel_.pool != nullptr || parallel_.target_partitions > 0;
+  /// The partition plan every query runs.
+  const std::vector<storage::ScanPartition>& PartitionPlan() const {
+    return plan_;
   }
-
-  /// The partition plan queries under the current options would use.
-  std::vector<storage::ScanPartition> PartitionPlan() const;
 
   const storage::Table& table() const { return table_; }
   const storage::SpatialIndex& index() const { return index_; }
@@ -152,10 +148,9 @@ class ExactEngine {
  private:
   /// The one scan loop behind every operator. `total` is the operator's
   /// zeroed transition state: a BlockKernel with `void Merge(const Kernel&)`.
-  /// Serial (no parallel options, no control): one BlockVisit into `total`.
-  /// Otherwise: one copy of `total` per plan partition, run by util::RunChunks
-  /// through BlockVisitPartition, merged into `total` in plan order. Fills
-  /// `stats` and returns the admission or mid-scan lifecycle status.
+  /// One copy of `total` per plan partition, run by util::RunChunks through
+  /// BlockVisitPartition, merged into `total` in plan order. Fills `stats`
+  /// and returns the admission or mid-scan lifecycle status.
   template <typename Kernel>
   util::Status Reduce(const Query& q, Kernel* total, ExecStats* stats,
                       const util::ExecControl* control) const;
@@ -164,6 +159,7 @@ class ExactEngine {
   const storage::SpatialIndex& index_;
   storage::LpNorm norm_;
   ParallelOptions parallel_;
+  std::vector<storage::ScanPartition> plan_;
 };
 
 }  // namespace query

@@ -1,5 +1,5 @@
 // Fused per-block accumulators for the exact operators: the BlockKernels
-// the ExactEngine drives through SpatialIndex::BlockVisit[Partition].
+// the ExactEngine drives through SpatialIndex::BlockVisitPartition.
 //
 // Each kernel consumes a filtered BlockSpan's selected lanes in one tight
 // loop — no per-row virtual or std::function dispatch — and *is* the
@@ -18,10 +18,10 @@
 // across thread counts comes from the fixed partition plan and the fixed
 // plan-order merge (each partition's kernel sees exactly the same rows in
 // the same order regardless of which worker runs it). Compensation keeps
-// those per-partition partials (and the serial whole-scan stream) accurate
-// enough that plan-shape changes stay within ~1 ulp of each other. Merges
-// are plain adds, so merging one partial into a zeroed total reproduces
-// the partial bit for bit (0.0 + x == x).
+// those per-partition partials accurate enough that plan-shape changes
+// stay within ~1 ulp of each other. Merges are plain adds, so merging one
+// partial into a zeroed total reproduces the partial bit for bit
+// (0.0 + x == x).
 
 #ifndef QREG_QUERY_SCAN_KERNELS_H_
 #define QREG_QUERY_SCAN_KERNELS_H_

@@ -97,10 +97,7 @@ const AnswerCache::Entry* AnswerCache::LinearProbe(const GroupSnapshot& g,
                                                    double* delta_out) const {
   const Entry* best = nullptr;
   double best_delta = 0.0;
-  size_t probed = 0;
   for (const Entry* e : g.entries) {
-    if (config_.max_probe > 0 && probed >= config_.max_probe) break;
-    ++probed;
     const query::Query& eq = e->answer.q;
     if (eq.dimension() != q.dimension()) continue;
     if (eq == q) {  // Exact repeat: δ = 1, nothing can beat it.
@@ -150,7 +147,6 @@ const AnswerCache::Entry* AnswerCache::FindBest(const GroupSnapshot& g,
 
   const Entry* best = nullptr;
   double best_delta = 0.0;
-  size_t probed = 0;
   std::vector<int64_t> coord = lo;
   for (;;) {
     uint64_t h = 0xcbf29ce484222325ULL ^ d;
@@ -160,8 +156,6 @@ const AnswerCache::Entry* AnswerCache::FindBest(const GroupSnapshot& g,
              g.grid.begin(), g.grid.end(), h,
              [](const Slot& s, uint64_t cell) { return s.cell < cell; });
          it != g.grid.end() && it->cell == h; ++it) {
-      if (config_.max_probe > 0 && probed >= config_.max_probe) break;
-      ++probed;
       const Entry* e = it->e;
       const query::Query& eq = e->answer.q;
       if (eq.dimension() != d) continue;

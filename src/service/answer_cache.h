@@ -83,11 +83,6 @@ struct AnswerCacheConfig {
   /// be reused. In [0, 1].
   double delta_min = 0.9;
 
-  /// Max entries probed per lookup; 0 probes every candidate. On the linear
-  /// path candidates are scanned newest-insert-first; on the grid path the
-  /// probe order is cell order. Bounds worst-case lookup cost.
-  size_t max_probe = 0;
-
   /// Lock shards the groups are hashed over. More shards = less contention
   /// between datasets/kinds; clamped to at least 1.
   size_t num_shards = 8;

@@ -42,7 +42,6 @@ QueryRouter::QueryRouter(ModelCatalog* catalog, RouterConfig config)
     exact_pool_ = std::make_unique<util::ThreadPool>(config_.exact_threads);
     query::ParallelOptions par;
     par.pool = exact_pool_.get();
-    par.target_partitions = config_.exact_partitions;
     catalog_->SetParallelism(par);
   }
 }
@@ -288,8 +287,8 @@ ExecResult QueryRouter::ExecuteExact(const Request& request,
   Answer a;
   a.kind = request.kind;
   a.source = AnswerSource::kExact;
-  // `control` is null on the lifecycle-free path, which keeps the engine's
-  // classic (unpartitioned) execution and its bit-for-bit answers.
+  // `control` is null on the lifecycle-free path; with or without it the
+  // engine runs the same partitioned scan, so the answer's bits are the same.
   if (request.kind == QueryKind::kQ1MeanValue) {
     auto r = engine.MeanValue(request.q, &a.exec, control);
     if (!r.ok()) {

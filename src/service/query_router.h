@@ -84,14 +84,11 @@ struct RouterConfig {
   OverloadPolicy overload = OverloadPolicy::kShed;
 
   /// Intra-query parallelism for the exact path: worker threads of a second,
-  /// router-owned pool that partitioned BlockVisit scans fan out on. 0
-  /// keeps exact queries single-threaded. Applied to the catalog's engines
+  /// router-owned pool that the exact engines' partitions fan out on. 0
+  /// runs the partitions inline, with the same answers. Applied to the catalog's engines
   /// at construction (and detached at destruction), so configure one router
   /// per catalog when using this.
   size_t exact_threads = 0;
-
-  /// Partition-plan size for parallel exact scans; 0 = data-driven default.
-  size_t exact_partitions = 0;
 
   /// Latency samples retained for p50/p99 (see ServiceStats).
   size_t latency_window = 1 << 16;

@@ -40,11 +40,6 @@ void ServiceStats::RecordRetrain() {
   ++retrains_;
 }
 
-void ServiceStats::RecordNet(const NetActivity& delta) {
-  util::MutexLock lock(&mu_);
-  net_ += delta;
-}
-
 void ServiceStats::RecordNet(size_t loop_index, const NetActivity& delta) {
   util::MutexLock lock(&mu_);
   net_ += delta;

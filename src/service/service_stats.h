@@ -143,12 +143,10 @@ class ServiceStats {
   /// Records one drift-triggered retrain (a model-generation swap).
   void RecordRetrain();
 
-  /// Folds a batch of wire-level activity into the aggregate net counters.
-  void RecordNet(const NetActivity& delta);
-
-  /// Same, attributed to one event loop: the delta lands both in the
-  /// aggregate rollup and in the per-loop totals Snapshot() reports as
-  /// `net_loops` (grown on demand; loop indices are dense and small).
+  /// Folds a batch of wire-level activity attributed to one event loop into
+  /// both the aggregate net counters and the per-loop totals Snapshot()
+  /// reports as `net_loops` (grown on demand; loop indices are dense and
+  /// small).
   void RecordNet(size_t loop_index, const NetActivity& delta);
 
   ServiceSnapshot Snapshot() const;

@@ -19,6 +19,9 @@ const std::array<int32_t, kScanBlockRows> kAllLanes = [] {
   return lanes;
 }();
 
+// Widest table whose containment-test corner fits in a stack buffer.
+constexpr size_t kStackCornerDims = 16;
+
 // Bounding box of rows ids[0, rows) into lo/hi. KD > 0 fixes the dimension
 // at compile time, which keeps the running bounds in registers (the output
 // pointers could otherwise alias the table's rows); KD == 0 reads d.
@@ -252,33 +255,25 @@ void KdTree::VisitNode(int32_t node_idx, const Ball& ball, BlockKernel* kernel,
   VisitNode(node.right, ball, kernel, stats);
 }
 
-void KdTree::VisitSubtree(int32_t root, const double* center, double radius,
-                          const LpNorm& norm, BlockKernel* kernel,
-                          SelectionStats* stats) const {
-  const size_t d = table_.dimension();
-  std::vector<double> corner(d);
-  const Ball ball{center, radius, &norm, SelectBlockFilter(norm, d),
-                  corner.data()};
-  SelectionStats local;
-  VisitNode(root, ball, kernel, &local);
-  if (stats != nullptr) {
-    stats->tuples_examined += local.tuples_examined;
-    stats->tuples_matched += local.tuples_matched;
-  }
-}
-
-void KdTree::BlockVisit(const double* center, double radius, const LpNorm& norm,
-                        BlockKernel* kernel, SelectionStats* stats) const {
-  if (root_ < 0) return;
-  VisitSubtree(root_, center, radius, norm, kernel, stats);
-}
-
 void KdTree::BlockVisitPartition(const ScanPartition& part, const double* center,
                                  double radius, const LpNorm& norm,
                                  BlockKernel* kernel,
                                  SelectionStats* stats) const {
   if (part.node < 0 || part.node >= static_cast<int32_t>(nodes_.size())) return;
-  VisitSubtree(part.node, center, radius, norm, kernel, stats);
+  const size_t d = table_.dimension();
+  // The containment test's corner lives on the stack: a query visits every
+  // partition of its plan, so a heap buffer here would cost one allocation
+  // per partition. Only tables wider than kStackCornerDims allocate.
+  double stack_corner[kStackCornerDims];
+  std::vector<double> heap_corner(d > kStackCornerDims ? d : 0);
+  const Ball ball{center, radius, &norm, SelectBlockFilter(norm, d),
+                  d > kStackCornerDims ? heap_corner.data() : stack_corner};
+  SelectionStats local;
+  VisitNode(part.node, ball, kernel, &local);
+  if (stats != nullptr) {
+    stats->tuples_examined += local.tuples_examined;
+    stats->tuples_matched += local.tuples_matched;
+  }
 }
 
 std::vector<ScanPartition> KdTree::MakePartitions(size_t target) const {

@@ -51,14 +51,11 @@ class KdTree : public SpatialIndex {
   /// default for d <= 8.
   explicit KdTree(const Table& table, int leaf_size = 32);
 
-  void BlockVisit(const double* center, double radius, const LpNorm& norm,
-                  BlockKernel* kernel, SelectionStats* stats) const override;
-
   /// A frontier of disjoint subtree roots covering every row, built by
   /// repeatedly splitting the largest frontier node until `target` subtrees
   /// exist (or only leaves remain), then ordered left-to-right so that
-  /// visiting partitions in plan order enumerates rows in the same order as
-  /// a sequential BlockVisit.
+  /// visiting partitions in plan order enumerates rows in the same order for
+  /// every `target`. MakePartitions(1) is the root alone.
   std::vector<ScanPartition> MakePartitions(size_t target) const override;
 
   void BlockVisitPartition(const ScanPartition& part, const double* center,
@@ -100,10 +97,6 @@ class KdTree : public SpatialIndex {
   void ComputeBox(int32_t node_idx);
   void ComputeSummaries();
 
-  /// Runs one radius selection over the subtree rooted at `root`.
-  void VisitSubtree(int32_t root, const double* center, double radius,
-                    const LpNorm& norm, BlockKernel* kernel,
-                    SelectionStats* stats) const;
   void VisitNode(int32_t node_idx, const Ball& ball, BlockKernel* kernel,
                  SelectionStats* stats) const;
   /// True when the ball's filter accepts every row of the node's box.

@@ -1,6 +1,7 @@
 #include "storage/scan_index.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "storage/block_filter.h"
 
@@ -47,14 +48,11 @@ void BlockScanRange(const Table& table, int64_t begin, int64_t end,
   }
 }
 
-}  // namespace
+// End of a plan's last range: the table's end at visit time, so a plan
+// made before rows were appended still covers them.
+constexpr int64_t kToTableEnd = std::numeric_limits<int64_t>::max();
 
-void ScanIndex::BlockVisit(const double* center, double radius,
-                           const LpNorm& norm, BlockKernel* kernel,
-                           SelectionStats* stats) const {
-  BlockScanRange(table_, 0, table_.num_rows(), center, radius, norm, kernel,
-                 stats);
-}
+}  // namespace
 
 void ScanIndex::BlockVisitPartition(const ScanPartition& part,
                                     const double* center, double radius,
@@ -75,7 +73,7 @@ std::vector<ScanPartition> ScanIndex::MakePartitions(size_t target) const {
   for (int64_t i = 0; i < parts; ++i) {
     ScanPartition p;
     p.begin = begin;
-    p.end = (i + 1 == parts) ? n : begin + chunk;
+    p.end = (i + 1 == parts) ? kToTableEnd : begin + chunk;
     begin = p.end;
     plan.push_back(p);
   }

@@ -21,10 +21,8 @@ class ScanIndex : public SpatialIndex {
   /// The table must outlive the index.
   explicit ScanIndex(const Table& table) : table_(table) {}
 
-  void BlockVisit(const double* center, double radius, const LpNorm& norm,
-                  BlockKernel* kernel, SelectionStats* stats) const override;
-
-  /// Equal-size contiguous row ranges (the last absorbs the remainder).
+  /// Equal-size contiguous row ranges. The last absorbs the remainder and
+  /// is open-ended: it also covers rows appended after the plan was made.
   std::vector<ScanPartition> MakePartitions(size_t target) const override;
 
   void BlockVisitPartition(const ScanPartition& part, const double* center,

@@ -1,13 +1,12 @@
 // Selection-operator interface: visit every row of a Table whose feature
 // vector lies within an Lp ball (Definition 3's data subspace D(x, θ)).
 //
-// One contract, block-at-a-time: BlockVisit streams contiguous candidate
-// blocks of the index's row storage through a branch-free Lp filter
-// (storage/block_filter.h) and hands each block's selected lanes to a
-// BlockKernel — one virtual call per ~256 rows. BlockVisitPartition is the
-// same selection restricted to one partition of a MakePartitions plan, so
-// a partitioned scan selects the rows of one BlockVisit, in the same order,
-// with the same SelectionStats.
+// One visit, block-at-a-time: BlockVisitPartition streams the contiguous
+// candidate blocks of one partition of a MakePartitions plan through a
+// branch-free Lp filter (storage/block_filter.h) and hands each block's
+// selected lanes to a BlockKernel — one virtual call per ~256 rows. Any
+// plan, visited in plan order, selects the same rows in the same order with
+// the same SelectionStats; BlockVisit is the one-partition plan.
 //
 // A tree path may also find a whole subtree inside the ball. It then offers
 // the kernel that subtree's precomputed SubtreeSummary (count, Σu, Σu²)
@@ -105,7 +104,7 @@ class BlockKernel {
 /// counts — so a partitioned reduction is deterministic across pool sizes.
 struct ScanPartition {
   int64_t begin = 0;  ///< First row of a range partition (scan paths).
-  int64_t end = 0;    ///< One past the last row of a range partition.
+  int64_t end = 0;    ///< One past the last row (clamped to the table).
   int32_t node = -1;  ///< Subtree root of a tree partition (tree paths).
 };
 
@@ -115,14 +114,10 @@ class SpatialIndex {
   virtual ~SpatialIndex() = default;
 
   /// Streams every row within `radius` of `center` under `norm` to `kernel`,
-  /// block-at-a-time in the index's row visit order. `stats` may be null.
-  virtual void BlockVisit(const double* center, double radius, const LpNorm& norm,
-                          BlockKernel* kernel, SelectionStats* stats) const = 0;
-
-  /// Collects matching row ids (convenience wrapper over BlockVisit).
-  std::vector<int64_t> RadiusSearch(const double* center, double radius,
-                                    const LpNorm& norm,
-                                    SelectionStats* stats = nullptr) const;
+  /// block-at-a-time in the index's row visit order: the partitions of
+  /// MakePartitions(1), each through BlockVisitPartition. `stats` may be null.
+  void BlockVisit(const double* center, double radius, const LpNorm& norm,
+                  BlockKernel* kernel, SelectionStats* stats) const;
 
   /// Splits the indexed data into roughly `target` disjoint partitions whose
   /// union is the whole table. Implementations may return fewer (never more

@@ -494,10 +494,11 @@ TEST(BlockKernelEngineTest, BitForBitAcrossThreadCountsAndSerial) {
       EXPECT_EQ(engine.Select(q).value(), want_ids);
     }
 
-    // The serial whole-scan path (no parallel options) runs one continuous
-    // compensated stream instead of the partitioned merge: equal within
-    // reassociation tolerance, with exact integer counts.
+    // An engine without options runs the default plan, here one partition:
+    // a different plan shape, so equal within reassociation tolerance, with
+    // exact integer counts and the same id order.
     ExactEngine serial(table, *index);
+    ASSERT_EQ(serial.PartitionPlan().size(), 1u);
     const auto serial_mean = serial.MeanValue(q);
     ASSERT_TRUE(serial_mean.ok());
     EXPECT_EQ(serial_mean->count, want_mean->count);

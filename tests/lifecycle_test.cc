@@ -644,6 +644,42 @@ TEST(LifecycleRouterTest, DeadlinePressureDegradesExactToModelAnswer) {
   EXPECT_EQ(stats.model_answers, 1);
 }
 
+TEST(LifecycleRouterTest, ExactAnswerBitsDoNotDependOnTheDeadline) {
+  // With the cache off, an exact-routed request runs the same partitioned
+  // scan whether or not it carries a deadline to honor, so the answer's
+  // bits match. The dataset's default plan has several partitions.
+  EngineFixture* f = testsupport::SharedParallelFixture();
+  ASSERT_GE(f->engine->PartitionPlan().size(), 2u);
+  ModelCatalog catalog;
+  ASSERT_TRUE(catalog
+                  .Register("big", &f->dataset->table, f->kdtree.get(),
+                            testsupport::DefaultCatalogOptions())
+                  .ok());
+  RouterConfig cfg;
+  cfg.policy = RoutePolicy::kExactOnly;
+  cfg.enable_cache = false;
+  QueryRouter router(&catalog, cfg);
+
+  for (const query::Query& q : testsupport::ParallelTestQueries(30, 83)) {
+    for (const Request& plain : {Request::Q1("big", q), Request::Q2("big", q)}) {
+      Request timed = plain;
+      timed.deadline = util::Deadline::AfterMillis(3600 * 1000);
+      auto want = router.Execute(plain);
+      auto got = router.Execute(timed);
+      ASSERT_EQ(want.ok(), got.ok());
+      if (!want.ok()) continue;
+      ASSERT_EQ(want->source, AnswerSource::kExact);
+      ASSERT_EQ(got->source, AnswerSource::kExact);
+      EXPECT_EQ(want->mean, got->mean);
+      ASSERT_EQ(want->pieces.size(), got->pieces.size());
+      for (size_t i = 0; i < want->pieces.size(); ++i) {
+        EXPECT_EQ(want->pieces[i].intercept, got->pieces[i].intercept);
+        EXPECT_EQ(want->pieces[i].slope, got->pieces[i].slope);
+      }
+    }
+  }
+}
+
 TEST(LifecycleRouterTest, ExactOnlyDeadlineShedsWithTypedStatus) {
   RouterConfig cfg;
   cfg.policy = RoutePolicy::kExactOnly;  // No model to degrade to.

@@ -1,12 +1,11 @@
 // Tests for the partitioned parallel exact engine:
 //   - partition plans are disjoint, exhaustive, and visit-equivalent to a
 //     whole BlockVisit on both access paths;
-//   - a one-partition plan merged into the zeroed result reproduces the
-//     serial scan bit for bit;
-//   - parallel Q1/Q2/moments/select answers are bit-for-bit identical
-//     across every thread count (including the 0-worker inline mode);
-//   - parallel answers agree with the classic one-pass sequential engine
-//     up to floating-point reassociation, with exact integer counts;
+//   - a one-partition plan merged into the zeroed result reproduces one
+//     kernel fed straight by BlockVisit, bit for bit;
+//   - Q1/Q2/moments/select answers are bit-for-bit identical across every
+//     thread count (including the 0-worker inline mode), with or without
+//     an ExecControl to honor;
 //   - nested use on an already-busy shared pool completes (no deadlock).
 
 #include <gtest/gtest.h>
@@ -23,6 +22,7 @@
 #include "storage/kdtree.h"
 #include "storage/scan_index.h"
 #include "test_support.h"
+#include "util/cancellation.h"
 #include "util/thread_pool.h"
 
 namespace qreg {
@@ -89,10 +89,11 @@ TEST(PartitionPlanTest, IsDeterministic) {
 TEST(PartitionPlanTest, PartitionedVisitMatchesWholeVisit) {
   for (const storage::SpatialIndex* index : BothIndexes()) {
     for (const Query& q : TestQueries(20, 31)) {
+      CollectIdsBlockKernel whole;
       storage::SelectionStats full_stats;
-      std::vector<int64_t> full =
-          index->RadiusSearch(q.center.data(), q.theta, storage::LpNorm::L2(),
-                              &full_stats);
+      index->BlockVisit(q.center.data(), q.theta, storage::LpNorm::L2(),
+                        &whole, &full_stats);
+      const std::vector<int64_t> full = whole.TakeIds();
 
       CollectIdsBlockKernel collect;
       storage::SelectionStats part_stats;
@@ -117,13 +118,14 @@ struct AllAnswers {
   std::vector<std::vector<int64_t>> select;
 };
 
-AllAnswers Collect(const ExactEngine& engine, const std::vector<Query>& qs) {
+AllAnswers Collect(const ExactEngine& engine, const std::vector<Query>& qs,
+                   const util::ExecControl* control = nullptr) {
   AllAnswers out;
   for (const Query& q : qs) {
-    out.q1.push_back(engine.MeanValue(q));
-    out.moments.push_back(engine.Moments(q));
-    out.q2.push_back(engine.Regression(q));
-    out.select.push_back(engine.Select(q).value());
+    out.q1.push_back(engine.MeanValue(q, nullptr, control));
+    out.moments.push_back(engine.Moments(q, nullptr, control));
+    out.q2.push_back(engine.Regression(q, nullptr, control));
+    out.select.push_back(engine.Select(q, nullptr, control).value());
   }
   return out;
 }
@@ -177,47 +179,100 @@ TEST(ParallelExactTest, BitForBitIdenticalAcrossThreadCounts) {
   }
 }
 
+// ---------- One answer per query ----------
+
+TEST(ParallelExactTest, SameBitsWithoutControlWithFarDeadlineAndWithPool) {
+  // Reduce has one path: neither a lifecycle control to honor nor a pool to
+  // fan out on may change an answer's bits. The fixture's default plan has
+  // several partitions, so a second (one-pass) path would show.
+  Fixture* f = SharedFixture();
+  const std::vector<Query> qs = TestQueries(40, 67);
+  util::ThreadPool pool(3);
+  util::ExecControl far;
+  far.deadline = util::Deadline::AfterMillis(3600 * 1000);
+  ASSERT_TRUE(far.active());
+  for (const storage::SpatialIndex* index : BothIndexes()) {
+    ExactEngine plain(f->dataset->table, *index);
+    ASSERT_GE(plain.PartitionPlan().size(), 2u) << index->name();
+    ExactEngine pooled(f->dataset->table, *index);
+    ParallelOptions par;
+    par.pool = &pool;
+    pooled.set_parallel(par);
+
+    const AllAnswers want = Collect(plain, qs);
+    ExpectBitwiseEqual(want, Collect(plain, qs, &far));
+    ExpectBitwiseEqual(want, Collect(pooled, qs));
+  }
+}
+
 // ---------- Reduce's merge: one partition == the serial scan ----------
 
 TEST(ParallelExactTest, OnePartitionMergeMatchesSerialBitForBit) {
-  // A one-partition plan takes the partitioned branch of Reduce (copy
-  // of the zeroed state, BlockVisitPartition, merge into the zeroed total)
-  // over exactly the rows of the serial BlockVisit, so every answer and
-  // tuple counter must agree to the bit.
+  // A one-partition plan copies the zeroed state, visits the one partition
+  // and merges the partial into the zeroed total. That must reproduce, to
+  // the bit, one kernel fed straight by BlockVisit: a merge into zero is
+  // exact.
   Fixture* f = SharedFixture();
-  const std::vector<Query> qs = TestQueries(25, 59);
+  const size_t d = f->dataset->table.dimension();
+  const storage::LpNorm norm = storage::LpNorm::L2();
   for (const storage::SpatialIndex* index : BothIndexes()) {
-    ExactEngine serial(f->dataset->table, *index);
     ExactEngine one_part(f->dataset->table, *index);
     ParallelOptions par;
     par.target_partitions = 1;
     one_part.set_parallel(par);
     ASSERT_EQ(one_part.PartitionPlan().size(), 1u) << index->name();
 
-    ExpectBitwiseEqual(Collect(serial, qs), Collect(one_part, qs));
-    for (const Query& q : qs) {
-      ExecStats stats[2][4];  // [serial, one_part] × [Q1, moments, Q2, select]
-      const ExactEngine* engines[2] = {&serial, &one_part};
-      for (int e = 0; e < 2; ++e) {
-        (void)engines[e]->MeanValue(q, &stats[e][0]);
-        (void)engines[e]->Moments(q, &stats[e][1]);
-        (void)engines[e]->Regression(q, &stats[e][2]);
-        (void)engines[e]->Select(q, &stats[e][3]);
+    for (const Query& q : TestQueries(25, 59)) {
+      SumBlockKernel sum;
+      MomentsBlockKernel moments;
+      GramBlockKernel gram(d);
+      CollectIdsBlockKernel ids;
+      storage::SelectionStats sel[4];  // [Q1, moments, Q2, select]
+      index->BlockVisit(q.center.data(), q.theta, norm, &sum, &sel[0]);
+      index->BlockVisit(q.center.data(), q.theta, norm, &moments, &sel[1]);
+      index->BlockVisit(q.center.data(), q.theta, norm, &gram, &sel[2]);
+      index->BlockVisit(q.center.data(), q.theta, norm, &ids, &sel[3]);
+
+      ExecStats stats[4];
+      auto mean = one_part.MeanValue(q, &stats[0]);
+      ASSERT_EQ(mean.ok(), sum.count() > 0);
+      if (mean.ok()) {
+        EXPECT_EQ(mean->mean, sum.sum() / static_cast<double>(sum.count()));
+        EXPECT_EQ(mean->count, sum.count());
       }
+      auto mom = one_part.Moments(q, &stats[1]);
+      ASSERT_EQ(mom.ok(), moments.count() > 0);
+      if (mom.ok()) {
+        const double n = static_cast<double>(moments.count());
+        EXPECT_EQ(mom->mean, moments.sum() / n);
+        EXPECT_EQ(mom->second_moment, moments.sum_sq() / n);
+      }
+      auto fit = one_part.Regression(q, &stats[2]);
+      if (gram.acc().count() == 0) {
+        EXPECT_EQ(fit.status().code(), util::StatusCode::kNotFound);
+      } else {
+        auto want = gram.acc().Solve();
+        ASSERT_EQ(fit.ok(), want.ok());
+        if (fit.ok()) {
+          EXPECT_EQ(fit->intercept, want->intercept);
+          EXPECT_EQ(fit->slope, want->slope);
+        }
+      }
+      EXPECT_EQ(one_part.Select(q, &stats[3]).value(), ids.TakeIds());
+
       for (int op = 0; op < 4; ++op) {
-        EXPECT_EQ(stats[0][op].tuples_examined, stats[1][op].tuples_examined)
+        EXPECT_EQ(stats[op].tuples_examined, sel[op].tuples_examined)
             << index->name() << " op " << op;
-        EXPECT_EQ(stats[0][op].tuples_matched, stats[1][op].tuples_matched)
+        EXPECT_EQ(stats[op].tuples_matched, sel[op].tuples_matched)
             << index->name() << " op " << op;
-        EXPECT_EQ(stats[0][op].chunks_total, 0);
-        EXPECT_EQ(stats[1][op].chunks_total, 1);
-        EXPECT_EQ(stats[1][op].chunks_completed, 1);
+        EXPECT_EQ(stats[op].chunks_total, 1);
+        EXPECT_EQ(stats[op].chunks_completed, 1);
       }
     }
   }
 }
 
-// ---------- Agreement with the classic sequential engine ----------
+// ---------- A pool never changes an answer ----------
 
 TEST(ParallelExactTest, MatchesSequentialEngine) {
   Fixture* f = SharedFixture();
@@ -239,21 +294,15 @@ TEST(ParallelExactTest, MatchesSequentialEngine) {
     EXPECT_EQ(seq_stats.tuples_matched, par_stats.tuples_matched);
     if (!want.ok()) continue;
     ++nonempty;
-    EXPECT_EQ(want->count, got->count);  // Integer: exact.
-    EXPECT_NEAR(want->mean, got->mean,
-                1e-9 * std::max(1.0, std::fabs(want->mean)));
+    EXPECT_EQ(want->count, got->count);
+    EXPECT_EQ(want->mean, got->mean);
 
     auto want_fit = sequential.Regression(q);
     auto got_fit = parallel.Regression(q);
     ASSERT_EQ(want_fit.ok(), got_fit.ok());
     if (!want_fit.ok()) continue;
-    EXPECT_NEAR(want_fit->intercept, got_fit->intercept,
-                1e-8 * std::max(1.0, std::fabs(want_fit->intercept)));
-    ASSERT_EQ(want_fit->slope.size(), got_fit->slope.size());
-    for (size_t j = 0; j < want_fit->slope.size(); ++j) {
-      EXPECT_NEAR(want_fit->slope[j], got_fit->slope[j],
-                  1e-8 * std::max(1.0, std::fabs(want_fit->slope[j])));
-    }
+    EXPECT_EQ(want_fit->intercept, got_fit->intercept);
+    EXPECT_EQ(want_fit->slope, got_fit->slope);
     // Select: the plan order reproduces the sequential visit order exactly.
     EXPECT_EQ(sequential.Select(q).value(), parallel.Select(q).value());
   }

@@ -1159,7 +1159,7 @@ TEST(QueryRouterTest, ExactParallelismMatchesStandaloneEngine) {
   RouterConfig cfg;
   cfg.policy = RoutePolicy::kExactOnly;
   cfg.enable_cache = false;
-  cfg.exact_threads = 4;  // Partitioned BlockVisit on a router-owned pool.
+  cfg.exact_threads = 4;  // Partitions run on a router-owned pool.
   QueryRouter router(&catalog, cfg);
 
   int64_t answered = 0;
@@ -1173,18 +1173,17 @@ TEST(QueryRouterTest, ExactParallelismMatchesStandaloneEngine) {
       if (!got.ok()) continue;
       ++answered;
       EXPECT_EQ(got->source, AnswerSource::kExact);
-      // Partitioned merge reassociates the sum: equal up to float tolerance,
-      // with exact tuple counts.
-      EXPECT_NEAR(got->mean, want->mean,
-                  1e-9 * std::max(1.0, std::fabs(want->mean)));
+      // Same partition plan, same plan-order merge: the pool never changes
+      // an answer's bits.
+      EXPECT_EQ(got->mean, want->mean);
     } else {
       auto want = d->engine->Regression(req.q);
       ASSERT_EQ(got.ok(), want.ok());
       if (!got.ok()) continue;
       ++answered;
       ASSERT_EQ(got->pieces.size(), 1u);
-      EXPECT_NEAR(got->pieces[0].intercept, want->intercept,
-                  1e-8 * std::max(1.0, std::fabs(want->intercept)));
+      EXPECT_EQ(got->pieces[0].intercept, want->intercept);
+      EXPECT_EQ(got->pieces[0].slope, want->slope);
     }
   }
   EXPECT_GT(answered, 20);

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <limits>
 
+#include "query/scan_kernels.h"
 #include "storage/kdtree.h"
 #include "storage/lp_norm.h"
 #include "storage/scan_index.h"
@@ -29,6 +30,15 @@ Table MakeRandomTable(size_t d, int64_t n, uint64_t seed, double lo = 0.0,
     t.AppendUnchecked(x.data(), rng.Uniform(-1, 1));
   }
   return t;
+}
+
+// Row ids inside the ball, in the index's visit order.
+std::vector<int64_t> CollectIds(const SpatialIndex& index, const double* center,
+                                double radius, const LpNorm& norm,
+                                SelectionStats* stats = nullptr) {
+  query::CollectIdsBlockKernel collect;
+  index.BlockVisit(center, radius, norm, &collect, stats);
+  return collect.TakeIds();
 }
 
 // ---------- Schema / Table ----------
@@ -238,7 +248,7 @@ TEST(ScanIndexTest, FindsAllWithinRadius) {
   ScanIndex scan(t);
   const double c[] = {0.15};
   SelectionStats stats;
-  auto ids = scan.RadiusSearch(c, 0.1, LpNorm::L2(), &stats);
+  auto ids = CollectIds(scan, c, 0.1, LpNorm::L2(), &stats);
   std::sort(ids.begin(), ids.end());
   EXPECT_EQ(ids, (std::vector<int64_t>{0, 1}));
   EXPECT_EQ(stats.tuples_examined, 4);
@@ -249,7 +259,7 @@ TEST(ScanIndexTest, EmptyResultForDistantQuery) {
   Table t = MakeRandomTable(2, 100, 3);
   ScanIndex scan(t);
   const double c[] = {100.0, 100.0};
-  EXPECT_TRUE(scan.RadiusSearch(c, 0.5, LpNorm::L2()).empty());
+  EXPECT_TRUE(CollectIds(scan, c, 0.5, LpNorm::L2()).empty());
 }
 
 // ---------- KdTree ----------
@@ -258,7 +268,7 @@ TEST(KdTreeTest, EmptyTable) {
   Table t(2);
   KdTree tree(t);
   const double c[] = {0.5, 0.5};
-  EXPECT_TRUE(tree.RadiusSearch(c, 10.0, LpNorm::L2()).empty());
+  EXPECT_TRUE(CollectIds(tree, c, 10.0, LpNorm::L2()).empty());
   EXPECT_TRUE(tree.NearestNeighbors(c, 3).empty());
 }
 
@@ -267,7 +277,7 @@ TEST(KdTreeTest, SingleRow) {
   ASSERT_TRUE(t.Append({0.5, 0.5}, 1.0).ok());
   KdTree tree(t);
   const double c[] = {0.4, 0.5};
-  auto ids = tree.RadiusSearch(c, 0.2, LpNorm::L2());
+  auto ids = CollectIds(tree, c, 0.2, LpNorm::L2());
   EXPECT_EQ(ids, (std::vector<int64_t>{0}));
   auto nn = tree.NearestNeighbors(c, 1);
   ASSERT_EQ(nn.size(), 1u);
@@ -280,7 +290,7 @@ TEST(KdTreeTest, DuplicatePointsAllReturned) {
   for (int i = 0; i < 50; ++i) ASSERT_TRUE(t.Append({0.5, 0.5}, i).ok());
   KdTree tree(t, 8);
   const double c[] = {0.5, 0.5};
-  EXPECT_EQ(tree.RadiusSearch(c, 0.01, LpNorm::L2()).size(), 50u);
+  EXPECT_EQ(CollectIds(tree, c, 0.01, LpNorm::L2()).size(), 50u);
 }
 
 // Property: kd-tree selection == scan selection for random tables, queries,
@@ -302,8 +312,8 @@ TEST_P(KdTreeEquivalenceTest, MatchesScan) {
     std::vector<double> c(static_cast<size_t>(d));
     for (auto& v : c) v = rng.Uniform(-0.2, 1.2);
     const double radius = rng.Uniform(0.01, 0.5);
-    auto a = scan.RadiusSearch(c.data(), radius, norm);
-    auto b = tree.RadiusSearch(c.data(), radius, norm);
+    auto a = CollectIds(scan, c.data(), radius, norm);
+    auto b = CollectIds(tree, c.data(), radius, norm);
     std::sort(a.begin(), a.end());
     std::sort(b.begin(), b.end());
     EXPECT_EQ(a, b) << "d=" << d << " leaf=" << leaf << " p=" << p
@@ -323,8 +333,8 @@ TEST(KdTreeTest, ExaminesFewerTuplesThanScan) {
   KdTree tree(t);
   const double c[] = {0.5, 0.5};
   SelectionStats ss, ts;
-  scan.RadiusSearch(c, 0.05, LpNorm::L2(), &ss);
-  tree.RadiusSearch(c, 0.05, LpNorm::L2(), &ts);
+  CollectIds(scan, c, 0.05, LpNorm::L2(), &ss);
+  CollectIds(tree, c, 0.05, LpNorm::L2(), &ts);
   EXPECT_EQ(ss.tuples_matched, ts.tuples_matched);
   EXPECT_LT(ts.tuples_examined, ss.tuples_examined / 4)
       << "kd-tree should prune most of the table for a small ball";
