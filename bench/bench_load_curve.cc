@@ -390,7 +390,6 @@ int Run(bool smoke) {
   cfg.enable_cache = false;
   cfg.num_threads = 2;
   cfg.queue_capacity = 1024;
-  cfg.overload = service::OverloadPolicy::kShed;
   service::QueryRouter router(&catalog, cfg);
 
   const query::WorkloadConfig wl = query::WorkloadConfig::Cube(

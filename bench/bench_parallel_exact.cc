@@ -133,14 +133,15 @@ void Run() {
     ExactAnswers reference;  // The inline run's answers.
     Timing inline_timing;
     for (const int64_t threads : thread_counts) {
+      // One engine per thread count; 0 threads runs the partitions inline.
       std::unique_ptr<util::ThreadPool> pool;
-      query::ExactEngine engine(bundle.table(), *path.index);
+      query::ParallelOptions par;
       if (threads > 0) {
         pool = std::make_unique<util::ThreadPool>(static_cast<size_t>(threads));
-        query::ParallelOptions par;
         par.pool = pool.get();
-        engine.set_parallel(par);
       }
+      query::ExactEngine engine(bundle.table(), *path.index,
+                                storage::LpNorm::L2(), par);
 
       (void)MeasureEngine(engine, queries, nullptr);  // Untimed warm-up.
       ExactAnswers answers;

@@ -50,6 +50,11 @@ util::Status ServerConfig::Validate() const {
     return util::Status::InvalidArgument(
         "ServerConfig: max_connections must be >= 1");
   }
+  if (max_pipeline == 0) {
+    return util::Status::InvalidArgument(
+        "ServerConfig: max_pipeline must be >= 1 (0 would shed every "
+        "request)");
+  }
   if (drain_timeout_millis < 0) {
     return util::Status::InvalidArgument(
         util::Format("ServerConfig: drain_timeout_millis must be >= 0 "
@@ -120,8 +125,8 @@ struct Server::Connection {
   int64_t armed_deadline = -1;  // Live wheel-entry key; -1 = not armed.
   size_t pending_out = 0;       // Cached pending write bytes (accounting).
 
-  Connection(uint64_t id_in, int handle_in, size_t max_payload)
-      : id(id_in), handle(handle_in), decoder(max_payload) {}
+  Connection(uint64_t id_in, int handle_in)
+      : id(id_in), handle(handle_in), decoder(kMaxPayloadBytes) {}
 
   size_t outstanding() const { return pending.size() + in_flight; }
   bool flushed() const { return outq.empty() && loop_out.empty(); }
@@ -454,8 +459,7 @@ void Server::EventLoop(Loop* loop) {
 
 void Server::RegisterConnection(Loop* loop, int handle) {
   const uint64_t id = loop->next_conn_id++;
-  auto conn =
-      std::make_unique<Connection>(id, handle, config_.max_payload_bytes);
+  auto conn = std::make_unique<Connection>(id, handle);
   conn->last_activity_nanos = Now();
   Connection* raw = conn.get();
   loop->conns.emplace(id, std::move(conn));

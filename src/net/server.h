@@ -95,12 +95,9 @@ struct ServerConfig {
 
   /// Per-connection ceiling on decoded-but-unanswered requests. Frames
   /// beyond it are answered immediately with kResourceExhausted (server-side
-  /// admission shed) instead of buffering without bound.
+  /// admission shed) instead of buffering without bound. Must be ≥ 1
+  /// (Validate enforces it).
   size_t max_pipeline = 1024;
-
-  /// Frames whose payload exceeds this are rejected as malformed before any
-  /// buffering.
-  size_t max_payload_bytes = kMaxPayloadBytes;
 
   /// Global cap across *all* loops (one shared atomic count, so N loops
   /// cannot collectively accept N× the limit). Connections beyond it are

@@ -97,8 +97,8 @@ inline void AppendFrame(std::vector<uint8_t>* out, FrameType type,
 /// no resynchronization on a corrupted stream.
 class FrameDecoder {
  public:
-  explicit FrameDecoder(size_t max_payload_bytes = kMaxPayloadBytes)
-      : max_payload_(max_payload_bytes) {}
+  explicit FrameDecoder(size_t max_payload = kMaxPayloadBytes)
+      : max_payload_(max_payload) {}
 
   enum class Event {
     kNeedMore,  ///< No complete frame buffered; feed more bytes.

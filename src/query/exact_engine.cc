@@ -35,24 +35,23 @@ util::Status CheckAdmission(const util::ExecControl* control, ExecStats* stats,
   return st;
 }
 
+// The plan size: the caller's target, else the data-driven default.
+size_t PlanSize(const storage::Table& table, const ParallelOptions& parallel) {
+  if (parallel.target_partitions > 0) return parallel.target_partitions;
+  return static_cast<size_t>(std::max<int64_t>(
+      1, std::min(kMaxPartitions, table.num_rows() / kRowsPerPartition)));
+}
+
 }  // namespace
 
 ExactEngine::ExactEngine(const storage::Table& table,
                          const storage::SpatialIndex& index,
-                         storage::LpNorm norm)
-    : table_(table), index_(index), norm_(norm) {
-  set_parallel(ParallelOptions());
-}
-
-void ExactEngine::set_parallel(ParallelOptions options) {
-  parallel_ = options;
-  size_t target = parallel_.target_partitions;
-  if (target == 0) {
-    target = static_cast<size_t>(std::max<int64_t>(
-        1, std::min(kMaxPartitions, table_.num_rows() / kRowsPerPartition)));
-  }
-  plan_ = index_.MakePartitions(target);
-}
+                         storage::LpNorm norm, ParallelOptions parallel)
+    : table_(table),
+      index_(index),
+      norm_(norm),
+      parallel_(parallel),
+      plan_(index.MakePartitions(PlanSize(table, parallel))) {}
 
 template <typename Kernel>
 util::Status ExactEngine::Reduce(const Query& q, Kernel* total,

@@ -16,13 +16,13 @@
 // Reduce has one path. It splits the selection into the engine's partition
 // plan (computed once, from the data), gives each partition its own copy of
 // the zeroed state (the MADlib-style transition state), runs the partitions
-// through util::RunChunks — on a ThreadPool when one is attached, inline
-// otherwise — and merges the partials in plan order. The plan and the merge
-// order depend only on the data, so an answer is bit-for-bit the same with
-// or without a pool, at any worker count, and with or without a deadline or
-// cancel token to honor. Scalar accumulators are Kahan-compensated; see
-// scan_kernels.h for why determinism nevertheless comes from the
-// plan-order merge, not the compensation.
+// through util::RunChunks — on the ThreadPool the engine was built with,
+// inline without one — and merges the partials in plan order. The plan and
+// the merge order depend only on the data, so an answer is bit-for-bit the
+// same with or without a pool, at any worker count, and with or without a
+// deadline or cancel token to honor. Scalar accumulators are
+// Kahan-compensated; see scan_kernels.h for why determinism nevertheless
+// comes from the plan-order merge, not the compensation.
 
 #ifndef QREG_QUERY_EXACT_ENGINE_H_
 #define QREG_QUERY_EXACT_ENGINE_H_
@@ -89,10 +89,12 @@ struct MomentsResult {
 /// \brief Exact Q1/Q2 executor over a table + access path.
 class ExactEngine {
  public:
-  /// Both referents must outlive the engine. The partition plan is computed
-  /// here (and again only by set_parallel), not per query.
+  /// Both referents (and `parallel.pool`, when set) must outlive the
+  /// engine, which never owns the pool. The partition plan is computed here,
+  /// once, not per query; the engine is immutable afterwards.
   ExactEngine(const storage::Table& table, const storage::SpatialIndex& index,
-              storage::LpNorm norm = storage::LpNorm::L2());
+              storage::LpNorm norm = storage::LpNorm::L2(),
+              ParallelOptions parallel = ParallelOptions());
 
   /// Q1: mean of u over D(x, θ). NotFound if the subspace is empty.
   ///
@@ -129,13 +131,6 @@ class ExactEngine {
       const Query& q, ExecStats* stats = nullptr,
       const util::ExecControl* control = nullptr) const;
 
-  /// Attaches (or, with a default-constructed value, detaches) intra-query
-  /// parallelism and recomputes the partition plan. Not thread-safe against
-  /// in-flight queries: configure before serving traffic. The engine never
-  /// owns the pool.
-  void set_parallel(ParallelOptions options);
-  const ParallelOptions& parallel() const { return parallel_; }
-
   /// The partition plan every query runs.
   const std::vector<storage::ScanPartition>& PartitionPlan() const {
     return plan_;
@@ -157,9 +152,9 @@ class ExactEngine {
 
   const storage::Table& table_;
   const storage::SpatialIndex& index_;
-  storage::LpNorm norm_;
-  ParallelOptions parallel_;
-  std::vector<storage::ScanPartition> plan_;
+  const storage::LpNorm norm_;
+  const ParallelOptions parallel_;
+  const std::vector<storage::ScanPartition> plan_;
 };
 
 }  // namespace query

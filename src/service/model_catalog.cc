@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <thread>
 #include <utility>
 
@@ -35,31 +34,6 @@ constexpr int64_t kTrainWaitSliceNanos = 1000000;
 constexpr int64_t kTrainWaitMaxSliceNanos = 3600LL * 1000000000;  // 1 hour.
 
 }  // namespace
-
-ModelCatalog::ModelCatalog(size_t num_shards) {
-  if (num_shards == 0) num_shards = 1;
-  shards_.reserve(num_shards);
-  for (size_t i = 0; i < num_shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
-
-ModelCatalog::Shard& ModelCatalog::ShardFor(const std::string& name) const {
-  return *shards_[std::hash<std::string>{}(name) % shards_.size()];
-}
-
-void ModelCatalog::SetParallelism(query::ParallelOptions options) {
-  // parallel_mu_ is held across the whole update, and Register also inserts
-  // under it (lock order: parallel_mu_ -> shard.mu in both paths), so an
-  // entry either gets the new options applied here or reads them at
-  // registration — never a stale pool pointer in between.
-  util::MutexLock parallel_lock(&parallel_mu_);
-  parallel_ = options;
-  for (auto& shard : shards_) {
-    util::MutexLock lock(&shard->mu);
-    for (auto& kv : shard->entries) kv.second->engine->set_parallel(options);
-  }
-}
 
 CatalogOptions CatalogOptions::ForCube(size_t d, double lo, double hi,
                                        double theta_mean, double theta_stddev,
@@ -107,27 +81,20 @@ util::Status ModelCatalog::Register(const std::string& name,
   entry->opts = std::move(opts);
   entry->engine = std::make_unique<query::ExactEngine>(*table, *index, norm);
 
-  // Configure the engine and publish the entry under one parallel_mu_ hold
-  // so a concurrent SetParallelism either sees this entry in the shard map
-  // or is read here — never misses it with stale options.
-  util::MutexLock parallel_lock(&parallel_mu_);
-  entry->engine->set_parallel(parallel_);
-  Shard& shard = ShardFor(name);
-  util::MutexLock lock(&shard.mu);
-  if (shard.entries.count(name) > 0) {
+  util::MutexLock lock(&mu_);
+  if (entries_.count(name) > 0) {
     return util::Status::AlreadyExists(
         util::Format("dataset '%s' is already registered", name.c_str()));
   }
-  shard.entries.emplace(name, std::move(entry));
+  entries_.emplace(name, std::move(entry));
   return util::Status::OK();
 }
 
 std::shared_ptr<ModelCatalog::Entry> ModelCatalog::FindEntry(
     const std::string& name) const {
-  Shard& shard = ShardFor(name);
-  util::MutexLock lock(&shard.mu);
-  auto it = shard.entries.find(name);
-  return it == shard.entries.end() ? nullptr : it->second;
+  util::MutexLock lock(&mu_);
+  auto it = entries_.find(name);
+  return it == entries_.end() ? nullptr : it->second;
 }
 
 CatalogSnapshot ModelCatalog::MakeSnapshot(
@@ -494,28 +461,21 @@ util::Status ModelCatalog::SaveModel(const std::string& name,
 }
 
 bool ModelCatalog::Contains(const std::string& name) const {
-  Shard& shard = ShardFor(name);
-  util::MutexLock lock(&shard.mu);
-  return shard.entries.count(name) > 0;
+  util::MutexLock lock(&mu_);
+  return entries_.count(name) > 0;
 }
 
 std::vector<std::string> ModelCatalog::Names() const {
+  util::MutexLock lock(&mu_);
   std::vector<std::string> names;
-  for (const auto& shard : shards_) {
-    util::MutexLock lock(&shard->mu);
-    for (const auto& kv : shard->entries) names.push_back(kv.first);
-  }
-  std::sort(names.begin(), names.end());  // Shard hash order is meaningless.
+  names.reserve(entries_.size());
+  for (const auto& kv : entries_) names.push_back(kv.first);  // Map order.
   return names;
 }
 
 size_t ModelCatalog::size() const {
-  size_t total = 0;
-  for (const auto& shard : shards_) {
-    util::MutexLock lock(&shard->mu);
-    total += shard->entries.size();
-  }
-  return total;
+  util::MutexLock lock(&mu_);
+  return entries_.size();
 }
 
 }  // namespace service

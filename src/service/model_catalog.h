@@ -140,14 +140,11 @@ struct RetrainOutcome {
 
 /// \brief Thread-safe registry of datasets and their trained models.
 ///
-/// Entries are distributed over `num_shards` lock shards by name hash, so
-/// concurrent lookups of different datasets never serialize on one mutex;
-/// a lookup locks only its own shard for the duration of a map find.
+/// One mutex guards the name → entry map, held only for a map find or
+/// insert — never across training (that is the per-entry train_mu's job).
 class ModelCatalog {
  public:
-  /// `num_shards` is clamped to at least 1. The default spreads well for
-  /// catalogs of up to a few hundred datasets.
-  explicit ModelCatalog(size_t num_shards = 8);
+  ModelCatalog() = default;
 
   ModelCatalog(const ModelCatalog&) = delete;
   ModelCatalog& operator=(const ModelCatalog&) = delete;
@@ -222,15 +219,8 @@ class ModelCatalog {
   util::Result<RetrainOutcome> MaybeRetrain(const std::string& name);
 
   bool Contains(const std::string& name) const;
-  std::vector<std::string> Names() const;  ///< Sorted across all shards.
+  std::vector<std::string> Names() const;  ///< Sorted.
   size_t size() const;
-
-  /// Attaches intra-query parallelism to every registered exact engine
-  /// (and to engines registered later). The pool is borrowed: callers must
-  /// either keep it alive for the catalog's lifetime or detach it again
-  /// (nullptr pool) before destroying it. Not thread-safe against in-flight
-  /// queries: configure during setup, as with ExactEngine::set_parallel.
-  void SetParallelism(query::ParallelOptions options);
 
  private:
   // Everything produced by training, published as one immutable block so
@@ -293,13 +283,6 @@ class ModelCatalog {
     int64_t residual_count QREG_GUARDED_BY(residual_mu) = 0;
   };
 
-  // One lock shard: the mutex guards this shard's map only, never entry
-  // training (that is the per-entry train_mu's job).
-  struct Shard {
-    mutable util::Mutex mu;
-    std::map<std::string, std::shared_ptr<Entry>> entries QREG_GUARDED_BY(mu);
-  };
-
   CatalogSnapshot MakeSnapshot(const Entry& e,
                                std::shared_ptr<const TrainedState> trained) const;
   /// GetOrTrain with the pool an elected trainer runs its scans on (null =
@@ -324,14 +307,10 @@ class ModelCatalog {
   /// still serves).
   void SetupDrift(Entry* e, const core::LlmModel& model);
 
-  Shard& ShardFor(const std::string& name) const;
   std::shared_ptr<Entry> FindEntry(const std::string& name) const;
 
-  std::vector<std::unique_ptr<Shard>> shards_;  // Fixed size after ctor.
-  // Serializes Register against SetParallelism (lock order: parallel_mu_
-  // before shard.mu) so no entry is ever published with stale options.
-  mutable util::Mutex parallel_mu_;
-  query::ParallelOptions parallel_ QREG_GUARDED_BY(parallel_mu_);
+  mutable util::Mutex mu_;
+  std::map<std::string, std::shared_ptr<Entry>> entries_ QREG_GUARDED_BY(mu_);
 };
 
 }  // namespace service

@@ -35,24 +35,7 @@ QueryRouter::QueryRouter(ModelCatalog* catalog, RouterConfig config)
     : catalog_(catalog),
       config_(config),
       cache_(config.cache),
-      stats_(config.latency_window),
-      pool_(std::make_unique<util::ThreadPool>(config.num_threads,
-                                               config.queue_capacity)) {
-  if (config_.exact_threads > 0) {
-    exact_pool_ = std::make_unique<util::ThreadPool>(config_.exact_threads);
-    query::ParallelOptions par;
-    par.pool = exact_pool_.get();
-    catalog_->SetParallelism(par);
-  }
-}
-
-QueryRouter::~QueryRouter() {
-  // Drain the batch pool first (queued drift probes may still touch the
-  // catalog's engines), then detach the exact-scan pool so the engines
-  // never hold a dangling pool pointer.
-  pool_.reset();
-  if (exact_pool_) catalog_->SetParallelism(query::ParallelOptions());
-}
+      pool_(config.num_threads, config.queue_capacity) {}
 
 std::string QueryRouter::ShardKey(const Request& request, int64_t generation) {
   return request.dataset + "/g" + std::to_string(generation) + "/" +
@@ -371,14 +354,14 @@ void QueryRouter::ScheduleDriftProbe(const std::string& dataset) {
   // TrySubmit, never Submit: a saturated pool just skips this probe — the
   // observation counter makes another one due an interval later. With a
   // synchronous pool the probe runs inline (deterministic, test-friendly).
-  (void)pool_->TrySubmit([this, dataset] { (void)MaybeRetrain(dataset); });
+  (void)pool_.TrySubmit([this, dataset] { (void)MaybeRetrain(dataset); });
 }
 
 std::vector<ExecResult> QueryRouter::ExecuteBatch(
     const std::vector<Request>& batch) {
   std::vector<ExecResult> results(
       batch.size(), ExecResult(util::Status::Internal("request not executed")));
-  if (pool_->num_threads() == 0) {
+  if (pool_.num_threads() == 0) {
     for (size_t i = 0; i < batch.size(); ++i) results[i] = Execute(batch[i]);
     return results;
   }
@@ -388,9 +371,7 @@ std::vector<ExecResult> QueryRouter::ExecuteBatch(
       results[i] = Execute(batch[i]);
       done.DecrementCount();
     };
-    if (config_.overload == OverloadPolicy::kBlock) {
-      pool_->Submit(task);
-    } else if (!pool_->TrySubmit(task)) {
+    if (!pool_.TrySubmit(task)) {
       // Graceful degradation: serve stale-but-bounded answers from the
       // δ-cache, or fail fast with a typed status — never block the batch.
       results[i] = ExecuteShed(batch[i]);

@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -54,16 +53,6 @@ enum class RoutePolicy : int {
   kExactOnly = 2,
 };
 
-/// \brief What ExecuteBatch does when the worker queue is saturated.
-enum class OverloadPolicy : int {
-  /// Shed load: a request that cannot be enqueued is answered from the
-  /// δ-overlap cache if possible, otherwise rejected in-slot with a typed
-  /// kResourceExhausted status. The batch call never blocks on a full queue.
-  kShed = 0,
-  /// Block in Submit until queue space frees (backpressure on the caller).
-  kBlock = 1,
-};
-
 /// \brief Router configuration.
 struct RouterConfig {
   RoutePolicy policy = RoutePolicy::kHybrid;
@@ -78,20 +67,12 @@ struct RouterConfig {
   /// Worker threads for ExecuteBatch; 0 executes batches synchronously on
   /// the calling thread.
   size_t num_threads = 0;
+
+  /// Worker-queue bound. ExecuteBatch never blocks on a full queue: a
+  /// request that cannot be enqueued is shed — answered from the δ-overlap
+  /// cache if possible, otherwise rejected in-slot with a typed
+  /// kResourceExhausted status.
   size_t queue_capacity = 256;
-
-  /// Saturation behavior of ExecuteBatch (ROADMAP "graceful degradation").
-  OverloadPolicy overload = OverloadPolicy::kShed;
-
-  /// Intra-query parallelism for the exact path: worker threads of a second,
-  /// router-owned pool that the exact engines' partitions fan out on. 0
-  /// runs the partitions inline, with the same answers. Applied to the catalog's engines
-  /// at construction (and detached at destruction), so configure one router
-  /// per catalog when using this.
-  size_t exact_threads = 0;
-
-  /// Latency samples retained for p50/p99 (see ServiceStats).
-  size_t latency_window = 1 << 16;
 };
 
 /// \brief One query against a registered dataset.
@@ -180,12 +161,8 @@ using ExecResult = util::Result<Answer, ExecError>;
 /// \brief Concurrent Q1/Q2 front door over a ModelCatalog.
 class QueryRouter {
  public:
-  /// `catalog` is borrowed and must outlive the router. With
-  /// `exact_threads > 0` the router attaches its exact-scan pool to the
-  /// catalog's engines for its own lifetime (detached again in ~QueryRouter).
+  /// `catalog` is borrowed and must outlive the router.
   explicit QueryRouter(ModelCatalog* catalog, RouterConfig config = RouterConfig());
-
-  ~QueryRouter();
 
   QueryRouter(const QueryRouter&) = delete;
   QueryRouter& operator=(const QueryRouter&) = delete;
@@ -200,7 +177,8 @@ class QueryRouter {
 
   /// Serves a batch in parallel on the worker pool; results are positionally
   /// aligned with `batch`. Per-request failures (e.g. empty subspace on the
-  /// exact path) are returned in-slot, never thrown across the batch.
+  /// exact path, or a shed on a full queue) are returned in-slot, never
+  /// thrown across the batch.
   std::vector<ExecResult> ExecuteBatch(const std::vector<Request>& batch);
 
   /// Drift maintenance: probes the dataset's model and, when the drift
@@ -229,7 +207,7 @@ class QueryRouter {
   ServiceStats* stats_sink() { return &stats_; }
 
   /// The batch worker pool — exposed so tests can saturate it on purpose.
-  util::ThreadPool* pool_for_testing() { return pool_.get(); }
+  util::ThreadPool* pool_for_testing() { return &pool_; }
 
  private:
   /// `outcome` collects what the returned ExecError cannot locate on its
@@ -272,10 +250,9 @@ class QueryRouter {
   RouterConfig config_;
   AnswerCache cache_;
   ServiceStats stats_;
-  // Owned via pointer so ~QueryRouter can drain in-flight batch tasks and
-  // drift probes *before* detaching the exact pool from the catalog.
-  std::unique_ptr<util::ThreadPool> pool_;
-  std::unique_ptr<util::ThreadPool> exact_pool_;  // Only if exact_threads > 0.
+  // Declared last so it is destroyed first: in-flight batch tasks and
+  // drift probes drain before the cache and stats they write go away.
+  util::ThreadPool pool_;
 };
 
 }  // namespace service

@@ -465,10 +465,9 @@ TEST(BlockKernelEngineTest, BitForBitAcrossThreadCountsAndSerial) {
   for (const storage::SpatialIndex* index :
        {static_cast<const storage::SpatialIndex*>(&scan),
         static_cast<const storage::SpatialIndex*>(&tree)}) {
-    ExactEngine inline_engine(table, *index);
     ParallelOptions inline_par;
     inline_par.target_partitions = 12;
-    inline_engine.set_parallel(inline_par);
+    ExactEngine inline_engine(table, *index, storage::LpNorm::L2(), inline_par);
 
     const Query q({0.4, 0.6, 0.5}, 0.35);
     const auto want_mean = inline_engine.MeanValue(q);
@@ -479,11 +478,10 @@ TEST(BlockKernelEngineTest, BitForBitAcrossThreadCountsAndSerial) {
 
     for (size_t threads : {1u, 2u, 8u}) {
       util::ThreadPool pool(threads);
-      ExactEngine engine(table, *index);
       ParallelOptions par;
       par.pool = &pool;
       par.target_partitions = 12;
-      engine.set_parallel(par);
+      ExactEngine engine(table, *index, storage::LpNorm::L2(), par);
 
       EXPECT_EQ(engine.MeanValue(q)->mean, want_mean->mean) << index->name();
       EXPECT_EQ(engine.MeanValue(q)->count, want_mean->count);
@@ -513,10 +511,9 @@ TEST(BlockKernelEngineTest, BitForBitAcrossThreadCountsAndSerial) {
 TEST(BlockKernelEngineTest, MidScanTripLeavesConsistentChunkAccounting) {
   storage::Table table = MakeTable(2, 8000, 29);
   storage::ScanIndex scan(table);
-  ExactEngine engine(table, scan);
   ParallelOptions par;
   par.target_partitions = 8;
-  engine.set_parallel(par);
+  ExactEngine engine(table, scan, storage::LpNorm::L2(), par);
 
   const Query q({0.5, 0.5}, 10.0);  // All-covering: every chunk has work.
 

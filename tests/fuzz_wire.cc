@@ -19,7 +19,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   using qreg::net::Frame;
   using qreg::net::FrameDecoder;
 
-  FrameDecoder decoder(/*max_payload_bytes=*/1 << 20);
+  FrameDecoder decoder(/*max_payload=*/1 << 20);
 
   // Chunk-size schedule: a tiny LCG seeded from the input so the split
   // points are fuzz-controlled but deterministic per input.

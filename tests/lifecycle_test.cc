@@ -117,11 +117,10 @@ TEST(LifecycleControlTest, NewStatusCodesRoundTrip) {
 // inline chunks (no pool) so chunk order is deterministic: 0, 1, 2, ...
 std::unique_ptr<query::ExactEngine> PartitionedScanEngine(size_t partitions = 8) {
   EngineFixture* f = testsupport::SharedParallelFixture();
-  auto engine = std::make_unique<query::ExactEngine>(f->dataset->table, *f->scan);
   query::ParallelOptions par;
   par.target_partitions = partitions;
-  engine->set_parallel(par);
-  return engine;
+  return std::make_unique<query::ExactEngine>(
+      f->dataset->table, *f->scan, storage::LpNorm::L2(), par);
 }
 
 // A ball covering the whole table: every partition has rows to visit.
@@ -210,11 +209,11 @@ TEST(LifecycleEngineTest, PooledScanDrainsWithoutExecutingAfterTrip) {
   // scan must still terminate (claimed-and-skipped fast drain).
   EngineFixture* f = testsupport::SharedParallelFixture();
   util::ThreadPool pool(4);
-  query::ExactEngine engine(f->dataset->table, *f->scan);
   query::ParallelOptions par;
   par.pool = &pool;
   par.target_partitions = 16;
-  engine.set_parallel(par);
+  query::ExactEngine engine(f->dataset->table, *f->scan,
+                            storage::LpNorm::L2(), par);
 
   util::CancellationToken token = util::CancellationToken::Cancellable();
   util::ExecControl ctl;
@@ -762,7 +761,6 @@ TEST(LifecycleRouterTest, CancelledRequestOnShedPathStaysCancelled) {
   cfg.cache.delta_min = 1.0;
   cfg.num_threads = 1;
   cfg.queue_capacity = 1;
-  cfg.overload = service::OverloadPolicy::kShed;
   QueryRouter router(testsupport::SharedCatalog(), cfg);
 
   // Warm the cache inline, then saturate: gate the lone worker and fill
@@ -800,7 +798,6 @@ TEST(LifecycleRouterTest, ExpiredDeadlineOnShedPathStaysTypedReject) {
   cfg.cache.delta_min = 1.0;
   cfg.num_threads = 1;
   cfg.queue_capacity = 1;
-  cfg.overload = service::OverloadPolicy::kShed;
   QueryRouter router(testsupport::SharedCatalog(), cfg);
 
   Request warm = Request::Q1("r1", query::Query({0.5, 0.5}, 0.1));
@@ -877,9 +874,8 @@ TEST(LifecycleRouterTest, ErrorPathCarriesPartialExecStats) {
                   .Register("scan", &f->dataset->table, f->scan.get(),
                             testsupport::DefaultCatalogOptions())
                   .ok());
-  query::ParallelOptions par;
-  par.target_partitions = 8;  // Inline, deterministic chunk order 0, 1, ...
-  catalog.SetParallelism(par);
+  // The catalog's default plan: 20000 rows / 8192 per partition = 2
+  // partitions, run inline in deterministic chunk order 0, 1.
 
   RouterConfig cfg;
   cfg.policy = RoutePolicy::kExactOnly;  // No model: the error is terminal.
@@ -890,15 +886,15 @@ TEST(LifecycleRouterTest, ErrorPathCarriesPartialExecStats) {
   Request r = Request::Q1("scan", query::Query({0.5, 0.5}, 100.0));
   r.deadline = util::Deadline::AtNanos(1000, &clock);
   r.on_chunk_for_testing = [&clock](size_t chunk) {
-    if (chunk == 2) clock.SetNanos(2000);  // Trip before the third chunk.
+    if (chunk == 1) clock.SetNanos(2000);  // Trip before the second chunk.
   };
 
   auto got = router.Execute(r);
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), util::StatusCode::kDeadlineExceeded);
   const query::ExecStats& err = got.error().partial;
-  EXPECT_EQ(err.chunks_completed, 2);  // Chunks 0 and 1 ran; 2 aborted.
-  EXPECT_EQ(err.chunks_total, 8);
+  EXPECT_EQ(err.chunks_completed, 1);  // Chunk 0 ran; 1 aborted.
+  EXPECT_EQ(err.chunks_total, 2);
   EXPECT_GT(err.tuples_examined, 0);  // The partial scan work, preserved.
   EXPECT_GT(err.nanos, 0);            // Total serving latency.
 

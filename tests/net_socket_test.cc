@@ -223,6 +223,15 @@ TEST(NetServerTest, ConfigValidateRejectsBadConfigsBeforeAnySocket) {
     EXPECT_EQ(cfg.Validate().code(), util::StatusCode::kInvalidArgument);
   }
   {
+    // A zero pipeline bound would shed every request the server decodes.
+    ServerConfig cfg;
+    cfg.max_pipeline = 0;
+    EXPECT_EQ(cfg.Validate().code(), util::StatusCode::kInvalidArgument);
+    Server server(&router, cfg);
+    EXPECT_EQ(server.Start().status().code(),
+              util::StatusCode::kInvalidArgument);
+  }
+  {
     // A negative drain timeout would turn every Shutdown() into an instant
     // force-close; reject it as the typo it is.
     ServerConfig cfg;
@@ -470,7 +479,6 @@ TEST(NetServerTest, SaturatedRouterShedsWithTypedFramesNotConnectionDrops) {
   cfg.enable_cache = false;  // Shed must reject, not answer from cache.
   cfg.num_threads = 1;
   cfg.queue_capacity = 4;
-  cfg.overload = service::OverloadPolicy::kShed;
   service::QueryRouter router(SharedCatalog(), cfg);
 
   Server server(&router);

@@ -161,19 +161,18 @@ TEST(ParallelExactTest, BitForBitIdenticalAcrossThreadCounts) {
        {static_cast<const storage::SpatialIndex*>(f->scan.get()),
         static_cast<const storage::SpatialIndex*>(f->kdtree.get())}) {
     // Baseline: the partitioned reduction run inline (no pool at all).
-    ExactEngine inline_engine(f->dataset->table, *index);
     ParallelOptions inline_par;
     inline_par.target_partitions = 16;
-    inline_engine.set_parallel(inline_par);
+    ExactEngine inline_engine(f->dataset->table, *index,
+                              storage::LpNorm::L2(), inline_par);
     const AllAnswers want = Collect(inline_engine, qs);
 
     for (size_t threads : {1u, 2u, 4u, 8u}) {
       util::ThreadPool pool(threads);
-      ExactEngine engine(f->dataset->table, *index);
       ParallelOptions par;
       par.pool = &pool;
       par.target_partitions = 16;
-      engine.set_parallel(par);
+      ExactEngine engine(f->dataset->table, *index, storage::LpNorm::L2(), par);
       ExpectBitwiseEqual(want, Collect(engine, qs));
     }
   }
@@ -194,10 +193,9 @@ TEST(ParallelExactTest, SameBitsWithoutControlWithFarDeadlineAndWithPool) {
   for (const storage::SpatialIndex* index : BothIndexes()) {
     ExactEngine plain(f->dataset->table, *index);
     ASSERT_GE(plain.PartitionPlan().size(), 2u) << index->name();
-    ExactEngine pooled(f->dataset->table, *index);
     ParallelOptions par;
     par.pool = &pool;
-    pooled.set_parallel(par);
+    ExactEngine pooled(f->dataset->table, *index, storage::LpNorm::L2(), par);
 
     const AllAnswers want = Collect(plain, qs);
     ExpectBitwiseEqual(want, Collect(plain, qs, &far));
@@ -216,10 +214,9 @@ TEST(ParallelExactTest, OnePartitionMergeMatchesSerialBitForBit) {
   const size_t d = f->dataset->table.dimension();
   const storage::LpNorm norm = storage::LpNorm::L2();
   for (const storage::SpatialIndex* index : BothIndexes()) {
-    ExactEngine one_part(f->dataset->table, *index);
     ParallelOptions par;
     par.target_partitions = 1;
-    one_part.set_parallel(par);
+    ExactEngine one_part(f->dataset->table, *index, storage::LpNorm::L2(), par);
     ASSERT_EQ(one_part.PartitionPlan().size(), 1u) << index->name();
 
     for (const Query& q : TestQueries(25, 59)) {
@@ -279,10 +276,10 @@ TEST(ParallelExactTest, MatchesSequentialEngine) {
   util::ThreadPool pool(4);
 
   ExactEngine sequential(f->dataset->table, *f->kdtree);
-  ExactEngine parallel(f->dataset->table, *f->kdtree);
   ParallelOptions par;
   par.pool = &pool;
-  parallel.set_parallel(par);
+  ExactEngine parallel(f->dataset->table, *f->kdtree,
+                       storage::LpNorm::L2(), par);
 
   int64_t nonempty = 0;
   for (const Query& q : TestQueries(40, 53)) {
@@ -312,10 +309,9 @@ TEST(ParallelExactTest, MatchesSequentialEngine) {
 TEST(ParallelExactTest, EmptySubspaceIsNotFound) {
   Fixture* f = SharedFixture();
   util::ThreadPool pool(2);
-  ExactEngine engine(f->dataset->table, *f->kdtree);
   ParallelOptions par;
   par.pool = &pool;
-  engine.set_parallel(par);
+  ExactEngine engine(f->dataset->table, *f->kdtree, storage::LpNorm::L2(), par);
 
   const Query far_away({50.0, 50.0}, 0.01);
   EXPECT_EQ(engine.MeanValue(far_away).status().code(),
@@ -336,17 +332,16 @@ TEST(ParallelExactTest, NestedOnSharedPoolCompletes) {
   Fixture* f = SharedFixture();
   const std::vector<Query> qs = TestQueries(12, 61);
 
-  ExactEngine inline_engine(f->dataset->table, *f->scan);
   ParallelOptions inline_par;
   inline_par.target_partitions = 8;
-  inline_engine.set_parallel(inline_par);
+  ExactEngine inline_engine(f->dataset->table, *f->scan,
+                            storage::LpNorm::L2(), inline_par);
 
   util::ThreadPool pool(2, /*queue_capacity=*/4);
-  ExactEngine engine(f->dataset->table, *f->scan);
   ParallelOptions par;
   par.pool = &pool;
   par.target_partitions = 8;
-  engine.set_parallel(par);
+  ExactEngine engine(f->dataset->table, *f->scan, storage::LpNorm::L2(), par);
 
   std::vector<double> means(qs.size(), 0.0);
   util::BlockingCounter done(static_cast<int64_t>(qs.size()));

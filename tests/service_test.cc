@@ -909,7 +909,7 @@ TEST(AnswerCacheConcurrencyTest, LookupsNeverTornDuringInsertAndErase) {
 
 TEST(ModelCatalogShardingTest, ManyDatasetsAcrossShards) {
   TestData* d = SharedData();
-  ModelCatalog catalog(/*num_shards=*/4);
+  ModelCatalog catalog;
   std::vector<std::string> names;
   for (int i = 0; i < 12; ++i) names.push_back("ds" + std::to_string(i));
   for (const std::string& n : names) {
@@ -1094,7 +1094,6 @@ TEST(OverloadSheddingTest, SaturatedBatchShedsToCacheOrRejects) {
   cfg.cache.delta_min = 1.0;  // Only exact repeats hit: deterministic.
   cfg.num_threads = 1;
   cfg.queue_capacity = 1;
-  cfg.overload = OverloadPolicy::kShed;
   QueryRouter router(SharedCatalog(), cfg);
 
   // Warm the cache inline (single Execute never touches the pool).
@@ -1141,7 +1140,6 @@ TEST(OverloadSheddingTest, UnsaturatedBatchNeverSheds) {
   cfg.enable_cache = false;
   cfg.num_threads = 2;
   cfg.queue_capacity = 256;
-  cfg.overload = OverloadPolicy::kShed;
   QueryRouter router(SharedCatalog(), cfg);
 
   auto results = router.ExecuteBatch(MixedWorkload(100, 41));
@@ -1149,7 +1147,7 @@ TEST(OverloadSheddingTest, UnsaturatedBatchNeverSheds) {
   EXPECT_EQ(router.Stats().shed, 0);
 }
 
-// ---------- Router-driven parallel exact scans ----------
+// ---------- Router exact scans == a pooled standalone engine ----------
 
 TEST(QueryRouterTest, ExactParallelismMatchesStandaloneEngine) {
   TestData* d = SharedData();
@@ -1159,8 +1157,15 @@ TEST(QueryRouterTest, ExactParallelismMatchesStandaloneEngine) {
   RouterConfig cfg;
   cfg.policy = RoutePolicy::kExactOnly;
   cfg.enable_cache = false;
-  cfg.exact_threads = 4;  // Partitions run on a router-owned pool.
   QueryRouter router(&catalog, cfg);
+
+  // The catalog's engines run their partitions inline; this one fans the
+  // same data-driven plan out on 4 workers.
+  util::ThreadPool pool(4);
+  query::ParallelOptions par;
+  par.pool = &pool;
+  const query::ExactEngine pooled(d->dataset->table, *d->kdtree,
+                                  storage::LpNorm::L2(), par);
 
   int64_t answered = 0;
   for (const Request& r : MixedWorkload(40, 67)) {
@@ -1168,7 +1173,7 @@ TEST(QueryRouterTest, ExactParallelismMatchesStandaloneEngine) {
     req.dataset = "ds";
     auto got = router.Execute(req);
     if (req.kind == QueryKind::kQ1MeanValue) {
-      auto want = d->engine->MeanValue(req.q);
+      auto want = pooled.MeanValue(req.q);
       ASSERT_EQ(got.ok(), want.ok());
       if (!got.ok()) continue;
       ++answered;
@@ -1177,7 +1182,7 @@ TEST(QueryRouterTest, ExactParallelismMatchesStandaloneEngine) {
       // an answer's bits.
       EXPECT_EQ(got->mean, want->mean);
     } else {
-      auto want = d->engine->Regression(req.q);
+      auto want = pooled.Regression(req.q);
       ASSERT_EQ(got.ok(), want.ok());
       if (!got.ok()) continue;
       ++answered;
@@ -1198,15 +1203,14 @@ TEST(QueryRouterTest, ParallelBatchMatchesSequentialBitForBit) {
   seq_cfg.num_threads = 0;
   QueryRouter sequential(SharedCatalog(), seq_cfg);
 
+  const std::vector<Request> batch = MixedWorkload(200, 31, 0.05, 0.95);
   RouterConfig par_cfg = seq_cfg;
   par_cfg.num_threads = 4;
-  par_cfg.queue_capacity = 32;
-  // Block on the full queue: every request must really execute for the
+  // Room for the whole batch: every request must really execute for the
   // bit-for-bit comparison (shedding is covered by OverloadShedding tests).
-  par_cfg.overload = OverloadPolicy::kBlock;
+  par_cfg.queue_capacity = batch.size();
   QueryRouter parallel(SharedCatalog(), par_cfg);
 
-  const std::vector<Request> batch = MixedWorkload(200, 31, 0.05, 0.95);
   std::vector<ExecResult> want;
   want.reserve(batch.size());
   for (const Request& r : batch) want.push_back(sequential.Execute(r));
@@ -1237,6 +1241,7 @@ TEST(QueryRouterTest, ParallelBatchMatchesSequentialBitForBit) {
   EXPECT_GT(q1, 0);
   EXPECT_GT(q2, 0);
   EXPECT_EQ(parallel.Stats().total_queries, static_cast<int64_t>(batch.size()));
+  EXPECT_EQ(parallel.Stats().shed, 0);
 }
 
 // ---------- Cache accuracy: δ-admission respects the error bound ----------
