@@ -21,7 +21,12 @@ util::Result<double> DriftMonitor::MeasureRmse(const LlmModel& model,
     ++attempts;
     const query::Query q = workload->Next();
     auto exact = engine.MeanValue(q);
-    if (!exact.ok()) continue;  // empty subspace: nothing to compare
+    if (!exact.ok()) {
+      // An empty subspace has nothing to compare; any other failure (an
+      // index that no longer covers its table) fails every probe alike.
+      if (exact.status().code() == util::StatusCode::kNotFound) continue;
+      return exact.status();
+    }
     QREG_ASSIGN_OR_RETURN(double pred, model.PredictMean(q));
     sse += (exact->mean - pred) * (exact->mean - pred);
     ++n;

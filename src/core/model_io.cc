@@ -5,6 +5,7 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <vector>
 
 #include "util/string_util.h"
 
@@ -14,6 +15,43 @@ namespace core {
 namespace {
 constexpr const char* kMagic = "qreg-llm-model";
 constexpr int kVersion = 1;
+
+util::Status Truncated(const std::string& where) {
+  return util::Status::IoError("truncated model stream at " + where);
+}
+
+// Reads one "<key> <value>" header field. A stream that ends (or a value
+// that does not parse) first is truncated; a wrong key is InvalidArgument.
+template <typename T>
+util::Status ReadField(std::istream* is, const char* want, T* value) {
+  std::string key;
+  *is >> key >> *value;
+  if (!is->good()) return Truncated(util::Format("field '%s'", want));
+  if (key != want) {
+    return util::Status::InvalidArgument(
+        util::Format("expected field '%s', found '%s'", want, key.c_str()));
+  }
+  return util::Status::OK();
+}
+
+// Appends `n` values to `out` as they are read: a count claimed by the
+// header never sizes an allocation, so an inflated count fails as truncated.
+util::Status ReadDoubles(std::istream* is, int64_t n, std::vector<double>* out,
+                         const std::string& where) {
+  for (int64_t j = 0; j < n; ++j) {
+    double v = 0.0;
+    *is >> v;
+    if (!is->good()) return Truncated(where);
+    out->push_back(v);
+  }
+  return util::Status::OK();
+}
+
+util::Status NegativeCount(const char* field) {
+  return util::Status::InvalidArgument(
+      util::Format("field '%s' must not be negative", field));
+}
+
 }  // namespace
 
 util::Status ModelSerializer::Save(const LlmModel& model, std::ostream* os) {
@@ -66,89 +104,79 @@ util::Result<LlmModel> ModelSerializer::Load(std::istream* is) {
   if (magic != kMagic) {
     return util::Status::InvalidArgument("not a qreg model stream");
   }
+  if (!is->good()) return Truncated("version");
   if (version != kVersion) {
     return util::Status::NotImplemented(
         util::Format("unsupported model version %d", version));
   }
 
   LlmConfig c;
+  int64_t d = 0;
   int schedule = 0;
+  int normalize = 0;
   int prediction = 0;
   int seed_y = 0;
   int frozen = 0;
   int64_t observations = 0;
-  int32_t num_prototypes = 0;
-  std::string key;
+  int64_t num_prototypes = 0;
+  QREG_RETURN_NOT_OK(ReadField(is, "d", &d));
+  QREG_RETURN_NOT_OK(ReadField(is, "vigilance", &c.vigilance));
+  QREG_RETURN_NOT_OK(ReadField(is, "a", &c.a));
+  QREG_RETURN_NOT_OK(ReadField(is, "gamma", &c.gamma));
+  QREG_RETURN_NOT_OK(ReadField(is, "schedule", &schedule));
+  QREG_RETURN_NOT_OK(ReadField(is, "constant_eta", &c.constant_eta));
+  QREG_RETURN_NOT_OK(ReadField(is, "coef_power", &c.coef_power));
+  QREG_RETURN_NOT_OK(ReadField(is, "slope_shrinkage", &c.slope_shrinkage));
+  QREG_RETURN_NOT_OK(ReadField(is, "normalize", &normalize));
+  QREG_RETURN_NOT_OK(ReadField(is, "prediction", &prediction));
+  QREG_RETURN_NOT_OK(ReadField(is, "fixed_k", &c.fixed_k));
+  QREG_RETURN_NOT_OK(ReadField(is, "seed_y", &seed_y));
+  QREG_RETURN_NOT_OK(ReadField(is, "window", &c.convergence_window));
+  QREG_RETURN_NOT_OK(ReadField(is, "observations", &observations));
+  QREG_RETURN_NOT_OK(ReadField(is, "frozen", &frozen));
+  QREG_RETURN_NOT_OK(ReadField(is, "prototypes", &num_prototypes));
 
-  auto expect = [&](const char* want) -> util::Status {
-    if (key != want) {
-      return util::Status::InvalidArgument(
-          util::Format("expected field '%s', found '%s'", want, key.c_str()));
-    }
-    return util::Status::OK();
-  };
-
-  *is >> key >> c.d;
-  QREG_RETURN_NOT_OK(expect("d"));
-  *is >> key >> c.vigilance;
-  QREG_RETURN_NOT_OK(expect("vigilance"));
-  *is >> key >> c.a;
-  QREG_RETURN_NOT_OK(expect("a"));
-  *is >> key >> c.gamma;
-  QREG_RETURN_NOT_OK(expect("gamma"));
-  *is >> key >> schedule;
-  QREG_RETURN_NOT_OK(expect("schedule"));
-  *is >> key >> c.constant_eta;
-  QREG_RETURN_NOT_OK(expect("constant_eta"));
-  *is >> key >> c.coef_power;
-  QREG_RETURN_NOT_OK(expect("coef_power"));
-  *is >> key >> c.slope_shrinkage;
-  QREG_RETURN_NOT_OK(expect("slope_shrinkage"));
-  int normalize = 0;
-  *is >> key >> normalize;
-  QREG_RETURN_NOT_OK(expect("normalize"));
-  c.normalize_coef_step = normalize != 0;
-  *is >> key >> prediction;
-  QREG_RETURN_NOT_OK(expect("prediction"));
-  *is >> key >> c.fixed_k;
-  QREG_RETURN_NOT_OK(expect("fixed_k"));
-  *is >> key >> seed_y;
-  QREG_RETURN_NOT_OK(expect("seed_y"));
-  *is >> key >> c.convergence_window;
-  QREG_RETURN_NOT_OK(expect("window"));
-  *is >> key >> observations;
-  QREG_RETURN_NOT_OK(expect("observations"));
-  *is >> key >> frozen;
-  QREG_RETURN_NOT_OK(expect("frozen"));
-  *is >> key >> num_prototypes;
-  QREG_RETURN_NOT_OK(expect("prototypes"));
-  if (!is->good()) return util::Status::IoError("truncated model header");
-
+  if (d < 0) return NegativeCount("d");
+  if (observations < 0) return NegativeCount("observations");
+  if (num_prototypes < 0) return NegativeCount("prototypes");
+  if (schedule < 0 ||
+      schedule > static_cast<int>(LearningRateSchedule::kConstant)) {
+    return util::Status::InvalidArgument(
+        util::Format("unknown learning-rate schedule %d", schedule));
+  }
+  if (prediction < 0 ||
+      prediction > static_cast<int>(PredictionMode::kNearestOnly)) {
+    return util::Status::InvalidArgument(
+        util::Format("unknown prediction mode %d", prediction));
+  }
+  c.d = static_cast<size_t>(d);
   c.schedule = static_cast<LearningRateSchedule>(schedule);
+  c.normalize_coef_step = normalize != 0;
   c.prediction = static_cast<PredictionMode>(prediction);
   c.seed_y_with_answer = seed_y != 0;
   QREG_RETURN_NOT_OK(c.Validate());
 
   LlmModel model(c);
   model.t_ = observations;
-  model.prototypes_.reserve(static_cast<size_t>(num_prototypes));
-  for (int32_t i = 0; i < num_prototypes; ++i) {
+  for (int64_t i = 0; i < num_prototypes; ++i) {
+    const std::string where = "prototype " + std::to_string(i);
+    std::string key;
     *is >> key;
-    QREG_RETURN_NOT_OK(expect("p"));
+    if (!is->good()) return Truncated(where);
+    if (key != "p") {
+      return util::Status::InvalidArgument(util::Format(
+          "expected a prototype line, found '%s'", key.c_str()));
+    }
     Prototype p;
-    p.w.center.resize(c.d);
-    p.b_x.resize(c.d);
+    QREG_RETURN_NOT_OK(ReadDoubles(is, d, &p.w.center, where));
+    *is >> p.w.theta >> p.y;
+    QREG_RETURN_NOT_OK(ReadDoubles(is, d, &p.b_x, where));
+    *is >> p.b_theta >> p.wins;
+    if (!is->good()) return Truncated(where);
+    if (p.wins < 0) return NegativeCount("wins");
     // The preconditioner's second-moment accumulators are training state;
     // they are not persisted and re-warm if training resumes.
-    p.input_sq_x.assign(c.d, 0.0);
-    for (size_t j = 0; j < c.d; ++j) *is >> p.w.center[j];
-    *is >> p.w.theta >> p.y;
-    for (size_t j = 0; j < c.d; ++j) *is >> p.b_x[j];
-    *is >> p.b_theta >> p.wins;
-    if (!is->good()) {
-      return util::Status::IoError(
-          util::Format("truncated prototype %d of %d", i, num_prototypes));
-    }
+    p.input_sq_x.assign(p.b_x.size(), 0.0);
     model.prototypes_.push_back(std::move(p));
   }
   if (frozen != 0) model.Freeze();

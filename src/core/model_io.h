@@ -24,7 +24,10 @@ class ModelSerializer {
   static util::Status SaveToFile(const LlmModel& model, const std::string& path);
 
   /// Reads a model previously written by Save. The stream format carries a
-  /// version header; unknown versions fail with NotImplemented.
+  /// version header; unknown versions fail with NotImplemented. A stream
+  /// that ends early fails with IoError; a wrong field, a negative count or
+  /// an unknown enum value fails with InvalidArgument. Allocations grow with
+  /// the values actually read, never with a count the header claims.
   static util::Result<LlmModel> Load(std::istream* is);
 
   /// Reads from a file path.

@@ -133,15 +133,15 @@ util::Result<TrainingReport> Trainer::Train(query::WorkloadGenerator* workload,
     report.query_exec_nanos += slot.scan_nanos;
 
     if (!slot.status.ok()) {
-      const util::StatusCode code = slot.status.code();
-      if (code == util::StatusCode::kDeadlineExceeded ||
-          code == util::StatusCode::kCancelled) {
-        // The trip happened mid-scan; the partial scan taught us nothing.
-        return AbortTraining(slot.status, *model, &report, partial);
-      }
       // Empty subspace: the DBMS returns NULL; nothing to learn from.
-      ++report.pairs_skipped;
-      continue;
+      if (slot.status.code() == util::StatusCode::kNotFound) {
+        ++report.pairs_skipped;
+        continue;
+      }
+      // A deadline or cancel trip mid-scan taught us nothing, and a failed
+      // precondition (an index that no longer covers its table) fails every
+      // query alike: skipping them would never reach the pair budget.
+      return AbortTraining(slot.status, *model, &report, partial);
     }
 
     sw.Restart();

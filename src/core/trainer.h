@@ -101,7 +101,10 @@ class Trainer {
   /// query boundary, and — when `partial` is non-null — fills `*partial`
   /// with the work completed before the abort (pairs fed, prototypes grown,
   /// where the wall time went). The model keeps the pairs it has already
-  /// absorbed, so an aborted run is resumable, never corrupt.
+  /// absorbed, so an aborted run is resumable, never corrupt. A scan that
+  /// fails for any reason but an empty subspace (kNotFound, skipped) aborts
+  /// the same way, e.g. kFailedPrecondition from an index that no longer
+  /// covers its table.
   util::Result<TrainingReport> Train(query::WorkloadGenerator* workload,
                                      LlmModel* model,
                                      const util::ExecControl* control = nullptr,

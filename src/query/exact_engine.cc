@@ -21,13 +21,22 @@ util::Status EmptySubspace() {
   return util::Status::NotFound("empty data subspace D(x, theta)");
 }
 
-// Admission-time lifecycle check shared by the query paths: an already
-// expired/cancelled request returns its typed status with zeroed (but
-// timed) stats, before any partition is visited.
-util::Status CheckAdmission(const util::ExecControl* control, ExecStats* stats,
+// Admission-time check shared by the query paths: an index that no longer
+// covers its table (rows appended after the build) fails with
+// kFailedPrecondition, and an already expired/cancelled request returns its
+// typed status. Either returns with zeroed (but timed) stats, before any
+// partition is visited.
+util::Status CheckAdmission(const storage::SpatialIndex& index,
+                            const util::ExecControl* control, ExecStats* stats,
                             const util::Stopwatch& sw) {
-  if (control == nullptr) return util::Status::OK();
-  util::Status st = control->Check();
+  util::Status st;
+  if (!index.CoversTable()) {
+    st = util::Status::FailedPrecondition(
+        "index '" + index.name() +
+        "' does not cover rows appended to its table after it was built");
+  } else if (control != nullptr) {
+    st = control->Check();
+  }
   if (!st.ok() && stats != nullptr) {
     *stats = ExecStats();
     stats->nanos = sw.ElapsedNanos();
@@ -58,7 +67,7 @@ util::Status ExactEngine::Reduce(const Query& q, Kernel* total,
                                  ExecStats* stats,
                                  const util::ExecControl* control) const {
   util::Stopwatch sw;
-  QREG_RETURN_NOT_OK(CheckAdmission(control, stats, sw));
+  QREG_RETURN_NOT_OK(CheckAdmission(index_, control, stats, sw));
   // Every part starts as a copy of the still-zeroed total.
   std::vector<Kernel> parts(plan_.size(), *total);
   std::vector<storage::SelectionStats> part_sel(plan_.size());
@@ -93,19 +102,6 @@ util::Result<MeanValueResult> ExactEngine::MeanValue(
   MeanValueResult r;
   r.mean = total.sum() / static_cast<double>(total.count());
   r.count = total.count();
-  return r;
-}
-
-util::Result<MomentsResult> ExactEngine::Moments(
-    const Query& q, ExecStats* stats, const util::ExecControl* control) const {
-  MomentsBlockKernel total;
-  QREG_RETURN_NOT_OK(Reduce(q, &total, stats, control));
-  if (total.count() == 0) return EmptySubspace();
-  MomentsResult r;
-  r.count = total.count();
-  r.mean = total.sum() / static_cast<double>(r.count);
-  r.second_moment = total.sum_sq() / static_cast<double>(r.count);
-  r.variance = std::max(0.0, r.second_moment - r.mean * r.mean);
   return r;
 }
 

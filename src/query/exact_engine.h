@@ -3,11 +3,12 @@
 //
 //  - Q1 (MeanValue): average of u over D(x, θ)          [Definition 4]
 //  - Q2 (Regression): multivariate OLS over D(x, θ)     [the REG baseline]
+//  - Select: the row ids of D(x, θ), for baselines that need raw points
 //
 // Every operator runs through one reduction routine (Reduce): the operator
 // supplies its transition state — a fused block kernel from
 // query/scan_kernels.h that owns its accumulator and can Merge a partial —
-// and its final step (NotFound / the moments / the OLS solve); Reduce owns
+// and its final step (NotFound / the mean / the OLS solve); Reduce owns
 // the scan. Execution is block-at-a-time: the access path streams
 // filtered candidate blocks into the kernel, one virtual call per block,
 // with the Lp filter kernel resolved once per scan. Nothing is
@@ -77,15 +78,6 @@ struct MeanValueResult {
   int64_t count = 0;  ///< n_θ(x): cardinality of the selected subspace.
 };
 
-/// \brief First two moments of u over a subspace (the high-order-moment
-/// extension of Q1 from the paper's future-work list).
-struct MomentsResult {
-  double mean = 0.0;
-  double second_moment = 0.0;  ///< E[u²] over D(x, θ).
-  double variance = 0.0;       ///< Population variance (clamped at 0).
-  int64_t count = 0;
-};
-
 /// \brief Exact Q1/Q2 executor over a table + access path.
 class ExactEngine {
  public:
@@ -97,6 +89,9 @@ class ExactEngine {
               ParallelOptions parallel = ParallelOptions());
 
   /// Q1: mean of u over D(x, θ). NotFound if the subspace is empty.
+  /// FailedPrecondition, before any partition is visited, if the index no
+  /// longer covers the table (SpatialIndex::CoversTable: rows were appended
+  /// after a k-d tree was built). Same for every operator below.
   ///
   /// With a non-null `control`, the scan honors the request lifecycle: an
   /// already-expired deadline (or tripped token) returns the typed status
@@ -104,14 +99,8 @@ class ExactEngine {
   /// chunk-claim, returning kDeadlineExceeded / kCancelled with the partial
   /// work recorded in `stats`. Checks happen per chunk of the partition
   /// plan, never per row, and never change the answer's bits. Same for
-  /// Moments and Regression below.
+  /// Regression below.
   util::Result<MeanValueResult> MeanValue(
-      const Query& q, ExecStats* stats = nullptr,
-      const util::ExecControl* control = nullptr) const;
-
-  /// Q1 moment extension: mean, second moment and variance of u over
-  /// D(x, θ) in one streaming pass. NotFound if the subspace is empty.
-  util::Result<MomentsResult> Moments(
       const Query& q, ExecStats* stats = nullptr,
       const util::ExecControl* control = nullptr) const;
 

@@ -9,20 +9,6 @@
 namespace qreg {
 namespace query {
 
-std::vector<double> Query::ToVector() const {
-  std::vector<double> v = center;
-  v.push_back(theta);
-  return v;
-}
-
-Query Query::FromVector(const std::vector<double>& v) {
-  assert(!v.empty());
-  Query q;
-  q.center.assign(v.begin(), v.end() - 1);
-  q.theta = v.back();
-  return q;
-}
-
 std::string Query::ToString() const {
   std::string out = "Q([";
   for (size_t i = 0; i < center.size(); ++i) {

@@ -24,12 +24,6 @@ struct Query {
 
   size_t dimension() const { return center.size(); }
 
-  /// The (d+1)-vector [x, θ] that lives in the query space Q.
-  std::vector<double> ToVector() const;
-
-  /// Parses from [x, θ] layout (inverse of ToVector).
-  static Query FromVector(const std::vector<double>& v);
-
   std::string ToString() const;
 };
 

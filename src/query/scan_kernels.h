@@ -3,15 +3,15 @@
 //
 // Each kernel consumes a filtered BlockSpan's selected lanes in one tight
 // loop — no per-row virtual or std::function dispatch — and *is* the
-// MADlib-style transition state (sum / moments / Gram matrix / id list):
+// MADlib-style transition state (sum / Gram matrix / id list):
 // it owns its accumulator, copies cheaply while zeroed (one copy per
 // partition), and Merge() folds a partition's partial into the total in
 // plan order.
 //
-// The Q1 kernels (Sum, Moments) need only count, Σu and Σu², so they take a
-// subtree the index found wholly inside the ball from its precomputed
-// SubtreeSummary in O(1). Gram and CollectIds need the rows themselves and
-// decline the offer; the index then streams them the subtree's rows.
+// The Q1 kernel (Sum) needs only count and Σu, so it takes a subtree the
+// index found wholly inside the ball from its precomputed SubtreeSummary in
+// O(1). Gram and CollectIds need the rows themselves and decline the offer;
+// the index then streams them the subtree's rows.
 //
 // Scalar accumulators are Kahan-compensated. Compensation is an accuracy
 // measure, not the determinism mechanism: bit-for-bit reproducibility
@@ -79,41 +79,6 @@ class SumBlockKernel : public storage::BlockKernel {
 
  private:
   KahanSum sum_;
-  int64_t count_ = 0;
-};
-
-/// \brief Q1 moment-extension transition state: compensated Σu and Σu².
-class MomentsBlockKernel : public storage::BlockKernel {
- public:
-  void OnBlock(const storage::BlockSpan& span) override {
-    for (int32_t k = 0; k < span.count; ++k) {
-      const double u = span.UAt(k);
-      sum_.Add(u);
-      sum_sq_.Add(u * u);
-    }
-    count_ += span.count;
-  }
-
-  bool OnSubtree(const storage::SubtreeSummary& summary) override {
-    sum_.Add(summary.sum_u);
-    sum_sq_.Add(summary.sum_u2);
-    count_ += summary.count;
-    return true;
-  }
-
-  void Merge(const MomentsBlockKernel& part) {
-    sum_.Merge(part.sum_);
-    sum_sq_.Merge(part.sum_sq_);
-    count_ += part.count_;
-  }
-
-  double sum() const { return sum_.value(); }
-  double sum_sq() const { return sum_sq_.value(); }
-  int64_t count() const { return count_; }
-
- private:
-  KahanSum sum_;
-  KahanSum sum_sq_;
   int64_t count_ = 0;
 };
 

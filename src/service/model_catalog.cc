@@ -445,21 +445,6 @@ util::Status ModelCatalog::TrainAll() {
   return util::Status::OK();
 }
 
-util::Status ModelCatalog::SaveModel(const std::string& name,
-                                     const std::string& path) {
-  std::shared_ptr<Entry> e = FindEntry(name);
-  if (!e) {
-    return util::Status::NotFound(
-        util::Format("dataset '%s' is not registered", name.c_str()));
-  }
-  auto trained = std::atomic_load(&e->trained);
-  if (!trained || !trained->model) {
-    return util::Status::FailedPrecondition(
-        util::Format("dataset '%s' has no trained model", name.c_str()));
-  }
-  return core::ModelSerializer::SaveToFile(*trained->model, path);
-}
-
 bool ModelCatalog::Contains(const std::string& name) const {
   util::MutexLock lock(&mu_);
   return entries_.count(name) > 0;

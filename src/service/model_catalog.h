@@ -187,10 +187,6 @@ class ModelCatalog {
   /// before it returns. The models are byte-identical to lazy training's.
   util::Status TrainAll();
 
-  /// Persists a trained model with core::ModelSerializer. FailedPrecondition
-  /// if the dataset has not been trained yet.
-  util::Status SaveModel(const std::string& name, const std::string& path);
-
   /// Counts one served query against the dataset's drift policy. Returns
   /// true when a drift probe is due (every `report_interval` observations on
   /// a drift-enabled, trained dataset, subject to the metered-residual gate

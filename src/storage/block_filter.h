@@ -1,5 +1,5 @@
 // Branch-free block-at-a-time Lp radius filters: the hot inner loop of every
-// exact operator (Q1/Q2/moments/Select are all radius scans, Definitions
+// exact operator (Q1/Q2/Select are all radius scans, Definitions
 // 2-5).
 //
 // A filter takes one contiguous candidate block of row-major feature rows,

@@ -322,64 +322,5 @@ std::vector<ScanPartition> KdTree::MakePartitions(size_t target) const {
   return plan;
 }
 
-std::vector<Neighbor> KdTree::NearestNeighbors(const double* center, int k,
-                                               const LpNorm& norm) const {
-  std::vector<Neighbor> result;
-  if (root_ < 0 || k <= 0) return result;
-
-  // Max-heap of the best k found so far.
-  auto cmp = [](const Neighbor& a, const Neighbor& b) { return a.distance < b.distance; };
-  std::priority_queue<Neighbor, std::vector<Neighbor>, decltype(cmp)> heap(cmp);
-  const size_t d = table_.dimension();
-
-  // Depth-first with box pruning against the current kth distance.
-  std::vector<int32_t> stack;
-  stack.push_back(root_);
-  while (!stack.empty()) {
-    const int32_t node_idx = stack.back();
-    stack.pop_back();
-    const Node& node = nodes_[static_cast<size_t>(node_idx)];
-    const double bound =
-        (heap.size() == static_cast<size_t>(k)) ? heap.top().distance
-                                                : LpNorm::kInf;
-    if (norm.MinDistanceToBox(center, BoxLo(node_idx), BoxHi(node_idx), d) >
-        bound) {
-      continue;
-    }
-    if (node.left < 0) {
-      // Leaf: permuted storage keeps the candidate rows contiguous.
-      for (int32_t i = node.begin; i < node.end; ++i) {
-        const double dist = norm.Distance(PermRow(i), center, d);
-        if (heap.size() < static_cast<size_t>(k)) {
-          heap.push({dist, row_ids_[static_cast<size_t>(i)]});
-        } else if (dist < heap.top().distance) {
-          heap.pop();
-          heap.push({dist, row_ids_[static_cast<size_t>(i)]});
-        }
-      }
-      continue;
-    }
-    // Descend nearer child first so the bound shrinks early.
-    const double dl =
-        norm.MinDistanceToBox(center, BoxLo(node.left), BoxHi(node.left), d);
-    const double dr =
-        norm.MinDistanceToBox(center, BoxLo(node.right), BoxHi(node.right), d);
-    if (dl <= dr) {
-      stack.push_back(node.right);
-      stack.push_back(node.left);
-    } else {
-      stack.push_back(node.left);
-      stack.push_back(node.right);
-    }
-  }
-
-  result.resize(heap.size());
-  for (size_t i = heap.size(); i-- > 0;) {
-    result[i] = heap.top();
-    heap.pop();
-  }
-  return result;
-}
-
 }  // namespace storage
 }  // namespace qreg

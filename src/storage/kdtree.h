@@ -1,10 +1,9 @@
 // Bulk-loaded k-d tree over a Table's feature vectors.
 //
 // Supports radius (dNN) selection under any Lp norm — the paper's selection
-// operator — plus k-nearest-neighbour search used by tests and examples.
-// Nodes own contiguous index ranges; leaves hold up to `leaf_size` rows and
-// every node keeps its bounding box for Lp pruning, stored flat (2·d
-// doubles per node: lo then hi) in one array.
+// operator. Nodes own contiguous index ranges; leaves hold up to
+// `leaf_size` rows and every node keeps its bounding box for Lp pruning,
+// stored flat (2·d doubles per node: lo then hi) in one array.
 //
 // Storage is leaf-blocked: after the build permutes the row order, the
 // feature rows and outputs are re-laid out into contiguous permuted arrays,
@@ -37,12 +36,6 @@
 namespace qreg {
 namespace storage {
 
-/// \brief One (distance, row id) hit of a k-NN query, sorted ascending.
-struct Neighbor {
-  double distance = 0.0;
-  int64_t id = -1;
-};
-
 /// \brief k-d tree access path (median splits on the widest dimension).
 class KdTree : public SpatialIndex {
  public:
@@ -63,10 +56,9 @@ class KdTree : public SpatialIndex {
                            BlockKernel* kernel,
                            SelectionStats* stats) const override;
 
-  /// The k nearest rows to `center` under `norm`, ascending by distance.
-  /// Returns fewer than k if the table is smaller.
-  std::vector<Neighbor> NearestNeighbors(const double* center, int k,
-                                         const LpNorm& norm = LpNorm::L2()) const;
+  /// False once rows were appended to the table after the build: the tree
+  /// holds a copy of the rows it was built over and never sees later ones.
+  bool CoversTable() const override { return num_rows() == table_.num_rows(); }
 
   std::string name() const override { return "kdtree"; }
 

@@ -30,6 +30,8 @@ class ScanIndex : public SpatialIndex {
                            BlockKernel* kernel,
                            SelectionStats* stats) const override;
 
+  bool CoversTable() const override { return true; }
+
   std::string name() const override { return "scan"; }
 
  private:

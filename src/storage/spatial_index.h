@@ -41,6 +41,7 @@ struct SelectionStats {
 struct SubtreeSummary {
   int64_t count = 0;
   double sum_u = 0.0;   ///< Σu over the subtree's rows.
+  // Σu² is read by no kernel today; a Q2 Gram summary needs it for the TSS.
   double sum_u2 = 0.0;  ///< Σu² over the subtree's rows.
 };
 
@@ -134,6 +135,11 @@ class SpatialIndex {
                                    double radius, const LpNorm& norm,
                                    BlockKernel* kernel,
                                    SelectionStats* stats) const = 0;
+
+  /// True while a visit still reaches every row of the indexed table. An
+  /// index that copied the rows at build time stops covering the table once
+  /// rows are appended; a scan reads the table itself and always covers it.
+  virtual bool CoversTable() const = 0;
 
   /// Access-path name for logs and bench tables ("kdtree", "scan").
   virtual std::string name() const = 0;

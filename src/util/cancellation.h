@@ -57,8 +57,6 @@ class Deadline {
  public:
   Deadline() = default;  ///< Never expires.
 
-  static Deadline Infinite() { return Deadline(); }
-
   /// Expires at the absolute instant `at_nanos` on `clock` (null = the
   /// system clock). The clock is borrowed and must outlive the deadline.
   static Deadline AtNanos(int64_t at_nanos, const Clock* clock = nullptr) {

@@ -32,33 +32,6 @@ class Stopwatch {
   int64_t start_;
 };
 
-/// \brief Accumulates durations across repeated timed sections.
-class TimeAccumulator {
- public:
-  void Add(int64_t nanos) {
-    total_nanos_ += nanos;
-    ++count_;
-  }
-
-  int64_t total_nanos() const { return total_nanos_; }
-  int64_t count() const { return count_; }
-
-  double MeanMillis() const {
-    return count_ == 0 ? 0.0 : static_cast<double>(total_nanos_) / 1e6 /
-                                   static_cast<double>(count_);
-  }
-  double TotalMillis() const { return static_cast<double>(total_nanos_) / 1e6; }
-
-  void Reset() {
-    total_nanos_ = 0;
-    count_ = 0;
-  }
-
- private:
-  int64_t total_nanos_ = 0;
-  int64_t count_ = 0;
-};
-
 }  // namespace util
 }  // namespace qreg
 

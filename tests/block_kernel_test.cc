@@ -7,11 +7,11 @@
 //   - the engine's block-kernel answers stay bit-for-bit identical across
 //     thread counts and survive a mid-scan ExecControl trip with consistent
 //     partial-work accounting;
-//   - the k-d tree's contained-subtree summaries: Sum/Moments agree with
-//     brute force up to table-covering balls, counters match a row kernel,
-//     knife-edge radii at a box's farthest corner select exactly the brute
-//     force rows, non-finite rows are never summarized, and degenerate
-//     tables (identical rows, one row, empty) stay exact;
+//   - the k-d tree's contained-subtree summaries: count, Σu and Σu² agree
+//     with brute force up to table-covering balls, counters match a row
+//     kernel, knife-edge radii at a box's farthest corner select exactly
+//     the brute force rows, non-finite rows are never summarized, and
+//     degenerate tables (identical rows, one row, empty) stay exact;
 //   - KahanSum compensates where a naive stream loses precision;
 //   - the branch-free filters agree with LpNorm::Within row-by-row.
 
@@ -109,20 +109,32 @@ std::vector<Row> BruteForceFilterRows(const storage::Table& table,
   return rows;
 }
 
-// Counts rows and takes every offered subtree from its summary.
+// Counts rows, sums u and u² (no engine kernel reads a summary's Σu²), and
+// takes every offered subtree from its summary.
 class CountingKernel : public storage::BlockKernel {
  public:
-  void OnBlock(const storage::BlockSpan& span) override { rows += span.count; }
+  void OnBlock(const storage::BlockSpan& span) override {
+    for (int32_t k = 0; k < span.count; ++k) {
+      const double u = span.UAt(k);
+      sum_u.Add(u);
+      sum_u2.Add(u * u);
+    }
+    rows += span.count;
+  }
   bool OnSubtree(const storage::SubtreeSummary& summary) override {
     ++summaries;
     largest = std::max(largest, summary.count);
     rows += summary.count;
+    sum_u.Add(summary.sum_u);
+    sum_u2.Add(summary.sum_u2);
     return true;
   }
 
   int64_t summaries = 0;
   int64_t largest = 0;  ///< Rows of the largest summarized subtree.
   int64_t rows = 0;
+  KahanSum sum_u;       ///< Σu over rows and summaries.
+  KahanSum sum_u2;      ///< Σu² over rows and summaries.
 };
 
 std::vector<Row> SortedById(std::vector<Row> rows) {
@@ -209,12 +221,12 @@ TEST_P(BlockRowEquivalenceTest, SummariesMatchBruteForceUpToCoveringBalls) {
       }
 
       SumBlockKernel sum;
-      MomentsBlockKernel moments;
+      CountingKernel counting;
       std::vector<Row> rows;
       CollectRowsKernel collect(&rows, d);
-      storage::SelectionStats sum_stats, moments_stats, row_stats;
+      storage::SelectionStats sum_stats, counting_stats, row_stats;
       tree.BlockVisit(c.data(), radius, norm, &sum, &sum_stats);
-      tree.BlockVisit(c.data(), radius, norm, &moments, &moments_stats);
+      tree.BlockVisit(c.data(), radius, norm, &counting, &counting_stats);
       tree.BlockVisit(c.data(), radius, norm, &collect, &row_stats);
 
       const auto n = static_cast<int64_t>(want.size());
@@ -222,15 +234,15 @@ TEST_P(BlockRowEquivalenceTest, SummariesMatchBruteForceUpToCoveringBalls) {
                                 " radius=" + std::to_string(radius);
       EXPECT_EQ(SortedById(rows), want) << where;
       EXPECT_EQ(sum.count(), n) << where;
-      EXPECT_EQ(moments.count(), n) << where;
+      EXPECT_EQ(counting.rows, n) << where;
       EXPECT_NEAR(sum.sum(), want_sum, 1e-12 * want_abs) << where;
-      EXPECT_NEAR(moments.sum(), want_sum, 1e-12 * want_abs) << where;
-      EXPECT_NEAR(moments.sum_sq(), want_sq, 1e-12 * want_sq) << where;
+      EXPECT_NEAR(counting.sum_u.value(), want_sum, 1e-12 * want_abs) << where;
+      EXPECT_NEAR(counting.sum_u2.value(), want_sq, 1e-12 * want_sq) << where;
       // Summaries skip the filter, not the accounting.
       EXPECT_EQ(sum_stats.tuples_examined, row_stats.tuples_examined) << where;
       EXPECT_EQ(sum_stats.tuples_matched, row_stats.tuples_matched) << where;
-      EXPECT_EQ(moments_stats.tuples_examined, row_stats.tuples_examined);
-      EXPECT_EQ(moments_stats.tuples_matched, row_stats.tuples_matched);
+      EXPECT_EQ(counting_stats.tuples_examined, row_stats.tuples_examined);
+      EXPECT_EQ(counting_stats.tuples_matched, row_stats.tuples_matched);
       EXPECT_EQ(row_stats.tuples_matched, n) << where;
     }
   }
@@ -368,11 +380,12 @@ TEST(KdTreeSummaryTest, DegenerateTables) {
     // All rows identical: one unsplittable leaf, contained at radius 0.
     storage::Table same(3);
     const double point[3] = {0.3, 0.7, 0.1};
-    double want_sum = 0.0;
+    double want_sum = 0.0, want_sq = 0.0;
     for (int i = 0; i < 200; ++i) {
       const double u = 0.01 * i - 1.0;
       same.AppendUnchecked(point, u);
       want_sum += u;
+      want_sq += u * u;
     }
     storage::KdTree same_tree(same, 16);
     EXPECT_EQ(same_tree.num_nodes(), 1);
@@ -380,10 +393,8 @@ TEST(KdTreeSummaryTest, DegenerateTables) {
     same_tree.BlockVisit(point, 0.0, norm, &counting, nullptr);
     EXPECT_EQ(counting.summaries, 1);
     EXPECT_EQ(counting.rows, 200);
-    MomentsBlockKernel moments;
-    same_tree.BlockVisit(point, 0.0, norm, &moments, nullptr);
-    EXPECT_EQ(moments.count(), 200);
-    EXPECT_NEAR(moments.sum(), want_sum, 1e-12 * 200.0);
+    EXPECT_NEAR(counting.sum_u2.value(), want_sq, 1e-12 * want_sq);
+    EXPECT_NEAR(counting.sum_u.value(), want_sum, 1e-12 * 200.0);
     const double away[3] = {0.9, 0.9, 0.9};
     SumBlockKernel none;
     same_tree.BlockVisit(away, 0.1, norm, &none, nullptr);
@@ -471,7 +482,6 @@ TEST(BlockKernelEngineTest, BitForBitAcrossThreadCountsAndSerial) {
 
     const Query q({0.4, 0.6, 0.5}, 0.35);
     const auto want_mean = inline_engine.MeanValue(q);
-    const auto want_mom = inline_engine.Moments(q);
     const auto want_fit = inline_engine.Regression(q);
     const auto want_ids = inline_engine.Select(q).value();
     ASSERT_TRUE(want_mean.ok());
@@ -485,8 +495,6 @@ TEST(BlockKernelEngineTest, BitForBitAcrossThreadCountsAndSerial) {
 
       EXPECT_EQ(engine.MeanValue(q)->mean, want_mean->mean) << index->name();
       EXPECT_EQ(engine.MeanValue(q)->count, want_mean->count);
-      EXPECT_EQ(engine.Moments(q)->second_moment, want_mom->second_moment);
-      EXPECT_EQ(engine.Moments(q)->variance, want_mom->variance);
       EXPECT_EQ(engine.Regression(q)->intercept, want_fit->intercept);
       EXPECT_EQ(engine.Regression(q)->slope, want_fit->slope);
       EXPECT_EQ(engine.Select(q).value(), want_ids);

@@ -406,6 +406,71 @@ TEST(ModelIoTest, TruncatedStreamRejected) {
   EXPECT_FALSE(ModelSerializer::Load(&in).ok());
 }
 
+// A saved model with three prototypes, as text.
+std::string SavedModelText() {
+  LlmModel model(LlmConfig::ForDimension(2));
+  for (double x : {0.0, 5.0, 10.0}) {
+    EXPECT_TRUE(model.Observe(Query({x, x}, 0.1), x).ok());
+  }
+  EXPECT_EQ(model.num_prototypes(), 3);
+  std::ostringstream ss;
+  EXPECT_TRUE(ModelSerializer::Save(model, &ss).ok());
+  return ss.str();
+}
+
+// `text` with the value of header field `key` replaced by `value`.
+std::string WithField(std::string text, const std::string& key,
+                      const std::string& value) {
+  const size_t at = text.find("\n" + key + " ");
+  EXPECT_NE(at, std::string::npos) << key;
+  const size_t begin = at + key.size() + 2;
+  return text.replace(begin, text.find('\n', begin) - begin, value);
+}
+
+util::StatusCode LoadCode(const std::string& text) {
+  std::istringstream in(text);
+  return ModelSerializer::Load(&in).status().code();
+}
+
+TEST(ModelIoTest, CorruptHeaderIsATypedErrorNotACrash) {
+  const std::string text = SavedModelText();
+  ASSERT_EQ(LoadCode(text), util::StatusCode::kOk);
+  // Negative counts and out-of-range enum values.
+  const std::vector<std::pair<std::string, std::string>> corrupt = {
+      {"prototypes", "-1"}, {"d", "-1"},       {"observations", "-5"},
+      {"schedule", "7"},    {"schedule", "-1"}, {"prediction", "9"}};
+  for (const auto& [key, value] : corrupt) {
+    EXPECT_EQ(LoadCode(WithField(text, key, value)),
+              util::StatusCode::kInvalidArgument)
+        << key << " " << value;
+  }
+  // Counts larger than the stream: the loader runs out of values before it
+  // allocates for them.
+  EXPECT_EQ(LoadCode(WithField(text, "prototypes", "2000000000")),
+            util::StatusCode::kIoError);
+  EXPECT_EQ(LoadCode(WithField(text, "d", "4000000000000000000")),
+            util::StatusCode::kIoError);
+  // A negative win count on a prototype line.
+  std::string negative_wins = text;
+  const size_t last_space = negative_wins.rfind(' ');
+  negative_wins.replace(last_space + 1, std::string::npos, "-3\n");
+  EXPECT_EQ(LoadCode(negative_wins), util::StatusCode::kInvalidArgument);
+}
+
+TEST(ModelIoTest, EveryProperPrefixFailsAsTruncated) {
+  const std::string text = SavedModelText();
+  const size_t magic = std::string("qreg-llm-model").size();
+  for (size_t len = 0; len < text.size(); ++len) {
+    // A prefix shorter than the magic word is not a model stream at all;
+    // any longer one is a truncated model.
+    EXPECT_EQ(LoadCode(text.substr(0, len)),
+              len < magic ? util::StatusCode::kInvalidArgument
+                          : util::StatusCode::kIoError)
+        << "prefix of " << len << " of " << text.size() << " bytes";
+  }
+  EXPECT_EQ(LoadCode(text), util::StatusCode::kOk);
+}
+
 TEST(ModelIoTest, FileRoundTrip) {
   LlmModel model(LlmConfig::ForDimension(2));
   ASSERT_TRUE(model.Observe(Query({0.1, 0.1}, 0.1), 1.0).ok());

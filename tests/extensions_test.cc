@@ -1,15 +1,13 @@
-// Tests for the future-work extensions (paper Section VII): variance /
-// high-order moment queries and adaptation to data updates (drift).
+// Tests for the future-work extension of paper Section VII that the service
+// serves: adaptation to data updates (drift detection and retraining).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
 #include "core/drift.h"
 #include "core/llm_model.h"
 #include "core/trainer.h"
-#include "core/variance_model.h"
 #include "query/exact_engine.h"
 #include "query/workload.h"
 #include "storage/kdtree.h"
@@ -20,145 +18,6 @@ namespace core {
 namespace {
 
 using query::Query;
-
-// ---------- Moments on the exact engine ----------
-
-TEST(MomentsTest, MatchesManualComputation) {
-  storage::Table table(1);
-  for (double u : {1.0, 2.0, 3.0, 4.0}) {
-    ASSERT_TRUE(table.Append({0.5}, u).ok());
-  }
-  storage::KdTree index(table);
-  query::ExactEngine engine(table, index);
-  auto m = engine.Moments(Query({0.5}, 0.1));
-  ASSERT_TRUE(m.ok());
-  EXPECT_EQ(m->count, 4);
-  EXPECT_DOUBLE_EQ(m->mean, 2.5);
-  EXPECT_DOUBLE_EQ(m->second_moment, (1.0 + 4.0 + 9.0 + 16.0) / 4.0);
-  EXPECT_DOUBLE_EQ(m->variance, m->second_moment - 2.5 * 2.5);
-}
-
-TEST(MomentsTest, EmptySubspaceIsNotFound) {
-  storage::Table table(1);
-  ASSERT_TRUE(table.Append({0.5}, 1.0).ok());
-  storage::KdTree index(table);
-  query::ExactEngine engine(table, index);
-  EXPECT_EQ(engine.Moments(Query({9.0}, 0.1)).status().code(),
-            util::StatusCode::kNotFound);
-}
-
-TEST(MomentsTest, ConstantDataHasZeroVariance) {
-  storage::Table table(1);
-  for (int i = 0; i < 10; ++i) ASSERT_TRUE(table.Append({0.5}, 7.0).ok());
-  storage::KdTree index(table);
-  query::ExactEngine engine(table, index);
-  auto m = engine.Moments(Query({0.5}, 0.1));
-  ASSERT_TRUE(m.ok());
-  EXPECT_DOUBLE_EQ(m->variance, 0.0);
-}
-
-TEST(MomentsTest, AgreesWithMeanValue) {
-  storage::Table table(2);
-  util::Rng rng(3);
-  for (int i = 0; i < 3000; ++i) {
-    ASSERT_TRUE(
-        table.Append({rng.Uniform(), rng.Uniform()}, rng.Gaussian(1.0, 0.3)).ok());
-  }
-  storage::KdTree index(table);
-  query::ExactEngine engine(table, index);
-  Query q({0.5, 0.5}, 0.3);
-  auto mean = engine.MeanValue(q);
-  auto moments = engine.Moments(q);
-  ASSERT_TRUE(mean.ok());
-  ASSERT_TRUE(moments.ok());
-  EXPECT_DOUBLE_EQ(mean->mean, moments->mean);
-  EXPECT_EQ(mean->count, moments->count);
-}
-
-// ---------- VarianceModel ----------
-
-class VarianceModelTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    // u has mean 2 + x and stddev 0.1 + 0.4 x: both moments vary with x.
-    table_ = std::make_unique<storage::Table>(1);
-    util::Rng rng(17);
-    for (int i = 0; i < 60000; ++i) {
-      const double x = rng.Uniform();
-      const double u = 2.0 + x + rng.Gaussian(0.0, 0.1 + 0.4 * x);
-      ASSERT_TRUE(table_->Append({x}, u).ok());
-    }
-    index_ = std::make_unique<storage::KdTree>(*table_);
-    engine_ = std::make_unique<query::ExactEngine>(*table_, *index_);
-
-    model_ = std::make_unique<VarianceModel>(LlmConfig::ForDimension(1, 0.08));
-    query::WorkloadGenerator gen(
-        query::WorkloadConfig::Cube(1, 0.0, 1.0, 0.1, 0.03, 19));
-    for (int i = 0; i < 15000; ++i) {
-      const Query q = gen.Next();
-      auto m = engine_->Moments(q);
-      if (!m.ok()) continue;
-      ASSERT_TRUE(model_->Observe(q, m->mean, m->second_moment).ok());
-    }
-  }
-
-  std::unique_ptr<storage::Table> table_;
-  std::unique_ptr<storage::KdTree> index_;
-  std::unique_ptr<query::ExactEngine> engine_;
-  std::unique_ptr<VarianceModel> model_;
-};
-
-TEST_F(VarianceModelTest, PredictsHeteroscedasticVariance) {
-  // At x = 0.2: stddev ≈ 0.18; at x = 0.85: stddev ≈ 0.44.
-  auto low = model_->Predict(Query({0.2}, 0.1));
-  auto high = model_->Predict(Query({0.85}, 0.1));
-  ASSERT_TRUE(low.ok());
-  ASSERT_TRUE(high.ok());
-  EXPECT_NEAR(low->mean, 2.2, 0.15);
-  EXPECT_NEAR(high->mean, 2.85, 0.15);
-  EXPECT_GT(high->stddev, low->stddev)
-      << "variance model must track the heteroscedastic trend";
-  EXPECT_NEAR(low->stddev, 0.18, 0.12);
-  EXPECT_NEAR(high->stddev, 0.44, 0.15);
-}
-
-TEST_F(VarianceModelTest, VarianceIsNeverNegative) {
-  query::WorkloadGenerator gen(
-      query::WorkloadConfig::Cube(1, -0.5, 1.5, 0.1, 0.1, 23));
-  for (int i = 0; i < 500; ++i) {
-    auto p = model_->Predict(gen.Next());
-    ASSERT_TRUE(p.ok());
-    EXPECT_GE(p->variance, 0.0);
-    EXPECT_DOUBLE_EQ(p->stddev, std::sqrt(p->variance));
-  }
-}
-
-TEST_F(VarianceModelTest, SaveLoadRoundTrip) {
-  std::ostringstream ss;
-  ASSERT_TRUE(model_->Save(&ss).ok());
-  std::istringstream in(ss.str());
-  auto loaded = VarianceModel::Load(&in);
-  ASSERT_TRUE(loaded.ok());
-  const Query q({0.5}, 0.1);
-  auto a = model_->Predict(q);
-  auto b = loaded->Predict(q);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_DOUBLE_EQ(a->mean, b->mean);
-  EXPECT_DOUBLE_EQ(a->variance, b->variance);
-}
-
-TEST_F(VarianceModelTest, FreezePropagatesToBothSubModels) {
-  model_->Freeze();
-  EXPECT_TRUE(model_->mean_model().frozen());
-  EXPECT_TRUE(model_->second_moment_model().frozen());
-  EXPECT_FALSE(model_->Observe(Query({0.5}, 0.1), 1.0, 2.0).ok());
-}
-
-TEST(VarianceModelEdgeTest, PredictOnEmptyModelFails) {
-  VarianceModel model(LlmConfig::ForDimension(1, 0.2));
-  EXPECT_FALSE(model.Predict(Query({0.5}, 0.1)).ok());
-}
 
 // ---------- Drift detection & retraining ----------
 
@@ -237,6 +96,34 @@ TEST_F(DriftTest, DetectsRegimeShiftAndRecovers) {
   ASSERT_TRUE(recovered.ok());
   EXPECT_FALSE(recovered->drifted)
       << "rmse=" << recovered->rmse << " baseline=" << recovered->baseline_rmse;
+}
+
+TEST_F(DriftTest, GrownKdTreeFailsTrainingAndProbesLoudly) {
+  storage::Table table = MakeTable(1.0, 23);
+  storage::KdTree index(table);
+  query::ExactEngine engine(table, index);
+  LlmModel model(LlmConfig::ForDimension(1, 0.15));
+  TrainerConfig tc;
+  tc.max_pairs = 2000;
+  Trainer trainer(engine, tc);
+  query::WorkloadGenerator gen(
+      query::WorkloadConfig::Cube(1, 0.0, 1.0, 0.1, 0.03, 29));
+  ASSERT_TRUE(trainer.Train(&gen, &model).ok());
+  DriftMonitor monitor(DriftConfig{});
+  ASSERT_TRUE(monitor.Calibrate(model, engine, &gen).ok());
+
+  // New rows the tree never indexed: every exact answer would miss them.
+  for (int i = 0; i < 100; ++i) ASSERT_TRUE(table.Append({0.5}, 3.0).ok());
+  LlmModel fresh(LlmConfig::ForDimension(1, 0.15));
+  TrainingReport partial;
+  EXPECT_EQ(trainer.Train(&gen, &fresh, nullptr, &partial).status().code(),
+            util::StatusCode::kFailedPrecondition);
+  EXPECT_EQ(partial.pairs_used, 0);
+  EXPECT_EQ(fresh.num_prototypes(), 0);
+  EXPECT_EQ(monitor.Probe(model, engine, &gen).status().code(),
+            util::StatusCode::kFailedPrecondition);
+  EXPECT_EQ(monitor.Retrain(&model, engine, &gen, 500).status().code(),
+            util::StatusCode::kFailedPrecondition);
 }
 
 TEST_F(DriftTest, ResetPlasticityCapsWinsAndScalesMoments) {

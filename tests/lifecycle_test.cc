@@ -141,8 +141,6 @@ TEST(LifecycleEngineTest, ExpiredDeadlineReturnsWithoutVisitingAnyPartition) {
   EXPECT_EQ(stats.tuples_examined, 0);
   EXPECT_EQ(stats.chunks_completed, 0);
 
-  EXPECT_EQ(engine->Moments(CoveringQuery(), nullptr, &ctl).status().code(),
-            util::StatusCode::kDeadlineExceeded);
   EXPECT_EQ(engine->Regression(CoveringQuery(), nullptr, &ctl).status().code(),
             util::StatusCode::kDeadlineExceeded);
   EXPECT_EQ(chunks_seen.load(), 0);

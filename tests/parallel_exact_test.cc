@@ -3,7 +3,7 @@
 //     whole BlockVisit on both access paths;
 //   - a one-partition plan merged into the zeroed result reproduces one
 //     kernel fed straight by BlockVisit, bit for bit;
-//   - Q1/Q2/moments/select answers are bit-for-bit identical across every
+//   - Q1/Q2/select answers are bit-for-bit identical across every
 //     thread count (including the 0-worker inline mode), with or without
 //     an ExecControl to honor;
 //   - nested use on an already-busy shared pool completes (no deadlock).
@@ -113,7 +113,6 @@ TEST(PartitionPlanTest, PartitionedVisitMatchesWholeVisit) {
 
 struct AllAnswers {
   std::vector<util::Result<MeanValueResult>> q1;
-  std::vector<util::Result<MomentsResult>> moments;
   std::vector<util::Result<linalg::OlsFit>> q2;
   std::vector<std::vector<int64_t>> select;
 };
@@ -123,7 +122,6 @@ AllAnswers Collect(const ExactEngine& engine, const std::vector<Query>& qs,
   AllAnswers out;
   for (const Query& q : qs) {
     out.q1.push_back(engine.MeanValue(q, nullptr, control));
-    out.moments.push_back(engine.Moments(q, nullptr, control));
     out.q2.push_back(engine.Regression(q, nullptr, control));
     out.select.push_back(engine.Select(q, nullptr, control).value());
   }
@@ -137,12 +135,6 @@ void ExpectBitwiseEqual(const AllAnswers& a, const AllAnswers& b) {
     if (a.q1[i].ok()) {
       EXPECT_EQ(a.q1[i]->mean, b.q1[i]->mean) << "q1 " << i;
       EXPECT_EQ(a.q1[i]->count, b.q1[i]->count) << "q1 " << i;
-    }
-    ASSERT_EQ(a.moments[i].ok(), b.moments[i].ok()) << "moments " << i;
-    if (a.moments[i].ok()) {
-      EXPECT_EQ(a.moments[i]->mean, b.moments[i]->mean);
-      EXPECT_EQ(a.moments[i]->second_moment, b.moments[i]->second_moment);
-      EXPECT_EQ(a.moments[i]->variance, b.moments[i]->variance);
     }
     ASSERT_EQ(a.q2[i].ok(), b.q2[i].ok()) << "q2 " << i;
     if (a.q2[i].ok()) {
@@ -221,30 +213,21 @@ TEST(ParallelExactTest, OnePartitionMergeMatchesSerialBitForBit) {
 
     for (const Query& q : TestQueries(25, 59)) {
       SumBlockKernel sum;
-      MomentsBlockKernel moments;
       GramBlockKernel gram(d);
       CollectIdsBlockKernel ids;
-      storage::SelectionStats sel[4];  // [Q1, moments, Q2, select]
+      storage::SelectionStats sel[3];  // [Q1, Q2, select]
       index->BlockVisit(q.center.data(), q.theta, norm, &sum, &sel[0]);
-      index->BlockVisit(q.center.data(), q.theta, norm, &moments, &sel[1]);
-      index->BlockVisit(q.center.data(), q.theta, norm, &gram, &sel[2]);
-      index->BlockVisit(q.center.data(), q.theta, norm, &ids, &sel[3]);
+      index->BlockVisit(q.center.data(), q.theta, norm, &gram, &sel[1]);
+      index->BlockVisit(q.center.data(), q.theta, norm, &ids, &sel[2]);
 
-      ExecStats stats[4];
+      ExecStats stats[3];
       auto mean = one_part.MeanValue(q, &stats[0]);
       ASSERT_EQ(mean.ok(), sum.count() > 0);
       if (mean.ok()) {
         EXPECT_EQ(mean->mean, sum.sum() / static_cast<double>(sum.count()));
         EXPECT_EQ(mean->count, sum.count());
       }
-      auto mom = one_part.Moments(q, &stats[1]);
-      ASSERT_EQ(mom.ok(), moments.count() > 0);
-      if (mom.ok()) {
-        const double n = static_cast<double>(moments.count());
-        EXPECT_EQ(mom->mean, moments.sum() / n);
-        EXPECT_EQ(mom->second_moment, moments.sum_sq() / n);
-      }
-      auto fit = one_part.Regression(q, &stats[2]);
+      auto fit = one_part.Regression(q, &stats[1]);
       if (gram.acc().count() == 0) {
         EXPECT_EQ(fit.status().code(), util::StatusCode::kNotFound);
       } else {
@@ -255,9 +238,9 @@ TEST(ParallelExactTest, OnePartitionMergeMatchesSerialBitForBit) {
           EXPECT_EQ(fit->slope, want->slope);
         }
       }
-      EXPECT_EQ(one_part.Select(q, &stats[3]).value(), ids.TakeIds());
+      EXPECT_EQ(one_part.Select(q, &stats[2]).value(), ids.TakeIds());
 
-      for (int op = 0; op < 4; ++op) {
+      for (int op = 0; op < 3; ++op) {
         EXPECT_EQ(stats[op].tuples_examined, sel[op].tuples_examined)
             << index->name() << " op " << op;
         EXPECT_EQ(stats[op].tuples_matched, sel[op].tuples_matched)
@@ -315,8 +298,6 @@ TEST(ParallelExactTest, EmptySubspaceIsNotFound) {
 
   const Query far_away({50.0, 50.0}, 0.01);
   EXPECT_EQ(engine.MeanValue(far_away).status().code(),
-            util::StatusCode::kNotFound);
-  EXPECT_EQ(engine.Moments(far_away).status().code(),
             util::StatusCode::kNotFound);
   EXPECT_EQ(engine.Regression(far_away).status().code(),
             util::StatusCode::kNotFound);

@@ -19,16 +19,6 @@ namespace {
 
 // ---------- Query geometry ----------
 
-TEST(QueryTest, VectorRoundTrip) {
-  Query q({0.1, 0.2, 0.3}, 0.5);
-  const auto v = q.ToVector();
-  ASSERT_EQ(v.size(), 4u);
-  EXPECT_DOUBLE_EQ(v[3], 0.5);
-  Query back = Query::FromVector(v);
-  EXPECT_EQ(back.center, q.center);
-  EXPECT_DOUBLE_EQ(back.theta, q.theta);
-}
-
 TEST(QueryTest, DistanceCombinesCenterAndTheta) {
   Query a({0.0, 0.0}, 0.1);
   Query b({3.0, 4.0}, 0.2);
@@ -258,6 +248,83 @@ TEST_F(ExactEngineTest, L1NormSelectsDifferentSubspace) {
   ASSERT_TRUE(b.ok());
   // L1 ball is strictly inside the L2 ball of the same radius.
   EXPECT_LT(b->count, a->count);
+}
+
+// ---------- An index that no longer covers its table ----------
+
+// 100 rows with u = 1, then (after the index is built) 100 more with u = 3:
+// the grown table holds 200 rows with mean 2.
+storage::Table FirstRegime() {
+  storage::Table table(2);
+  util::Rng rng(31);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_TRUE(table.Append({rng.Uniform(0, 1), rng.Uniform(0, 1)}, 1.0).ok());
+  }
+  return table;
+}
+
+void AppendSecondRegime(storage::Table* table) {
+  util::Rng rng(37);
+  for (int i = 0; i < 100; ++i) {
+    const std::vector<double> x{rng.Uniform(0, 1), rng.Uniform(0, 1)};
+    EXPECT_TRUE(table->Append(x, 3.0).ok());
+  }
+}
+
+Query WholeTable() { return Query({0.5, 0.5}, 2.0); }
+
+TEST(StaleIndexTest, GrownKdTreeFailsEveryOperatorBeforeAnyPartition) {
+  const Query q = WholeTable();
+  storage::Table table = FirstRegime();
+  storage::KdTree tree(table);
+  ExactEngine engine(table, tree);
+  ASSERT_EQ(engine.MeanValue(q)->count, 100);
+
+  AppendSecondRegime(&table);
+  int64_t chunks_seen = 0;
+  util::ExecControl control;
+  control.on_chunk_for_testing = [&chunks_seen](size_t) { ++chunks_seen; };
+  ExecStats stats[3];
+  EXPECT_EQ(engine.MeanValue(q, &stats[0], &control).status().code(),
+            util::StatusCode::kFailedPrecondition);
+  EXPECT_EQ(engine.Regression(q, &stats[1], &control).status().code(),
+            util::StatusCode::kFailedPrecondition);
+  EXPECT_EQ(engine.Select(q, &stats[2], &control).status().code(),
+            util::StatusCode::kFailedPrecondition);
+  EXPECT_EQ(engine.MeanValue(q).status().code(),
+            util::StatusCode::kFailedPrecondition);
+  EXPECT_EQ(chunks_seen, 0);
+  for (const ExecStats& s : stats) {
+    EXPECT_EQ(s.tuples_examined, 0);
+    EXPECT_EQ(s.chunks_total, 0);
+  }
+
+  // A tree rebuilt over the grown table covers it again.
+  storage::KdTree rebuilt(table);
+  ExactEngine fresh(table, rebuilt);
+  auto mean = fresh.MeanValue(q);
+  ASSERT_TRUE(mean.ok());
+  EXPECT_EQ(mean->count, 200);
+  EXPECT_DOUBLE_EQ(mean->mean, 2.0);
+}
+
+TEST(StaleIndexTest, ScanIndexSeesAppendedRows) {
+  const Query q = WholeTable();
+  storage::Table table = FirstRegime();
+  storage::ScanIndex scan(table);
+  ExactEngine engine(table, scan);  // Plan made over the first 100 rows.
+  ASSERT_EQ(engine.MeanValue(q)->count, 100);
+
+  AppendSecondRegime(&table);
+  auto mean = engine.MeanValue(q);
+  ASSERT_TRUE(mean.ok());
+  EXPECT_EQ(mean->count, 200);
+  EXPECT_DOUBLE_EQ(mean->mean, 2.0);
+  auto fit = engine.Regression(q);
+  ASSERT_TRUE(fit.ok());
+  EXPECT_EQ(fit->n, 200);
+  EXPECT_DOUBLE_EQ(fit->u_mean, 2.0);
+  EXPECT_EQ(engine.Select(q).value().size(), 200u);
 }
 
 }  // namespace

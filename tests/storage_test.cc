@@ -269,7 +269,6 @@ TEST(KdTreeTest, EmptyTable) {
   KdTree tree(t);
   const double c[] = {0.5, 0.5};
   EXPECT_TRUE(CollectIds(tree, c, 10.0, LpNorm::L2()).empty());
-  EXPECT_TRUE(tree.NearestNeighbors(c, 3).empty());
 }
 
 TEST(KdTreeTest, SingleRow) {
@@ -279,10 +278,6 @@ TEST(KdTreeTest, SingleRow) {
   const double c[] = {0.4, 0.5};
   auto ids = CollectIds(tree, c, 0.2, LpNorm::L2());
   EXPECT_EQ(ids, (std::vector<int64_t>{0}));
-  auto nn = tree.NearestNeighbors(c, 1);
-  ASSERT_EQ(nn.size(), 1u);
-  EXPECT_EQ(nn[0].id, 0);
-  EXPECT_NEAR(nn[0].distance, 0.1, 1e-12);
 }
 
 TEST(KdTreeTest, DuplicatePointsAllReturned) {
@@ -338,43 +333,6 @@ TEST(KdTreeTest, ExaminesFewerTuplesThanScan) {
   EXPECT_EQ(ss.tuples_matched, ts.tuples_matched);
   EXPECT_LT(ts.tuples_examined, ss.tuples_examined / 4)
       << "kd-tree should prune most of the table for a small ball";
-}
-
-TEST(KdTreeTest, KnnMatchesBruteForce) {
-  const size_t d = 3;
-  Table t = MakeRandomTable(d, 500, 21);
-  KdTree tree(t, 16);
-  util::Rng rng(22);
-  for (int trial = 0; trial < 20; ++trial) {
-    std::vector<double> c(d);
-    for (auto& v : c) v = rng.Uniform(0, 1);
-    const int k = 1 + static_cast<int>(rng.UniformInt(10));
-
-    // Brute force.
-    std::vector<Neighbor> brute;
-    for (int64_t i = 0; i < t.num_rows(); ++i) {
-      brute.push_back({LpNorm::L2().Distance(t.x(i), c.data(), d), i});
-    }
-    std::sort(brute.begin(), brute.end(),
-              [](const Neighbor& a, const Neighbor& b) {
-                return a.distance < b.distance;
-              });
-    brute.resize(static_cast<size_t>(k));
-
-    auto fast = tree.NearestNeighbors(c.data(), k);
-    ASSERT_EQ(fast.size(), static_cast<size_t>(k));
-    for (int i = 0; i < k; ++i) {
-      EXPECT_NEAR(fast[static_cast<size_t>(i)].distance,
-                  brute[static_cast<size_t>(i)].distance, 1e-12);
-    }
-  }
-}
-
-TEST(KdTreeTest, KnnLargerKThanTable) {
-  Table t = MakeRandomTable(2, 5, 31);
-  KdTree tree(t);
-  const double c[] = {0.5, 0.5};
-  EXPECT_EQ(tree.NearestNeighbors(c, 50).size(), 5u);
 }
 
 }  // namespace

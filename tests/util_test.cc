@@ -345,17 +345,6 @@ TEST(TimerTest, StopwatchMeasuresNonNegative) {
   EXPECT_GE(sw.ElapsedMillis(), 0.0);
 }
 
-TEST(TimerTest, AccumulatorAveragesCorrectly) {
-  TimeAccumulator acc;
-  acc.Add(1000000);  // 1 ms
-  acc.Add(3000000);  // 3 ms
-  EXPECT_EQ(acc.count(), 2);
-  EXPECT_DOUBLE_EQ(acc.MeanMillis(), 2.0);
-  EXPECT_DOUBLE_EQ(acc.TotalMillis(), 4.0);
-  acc.Reset();
-  EXPECT_EQ(acc.count(), 0);
-}
-
 // ---------- logging ----------
 
 TEST(LoggingTest, LevelFilteringIsMonotonic) {
