@@ -174,15 +174,13 @@ int Run() {
   // artifacts track them per commit (all zero on this deadline-free
   // workload; the table exists so new counters never break JSON consumers).
   util::TablePrinter lifecycle(
-      {"shed", "deadline_exceeded", "cancelled", "degraded", "retrains",
-       "train_aborted"});
+      {"shed", "deadline_exceeded", "cancelled", "degraded", "retrains"});
   lifecycle.AddRow(
       {util::Format("%lld", static_cast<long long>(final_snap.shed)),
        util::Format("%lld", static_cast<long long>(final_snap.deadline_exceeded)),
        util::Format("%lld", static_cast<long long>(final_snap.cancelled)),
        util::Format("%lld", static_cast<long long>(final_snap.degraded)),
-       util::Format("%lld", static_cast<long long>(final_snap.retrains)),
-       util::Format("%lld", static_cast<long long>(final_snap.train_aborted))});
+       util::Format("%lld", static_cast<long long>(final_snap.retrains))});
   EmitTable("bench_service_throughput", "lifecycle_counters", lifecycle, env);
   return 0;
 }

@@ -56,7 +56,7 @@ int Run() {
       core::Trainer trainer(use_scan ? *bundle.scan_engine : *bundle.engine, tc);
       query::WorkloadGenerator gen = MakeWorkload(bundle, env.seed + 5);
       util::Stopwatch wall;
-      auto report = trainer.Train(&gen, &model, nullptr, nullptr, &pool);
+      auto report = trainer.Train(&gen, &model, &pool);
       const double wall_ms = wall.ElapsedMillis();
       if (!report.ok()) continue;
       min_share = std::min(min_share, report->QueryExecFraction());

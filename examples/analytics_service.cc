@@ -222,6 +222,13 @@ int Demo() {
                  s2.ToString().c_str());
     return 1;
   }
+  // Set-up: train both models before serving. Requests never train; a
+  // dataset without a model would be answered exactly.
+  auto trained = catalog.TrainAll();
+  if (!trained.ok()) {
+    std::fprintf(stderr, "train failed: %s\n", trained.ToString().c_str());
+    return 1;
+  }
 
   // A hybrid router: in-region queries answered by the model, out-of-region
   // by the exact engine; overlapping repeats served from the δ-cache.
@@ -235,7 +242,7 @@ int Demo() {
   cfg.queue_capacity = 2048;
   service::QueryRouter router(&catalog, cfg);
 
-  // Single queries against both datasets (first touch lazily trains).
+  // Single queries against both datasets.
   auto q1 = router.Execute(
       service::Request::Q1("sensors", query::Query({0.4, 0.6}, 0.15)));
   if (q1.ok()) {
@@ -268,8 +275,7 @@ int Demo() {
   std::printf("\nburst: %lld/%zu answered\n", static_cast<long long>(ok),
               answers.size());
 
-  // Request lifecycle: a deadline bounds everything — lazy training, the
-  // exact scan, even the wait behind another request's training. A request
+  // Request lifecycle: a deadline bounds the exact scan, and a request
   // that is already expired is rejected at admission with the typed status
   // (a cache hit never masks it), and the partial work the service did
   // anyway rides inside the typed ExecError.

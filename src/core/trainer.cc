@@ -17,20 +17,9 @@ namespace {
 // W - 1 scans wasted when training converges mid-window stay cheap.
 constexpr int64_t kLookahead = 256;
 
-// Snapshots the abort-time model state into the partial report so the caller
-// sees exactly how far training got (pairs fed, prototypes grown) before the
-// lifecycle trip.
-util::Status AbortTraining(util::Status status, const LlmModel& model,
-                           TrainingReport* report, TrainingReport* partial) {
-  report->final_gamma = model.CurrentGamma();
-  report->num_prototypes = model.num_prototypes();
-  if (partial != nullptr) *partial = std::move(*report);
-  return status;
-}
-
 // Answers the upcoming queries of the caller's stream before they are used.
 // Queries are drawn from a private copy of the stream, a window at a time,
-// and each is answered with MeanValue(q, ., control) through util::RunChunks
+// and each is answered with MeanValue(q) through util::RunChunks
 // (one chunk per query) on `pool` plus the calling thread. Take() hands them
 // out in stream order and advances the caller's stream by one Next() per
 // query taken, so it ends where the serial draw-then-scan loop leaves it.
@@ -45,12 +34,10 @@ class LookaheadWindow {
   };
 
   LookaheadWindow(const query::ExactEngine& engine,
-                  query::WorkloadGenerator* stream,
-                  const util::ExecControl* control, util::ThreadPool* pool)
+                  query::WorkloadGenerator* stream, util::ThreadPool* pool)
       : engine_(engine),
         stream_(stream),
         ahead_(*stream),
-        control_(control),
         pool_(pool),
         width_(pool != nullptr && pool->num_threads() > 0 ? kLookahead : 1) {}
 
@@ -73,15 +60,12 @@ class LookaheadWindow {
     for (int64_t i = 0; i < count; ++i) {
       window_.push_back({ahead_.Next(), {}, {}, 0});
     }
-    // The lifecycle is checked inside each scan (an expired control fails
-    // every scan at admission, before any partition), so the window itself
-    // runs without a control.
     util::RunChunks(
         pool_, window_.size(),
         [this](size_t i) {
           Slot& slot = window_[i];
           util::Stopwatch sw;
-          auto mean = engine_.MeanValue(slot.q, nullptr, control_);
+          auto mean = engine_.MeanValue(slot.q);
           slot.scan_nanos = sw.ElapsedNanos();
           if (mean.ok()) {
             slot.answer = *mean;
@@ -96,7 +80,6 @@ class LookaheadWindow {
   const query::ExactEngine& engine_;
   query::WorkloadGenerator* stream_;
   query::WorkloadGenerator ahead_;  // Runs ahead of *stream_ by the window.
-  const util::ExecControl* control_;
   util::ThreadPool* pool_;
   const int64_t width_;
   std::vector<Slot> window_;
@@ -107,25 +90,15 @@ class LookaheadWindow {
 
 util::Result<TrainingReport> Trainer::Train(query::WorkloadGenerator* workload,
                                             LlmModel* model,
-                                            const util::ExecControl* control,
-                                            TrainingReport* partial,
                                             util::ThreadPool* pool) const {
   if (workload == nullptr || model == nullptr) {
     return util::Status::InvalidArgument("null workload or model");
   }
   TrainingReport report;
   util::Stopwatch sw;
-  LookaheadWindow window(engine_, workload, control, pool);
+  LookaheadWindow window(engine_, workload, pool);
 
   while (report.pairs_used < config_.max_pairs) {
-    // Per-query lifecycle boundary: an expired or cancelled request stops
-    // streaming pairs before the next query is taken (and before a new
-    // window of scans is launched).
-    if (config_.on_pair_for_testing) config_.on_pair_for_testing(report.pairs_used);
-    if (control != nullptr) {
-      util::Status st = control->Check();
-      if (!st.ok()) return AbortTraining(std::move(st), *model, &report, partial);
-    }
     // Every query drawn ahead can still become a pair, so a window never
     // reaches past the remaining pair budget.
     const LookaheadWindow::Slot& slot =
@@ -138,10 +111,10 @@ util::Result<TrainingReport> Trainer::Train(query::WorkloadGenerator* workload,
         ++report.pairs_skipped;
         continue;
       }
-      // A deadline or cancel trip mid-scan taught us nothing, and a failed
-      // precondition (an index that no longer covers its table) fails every
-      // query alike: skipping them would never reach the pair budget.
-      return AbortTraining(slot.status, *model, &report, partial);
+      // A failed precondition (an index that no longer covers its table)
+      // fails every query alike: skipping them would never reach the pair
+      // budget.
+      return slot.status;
     }
 
     sw.Restart();

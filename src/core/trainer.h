@@ -10,23 +10,19 @@
 //
 // The trainer instruments where the work goes (query execution vs model
 // update), reproducing the paper's claim that ~99.6% of training cost is the
-// unavoidable exact query execution. Because that cost is a stream of exact
-// scans, Train() honors an optional util::ExecControl: the lifecycle is
-// checked once per training query (and inside each scan via the engine's
-// chunk-claim loop), so an expired or cancelled request stops training
-// within one query boundary and reports the partial work done so far.
+// unavoidable exact query execution. Training is a set-up (and drift
+// retrain) step, never a request's: Train() takes no deadline or
+// cancellation, and runs until convergence, the pair budget or a failed scan.
 
 #ifndef QREG_CORE_TRAINER_H_
 #define QREG_CORE_TRAINER_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "core/llm_model.h"
 #include "query/exact_engine.h"
 #include "query/workload.h"
-#include "util/cancellation.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -42,12 +38,6 @@ struct TrainerConfig {
   int64_t trace_every = 0;
   /// Freeze the model once converged (Algorithm 1 semantics).
   bool freeze_on_convergence = true;
-
-  /// Test-only: invoked with the pairs completed so far immediately before
-  /// each training query's lifecycle check. Lets deterministic tests trip a
-  /// deadline/token at an exact point in the training stream (a gate, a
-  /// FakeClock advance) without sleeps.
-  std::function<void(int64_t pairs_done)> on_pair_for_testing;
 };
 
 /// \brief Outcome of a training run.
@@ -93,22 +83,14 @@ class Trainer {
   /// when training converges mid-window. Either way the model, the report's
   /// counters and Γ trace are identical, and `workload` is advanced by
   /// exactly the queries consumed. Pass a pool only where taking every core
-  /// is fine (set-up); serving-time callers pass none.
+  /// is fine (set-up); drift retrains pass none.
   ///
-  /// With a non-null `control`, the request lifecycle is checked once per
-  /// training query (and inside each exact scan, per partition chunk): a
-  /// trip returns the typed kDeadlineExceeded / kCancelled status within one
-  /// query boundary, and — when `partial` is non-null — fills `*partial`
-  /// with the work completed before the abort (pairs fed, prototypes grown,
-  /// where the wall time went). The model keeps the pairs it has already
-  /// absorbed, so an aborted run is resumable, never corrupt. A scan that
-  /// fails for any reason but an empty subspace (kNotFound, skipped) aborts
-  /// the same way, e.g. kFailedPrecondition from an index that no longer
-  /// covers its table.
+  /// A scan that fails for any reason but an empty subspace (kNotFound,
+  /// skipped) aborts training with its status, e.g. kFailedPrecondition
+  /// from an index that no longer covers its table. The model keeps the
+  /// pairs it has already absorbed.
   util::Result<TrainingReport> Train(query::WorkloadGenerator* workload,
                                      LlmModel* model,
-                                     const util::ExecControl* control = nullptr,
-                                     TrainingReport* partial = nullptr,
                                      util::ThreadPool* pool = nullptr) const;
 
   /// Trains from pre-computed pairs (used by benches that reuse workloads).

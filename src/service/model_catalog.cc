@@ -21,18 +21,6 @@ bool FileExists(const std::string& path) {
   return !path.empty() && ::stat(path.c_str(), &st) == 0;
 }
 
-// Wait granularity for a lifecycle-bounded GetOrTrain waiter whose token is
-// cancellable: a CancellationToken has no notification channel (any copy
-// can trip it from any thread), so such a waiter re-checks its control at
-// bounded slices instead of sleeping on the condition variable
-// indefinitely. 1ms keeps the poll cost invisible next to a multi-second
-// training while bounding how long a tripped waiter lingers. Deadline-only
-// waiters sleep their whole remaining budget, capped at
-// kTrainWaitMaxSliceNanos so the duration arithmetic inside WaitFor can
-// never overflow a steady_clock time_point.
-constexpr int64_t kTrainWaitSliceNanos = 1000000;
-constexpr int64_t kTrainWaitMaxSliceNanos = 3600LL * 1000000000;  // 1 hour.
-
 }  // namespace
 
 CatalogOptions CatalogOptions::ForCube(size_t d, double lo, double hi,
@@ -115,75 +103,7 @@ CatalogSnapshot ModelCatalog::MakeSnapshot(
   return snap;
 }
 
-util::Result<CatalogSnapshot> ModelCatalog::GetOrTrain(
-    const std::string& name, const util::ExecControl* control) {
-  return GetOrTrainOn(name, control, /*train_pool=*/nullptr);
-}
-
-util::Result<CatalogSnapshot> ModelCatalog::GetOrTrainOn(
-    const std::string& name, const util::ExecControl* control,
-    util::ThreadPool* train_pool) {
-  std::shared_ptr<Entry> e = FindEntry(name);
-  if (!e) {
-    return util::Status::NotFound(
-        util::Format("dataset '%s' is not registered", name.c_str()));
-  }
-  // Fast path: training state already published. No lifecycle check — the
-  // snapshot is a handful of shared_ptr copies, not work worth aborting.
-  if (auto trained = std::atomic_load(&e->trained)) {
-    return MakeSnapshot(*e, std::move(trained));
-  }
-  // Untrained: from here on every outcome costs real work (training, or
-  // waiting on someone else's), so an expired/cancelled request exits now —
-  // before a single training query runs.
-  if (control != nullptr) QREG_RETURN_NOT_OK(control->Check());
-
-  {
-    util::MutexLock lock(&e->train_mu);
-    while (e->training) {
-      // A control that can never trip asynchronously waits on the cv alone.
-      if (control == nullptr ||
-          (control->deadline.infinite() && !control->cancel.cancellable())) {
-        e->train_cv.Wait(&e->train_mu);
-        continue;
-      }
-      // Deadline-bounded wait: a request whose control trips abandons the
-      // wait with the typed status instead of blocking behind a training it
-      // would abandon anyway; the elected trainer keeps going for the
-      // waiters that are still live. A deadline-only control sleeps its
-      // whole remaining budget in one WaitFor (the publication notify still
-      // wakes it early); a cancellable token has no notification channel,
-      // so it is re-polled once per slice.
-      int64_t slice = std::min(control->deadline.remaining_nanos(),
-                               kTrainWaitMaxSliceNanos);
-      if (control->cancel.cancellable()) {
-        slice = std::min(slice, kTrainWaitSliceNanos);
-      }
-      e->train_cv.WaitFor(&e->train_mu, std::max<int64_t>(slice, 1));
-      util::Status st = control->Check();
-      if (!st.ok()) return st;
-    }
-    if (auto trained = std::atomic_load(&e->trained)) {  // Someone trained.
-      return MakeSnapshot(*e, std::move(trained));
-    }
-    // We are the elected trainer. Training runs outside train_mu so waiters
-    // can observe their own deadlines while it is in flight.
-    e->training = true;
-  }
-  util::Status st = TrainEntry(e.get(), control, train_pool);
-  {
-    util::MutexLock lock(&e->train_mu);
-    e->training = false;
-  }
-  e->train_cv.NotifyAll();
-  // An aborted training leaves the entry untrained, not poisoned: `trained`
-  // was never published, so the next GetOrTrain retries from scratch.
-  QREG_RETURN_NOT_OK(st);
-  return MakeSnapshot(*e, std::atomic_load(&e->trained));
-}
-
-util::Status ModelCatalog::TrainEntry(Entry* e, const util::ExecControl* control,
-                                      util::ThreadPool* train_pool) {
+util::Status ModelCatalog::TrainEntry(Entry* e, util::ThreadPool* train_pool) {
   // Warm start: a previously persisted parameter set α skips training
   // entirely (Algorithm 1 freezes α, so the file is authoritative).
   if (FileExists(e->opts.warm_start_path)) {
@@ -212,20 +132,8 @@ util::Status ModelCatalog::TrainEntry(Entry* e, const util::ExecControl* control
   auto model = std::make_shared<core::LlmModel>(e->opts.llm);
   query::WorkloadGenerator workload(e->opts.workload);
   core::Trainer trainer(*e->engine, e->opts.trainer);
-  core::TrainingReport partial;
-  auto report =
-      trainer.Train(&workload, model.get(), control, &partial, train_pool);
-  if (!report.ok()) {
-    const util::StatusCode code = report.status().code();
-    if (code == util::StatusCode::kDeadlineExceeded ||
-        code == util::StatusCode::kCancelled) {
-      QREG_LOG_WARN << "catalog: training for '" << e->name << "' aborted ("
-                    << report.status() << ") after " << partial.pairs_used
-                    << " pairs / " << partial.num_prototypes
-                    << " prototypes; entry stays untrained and retryable";
-    }
-    return report.status();
-  }
+  auto report = trainer.Train(&workload, model.get(), train_pool);
+  if (!report.ok()) return report.status();
   if (!model->frozen()) model->Freeze();
   auto state = std::make_shared<TrainedState>();
   state->report = std::move(report).value();
@@ -436,11 +344,20 @@ util::Result<CatalogSnapshot> ModelCatalog::Get(const std::string& name) const {
 }
 
 util::Status ModelCatalog::TrainAll() {
+  // Held for the whole call: a concurrent TrainAll waits here and then finds
+  // the entries trained, so no entry trains twice.
+  util::MutexLock train_lock(&train_mu_);
+  std::vector<std::shared_ptr<Entry>> untrained;
+  {
+    util::MutexLock lock(&mu_);
+    for (const auto& kv : entries_) {  // Map order.
+      if (!std::atomic_load(&kv.second->trained)) untrained.push_back(kv.second);
+    }
+  }
   const unsigned cores = std::thread::hardware_concurrency();
   util::ThreadPool train_pool(cores > 1 ? cores - 1 : 0);  // + the caller.
-  for (const std::string& name : Names()) {
-    auto snap = GetOrTrainOn(name, /*control=*/nullptr, &train_pool);
-    if (!snap.ok()) return snap.status();
+  for (const std::shared_ptr<Entry>& e : untrained) {
+    QREG_RETURN_NOT_OK(TrainEntry(e.get(), &train_pool));
   }
   return util::Status::OK();
 }

@@ -4,18 +4,15 @@
 //
 // Each registered dataset carries a (Table, SpatialIndex) pair — both
 // non-owned, caller-managed, as with ExactEngine — plus the hyper-parameters
-// to train its model. Training is *lazy*: the first GetOrTrain() call (or an
-// explicit TrainAll()) drives core::Trainer against the exact engine, after
-// which the frozen model is shared immutably with any number of concurrent
-// readers. Models warm-start from a core::ModelSerializer file when
-// `warm_start_path` points at one, and persist back after a fresh train.
-// Lazy training is lifecycle-bounded: GetOrTrain threads the requesting
-// query's util::ExecControl into the trainer, so an expired or cancelled
-// request aborts training at a query boundary and leaves the entry
-// untrained (retryable), and waiters never block behind a training their
-// own deadline would abandon. Only TrainAll() (set-up) runs the training
-// scans on every core; lazy training and drift retrains run them on the
-// calling thread, so serving-time training never takes the whole machine.
+// to train its model. Two calls train, and nothing else does: TrainAll() at
+// set-up drives core::Trainer against the exact engine for every untrained
+// dataset, running its scans on every core; MaybeRetrain() (below) retrains
+// on drift, on the calling thread. Get() never trains: a dataset registered
+// but not yet trained has no model, and the router answers it exactly (or
+// refuses, under a model-only policy). A published model is frozen and
+// shared immutably with any number of concurrent readers. Models warm-start
+// from a core::ModelSerializer file when `warm_start_path` points at one,
+// and persist back after a fresh train.
 //
 // Model freshness: with a DriftPolicy enabled, each trained model carries a
 // calibrated core::DriftMonitor and a monotonically increasing *generation*.
@@ -43,7 +40,6 @@
 #include "storage/lp_norm.h"
 #include "storage/spatial_index.h"
 #include "storage/table.h"
-#include "util/cancellation.h"
 #include "util/mutex.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
@@ -141,7 +137,7 @@ struct RetrainOutcome {
 /// \brief Thread-safe registry of datasets and their trained models.
 ///
 /// One mutex guards the name → entry map, held only for a map find or
-/// insert — never across training (that is the per-entry train_mu's job).
+/// insert — never across training (TrainAll serializes on its own mutex).
 class ModelCatalog {
  public:
   ModelCatalog() = default;
@@ -156,36 +152,19 @@ class ModelCatalog {
                         const storage::SpatialIndex* index, CatalogOptions opts,
                         storage::LpNorm norm = storage::LpNorm::L2());
 
-  /// Snapshot of a registered dataset; trains (or warm-loads) the model on
-  /// first call. Concurrent callers for the same dataset elect one trainer;
-  /// the rest wait for its publication. NotFound for unknown names.
-  ///
-  /// With a non-null `control`, the whole call is lifecycle-bounded:
-  ///  - an already-trained entry returns its snapshot unconditionally (the
-  ///    fast path does no work worth aborting);
-  ///  - an untrained entry with an expired/cancelled control returns the
-  ///    typed status without running a single training query;
-  ///  - a caller that would have to *wait* for another request's training
-  ///    waits in deadline-bounded slices and abandons the wait with the
-  ///    typed status the moment its control trips — it never blocks behind
-  ///    a training it would abandon anyway;
-  ///  - the elected trainer threads `control` into core::Trainer::Train, so
-  ///    a mid-train trip aborts within one training-query boundary. The
-  ///    entry is left *untrained* (never poisoned): the next GetOrTrain
-  ///    simply retries, and concurrent waiters with live controls keep
-  ///    waiting for whoever trains next.
-  util::Result<CatalogSnapshot> GetOrTrain(
-      const std::string& name, const util::ExecControl* control = nullptr);
-
-  /// Snapshot without triggering training (model may be null). NotFound for
-  /// unknown names.
+  /// Snapshot of a registered dataset (model null until TrainAll() trained
+  /// or warm-loaded it). Never trains and never blocks on training.
+  /// NotFound for unknown names.
   util::Result<CatalogSnapshot> Get(const std::string& name) const;
 
-  /// Eagerly trains every registered dataset (first error aborts). A set-up
-  /// call: the training scans run on a pool of hardware_concurrency() - 1
-  /// threads plus the caller (core::Trainer's lookahead window), joined
-  /// before it returns. The models are byte-identical to lazy training's.
-  util::Status TrainAll();
+  /// Trains (or warm-loads) every registered dataset that has no model yet;
+  /// the first error aborts. A set-up call: the training scans run on a pool
+  /// of hardware_concurrency() - 1 threads plus the caller (core::Trainer's
+  /// lookahead window), joined before it returns, and the models are
+  /// byte-identical to a serial core::Trainer::Train's. Calls are
+  /// serialized, so concurrent callers train each dataset once; a dataset
+  /// registered later is trained by the next call.
+  util::Status TrainAll() QREG_EXCLUDES(train_mu_);
 
   /// Counts one served query against the dataset's drift policy. Returns
   /// true when a drift probe is due (every `report_interval` observations on
@@ -235,24 +214,19 @@ class ModelCatalog {
     CatalogOptions opts;
     std::unique_ptr<query::ExactEngine> engine;
 
-    // Trainer election. `training` is true while one GetOrTrain call runs
-    // the trainer; others wait on train_cv in deadline-bounded slices so an
-    // expired waiter abandons the wait instead of blocking on a mutex the
-    // trainer holds for seconds.
-    util::Mutex train_mu;
-    util::CondVar train_cv;
-    bool training QREG_GUARDED_BY(train_mu) = false;
     // Written with atomic_store / read with atomic_load: readers never
-    // block on train_mu, and never see partial training state. Rewritten
-    // (next generation) by MaybeRetrain under drift_mu.
+    // block on training, and never see partial training state. Published
+    // first by TrainAll (under train_mu_), rewritten (next generation) by
+    // MaybeRetrain under drift_mu.
     std::shared_ptr<const TrainedState> trained;
 
     // Drift maintenance. `monitor` and `probe_gen` are assigned (under
     // drift_mu) before the first `trained` publication, so any reader that
     // observes a trained state also observes them; drift_live() below is
     // the one sanctioned lock-free read.
-    // Serializes probe + retrain + generation swap. Lock order: drift_mu
-    // before residual_mu, never the reverse.
+    // Serializes probe + retrain + generation swap. Lock order: the
+    // catalog's train_mu_ before drift_mu before residual_mu, never the
+    // reverse.
     util::Mutex drift_mu QREG_ACQUIRED_BEFORE(residual_mu);
     // Null = drift off.
     std::unique_ptr<core::DriftMonitor> monitor QREG_GUARDED_BY(drift_mu);
@@ -281,13 +255,9 @@ class ModelCatalog {
 
   CatalogSnapshot MakeSnapshot(const Entry& e,
                                std::shared_ptr<const TrainedState> trained) const;
-  /// GetOrTrain with the pool an elected trainer runs its scans on (null =
-  /// on the calling thread).
-  util::Result<CatalogSnapshot> GetOrTrainOn(const std::string& name,
-                                             const util::ExecControl* control,
-                                             util::ThreadPool* train_pool);
-  util::Status TrainEntry(Entry* e, const util::ExecControl* control,
-                          util::ThreadPool* train_pool);
+  /// Trains (or warm-loads) `e` and publishes its first generation.
+  util::Status TrainEntry(Entry* e, util::ThreadPool* train_pool)
+      QREG_REQUIRES(train_mu_);
 
   /// Shared implementation of the two ReportObservation overloads
   /// (`residual` null = unmetered observation).
@@ -305,6 +275,9 @@ class ModelCatalog {
 
   std::shared_ptr<Entry> FindEntry(const std::string& name) const;
 
+  // Held for a whole TrainAll() call: one set-up training at a time, so each
+  // entry trains once and its `monitor` is assigned once, before publication.
+  util::Mutex train_mu_ QREG_ACQUIRED_BEFORE(mu_);
   mutable util::Mutex mu_;
   std::map<std::string, std::shared_ptr<Entry>> entries_ QREG_GUARDED_BY(mu_);
 };

@@ -45,7 +45,7 @@ std::string QueryRouter::ShardKey(const Request& request, int64_t generation) {
 ExecResult QueryRouter::Execute(const Request& request) {
   util::Stopwatch watch;
   QueryOutcome o;
-  ExecResult result = ExecuteUnrecorded(request, &o);
+  ExecResult result = ExecuteUnrecorded(request);
   const int64_t nanos = watch.ElapsedNanos();
   o.latency_nanos = nanos;
   o.ok = result.ok();
@@ -68,8 +68,7 @@ ExecResult QueryRouter::Execute(const Request& request) {
   return result;
 }
 
-ExecResult QueryRouter::ExecuteUnrecorded(const Request& request,
-                                          QueryOutcome* outcome) {
+ExecResult QueryRouter::ExecuteUnrecorded(const Request& request) {
   // Admission: a request already cancelled or past its deadline does no
   // work at all — not even a δ-cache lookup. A cache hit for an expired
   // request would make its outcome depend on what other queries ran before
@@ -87,29 +86,10 @@ ExecResult QueryRouter::ExecuteUnrecorded(const Request& request,
   control.on_chunk_for_testing = request.on_chunk_for_testing;
   const util::ExecControl* ctl = control.active() ? &control : nullptr;
 
-  // kExactOnly never consults the model: use Get() so an exact-only router
-  // neither blocks on lazy training nor fails when training is impossible.
+  // Serving never trains: a dataset without a model (not yet trained by
+  // ModelCatalog::TrainAll) is answered exactly, or refused under kModelOnly.
   CatalogSnapshot snap;
-  if (config_.policy == RoutePolicy::kExactOnly) {
-    QREG_ASSIGN_OR_RETURN(snap, catalog_->Get(request.dataset));
-  } else {
-    // Lazy training is lifecycle-bounded: the control threads through
-    // Trainer::Train, and a waiter behind another request's training
-    // abandons the wait when its own control trips. Admission was checked
-    // above, so a lifecycle failure here means the trip happened *in* the
-    // training path — record it as a train abort.
-    auto trained = catalog_->GetOrTrain(request.dataset, ctl);
-    if (!trained.ok()) {
-      const util::StatusCode code = trained.status().code();
-      if (outcome != nullptr &&
-          (code == util::StatusCode::kDeadlineExceeded ||
-           code == util::StatusCode::kCancelled)) {
-        outcome->train_aborted = true;
-      }
-      return trained.status();
-    }
-    snap = std::move(trained).value();
-  }
+  QREG_ASSIGN_OR_RETURN(snap, catalog_->Get(request.dataset));
   if (request.q.dimension() != snap.engine->table().dimension()) {
     return util::Status::InvalidArgument(util::Format(
         "query dimension %zu does not match dataset '%s' dimension %zu",

@@ -47,7 +47,7 @@ enum class RoutePolicy : int {
   /// Model when the query is inside the trained region (nearest-prototype
   /// distance ≤ rho_scale · ρ), exact engine otherwise.
   kHybrid = 0,
-  /// Always the model (errors if the dataset's model failed to train).
+  /// Always the model (kFailedPrecondition while the dataset has none).
   kModelOnly = 1,
   /// Always the exact engine (the cache still applies when enabled).
   kExactOnly = 2,
@@ -80,10 +80,9 @@ struct RouterConfig {
 /// The optional lifecycle fields bound how long the request may run: a
 /// request whose `deadline` is already expired (or whose `cancel` token is
 /// already tripped) is rejected at admission with the typed status — before
-/// the δ-cache lookup and before any lazy training — so a cache hit can
-/// never mask kDeadlineExceeded. Past admission, a trip aborts lazy
-/// training within one training-query boundary and an exact scan within one
-/// partition-chunk claim. On *mid-scan* deadline pressure the router
+/// the δ-cache lookup — so a cache hit can never mask kDeadlineExceeded.
+/// Past admission, a trip aborts an exact scan within one partition-chunk
+/// claim. On *mid-scan* deadline pressure the router
 /// degrades gracefully to a model answer flagged `used_fallback` before
 /// failing with the typed kDeadlineExceeded. Cancellation never degrades:
 /// the caller asked for no answer at all.
@@ -167,12 +166,13 @@ class QueryRouter {
   QueryRouter(const QueryRouter&) = delete;
   QueryRouter& operator=(const QueryRouter&) = delete;
 
-  /// Serves one request (lazily training the dataset's model on first touch;
-  /// the training run is bounded by the request's deadline/cancellation).
-  /// On failure the ExecError carries the typed Status *and* the partial
-  /// work done before it (the ExecStats of an aborted exact attempt —
-  /// tuples examined, chunks_completed/chunks_total, total latency in
-  /// `partial.nanos`) instead of that work being silently discarded.
+  /// Serves one request. Never trains: a dataset ModelCatalog::TrainAll has
+  /// not trained yet has no model, so the hybrid policy answers it exactly
+  /// and kModelOnly fails with kFailedPrecondition. On failure the ExecError
+  /// carries the typed Status *and* the partial work done before it (the
+  /// ExecStats of an aborted exact attempt — tuples examined,
+  /// chunks_completed/chunks_total, total latency in `partial.nanos`)
+  /// instead of that work being silently discarded.
   ExecResult Execute(const Request& request);
 
   /// Serves a batch in parallel on the worker pool; results are positionally
@@ -210,10 +210,7 @@ class QueryRouter {
   util::ThreadPool* pool_for_testing() { return &pool_; }
 
  private:
-  /// `outcome` collects what the returned ExecError cannot locate on its
-  /// own: whether a lifecycle failure happened in the training path. The
-  /// partial-work evidence itself rides inside the ExecError.
-  ExecResult ExecuteUnrecorded(const Request& request, QueryOutcome* outcome);
+  ExecResult ExecuteUnrecorded(const Request& request);
   ExecResult ExecuteModel(const Request& request,
                           const core::LlmModel& model) const;
   ExecResult ExecuteExact(const Request& request,

@@ -24,7 +24,6 @@ void ServiceStats::Record(const QueryOutcome& o) {
   if (o.deadline_exceeded) ++deadline_exceeded_;
   if (o.cancelled) ++cancelled_;
   if (o.degraded) ++degraded_;
-  if (o.train_aborted) ++train_aborted_;
   if (o.ok && !o.cache_hit && !o.used_exact) ++model_;
   latency_sum_nanos_ += o.latency_nanos;
   if (latencies_.size() < window_) {
@@ -60,7 +59,6 @@ ServiceSnapshot ServiceStats::Snapshot() const {
   s.cancelled = cancelled_;
   s.degraded = degraded_;
   s.retrains = retrains_;
-  s.train_aborted = train_aborted_;
   s.net_connections_accepted = net_.connections_accepted;
   s.net_connections_closed = net_.connections_closed;
   s.net_frames_decoded = net_.frames_decoded;
@@ -95,7 +93,6 @@ void ServiceStats::Reset() {
   next_ = 0;
   total_ = errors_ = cache_hits_ = exact_ = model_ = shed_ = 0;
   deadline_exceeded_ = cancelled_ = degraded_ = retrains_ = 0;
-  train_aborted_ = 0;
   net_ = NetActivity();
   net_loops_.clear();
   latency_sum_nanos_ = 0;
@@ -112,8 +109,6 @@ void ServiceSnapshot::PrintTo(std::ostream& os) const {
   t.AddRow({"degraded (fallback)",
             util::Format("%lld", static_cast<long long>(degraded))});
   t.AddRow({"retrains", util::Format("%lld", static_cast<long long>(retrains))});
-  t.AddRow({"train aborted",
-            util::Format("%lld", static_cast<long long>(train_aborted))});
   t.AddRow({"net connections accepted",
             util::Format("%lld", static_cast<long long>(net_connections_accepted))});
   t.AddRow({"net connections closed",

@@ -68,11 +68,6 @@ struct ServiceSnapshot {
   int64_t degraded = 0;  ///< Answered by the model fallback under deadline
                          ///< pressure (Answer::used_fallback).
   int64_t retrains = 0;  ///< Drift-triggered model retrains (generation swaps).
-  int64_t train_aborted = 0;  ///< Requests whose lazy training was cut short
-                              ///< by their deadline/cancellation (the failure
-                              ///< is also counted in deadline_exceeded or
-                              ///< cancelled; this counter locates it in the
-                              ///< training path).
 
   // Wire-level counters, recorded by the net::Server fronting this router
   // (all zero for a purely in-process service). The scalar net_* fields are
@@ -123,8 +118,6 @@ struct QueryOutcome {
   bool deadline_exceeded = false;  ///< Failed with kDeadlineExceeded.
   bool cancelled = false;          ///< Failed with kCancelled.
   bool degraded = false;           ///< Model fallback under deadline pressure.
-  bool train_aborted = false;      ///< The lifecycle trip hit the lazy
-                                   ///< training path (GetOrTrain), not a scan.
 };
 
 /// \brief Thread-safe collector behind the router. Latencies are kept in a
@@ -170,7 +163,6 @@ class ServiceStats {
   int64_t cancelled_ QREG_GUARDED_BY(mu_) = 0;
   int64_t degraded_ QREG_GUARDED_BY(mu_) = 0;
   int64_t retrains_ QREG_GUARDED_BY(mu_) = 0;
-  int64_t train_aborted_ QREG_GUARDED_BY(mu_) = 0;
   // Wire-level totals (see RecordNet).
   NetActivity net_ QREG_GUARDED_BY(mu_);
   // Per-loop totals, indexed by loop.

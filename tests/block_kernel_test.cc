@@ -453,7 +453,9 @@ TEST(BlockFilterTest, MatchesWithinPerRow) {
         for (int32_t k = 0; k < count; ++k) {
           ASSERT_GE(sel[k], 0);
           ASSERT_LT(sel[k], rows);
-          if (k > 0) EXPECT_LT(sel[k - 1], sel[k]);  // Ascending lanes.
+          if (k > 0) {
+            EXPECT_LT(sel[k - 1], sel[k]);  // Ascending lanes.
+          }
           selected[static_cast<size_t>(sel[k])] = true;
         }
         for (int32_t lane = 0; lane < rows; ++lane) {

@@ -638,7 +638,7 @@ void ExpectTrainMatchesSerial(const query::ExactEngine& engine,
     util::ThreadPool pool(workers);
     LlmModel model(llm);
     query::WorkloadGenerator gen(workload);
-    auto report = trainer.Train(&gen, &model, nullptr, nullptr, &pool);
+    auto report = trainer.Train(&gen, &model, &pool);
     ASSERT_TRUE(report.ok()) << report.status();
 
     ASSERT_EQ(report->pairs_used, serial->pairs_used);

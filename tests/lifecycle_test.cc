@@ -18,14 +18,12 @@
 #include <atomic>
 #include <cmath>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/drift.h"
 #include "core/llm_model.h"
-#include "core/model_io.h"
 #include "core/trainer.h"
 #include "query/exact_engine.h"
 #include "query/workload.h"
@@ -316,280 +314,6 @@ TEST(LifecycleEngineTest, SelectBenignControlKeepsIdsBitForBit) {
   }
 }
 
-// ---------- Training lifecycle: Trainer + GetOrTrain ----------
-
-// A small, fast-training recipe over the shared service fixture, with the
-// trainer's per-pair hook exposed for fault injection.
-service::CatalogOptions AbortableCatalogOptions(
-    std::function<void(int64_t)> on_pair) {
-  service::CatalogOptions opts = testsupport::DefaultCatalogOptions();
-  opts.trainer.max_pairs = 400;
-  opts.trainer.min_pairs = 50;
-  opts.trainer.on_pair_for_testing = std::move(on_pair);
-  return opts;
-}
-
-TEST(LifecycleTrainTest, TrainerAbortsBeforeFirstQueryOnExpiredControl) {
-  EngineFixture* f = testsupport::SharedServiceFixture();
-  core::LlmModel model(testsupport::DefaultCatalogOptions().llm);
-  std::atomic<int64_t> queries_attempted{0};
-  core::TrainerConfig tc;
-  tc.max_pairs = 400;
-  tc.on_pair_for_testing = [&queries_attempted](int64_t) { ++queries_attempted; };
-  core::Trainer trainer(*f->engine, tc);
-  query::WorkloadGenerator gen(testsupport::DefaultCatalogOptions().workload);
-
-  FakeClock clock(100);
-  util::ExecControl ctl;
-  ctl.deadline = util::Deadline::AtNanos(50, &clock);  // Already expired.
-  core::TrainingReport partial;
-  partial.pairs_used = -1;  // Sentinel: must be overwritten.
-  auto report = trainer.Train(&gen, &model, &ctl, &partial);
-  ASSERT_FALSE(report.ok());
-  EXPECT_EQ(report.status().code(), util::StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(partial.pairs_used, 0);
-  EXPECT_EQ(queries_attempted.load(), 1);  // The hook fires before the check.
-  EXPECT_EQ(model.num_prototypes(), 0);    // Not a single pair was fed.
-}
-
-TEST(LifecycleTrainTest, MidTrainDeadlineKeepsPartialReport) {
-  EngineFixture* f = testsupport::SharedServiceFixture();
-  core::LlmModel model(testsupport::DefaultCatalogOptions().llm);
-  FakeClock clock(0);
-  core::TrainerConfig tc;
-  tc.max_pairs = 400;
-  // The fault injection: the clock jumps past the deadline at the boundary
-  // before the 6th pair's training query.
-  tc.on_pair_for_testing = [&clock](int64_t pairs_done) {
-    if (pairs_done == 5) clock.SetNanos(2000);
-  };
-  core::Trainer trainer(*f->engine, tc);
-  query::WorkloadGenerator gen(testsupport::DefaultCatalogOptions().workload);
-
-  util::ExecControl ctl;
-  ctl.deadline = util::Deadline::AtNanos(1000, &clock);
-  core::TrainingReport partial;
-  auto report = trainer.Train(&gen, &model, &ctl, &partial);
-  ASSERT_FALSE(report.ok());
-  EXPECT_EQ(report.status().code(), util::StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(partial.pairs_used, 5);  // Exactly the pairs fed before the trip.
-  EXPECT_EQ(partial.num_prototypes, model.num_prototypes());
-  EXPECT_GT(partial.query_exec_nanos, 0);  // Where the aborted time went.
-  EXPECT_FALSE(partial.converged);
-}
-
-std::string ModelBytes(const core::LlmModel& model) {
-  std::ostringstream os;
-  EXPECT_TRUE(core::ModelSerializer::Save(model, &os).ok());
-  return os.str();
-}
-
-TEST(LifecycleTrainTest, MidTrainTripLeavesTheSerialPrefixModel) {
-  // With a pool the trainer scans a lookahead window of queries ahead of the
-  // model, but a trip at pair k must leave exactly the model a serial
-  // trainer fed the first k pairs builds: read-ahead answers past the trip
-  // are never used.
-  EngineFixture* f = testsupport::SharedServiceFixture();
-  const service::CatalogOptions opts = testsupport::DefaultCatalogOptions();
-  constexpr int64_t kTripAt = 300;  // Inside the second lookahead window.
-  FakeClock clock(0);
-  core::TrainerConfig tc;
-  tc.max_pairs = 400;
-  tc.min_pairs = tc.max_pairs;  // No convergence before the trip.
-  tc.on_pair_for_testing = [&clock](int64_t pairs_done) {
-    if (pairs_done == kTripAt) clock.SetNanos(2000);
-  };
-  core::Trainer trainer(*f->engine, tc);
-  core::LlmModel model(opts.llm);
-  query::WorkloadGenerator gen(opts.workload);
-  util::ExecControl ctl;
-  ctl.deadline = util::Deadline::AtNanos(1000, &clock);
-  core::TrainingReport partial;
-  util::ThreadPool pool(3);
-  auto report = trainer.Train(&gen, &model, &ctl, &partial, &pool);
-  ASSERT_FALSE(report.ok());
-  EXPECT_EQ(report.status().code(), util::StatusCode::kDeadlineExceeded);
-  ASSERT_EQ(partial.pairs_used, kTripAt);
-
-  // The serial reference: draw, scan, keep non-empty answers, k of them.
-  query::WorkloadGenerator serial_gen(opts.workload);
-  std::vector<query::QueryAnswer> pairs;
-  int64_t skipped = 0;
-  while (static_cast<int64_t>(pairs.size()) < kTripAt) {
-    const query::Query q = serial_gen.Next();
-    auto mean = f->engine->MeanValue(q);
-    if (mean.ok()) {
-      pairs.push_back({q, mean->mean});
-    } else {
-      ++skipped;
-    }
-  }
-  core::TrainerConfig serial_tc = tc;
-  serial_tc.on_pair_for_testing = nullptr;
-  core::LlmModel serial_model(opts.llm);
-  auto serial = core::Trainer(*f->engine, serial_tc)
-                    .TrainFromPairs(pairs, &serial_model);
-  ASSERT_TRUE(serial.ok()) << serial.status();
-
-  EXPECT_EQ(ModelBytes(model), ModelBytes(serial_model));
-  EXPECT_EQ(partial.pairs_skipped, skipped);
-  EXPECT_EQ(partial.num_prototypes, serial->num_prototypes);
-  EXPECT_EQ(partial.final_gamma, serial->final_gamma);
-  EXPECT_FALSE(partial.converged);
-  // The tripped query was never consumed: the caller's stream resumes there.
-  EXPECT_EQ(gen.Next(), serial_gen.Next());
-}
-
-TEST(LifecycleTrainTest, GetOrTrainExpiredControlRunsZeroTrainingQueries) {
-  EngineFixture* f = testsupport::SharedServiceFixture();
-  service::ModelCatalog catalog;
-  std::atomic<int64_t> queries_attempted{0};
-  ASSERT_TRUE(catalog
-                  .Register("lazy", &f->dataset->table, f->kdtree.get(),
-                            AbortableCatalogOptions([&queries_attempted](
-                                int64_t) { ++queries_attempted; }))
-                  .ok());
-
-  FakeClock clock(1000);
-  util::ExecControl ctl;
-  ctl.deadline = util::Deadline::AtNanos(500, &clock);  // Already expired.
-  auto snap = catalog.GetOrTrain("lazy", &ctl);
-  ASSERT_FALSE(snap.ok());
-  EXPECT_EQ(snap.status().code(), util::StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(queries_attempted.load(), 0);  // Trainer was never entered.
-
-  // The entry is untrained, not poisoned: a lifecycle-free caller trains it.
-  auto untrained = catalog.Get("lazy");
-  ASSERT_TRUE(untrained.ok());
-  EXPECT_EQ(untrained->model, nullptr);
-  auto retried = catalog.GetOrTrain("lazy");
-  ASSERT_TRUE(retried.ok()) << retried.status();
-  EXPECT_NE(retried->model, nullptr);
-  EXPECT_EQ(retried->generation, 1);
-  EXPECT_GT(queries_attempted.load(), 0);
-}
-
-TEST(LifecycleTrainTest, GatedMidTrainCancelLeavesEntryRetrainable) {
-  EngineFixture* f = testsupport::SharedServiceFixture();
-  service::ModelCatalog catalog;
-  util::CancellationToken token = util::CancellationToken::Cancellable();
-  Gate training_reached_pair_four;
-  Gate token_tripped;
-  std::atomic<bool> gates_armed{true};
-  ASSERT_TRUE(catalog
-                  .Register("lazy", &f->dataset->table, f->kdtree.get(),
-                            AbortableCatalogOptions([&](int64_t pairs_done) {
-                              if (pairs_done == 4 &&
-                                  gates_armed.exchange(false)) {
-                                // Hand control to the canceller and block
-                                // until the token has actually tripped: the
-                                // next lifecycle check must observe it.
-                                training_reached_pair_four.Open();
-                                token_tripped.Wait();
-                              }
-                            }))
-                  .ok());
-
-  std::thread canceller([&] {
-    training_reached_pair_four.Wait();
-    token.Cancel();
-    token_tripped.Open();
-  });
-
-  util::ExecControl ctl;
-  ctl.cancel = token;
-  auto snap = catalog.GetOrTrain("lazy", &ctl);
-  canceller.join();
-  ASSERT_FALSE(snap.ok());
-  EXPECT_EQ(snap.status().code(), util::StatusCode::kCancelled);
-
-  // Mid-train abort leaves the entry retryable; the retry trains to
-  // completion (its control is absent, the gates are disarmed).
-  auto retried = catalog.GetOrTrain("lazy");
-  ASSERT_TRUE(retried.ok()) << retried.status();
-  EXPECT_NE(retried->model, nullptr);
-  EXPECT_EQ(retried->generation, 1);
-}
-
-TEST(LifecycleTrainTest, ConcurrentWaiterWithLiveDeadlineGetsModel) {
-  EngineFixture* f = testsupport::SharedServiceFixture();
-  service::ModelCatalog catalog;
-  Gate training_started;
-  Gate release_training;
-  std::atomic<bool> gates_armed{true};
-  ASSERT_TRUE(catalog
-                  .Register("lazy", &f->dataset->table, f->kdtree.get(),
-                            AbortableCatalogOptions([&](int64_t pairs_done) {
-                              if (pairs_done == 0 && gates_armed.exchange(false)) {
-                                training_started.Open();
-                                release_training.Wait();
-                              }
-                            }))
-                  .ok());
-
-  // Trainer thread: elected, then gated inside the first pair.
-  std::thread trainer_thread([&] {
-    auto snap = catalog.GetOrTrain("lazy");
-    EXPECT_TRUE(snap.ok()) << snap.status();
-  });
-  training_started.Wait();
-
-  // Waiter with a generous live deadline: it must not be poisoned by the
-  // in-flight training and must receive the model once training finishes.
-  FakeClock clock(0);
-  util::ExecControl live;
-  live.deadline = util::Deadline::AtNanos(1LL << 60, &clock);
-  std::thread waiter([&] {
-    auto snap = catalog.GetOrTrain("lazy", &live);
-    EXPECT_TRUE(snap.ok()) << snap.status();
-    if (snap.ok()) {
-      EXPECT_NE(snap->model, nullptr);
-      EXPECT_EQ(snap->generation, 1);
-    }
-  });
-
-  release_training.Open();
-  trainer_thread.join();
-  waiter.join();
-}
-
-TEST(LifecycleTrainTest, ExpiredWaiterDoesNotBlockBehindLiveTraining) {
-  EngineFixture* f = testsupport::SharedServiceFixture();
-  service::ModelCatalog catalog;
-  Gate training_started;
-  Gate release_training;
-  std::atomic<bool> gates_armed{true};
-  ASSERT_TRUE(catalog
-                  .Register("lazy", &f->dataset->table, f->kdtree.get(),
-                            AbortableCatalogOptions([&](int64_t pairs_done) {
-                              if (pairs_done == 0 && gates_armed.exchange(false)) {
-                                training_started.Open();
-                                release_training.Wait();
-                              }
-                            }))
-                  .ok());
-
-  std::thread trainer_thread([&] {
-    auto snap = catalog.GetOrTrain("lazy");
-    EXPECT_TRUE(snap.ok()) << snap.status();
-  });
-  training_started.Wait();
-
-  // While the trainer is gated (training will not finish), a second request
-  // whose deadline is already gone returns the typed status instead of
-  // queueing behind a training it would abandon anyway.
-  FakeClock clock(1000);
-  util::ExecControl expired;
-  expired.deadline = util::Deadline::AtNanos(500, &clock);
-  auto snap = catalog.GetOrTrain("lazy", &expired);
-  ASSERT_FALSE(snap.ok());
-  EXPECT_EQ(snap.status().code(), util::StatusCode::kDeadlineExceeded);
-  EXPECT_FALSE(release_training.opened());  // It returned while training ran.
-
-  release_training.Open();
-  trainer_thread.join();
-}
-
 // ---------- Router-level lifecycle: degrade-to-model vs shed ----------
 
 TEST(LifecycleRouterTest, CancelledRequestReturnsCancelledAndNeverDegrades) {
@@ -823,46 +547,6 @@ TEST(LifecycleRouterTest, ExpiredDeadlineOnShedPathStaysTypedReject) {
   EXPECT_EQ(stats.shed, 1);
 }
 
-TEST(LifecycleRouterTest, TrainAbortedIsCountedAndTyped) {
-  // A request whose deadline dies *inside* lazy training surfaces as
-  // kDeadlineExceeded and is located by the train_aborted counter.
-  EngineFixture* f = testsupport::SharedServiceFixture();
-  service::ModelCatalog catalog;
-  FakeClock clock(0);
-  service::CatalogOptions opts = testsupport::DefaultCatalogOptions();
-  opts.trainer.max_pairs = 400;
-  opts.trainer.min_pairs = 50;
-  opts.trainer.on_pair_for_testing = [&clock](int64_t pairs_done) {
-    if (pairs_done == 3) clock.SetNanos(2000);
-  };
-  ASSERT_TRUE(
-      catalog.Register("lazy", &f->dataset->table, f->kdtree.get(), opts).ok());
-
-  RouterConfig cfg;
-  cfg.policy = RoutePolicy::kHybrid;
-  cfg.enable_cache = false;
-  QueryRouter router(&catalog, cfg);
-
-  Request r = Request::Q1("lazy", query::Query({0.5, 0.5}, 0.12));
-  r.deadline = util::Deadline::AtNanos(1000, &clock);  // Live at admission.
-  auto got = router.Execute(r);
-  ASSERT_FALSE(got.ok());
-  EXPECT_EQ(got.status().code(), util::StatusCode::kDeadlineExceeded);
-
-  service::ServiceSnapshot stats = router.Stats();
-  EXPECT_EQ(stats.train_aborted, 1);
-  EXPECT_EQ(stats.deadline_exceeded, 1);
-  EXPECT_EQ(stats.errors, 1);
-  EXPECT_EQ(stats.degraded, 0);  // No model exists to degrade to.
-
-  // The dataset is retryable: a deadline-free request trains and answers.
-  clock.SetNanos(0);
-  Request retry = Request::Q1("lazy", query::Query({0.5, 0.5}, 0.12));
-  auto answered = router.Execute(retry);
-  ASSERT_TRUE(answered.ok()) << answered.status();
-  EXPECT_EQ(router.Stats().train_aborted, 1);  // Unchanged.
-}
-
 TEST(LifecycleRouterTest, ErrorPathCarriesPartialExecStats) {
   // A kDeadlineExceeded reply no longer discards the work the engine did:
   // the typed ExecError carries the partial chunk accounting.
@@ -898,7 +582,6 @@ TEST(LifecycleRouterTest, ErrorPathCarriesPartialExecStats) {
 
   service::ServiceSnapshot stats = router.Stats();
   EXPECT_EQ(stats.deadline_exceeded, 1);
-  EXPECT_EQ(stats.train_aborted, 0);  // The trip hit the scan, not training.
 }
 
 // ---------- Drift-driven retraining & generation-tagged cache ----------
@@ -971,9 +654,9 @@ TEST(DriftRetrainTest, SteadyDataProbesQuietAndKeepsGeneration) {
 }
 
 // Regression for the drift-state publication fix: `monitor`/`probe_gen` are
-// assigned under drift_mu before `trained` is published. While a training is
-// held mid-flight, the maintenance surface (ReportObservation, MaybeRetrain)
-// must stay inert — typed refusals, no deadlock, no torn drift state — and
+// assigned under drift_mu before `trained` is published. Until TrainAll has
+// published a model, the maintenance surface (ReportObservation,
+// MaybeRetrain) must stay inert — typed refusals, no torn drift state — and
 // must light up the moment the publication lands.
 TEST(DriftRetrainTest, MaintenanceApisAreInertDuringInFlightTraining) {
   storage::Table table{1};
@@ -986,9 +669,6 @@ TEST(DriftRetrainTest, MaintenanceApisAreInertDuringInFlightTraining) {
   storage::ScanIndex index(table);
 
   ModelCatalog catalog;
-  Gate training_started;
-  Gate release_training;
-  std::atomic<bool> gates_armed{true};
   CatalogOptions opts = CatalogOptions::ForCube(
       /*d=*/1, /*lo=*/0.0, /*hi=*/1.0, /*theta_mean=*/0.1,
       /*theta_stddev=*/0.03, /*a=*/0.15, /*max_pairs=*/1000, /*seed=*/13);
@@ -996,30 +676,17 @@ TEST(DriftRetrainTest, MaintenanceApisAreInertDuringInFlightTraining) {
   opts.drift.config.probe_queries = 20;
   opts.drift.config.absolute_threshold = 0.3;
   opts.drift.report_interval = 1;  // Every observation is a boundary.
-  opts.trainer.on_pair_for_testing = [&](int64_t pairs_done) {
-    if (pairs_done == 0 && gates_armed.exchange(false)) {
-      training_started.Open();
-      release_training.Wait();
-    }
-  };
   ASSERT_TRUE(catalog.Register("ds", &table, &index, opts).ok());
 
-  std::thread trainer([&] {
-    auto snap = catalog.GetOrTrain("ds");
-    EXPECT_TRUE(snap.ok()) << snap.status();
-  });
-  training_started.Wait();
-
-  // Mid-training: no model, hence no drift monitor, hence every
-  // maintenance entry point refuses without blocking on the trainer.
+  // Before TrainAll: no model, hence no drift monitor, hence every
+  // maintenance entry point refuses.
   EXPECT_FALSE(catalog.ReportObservation("ds"));
   EXPECT_FALSE(catalog.ReportObservation("ds", 0.25));
   auto early = catalog.MaybeRetrain("ds");
   ASSERT_FALSE(early.ok());
   EXPECT_EQ(early.status().code(), util::StatusCode::kFailedPrecondition);
 
-  release_training.Open();
-  trainer.join();
+  ASSERT_TRUE(catalog.TrainAll().ok());
 
   // Publication happened; the same calls now see live drift state.
   auto snap = catalog.Get("ds");
@@ -1037,6 +704,7 @@ TEST(DriftRetrainTest, MaintenanceApisAreInertDuringInFlightTraining) {
 
 TEST(DriftRetrainTest, InjectedShiftSwapsGenerationAndInvalidatesCache) {
   DriftFixture fx;
+  ASSERT_TRUE(fx.catalog.TrainAll().ok());
   RouterConfig cfg;
   cfg.policy = RoutePolicy::kModelOnly;
   cfg.enable_cache = true;
@@ -1102,6 +770,7 @@ TEST(DriftRetrainTest, RouterAutoProbeRetrainsInlineOnSyncPool) {
   // report_interval = 1 and a synchronous pool: every served answer runs
   // the maintenance pass inline — fully deterministic end-to-end.
   DriftFixture fx(/*drift_interval=*/1);
+  ASSERT_TRUE(fx.catalog.TrainAll().ok());
   RouterConfig cfg;
   cfg.policy = RoutePolicy::kModelOnly;
   cfg.enable_cache = false;

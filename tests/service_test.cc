@@ -1,5 +1,5 @@
-// Tests for the service layer: thread pool, model catalog (lazy training +
-// warm start), δ-overlap answer cache (admission, LRU, accuracy bound), and
+// Tests for the service layer: thread pool, model catalog (set-up training
+// + warm start), δ-overlap answer cache (admission, LRU, accuracy bound), and
 // the query router (policy agreement with the standalone engines, batch
 // parallelism determinism).
 
@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/model_io.h"
+#include "core/trainer.h"
 #include "eval/metrics.h"
 #include "query/workload.h"
 #include "service/answer_cache.h"
@@ -111,8 +112,7 @@ TEST(ModelCatalogTest, RegistrationValidation) {
   auto mismatch = catalog.Register("b", &d->dataset->table, d->kdtree.get(), bad);
   EXPECT_EQ(mismatch.code(), util::StatusCode::kInvalidArgument);
   // Unknown dataset.
-  EXPECT_EQ(catalog.GetOrTrain("nope").status().code(),
-            util::StatusCode::kNotFound);
+  EXPECT_EQ(catalog.Get("nope").status().code(), util::StatusCode::kNotFound);
   EXPECT_TRUE(catalog.Contains("a"));
   EXPECT_EQ(catalog.size(), 1u);
 }
@@ -128,7 +128,8 @@ TEST(ModelCatalogTest, LazyTrainingHappensExactlyOnce) {
   ASSERT_TRUE(before.ok());
   EXPECT_EQ(before->model, nullptr);
 
-  auto first = catalog.GetOrTrain("ds");
+  ASSERT_TRUE(catalog.TrainAll().ok());
+  auto first = catalog.Get("ds");
   ASSERT_TRUE(first.ok());
   ASSERT_NE(first->model, nullptr);
   EXPECT_GT(first->model->num_prototypes(), 0);
@@ -136,12 +137,15 @@ TEST(ModelCatalogTest, LazyTrainingHappensExactlyOnce) {
   EXPECT_GT(first->report.pairs_used, 0);
   EXPECT_GT(first->vigilance, 0.0);
 
-  auto second = catalog.GetOrTrain("ds");
+  ASSERT_TRUE(catalog.TrainAll().ok());  // Nothing left to train.
+  auto second = catalog.Get("ds");
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(first->model.get(), second->model.get());  // Same trained model.
 }
 
 TEST(ModelCatalogTest, ConcurrentGetOrTrainYieldsOneModel) {
+  // Readers racing a TrainAll never block on it: each sees no model or the
+  // one published model, and every reader ends on the same pointer.
   TestData* d = SharedData();
   ModelCatalog catalog;
   CatalogOptions opts = TestOptions();
@@ -151,45 +155,129 @@ TEST(ModelCatalogTest, ConcurrentGetOrTrainYieldsOneModel) {
 
   constexpr int kThreads = 4;
   std::vector<std::shared_ptr<const core::LlmModel>> models(kThreads);
+  std::atomic<bool> trained{false};
   std::vector<std::thread> threads;
-  for (int i = 0; i < kThreads; ++i) {
-    threads.emplace_back([&catalog, &models, i] {
-      auto snap = catalog.GetOrTrain("ds");
-      ASSERT_TRUE(snap.ok());
-      models[static_cast<size_t>(i)] = snap->model;
+  threads.emplace_back([&catalog, &models, &trained] {
+    EXPECT_TRUE(catalog.TrainAll().ok());
+    trained.store(true);
+    auto snap = catalog.Get("ds");
+    ASSERT_TRUE(snap.ok());
+    models[0] = snap->model;
+  });
+  for (int i = 1; i < kThreads; ++i) {
+    threads.emplace_back([&catalog, &models, &trained, i] {
+      for (;;) {
+        // A Get after observing `trained` must see the published model.
+        const bool done = trained.load();
+        auto snap = catalog.Get("ds");
+        ASSERT_TRUE(snap.ok());
+        models[static_cast<size_t>(i)] = snap->model;
+        if (snap->model != nullptr || done) break;
+        std::this_thread::yield();
+      }
     });
   }
   for (auto& t : threads) t.join();
+  ASSERT_NE(models[0], nullptr);
   for (int i = 1; i < kThreads; ++i) {
     EXPECT_EQ(models[0].get(), models[static_cast<size_t>(i)].get());
   }
 }
 
+TEST(ModelCatalogTest, ConcurrentTrainAllYieldsOneModel) {
+  // Two set-up calls race: TrainAll calls are serialized, so each dataset
+  // trains once, and each call returns only once every dataset is trained.
+  TestData* d = SharedData();
+  ModelCatalog catalog;
+  CatalogOptions opts = TestOptions();
+  opts.trainer.max_pairs = 600;
+  for (const char* name : {"a", "b"}) {
+    ASSERT_TRUE(
+        catalog.Register(name, &d->dataset->table, d->kdtree.get(), opts).ok());
+  }
+  std::shared_ptr<const core::LlmModel> models[2][2];
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&catalog, &models, t] {
+      EXPECT_TRUE(catalog.TrainAll().ok());
+      auto a = catalog.Get("a");
+      auto b = catalog.Get("b");
+      ASSERT_TRUE(a.ok());
+      ASSERT_TRUE(b.ok());
+      models[t][0] = a->model;
+      models[t][1] = b->model;
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (int k = 0; k < 2; ++k) {
+    ASSERT_NE(models[0][k], nullptr);
+    EXPECT_EQ(models[0][k].get(), models[1][k].get());
+  }
+  EXPECT_NE(models[0][0].get(), models[0][1].get());
+}
+
+TEST(ModelCatalogTest, TrainAllTrainsDatasetsRegisteredLater) {
+  TestData* d = SharedData();
+  ModelCatalog catalog;
+  CatalogOptions opts = TestOptions();
+  opts.trainer.max_pairs = 600;
+  ASSERT_TRUE(
+      catalog.Register("a", &d->dataset->table, d->kdtree.get(), opts).ok());
+  ASSERT_TRUE(catalog.TrainAll().ok());
+  auto a = catalog.Get("a");
+  ASSERT_TRUE(a.ok());
+  ASSERT_NE(a->model, nullptr);
+
+  ASSERT_TRUE(
+      catalog.Register("b", &d->dataset->table, d->kdtree.get(), opts).ok());
+  // Serving "b" before the next TrainAll answers exactly and trains nothing.
+  QueryRouter router(&catalog, RouterConfig());
+  auto got = router.Execute(Request::Q1("b", query::Query({0.5, 0.5}, 0.12)));
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(got->source, AnswerSource::kExact);
+  auto untrained = catalog.Get("b");
+  ASSERT_TRUE(untrained.ok());
+  EXPECT_EQ(untrained->model, nullptr);
+  EXPECT_EQ(untrained->generation, 0);
+
+  ASSERT_TRUE(catalog.TrainAll().ok());
+  auto b = catalog.Get("b");
+  ASSERT_TRUE(b.ok());
+  ASSERT_NE(b->model, nullptr);
+  EXPECT_EQ(b->generation, 1);
+  auto a_again = catalog.Get("a");
+  ASSERT_TRUE(a_again.ok());
+  EXPECT_EQ(a_again->model.get(), a->model.get());  // Not retrained.
+  EXPECT_EQ(a_again->generation, 1);
+}
+
 TEST(ModelCatalogTest, TrainAllMatchesLazyTrainingByteForByte) {
-  // TrainAll runs the training scans on every core; lazy GetOrTrain runs
-  // them on the calling thread. Both must publish the same model.
+  // TrainAll runs the training scans on every core; a serial
+  // core::Trainer::Train runs them on the calling thread. Both must build
+  // the same model.
   TestData* d = SharedData();
   CatalogOptions opts = TestOptions();
   opts.trainer.max_pairs = 1500;  // Several lookahead windows.
   ModelCatalog eager;
-  ModelCatalog lazy;
   ASSERT_TRUE(eager.Register("ds", &d->dataset->table, d->kdtree.get(), opts).ok());
-  ASSERT_TRUE(lazy.Register("ds", &d->dataset->table, d->kdtree.get(), opts).ok());
   ASSERT_TRUE(eager.TrainAll().ok());
   auto a = eager.Get("ds");
-  auto b = lazy.GetOrTrain("ds");
   ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
   ASSERT_NE(a->model, nullptr);
-  ASSERT_NE(b->model, nullptr);
+
+  core::LlmModel serial(opts.llm);
+  query::WorkloadGenerator workload(opts.workload);
+  auto b = core::Trainer(*a->engine, opts.trainer).Train(&workload, &serial);
+  ASSERT_TRUE(b.ok()) << b.status();
+  if (!serial.frozen()) serial.Freeze();  // As the catalog publishes it.
   std::ostringstream bytes_a;
   std::ostringstream bytes_b;
   ASSERT_TRUE(core::ModelSerializer::Save(*a->model, &bytes_a).ok());
-  ASSERT_TRUE(core::ModelSerializer::Save(*b->model, &bytes_b).ok());
+  ASSERT_TRUE(core::ModelSerializer::Save(serial, &bytes_b).ok());
   EXPECT_EQ(bytes_a.str(), bytes_b.str());
-  EXPECT_EQ(a->report.pairs_used, b->report.pairs_used);
-  EXPECT_EQ(a->report.pairs_skipped, b->report.pairs_skipped);
-  EXPECT_EQ(a->report.converged, b->report.converged);
+  EXPECT_EQ(a->report.pairs_used, b->pairs_used);
+  EXPECT_EQ(a->report.pairs_skipped, b->pairs_skipped);
+  EXPECT_EQ(a->report.converged, b->converged);
 }
 
 TEST(ModelCatalogTest, WarmStartSkipsTrainingAndMatchesPredictions) {
@@ -202,14 +290,16 @@ TEST(ModelCatalogTest, WarmStartSkipsTrainingAndMatchesPredictions) {
 
   ModelCatalog cold;
   ASSERT_TRUE(cold.Register("ds", &d->dataset->table, d->kdtree.get(), opts).ok());
-  auto trained = cold.GetOrTrain("ds");
+  ASSERT_TRUE(cold.TrainAll().ok());
+  auto trained = cold.Get("ds");
   ASSERT_TRUE(trained.ok());
   EXPECT_FALSE(trained->warm_started);
   EXPECT_GT(trained->report.pairs_used, 0);
 
   ModelCatalog warm;
   ASSERT_TRUE(warm.Register("ds", &d->dataset->table, d->kdtree.get(), opts).ok());
-  auto loaded = warm.GetOrTrain("ds");
+  ASSERT_TRUE(warm.TrainAll().ok());
+  auto loaded = warm.Get("ds");
   ASSERT_TRUE(loaded.ok());
   EXPECT_TRUE(loaded->warm_started);
   EXPECT_EQ(loaded->report.pairs_used, 0);
@@ -964,7 +1054,7 @@ TEST(QueryRouterTest, ModelPolicyMatchesLlmModelBitForBit) {
   cfg.policy = RoutePolicy::kModelOnly;
   cfg.enable_cache = false;
   QueryRouter router(SharedCatalog(), cfg);
-  auto snap = SharedCatalog()->GetOrTrain("r1");
+  auto snap = SharedCatalog()->Get("r1");  // Trained at set-up.
   ASSERT_TRUE(snap.ok());
 
   for (const Request& r : MixedWorkload(60, 22)) {
@@ -1006,6 +1096,70 @@ TEST(QueryRouterTest, ExactOnlyPolicyNeverTriggersTraining) {
   auto snap = catalog.Get("ds");
   ASSERT_TRUE(snap.ok());
   EXPECT_EQ(snap->model, nullptr);
+}
+
+TEST(QueryRouterTest, UntrainedDatasetIsAnsweredExactlyAndStaysUntrained) {
+  // Serving never trains: a registered dataset TrainAll has not reached
+  // has no model, so the hybrid policy answers every query exactly.
+  TestData* d = SharedData();
+  ModelCatalog catalog;
+  ASSERT_TRUE(
+      catalog.Register("ds", &d->dataset->table, d->kdtree.get(), TestOptions()).ok());
+  RouterConfig cfg;
+  cfg.policy = RoutePolicy::kHybrid;
+  cfg.enable_cache = false;
+  QueryRouter router(&catalog, cfg);
+
+  int64_t answered = 0;
+  for (const Request& r : MixedWorkload(40, 23, 0.1, 0.9, "ds")) {
+    auto got = router.Execute(r);
+    if (r.kind == QueryKind::kQ1MeanValue) {
+      auto want = d->engine->MeanValue(r.q);
+      ASSERT_EQ(got.ok(), want.ok());
+      if (!got.ok()) continue;  // Empty subspace propagates as NotFound.
+      EXPECT_EQ(got->source, AnswerSource::kExact);
+      EXPECT_EQ(got->mean, want->mean);  // Bit-for-bit.
+    } else {
+      auto want = d->engine->Regression(r.q);
+      ASSERT_EQ(got.ok(), want.ok());
+      if (!got.ok()) continue;
+      EXPECT_EQ(got->source, AnswerSource::kExact);
+      ASSERT_EQ(got->pieces.size(), 1u);
+      EXPECT_EQ(got->pieces[0].intercept, want->intercept);
+      EXPECT_EQ(got->pieces[0].slope, want->slope);
+    }
+    ++answered;
+  }
+  EXPECT_GT(answered, 0);
+  EXPECT_EQ(router.Stats().exact_fallbacks, answered);
+  auto snap = catalog.Get("ds");
+  ASSERT_TRUE(snap.ok());
+  EXPECT_EQ(snap->model, nullptr);
+  EXPECT_EQ(snap->generation, 0);
+}
+
+TEST(QueryRouterTest, ModelOnlyRefusesUntrainedDatasetUntilTrainAll) {
+  TestData* d = SharedData();
+  ModelCatalog catalog;
+  ASSERT_TRUE(
+      catalog.Register("ds", &d->dataset->table, d->kdtree.get(), TestOptions()).ok());
+  RouterConfig cfg;
+  cfg.policy = RoutePolicy::kModelOnly;
+  cfg.enable_cache = false;
+  QueryRouter router(&catalog, cfg);
+  const Request r = Request::Q1("ds", query::Query({0.5, 0.5}, 0.12));
+
+  auto refused = router.Execute(r);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), util::StatusCode::kFailedPrecondition);
+  auto untrained = catalog.Get("ds");
+  ASSERT_TRUE(untrained.ok());
+  EXPECT_EQ(untrained->model, nullptr);
+
+  ASSERT_TRUE(catalog.TrainAll().ok());
+  auto got = router.Execute(r);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(got->source, AnswerSource::kModel);
 }
 
 TEST(QueryRouterTest, WrongDimensionQueryIsRejected) {
@@ -1314,7 +1468,6 @@ TEST(ServiceStatsTest, LifecycleCountersRoundTripThroughSnapshot) {
   QueryOutcome deadline;
   deadline.ok = false;
   deadline.deadline_exceeded = true;
-  deadline.train_aborted = true;  // The trip hit the lazy-training path.
   stats.Record(deadline);
 
   QueryOutcome cancelled;
@@ -1338,7 +1491,6 @@ TEST(ServiceStatsTest, LifecycleCountersRoundTripThroughSnapshot) {
   EXPECT_EQ(s.degraded, 1);
   EXPECT_EQ(s.model_answers, 1);  // The degraded answer came from the model.
   EXPECT_EQ(s.retrains, 2);
-  EXPECT_EQ(s.train_aborted, 1);
 
   stats.Reset();
   ServiceSnapshot zero = stats.Snapshot();
@@ -1346,7 +1498,6 @@ TEST(ServiceStatsTest, LifecycleCountersRoundTripThroughSnapshot) {
   EXPECT_EQ(zero.cancelled, 0);
   EXPECT_EQ(zero.degraded, 0);
   EXPECT_EQ(zero.retrains, 0);
-  EXPECT_EQ(zero.train_aborted, 0);
 }
 
 }  // namespace

@@ -83,7 +83,7 @@ TEST(ResultTest, HoldsValue) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value(), 42);
   EXPECT_EQ(*r, 42);
-  EXPECT_TRUE(r.status().ok());
+  EXPECT_EQ(r.status(), Status::OK());
 }
 
 TEST(ResultTest, HoldsError) {

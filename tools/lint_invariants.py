@@ -20,6 +20,10 @@ so prose mentions don't trip the net):
      the injectable util::Clock seam, or the virtual-time chaos tests can't
      reach it. (steady_clock stays allowed: it is the seam's own engine and
      never observes the wall.)
+  6. The serving path never trains: no `Trainer`, `TrainAll` or
+     `GetOrTrain` token in src/net/ or src/service/query_router.*. Models
+     are trained at set-up (ModelCatalog::TrainAll) and retrained on drift
+     (ModelCatalog::MaybeRetrain); a request only reads the published one.
 
 Exit 0 when clean; exit 1 with file:line diagnostics otherwise.
 """
@@ -76,6 +80,7 @@ EPOLL_RE = re.compile(r"\bepoll_\w+")
 WALLCLOCK_RE = re.compile(
     r"(?:(?<![\w.>])time\s*\(|std::chrono::system_clock::now)"
 )
+TRAINING_RE = re.compile(r"\b(?:Trainer|TrainAll|GetOrTrain)\b")
 
 
 def is_backend_file(path):
@@ -84,6 +89,12 @@ def is_backend_file(path):
 
 def in_util(path):
     return (SRC / "util") in path.parents
+
+
+def is_serving_file(path):
+    return (SRC / "net") in path.parents or (
+        path.parent == SRC / "service" and path.stem == "query_router"
+    )
 
 
 def check_file(path, violations):
@@ -111,6 +122,11 @@ def check_file(path, violations):
             violations.append(
                 f"{rel}:{lineno}: wall-clock read outside src/util/clock.h "
                 f"(inject a util::Clock so virtual-time tests can drive it)"
+            )
+        if is_serving_file(path) and TRAINING_RE.search(line):
+            violations.append(
+                f"{rel}:{lineno}: {TRAINING_RE.search(line).group(0)} on the "
+                f"serving path (train at set-up via ModelCatalog::TrainAll)"
             )
 
 
