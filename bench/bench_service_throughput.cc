@@ -1,6 +1,6 @@
-// Service-layer throughput: batched QPS vs worker-thread count, and the
+// Service-layer throughput: batched QPS vs worker-thread count, the
 // δ-overlap semantic cache's hit rate / speedup vs δ_min on a clustered
-// workload. This is the serving-side complement of the paper's Figure 12
+// workload, and the cache's cost or gain on exact- vs model-routed traffic. This is the serving-side complement of the paper's Figure 12
 // scalability experiment: instead of scaling the *data*, we scale the
 // *query traffic* against a fixed dataset.
 //
@@ -41,9 +41,6 @@ double MeasureQps(service::QueryRouter* router,
   util::Stopwatch watch;
   const auto results = router->ExecuteBatch(batch);
   const double secs = watch.ElapsedSeconds();
-  int64_t ok = 0;
-  for (const auto& r : results) ok += r.ok() ? 1 : 0;
-  (void)ok;
   return secs > 0.0 ? static_cast<double>(batch.size()) / secs : 0.0;
 }
 
@@ -51,6 +48,9 @@ int Run() {
   const BenchEnv env = BenchEnv::FromEnv();
   const int64_t queries =
       util::GetEnvInt64("QREG_SERVICE_QUERIES", std::max<int64_t>(2000, env.test_queries));
+  // Every router's queue holds a whole batch: a shed slot fails in
+  // microseconds and would inflate the QPS columns.
+  const size_t batch_slots = static_cast<size_t>(queries);
   PrintHeader("bench_service_throughput",
               "service layer: QPS vs threads, cache hit rate vs delta_min", env);
 
@@ -95,6 +95,7 @@ int Run() {
     exact_cfg.policy = service::RoutePolicy::kExactOnly;
     exact_cfg.enable_cache = false;
     exact_cfg.num_threads = threads;
+    exact_cfg.queue_capacity = batch_slots;
     service::QueryRouter exact_router(&catalog, exact_cfg);
     const double exact_qps = MeasureQps(&exact_router, uniform);
 
@@ -102,6 +103,7 @@ int Run() {
     hybrid_cfg.policy = service::RoutePolicy::kHybrid;
     hybrid_cfg.enable_cache = false;
     hybrid_cfg.num_threads = threads;
+    hybrid_cfg.queue_capacity = batch_slots;
     service::QueryRouter hybrid_router(&catalog, hybrid_cfg);
     const double hybrid_qps = MeasureQps(&hybrid_router, uniform);
     const service::ServiceSnapshot s = hybrid_router.Stats();
@@ -122,7 +124,10 @@ int Run() {
 
   // --- Series B: semantic cache vs delta_min on a clustered workload ----
   // Small σθ and a tight center cluster make consecutive queries overlap
-  // heavily, the regime where δ-admission pays off.
+  // heavily, the regime where δ-admission pays off. The cache serves only
+  // exact-routed requests, and this cluster lies inside the trained region,
+  // so both routers run kExactOnly (under kHybrid the model answers it and
+  // every hit rate below would read 0).
   const double span = p.center_hi - p.center_lo;
   const std::vector<service::Request> clustered = MakeRequests(
       "r1", query::WorkloadConfig::Cube(2, p.center_lo + 0.45 * span,
@@ -133,23 +138,27 @@ int Run() {
   util::TablePrinter cache_table(
       {"delta_min", "hit rate", "qps", "speedup vs nocache", "evictions"});
   service::RouterConfig nocache_cfg;
-  nocache_cfg.policy = service::RoutePolicy::kHybrid;
+  nocache_cfg.policy = service::RoutePolicy::kExactOnly;
   nocache_cfg.enable_cache = false;
   nocache_cfg.num_threads = 2;
+  nocache_cfg.queue_capacity = batch_slots;
   service::QueryRouter nocache_router(&catalog, nocache_cfg);
   const double nocache_qps = MeasureQps(&nocache_router, clustered);
   cache_table.AddRow({"off", "0.000", util::Format("%.0f", nocache_qps), "1.00x", "0"});
 
+  double hit_rate_at_0_9 = 0.0;
   for (double delta_min : {0.99, 0.95, 0.9, 0.8, 0.7, 0.5}) {
     service::RouterConfig cfg;
-    cfg.policy = service::RoutePolicy::kHybrid;
+    cfg.policy = service::RoutePolicy::kExactOnly;
     cfg.enable_cache = true;
     cfg.cache.delta_min = delta_min;
     cfg.cache.capacity_per_shard = 4096;
     cfg.num_threads = 2;
+    cfg.queue_capacity = batch_slots;
     service::QueryRouter router(&catalog, cfg);
     const double qps = MeasureQps(&router, clustered);
     const service::AnswerCacheStats cs = router.CacheStats();
+    if (delta_min == 0.9) hit_rate_at_0_9 = cs.HitRate();
     cache_table.AddRow({util::Format("%.2f", delta_min),
                         util::Format("%.3f", cs.HitRate()),
                         util::Format("%.0f", qps),
@@ -157,6 +166,77 @@ int Run() {
                         util::Format("%lld", static_cast<long long>(cs.evictions))});
   }
   EmitTable("bench_service_throughput", "cache_vs_delta_min", cache_table, env);
+  // Gate: a routing change that starves the cache of this exact-routed,
+  // heavily overlapping traffic is a bug, not a measurement.
+  if (hit_rate_at_0_9 <= 0.0) {
+    std::cerr << "FAIL: cache hit rate at delta_min 0.9 is 0 on clustered "
+                 "exact-routed traffic\n";
+    return 1;
+  }
+
+  // --- Series C: what the cache buys on each route ----------------------
+  // Two hot spots. Wide balls centered just past the trained cube (θ two σ
+  // above the mean) fail the vigilance test, so a hybrid router answers
+  // them exactly: the traffic the cache is kept for. The narrow in-region
+  // cluster of series B is answered by the model, which a cache-on router
+  // must serve at the cache-off cost. kExactOnly on the wide spot isolates the route test's
+  // cost on a hit (hybrid minus exact-only). Synchronous routers, median of
+  // three fresh-router runs, so the µs/request column is one core's cost.
+  const std::vector<service::Request> wide = MakeRequests(
+      "r1", query::WorkloadConfig::Cube(2, p.center_hi, p.center_hi + 0.1 * span,
+                                        p.theta_mean + 2.0 * p.theta_stddev,
+                                        0.1 * p.theta_stddev, env.seed + 4),
+      queries);
+  struct RouteCase {
+    const char* traffic;
+    const std::vector<service::Request>* batch;
+    service::RoutePolicy policy;
+    bool cache;
+  };
+  const RouteCase route_cases[] = {
+      {"wide (exact-routed)", &wide, service::RoutePolicy::kHybrid, false},
+      {"wide (exact-routed)", &wide, service::RoutePolicy::kHybrid, true},
+      {"wide (exact-routed)", &wide, service::RoutePolicy::kExactOnly, false},
+      {"wide (exact-routed)", &wide, service::RoutePolicy::kExactOnly, true},
+      {"narrow (model-routed)", &clustered, service::RoutePolicy::kHybrid, false},
+      {"narrow (model-routed)", &clustered, service::RoutePolicy::kHybrid, true},
+  };
+  util::TablePrinter route_table({"traffic", "policy", "cache", "us/request",
+                                  "hit rate", "scan share", "lookups"});
+  int64_t model_routed_lookups = 0;
+  for (const RouteCase& c : route_cases) {
+    std::vector<double> us;
+    service::ServiceSnapshot s;
+    service::AnswerCacheStats cs;
+    for (int rep = 0; rep < 3; ++rep) {
+      service::RouterConfig cfg;
+      cfg.policy = c.policy;
+      cfg.enable_cache = c.cache;
+      cfg.cache.delta_min = 0.9;
+      cfg.cache.capacity_per_shard = 4096;
+      cfg.num_threads = 0;
+      service::QueryRouter router(&catalog, cfg);
+      const double qps = MeasureQps(&router, *c.batch);
+      us.push_back(qps > 0.0 ? 1e6 / qps : 0.0);
+      s = router.Stats();
+      cs = router.CacheStats();
+    }
+    std::sort(us.begin(), us.end());
+    if (c.batch == &clustered) model_routed_lookups += cs.lookups;
+    route_table.AddRow(
+        {c.traffic,
+         c.policy == service::RoutePolicy::kHybrid ? "hybrid" : "exact_only",
+         c.cache ? "on" : "off", util::Format("%.2f", us[1]),
+         util::Format("%.3f", cs.HitRate()),
+         util::Format("%.3f", s.ExactFallbackRate()),
+         util::Format("%lld", static_cast<long long>(cs.lookups))});
+  }
+  EmitTable("bench_service_throughput", "cache_vs_route", route_table, env);
+  if (model_routed_lookups != 0) {
+    std::cerr << "FAIL: model-routed traffic probed the cache "
+              << model_routed_lookups << " times\n";
+    return 1;
+  }
 
   // --- Final service snapshot (operator view) ---------------------------
   service::RouterConfig final_cfg;
@@ -164,9 +244,13 @@ int Run() {
   final_cfg.enable_cache = true;
   final_cfg.cache.delta_min = 0.9;
   final_cfg.num_threads = 2;
+  std::vector<service::Request> mixed = clustered;
+  mixed.insert(mixed.end(), wide.begin(), wide.end());
+  final_cfg.queue_capacity = mixed.size();
   service::QueryRouter final_router(&catalog, final_cfg);
-  (void)final_router.ExecuteBatch(clustered);
-  std::cout << "\nservice snapshot (hybrid, delta_min=0.9, clustered traffic):\n";
+  (void)final_router.ExecuteBatch(mixed);
+  std::cout << "\nservice snapshot (hybrid, delta_min=0.9, narrow + wide "
+               "hot spots):\n";
   const service::ServiceSnapshot final_snap = final_router.Stats();
   final_snap.PrintTo(std::cout);
 

@@ -231,7 +231,8 @@ int Demo() {
   }
 
   // A hybrid router: in-region queries answered by the model, out-of-region
-  // by the exact engine; overlapping repeats served from the δ-cache.
+  // by the exact engine; overlapping repeats of exact-routed queries served
+  // from the δ-cache.
   service::RouterConfig cfg;
   cfg.policy = service::RoutePolicy::kHybrid;
   cfg.cache.delta_min = 0.9;
@@ -239,7 +240,7 @@ int Demo() {
   // The queue holds the whole demo burst: with the default shed-on-overload
   // policy, a smaller queue would (correctly) shed part of the burst to the
   // cache or reject it with kResourceExhausted — see the "shed" stats row.
-  cfg.queue_capacity = 2048;
+  cfg.queue_capacity = 4096;
   service::QueryRouter router(&catalog, cfg);
 
   // Single queries against both datasets.
@@ -260,14 +261,19 @@ int Demo() {
   }
 
   // A burst of clustered traffic, executed in parallel on the pool. The
-  // tight cluster makes δ-overlap cache hits frequent.
+  // in-region cluster is answered by the model, which costs about what a
+  // cache lookup does, so it never touches the cache. The cluster past the
+  // trained region is routed to the exact engine, where the tight cluster
+  // makes δ-overlap cache hits frequent: a hit replaces a scan.
   query::WorkloadGenerator gen(
       query::WorkloadConfig::Cube(2, 0.45, 0.55, 0.1, 0.01, /*seed=*/21));
+  query::WorkloadGenerator far_gen(
+      query::WorkloadConfig::Cube(2, 1.35, 1.45, 1.0, 0.01, /*seed=*/22));
   std::vector<service::Request> burst;
-  for (int i = 0; i < 2000; ++i) {
-    burst.push_back(i % 2 == 0
-                        ? service::Request::Q1("sensors", gen.Next())
-                        : service::Request::Q2("sensors", gen.Next()));
+  for (int i = 0; i < 2200; ++i) {
+    query::WorkloadGenerator& g = i < 2000 ? gen : far_gen;
+    burst.push_back(i % 2 == 0 ? service::Request::Q1("sensors", g.Next())
+                               : service::Request::Q2("sensors", g.Next()));
   }
   auto answers = router.ExecuteBatch(burst);
   int64_t ok = 0;

@@ -104,16 +104,6 @@ ExecResult QueryRouter::ExecuteUnrecorded(const Request& request) {
         request.q.ToString().c_str()));
   }
 
-  const std::string shard = ShardKey(request, snap.generation);
-  if (config_.enable_cache) {
-    CachedAnswer cached;
-    if (cache_.Lookup(shard, request.q, &cached)) {
-      Answer a = AnswerFromCache(request.kind, std::move(cached));
-      MaybeReportObservation(request, snap, &a, /*in_region=*/nullptr);
-      return a;
-    }
-  }
-
   // Accuracy policy: pick the answering path. When the hybrid policy runs
   // the vigilance test, its verdict is remembered for the drift-metering
   // decision below (same query, same test — never scan prototypes twice).
@@ -144,6 +134,22 @@ ExecResult QueryRouter::ExecuteUnrecorded(const Request& request) {
       break;
     }
   }
+  const bool* verdict = in_region_known ? &in_region : nullptr;
+
+  // The δ-cache serves the exact path only: a model answer costs a few
+  // microseconds, about what a lookup does, so a model-routed request never
+  // builds a key, probes or inserts. An exact scan costs 10²–10³ times more.
+  const bool cache_path = config_.enable_cache && !use_model;
+  std::string shard;
+  if (cache_path) {
+    shard = ShardKey(request, snap.generation);
+    CachedAnswer cached;
+    if (cache_.Lookup(shard, request.q, &cached)) {
+      Answer a = AnswerFromCache(request.kind, std::move(cached));
+      MaybeReportObservation(request, snap, &a, verdict);
+      return a;
+    }
+  }
 
   ExecResult result = use_model ? ExecuteModel(request, *snap.model)
                                 : ExecuteExact(request, *snap.engine, ctl);
@@ -165,15 +171,15 @@ ExecResult QueryRouter::ExecuteUnrecorded(const Request& request) {
   }
   if (!result.ok()) return result;
 
-  // Fallback answers are possibly out-of-region extrapolations served under
-  // duress — don't let them seed the cache for healthy requests. On a
-  // drift-enabled dataset, also skip the insert when a retrain published a
-  // new generation while this request was in flight: the old-generation
-  // group was just erased and its keys are unreachable. (The residual
-  // check-then-insert race is harmless — a resurrected entry can never be
-  // served and group capacity is per-group, so it steals nothing from the
-  // live generation.)
-  if (config_.enable_cache && !result->used_fallback) {
+  // Only exact answers are admitted. A fallback (source kModel) is the
+  // model's answer served under duress, possibly an out-of-region
+  // extrapolation, so it never seeds the cache. On a drift-enabled dataset,
+  // also skip the insert when a retrain published a new generation while
+  // this request was in flight: the old-generation group was just erased and
+  // its keys are unreachable. (The residual check-then-insert race is
+  // harmless — a resurrected entry can never be served and group capacity is
+  // per-group, so it steals nothing from the live generation.)
+  if (cache_path && result->source == AnswerSource::kExact) {
     bool stale_generation = false;
     if (snap.drift_enabled) {
       auto now = catalog_->Get(request.dataset);
@@ -187,8 +193,7 @@ ExecResult QueryRouter::ExecuteUnrecorded(const Request& request) {
       cache_.Insert(shard, std::move(to_cache));
     }
   }
-  MaybeReportObservation(request, snap, &result.value(),
-                         in_region_known ? &in_region : nullptr);
+  MaybeReportObservation(request, snap, &result.value(), verdict);
   return result;
 }
 
@@ -297,7 +302,10 @@ ExecResult QueryRouter::ExecuteShed(const Request& request) {
     return util::Status::DeadlineExceeded(
         "request deadline expired before execution");
   }
-  if (config_.enable_cache) {
+  // The cache holds exact answers only, so a shed request is served one or
+  // rejected. A kModelOnly router never admits an answer: its shed requests
+  // are rejected without a probe.
+  if (config_.enable_cache && config_.policy != RoutePolicy::kModelOnly) {
     // Generation lookup via Get(): cheap (no training), and a shed request
     // must never read a stale generation's answers either.
     auto snap = catalog_->Get(request.dataset);

@@ -1,6 +1,6 @@
 // The service front door: accepts single or batched Q1/Q2 requests, answers
-// each from (in order of preference) the δ-overlap semantic cache, the
-// trained LLM model, or the exact engine, and aggregates serving metrics.
+// each from the trained LLM model or the exact engine, and aggregates
+// serving metrics.
 //
 // Routing follows a configurable accuracy policy. The default hybrid policy
 // uses the model's own quantization geometry: a query whose nearest
@@ -8,6 +8,12 @@
 // outside the region the model was trained on — the vigilance test of
 // Algorithm 1, reused at serving time — and is routed to the exact engine
 // instead of extrapolating.
+//
+// The δ-overlap semantic cache sits on the exact branch only, after the
+// route test: an exact-routed request is answered from a cached exact answer
+// whose δ clears δ_min, and a fresh exact answer is admitted. Model-routed
+// requests never touch the cache, since a prediction costs about what a
+// lookup does.
 //
 // Batches execute in parallel on a fixed ThreadPool. With 0 worker threads
 // the router is fully synchronous, which benches use as the single-threaded
@@ -61,6 +67,7 @@ struct RouterConfig {
   /// the model further from its prototypes; < 1 falls back to exact sooner.
   double rho_scale = 1.0;
 
+  /// δ-cache for exact-routed requests (see the file comment).
   bool enable_cache = true;
   AnswerCacheConfig cache;
 

@@ -78,13 +78,6 @@ class Deadline {
   bool infinite() const { return at_nanos_ == kNoDeadline; }
   bool expired() const { return !infinite() && clock().NowNanos() >= at_nanos_; }
 
-  /// Nanoseconds until expiry (clamped at 0); INT64_MAX when infinite.
-  int64_t remaining_nanos() const {
-    if (infinite()) return kNoDeadline;
-    const int64_t left = at_nanos_ - clock().NowNanos();
-    return left > 0 ? left : 0;
-  }
-
  private:
   static constexpr int64_t kNoDeadline = std::numeric_limits<int64_t>::max();
 

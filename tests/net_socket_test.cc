@@ -438,7 +438,7 @@ TEST(NetServerTest, GlobalConnectionCapHoldsAcrossLoops) {
 
 TEST(NetServerTest, ExpiredClientDeadlineRejectedAtAdmissionWithoutCacheTouch) {
   service::RouterConfig cfg;
-  cfg.policy = service::RoutePolicy::kHybrid;
+  cfg.policy = service::RoutePolicy::kExactOnly;  // The cache's only path.
   cfg.enable_cache = true;
   cfg.cache.delta_min = 0.9;
   cfg.num_threads = 1;
@@ -456,6 +456,7 @@ TEST(NetServerTest, ExpiredClientDeadlineRejectedAtAdmissionWithoutCacheTouch) {
   ASSERT_TRUE(warm_answer.ok()) << warm_answer.status();
 
   const int64_t lookups_before = router.CacheStats().lookups;
+  ASSERT_GT(lookups_before, 0);  // Else the check below is vacuous.
 
   // A 1ns budget is expired by the time admission runs: typed rejection, and
   // the δ-cache must not even be consulted (a hit may never mask the status).

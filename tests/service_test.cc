@@ -1219,7 +1219,7 @@ TEST(QueryRouterTest, HybridRoutesByTrainedRegion) {
 
 TEST(QueryRouterTest, CacheHitOnRepeatedQuery) {
   RouterConfig cfg;
-  cfg.policy = RoutePolicy::kModelOnly;
+  cfg.policy = RoutePolicy::kExactOnly;  // The cache serves the exact path.
   cfg.enable_cache = true;
   cfg.cache.delta_min = 0.95;
   QueryRouter router(SharedCatalog(), cfg);
@@ -1227,7 +1227,7 @@ TEST(QueryRouterTest, CacheHitOnRepeatedQuery) {
   Request r = Request::Q1("r1", query::Query({0.4, 0.6}, 0.1));
   auto first = router.Execute(r);
   ASSERT_TRUE(first.ok());
-  EXPECT_EQ(first->source, AnswerSource::kModel);
+  EXPECT_EQ(first->source, AnswerSource::kExact);
   auto second = router.Execute(r);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second->source, AnswerSource::kCache);
@@ -1239,11 +1239,96 @@ TEST(QueryRouterTest, CacheHitOnRepeatedQuery) {
   EXPECT_EQ(router.Stats().cache_hits, 1);
 }
 
+TEST(QueryRouterTest, ModelRoutedRequestsNeverTouchTheCache) {
+  // A model answer costs about what a lookup does, so the δ-cache sits on
+  // the exact branch only: a model-routed request never probes or inserts,
+  // and its answer is bit-for-bit the cache-off router's.
+  const auto expect_same = [](const ExecResult& got, const ExecResult& want,
+                              size_t i) {
+    ASSERT_EQ(got.ok(), want.ok()) << "request " << i;
+    if (!got.ok()) return;
+    EXPECT_EQ(got->source, AnswerSource::kModel) << "request " << i;
+    EXPECT_EQ(got->mean, want->mean) << "request " << i;
+    ASSERT_EQ(got->pieces.size(), want->pieces.size()) << "request " << i;
+    for (size_t p = 0; p < got->pieces.size(); ++p) {
+      EXPECT_EQ(got->pieces[p].intercept, want->pieces[p].intercept);
+      EXPECT_EQ(got->pieces[p].slope, want->pieces[p].slope);
+      EXPECT_EQ(got->pieces[p].weight, want->pieces[p].weight);
+    }
+  };
+  RouterConfig on;
+  on.enable_cache = true;
+  on.cache.delta_min = 0.5;  // Generous: a probe would hit often.
+  RouterConfig off = on;
+  off.enable_cache = false;
+
+  // Hybrid, in-region stream (each request twice, so a repeat would hit).
+  QueryRouter hybrid_off(SharedCatalog(), off);
+  std::vector<Request> in_region;
+  for (const Request& r : MixedWorkload(120, 23)) {
+    auto got = hybrid_off.Execute(r);
+    if (got.ok() && got->source == AnswerSource::kModel) {
+      in_region.push_back(r);
+      in_region.push_back(r);
+    }
+  }
+  ASSERT_GT(in_region.size(), 100u);
+  QueryRouter hybrid_on(SharedCatalog(), on);
+  for (size_t i = 0; i < in_region.size(); ++i) {
+    expect_same(hybrid_on.Execute(in_region[i]),
+                hybrid_off.Execute(in_region[i]), i);
+  }
+  EXPECT_EQ(hybrid_on.CacheStats().lookups, 0);
+  EXPECT_EQ(hybrid_on.CacheStats().inserts, 0);
+
+  // kModelOnly: every request, in region or not, is model-routed.
+  on.policy = off.policy = RoutePolicy::kModelOnly;
+  QueryRouter model_on(SharedCatalog(), on);
+  QueryRouter model_off(SharedCatalog(), off);
+  std::vector<Request> stream = MixedWorkload(60, 24, -0.5, 1.5);
+  stream.insert(stream.end(), stream.begin(), stream.end());
+  for (size_t i = 0; i < stream.size(); ++i) {
+    expect_same(model_on.Execute(stream[i]), model_off.Execute(stream[i]), i);
+  }
+  EXPECT_EQ(model_on.CacheStats().lookups, 0);
+  EXPECT_EQ(model_on.CacheStats().inserts, 0);
+
+  // Walk θ up from an in-region query to the first one the vigilance test
+  // rejects: neighbours on either side of the boundary δ-overlap strongly.
+  query::Query q_in({0.5, 0.5}, 0.12);
+  query::Query q_out = q_in;
+  for (;;) {
+    q_out.theta += 0.01;
+    ASSERT_LT(q_out.theta, 2.0) << "no out-of-region θ at this center";
+    auto got = hybrid_off.Execute(Request::Q1("r1", q_out));
+    ASSERT_TRUE(got.ok()) << got.status();
+    if (got->source == AnswerSource::kExact) break;
+    q_in = q_out;
+  }
+  ASSERT_GE(query::DegreeOfOverlap(q_in, q_out), on.cache.delta_min);
+
+  on.policy = RoutePolicy::kHybrid;
+  QueryRouter router(SharedCatalog(), on);
+  auto exact = router.Execute(Request::Q1("r1", q_out));
+  ASSERT_TRUE(exact.ok());
+  EXPECT_EQ(exact->source, AnswerSource::kExact);
+  auto repeat = router.Execute(Request::Q1("r1", q_out));  // Out of region.
+  ASSERT_TRUE(repeat.ok());
+  EXPECT_EQ(repeat->source, AnswerSource::kCache);
+  EXPECT_EQ(repeat->mean, exact->mean);
+  auto near = router.Execute(Request::Q1("r1", q_in));  // In region.
+  ASSERT_TRUE(near.ok());
+  EXPECT_EQ(near->source, AnswerSource::kModel);
+  EXPECT_EQ(near->mean, hybrid_off.Execute(Request::Q1("r1", q_in))->mean);
+  EXPECT_EQ(router.CacheStats().lookups, 2);
+  EXPECT_EQ(router.CacheStats().inserts, 1);
+}
+
 // ---------- Overload shedding (graceful degradation) ----------
 
 TEST(OverloadSheddingTest, SaturatedBatchShedsToCacheOrRejects) {
   RouterConfig cfg;
-  cfg.policy = RoutePolicy::kModelOnly;
+  cfg.policy = RoutePolicy::kExactOnly;  // Only exact answers are cached.
   cfg.enable_cache = true;
   cfg.cache.delta_min = 1.0;  // Only exact repeats hit: deterministic.
   cfg.num_threads = 1;
@@ -1286,6 +1371,44 @@ TEST(OverloadSheddingTest, SaturatedBatchShedsToCacheOrRejects) {
   ServiceSnapshot stats = router.Stats();
   EXPECT_EQ(stats.shed, 2);
   EXPECT_EQ(stats.errors, 1);
+}
+
+TEST(OverloadSheddingTest, ModelOnlyShedRequestsAreRejectedWithoutAProbe) {
+  // Only exact answers are cached, so a kModelOnly router's cache never
+  // fills: a shed request there is always rejected, and never probes.
+  RouterConfig cfg;
+  cfg.policy = RoutePolicy::kModelOnly;
+  cfg.enable_cache = true;
+  cfg.cache.delta_min = 1.0;
+  cfg.num_threads = 1;
+  cfg.queue_capacity = 1;
+  QueryRouter router(SharedCatalog(), cfg);
+
+  Request warm = Request::Q1("r1", query::Query({0.5, 0.5}, 0.1));
+  ASSERT_TRUE(router.Execute(warm).ok());
+
+  std::mutex gate;
+  gate.lock();
+  util::ThreadPool* pool = router.pool_for_testing();
+  pool->Submit([&gate] { gate.lock(); gate.unlock(); });
+  while (pool->queue_depth() > 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(pool->TrySubmit([] {}));
+
+  auto results = router.ExecuteBatch({warm, warm});
+  gate.unlock();
+
+  ASSERT_EQ(results.size(), 2u);
+  for (const auto& r : results) {
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), util::StatusCode::kResourceExhausted);
+  }
+  ServiceSnapshot stats = router.Stats();
+  EXPECT_EQ(stats.shed, 2);
+  EXPECT_EQ(stats.cache_hits, 0);
+  EXPECT_EQ(router.CacheStats().lookups, 0);
+  EXPECT_EQ(router.CacheStats().inserts, 0);
 }
 
 TEST(OverloadSheddingTest, UnsaturatedBatchNeverSheds) {
