@@ -1,5 +1,5 @@
 // Scan-kernel throughput: per-row type-erased dispatch vs the block-at-a-time
-// kernel pipeline, plus the AnswerCache wait-free read-path micro-bench.
+// kernel pipeline, plus the AnswerCache read- and write-path micro-benches.
 //
 // Part 1 — scan kernels. For every (d, selectivity) cell the bench runs a
 // full-table radius scan two ways over the same data and the same
@@ -11,8 +11,12 @@
 //     branch-free filter into a fused SumBlockKernel.
 // Reported as rows/sec (candidate rows examined per wall second).
 //
-// Part 2 — cache read path. N reader threads hammer AnswerCache::Lookup's
-// wait-free epoch read path on a warm group.
+// Part 2 — cache read path. N reader threads hammer AnswerCache::Lookup
+// (shared reader lock) on a warm 64-entry group; in the second cell of each
+// reader count one more thread meanwhile inserts fresh queries into a full
+// 1,024-entry group of the same cache (writer lock, one eviction each).
+// Reports lookups/s and inserts/s: whether the lock starves the writer or
+// stalls the readers.
 //
 // Part 3 — cache write path. One group is filled to a given occupancy, then
 // churned by cache_churn-like traffic (jittered hot spots, d = 2, θ ≈ 0.1,
@@ -29,7 +33,7 @@
 //
 // Always writes machine-readable JSON to OutDir() (default bench/out/):
 //   bench_scan_kernels.json       — one record per (d, selectivity, path)
-//   bench_cache_read_path.json    — one record per reader count
+//   bench_cache_read_path.json    — one record per (reader count, writer)
 //   bench_cache_write_path.json   — one record per occupancy
 //   bench_contained_subtrees.json — one record per θ
 // picked up by the CI bench-smoke artifact upload. The table JSON includes
@@ -49,6 +53,7 @@
 // auto), QREG_SEED.
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -190,57 +195,6 @@ ScanCell RunScanCell(size_t d, double selectivity, int64_t rows, int64_t reps,
   return cell;
 }
 
-struct CacheCell {
-  int readers = 0;
-  double lookups_per_sec = 0.0;
-  double hit_rate = 0.0;
-};
-
-CacheCell RunCacheCell(int readers, int64_t lookups_each) {
-  service::AnswerCacheConfig cfg;
-  cfg.delta_min = 0.9;
-  cfg.num_shards = 8;
-  service::AnswerCache cache(cfg);
-  const std::string group = "ds/g0/Q1";
-  for (int i = 0; i < 64; ++i) {
-    service::CachedAnswer a;
-    a.q = query::Query({0.01 * i, 0.5}, 0.1);
-    a.mean = static_cast<double>(i);
-    cache.Insert(group, a);
-  }
-
-  std::vector<std::thread> threads;
-  util::Stopwatch sw;
-  for (int r = 0; r < readers; ++r) {
-    threads.emplace_back([&cache, &group, lookups_each, r] {
-      util::Rng rng(static_cast<uint64_t>(100 + r));
-      service::CachedAnswer out;
-      for (int64_t i = 0; i < lookups_each; ++i) {
-        const query::Query probe({0.01 * rng.UniformInt(64), 0.5}, 0.1);
-        cache.Lookup(group, probe, &out);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  const double secs = sw.ElapsedMillis() / 1e3;
-
-  CacheCell cell;
-  cell.readers = readers;
-  cell.lookups_per_sec =
-      static_cast<double>(lookups_each * readers) / std::max(1e-9, secs);
-  cell.hit_rate = cache.stats().HitRate();
-  return cell;
-}
-
-struct WriteCell {
-  size_t occupancy = 0;
-  double ns_per_insert = 0.0;
-  double ns_per_lookup = 0.0;
-  double hit_rate = 0.0;
-  double linear_ns_per_insert = 0.0;  // enable_grid = false twin.
-  double linear_ns_per_lookup = 0.0;
-};
-
 // cache_churn's traffic shape: radii in a narrow band around 0.1, centers
 // jittered around a fixed set of hot spots.
 std::vector<query::Query> ChurnQueries(int64_t n, uint64_t seed) {
@@ -261,6 +215,86 @@ std::vector<query::Query> ChurnQueries(int64_t n, uint64_t seed) {
   }
   return out;
 }
+
+struct CacheCell {
+  int readers = 0;
+  bool writer = false;
+  double lookups_per_sec = 0.0;
+  double inserts_per_sec = 0.0;
+  double hit_rate = 0.0;
+};
+
+CacheCell RunCacheCell(int readers, int64_t lookups_each, bool writer) {
+  constexpr size_t kWriterGroupSize = 1024;
+  service::AnswerCacheConfig cfg;
+  cfg.delta_min = 0.9;
+  cfg.capacity_per_shard = kWriterGroupSize;
+  service::AnswerCache cache(cfg);
+  const std::string group = "ds/g0/Q1";
+  for (int i = 0; i < 64; ++i) {
+    service::CachedAnswer a;
+    a.q = query::Query({0.01 * i, 0.5}, 0.1);
+    a.mean = static_cast<double>(i);
+    cache.Insert(group, a);
+  }
+  const std::string write_group = "ds/g0/Q2";
+  std::vector<service::CachedAnswer> fresh(kWriterGroupSize + 65536);
+  std::vector<query::Query> qs =
+      ChurnQueries(static_cast<int64_t>(fresh.size()), 7);
+  for (size_t i = 0; i < fresh.size(); ++i) fresh[i].q = std::move(qs[i]);
+  for (size_t i = 0; i < kWriterGroupSize; ++i) {
+    cache.Insert(write_group, fresh[i]);
+  }
+
+  std::atomic<bool> readers_done{false};
+  int64_t inserts = 0;
+  std::thread writer_thread;
+  util::Stopwatch sw;
+  if (writer) {
+    writer_thread = std::thread([&] {
+      // Cycles through the fresh queries; each insert evicts the LRU entry.
+      size_t next = kWriterGroupSize;
+      while (!readers_done.load(std::memory_order_acquire)) {
+        cache.Insert(write_group, fresh[next]);
+        ++inserts;
+        if (++next == fresh.size()) next = 0;
+      }
+    });
+  }
+  std::vector<std::thread> threads;
+  for (int r = 0; r < readers; ++r) {
+    threads.emplace_back([&cache, &group, lookups_each, r] {
+      util::Rng rng(static_cast<uint64_t>(100 + r));
+      service::CachedAnswer out;
+      for (int64_t i = 0; i < lookups_each; ++i) {
+        const query::Query probe({0.01 * rng.UniformInt(64), 0.5}, 0.1);
+        cache.Lookup(group, probe, &out);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  const double secs = sw.ElapsedMillis() / 1e3;
+  readers_done.store(true, std::memory_order_release);
+  if (writer_thread.joinable()) writer_thread.join();
+
+  CacheCell cell;
+  cell.readers = readers;
+  cell.writer = writer;
+  cell.lookups_per_sec =
+      static_cast<double>(lookups_each * readers) / std::max(1e-9, secs);
+  cell.inserts_per_sec = static_cast<double>(inserts) / std::max(1e-9, secs);
+  cell.hit_rate = cache.stats().HitRate();
+  return cell;
+}
+
+struct WriteCell {
+  size_t occupancy = 0;
+  double ns_per_insert = 0.0;
+  double ns_per_lookup = 0.0;
+  double hit_rate = 0.0;
+  double linear_ns_per_insert = 0.0;  // enable_grid = false twin.
+  double linear_ns_per_lookup = 0.0;
+};
 
 // One write-path replay: the δ of every lookup (0 on a miss; a hit's δ is
 // at least δ_min > 0) and the total time spent in Lookup and Insert.
@@ -459,23 +493,28 @@ int Run(bool smoke) {
   }
   EmitTable("scan_kernels", util::Format("matrix_rows%lld", static_cast<long long>(rows)), table, env);
 
-  // ---- Cache read path: wait-free readers ----
+  // ---- Cache read path: shared readers, alone and beside one writer ----
   const std::vector<int> reader_counts =
       smoke ? std::vector<int>{1, 4} : std::vector<int>{1, 8, 32};
   const int64_t lookups_each = smoke ? 20000 : 200000;
 
-  util::TablePrinter cache_table({"readers", "lookups_per_sec", "hit_rate"});
+  util::TablePrinter cache_table(
+      {"readers", "writer", "lookups_per_sec", "inserts_per_sec", "hit_rate"});
   std::string cache_json = "[\n";
   for (int readers : reader_counts) {
-    const CacheCell cell = RunCacheCell(readers, lookups_each);
-    cache_table.AddRow({util::Format("%d", readers),
-                        util::Format("%.3g", cell.lookups_per_sec),
-                        util::Format("%.3f", cell.hit_rate)});
-    cache_json += util::Format(
-        "  {\"readers\": %d, \"lookups_per_sec\": %.1f, "
-        "\"hit_rate\": %.4f, \"hardware_concurrency\": %u},\n",
-        readers, cell.lookups_per_sec, cell.hit_rate,
-        std::thread::hardware_concurrency());
+    for (const bool writer : {false, true}) {
+      const CacheCell cell = RunCacheCell(readers, lookups_each, writer);
+      cache_table.AddRow({util::Format("%d", readers), writer ? "1" : "0",
+                          util::Format("%.3g", cell.lookups_per_sec),
+                          util::Format("%.3g", cell.inserts_per_sec),
+                          util::Format("%.3f", cell.hit_rate)});
+      cache_json += util::Format(
+          "  {\"readers\": %d, \"writer\": %d, \"lookups_per_sec\": %.1f, "
+          "\"inserts_per_sec\": %.1f, \"hit_rate\": %.4f, "
+          "\"hardware_concurrency\": %u},\n",
+          readers, writer ? 1 : 0, cell.lookups_per_sec, cell.inserts_per_sec,
+          cell.hit_rate, std::thread::hardware_concurrency());
+    }
   }
   if (cache_json.size() > 2 && cache_json[cache_json.size() - 2] == ',') {
     cache_json.erase(cache_json.size() - 2, 1);

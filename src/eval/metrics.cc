@@ -33,15 +33,6 @@ double Rmse(const std::vector<double>& actual, const std::vector<double>& predic
   return acc.Rmse();
 }
 
-double MeanAbsoluteError(const std::vector<double>& actual,
-                         const std::vector<double>& predicted) {
-  assert(actual.size() == predicted.size());
-  if (actual.empty()) return 0.0;
-  double s = 0.0;
-  for (size_t i = 0; i < actual.size(); ++i) s += std::fabs(actual[i] - predicted[i]);
-  return s / static_cast<double>(actual.size());
-}
-
 double Fvu(const std::vector<double>& actual, const std::vector<double>& predicted) {
   assert(actual.size() == predicted.size());
   FvuAccumulator acc;

@@ -70,10 +70,6 @@ class FvuAccumulator {
 /// \brief RMSE over paired vectors (sizes must match).
 double Rmse(const std::vector<double>& actual, const std::vector<double>& predicted);
 
-/// \brief Mean absolute error over paired vectors.
-double MeanAbsoluteError(const std::vector<double>& actual,
-                         const std::vector<double>& predicted);
-
 /// \brief FVU over paired vectors.
 double Fvu(const std::vector<double>& actual, const std::vector<double>& predicted);
 

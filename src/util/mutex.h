@@ -1,22 +1,28 @@
 // Annotated mutex primitives (DESIGN.md §13): thin wrappers over
-// std::mutex / std::condition_variable that carry the clang thread-safety
-// capability annotations from util/thread_annotations.h. All locking in
-// src/ goes through these types — tools/lint_invariants.py rejects raw
-// std::mutex outside src/util/ — so the -Wthread-safety CI build proves the
-// repo's lock discipline instead of documenting it.
+// std::mutex / std::condition_variable / pthread_rwlock_t that carry the
+// clang thread-safety capability annotations from util/thread_annotations.h.
+// All locking in src/ goes through these types — tools/lint_invariants.py
+// rejects raw std::mutex, std::shared_mutex and pthread_rwlock outside
+// src/util/ — so the -Wthread-safety CI build proves the repo's lock
+// discipline instead of documenting it.
 //
 // The wrappers add no state and no behavior: Mutex is std::mutex, MutexLock
-// is a scoped lock (with an adopt constructor for try-lock paths), and
-// CondVar waits on a Mutex the caller already holds. Condition waits are
-// written as explicit while-loops at the call sites (not predicate lambdas)
-// because the analysis cannot see through a lambda's capture list.
+// is a scoped lock (with an adopt constructor for try-lock paths), CondVar
+// waits on a Mutex the caller already holds, and SharedMutex is a
+// writer-preferring reader-writer lock with scoped ReaderLock / WriterLock
+// guards. Condition waits are written as explicit while-loops at the call
+// sites (not predicate lambdas) because the analysis cannot see through a
+// lambda's capture list.
 
 #ifndef QREG_UTIL_MUTEX_H_
 #define QREG_UTIL_MUTEX_H_
 
+#include <pthread.h>
+
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <cstdlib>
 #include <mutex>
 
 #include "util/thread_annotations.h"
@@ -101,6 +107,62 @@ class CondVar {
 
  private:
   std::condition_variable cv_;
+};
+
+/// \brief An annotated reader-writer lock: any number of readers, or one
+/// writer. Writer-preferring — once a writer waits, new readers queue
+/// behind it — so a steady stream of readers cannot starve inserts (glibc's
+/// default, like std::shared_mutex, prefers readers). Linux-only, as is the
+/// repo. Not recursive: a thread must not re-acquire a lock it holds.
+class QREG_CAPABILITY("mutex") SharedMutex {
+ public:
+  SharedMutex() {
+    pthread_rwlockattr_t attr;
+    if (pthread_rwlockattr_init(&attr) != 0 ||
+        pthread_rwlockattr_setkind_np(
+            &attr, PTHREAD_RWLOCK_PREFER_WRITER_NONRECURSIVE_NP) != 0 ||
+        pthread_rwlock_init(&rw_, &attr) != 0) {
+      std::abort();
+    }
+    pthread_rwlockattr_destroy(&attr);
+  }
+  ~SharedMutex() { pthread_rwlock_destroy(&rw_); }
+  SharedMutex(const SharedMutex&) = delete;
+  SharedMutex& operator=(const SharedMutex&) = delete;
+
+  void Lock() QREG_ACQUIRE() { pthread_rwlock_wrlock(&rw_); }
+  void Unlock() QREG_RELEASE() { pthread_rwlock_unlock(&rw_); }
+  void LockShared() QREG_ACQUIRE_SHARED() { pthread_rwlock_rdlock(&rw_); }
+  void UnlockShared() QREG_RELEASE_SHARED() { pthread_rwlock_unlock(&rw_); }
+
+ private:
+  pthread_rwlock_t rw_;
+};
+
+/// \brief RAII scoped exclusive (writer) lock over util::SharedMutex.
+class QREG_SCOPED_CAPABILITY WriterLock {
+ public:
+  explicit WriterLock(SharedMutex* mu) QREG_ACQUIRE(mu) : mu_(mu) { mu_->Lock(); }
+  ~WriterLock() QREG_RELEASE() { mu_->Unlock(); }
+  WriterLock(const WriterLock&) = delete;
+  WriterLock& operator=(const WriterLock&) = delete;
+
+ private:
+  SharedMutex* mu_;
+};
+
+/// \brief RAII scoped shared (reader) lock over util::SharedMutex.
+class QREG_SCOPED_CAPABILITY ReaderLock {
+ public:
+  explicit ReaderLock(SharedMutex* mu) QREG_ACQUIRE_SHARED(mu) : mu_(mu) {
+    mu_->LockShared();
+  }
+  ~ReaderLock() QREG_RELEASE() { mu_->UnlockShared(); }
+  ReaderLock(const ReaderLock&) = delete;
+  ReaderLock& operator=(const ReaderLock&) = delete;
+
+ private:
+  SharedMutex* mu_;
 };
 
 }  // namespace util

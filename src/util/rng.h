@@ -29,12 +29,9 @@ inline uint64_t SplitMix64(uint64_t* state) {
 class Rng {
  public:
   /// Seeds the generator; distinct seeds give independent-looking streams.
-  explicit Rng(uint64_t seed = 0xC0FFEE123456789ULL) { Reseed(seed); }
-
-  void Reseed(uint64_t seed) {
+  explicit Rng(uint64_t seed = 0xC0FFEE123456789ULL) {
     uint64_t sm = seed;
     for (int i = 0; i < 4; ++i) s_[i] = SplitMix64(&sm);
-    has_gauss_ = false;
   }
 
   /// Next raw 64-bit value (xoshiro256**).

@@ -61,10 +61,5 @@ bool StartsWith(const std::string& s, const std::string& prefix) {
          std::memcmp(s.data(), prefix.data(), prefix.size()) == 0;
 }
 
-std::string HumanCount(double n) {
-  if (n < 1e4) return Format("%.0f", n);
-  return Format("%.1e", n);
-}
-
 }  // namespace util
 }  // namespace qreg

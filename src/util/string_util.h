@@ -24,9 +24,6 @@ std::string Join(const std::vector<std::string>& parts, const std::string& sep);
 /// \brief True if `s` starts with `prefix`.
 bool StartsWith(const std::string& s, const std::string& prefix);
 
-/// \brief Human-readable count, e.g. 12000000 -> "1.2e+07" style short form.
-std::string HumanCount(double n);
-
 }  // namespace util
 }  // namespace qreg
 

@@ -14,7 +14,10 @@
 //     instead of re-locking.
 //   - Try-lock paths adopt via MutexLock's adopt constructor so the scoped
 //     release is still proven.
-//   - Deliberate lock-free reads (epoch-published snapshots, racy hints
+//   - Read-mostly state sits behind a util::SharedMutex: readers take
+//     ReaderLock (QREG_ACQUIRE_SHARED), writers WriterLock; a GUARDED_BY
+//     field may be read under either and written only under the writer.
+//   - Deliberate lock-free reads (atomically published pointers, racy hints
 //     formalized by a comment) are isolated in tiny accessors marked
 //     QREG_NO_THREAD_SAFETY_ANALYSIS with the happens-before argument
 //     written next to them.
@@ -56,9 +59,18 @@
 #define QREG_ACQUIRE(...) \
   QREG_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
 
-/// Function releases a held capability.
+/// Function acquires the capability shared (a reader lock).
+#define QREG_ACQUIRE_SHARED(...) \
+  QREG_THREAD_ANNOTATION(acquire_shared_capability(__VA_ARGS__))
+
+/// Function releases a held capability. On a scoped guard's destructor it
+/// releases whatever the constructor acquired, exclusive or shared.
 #define QREG_RELEASE(...) \
   QREG_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
+
+/// Function releases a capability held shared.
+#define QREG_RELEASE_SHARED(...) \
+  QREG_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
 
 /// Function acquires the capability iff it returns `result`.
 #define QREG_TRY_ACQUIRE(result, ...) \

@@ -4,7 +4,6 @@
 // parallelism determinism).
 
 #include <gtest/gtest.h>
-#include <pthread.h>
 
 #include <algorithm>
 #include <atomic>
@@ -117,7 +116,7 @@ TEST(ModelCatalogTest, RegistrationValidation) {
   EXPECT_EQ(catalog.size(), 1u);
 }
 
-TEST(ModelCatalogTest, LazyTrainingHappensExactlyOnce) {
+TEST(ModelCatalogTest, TrainAllTrainsEachDatasetExactlyOnce) {
   TestData* d = SharedData();
   ModelCatalog catalog;
   ASSERT_TRUE(
@@ -143,7 +142,7 @@ TEST(ModelCatalogTest, LazyTrainingHappensExactlyOnce) {
   EXPECT_EQ(first->model.get(), second->model.get());  // Same trained model.
 }
 
-TEST(ModelCatalogTest, ConcurrentGetOrTrainYieldsOneModel) {
+TEST(ModelCatalogTest, GetRacingTrainAllSeesOneModel) {
   // Readers racing a TrainAll never block on it: each sees no model or the
   // one published model, and every reader ends on the same pointer.
   TestData* d = SharedData();
@@ -251,7 +250,7 @@ TEST(ModelCatalogTest, TrainAllTrainsDatasetsRegisteredLater) {
   EXPECT_EQ(a_again->generation, 1);
 }
 
-TEST(ModelCatalogTest, TrainAllMatchesLazyTrainingByteForByte) {
+TEST(ModelCatalogTest, TrainAllMatchesSerialTrainerByteForByte) {
   // TrainAll runs the training scans on every core; a serial
   // core::Trainer::Train runs them on the calling thread. Both must build
   // the same model.
@@ -422,46 +421,8 @@ TEST(AnswerCacheTest, LookupTouchesLruOrder) {
   EXPECT_FALSE(cache.Lookup("s", b.q, nullptr));
 }
 
-// ---------- AnswerCache: sharding + grid δ-lookup equivalence ----------
+// ---------- AnswerCache: grid δ-lookup equivalence ----------
 // (Random query stream comes from testsupport::RandomQueries.)
-
-TEST(AnswerCacheShardingTest, ShardCountDoesNotChangeBehavior) {
-  // Hit/miss/eviction per group only depends on that group's op sequence,
-  // so any shard count must reproduce the single-shard baseline exactly.
-  AnswerCacheConfig base;
-  base.delta_min = 0.8;
-  base.capacity_per_shard = 16;
-  base.num_shards = 1;
-  AnswerCacheConfig sharded = base;
-  sharded.num_shards = 8;
-  AnswerCache a(base), b(sharded);
-
-  const std::vector<std::string> groups = {"ds1/Q1", "ds1/Q2", "ds2/Q1"};
-  const std::vector<query::Query> qs = RandomQueries(300, 71);
-  for (size_t i = 0; i < qs.size(); ++i) {
-    const std::string& g = groups[i % groups.size()];
-    CachedAnswer out_a, out_b;
-    const bool hit_a = a.Lookup(g, qs[i], &out_a);
-    const bool hit_b = b.Lookup(g, qs[i], &out_b);
-    ASSERT_EQ(hit_a, hit_b) << "query " << i;
-    if (hit_a) {
-      EXPECT_EQ(out_a.mean, out_b.mean) << "query " << i;
-      EXPECT_EQ(out_a.delta, out_b.delta) << "query " << i;
-    } else {
-      CachedAnswer ins;
-      ins.q = qs[i];
-      ins.mean = static_cast<double>(i);
-      a.Insert(g, ins);
-      b.Insert(g, ins);
-    }
-  }
-  EXPECT_EQ(a.size(), b.size());
-  const AnswerCacheStats sa = a.stats(), sb = b.stats();
-  EXPECT_EQ(sa.hits, sb.hits);
-  EXPECT_EQ(sa.misses, sb.misses);
-  EXPECT_EQ(sa.inserts, sb.inserts);
-  EXPECT_EQ(sa.evictions, sb.evictions);
-}
 
 TEST(AnswerCacheGridTest, GridLookupMatchesLinearProbeAdmissions) {
   // The satellite contract: the spatial-grid δ-lookup admits exactly the
@@ -611,6 +572,37 @@ TEST(AnswerCacheGridTest, ChurnAtCapacityMatchesLinearProbe) {
   EXPECT_GT(sg.evictions, 0);
   EXPECT_LT(sg.inserts, insert_calls);
   EXPECT_GT(sg.hits, 0);
+}
+
+TEST(AnswerCacheGridTest, DeltaTiesGoToTheNewestInsertOnBothPaths) {
+  // Two cached balls at the same distance from the probe tie on δ = 0.75;
+  // the newer insert must win whatever order the probe visits them in.
+  for (const bool enable_grid : {true, false}) {
+    SCOPED_TRACE(enable_grid ? "grid" : "linear");
+    AnswerCacheConfig cfg;
+    cfg.delta_min = 0.7;
+    cfg.enable_grid = enable_grid;
+    AnswerCache cache(cfg);
+    CachedAnswer older;
+    older.q = query::Query({0.4375, 0.5}, 0.125);
+    older.mean = 1.0;
+    cache.Insert("g", older);
+    CachedAnswer newer;
+    newer.q = query::Query({0.5625, 0.5}, 0.125);
+    newer.mean = 2.0;
+    cache.Insert("g", newer);
+    // Far-away fillers make the group large enough for the grid path.
+    for (int i = 0; i < 40; ++i) {
+      CachedAnswer filler;
+      filler.q = query::Query({5.0 + i, 5.0}, 0.125);
+      cache.Insert("g", filler);
+    }
+    CachedAnswer out;
+    ASSERT_TRUE(cache.Lookup("g", query::Query({0.5, 0.5}, 0.125), &out));
+    EXPECT_EQ(out.delta, 0.75);
+    EXPECT_EQ(out.mean, 2.0);
+    EXPECT_EQ(cache.stats().grid_probes, enable_grid ? 1 : 0);
+  }
 }
 
 // ---------- AnswerCache vs a brute-force reference model ----------
@@ -780,131 +772,10 @@ TEST(AnswerCacheReferenceTest, MatchesBruteForceModelStepForStep) {
   }
 }
 
-// ---------- AnswerCache: entry reclamation ----------
+// ---------- AnswerCache: shared reads under concurrent writes ----------
 
-// Payload whose parts all re-encode one number, so a freed or torn entry
-// shows up as an inconsistent copy (and as a use-after-free under ASan).
-CachedAnswer PinnedPayload(double cx) {
-  CachedAnswer a;
-  a.q = query::Query({cx, 0.5}, 0.1);
-  a.mean = cx * 1000.0;
-  a.pieces.resize(3);
-  for (auto& piece : a.pieces) piece.intercept = a.mean;
-  return a;
-}
-
-// Drops `pin` on a thread with a 512 KiB stack. Releasing a snapshot chain
-// recursively takes at least one frame per link, so a 100k-link chain
-// would overflow it; the iterative release needs a few frames in all.
-void ReleaseOnSmallStack(std::shared_ptr<const void> pin) {
-  pthread_attr_t attr;
-  ASSERT_EQ(pthread_attr_init(&attr), 0);
-  ASSERT_EQ(pthread_attr_setstacksize(&attr, 512 * 1024), 0);
-  pthread_t thread;
-  ASSERT_EQ(pthread_create(
-                &thread, &attr,
-                [](void* arg) -> void* {
-                  static_cast<std::shared_ptr<const void>*>(arg)->reset();
-                  return nullptr;
-                },
-                &pin),
-            0);
-  pthread_join(thread, nullptr);
-  pthread_attr_destroy(&attr);
-}
-
-// A reader stalled on an old snapshot while 100k inserts evict everything
-// it can see: the entries it reaches must stay intact, and letting go of
-// the resulting 100k-long snapshot chain must not recurse.
-TEST(AnswerCacheReclamationTest, PinnedSnapshotSurvivesEvictingChurn) {
-  const int64_t base = AnswerCache::live_entries_for_testing();
-  {
-    AnswerCacheConfig cfg;
-    cfg.capacity_per_shard = 4;
-    cfg.delta_min = 0.95;
-    AnswerCache cache(cfg);
-    for (int i = 0; i < 4; ++i) cache.Insert("g", PinnedPayload(0.1 * i));
-    std::shared_ptr<const void> pin = cache.pin_for_testing("g");
-
-    constexpr int kChurn = 100000;
-    for (int i = 0; i < kChurn; ++i) {
-      CachedAnswer a;
-      a.q = query::Query({2.0 + 1e-4 * i, 0.5}, 0.1);
-      cache.Insert("g", a);
-    }
-    EXPECT_EQ(cache.stats().evictions, kChurn);
-    // The current snapshot no longer holds the pinned entries...
-    EXPECT_FALSE(cache.Lookup("g", PinnedPayload(0.0).q, nullptr));
-    // ...but every snapshot since the pin is alive, and with them each
-    // entry that was ever inserted.
-    EXPECT_EQ(AnswerCache::live_entries_for_testing() - base, 4 + kChurn);
-    for (int i = 0; i < 4; ++i) {
-      const CachedAnswer want = PinnedPayload(0.1 * i);
-      CachedAnswer got;
-      ASSERT_TRUE(cache.LookupPinnedForTesting(pin, "g", want.q, &got)) << i;
-      EXPECT_EQ(got.mean, want.mean);
-      ASSERT_EQ(got.pieces.size(), want.pieces.size());
-      for (const auto& piece : got.pieces) EXPECT_EQ(piece.intercept, want.mean);
-    }
-
-    ReleaseOnSmallStack(std::move(pin));  // Releases the whole chain.
-    EXPECT_EQ(AnswerCache::live_entries_for_testing() - base,
-              static_cast<int64_t>(cache.size()));
-  }
-  EXPECT_EQ(AnswerCache::live_entries_for_testing(), base);
-}
-
-// Without readers, exactly the cached entries are alive: eviction and
-// replacement free what they drop, and erase, Clear and destruction free
-// everything.
-TEST(AnswerCacheReclamationTest, LiveEntriesMatchSizeAndReturnToZero) {
-  const int64_t base = AnswerCache::live_entries_for_testing();
-  auto live = [base] {
-    return static_cast<size_t>(AnswerCache::live_entries_for_testing() - base);
-  };
-  {
-    AnswerCacheConfig cfg;
-    cfg.capacity_per_shard = 64;
-    cfg.delta_min = 0.95;
-    AnswerCache cache(cfg);
-    util::Rng rng(77);
-    auto churn = [&cache, &rng] {
-      for (int i = 0; i < 2000; ++i) {
-        const std::string group = i % 2 == 0 ? "ds/g0/Q1" : "ds/g1/Q1";
-        // A small id range, so some inserts replace an identical query.
-        const query::Query q({0.001 * rng.UniformInt(300), 0.5}, 0.1);
-        cache.Lookup(group, q, nullptr);
-        CachedAnswer a;
-        a.q = q;
-        cache.Insert(group, a);
-      }
-    };
-    churn();
-    EXPECT_GT(cache.stats().evictions, 0);
-    EXPECT_LT(cache.stats().inserts, 2000);  // Some inserts replaced.
-    EXPECT_EQ(live(), cache.size());
-
-    EXPECT_GT(cache.EraseGroupsWithPrefix("ds/g0/"), 0u);
-    EXPECT_EQ(live(), cache.size());
-    EXPECT_EQ(live(), 64u);
-    EXPECT_GT(cache.EraseGroupsWithPrefix("ds/g1/"), 0u);
-    EXPECT_EQ(live(), 0u);
-
-    churn();
-    EXPECT_EQ(live(), cache.size());
-    cache.Clear();
-    EXPECT_EQ(live(), 0u);
-
-    churn();
-    EXPECT_EQ(live(), 128u);
-  }
-  EXPECT_EQ(live(), 0u);
-}
-
-// ---------- AnswerCache: wait-free reads under concurrent writes ----------
-
-// Readers hammer Lookup (no mutex on that path: one atomic snapshot load)
-// while a writer interleaves Insert and EraseGroupsWithPrefix. Every hit
+// Readers hammer Lookup (under the shared reader lock) while a writer
+// interleaves Insert and EraseGroupsWithPrefix. Every hit
 // must return an internally consistent entry — the payload invariant ties
 // mean, pieces and the query center together, so a torn read would trip it
 // — and the monotone counters must stay exact. Run under TSan by the CI
@@ -913,7 +784,6 @@ TEST(AnswerCacheConcurrencyTest, LookupsNeverTornDuringInsertAndErase) {
   AnswerCacheConfig cfg;
   cfg.delta_min = 0.95;
   cfg.capacity_per_shard = 64;
-  cfg.num_shards = 4;
   AnswerCache cache(cfg);
 
   // Payload invariant: mean encodes the center, pieces' size and intercept
@@ -946,11 +816,13 @@ TEST(AnswerCacheConcurrencyTest, LookupsNeverTornDuringInsertAndErase) {
   std::atomic<int64_t> reader_hits{0};
   std::atomic<int64_t> reader_lookups{0};
   std::atomic<bool> torn{false};
+  std::atomic<int> running{0};
   std::vector<std::thread> readers;
   for (int r = 0; r < 4; ++r) {
     readers.emplace_back([&cache, &stop, &reader_hits, &reader_lookups, &torn,
-                          &check_consistent, r] {
+                          &running, &check_consistent, r] {
       util::Rng rng(static_cast<uint64_t>(1000 + r));
+      bool first = true;
       while (!stop.load(std::memory_order_acquire)) {
         const std::string group = (r % 2 == 0) ? "ds/g0/Q1" : "ds/g0/Q2";
         const query::Query probe({0.01 * rng.UniformInt(32), 0.5}, 0.1);
@@ -960,9 +832,15 @@ TEST(AnswerCacheConcurrencyTest, LookupsNeverTornDuringInsertAndErase) {
           reader_hits.fetch_add(1, std::memory_order_relaxed);
           if (!check_consistent(out)) torn.store(true, std::memory_order_release);
         }
+        if (first) running.fetch_add(1, std::memory_order_release);
+        first = false;
       }
     });
   }
+  // The writer finishes its rounds in a few milliseconds, so it starts only
+  // once every reader is looping: on a loaded host the readers could
+  // otherwise be scheduled after it is done and race nothing.
+  while (running.load(std::memory_order_acquire) < 4) std::this_thread::yield();
 
   // Writer: replacement inserts, fresh inserts (forcing evictions), and
   // periodic prefix erases racing the readers.
@@ -990,8 +868,8 @@ TEST(AnswerCacheConcurrencyTest, LookupsNeverTornDuringInsertAndErase) {
   EXPECT_EQ(stats.lookups, stats.hits + stats.misses);
   EXPECT_GE(stats.lookups, reader_lookups.load());
   EXPECT_EQ(stats.hits, reader_hits.load());
-  // The readers walked grid slots (raw Entry pointers) while the writer
-  // evicted and replaced entries, not only the linear probe.
+  // The readers walked grid cells (raw Entry pointers) between the
+  // writer's evictions and replacements, not only the linear probe.
   EXPECT_GT(stats.grid_probes, 0);
 }
 
