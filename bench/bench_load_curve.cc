@@ -15,7 +15,8 @@
 // knee(L)/knee(1) is the measured event-loop scaling.
 //
 // The workload is the model-only routing profile (RoutePolicy::kModelOnly):
-// model answers are microseconds of executor work, so the single-loop knee
+// model answers are microseconds of router work, served on the event loop
+// itself (QueryRouter::TryExecuteInline), so the single-loop knee
 // is frame-pumping-bound — exactly the regime the multi-loop front-end
 // exists for. The ladder is calibrated once from a closed-loop run against a
 // 1-loop server, with rungs placed as fixed fractions of that capacity so

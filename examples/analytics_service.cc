@@ -100,7 +100,15 @@ int Serve(uint16_t port, size_t loops) {
   std::printf("\ndraining...\n");
   server.Shutdown();
   std::printf("final service metrics:\n");
-  router.Stats().PrintTo(std::cout);
+  const service::ServiceSnapshot snap = router.Stats();
+  snap.PrintTo(std::cout);
+  // Where each request ran: model-routed requests are answered on their
+  // event loop; exact scans, cache hits and typed failures go to the
+  // executor pool.
+  std::printf("requests answered on the event loops: %lld, dispatched to "
+              "executors: %lld\n",
+              static_cast<long long>(snap.net_answered_on_loop),
+              static_cast<long long>(snap.net_dispatched_to_executors));
   return 0;
 }
 

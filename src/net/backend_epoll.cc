@@ -40,8 +40,8 @@ class EpollBackend final : public EventBackend {
     }
     epoll_event ev{};
     ev.events = EPOLLIN;
-    ev.data.fd = wake_.read_fd();
-    if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, wake_.read_fd(), &ev) != 0) {
+    ev.data.fd = wake_.fd();
+    if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, wake_.fd(), &ev) != 0) {
       return util::Status::IoError(
           util::Format("epoll_ctl(wake): %s", strerror(errno)));
     }
@@ -93,7 +93,7 @@ class EpollBackend final : public EventBackend {
           util::Format("epoll_wait(): %s", strerror(errno)));
     }
     for (int i = 0; i < n; ++i) {
-      if (ready[i].data.fd == wake_.read_fd()) {
+      if (ready[i].data.fd == wake_.fd()) {
         wake_.Drain();
         continue;
       }
@@ -121,7 +121,7 @@ class EpollBackend final : public EventBackend {
   void Close(int handle) override { ::close(handle); }
 
  private:
-  WakePipe wake_;
+  WakeEvent wake_;
   int epfd_ = -1;
   std::unordered_set<int> registered_;
 };

@@ -1,5 +1,5 @@
 // Socket plumbing under the epoll backend and the client (listener setup,
-// accept, readv/sendmsg I/O, receive-timeout wait, self-pipe wakeup).
+// accept, readv/sendmsg I/O, errno checks, eventfd wakeup).
 
 #include "net/backend_socket.h"
 
@@ -7,7 +7,7 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -25,6 +25,8 @@ util::Status SyscallIoError(const std::string& what) {
 }
 
 bool SyscallInterrupted() { return errno == EINTR; }
+
+bool SyscallWouldBlock() { return errno == EAGAIN || errno == EWOULDBLOCK; }
 
 util::Result<int> SocketOpenListener(const std::string& address, uint16_t port,
                                      bool reuse_port) {
@@ -106,45 +108,26 @@ IoResult SocketWrite(int fd, const iovec* iov, int iovcnt) {
   }
 }
 
-util::Result<bool> SocketWaitReadable(int fd, int timeout_ms) {
-  pollfd pfd{};
-  pfd.fd = fd;
-  pfd.events = POLLIN;
-  for (;;) {
-    const int n = ::poll(&pfd, 1, timeout_ms);
-    if (n > 0) return true;
-    if (n == 0) return false;
-    // EINTR restarts with the full window again — acceptable slop for a
-    // progress timeout.
-    if (SyscallInterrupted()) continue;
-    return SyscallIoError("poll()");
-  }
-}
-
-util::Status WakePipe::Open() {
-  if (::pipe2(fds_, O_NONBLOCK | O_CLOEXEC) != 0) {
-    return util::Status::IoError(util::Format("pipe2(): %s", strerror(errno)));
-  }
+util::Status WakeEvent::Open() {
+  fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (fd_ < 0) return SyscallIoError("eventfd()");
   return util::Status::OK();
 }
 
-WakePipe::~WakePipe() {
-  for (int fd : fds_) {
-    if (fd >= 0) ::close(fd);
-  }
+WakeEvent::~WakeEvent() {
+  if (fd_ >= 0) ::close(fd_);
 }
 
-void WakePipe::Wake() {
-  if (fds_[1] < 0) return;
-  const uint8_t byte = 1;
-  // EAGAIN means the pipe already holds a pending wakeup — good enough.
-  (void)!::write(fds_[1], &byte, 1);
+void WakeEvent::Wake() {
+  if (fd_ < 0) return;
+  const uint64_t one = 1;
+  // Adds to the counter; a wake already pending just grows it.
+  (void)!::write(fd_, &one, sizeof(one));
 }
 
-void WakePipe::Drain() {
-  uint8_t buf[256];
-  while (::read(fds_[0], buf, sizeof(buf)) > 0) {
-  }
+void WakeEvent::Drain() {
+  uint64_t count = 0;
+  (void)!::read(fd_, &count, sizeof(count));
 }
 
 }  // namespace net

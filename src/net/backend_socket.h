@@ -1,7 +1,7 @@
-// Socket plumbing under the epoll backend (and the client's receive-timeout
-// wait): listener setup, accept, readv/sendmsg I/O, and the self-pipe wakeup
-// channel. Internal to src/net/ — server code talks to EventBackend, never
-// to these directly.
+// Socket plumbing under the epoll backend (and the client's errno checks):
+// listener setup, accept, readv/sendmsg I/O, and the eventfd wakeup channel.
+// Internal to src/net/ — server code talks to EventBackend, never to these
+// directly.
 
 #ifndef QREG_NET_BACKEND_SOCKET_H_
 #define QREG_NET_BACKEND_SOCKET_H_
@@ -26,6 +26,10 @@ util::Status SyscallIoError(const std::string& what);
 /// True when the last syscall failed with EINTR (restart the call).
 bool SyscallInterrupted();
 
+/// True when the last syscall failed with EAGAIN/EWOULDBLOCK — for a
+/// blocking socket with SO_RCVTIMEO, a read that timed out.
+bool SyscallWouldBlock();
+
 /// Opens a non-blocking CLOEXEC listener, with SO_REUSEPORT when
 /// `reuse_port` is set. Any refusal (option, bind, listen) is a typed error.
 util::Result<int> SocketOpenListener(const std::string& address, uint16_t port,
@@ -39,30 +43,25 @@ int SocketAccept(int listener);
 IoResult SocketRead(int fd, const iovec* iov, int iovcnt);
 IoResult SocketWrite(int fd, const iovec* iov, int iovcnt);
 
-/// Blocks until `fd` is readable (true), the timeout expires (false), or the
-/// wait itself fails (typed IoError). `timeout_ms < 0` waits forever. Lives
-/// here because poll(2) is confined to the backend files by the invariant
-/// linter — this is the client's receive-timeout primitive.
-util::Result<bool> SocketWaitReadable(int fd, int timeout_ms);
-
-/// \brief Self-pipe wakeup: Wake() from any thread makes the read end
-/// readable, interrupting a demultiplexer wait that watches it.
-class WakePipe {
+/// \brief eventfd wakeup: Wake() from any thread makes the fd readable,
+/// interrupting a demultiplexer wait that watches it. Wakes coalesce in the
+/// eventfd counter, so one Drain() read consumes all of them.
+class WakeEvent {
  public:
-  WakePipe() = default;
-  ~WakePipe();
+  WakeEvent() = default;
+  ~WakeEvent();
 
-  WakePipe(const WakePipe&) = delete;
-  WakePipe& operator=(const WakePipe&) = delete;
+  WakeEvent(const WakeEvent&) = delete;
+  WakeEvent& operator=(const WakeEvent&) = delete;
 
   util::Status Open();
-  int read_fd() const { return fds_[0]; }
+  int fd() const { return fd_; }
 
   void Wake();   // Thread-safe.
-  void Drain();  // Owning loop only: consume pending wakeup bytes.
+  void Drain();  // Owning loop only: reset the counter with one read.
 
  private:
-  int fds_[2] = {-1, -1};
+  int fd_ = -1;
 };
 
 }  // namespace net

@@ -4,6 +4,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -90,7 +91,9 @@ util::Status Client::Connect(const std::string& host, uint16_t port) {
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
       fd_ = fd;
       ::freeaddrinfo(addrs);
-      return util::Status::OK();
+      const util::Status timeout = ApplyRecvTimeout();
+      if (!timeout.ok()) Close();
+      return timeout;
     }
     // Built before ::close(), which may clobber errno.
     last = SyscallIoError(util::Format("connect %s:%u", host.c_str(), port));
@@ -107,6 +110,24 @@ util::Status Client::Reconnect() {
   }
   Close();
   return Connect(host_, port_);
+}
+
+void Client::set_recv_timeout_millis(int millis) {
+  recv_timeout_millis_ = millis;
+  // A live socket takes the new window now; a closed one at its next dial.
+  if (connected()) (void)ApplyRecvTimeout();
+}
+
+util::Status Client::ApplyRecvTimeout() {
+  // A zero timeval blocks forever: the no-timeout default.
+  const int millis = std::max(recv_timeout_millis_, 0);
+  timeval tv{};
+  tv.tv_sec = millis / 1000;
+  tv.tv_usec = (millis % 1000) * 1000;
+  if (::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)) != 0) {
+    return SyscallIoError("setsockopt(SO_RCVTIMEO)");
+  }
+  return util::Status::OK();
 }
 
 util::Status Client::WriteAll(const uint8_t* data, size_t n) {
@@ -136,19 +157,6 @@ util::Status Client::ReadFrame(Frame* frame) {
       case FrameDecoder::Event::kNeedMore:
         break;
     }
-    if (recv_timeout_millis_ > 0) {
-      // Poll-with-timeout receive: a stalled server (accepted but never
-      // answering) used to park this read forever. The timeout bounds each
-      // silent gap; any arriving chunk re-arms it.
-      util::Result<bool> readable =
-          SocketWaitReadable(fd_, recv_timeout_millis_);
-      if (!readable.ok()) return readable.status();
-      if (!readable.value()) {
-        return util::Status::DeadlineExceeded(
-            util::Format("no response bytes from server within %d ms",
-                         recv_timeout_millis_));
-      }
-    }
     const ssize_t n = ::read(fd_, buf, sizeof(buf));
     if (n > 0) {
       decoder_.Feed(buf, static_cast<size_t>(n));
@@ -158,6 +166,14 @@ util::Status Client::ReadFrame(Frame* frame) {
       return util::Status::IoError("connection closed by server");
     }
     if (SyscallInterrupted()) continue;
+    // SO_RCVTIMEO: a stalled server (accepted but never answering) would
+    // otherwise park this read forever. The timeout bounds each silent gap;
+    // any arriving chunk re-arms it.
+    if (recv_timeout_millis_ > 0 && SyscallWouldBlock()) {
+      return util::Status::DeadlineExceeded(
+          util::Format("no response bytes from server within %d ms",
+                       recv_timeout_millis_));
+    }
     return SyscallIoError("read()");
   }
 }

@@ -79,8 +79,9 @@ class Client {
   /// kDeadlineExceeded instead of blocking forever on a stalled server.
   /// 0 (the default) preserves the original block-forever behavior. The
   /// window re-arms on every arriving chunk — it bounds silence, not total
-  /// response time.
-  void set_recv_timeout_millis(int millis) { recv_timeout_millis_ = millis; }
+  /// response time. It is the socket's SO_RCVTIMEO, set on the live socket
+  /// and on every later Connect()/Reconnect(), so a read needs no poll.
+  void set_recv_timeout_millis(int millis);
   int recv_timeout_millis() const { return recv_timeout_millis_; }
 
   /// One request, one response (a batch of one).
@@ -111,6 +112,8 @@ class Client {
 
  private:
   util::Status WriteAll(const uint8_t* data, size_t n);
+  /// Applies recv_timeout_millis_ to the socket as SO_RCVTIMEO.
+  util::Status ApplyRecvTimeout();
   /// Reads until the decoder yields a frame (or fails).
   util::Status ReadFrame(Frame* frame);
 

@@ -4,6 +4,8 @@
 #include <netinet/in.h>
 #include <sys/uio.h>
 
+#include <cstddef>
+#include <optional>
 #include <utility>
 
 #include "net/backend_sim.h"
@@ -24,6 +26,17 @@ struct PendingRequest {
 // Chunks gathered into one flush call. Well under IOV_MAX everywhere.
 constexpr size_t kMaxIov = 64;
 
+// Encodes one request's response frame in place: its answer, or its typed
+// failure.
+void AppendResultFrame(std::vector<uint8_t>* out, uint64_t request_id,
+                       const service::ExecResult& result) {
+  if (result.ok()) {
+    AppendAnswerFrame(out, request_id, *result);
+  } else {
+    AppendStatusFrame(out, request_id, result.status());
+  }
+}
+
 }  // namespace
 
 std::string Endpoint::ToString() const {
@@ -33,8 +46,8 @@ std::string Endpoint::ToString() const {
 util::Status ServerConfig::Validate() const {
   if (executor_threads == 0) {
     return util::Status::InvalidArgument(
-        "ServerConfig: executor_threads must be >= 1 (the event loops never "
-        "run queries themselves)");
+        "ServerConfig: executor_threads must be >= 1 (the event loops answer "
+        "only model-routed queries themselves)");
   }
   if (event_loops == 0 || event_loops > kMaxEventLoops) {
     return util::Status::InvalidArgument(
@@ -104,7 +117,8 @@ struct Server::Connection {
   // already-flushed prefix of the *front* chunk.
   std::deque<std::vector<uint8_t>> outq;
   size_t out_pos = 0;
-  std::vector<uint8_t> loop_out;  // Loop-side frames (pongs, error frames).
+  // Loop-side frames: answers the loop served itself, pongs, error frames.
+  std::vector<uint8_t> loop_out;
 
   std::vector<PendingRequest> pending;
   size_t in_flight = 0;  // Requests inside the currently-executing batch.
@@ -289,19 +303,19 @@ void Server::ExecutorLoop() {
     done.num_requests = job.items.size();
     done.bytes = std::move(job.buf);
     for (size_t i = 0; i < results.size() && i < job.items.size(); ++i) {
-      const uint64_t id = job.items[i].request_id;
-      if (results[i].ok()) {
-        AppendAnswerFrame(&done.bytes, id, *results[i]);
-      } else {
-        AppendStatusFrame(&done.bytes, id, results[i].status());
-      }
+      AppendResultFrame(&done.bytes, job.items[i].request_id, results[i]);
     }
+    // A wake is owed only to an empty queue: the loop takes the whole queue
+    // at once, so a completion pushed behind another rides the wake the
+    // first one already sent.
     Loop* loop = loops_[job.loop_index].get();
+    bool wake = false;
     {
       util::MutexLock lock(&loop->done_mu);
+      wake = loop->done.empty();
       loop->done.push_back(std::move(done));
     }
-    WakeLoop(loop);
+    if (wake) WakeLoop(loop);
   }
 }
 
@@ -329,11 +343,13 @@ void Server::EventLoop(Loop* loop) {
         loop->backend->Close(loop->listen_h);
         loop->listen_h = -1;
       }
+      service::NetActivity activity;
       for (auto& entry : loop->conns) {
         entry.second->read_closed = true;
         entry.second->close_after_flush = true;
-        DispatchIfReady(loop, entry.second.get());
+        DispatchIfReady(loop, entry.second.get(), &activity);
       }
+      if (!activity.empty()) stats_->RecordNet(loop->index, activity);
     }
 
     // Reap connections that are finished: nothing pending, nothing in
@@ -422,7 +438,9 @@ void Server::EventLoop(Loop* loop) {
           loop->arena.Release(std::move(done.bytes));
         }
         c->last_activity_nanos = done_nanos;
-        DispatchIfReady(loop, c);
+        service::NetActivity activity;
+        DispatchIfReady(loop, c, &activity);
+        if (!activity.empty()) stats_->RecordNet(loop->index, activity);
         FlushWrites(loop, c);  // May close c.
         it = loop->conns.find(done.conn_id);
         if (it != loop->conns.end()) MaybeEvict(loop, it->second.get());
@@ -562,8 +580,8 @@ void Server::HandleReadable(Loop* loop, Connection* conn) {
     conn->frame_start_nanos = now;
   }
 
+  DispatchIfReady(loop, conn, &activity);
   if (!activity.empty()) stats_->RecordNet(loop->index, activity);
-  DispatchIfReady(loop, conn);
   FlushWrites(loop, conn);  // May close conn.
   auto it = loop->conns.find(conn_id);
   if (it != loop->conns.end()) MaybeEvict(loop, it->second.get());
@@ -634,14 +652,38 @@ void Server::HandleFrame(Loop* loop, Connection* conn, Frame frame) {
   }
 }
 
-void Server::DispatchIfReady(Loop* loop, Connection* conn) {
+void Server::DispatchIfReady(Loop* loop, Connection* conn,
+                             service::NetActivity* activity) {
   if (conn->evicted || conn->in_flight > 0 || conn->pending.empty()) return;
+  // Run to completion: the loop answers the leading run of model-routed
+  // requests itself, since a model answer costs less than the two thread
+  // hand-offs of an executor round trip. The first request the router
+  // declines ends the run; it and every request after it go to the
+  // executors as one batch, so responses stay in request order.
+  size_t served = 0;
+  for (; served < conn->pending.size(); ++served) {
+    const PendingRequest& item = conn->pending[served];
+    const std::optional<service::ExecResult> result =
+        router_->TryExecuteInline(item.request);
+    if (!result) break;
+    AppendResultFrame(StagedOut(&loop->arena, &conn->loop_out),
+                      item.request_id, *result);
+  }
+  activity->answered_on_loop += static_cast<int64_t>(served);
+  conn->pending.erase(
+      conn->pending.begin(),
+      conn->pending.begin() + static_cast<std::ptrdiff_t>(served));
+  if (conn->pending.empty()) return;
+  // The loop's staged frames go ahead of the batch's in the output queue.
+  CommitStaged(conn);
+
   BatchJob job;
   job.loop_index = loop->index;
   job.conn_id = conn->id;
   job.items = std::move(conn->pending);
   conn->pending.clear();
   conn->in_flight = job.items.size();
+  activity->dispatched_to_executors += static_cast<int64_t>(job.items.size());
   // The response buffer is lent to the executor here and comes back with
   // the completion; after the flush it returns to this loop's arena.
   job.buf = loop->arena.Acquire();
@@ -652,13 +694,17 @@ void Server::DispatchIfReady(Loop* loop, Connection* conn) {
   job_cv_.NotifyOne();
 }
 
-void Server::FlushWrites(Loop* loop, Connection* conn) {
-  // Commit the loop's staged frames so they flush in arrival order with the
-  // batch responses.
+void Server::CommitStaged(Connection* conn) {
   if (!conn->loop_out.empty()) {
     conn->outq.push_back(std::move(conn->loop_out));
     conn->loop_out.clear();
   }
+}
+
+void Server::FlushWrites(Loop* loop, Connection* conn) {
+  // Commit the loop's staged frames so they flush in arrival order with the
+  // batch responses.
+  CommitStaged(conn);
 
   service::NetActivity activity;
   while (!conn->outq.empty()) {

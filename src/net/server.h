@@ -5,9 +5,13 @@
 // deterministic SimBackend in tests, selected by config.backend), listener,
 // connection table, arena, and completion queue — no socket is ever touched
 // by two threads — plus one shared fixed pool of batch-executor threads
-// running the router. A loop never executes a query and the executors never
-// touch a socket, so a slow scan cannot stall frame decoding on any
-// connection and a slow client cannot stall the router.
+// running the router. A loop answers a model-routed request itself
+// (QueryRouter::TryExecuteInline: microseconds, and nothing on that path can
+// scan, train, probe drift or block); everything else — exact scans, cache
+// hits, fallbacks, requests refused at admission or routing — runs on the
+// executors, which never touch a socket. So a slow scan cannot stall frame decoding on any connection, a
+// slow client cannot stall the router, and a model answer costs no thread
+// hand-off.
 //
 // Accept sharding: with more than one loop, every loop binds its own
 // SO_REUSEPORT listener to the same address, and the kernel spreads
@@ -16,11 +20,13 @@
 // returns the typed error — there is no fallback topology.
 //
 // Pipelining: frames a client sends back-to-back are decoded into a
-// per-connection pending list; the whole list is handed to one
-// QueryRouter::ExecuteBatch call, and frames arriving while that batch is in
-// flight coalesce into the next one. Responses echo each request's id, one
-// kAnswer or kError frame per request — a saturated router sheds with a
-// typed kResourceExhausted *frame*, never a dropped connection.
+// per-connection pending list. With no batch in flight, the loop answers the
+// list's leading run of model-routed requests and hands the rest to one
+// QueryRouter::ExecuteBatch call; frames arriving while that batch is in
+// flight wait for the next dispatch. Each connection gets its responses in
+// request order, one kAnswer or kError frame per request echoing its id — a
+// saturated router sheds with a typed kResourceExhausted *frame*, never a
+// dropped connection.
 //
 // Response path: the owning loop Acquire()s a buffer from its WireArena at
 // dispatch time; the executor encodes every response frame of the batch
@@ -28,7 +34,8 @@
 // and the buffer rides the completion back to its loop, is queued as one
 // output chunk, flushed with one scatter-gather backend Write per
 // writability burst (not one per frame), and finally Release()d to the
-// arena.
+// arena. Answers the loop serves itself are encoded the same way into the
+// connection's own arena staging buffer, ahead of the batch's.
 //
 // Shutdown: Shutdown() stops every listener, lets in-flight and
 // already-decoded requests finish, flushes every response on every loop,
@@ -262,7 +269,13 @@ class Server {
   void RegisterConnection(Loop* loop, int fd);
   void HandleReadable(Loop* loop, Connection* conn);
   void HandleFrame(Loop* loop, Connection* conn, Frame frame);
-  void DispatchIfReady(Loop* loop, Connection* conn);
+  /// With no batch in flight: answers the leading run of model-routed
+  /// pending requests on the loop and sends the rest to the executors as one
+  /// BatchJob, counting both into `activity`.
+  void DispatchIfReady(Loop* loop, Connection* conn,
+                       service::NetActivity* activity);
+  /// Moves the loop's staged frames to the back of the output queue.
+  static void CommitStaged(Connection* conn);
   void FlushWrites(Loop* loop, Connection* conn);
   void CloseConnection(Loop* loop, uint64_t id);
 

@@ -44,8 +44,28 @@ std::string QueryRouter::ShardKey(const Request& request, int64_t generation) {
 
 ExecResult QueryRouter::Execute(const Request& request) {
   util::Stopwatch watch;
+  return Record(watch, ExecuteUnrecorded(request));
+}
+
+std::optional<ExecResult> QueryRouter::TryExecuteInline(
+    const Request& request) {
+  util::Stopwatch watch;
+  RouteDecision route;
+  // Decline (no side effect) unless the request is model-routed. A
+  // drift-enabled dataset is declined too: a served answer may make a drift
+  // probe due, and a probe runs inline on a synchronous router pool.
+  if (!Route(request, &route).ok() || !route.use_model ||
+      route.snap.drift_enabled) {
+    return std::nullopt;
+  }
+  // What ExecuteUnrecorded does on this path: no cache, no fallback (the
+  // model answer has no deadline to miss) and no drift report.
+  return Record(watch, ExecuteModel(request, *route.snap.model));
+}
+
+ExecResult QueryRouter::Record(const util::Stopwatch& watch,
+                               ExecResult result) {
   QueryOutcome o;
-  ExecResult result = ExecuteUnrecorded(request);
   const int64_t nanos = watch.ElapsedNanos();
   o.latency_nanos = nanos;
   o.ok = result.ok();
@@ -68,7 +88,8 @@ ExecResult QueryRouter::Execute(const Request& request) {
   return result;
 }
 
-ExecResult QueryRouter::ExecuteUnrecorded(const Request& request) {
+util::Status QueryRouter::Route(const Request& request,
+                                RouteDecision* route) const {
   // Admission: a request already cancelled or past its deadline does no
   // work at all — not even a δ-cache lookup. A cache hit for an expired
   // request would make its outcome depend on what other queries ran before
@@ -80,16 +101,11 @@ ExecResult QueryRouter::ExecuteUnrecorded(const Request& request) {
     return util::Status::DeadlineExceeded(
         "request deadline expired before execution");
   }
-  util::ExecControl control;
-  control.deadline = request.deadline;
-  control.cancel = request.cancel;
-  control.on_chunk_for_testing = request.on_chunk_for_testing;
-  const util::ExecControl* ctl = control.active() ? &control : nullptr;
 
   // Serving never trains: a dataset without a model (not yet trained by
   // ModelCatalog::TrainAll) is answered exactly, or refused under kModelOnly.
-  CatalogSnapshot snap;
-  QREG_ASSIGN_OR_RETURN(snap, catalog_->Get(request.dataset));
+  QREG_ASSIGN_OR_RETURN(route->snap, catalog_->Get(request.dataset));
+  const CatalogSnapshot& snap = route->snap;
   if (request.q.dimension() != snap.engine->table().dimension()) {
     return util::Status::InvalidArgument(util::Format(
         "query dimension %zu does not match dataset '%s' dimension %zu",
@@ -106,35 +122,47 @@ ExecResult QueryRouter::ExecuteUnrecorded(const Request& request) {
 
   // Accuracy policy: pick the answering path. When the hybrid policy runs
   // the vigilance test, its verdict is remembered for the drift-metering
-  // decision below (same query, same test — never scan prototypes twice).
-  bool use_model = false;
-  bool in_region = false;
-  bool in_region_known = false;
+  // decision (same query, same test — never scan prototypes twice).
   switch (config_.policy) {
     case RoutePolicy::kModelOnly:
       if (!snap.model) {
         return util::Status::FailedPrecondition(
             "policy is model-only but the dataset has no trained model");
       }
-      use_model = true;
+      route->use_model = true;
       break;
     case RoutePolicy::kExactOnly:
-      use_model = false;
+      route->use_model = false;
       break;
     case RoutePolicy::kHybrid: {
       // In-region test: the vigilance criterion of Algorithm 1 applied at
       // serving time. ρ ≤ 0 (fixed-K ablation models) disables the test.
-      use_model = snap.model != nullptr && snap.model->num_prototypes() > 0;
-      if (use_model && snap.vigilance > 0.0) {
+      route->use_model =
+          snap.model != nullptr && snap.model->num_prototypes() > 0;
+      if (route->use_model && snap.vigilance > 0.0) {
         const double dist = snap.model->NearestPrototypeDistance(request.q);
-        use_model = dist <= config_.rho_scale * snap.vigilance;
-        in_region = use_model;
-        in_region_known = true;
+        route->use_model = dist <= config_.rho_scale * snap.vigilance;
+        route->in_region = route->use_model;
+        route->in_region_known = true;
       }
       break;
     }
   }
-  const bool* verdict = in_region_known ? &in_region : nullptr;
+  return util::Status::OK();
+}
+
+ExecResult QueryRouter::ExecuteUnrecorded(const Request& request) {
+  RouteDecision route;
+  QREG_RETURN_NOT_OK(Route(request, &route));
+  const CatalogSnapshot& snap = route.snap;
+  const bool use_model = route.use_model;
+  const bool* verdict = route.in_region_known ? &route.in_region : nullptr;
+
+  util::ExecControl control;
+  control.deadline = request.deadline;
+  control.cancel = request.cancel;
+  control.on_chunk_for_testing = request.on_chunk_for_testing;
+  const util::ExecControl* ctl = control.active() ? &control : nullptr;
 
   // The δ-cache serves the exact path only: a model answer costs a few
   // microseconds, about what a lookup does, so a model-routed request never

@@ -18,12 +18,16 @@
 // Batches execute in parallel on a fixed ThreadPool. With 0 worker threads
 // the router is fully synchronous, which benches use as the single-threaded
 // baseline and tests use for bit-for-bit determinism checks.
+// TryExecuteInline serves a model-routed request on the caller's thread and
+// declines everything else; the wire server's event loops use it, so a
+// model answer costs no thread hand-off.
 
 #ifndef QREG_SERVICE_QUERY_ROUTER_H_
 #define QREG_SERVICE_QUERY_ROUTER_H_
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -36,6 +40,7 @@
 #include "util/cancellation.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
+#include "util/timer.h"
 
 namespace qreg {
 namespace service {
@@ -182,6 +187,16 @@ class QueryRouter {
   /// instead of that work being silently discarded.
   ExecResult Execute(const Request& request);
 
+  /// Serves `request` on the calling thread only when nothing on its path
+  /// can scan, train, probe drift or block: it passes admission, the query
+  /// is well-formed, the dataset is trained and drift-free, and the policy
+  /// routes it to the model (kModelOnly, or kHybrid in-region). Then it
+  /// returns exactly what Execute would, with stats recorded the same way.
+  /// Otherwise it returns nullopt with no side effect, and the caller hands
+  /// the request to Execute/ExecuteBatch. The net::Server event loops answer
+  /// model-routed requests through it.
+  std::optional<ExecResult> TryExecuteInline(const Request& request);
+
   /// Serves a batch in parallel on the worker pool; results are positionally
   /// aligned with `batch`. Per-request failures (e.g. empty subspace on the
   /// exact path, or a shed on a full queue) are returned in-slot, never
@@ -217,6 +232,24 @@ class QueryRouter {
   util::ThreadPool* pool_for_testing() { return &pool_; }
 
  private:
+  /// What admission, the snapshot and the accuracy policy decided for one
+  /// request. `in_region_known` is set when the hybrid vigilance test ran,
+  /// and `in_region` then holds its verdict.
+  struct RouteDecision {
+    CatalogSnapshot snap;
+    bool use_model = false;
+    bool in_region = false;
+    bool in_region_known = false;
+  };
+
+  /// Admission, snapshot, query checks and the policy/vigilance test: the
+  /// steps Execute and TryExecuteInline share, so the route test exists
+  /// once. A non-OK status is the request's typed failure.
+  util::Status Route(const Request& request, RouteDecision* route) const;
+
+  /// Stamps the total serving latency on `result` and records its outcome.
+  ExecResult Record(const util::Stopwatch& watch, ExecResult result);
+
   ExecResult ExecuteUnrecorded(const Request& request);
   ExecResult ExecuteModel(const Request& request,
                           const core::LlmModel& model) const;

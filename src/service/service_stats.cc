@@ -68,6 +68,8 @@ ServiceSnapshot ServiceStats::Snapshot() const {
   s.net_idle_closed = net_.idle_closed;
   s.net_read_timeout_closed = net_.read_timeout_closed;
   s.net_backpressure_closed = net_.backpressure_closed;
+  s.net_answered_on_loop = net_.answered_on_loop;
+  s.net_dispatched_to_executors = net_.dispatched_to_executors;
   s.net_loops = net_loops_;
   s.elapsed_seconds = clock_.ElapsedSeconds();
   s.qps = s.elapsed_seconds > 0.0
@@ -129,13 +131,23 @@ void ServiceSnapshot::PrintTo(std::ostream& os) const {
   t.AddRow({"net backpressure closed",
             util::Format("%lld",
                          static_cast<long long>(net_backpressure_closed))});
+  t.AddRow({"net answered on loop",
+            util::Format("%lld",
+                         static_cast<long long>(net_answered_on_loop))});
+  t.AddRow({"net dispatched to executors",
+            util::Format("%lld",
+                         static_cast<long long>(net_dispatched_to_executors))});
   for (size_t i = 0; i < net_loops.size(); ++i) {
     const NetActivity& l = net_loops[i];
-    t.AddRow({util::Format("net loop %zu (conns/frames/bytes out)", i),
-              util::Format("%lld / %lld / %lld",
+    t.AddRow({util::Format("net loop %zu (conns/frames/bytes out/on loop/"
+                           "to executors)",
+                           i),
+              util::Format("%lld / %lld / %lld / %lld / %lld",
                            static_cast<long long>(l.connections_accepted),
                            static_cast<long long>(l.frames_decoded),
-                           static_cast<long long>(l.bytes_out))});
+                           static_cast<long long>(l.bytes_out),
+                           static_cast<long long>(l.answered_on_loop),
+                           static_cast<long long>(l.dispatched_to_executors))});
   }
   t.AddRow({"qps", util::Format("%.1f", qps)});
   t.AddRow({"mean latency (ms)", util::Format("%.4f", mean_ms)});

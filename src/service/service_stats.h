@@ -31,12 +31,19 @@ struct NetActivity {
   int64_t idle_closed = 0;          ///< Idle timeout (no traffic, no work).
   int64_t read_timeout_closed = 0;  ///< Partial frame never completed in time.
   int64_t backpressure_closed = 0;  ///< Pending-write cap exceeded (slow reader).
+  // Where each decoded request ran: answered by its event loop (a
+  // model-routed request, QueryRouter::TryExecuteInline), or handed to the
+  // executor pool (everything that can scan, hit the cache, fall back or
+  // wait, and every request refused at admission or routing).
+  int64_t answered_on_loop = 0;
+  int64_t dispatched_to_executors = 0;
 
   bool empty() const {
     return connections_accepted == 0 && connections_closed == 0 &&
            frames_decoded == 0 && protocol_errors == 0 && bytes_in == 0 &&
            bytes_out == 0 && idle_closed == 0 && read_timeout_closed == 0 &&
-           backpressure_closed == 0;
+           backpressure_closed == 0 && answered_on_loop == 0 &&
+           dispatched_to_executors == 0;
   }
 
   NetActivity& operator+=(const NetActivity& d) {
@@ -49,6 +56,8 @@ struct NetActivity {
     idle_closed += d.idle_closed;
     read_timeout_closed += d.read_timeout_closed;
     backpressure_closed += d.backpressure_closed;
+    answered_on_loop += d.answered_on_loop;
+    dispatched_to_executors += d.dispatched_to_executors;
     return *this;
   }
 };
@@ -83,6 +92,8 @@ struct ServiceSnapshot {
   int64_t net_idle_closed = 0;
   int64_t net_read_timeout_closed = 0;
   int64_t net_backpressure_closed = 0;
+  int64_t net_answered_on_loop = 0;         ///< Requests the loops answered.
+  int64_t net_dispatched_to_executors = 0;  ///< Requests sent to executors.
   std::vector<NetActivity> net_loops;  ///< Per-event-loop totals (may be empty).
 
   double elapsed_seconds = 0.0;  ///< Since construction or Reset().

@@ -472,10 +472,11 @@ TEST(NetFaultTest, ReorderedReadinessIsDeterministicAcrossRuns) {
     std::vector<Frame> frames_a, frames_b;
     ASSERT_TRUE(CollectFrames(conn_a, &dec_a, 2, &frames_a));
     ASSERT_TRUE(CollectFrames(conn_b, &dec_b, 1, &frames_b));
-    // Pings are answered inline by the loop, requests round-trip through the
-    // executor pool, and A's bytes arrive 3 at a time: the executor may
-    // finish request 11 before the loop has read the trailing ping, so the
-    // answer and the pong may arrive in either order. Both must arrive.
+    // Pings are answered by the loop; a request is answered by the loop
+    // when model-routed and otherwise round-trips through the executor
+    // pool, and A's bytes arrive 3 at a time: an executor may finish
+    // request 11 before the loop has read the trailing ping, so the answer
+    // and the pong may arrive in either order. Both must arrive.
     std::sort(frames_a.begin(), frames_a.end(),
               [](const Frame& x, const Frame& y) {
                 return x.header.request_id < y.header.request_id;
@@ -531,6 +532,212 @@ TEST(NetFaultTest, ExpiredDeadlineBudgetRejectedOverSim) {
 
   server.Shutdown();
   EXPECT_EQ(server.loop_arena(0).acquired(), server.loop_arena(0).released());
+}
+
+// ---------------------------------------------------------------------------
+// Run to completion: the event loop answers the leading run of model-routed
+// requests itself and sends only the rest to the executors.
+
+// The first `n` MixedWorkload requests (seeded) that `ref` answers from the
+// model — in-region under the hybrid policy.
+std::vector<service::Request> InRegionRequests(service::QueryRouter* ref,
+                                               size_t n, uint64_t seed) {
+  std::vector<service::Request> out;
+  for (const service::Request& r : MixedWorkload(200, seed)) {
+    if (out.size() == n) break;
+    const service::ExecResult want = ref->Execute(r);
+    if (want.ok() && want->source == service::AnswerSource::kModel) {
+      out.push_back(r);
+    }
+  }
+  return out;
+}
+
+// Out of region for the shared model: θ far above the trained radii, so the
+// vigilance test sends it to the exact engine, yet the ball covers rows.
+service::Request OutOfRegionQ1() {
+  return service::Request::Q1("r1", query::Query({0.5, 0.5}, 0.5));
+}
+
+TEST(NetFaultTest, RunToCompletionCountersArePinned) {
+  testsupport::FakeClock clock(1000000000);  // Lifecycle timers never fire.
+  SimTransport transport;
+  service::QueryRouter router(SharedCatalog(), RouterCfg(1));
+  service::QueryRouter ref(SharedCatalog(), RouterCfg(0));
+  ServerConfig cfg = SimConfig(&transport);
+  cfg.clock = &clock;
+  Server server(&router, cfg);
+  ASSERT_TRUE(server.Start().ok());
+  SimConn* conn = transport.Connect();
+  ASSERT_NE(conn, nullptr);
+
+  const std::vector<service::Request> in = InRegionRequests(&ref, 5, 71);
+  ASSERT_EQ(in.size(), 5u);
+  const service::Request out = OutOfRegionQ1();
+  {
+    const service::ExecResult exact = ref.Execute(out);
+    ASSERT_TRUE(exact.ok()) << exact.status();
+    ASSERT_EQ(exact->source, service::AnswerSource::kExact);
+  }
+
+  // Burst 1 — in, in, out, in — is one atomic read: the loop answers the
+  // leading two, and the out-of-region request ends the run, so it and the
+  // in-region request behind it go to the executors as one batch.
+  const std::vector<service::Request> burst1 = {in[0], in[1], out, in[2]};
+  std::vector<uint8_t> wire;
+  for (size_t i = 0; i < burst1.size(); ++i) {
+    const std::vector<uint8_t> frame = RequestFrame(ToWire(burst1[i]), i + 1);
+    wire.insert(wire.end(), frame.begin(), frame.end());
+  }
+  conn->SendToServer(wire);
+  FrameDecoder decoder;
+  std::vector<Frame> frames;
+  ASSERT_TRUE(CollectFrames(conn, &decoder, burst1.size(), &frames));
+  for (size_t i = 0; i < burst1.size(); ++i) {
+    EXPECT_EQ(frames[i].header.request_id, i + 1) << "response order broke";
+    ExpectAnswerMatchesReference(frames[i], burst1[i], &ref);
+  }
+  EXPECT_TRUE(WaitFor([&] {
+    const service::ServiceSnapshot snap = router.Stats();
+    return snap.net_answered_on_loop == 2 &&
+           snap.net_dispatched_to_executors == 2;
+  })) << "on loop " << router.Stats().net_answered_on_loop << ", executors "
+      << router.Stats().net_dispatched_to_executors;
+
+  // Burst 2 — in, in — arrives with no batch in flight: both on the loop.
+  wire.clear();
+  for (size_t i = 0; i < 2; ++i) {
+    const std::vector<uint8_t> frame = RequestFrame(ToWire(in[3 + i]), 5 + i);
+    wire.insert(wire.end(), frame.begin(), frame.end());
+  }
+  conn->SendToServer(wire);
+  ASSERT_TRUE(CollectFrames(conn, &decoder, burst1.size() + 2, &frames));
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(frames[4 + i].header.request_id, 5 + i);
+    ExpectAnswerMatchesReference(frames[4 + i], in[3 + i], &ref);
+  }
+
+  server.Shutdown();
+  const service::ServiceSnapshot snap = router.Stats();
+  EXPECT_EQ(snap.net_answered_on_loop, 4);
+  EXPECT_EQ(snap.net_dispatched_to_executors, 2);
+  ASSERT_EQ(snap.net_loops.size(), 1u);
+  EXPECT_EQ(snap.net_loops[0].answered_on_loop, 4);
+  EXPECT_EQ(snap.net_loops[0].dispatched_to_executors, 2);
+  EXPECT_EQ(snap.net_frames_decoded, 6);
+  // Loop answers are recorded exactly as Execute records them.
+  EXPECT_EQ(snap.total_queries, 6);
+  EXPECT_EQ(snap.model_answers, 5);
+  EXPECT_EQ(snap.exact_fallbacks, 1);
+  EXPECT_EQ(snap.errors, 0);
+  EXPECT_EQ(server.loop_arena(0).acquired(), server.loop_arena(0).released());
+}
+
+// Everything the router declines still reaches the executors and comes back
+// with the same typed result and the same stats as in-process Execute.
+TEST(NetFaultTest, DeclinedRequestsReachTheExecutorsUnchanged) {
+  // A catalog of its own: "drift" is the shared dataset with drift
+  // maintenance on (probes never due here), "cold" is registered after
+  // TrainAll and so has no model.
+  testsupport::EngineFixture* f = testsupport::SharedServiceFixture();
+  service::ModelCatalog catalog;
+  service::CatalogOptions drift_opts = testsupport::DefaultCatalogOptions();
+  drift_opts.drift.enabled = true;
+  drift_opts.drift.config.probe_queries = 20;
+  drift_opts.drift.report_interval = 1 << 30;
+  ASSERT_TRUE(catalog
+                  .Register("drift", &f->dataset->table, f->kdtree.get(),
+                            drift_opts)
+                  .ok());
+  ASSERT_TRUE(catalog.TrainAll().ok());
+  ASSERT_TRUE(catalog
+                  .Register("cold", &f->dataset->table, f->kdtree.get(),
+                            testsupport::DefaultCatalogOptions())
+                  .ok());
+
+  service::QueryRouter shared_ref(SharedCatalog(), RouterCfg(0));
+  const service::Request in = InRegionRequests(&shared_ref, 1, 73).at(0);
+  service::Request on_drift = in;
+  on_drift.dataset = "drift";
+  service::Request on_cold = in;
+  on_cold.dataset = "cold";
+  service::Request expired = in;
+  expired.deadline = util::Deadline::AfterNanos(1);
+  WireRequest expired_wire = ToWire(in);
+  expired_wire.deadline_budget_nanos = 1;  // Expired by admission time.
+  service::Request wrong_dim = in;
+  wrong_dim.q = query::Query({0.4, 0.6, 0.5}, 0.12);
+
+  struct Case {
+    const char* name;
+    service::ModelCatalog* catalog;
+    service::RoutePolicy policy;
+    service::Request request;
+    WireRequest wire;
+  };
+  const service::RoutePolicy kHybrid = service::RoutePolicy::kHybrid;
+  const std::vector<Case> cases = {
+      {"drift-enabled", &catalog, kHybrid, on_drift, ToWire(on_drift)},
+      {"expired budget", SharedCatalog(), kHybrid, expired, expired_wire},
+      {"wrong dimension", SharedCatalog(), kHybrid, wrong_dim,
+       ToWire(wrong_dim)},
+      {"untrained", &catalog, kHybrid, on_cold, ToWire(on_cold)},
+      {"exact-only", SharedCatalog(), service::RoutePolicy::kExactOnly, in,
+       ToWire(in)},
+  };
+
+  for (const Case& k : cases) {
+    SCOPED_TRACE(k.name);
+    service::RouterConfig cfg = RouterCfg(1);
+    cfg.policy = k.policy;
+    service::QueryRouter router(k.catalog, cfg);
+    cfg.num_threads = 0;
+    service::QueryRouter ref(k.catalog, cfg);
+
+    SimTransport transport;
+    Server server(&router, SimConfig(&transport));
+    ASSERT_TRUE(server.Start().ok());
+    SimConn* conn = transport.Connect();
+    ASSERT_NE(conn, nullptr);
+    conn->SendToServer(RequestFrame(k.wire, 9));
+    FrameDecoder decoder;
+    std::vector<Frame> frames;
+    ASSERT_TRUE(CollectFrames(conn, &decoder, 1, &frames));
+    server.Shutdown();
+    EXPECT_EQ(server.loop_arena(0).acquired(),
+              server.loop_arena(0).released());
+    ASSERT_EQ(frames[0].header.request_id, 9u);
+
+    const service::ExecResult want = ref.Execute(k.request);
+    if (k.catalog == &catalog && k.request.dataset == "drift") {
+      // Model-routed, so only the drift check sent it to the executors.
+      ASSERT_TRUE(want.ok()) << want.status();
+      EXPECT_EQ(want->source, service::AnswerSource::kModel);
+    }
+    if (want.ok()) {
+      ExpectAnswerMatchesReference(frames[0], k.request, &ref);
+    } else {
+      ASSERT_EQ(frames[0].header.type, FrameType::kError);
+      util::Status got;
+      ASSERT_TRUE(DecodeStatus(frames[0].payload.data(),
+                               frames[0].payload.size(), &got)
+                      .ok());
+      EXPECT_EQ(got.code(), want.status().code()) << got;
+    }
+
+    const service::ServiceSnapshot snap = router.Stats();
+    EXPECT_EQ(snap.net_answered_on_loop, 0);
+    EXPECT_EQ(snap.net_dispatched_to_executors, 1);
+    // The reference ran the request twice (the answer check re-executes it).
+    const service::ServiceSnapshot ref_snap = ref.Stats();
+    const int64_t runs = want.ok() ? 2 : 1;
+    EXPECT_EQ(snap.total_queries * runs, ref_snap.total_queries);
+    EXPECT_EQ(snap.errors * runs, ref_snap.errors);
+    EXPECT_EQ(snap.model_answers * runs, ref_snap.model_answers);
+    EXPECT_EQ(snap.exact_fallbacks * runs, ref_snap.exact_fallbacks);
+    EXPECT_EQ(snap.deadline_exceeded * runs, ref_snap.deadline_exceeded);
+    EXPECT_EQ(snap.shed, 0);
+  }
 }
 
 }  // namespace

@@ -476,7 +476,9 @@ TEST(NetServerTest, ExpiredClientDeadlineRejectedAtAdmissionWithoutCacheTouch) {
 
 TEST(NetServerTest, SaturatedRouterShedsWithTypedFramesNotConnectionDrops) {
   service::RouterConfig cfg;
-  cfg.policy = service::RoutePolicy::kHybrid;
+  // Exact-only, so every request reaches the saturated executor pool: the
+  // event loop answers model-routed requests itself and never sheds them.
+  cfg.policy = service::RoutePolicy::kExactOnly;
   cfg.enable_cache = false;  // Shed must reject, not answer from cache.
   cfg.num_threads = 1;
   cfg.queue_capacity = 4;
@@ -517,6 +519,137 @@ TEST(NetServerTest, SaturatedRouterShedsWithTypedFramesNotConnectionDrops) {
   auto after = client.Execute(ToWire(requests[0]));
   EXPECT_TRUE(after.ok() ||
               after.status().code() == util::StatusCode::kResourceExhausted);
+
+  client.Close();
+  server.Shutdown();
+}
+
+// Run to completion over a real socket: a pipelined in-region batch is
+// answered entirely by the event loop — no executor hand-off — and every
+// answer is bit-for-bit the in-process one.
+TEST(NetServerTest, InRegionPipelinedBatchIsAnsweredOnTheLoop) {
+  service::RouterConfig cfg;
+  cfg.policy = service::RoutePolicy::kHybrid;
+  cfg.enable_cache = false;
+  cfg.num_threads = 2;
+  service::QueryRouter router(SharedCatalog(), cfg);
+  cfg.num_threads = 0;
+  service::QueryRouter ref(SharedCatalog(), cfg);
+
+  std::vector<service::Request> in_region;
+  for (const service::Request& r : MixedWorkload(200, /*seed=*/91)) {
+    const service::ExecResult want = ref.Execute(r);
+    if (want.ok() && want->source == service::AnswerSource::kModel) {
+      in_region.push_back(r);
+    }
+  }
+  ASSERT_GE(in_region.size(), 32u);
+
+  Server server(&router);
+  const auto ep = server.Start();
+  ASSERT_TRUE(ep.ok()) << ep.status();
+  Client client;
+  ASSERT_TRUE(client.Connect(ep->address, ep->port).ok());
+  std::vector<WireRequest> batch;
+  for (const service::Request& r : in_region) batch.push_back(ToWire(r));
+  const auto results = client.ExecuteBatch(batch);
+  ASSERT_EQ(results.size(), in_region.size());
+  for (size_t i = 0; i < in_region.size(); ++i) {
+    const service::ExecResult want = ref.Execute(in_region[i]);
+    ASSERT_TRUE(results[i].ok()) << "slot " << i << ": " << results[i].status();
+    ASSERT_TRUE(want.ok());
+    EXPECT_EQ(results[i]->source, service::AnswerSource::kModel);
+    EXPECT_TRUE(BitEq(results[i]->mean, want->mean)) << "slot " << i;
+    ASSERT_EQ(results[i]->pieces.size(), want->pieces.size()) << "slot " << i;
+    for (size_t p = 0; p < want->pieces.size(); ++p) {
+      EXPECT_TRUE(BitEq(results[i]->pieces[p].intercept,
+                        want->pieces[p].intercept));
+      EXPECT_TRUE(BitEq(results[i]->pieces[p].weight, want->pieces[p].weight));
+      ASSERT_EQ(results[i]->pieces[p].slope.size(),
+                want->pieces[p].slope.size());
+      for (size_t s = 0; s < want->pieces[p].slope.size(); ++s) {
+        EXPECT_TRUE(
+            BitEq(results[i]->pieces[p].slope[s], want->pieces[p].slope[s]));
+      }
+    }
+  }
+
+  // The loop records its counters before it flushes the answers.
+  const service::ServiceSnapshot snap = router.Stats();
+  EXPECT_EQ(snap.net_answered_on_loop, static_cast<int64_t>(in_region.size()));
+  EXPECT_EQ(snap.net_dispatched_to_executors, 0);
+  EXPECT_EQ(snap.model_answers, static_cast<int64_t>(in_region.size()));
+  EXPECT_EQ(snap.total_queries, static_cast<int64_t>(in_region.size()));
+
+  client.Close();
+  server.Shutdown();
+}
+
+// In-region, out-of-region, in-region: the responses come back in request
+// order whichever thread answered each, and the exact answer is unchanged.
+TEST(NetServerTest, MixedBurstComesBackInRequestOrder) {
+  service::RouterConfig cfg;
+  cfg.policy = service::RoutePolicy::kHybrid;
+  cfg.enable_cache = false;
+  cfg.num_threads = 2;
+  service::QueryRouter router(SharedCatalog(), cfg);
+  cfg.num_threads = 0;
+  service::QueryRouter ref(SharedCatalog(), cfg);
+
+  std::vector<service::Request> in_region;
+  for (const service::Request& r : MixedWorkload(40, /*seed=*/93)) {
+    const service::ExecResult want = ref.Execute(r);
+    if (want.ok() && want->source == service::AnswerSource::kModel) {
+      in_region.push_back(r);
+    }
+  }
+  ASSERT_GE(in_region.size(), 2u);
+  // θ far above the trained radii: exact-routed, and the ball covers rows.
+  const service::Request out =
+      service::Request::Q2("r1", query::Query({0.5, 0.5}, 0.5));
+  const std::vector<service::Request> burst = {in_region[0], out,
+                                               in_region[1]};
+  const std::vector<service::AnswerSource> sources = {
+      service::AnswerSource::kModel, service::AnswerSource::kExact,
+      service::AnswerSource::kModel};
+
+  Server server(&router);
+  const auto ep = server.Start();
+  ASSERT_TRUE(ep.ok()) << ep.status();
+  Client client;
+  ASSERT_TRUE(client.Connect(ep->address, ep->port).ok());
+  for (size_t i = 0; i < burst.size(); ++i) {
+    ASSERT_TRUE(client.SendRequest(ToWire(burst[i]), i + 1).ok());
+  }
+  for (size_t i = 0; i < burst.size(); ++i) {
+    uint64_t id = 0;
+    const auto got = client.ReadResponse(&id);
+    EXPECT_EQ(id, i + 1) << "response order broke";
+    ASSERT_TRUE(got.ok()) << got.status();
+    const service::ExecResult want = ref.Execute(burst[i]);
+    ASSERT_TRUE(want.ok()) << want.status();
+    EXPECT_EQ(got->source, sources[i]) << "slot " << i;
+    EXPECT_EQ(got->source, want->source) << "slot " << i;
+    EXPECT_TRUE(BitEq(got->mean, want->mean)) << "slot " << i;
+    EXPECT_EQ(got->exec.tuples_matched, want->exec.tuples_matched);
+    ASSERT_EQ(got->pieces.size(), want->pieces.size()) << "slot " << i;
+    for (size_t p = 0; p < want->pieces.size(); ++p) {
+      EXPECT_TRUE(BitEq(got->pieces[p].intercept, want->pieces[p].intercept));
+      ASSERT_EQ(got->pieces[p].slope.size(), want->pieces[p].slope.size());
+      for (size_t s = 0; s < want->pieces[p].slope.size(); ++s) {
+        EXPECT_TRUE(BitEq(got->pieces[p].slope[s], want->pieces[p].slope[s]));
+      }
+    }
+  }
+
+  // How the three frames split across reads decides where the last one
+  // ran; the first always runs on the loop, the exact one never does.
+  const service::ServiceSnapshot snap = router.Stats();
+  EXPECT_GE(snap.net_answered_on_loop, 1);
+  EXPECT_GE(snap.net_dispatched_to_executors, 1);
+  EXPECT_EQ(snap.net_answered_on_loop + snap.net_dispatched_to_executors, 3);
+  EXPECT_EQ(snap.exact_fallbacks, 1);
+  EXPECT_EQ(snap.model_answers, 2);
 
   client.Close();
   server.Shutdown();

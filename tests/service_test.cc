@@ -14,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -1200,6 +1201,65 @@ TEST(QueryRouterTest, ModelRoutedRequestsNeverTouchTheCache) {
   EXPECT_EQ(near->mean, hybrid_off.Execute(Request::Q1("r1", q_in))->mean);
   EXPECT_EQ(router.CacheStats().lookups, 2);
   EXPECT_EQ(router.CacheStats().inserts, 1);
+}
+
+TEST(QueryRouterTest, TryExecuteInlineServesOnlyTheModelPath) {
+  // The inline entry point the event loops use: a model-routed request gets
+  // exactly Execute's answer and stats; everything else is declined with no
+  // side effect — no stats, no cache probe.
+  RouterConfig cfg;
+  cfg.enable_cache = true;
+  cfg.cache.delta_min = 0.5;
+  QueryRouter router(SharedCatalog(), cfg);
+  QueryRouter ref(SharedCatalog(), cfg);
+
+  int64_t served = 0;
+  for (const Request& r : MixedWorkload(60, 29)) {
+    const ExecResult want = ref.Execute(r);
+    const std::optional<ExecResult> got = router.TryExecuteInline(r);
+    const bool model = want.ok() && want->source == AnswerSource::kModel;
+    EXPECT_EQ(got.has_value(), model);
+    if (!got.has_value() || !model) continue;
+    ++served;
+    ASSERT_TRUE(got->ok()) << got->status();
+    EXPECT_EQ((*got)->source, AnswerSource::kModel);
+    EXPECT_EQ((*got)->mean, want->mean);
+    ASSERT_EQ((*got)->pieces.size(), want->pieces.size());
+    for (size_t p = 0; p < want->pieces.size(); ++p) {
+      EXPECT_EQ((*got)->pieces[p].intercept, want->pieces[p].intercept);
+      EXPECT_EQ((*got)->pieces[p].slope, want->pieces[p].slope);
+      EXPECT_EQ((*got)->pieces[p].weight, want->pieces[p].weight);
+    }
+    EXPECT_GT((*got)->exec.nanos, 0);
+  }
+  ASSERT_GT(served, 20);
+  EXPECT_EQ(router.Stats().total_queries, served);
+  EXPECT_EQ(router.Stats().model_answers, served);
+
+  // Declined: out of region, expired, cancelled, wrong dimension, unknown
+  // dataset, and an exact-only router.
+  Request out_of_region = Request::Q1("r1", query::Query({0.5, 0.5}, 0.5));
+  Request expired = Request::Q1("r1", query::Query({0.4, 0.6}, 0.12));
+  expired.deadline = util::Deadline::AfterNanos(0);
+  Request cancelled = Request::Q1("r1", query::Query({0.4, 0.6}, 0.12));
+  cancelled.cancel = util::CancellationToken::Cancellable();
+  cancelled.cancel.Cancel();
+  Request wrong_dim = Request::Q1("r1", query::Query({0.4, 0.6, 0.5}, 0.12));
+  Request unknown = Request::Q1("nope", query::Query({0.4, 0.6}, 0.12));
+  for (const Request& r :
+       {out_of_region, expired, cancelled, wrong_dim, unknown}) {
+    EXPECT_FALSE(router.TryExecuteInline(r).has_value());
+  }
+  cfg.policy = RoutePolicy::kExactOnly;
+  QueryRouter exact_only(SharedCatalog(), cfg);
+  EXPECT_FALSE(exact_only
+                   .TryExecuteInline(
+                       Request::Q1("r1", query::Query({0.4, 0.6}, 0.12)))
+                   .has_value());
+  EXPECT_EQ(router.Stats().total_queries, served);
+  EXPECT_EQ(router.CacheStats().lookups, 0);
+  EXPECT_EQ(exact_only.Stats().total_queries, 0);
+  EXPECT_EQ(exact_only.CacheStats().lookups, 0);
 }
 
 // ---------- Overload shedding (graceful degradation) ----------
