@@ -1,6 +1,7 @@
 // google-benchmark micro-benchmarks of the individual components: selection
 // access paths, streaming OLS, the AVQ/SGD training step, the prediction
-// algorithms, MARS fitting, and model (de)serialization.
+// algorithms and the served model path, MARS fitting, model
+// (de)serialization, and answer-frame encoding.
 
 #include <benchmark/benchmark.h>
 
@@ -11,6 +12,7 @@
 #include "data/generator.h"
 #include "linalg/matrix.h"
 #include "linalg/ols.h"
+#include "net/wire.h"
 #include "plr/mars.h"
 #include "query/exact_engine.h"
 #include "query/scan_kernels.h"
@@ -155,6 +157,36 @@ void BM_LlmRegressionQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_LlmRegressionQuery);
 
+// The work a model-routed request costs the router: the hybrid vigilance
+// test and the Q1 (arg 0) or Q2 (arg 1) answer, both read from one sweep.
+void BM_LlmModelPath(benchmark::State& state) {
+  const size_t d = 2;
+  core::LlmModel model = MakeTrainedModel(d, 5000, 0.06);
+  query::WorkloadGenerator gen(
+      query::WorkloadConfig::Cube(d, 0.0, 1.0, 0.1, 0.05, 41));
+  std::vector<query::Query> queries(1024);
+  for (query::Query& q : queries) q = gen.Next();
+  const double rho = model.config().vigilance;
+  const bool q2 = state.range(0) == 1;
+  core::Neighbourhood hood;
+  size_t i = 0;
+  for (auto _ : state) {
+    const query::Query& q = queries[i++ % queries.size()];
+    model.Sweep(q, &hood);
+    benchmark::DoNotOptimize(hood.nearest_distance() <= rho);
+    if (q2) {
+      auto s = model.RegressionQuery(q, hood);
+      benchmark::DoNotOptimize(s.ok());
+    } else {
+      auto y = model.PredictMean(q, hood);
+      benchmark::DoNotOptimize(y.ok());
+    }
+  }
+  state.SetLabel(std::string(q2 ? "Q2" : "Q1") +
+                 " K=" + std::to_string(model.num_prototypes()));
+}
+BENCHMARK(BM_LlmModelPath)->Arg(0)->Arg(1);
+
 void BM_ModelSaveLoad(benchmark::State& state) {
   core::LlmModel model = MakeTrainedModel(3, 5000, 0.1);
   for (auto _ : state) {
@@ -201,6 +233,39 @@ void BM_DegreeOfOverlap(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DegreeOfOverlap);
+
+// ---------- Wire encoding ----------
+
+// One answer frame onto a reused buffer, as the server's event loop encodes
+// it: a Q1 answer (arg 0) or a Q2 answer of `arg` pieces in d = 2.
+void BM_AnswerFrameEncode(benchmark::State& state) {
+  const int64_t pieces = state.range(0);
+  service::Answer answer;
+  answer.kind = pieces == 0 ? service::QueryKind::kQ1MeanValue
+                            : service::QueryKind::kQ2Regression;
+  answer.mean = 0.4375;
+  util::Rng rng(43);
+  for (int64_t i = 0; i < pieces; ++i) {
+    core::LocalLinearModel m;
+    m.intercept = rng.Uniform();
+    m.slope = {rng.Uniform(), rng.Uniform()};
+    m.prototype_id = static_cast<int32_t>(i);
+    m.weight = 1.0 / static_cast<double>(pieces);
+    answer.pieces.push_back(std::move(m));
+  }
+  answer.exec.nanos = 1500;
+  std::vector<uint8_t> buf;
+  uint64_t id = 0;
+  for (auto _ : state) {
+    buf.clear();
+    net::AppendAnswerFrame(&buf, ++id, answer);
+    benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(buf.size()));
+  state.SetLabel(std::to_string(buf.size()) + " B");
+}
+BENCHMARK(BM_AnswerFrameEncode)->Arg(0)->Arg(17);
 
 }  // namespace
 }  // namespace qreg

@@ -96,25 +96,104 @@ double LlmModel::CoefficientRate(const Prototype& p) const {
   return 0.5;
 }
 
-int32_t LlmModel::NearestPrototype(const query::Query& q) const {
-  int32_t best = -1;
-  double best_d2 = std::numeric_limits<double>::infinity();
-  for (size_t k = 0; k < prototypes_.size(); ++k) {
-    const double d2 = query::QueryDistanceSquared(q, prototypes_[k].w);
-    if (d2 < best_d2) {
-      best_d2 = d2;
-      best = static_cast<int32_t>(k);
+void Neighbourhood::Clear() {
+  nearest_ = -1;
+  nearest_d2_ = std::numeric_limits<double>::infinity();
+  delta_sum_ = 0.0;
+  size_ = 0;
+  spill_.clear();
+}
+
+void Neighbourhood::Add(int32_t index, double delta) {
+  if (size_ < kInlineOverlaps) {
+    inline_[size_] = Overlap{index, delta};
+  } else {
+    spill_.push_back(Overlap{index, delta});
+  }
+  ++size_;
+  delta_sum_ += delta;
+}
+
+void LlmModel::AppendPrototype(Prototype p) {
+  rows_.insert(rows_.end(), p.w.center.begin(), p.w.center.end());
+  rows_.push_back(p.w.theta);
+  prototypes_.push_back(std::move(p));
+}
+
+void LlmModel::SyncRow(size_t k) {
+  const query::Query& w = prototypes_[k].w;
+  double* row = rows_.data() + k * (config_.d + 1);
+  std::copy(w.center.begin(), w.center.end(), row);
+  row[config_.d] = w.theta;
+}
+
+void LlmModel::Sweep(const query::Query& q, Neighbourhood* out) const {
+  SweepRows(q, /*with_overlap=*/true, out);
+}
+
+void LlmModel::SweepRows(const query::Query& q, bool with_overlap,
+                         Neighbourhood* out) const {
+  out->Clear();
+  const size_t d = config_.d;
+  if (q.dimension() != d) return;
+  const double* x = q.center.data();
+  const double theta = q.theta;
+  const size_t num = prototypes_.size();
+  int32_t nearest = -1;
+  double nearest_d2 = std::numeric_limits<double>::infinity();
+  // Rows are swept in blocks. The first pass computes each centre distance²
+  // s_k once, tracks the nearest prototype, and collects the rows whose ball
+  // meets q's (s_k ≤ (θ + θ_k)²) without a branch; the second computes δ_k
+  // for those few only. The operations and their order are those of
+  // query::QueryDistanceSquared and query::DegreeOfOverlap, so every bit
+  // matches theirs.
+  constexpr size_t kBlock = 64;
+  int32_t candidate[kBlock];
+  double candidate_d2[kBlock];
+  for (size_t begin = 0; begin < num; begin += kBlock) {
+    const size_t end = std::min(num, begin + kBlock);
+    size_t candidates = 0;
+    for (size_t k = begin; k < end; ++k) {
+      const double* row = rows_.data() + k * (d + 1);
+      double center_d2 = 0.0;
+      for (size_t i = 0; i < d; ++i) {
+        const double t = x[i] - row[i];
+        center_d2 += t * t;
+      }
+      const double dtheta = theta - row[d];
+      const double d2 = center_d2 + dtheta * dtheta;
+      if (d2 < nearest_d2) {  // Strict: the first of tied prototypes wins.
+        nearest_d2 = d2;
+        nearest = static_cast<int32_t>(k);
+      }
+      const double theta_sum = theta + row[d];
+      candidate[candidates] = static_cast<int32_t>(k);
+      candidate_d2[candidates] = center_d2;
+      candidates +=
+          with_overlap && center_d2 <= theta_sum * theta_sum ? 1 : 0;
+    }
+    for (size_t c = 0; c < candidates; ++c) {
+      const double theta_k =
+          rows_[static_cast<size_t>(candidate[c]) * (d + 1) + d];
+      const double delta =
+          query::DegreeOfOverlapFromDistance2(candidate_d2[c], theta, theta_k);
+      if (delta > 0.0) out->Add(candidate[c], delta);
     }
   }
-  return best;
+  out->nearest_ = nearest;
+  out->nearest_d2_ = nearest_d2;
+}
+
+int32_t LlmModel::NearestPrototype(const query::Query& q) const {
+  Neighbourhood hood;
+  SweepRows(q, /*with_overlap=*/false, &hood);
+  return hood.nearest();
 }
 
 double LlmModel::NearestPrototypeDistance(const query::Query& q) const {
-  double best_d2 = std::numeric_limits<double>::infinity();
-  for (const Prototype& p : prototypes_) {
-    best_d2 = std::min(best_d2, query::QueryDistanceSquared(q, p.w));
-  }
-  return std::sqrt(best_d2);  // inf when there are no prototypes.
+  Neighbourhood hood;
+  SweepRows(q, /*with_overlap=*/false, &hood);
+  return hood.nearest_distance();  // inf when there are no prototypes.
 }
 
 util::Result<TrainStep> LlmModel::Observe(const query::Query& q, double y) {
@@ -126,21 +205,27 @@ util::Result<TrainStep> LlmModel::Observe(const query::Query& q, double y) {
         util::Format("query dimension %zu != model dimension %zu", q.dimension(),
                      config_.d));
   }
-  ++t_;
-  TrainStep step;
-
   const bool growing = config_.fixed_k <= 0;
   const bool codebook_full =
       !growing && num_prototypes() >= config_.fixed_k;
+  // The winner, when one is needed: the vigilance test and the update both
+  // read it from one sweep.
+  Neighbourhood hood;
+  if (!prototypes_.empty() && (growing || codebook_full)) {
+    SweepRows(q, /*with_overlap=*/false, &hood);
+    if (hood.nearest() < 0) {
+      return util::Status::InvalidArgument(
+          "query has no nearest prototype (non-finite coordinates)");
+    }
+  }
+  ++t_;
+  TrainStep step;
 
-  if (prototypes_.empty() || (growing && [&] {
-        const int32_t j = NearestPrototype(q);
-        return query::QueryDistance(q, prototypes_[static_cast<size_t>(j)].w) >
-               config_.vigilance;
-      }()) || (!growing && !codebook_full)) {
+  if (prototypes_.empty() ||
+      (growing && hood.nearest_distance() > config_.vigilance) ||
+      (!growing && !codebook_full)) {
     // Spawn: the query becomes a new prototype (Algorithm 1's else-branch).
-    Prototype p(q, config_.seed_y_with_answer ? y : 0.0);
-    prototypes_.push_back(std::move(p));
+    AppendPrototype(Prototype(q, config_.seed_y_with_answer ? y : 0.0));
     step.winner = num_prototypes() - 1;
     step.spawned = true;
     // A spawn changes the quantization by (at most) the vigilance radius;
@@ -150,7 +235,7 @@ util::Result<TrainStep> LlmModel::Observe(const query::Query& q, double y) {
                        : 1.0;
     step.gamma_h = config_.seed_y_with_answer ? std::fabs(y) : 0.0;
   } else {
-    const int32_t j = NearestPrototype(q);
+    const int32_t j = hood.nearest();
     Prototype& p = prototypes_[static_cast<size_t>(j)];
     step.winner = j;
 
@@ -226,6 +311,7 @@ util::Result<TrainStep> LlmModel::Observe(const query::Query& q, double y) {
     const double dw_theta = eta_w * dtheta;
     p.w.theta += dw_theta;
     dw_norm2 += dw_theta * dw_theta;
+    SyncRow(static_cast<size_t>(j));
 
     ++p.wins;
     step.gamma_j = std::sqrt(dw_norm2);
@@ -267,108 +353,103 @@ void LlmModel::ResetPlasticity(int64_t max_wins) {
 }
 
 std::vector<int32_t> LlmModel::OverlapSet(const query::Query& q) const {
-  std::vector<int32_t> overlap;
-  for (size_t k = 0; k < prototypes_.size(); ++k) {
-    if (query::DegreeOfOverlap(q, prototypes_[k].w) > 0.0) {
-      overlap.push_back(static_cast<int32_t>(k));
-    }
-  }
+  Neighbourhood hood;
+  Sweep(q, &hood);
+  std::vector<int32_t> overlap(hood.overlap_size());
+  for (size_t i = 0; i < overlap.size(); ++i) overlap[i] = hood.overlap_index(i);
   return overlap;
 }
 
+util::Status LlmModel::CheckPredictable(const query::Query& q,
+                                        const Neighbourhood& hood) const {
+  if (prototypes_.empty()) {
+    return util::Status::FailedPrecondition("model has no prototypes");
+  }
+  if (q.dimension() != config_.d) {
+    return util::Status::InvalidArgument("query dimension mismatch");
+  }
+  if (hood.nearest() < 0) {
+    return util::Status::InvalidArgument(
+        "query has no nearest prototype (non-finite coordinates)");
+  }
+  return util::Status::OK();
+}
+
 double LlmModel::WeightedPrediction(const query::Query& q,
-                                    const std::vector<int32_t>& overlap,
-                                    bool pin_theta,
+                                    const Neighbourhood& hood,
                                     const std::vector<double>* x) const {
   // Normalized degrees of overlap δ̃ (Algorithm 2 / Eq. 11 and Eq. 14).
-  double delta_sum = 0.0;
-  std::vector<double> deltas(overlap.size(), 0.0);
-  for (size_t i = 0; i < overlap.size(); ++i) {
-    deltas[i] =
-        query::DegreeOfOverlap(q, prototypes_[static_cast<size_t>(overlap[i])].w);
-    delta_sum += deltas[i];
-  }
   double out = 0.0;
-  for (size_t i = 0; i < overlap.size(); ++i) {
-    const Prototype& p = prototypes_[static_cast<size_t>(overlap[i])];
-    const double f = pin_theta
-                         ? p.PredictData(x != nullptr ? *x : q.center, SlopeScale(p))
-                         : p.PredictQuery(q, SlopeScale(p));
-    out += (deltas[i] / delta_sum) * f;
+  for (size_t i = 0; i < hood.overlap_size(); ++i) {
+    const Prototype& p = prototypes_[static_cast<size_t>(hood.overlap_index(i))];
+    const double f = x != nullptr ? p.PredictData(*x, SlopeScale(p))
+                                  : p.PredictQuery(q, SlopeScale(p));
+    out += (hood.overlap_delta(i) / hood.delta_sum()) * f;
   }
   return out;
 }
 
 util::Result<double> LlmModel::PredictMean(const query::Query& q) const {
-  if (prototypes_.empty()) {
-    return util::Status::FailedPrecondition("model has no prototypes");
-  }
-  if (q.dimension() != config_.d) {
-    return util::Status::InvalidArgument("query dimension mismatch");
-  }
-  if (config_.prediction == PredictionMode::kNearestOnly) {
-    const Prototype& p = prototypes_[static_cast<size_t>(NearestPrototype(q))];
-    return p.PredictQuery(q, SlopeScale(p));
-  }
-  const std::vector<int32_t> overlap = OverlapSet(q);
-  if (overlap.empty()) {
+  Neighbourhood hood;
+  Sweep(q, &hood);
+  return PredictMean(q, hood);
+}
+
+util::Result<double> LlmModel::PredictMean(const query::Query& q,
+                                           const Neighbourhood& hood) const {
+  QREG_RETURN_NOT_OK(CheckPredictable(q, hood));
+  if (config_.prediction == PredictionMode::kNearestOnly ||
+      hood.overlap_size() == 0) {
     // Case W(q) = ∅: extrapolate from the closest prototype (Algorithm 2).
-    const Prototype& p = prototypes_[static_cast<size_t>(NearestPrototype(q))];
+    const Prototype& p = prototypes_[static_cast<size_t>(hood.nearest())];
     return p.PredictQuery(q, SlopeScale(p));
   }
-  return WeightedPrediction(q, overlap, /*pin_theta=*/false, nullptr);
+  return WeightedPrediction(q, hood, nullptr);
 }
 
 util::Result<std::vector<LocalLinearModel>> LlmModel::RegressionQuery(
     const query::Query& q) const {
-  if (prototypes_.empty()) {
-    return util::Status::FailedPrecondition("model has no prototypes");
-  }
-  if (q.dimension() != config_.d) {
-    return util::Status::InvalidArgument("query dimension mismatch");
-  }
+  Neighbourhood hood;
+  Sweep(q, &hood);
+  return RegressionQuery(q, hood);
+}
+
+util::Result<std::vector<LocalLinearModel>> LlmModel::RegressionQuery(
+    const query::Query& q, const Neighbourhood& hood) const {
+  QREG_RETURN_NOT_OK(CheckPredictable(q, hood));
   std::vector<LocalLinearModel> s;
-  const std::vector<int32_t> overlap = OverlapSet(q);
-  if (overlap.empty() || config_.prediction == PredictionMode::kNearestOnly) {
+  if (hood.overlap_size() == 0 ||
+      config_.prediction == PredictionMode::kNearestOnly) {
     // Case 3: extrapolate the linearity trend of the nearest subspace.
-    const int32_t j = NearestPrototype(q);
+    const int32_t j = hood.nearest();
     const Prototype& p = prototypes_[static_cast<size_t>(j)];
     s.push_back(p.ToDataModel(j, 0.0, SlopeScale(p)));
     return s;
   }
-  double delta_sum = 0.0;
-  std::vector<double> deltas(overlap.size(), 0.0);
-  for (size_t i = 0; i < overlap.size(); ++i) {
-    deltas[i] =
-        query::DegreeOfOverlap(q, prototypes_[static_cast<size_t>(overlap[i])].w);
-    delta_sum += deltas[i];
-  }
-  s.reserve(overlap.size());
-  for (size_t i = 0; i < overlap.size(); ++i) {
-    const Prototype& p = prototypes_[static_cast<size_t>(overlap[i])];
-    s.push_back(p.ToDataModel(overlap[i], deltas[i] / delta_sum, SlopeScale(p)));
+  s.reserve(hood.overlap_size());
+  for (size_t i = 0; i < hood.overlap_size(); ++i) {
+    const int32_t k = hood.overlap_index(i);
+    const Prototype& p = prototypes_[static_cast<size_t>(k)];
+    s.push_back(
+        p.ToDataModel(k, hood.overlap_delta(i) / hood.delta_sum(), SlopeScale(p)));
   }
   return s;
 }
 
 util::Result<double> LlmModel::PredictValue(const query::Query& q,
                                             const std::vector<double>& x) const {
-  if (prototypes_.empty()) {
-    return util::Status::FailedPrecondition("model has no prototypes");
+  Neighbourhood hood;
+  Sweep(q, &hood);
+  QREG_RETURN_NOT_OK(CheckPredictable(q, hood));
+  if (x.size() != config_.d) {
+    return util::Status::InvalidArgument("data point dimension mismatch");
   }
-  if (q.dimension() != config_.d || x.size() != config_.d) {
-    return util::Status::InvalidArgument("dimension mismatch");
-  }
-  if (config_.prediction == PredictionMode::kNearestOnly) {
-    const Prototype& p = prototypes_[static_cast<size_t>(NearestPrototype(q))];
+  if (config_.prediction == PredictionMode::kNearestOnly ||
+      hood.overlap_size() == 0) {
+    const Prototype& p = prototypes_[static_cast<size_t>(hood.nearest())];
     return p.PredictData(x, SlopeScale(p));
   }
-  const std::vector<int32_t> overlap = OverlapSet(q);
-  if (overlap.empty()) {
-    const Prototype& p = prototypes_[static_cast<size_t>(NearestPrototype(q))];
-    return p.PredictData(x, SlopeScale(p));
-  }
-  return WeightedPrediction(q, overlap, /*pin_theta=*/true, &x);
+  return WeightedPrediction(q, hood, &x);
 }
 
 int64_t LlmModel::ParameterBytes() const {

@@ -9,6 +9,11 @@
 //   - Algorithm 3 (Q2): the list S of local linear models of g (Theorem 3);
 //   - Eq. 14: data-value prediction û.
 //
+// All of them read a query's neighbourhood — its nearest prototype and the
+// overlap set W(q) with Eq. 9's δ weights — from one sweep over the
+// prototype centres and radii, which the model keeps in one contiguous
+// row-per-prototype array beside the prototypes themselves.
+//
 // Ablation knobs (see DESIGN.md §7): fixed-K quantization instead of
 // vigilance growth, nearest-only prediction instead of δ-weighting,
 // constant / global-hyperbolic / per-prototype-hyperbolic learning rates,
@@ -17,7 +22,10 @@
 #ifndef QREG_CORE_LLM_MODEL_H_
 #define QREG_CORE_LLM_MODEL_H_
 
+#include <array>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -130,6 +138,52 @@ struct TrainStep {
   double gamma_h = 0.0;       ///< Γ^H contribution: coefficient displacement.
 };
 
+/// \brief A query's neighbourhood among a model's prototypes, from one
+/// LlmModel::Sweep: the query-space nearest prototype (Algorithm 2's
+/// fallback, the vigilance test's distance) and the overlap set W(q) with
+/// each member's δ (Eqs. 9–10), in prototype order.
+class Neighbourhood {
+ public:
+  /// Overlaps held inline; a larger W(q) spills to the heap.
+  static constexpr size_t kInlineOverlaps = 64;
+
+  /// Index of the nearest prototype (the first on a tie); -1 when the model
+  /// has none or no distance is finite.
+  int32_t nearest() const { return nearest_; }
+  /// Its query-space distance; +inf when nearest() is -1.
+  double nearest_distance() const { return std::sqrt(nearest_d2_); }
+
+  /// |W(q)|, and its members' prototype indexes and δ > 0.
+  size_t overlap_size() const { return size_; }
+  int32_t overlap_index(size_t i) const { return At(i).index; }
+  double overlap_delta(size_t i) const { return At(i).delta; }
+  /// Σ δ over W(q), summed in prototype order.
+  double delta_sum() const { return delta_sum_; }
+
+ private:
+  friend class LlmModel;
+
+  struct Overlap {
+    int32_t index;
+    double delta;
+  };
+
+  void Clear();
+  void Add(int32_t index, double delta);
+  const Overlap& At(size_t i) const {
+    return i < kInlineOverlaps ? inline_[i] : spill_[i - kInlineOverlaps];
+  }
+
+  int32_t nearest_ = -1;
+  double nearest_d2_ = std::numeric_limits<double>::infinity();
+  double delta_sum_ = 0.0;
+  size_t size_ = 0;
+  // Left uninitialized on purpose: a sweep writes entry i before anything
+  // reads it, and zeroing would add a 1 KiB memset to every request.
+  std::array<Overlap, kInlineOverlaps> inline_;
+  std::vector<Overlap> spill_;
+};
+
 /// \brief The trained model (Figure 2's "Model" box).
 class LlmModel {
  public:
@@ -172,10 +226,22 @@ class LlmModel {
   void ResetPlasticity(int64_t max_wins = 10);
 
   // --- Prediction (Algorithms 2 & 3) -----------------------------------
+  //
+  // Each prediction sweeps the prototypes once (Sweep). The overloads that
+  // take a Neighbourhood reuse a sweep the caller already ran for the same
+  // query on this model, such as the service router's vigilance test.
+
+  /// The neighbourhood of `q`: one pass over the prototypes computes each
+  /// centre distance² s_k once and derives both the query-space distance
+  /// s_k + (θ − θ_k)² and δ_k from it. A query of the wrong dimension gets
+  /// an empty neighbourhood.
+  void Sweep(const query::Query& q, Neighbourhood* out) const;
 
   /// Q1: predicted mean value ŷ for an unseen query (Algorithm 2).
   /// Fails if the model has no prototypes.
   util::Result<double> PredictMean(const query::Query& q) const;
+  util::Result<double> PredictMean(const query::Query& q,
+                                   const Neighbourhood& hood) const;
 
   /// Q2: the list S of local linear models of g over D(x, θ) (Algorithm 3).
   /// Overlapping prototypes contribute one model each, with δ̃ weights; if
@@ -183,6 +249,8 @@ class LlmModel {
   /// convention, matching "Case 3").
   util::Result<std::vector<LocalLinearModel>> RegressionQuery(
       const query::Query& q) const;
+  util::Result<std::vector<LocalLinearModel>> RegressionQuery(
+      const query::Query& q, const Neighbourhood& hood) const;
 
   /// Data-value prediction û(x) given the neighbourhood of q (Eq. 14).
   util::Result<double> PredictValue(const query::Query& q,
@@ -216,12 +284,29 @@ class LlmModel {
   double PrototypeRate(const Prototype& p) const;
   double CoefficientRate(const Prototype& p) const;
   double SlopeScale(const Prototype& p) const;
-  double WeightedPrediction(const query::Query& q,
-                            const std::vector<int32_t>& overlap,
-                            bool pin_theta, const std::vector<double>* x) const;
+  /// The sweep kernel behind Sweep; without `with_overlap` it finds only the
+  /// nearest prototype and leaves W(q) empty.
+  void SweepRows(const query::Query& q, bool with_overlap,
+                 Neighbourhood* out) const;
+  /// Checks a prediction's inputs: a non-empty model, q of the model's
+  /// dimension and a nearest prototype in `hood`.
+  util::Status CheckPredictable(const query::Query& q,
+                                const Neighbourhood& hood) const;
+  /// Algorithm 2 / Eq. 14: the δ̃-weighted sum over W(q) of f_k(q), or of
+  /// f_k(x, θ_k) when `x` is given.
+  double WeightedPrediction(const query::Query& q, const Neighbourhood& hood,
+                            const std::vector<double>* x) const;
+
+  /// Adds a prototype and its row of `rows_`.
+  void AppendPrototype(Prototype p);
+  /// Copies prototype k's centre and radius into its row of `rows_`.
+  void SyncRow(size_t k);
 
   LlmConfig config_;
   std::vector<Prototype> prototypes_;
+  /// Row k holds [w_k.center, w_k.theta] (d + 1 doubles), a copy of
+  /// prototypes_[k].w laid out contiguously for Sweep.
+  std::vector<double> rows_;
   int64_t t_ = 0;           // Global observation counter.
   bool frozen_ = false;
   std::vector<double> gamma_history_;  // Ring buffer of recent Γ values.

@@ -177,7 +177,7 @@ util::Result<LlmModel> ModelSerializer::Load(std::istream* is) {
     // The preconditioner's second-moment accumulators are training state;
     // they are not persisted and re-warm if training resumes.
     p.input_sq_x.assign(p.b_x.size(), 0.0);
-    model.prototypes_.push_back(std::move(p));
+    model.AppendPrototype(std::move(p));
   }
   if (frozen != 0) model.Freeze();
   return model;

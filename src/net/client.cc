@@ -180,9 +180,9 @@ util::Status Client::ReadFrame(Frame* frame) {
 
 util::Status Client::SendRequest(const WireRequest& request,
                                  uint64_t request_id) {
-  std::vector<uint8_t> out;
-  AppendFrame(&out, FrameType::kRequest, request_id, EncodeRequest(request));
-  return WriteAll(out.data(), out.size());
+  send_buf_.clear();
+  AppendRequestFrame(&send_buf_, request_id, request);
+  return WriteAll(send_buf_.data(), send_buf_.size());
 }
 
 util::Result<service::Answer> Client::ReadResponse(uint64_t* request_id) {
@@ -225,12 +225,16 @@ std::vector<util::Result<service::Answer>> Client::ExecuteBatch(
 
   // Pipelining: every frame goes out before the first response is read; the
   // server coalesces what it finds in flight into ExecuteBatch calls.
-  std::vector<uint8_t> out;
+  send_buf_.clear();
   const uint64_t first_id = next_id_;
   for (const WireRequest& request : batch) {
-    AppendFrame(&out, FrameType::kRequest, next_id_++, EncodeRequest(request));
+    AppendRequestFrame(&send_buf_, next_id_++, request);
   }
-  const util::Status sent = WriteAll(out.data(), out.size());
+  const util::Status sent = WriteAll(send_buf_.data(), send_buf_.size());
+  // A huge batch must not pin its encode buffer for the client's lifetime.
+  if (send_buf_.capacity() > kMaxRetainedSendBytes) {
+    std::vector<uint8_t>().swap(send_buf_);
+  }
   if (!sent.ok()) {
     for (auto& slot : results) slot = sent;
     Close();  // The stream is dead; make connected() say so.

@@ -124,6 +124,10 @@ class Client {
   uint16_t port_ = 0;
   bool endpoint_set_ = false;
   FrameDecoder decoder_;
+  /// The sender's encode buffer, reused so a request costs no allocation;
+  /// freed after a batch that grew it past kMaxRetainedSendBytes.
+  static constexpr size_t kMaxRetainedSendBytes = 1u << 20;
+  std::vector<uint8_t> send_buf_;
 };
 
 /// \brief M independent connections to one server — the client-side fan-out

@@ -415,7 +415,7 @@ void Server::EventLoop(Loop* loop) {
     // executor filled comes home here), flushed eagerly while the socket is
     // almost certainly writable.
     {
-      std::deque<Completion> finished;
+      std::deque<Completion>& finished = loop->finished;
       {
         util::MutexLock lock(&loop->done_mu);
         finished.swap(loop->done);
@@ -449,6 +449,7 @@ void Server::EventLoop(Loop* loop) {
           RescheduleTimer(loop, it->second.get(), done_nanos);
         }
       }
+      finished.clear();
     }
 
     for (const ReadyEvent& ev : events) {
@@ -547,14 +548,14 @@ void Server::HandleReadable(Loop* loop, Connection* conn) {
     return;
   }
 
-  Frame frame;
+  Frame& frame = loop->frame;
   size_t frames_this_call = 0;
   for (;;) {
     const FrameDecoder::Event event = conn->decoder.Next(&frame);
     if (event == FrameDecoder::Event::kFrame) {
       ++activity.frames_decoded;
       ++frames_this_call;
-      HandleFrame(loop, conn, std::move(frame));
+      HandleFrame(loop, conn, frame);
       continue;
     }
     if (event == FrameDecoder::Event::kError) {
@@ -589,7 +590,7 @@ void Server::HandleReadable(Loop* loop, Connection* conn) {
   if (it != loop->conns.end()) RescheduleTimer(loop, it->second.get(), now);
 }
 
-void Server::HandleFrame(Loop* loop, Connection* conn, Frame frame) {
+void Server::HandleFrame(Loop* loop, Connection* conn, const Frame& frame) {
   switch (frame.header.type) {
     case FrameType::kPing: {
       AppendFrame(StagedOut(&loop->arena, &conn->loop_out), FrameType::kPong,

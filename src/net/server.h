@@ -254,6 +254,12 @@ class Server {
     // Sum of every connection's pending (unflushed) response bytes — the
     // quantity max_loop_pending_write_bytes bounds.
     size_t pending_out_total = 0;
+    // The completions one iteration drains, swapped out of `done` and
+    // cleared after, so the queue's storage is reused. Loop-thread-only.
+    std::deque<Completion> finished;
+    // The frame HandleReadable decodes into; its payload keeps its capacity
+    // from one frame to the next. Loop-thread-only.
+    Frame frame;
 
     // Executors → loop: finished batches.
     util::Mutex done_mu;
@@ -268,7 +274,7 @@ class Server {
   void AcceptNew(Loop* loop);
   void RegisterConnection(Loop* loop, int fd);
   void HandleReadable(Loop* loop, Connection* conn);
-  void HandleFrame(Loop* loop, Connection* conn, Frame frame);
+  void HandleFrame(Loop* loop, Connection* conn, const Frame& frame);
   /// With no batch in flight: answers the leading run of model-routed
   /// pending requests on the loop and sends the rest to the executors as one
   /// BatchJob, counting both into `activity`.

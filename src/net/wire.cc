@@ -9,35 +9,29 @@ namespace net {
 namespace {
 
 // ------------------------------------------------- little-endian primitives --
+//
+// The wire is little-endian, like every host this builds for, so a field is
+// stored and loaded as one host word instead of byte by byte.
 
-void PutU16(std::vector<uint8_t>* out, uint16_t v) {
-  out->push_back(static_cast<uint8_t>(v));
-  out->push_back(static_cast<uint8_t>(v >> 8));
+#if !defined(__BYTE_ORDER__) || __BYTE_ORDER__ != __ORDER_LITTLE_ENDIAN__
+#error "net/wire.cc stores host words as little-endian wire fields"
+#endif
+
+template <typename T>
+void StoreLE(uint8_t* p, T v) {
+  std::memcpy(p, &v, sizeof(v));
 }
 
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-uint16_t GetU16(const uint8_t* p) {
-  return static_cast<uint16_t>(p[0] | (static_cast<uint16_t>(p[1]) << 8));
-}
-
-uint32_t GetU32(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
+template <typename T>
+T LoadLE(const uint8_t* p) {
+  T v;
+  std::memcpy(&v, p, sizeof(v));
   return v;
 }
 
-uint64_t GetU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
+uint16_t GetU16(const uint8_t* p) { return LoadLE<uint16_t>(p); }
+uint32_t GetU32(const uint8_t* p) { return LoadLE<uint32_t>(p); }
+uint64_t GetU64(const uint8_t* p) { return LoadLE<uint64_t>(p); }
 
 uint64_t DoubleBits(double d) {
   uint64_t v;
@@ -65,57 +59,85 @@ util::Status ProtocolError(std::string msg) {
 
 constexpr size_t kFieldHeaderBytes = 6;
 
-void PatchU32(std::vector<uint8_t>* out, size_t at, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    (*out)[at + i] = static_cast<uint8_t>(v >> (8 * i));
-  }
-}
-
-/// Appends tagged fields straight onto a caller-owned buffer — no
-/// intermediate buffers. Nested messages backpatch their length instead of
-/// being built separately and copied. The one writer every message uses.
-class InplaceFieldWriter {
+/// Writes tagged fields into a payload sized in advance. Every encode runs
+/// the same field sequence twice: first through a counting writer (null
+/// base) to learn the payload size, then through a writer over the grown
+/// buffer, so the buffer grows once per message and each field is a few
+/// word stores. Nested messages backpatch their length. The one writer
+/// every message uses.
+class FieldWriter {
  public:
-  explicit InplaceFieldWriter(std::vector<uint8_t>* out) : out_(out) {}
+  /// Writes at `base`; a null `base` only counts bytes.
+  explicit FieldWriter(uint8_t* base) : base_(base) {}
+
+  size_t size() const { return pos_; }
 
   void PutBytes(uint16_t tag, const uint8_t* data, size_t n) {
-    PutU16(out_, tag);
-    PutU32(out_, static_cast<uint32_t>(n));
-    out_->insert(out_->end(), data, data + n);
+    uint8_t* p = Field(tag, n);
+    if (p != nullptr && n > 0) std::memcpy(p, data, n);
   }
   void PutString(uint16_t tag, const std::string& s) {
     PutBytes(tag, reinterpret_cast<const uint8_t*>(s.data()), s.size());
   }
   void PutVarU64(uint16_t tag, uint64_t v) {
-    PutU16(out_, tag);
-    PutU32(out_, 8);
-    PutU64(out_, v);
+    if (uint8_t* p = Field(tag, 8)) StoreLE(p, v);
   }
   void PutVarU32(uint16_t tag, uint32_t v) {
-    PutU16(out_, tag);
-    PutU32(out_, 4);
-    PutU32(out_, v);
+    if (uint8_t* p = Field(tag, 4)) StoreLE(p, v);
   }
   void PutF64(uint16_t tag, double d) { PutVarU64(tag, DoubleBits(d)); }
   void PutF64Array(uint16_t tag, const std::vector<double>& v) {
-    PutU16(out_, tag);
-    PutU32(out_, static_cast<uint32_t>(v.size() * 8));
-    for (double d : v) PutU64(out_, DoubleBits(d));
+    // A little-endian double array is its own wire encoding.
+    PutBytes(tag, reinterpret_cast<const uint8_t*>(v.data()), v.size() * 8);
   }
 
   /// Opens a nested-message field; returns the mark EndNested() patches.
   size_t BeginNested(uint16_t tag) {
-    PutU16(out_, tag);
-    PutU32(out_, 0);  // Length — backpatched by EndNested.
-    return out_->size();
+    Field(tag, 0);  // Length — backpatched by EndNested.
+    return pos_;
   }
   void EndNested(size_t mark) {
-    PatchU32(out_, mark - 4, static_cast<uint32_t>(out_->size() - mark));
+    if (base_ != nullptr) {
+      StoreLE(base_ + mark - 4, static_cast<uint32_t>(pos_ - mark));
+    }
   }
 
  private:
-  std::vector<uint8_t>* out_;
+  /// Claims a field of `n` payload bytes and writes its header; returns
+  /// where the payload goes (null while counting).
+  uint8_t* Field(uint16_t tag, size_t n) {
+    const size_t at = pos_;
+    pos_ += kFieldHeaderBytes + n;
+    if (base_ == nullptr) return nullptr;
+    StoreLE(base_ + at, tag);
+    StoreLE(base_ + at + 2, static_cast<uint32_t>(n));
+    return base_ + at + kFieldHeaderBytes;
+  }
+
+  uint8_t* base_;
+  size_t pos_ = 0;
 };
+
+/// Runs `write_fields` (a callable taking FieldWriter*) twice: to size the
+/// payload, then to fill the `n` bytes `reserve(n)` returns.
+template <typename WriteFields, typename Reserve>
+void WritePayload(const WriteFields& write_fields, const Reserve& reserve) {
+  FieldWriter counter(nullptr);
+  write_fields(&counter);
+  FieldWriter writer(reserve(counter.size()));
+  write_fields(&writer);
+}
+
+/// A standalone payload holding the fields `write_fields` writes.
+template <typename WriteFields>
+std::vector<uint8_t> EncodePayload(const WriteFields& write_fields) {
+  std::vector<uint8_t> out;
+  WritePayload(write_fields, [&](size_t n) {
+    out.resize(n);
+    return out.data();
+  });
+  return out;
+}
 
 /// Iterates the fields of one payload. Usage:
 ///   while (r.Next()) switch (r.tag()) { ... }
@@ -167,11 +189,8 @@ class FieldReader {
   }
   util::Result<std::vector<double>> AsF64Array() {
     if (field_len_ % 8 != 0) return Fail("f64 array length not a multiple of 8");
-    std::vector<double> v;
-    v.reserve(field_len_ / 8);
-    for (size_t i = 0; i < field_len_; i += 8) {
-      v.push_back(BitsToDouble(GetU64(field_ + i)));
-    }
+    std::vector<double> v(field_len_ / 8);
+    if (!v.empty()) std::memcpy(v.data(), field_, field_len_);
     return v;
   }
 
@@ -227,10 +246,10 @@ enum StatusTag : uint16_t {
   kStatusMessage = 2,
 };
 
-// The answer and status field orders, written once: the standalone payload
-// encoders and the in-place frame encoders both go through these, so the
-// two paths are bit-for-bit identical by construction.
-void WriteAnswerFields(const service::Answer& answer, InplaceFieldWriter* w) {
+// The answer, request and status field orders, written once: the standalone
+// payload encoders and the in-place frame encoders both go through these,
+// so the two paths are bit-for-bit identical by construction.
+void WriteAnswerFields(const service::Answer& answer, FieldWriter* w) {
   w->PutVarU32(kAnsKind, static_cast<uint32_t>(answer.kind));
   w->PutVarU32(kAnsSource, static_cast<uint32_t>(answer.source));
   w->PutF64(kAnsMean, answer.mean);
@@ -257,7 +276,17 @@ void WriteAnswerFields(const service::Answer& answer, InplaceFieldWriter* w) {
   w->EndNested(exec);
 }
 
-void WriteStatusFields(const util::Status& status, InplaceFieldWriter* w) {
+void WriteRequestFields(const WireRequest& request, FieldWriter* w) {
+  w->PutString(kReqDataset, request.dataset);
+  w->PutVarU32(kReqKind, static_cast<uint32_t>(request.kind));
+  w->PutF64Array(kReqCenter, request.q.center);
+  w->PutF64(kReqTheta, request.q.theta);
+  if (request.deadline_budget_nanos > 0) {
+    w->PutVarU64(kReqDeadlineBudget, request.deadline_budget_nanos);
+  }
+}
+
+void WriteStatusFields(const util::Status& status, FieldWriter* w) {
   w->PutVarU32(kStatusCode, static_cast<uint32_t>(status.code()));
   w->PutString(kStatusMessage, status.message());
 }
@@ -280,37 +309,51 @@ uint32_t FrameChecksum(const uint8_t* header20, const uint8_t* payload,
 
 namespace {
 
-// Starts a frame with payload_len and checksum left as zero placeholders;
-// EndFrame backpatches both once the payload has been appended in place.
-size_t BeginFrame(std::vector<uint8_t>* out, FrameType type,
-                  uint64_t request_id) {
-  const size_t header_at = out->size();
-  PutU32(out, kMagic);
-  PutU16(out, kWireVersion);
-  PutU16(out, static_cast<uint16_t>(type));
-  PutU64(out, request_id);
-  PutU32(out, 0);  // payload_len — backpatched.
-  PutU32(out, 0);  // checksum — backpatched.
-  return header_at;
+// Grows `out` by one frame with a `payload_len`-byte payload and writes its
+// header, checksum left zero; returns the frame's first byte. EndFrame
+// stores the checksum once the payload is in place.
+uint8_t* BeginFrame(std::vector<uint8_t>* out, FrameType type,
+                    uint64_t request_id, size_t payload_len) {
+  const size_t at = out->size();
+  out->resize(at + kHeaderBytes + payload_len);
+  uint8_t* h = out->data() + at;
+  StoreLE(h, kMagic);
+  StoreLE(h + 4, kWireVersion);
+  StoreLE(h + 6, static_cast<uint16_t>(type));
+  StoreLE(h + 8, request_id);
+  StoreLE(h + 16, static_cast<uint32_t>(payload_len));
+  StoreLE(h + 20, uint32_t{0});
+  return h;
 }
 
-void EndFrame(std::vector<uint8_t>* out, size_t header_at) {
-  const size_t payload_len = out->size() - header_at - kHeaderBytes;
-  PatchU32(out, header_at + 16, static_cast<uint32_t>(payload_len));
-  // The checksum covers the first 20 header bytes (payload_len included, so
-  // it must be patched first) plus the payload.
-  PatchU32(out, header_at + 20,
-           FrameChecksum(out->data() + header_at,
-                         out->data() + header_at + kHeaderBytes, payload_len));
+void EndFrame(uint8_t* frame, size_t payload_len) {
+  // The checksum covers the first 20 header bytes (payload_len included)
+  // plus the payload.
+  StoreLE(frame + 20,
+          FrameChecksum(frame, frame + kHeaderBytes, payload_len));
+}
+
+/// Appends one frame whose payload holds the fields `write_fields` writes.
+template <typename WriteFields>
+void AppendMessageFrame(std::vector<uint8_t>* out, FrameType type,
+                        uint64_t request_id, const WriteFields& write_fields) {
+  uint8_t* frame = nullptr;
+  size_t payload_len = 0;
+  WritePayload(write_fields, [&](size_t n) {
+    payload_len = n;
+    frame = BeginFrame(out, type, request_id, n);
+    return frame + kHeaderBytes;
+  });
+  EndFrame(frame, payload_len);
 }
 
 }  // namespace
 
 void AppendFrame(std::vector<uint8_t>* out, FrameType type, uint64_t request_id,
                  const uint8_t* payload, size_t payload_len) {
-  const size_t frame = BeginFrame(out, type, request_id);
-  out->insert(out->end(), payload, payload + payload_len);
-  EndFrame(out, frame);
+  uint8_t* frame = BeginFrame(out, type, request_id, payload_len);
+  if (payload_len > 0) std::memcpy(frame + kHeaderBytes, payload, payload_len);
+  EndFrame(frame, payload_len);
 }
 
 void FrameDecoder::Feed(const uint8_t* data, size_t n) {
@@ -377,16 +420,14 @@ FrameDecoder::Event FrameDecoder::Next(Frame* frame) {
 // ---------------------------------------------------------------- messages --
 
 std::vector<uint8_t> EncodeRequest(const WireRequest& request) {
-  std::vector<uint8_t> out;
-  InplaceFieldWriter w(&out);
-  w.PutString(kReqDataset, request.dataset);
-  w.PutVarU32(kReqKind, static_cast<uint32_t>(request.kind));
-  w.PutF64Array(kReqCenter, request.q.center);
-  w.PutF64(kReqTheta, request.q.theta);
-  if (request.deadline_budget_nanos > 0) {
-    w.PutVarU64(kReqDeadlineBudget, request.deadline_budget_nanos);
-  }
-  return out;
+  return EncodePayload(
+      [&](FieldWriter* w) { WriteRequestFields(request, w); });
+}
+
+void AppendRequestFrame(std::vector<uint8_t>* out, uint64_t request_id,
+                        const WireRequest& request) {
+  AppendMessageFrame(out, FrameType::kRequest, request_id,
+                     [&](FieldWriter* w) { WriteRequestFields(request, w); });
 }
 
 util::Result<WireRequest> DecodeRequest(const uint8_t* data, size_t n) {
@@ -430,18 +471,13 @@ util::Result<WireRequest> DecodeRequest(const uint8_t* data, size_t n) {
 }
 
 std::vector<uint8_t> EncodeAnswer(const service::Answer& answer) {
-  std::vector<uint8_t> out;
-  InplaceFieldWriter w(&out);
-  WriteAnswerFields(answer, &w);
-  return out;
+  return EncodePayload([&](FieldWriter* w) { WriteAnswerFields(answer, w); });
 }
 
 void AppendAnswerFrame(std::vector<uint8_t>* out, uint64_t request_id,
                        const service::Answer& answer) {
-  const size_t frame = BeginFrame(out, FrameType::kAnswer, request_id);
-  InplaceFieldWriter w(out);
-  WriteAnswerFields(answer, &w);
-  EndFrame(out, frame);
+  AppendMessageFrame(out, FrameType::kAnswer, request_id,
+                     [&](FieldWriter* w) { WriteAnswerFields(answer, w); });
 }
 
 namespace {
@@ -560,18 +596,13 @@ util::Result<service::Answer> DecodeAnswer(const uint8_t* data, size_t n) {
 }
 
 std::vector<uint8_t> EncodeStatus(const util::Status& status) {
-  std::vector<uint8_t> out;
-  InplaceFieldWriter w(&out);
-  WriteStatusFields(status, &w);
-  return out;
+  return EncodePayload([&](FieldWriter* w) { WriteStatusFields(status, w); });
 }
 
 void AppendStatusFrame(std::vector<uint8_t>* out, uint64_t request_id,
                        const util::Status& status) {
-  const size_t frame = BeginFrame(out, FrameType::kError, request_id);
-  InplaceFieldWriter w(out);
-  WriteStatusFields(status, &w);
-  EndFrame(out, frame);
+  AppendMessageFrame(out, FrameType::kError, request_id,
+                     [&](FieldWriter* w) { WriteStatusFields(status, w); });
 }
 
 util::Status DecodeStatus(const uint8_t* data, size_t n, util::Status* decoded) {

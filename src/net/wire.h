@@ -209,12 +209,14 @@ class WireArena {
 
 /// In-place frame encoders: append one complete frame — header plus
 /// tagged-field payload, with payload_len, nested lengths, and checksum
-/// backpatched — directly onto `out`. Bit-for-bit identical to
-/// `AppendFrame(out, ..., EncodeAnswer(...))` without the intermediate
-/// per-frame payload allocations; this is the arena encode path the server's
-/// executors use on reusable connection-owned buffers.
+/// filled in — directly onto `out`, which grows once per frame. Bit-for-bit
+/// identical to `AppendFrame(out, ..., EncodeAnswer(...))` without the
+/// intermediate payload vector; the server encodes its responses this way
+/// on reusable connection-owned buffers, and the client its requests.
 void AppendAnswerFrame(std::vector<uint8_t>* out, uint64_t request_id,
                        const service::Answer& answer);
+void AppendRequestFrame(std::vector<uint8_t>* out, uint64_t request_id,
+                        const WireRequest& request);
 void AppendStatusFrame(std::vector<uint8_t>* out, uint64_t request_id,
                        const util::Status& status);
 

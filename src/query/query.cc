@@ -48,16 +48,12 @@ bool Overlaps(const Query& a, const Query& b, const storage::LpNorm& norm) {
   return dist <= theta_sum;
 }
 
-double DegreeOfOverlap(const Query& a, const Query& b,
-                       const storage::LpNorm& norm) {
-  if (!Overlaps(a, b, norm)) return 0.0;
-  const double center_dist =
-      storage::LpNorm::L2().Distance(a.center.data(), b.center.data(), a.dimension());
-  const double theta_sum = a.theta + b.theta;
-  if (theta_sum <= 0.0) return 0.0;
-  const double ratio =
-      std::max(center_dist, std::fabs(a.theta - b.theta)) / theta_sum;
-  return std::clamp(1.0 - ratio, 0.0, 1.0);
+double DegreeOfOverlap(const Query& a, const Query& b) {
+  assert(a.dimension() == b.dimension());
+  return DegreeOfOverlapFromDistance2(
+      storage::LpNorm::L2().Distance2(a.center.data(), b.center.data(),
+                                      a.dimension()),
+      a.theta, b.theta);
 }
 
 }  // namespace query

@@ -5,6 +5,8 @@
 #ifndef QREG_QUERY_QUERY_H_
 #define QREG_QUERY_QUERY_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -47,12 +49,25 @@ bool Overlaps(const Query& a, const Query& b,
               const storage::LpNorm& norm = storage::LpNorm::L2());
 
 /// \brief Degree of overlapping δ(q, q') in [0, 1] (Equation 9):
-/// 1 - max(||x - x'||_2, |θ - θ'|) / (θ + θ') when A holds, else 0.
+/// 1 - max(||x - x'||_2, |θ - θ'|) / (θ + θ') when the balls overlap in L2,
+/// else 0.
 ///
 /// δ = 1 exactly for identical balls; δ -> 0 as the balls merely touch or as
 /// one shrinks to nothing inside the other.
-double DegreeOfOverlap(const Query& a, const Query& b,
-                       const storage::LpNorm& norm = storage::LpNorm::L2());
+double DegreeOfOverlap(const Query& a, const Query& b);
+
+/// \brief δ of Equation 9 for two balls of radii `theta_a`, `theta_b` whose
+/// centres lie `center_d2` = ||x - x'||₂² apart: DegreeOfOverlap for callers
+/// that already hold the squared centre distance (the model's prototype
+/// sweep computes it once per prototype).
+inline double DegreeOfOverlapFromDistance2(double center_d2, double theta_a,
+                                           double theta_b) {
+  const double theta_sum = theta_a + theta_b;
+  if (!(center_d2 <= theta_sum * theta_sum) || theta_sum <= 0.0) return 0.0;
+  const double ratio =
+      std::max(std::sqrt(center_d2), std::fabs(theta_a - theta_b)) / theta_sum;
+  return std::clamp(1.0 - ratio, 0.0, 1.0);
+}
 
 /// \brief A (query, answer) training pair streamed to the model (Figure 2).
 struct QueryAnswer {

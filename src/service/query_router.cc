@@ -60,7 +60,7 @@ std::optional<ExecResult> QueryRouter::TryExecuteInline(
   }
   // What ExecuteUnrecorded does on this path: no cache, no fallback (the
   // model answer has no deadline to miss) and no drift report.
-  return Record(watch, ExecuteModel(request, *route.snap.model));
+  return Record(watch, ExecuteModel(request, &route));
 }
 
 ExecResult QueryRouter::Record(const util::Stopwatch& watch,
@@ -120,9 +120,9 @@ util::Status QueryRouter::Route(const Request& request,
         request.q.ToString().c_str()));
   }
 
-  // Accuracy policy: pick the answering path. When the hybrid policy runs
-  // the vigilance test, its verdict is remembered for the drift-metering
-  // decision (same query, same test — never scan prototypes twice).
+  // Accuracy policy: pick the answering path. The hybrid vigilance test
+  // sweeps the prototypes once, and the model answer, the deadline fallback
+  // and the drift sample read the same sweep from `route`.
   switch (config_.policy) {
     case RoutePolicy::kModelOnly:
       if (!snap.model) {
@@ -137,18 +137,28 @@ util::Status QueryRouter::Route(const Request& request,
     case RoutePolicy::kHybrid: {
       // In-region test: the vigilance criterion of Algorithm 1 applied at
       // serving time. ρ ≤ 0 (fixed-K ablation models) disables the test.
-      route->use_model =
-          snap.model != nullptr && snap.model->num_prototypes() > 0;
-      if (route->use_model && snap.vigilance > 0.0) {
-        const double dist = snap.model->NearestPrototypeDistance(request.q);
-        route->use_model = dist <= config_.rho_scale * snap.vigilance;
-        route->in_region = route->use_model;
-        route->in_region_known = true;
-      }
+      route->use_model = snap.model != nullptr &&
+                         snap.model->num_prototypes() > 0 &&
+                         InRegion(request, route);
       break;
     }
   }
   return util::Status::OK();
+}
+
+const core::Neighbourhood& QueryRouter::Hood(const Request& request,
+                                             RouteDecision* route) {
+  if (!route->swept) {
+    route->snap.model->Sweep(request.q, &route->hood);
+    route->swept = true;
+  }
+  return route->hood;
+}
+
+bool QueryRouter::InRegion(const Request& request, RouteDecision* route) const {
+  const double vigilance = route->snap.vigilance;
+  return vigilance <= 0.0 || Hood(request, route).nearest_distance() <=
+                                 config_.rho_scale * vigilance;
 }
 
 ExecResult QueryRouter::ExecuteUnrecorded(const Request& request) {
@@ -156,7 +166,6 @@ ExecResult QueryRouter::ExecuteUnrecorded(const Request& request) {
   QREG_RETURN_NOT_OK(Route(request, &route));
   const CatalogSnapshot& snap = route.snap;
   const bool use_model = route.use_model;
-  const bool* verdict = route.in_region_known ? &route.in_region : nullptr;
 
   util::ExecControl control;
   control.deadline = request.deadline;
@@ -174,12 +183,12 @@ ExecResult QueryRouter::ExecuteUnrecorded(const Request& request) {
     CachedAnswer cached;
     if (cache_.Lookup(shard, request.q, &cached)) {
       Answer a = AnswerFromCache(request.kind, std::move(cached));
-      MaybeReportObservation(request, snap, &a, verdict);
+      MaybeReportObservation(request, &route, &a);
       return a;
     }
   }
 
-  ExecResult result = use_model ? ExecuteModel(request, *snap.model)
+  ExecResult result = use_model ? ExecuteModel(request, &route)
                                 : ExecuteExact(request, *snap.engine, ctl);
 
   // Deadline pressure on the exact path degrades to the model's microsecond
@@ -188,7 +197,7 @@ ExecResult QueryRouter::ExecuteUnrecorded(const Request& request) {
       result.status().code() == util::StatusCode::kDeadlineExceeded &&
       config_.policy != RoutePolicy::kExactOnly && snap.model != nullptr &&
       snap.model->num_prototypes() > 0) {
-    ExecResult fallback = ExecuteModel(request, *snap.model);
+    ExecResult fallback = ExecuteModel(request, &route);
     if (fallback.ok()) {
       fallback->used_fallback = true;
       // Keep the killed exact attempt's partial scan work visible on the
@@ -221,14 +230,14 @@ ExecResult QueryRouter::ExecuteUnrecorded(const Request& request) {
       cache_.Insert(shard, std::move(to_cache));
     }
   }
-  MaybeReportObservation(request, snap, &result.value(), verdict);
+  MaybeReportObservation(request, &route, &result.value());
   return result;
 }
 
 void QueryRouter::MaybeReportObservation(const Request& request,
-                                         const CatalogSnapshot& snap,
-                                         const Answer* answer,
-                                         const bool* in_region) {
+                                         RouteDecision* route,
+                                         const Answer* answer) {
+  const CatalogSnapshot& snap = route->snap;
   // Freshness maintenance, off the serving path: every report_interval
   // successful answers of a drift-enabled dataset, probe it on the pool.
   // The snapshot flag keeps the common drift-free path free of a second
@@ -248,12 +257,8 @@ void QueryRouter::MaybeReportObservation(const Request& request,
   if (answer != nullptr && answer->source == AnswerSource::kExact &&
       !answer->used_fallback && request.kind == QueryKind::kQ1MeanValue &&
       snap.model != nullptr && snap.model->num_prototypes() > 0 &&
-      (in_region != nullptr
-           ? *in_region
-           : snap.vigilance <= 0.0 ||
-                 snap.model->NearestPrototypeDistance(request.q) <=
-                     config_.rho_scale * snap.vigilance)) {
-    auto predicted = snap.model->PredictMean(request.q);
+      InRegion(request, route)) {
+    auto predicted = snap.model->PredictMean(request.q, Hood(request, route));
     due = predicted.ok()
               ? catalog_->ReportObservation(request.dataset,
                                             answer->mean - *predicted)
@@ -265,14 +270,16 @@ void QueryRouter::MaybeReportObservation(const Request& request,
 }
 
 ExecResult QueryRouter::ExecuteModel(const Request& request,
-                                     const core::LlmModel& model) const {
+                                     RouteDecision* route) const {
+  const core::LlmModel& model = *route->snap.model;
+  const core::Neighbourhood& hood = Hood(request, route);
   Answer a;
   a.kind = request.kind;
   a.source = AnswerSource::kModel;
   if (request.kind == QueryKind::kQ1MeanValue) {
-    QREG_ASSIGN_OR_RETURN(a.mean, model.PredictMean(request.q));
+    QREG_ASSIGN_OR_RETURN(a.mean, model.PredictMean(request.q, hood));
   } else {
-    QREG_ASSIGN_OR_RETURN(a.pieces, model.RegressionQuery(request.q));
+    QREG_ASSIGN_OR_RETURN(a.pieces, model.RegressionQuery(request.q, hood));
   }
   return a;
 }

@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "core/llm_model.h"
 #include "core/prototype.h"
 #include "query/exact_engine.h"
 #include "query/query.h"
@@ -233,13 +234,14 @@ class QueryRouter {
 
  private:
   /// What admission, the snapshot and the accuracy policy decided for one
-  /// request. `in_region_known` is set when the hybrid vigilance test ran,
-  /// and `in_region` then holds its verdict.
+  /// request, plus the query's neighbourhood in `snap.model` once a step has
+  /// swept it. The hybrid vigilance test, the model answer, the deadline
+  /// fallback and the drift sample all read that one sweep.
   struct RouteDecision {
     CatalogSnapshot snap;
     bool use_model = false;
-    bool in_region = false;
-    bool in_region_known = false;
+    bool swept = false;
+    core::Neighbourhood hood;
   };
 
   /// Admission, snapshot, query checks and the policy/vigilance test: the
@@ -247,12 +249,21 @@ class QueryRouter {
   /// once. A non-OK status is the request's typed failure.
   util::Status Route(const Request& request, RouteDecision* route) const;
 
+  /// The request's neighbourhood in `route->snap.model` (non-null), swept on
+  /// first use.
+  static const core::Neighbourhood& Hood(const Request& request,
+                                         RouteDecision* route);
+
+  /// The vigilance test at serving time: the query's nearest prototype lies
+  /// within rho_scale · ρ (always true when ρ ≤ 0, the fixed-K ablation).
+  bool InRegion(const Request& request, RouteDecision* route) const;
+
   /// Stamps the total serving latency on `result` and records its outcome.
   ExecResult Record(const util::Stopwatch& watch, ExecResult result);
 
   ExecResult ExecuteUnrecorded(const Request& request);
-  ExecResult ExecuteModel(const Request& request,
-                          const core::LlmModel& model) const;
+  /// The model's answer from the request's neighbourhood (Hood).
+  ExecResult ExecuteModel(const Request& request, RouteDecision* route) const;
   ExecResult ExecuteExact(const Request& request,
                           const query::ExactEngine& engine,
                           const util::ExecControl* control) const;
@@ -270,14 +281,11 @@ class QueryRouter {
   /// a probe when one is due. When `answer` is a served *in-region* exact Q1
   /// answer, the residual against the model's prediction rides along as a
   /// free drift sample (see ModelCatalog::ReportObservation(name, residual)).
-  /// `in_region` forwards the routing path's vigilance verdict when it
-  /// already computed one (null = not computed), so the prototype scan never
-  /// runs twice for the same query. No-op unless the snapshot says drift
-  /// maintenance is live.
-  void MaybeReportObservation(const Request& request,
-                              const CatalogSnapshot& snap,
-                              const Answer* answer,
-                              const bool* in_region);
+  /// The vigilance test and the prediction reuse the route's sweep, so the
+  /// prototypes are never swept twice for the same query. No-op unless the
+  /// snapshot says drift maintenance is live.
+  void MaybeReportObservation(const Request& request, RouteDecision* route,
+                              const Answer* answer);
 
   /// Cache-group key "dataset/g<generation>/kind": the generation tag makes
   /// every pre-retrain entry unreachable the moment a new model publishes.

@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <sstream>
+#include <utility>
 
 #include "core/llm_model.h"
 #include "core/model_io.h"
@@ -694,6 +697,326 @@ TEST_F(TrainerTest, LookaheadMatchesSerialWithEmptySubspaces) {
       &report);
   EXPECT_GT(report.pairs_skipped, 0);
   EXPECT_EQ(report.pairs_used, 600);
+}
+
+
+// ---------- One sweep vs the straightforward loops ----------
+//
+// The reference below is the per-function code the one-pass kernel
+// replaced: separate loops over the prototypes for the nearest prototype,
+// the overlap set and the δ weights, with δ computed as Definition 6's
+// predicate followed by a second L2 distance. Every output of the kernel
+// must match it bit for bit.
+
+uint64_t Bits(double v) {
+  uint64_t b;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+double RefDegreeOfOverlap(const Query& a, const Query& b) {
+  const storage::LpNorm l2 = storage::LpNorm::L2();
+  const double theta_sum = a.theta + b.theta;
+  if (!(l2.Distance2(a.center.data(), b.center.data(), a.dimension()) <=
+        theta_sum * theta_sum)) {
+    return 0.0;
+  }
+  const double center_dist =
+      l2.Distance(a.center.data(), b.center.data(), a.dimension());
+  if (theta_sum <= 0.0) return 0.0;
+  const double ratio =
+      std::max(center_dist, std::fabs(a.theta - b.theta)) / theta_sum;
+  return std::clamp(1.0 - ratio, 0.0, 1.0);
+}
+
+double RefSlopeScale(const LlmModel& m, const Prototype& p) {
+  if (m.config().slope_shrinkage <= 0.0) return 1.0;
+  const double n = static_cast<double>(p.wins);
+  return n / (n + m.config().slope_shrinkage);
+}
+
+int32_t RefNearestPrototype(const LlmModel& m, const Query& q) {
+  int32_t best = -1;
+  double best_d2 = std::numeric_limits<double>::infinity();
+  for (size_t k = 0; k < m.prototypes().size(); ++k) {
+    const double d2 = query::QueryDistanceSquared(q, m.prototypes()[k].w);
+    if (d2 < best_d2) {
+      best_d2 = d2;
+      best = static_cast<int32_t>(k);
+    }
+  }
+  return best;
+}
+
+double RefNearestPrototypeDistance(const LlmModel& m, const Query& q) {
+  double best_d2 = std::numeric_limits<double>::infinity();
+  for (const Prototype& p : m.prototypes()) {
+    best_d2 = std::min(best_d2, query::QueryDistanceSquared(q, p.w));
+  }
+  return std::sqrt(best_d2);
+}
+
+std::vector<int32_t> RefOverlapSet(const LlmModel& m, const Query& q) {
+  std::vector<int32_t> overlap;
+  for (size_t k = 0; k < m.prototypes().size(); ++k) {
+    if (RefDegreeOfOverlap(q, m.prototypes()[k].w) > 0.0) {
+      overlap.push_back(static_cast<int32_t>(k));
+    }
+  }
+  return overlap;
+}
+
+double RefWeighted(const LlmModel& m, const Query& q,
+                   const std::vector<int32_t>& overlap,
+                   const std::vector<double>* x) {
+  double delta_sum = 0.0;
+  std::vector<double> deltas(overlap.size(), 0.0);
+  for (size_t i = 0; i < overlap.size(); ++i) {
+    deltas[i] = RefDegreeOfOverlap(
+        q, m.prototypes()[static_cast<size_t>(overlap[i])].w);
+    delta_sum += deltas[i];
+  }
+  double out = 0.0;
+  for (size_t i = 0; i < overlap.size(); ++i) {
+    const Prototype& p = m.prototypes()[static_cast<size_t>(overlap[i])];
+    const double f = x != nullptr ? p.PredictData(*x, RefSlopeScale(m, p))
+                                  : p.PredictQuery(q, RefSlopeScale(m, p));
+    out += (deltas[i] / delta_sum) * f;
+  }
+  return out;
+}
+
+// Algorithm 2 (x == nullptr) or Eq. 14 at x.
+double RefPredict(const LlmModel& m, const Query& q,
+                  const std::vector<double>* x) {
+  const std::vector<int32_t> overlap = RefOverlapSet(m, q);
+  if (m.config().prediction == PredictionMode::kNearestOnly ||
+      overlap.empty()) {
+    const Prototype& p =
+        m.prototypes()[static_cast<size_t>(RefNearestPrototype(m, q))];
+    return x != nullptr ? p.PredictData(*x, RefSlopeScale(m, p))
+                        : p.PredictQuery(q, RefSlopeScale(m, p));
+  }
+  return RefWeighted(m, q, overlap, x);
+}
+
+std::vector<LocalLinearModel> RefRegressionQuery(const LlmModel& m,
+                                                 const Query& q) {
+  std::vector<LocalLinearModel> s;
+  const std::vector<int32_t> overlap = RefOverlapSet(m, q);
+  if (overlap.empty() ||
+      m.config().prediction == PredictionMode::kNearestOnly) {
+    const int32_t j = RefNearestPrototype(m, q);
+    const Prototype& p = m.prototypes()[static_cast<size_t>(j)];
+    s.push_back(p.ToDataModel(j, 0.0, RefSlopeScale(m, p)));
+    return s;
+  }
+  double delta_sum = 0.0;
+  std::vector<double> deltas(overlap.size(), 0.0);
+  for (size_t i = 0; i < overlap.size(); ++i) {
+    deltas[i] = RefDegreeOfOverlap(
+        q, m.prototypes()[static_cast<size_t>(overlap[i])].w);
+    delta_sum += deltas[i];
+  }
+  for (size_t i = 0; i < overlap.size(); ++i) {
+    const Prototype& p = m.prototypes()[static_cast<size_t>(overlap[i])];
+    s.push_back(
+        p.ToDataModel(overlap[i], deltas[i] / delta_sum, RefSlopeScale(m, p)));
+  }
+  return s;
+}
+
+void ExpectSameModels(const std::vector<LocalLinearModel>& got,
+                      const std::vector<LocalLinearModel>& want,
+                      const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].prototype_id, want[i].prototype_id) << where;
+    EXPECT_EQ(Bits(got[i].intercept), Bits(want[i].intercept)) << where;
+    EXPECT_EQ(Bits(got[i].weight), Bits(want[i].weight)) << where;
+    ASSERT_EQ(got[i].slope.size(), want[i].slope.size()) << where;
+    for (size_t j = 0; j < got[i].slope.size(); ++j) {
+      EXPECT_EQ(Bits(got[i].slope[j]), Bits(want[i].slope[j])) << where;
+    }
+  }
+}
+
+// Every sweep-backed output of `m` at `q` against the reference loops.
+void ExpectMatchesReference(const LlmModel& m, const Query& q,
+                            const std::string& label) {
+  const std::string where = label + " at " + q.ToString();
+  EXPECT_EQ(m.NearestPrototype(q), RefNearestPrototype(m, q)) << where;
+  EXPECT_EQ(Bits(m.NearestPrototypeDistance(q)),
+            Bits(RefNearestPrototypeDistance(m, q)))
+      << where;
+  const std::vector<int32_t> overlap = RefOverlapSet(m, q);
+  EXPECT_EQ(m.OverlapSet(q), overlap) << where;
+
+  Neighbourhood hood;
+  m.Sweep(q, &hood);
+  EXPECT_EQ(hood.nearest(), RefNearestPrototype(m, q)) << where;
+  EXPECT_EQ(Bits(hood.nearest_distance()),
+            Bits(RefNearestPrototypeDistance(m, q)))
+      << where;
+  ASSERT_EQ(hood.overlap_size(), overlap.size()) << where;
+  for (size_t i = 0; i < overlap.size(); ++i) {
+    EXPECT_EQ(hood.overlap_index(i), overlap[i]) << where;
+    EXPECT_EQ(Bits(hood.overlap_delta(i)),
+              Bits(RefDegreeOfOverlap(
+                  q, m.prototypes()[static_cast<size_t>(overlap[i])].w)))
+        << where;
+  }
+
+  const double want_mean = RefPredict(m, q, nullptr);
+  auto mean = m.PredictMean(q);
+  ASSERT_TRUE(mean.ok()) << where;
+  EXPECT_EQ(Bits(*mean), Bits(want_mean)) << where;
+  auto mean_hood = m.PredictMean(q, hood);
+  ASSERT_TRUE(mean_hood.ok()) << where;
+  EXPECT_EQ(Bits(*mean_hood), Bits(want_mean)) << where;
+
+  const std::vector<LocalLinearModel> want_s = RefRegressionQuery(m, q);
+  auto s = m.RegressionQuery(q);
+  ASSERT_TRUE(s.ok()) << where;
+  ExpectSameModels(*s, want_s, where);
+  auto s_hood = m.RegressionQuery(q, hood);
+  ASSERT_TRUE(s_hood.ok()) << where;
+  ExpectSameModels(*s_hood, want_s, where);
+
+  std::vector<double> x = q.center;
+  for (double& v : x) v += 0.01;
+  for (const std::vector<double>* at : {&q.center, &std::as_const(x)}) {
+    auto u = m.PredictValue(q, *at);
+    ASSERT_TRUE(u.ok()) << where;
+    EXPECT_EQ(Bits(*u), Bits(RefPredict(m, q, at))) << where;
+  }
+}
+
+// In-region workload queries, far-away ones (empty overlap set), and balls
+// large enough to overlap most of the codebook.
+void ExpectMatchesReferenceOnWorkload(const LlmModel& m,
+                                      const std::string& label,
+                                      uint64_t seed) {
+  const size_t d = m.config().d;
+  query::WorkloadGenerator gen(
+      query::WorkloadConfig::Cube(d, 0.0, 1.0, 0.1, 0.05, seed));
+  util::Rng rng(seed + 1);
+  for (int i = 0; i < 150; ++i) {
+    ExpectMatchesReference(m, gen.Next(), label + " in-region");
+  }
+  for (int i = 0; i < 20; ++i) {
+    std::vector<double> c(d);
+    for (double& v : c) v = rng.Uniform(3.0, 6.0);
+    const Query far(c, rng.Uniform(0.01, 0.2));
+    ASSERT_TRUE(m.OverlapSet(far).empty()) << label;
+    ExpectMatchesReference(m, far, label + " outside");
+  }
+  for (int i = 0; i < 10; ++i) {
+    std::vector<double> c(d);
+    for (double& v : c) v = rng.Uniform();
+    ExpectMatchesReference(m, Query(c, rng.Uniform(0.5, 1.5)),
+                           label + " wide");
+  }
+}
+
+LlmModel TrainOnCube(LlmConfig c, int pairs, uint64_t seed) {
+  LlmModel model(c);
+  query::WorkloadGenerator gen(
+      query::WorkloadConfig::Cube(c.d, 0.0, 1.0, 0.1, 0.05, seed));
+  util::Rng rng(seed + 7);
+  for (int i = 0; i < pairs; ++i) {
+    const Query q = gen.Next();
+    double y = 0.0;
+    for (double v : q.center) y += std::sin(3.0 * v);
+    EXPECT_TRUE(model.Observe(q, y + 0.05 * rng.Gaussian()).ok());
+  }
+  return model;
+}
+
+TEST(SweepReferenceTest, VigilanceGrownModelsMatchBitForBit) {
+  for (size_t d : {1, 2, 3, 4, 9}) {
+    const LlmModel m =
+        TrainOnCube(LlmConfig::ForDimension(d, d == 9 ? 0.15 : 0.08), 3000,
+                    100 + d);
+    ASSERT_GT(m.num_prototypes(), 1);
+    ExpectMatchesReferenceOnWorkload(m, "d=" + std::to_string(d), 200 + d);
+  }
+}
+
+TEST(SweepReferenceTest, AblationModelsMatchBitForBit) {
+  LlmConfig fixed = LlmConfig::ForDimension(2, 0.1);
+  fixed.fixed_k = 40;
+  ExpectMatchesReferenceOnWorkload(TrainOnCube(fixed, 2000, 11), "fixed-K", 12);
+
+  LlmConfig nearest = LlmConfig::ForDimension(2, 0.1);
+  nearest.prediction = PredictionMode::kNearestOnly;
+  ExpectMatchesReferenceOnWorkload(TrainOnCube(nearest, 2000, 13), "nearest",
+                                   14);
+
+  LlmConfig unshrunk = LlmConfig::ForDimension(3, 0.1);
+  unshrunk.slope_shrinkage = 0.0;
+  ExpectMatchesReferenceOnWorkload(TrainOnCube(unshrunk, 2000, 15),
+                                   "no-shrinkage", 16);
+}
+
+TEST(SweepReferenceTest, ReloadedObservedAndReplasticizedModelsMatch) {
+  LlmModel m = TrainOnCube(LlmConfig::ForDimension(2, 0.06), 2000, 21);
+  std::stringstream ss;
+  ASSERT_TRUE(ModelSerializer::Save(m, &ss).ok());
+  auto loaded = ModelSerializer::Load(&ss);
+  ASSERT_TRUE(loaded.ok());
+  ExpectMatchesReferenceOnWorkload(*loaded, "reloaded", 22);
+
+  // Updates move the winners' rows and spawns add rows.
+  query::WorkloadGenerator gen(
+      query::WorkloadConfig::Cube(2, -0.5, 1.5, 0.1, 0.05, 23));
+  const int32_t before = m.num_prototypes();
+  for (int i = 0; i < 500; ++i) ASSERT_TRUE(m.Observe(gen.Next(), 0.5).ok());
+  ASSERT_GT(m.num_prototypes(), before);
+  ExpectMatchesReferenceOnWorkload(m, "observed", 24);
+
+  m.ResetPlasticity(2);
+  ExpectMatchesReferenceOnWorkload(m, "replasticized", 25);
+  for (int i = 0; i < 200; ++i) ASSERT_TRUE(m.Observe(gen.Next(), -0.5).ok());
+  ExpectMatchesReferenceOnWorkload(m, "observed after reset", 26);
+}
+
+TEST(SweepReferenceTest, ManyOverlapsSpillPastTheInlineBuffer) {
+  const LlmModel m = TrainOnCube(LlmConfig::ForDimension(1, 0.01), 4000, 31);
+  const Query wide({0.5}, 1.0);
+  ASSERT_GT(m.OverlapSet(wide).size(), Neighbourhood::kInlineOverlaps);
+  ExpectMatchesReference(m, wide, "spill");
+  ExpectMatchesReferenceOnWorkload(m, "d=1 fine", 32);
+}
+
+TEST(SweepReferenceTest, TouchingBallsAndTiedDistancesMatch) {
+  // A hand-placed codebook with exactly representable coordinates: the
+  // first three distinct queries seed a fixed-K model.
+  LlmConfig c = LlmConfig::ForDimension(2, 0.1);
+  c.fixed_k = 3;
+  LlmModel m(c);
+  ASSERT_TRUE(m.Observe(Query({0.25, 0.5}, 0.25), 1.0).ok());
+  ASSERT_TRUE(m.Observe(Query({0.75, 0.5}, 0.25), 2.0).ok());
+  ASSERT_TRUE(m.Observe(Query({0.5, 2.0}, 0.125), 3.0).ok());
+  ASSERT_EQ(m.num_prototypes(), 3);
+
+  // Balls that just touch prototype 2: s = (θ + θ_2)² exactly, so A holds
+  // and δ = 0 keeps it out of W(q).
+  const Query touch({0.5, 2.0 - 0.375}, 0.25);
+  EXPECT_EQ(query::DegreeOfOverlap(touch, m.prototypes()[2].w), 0.0);
+  ExpectMatchesReference(m, touch, "touching");
+
+  // Equidistant from prototypes 0 and 1: the first index wins.
+  const Query tie({0.5, 0.5}, 0.25);
+  EXPECT_EQ(m.NearestPrototype(tie), 0);
+  ExpectMatchesReference(m, tie, "tie");
+  const Query tie_apart({0.5, 0.5}, 0.01);  // Overlaps both, tied nearest.
+  ExpectMatchesReference(m, tie_apart, "tie with overlap");
+
+  // Overlapping nothing: Case 3 extrapolates the nearest prototype.
+  const Query none({0.5, 1.25}, 0.01);
+  EXPECT_TRUE(m.OverlapSet(none).empty());
+  ExpectMatchesReference(m, none, "empty overlap");
 }
 
 }  // namespace

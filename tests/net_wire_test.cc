@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "util/rng.h"
@@ -512,6 +514,236 @@ TEST(WireArenaTest, PoolIsBounded) {
   arena.Release(std::move(b));
   arena.Release(std::move(c));
   EXPECT_EQ(arena.pooled(), 2u);  // Third one dropped at the cap.
+}
+
+
+// ------------------------------------------- byte-at-a-time reference --
+//
+// The straightforward encoder: every byte pushed on its own, the layout of
+// DESIGN.md §12 written out by hand. The word-wide encoders must produce
+// exactly its bytes.
+
+class RefEncoder {
+ public:
+  void U16(uint16_t v) {
+    for (int i = 0; i < 2; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
+  }
+  void U32(uint32_t v) {
+    for (int i = 0; i < 4; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
+  }
+  void U64(uint64_t v) {
+    for (int i = 0; i < 8; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
+  }
+  void Patch32(size_t at, uint32_t v) {
+    for (int i = 0; i < 4; ++i) out[at + i] = static_cast<uint8_t>(v >> (8 * i));
+  }
+  static uint64_t DoubleBits(double d) {
+    uint64_t v;
+    std::memcpy(&v, &d, sizeof(v));
+    return v;
+  }
+
+  void FieldU32(uint16_t tag, uint32_t v) { U16(tag); U32(4); U32(v); }
+  void FieldU64(uint16_t tag, uint64_t v) { U16(tag); U32(8); U64(v); }
+  void FieldF64(uint16_t tag, double d) { FieldU64(tag, DoubleBits(d)); }
+  void FieldBytes(uint16_t tag, const std::string& s) {
+    U16(tag);
+    U32(static_cast<uint32_t>(s.size()));
+    for (char c : s) out.push_back(static_cast<uint8_t>(c));
+  }
+  void FieldF64s(uint16_t tag, const std::vector<double>& v) {
+    U16(tag);
+    U32(static_cast<uint32_t>(v.size() * 8));
+    for (double d : v) U64(DoubleBits(d));
+  }
+  size_t BeginNested(uint16_t tag) { U16(tag); U32(0); return out.size(); }
+  void EndNested(size_t mark) {
+    Patch32(mark - 4, static_cast<uint32_t>(out.size() - mark));
+  }
+
+  size_t BeginFrame(FrameType type, uint64_t id) {
+    const size_t at = out.size();
+    U32(kMagic);
+    U16(kWireVersion);
+    U16(static_cast<uint16_t>(type));
+    U64(id);
+    U32(0);
+    U32(0);
+    return at;
+  }
+  void EndFrame(size_t at) {
+    const uint32_t len = static_cast<uint32_t>(out.size() - at - kHeaderBytes);
+    Patch32(at + 16, len);
+    uint32_t h = 2166136261u;  // FNV-1a over header bytes 0..19 + payload.
+    for (size_t i = at; i < out.size(); ++i) {
+      if (i >= at + 20 && i < at + kHeaderBytes) continue;
+      h = (h ^ out[i]) * 16777619u;
+    }
+    Patch32(at + 20, h);
+  }
+
+  void Answer(const service::Answer& a) {
+    FieldU32(1, static_cast<uint32_t>(a.kind));
+    FieldU32(2, static_cast<uint32_t>(a.source));
+    FieldF64(3, a.mean);
+    for (const core::LocalLinearModel& p : a.pieces) {
+      const size_t mark = BeginNested(4);
+      FieldF64(1, p.intercept);
+      FieldF64s(2, p.slope);
+      FieldU32(3, static_cast<uint32_t>(p.prototype_id));
+      FieldF64(4, p.weight);
+      EndNested(mark);
+    }
+    FieldF64(5, a.cache_delta);
+    FieldU32(6, a.used_fallback ? 1 : 0);
+    const size_t mark = BeginNested(7);
+    FieldU64(1, static_cast<uint64_t>(a.exec.tuples_examined));
+    FieldU64(2, static_cast<uint64_t>(a.exec.tuples_matched));
+    FieldU64(3, static_cast<uint64_t>(a.exec.nanos));
+    FieldU64(4, static_cast<uint64_t>(a.exec.chunks_completed));
+    FieldU64(5, static_cast<uint64_t>(a.exec.chunks_total));
+    EndNested(mark);
+  }
+  void Request(const WireRequest& r) {
+    FieldBytes(1, r.dataset);
+    FieldU32(2, static_cast<uint32_t>(r.kind));
+    FieldF64s(3, r.q.center);
+    FieldF64(4, r.q.theta);
+    if (r.deadline_budget_nanos > 0) FieldU64(5, r.deadline_budget_nanos);
+  }
+  void Status(const util::Status& s) {
+    FieldU32(1, static_cast<uint32_t>(s.code()));
+    FieldBytes(2, s.message());
+  }
+
+  std::vector<uint8_t> out;
+};
+
+// Uniform integer in [lo, hi].
+int64_t Between(util::Rng* rng, int64_t lo, int64_t hi) {
+  return lo +
+         static_cast<int64_t>(rng->UniformInt(static_cast<uint64_t>(hi - lo + 1)));
+}
+
+// A double that is often one of the awkward ones.
+double AwkwardDouble(util::Rng* rng) {
+  switch (Between(rng, 0, 7)) {
+    case 0: return std::numeric_limits<double>::quiet_NaN();
+    case 1: return std::numeric_limits<double>::infinity();
+    case 2: return -std::numeric_limits<double>::infinity();
+    case 3: return -0.0;
+    case 4: return std::numeric_limits<double>::denorm_min();
+    default: return rng->Uniform(-1e6, 1e6);
+  }
+}
+
+int64_t AwkwardCount(util::Rng* rng) {
+  switch (Between(rng, 0, 3)) {
+    case 0: return -1;  // All 64 bits set on the wire.
+    case 1: return std::numeric_limits<int64_t>::max();
+    default: return Between(rng, 0, 1 << 30);
+  }
+}
+
+std::string RandomText(util::Rng* rng, int max_len) {
+  std::string s(static_cast<size_t>(Between(rng, 0, max_len)), '\0');
+  for (char& c : s) c = static_cast<char>(Between(rng, 0, 255));
+  return s;
+}
+
+TEST(WordEncodeTest, AnswerFramesMatchTheByteAtATimeReference) {
+  util::Rng rng(2024);
+  for (int trial = 0; trial < 300; ++trial) {
+    service::Answer a;
+    a.kind = Between(&rng, 0, 1) == 0 ? service::QueryKind::kQ1MeanValue
+                                       : service::QueryKind::kQ2Regression;
+    a.source = static_cast<service::AnswerSource>(Between(&rng, 0, 2));
+    a.mean = AwkwardDouble(&rng);
+    const int pieces = static_cast<int>(Between(&rng, 0, 40));
+    const int d = static_cast<int>(Between(&rng, 1, 16));
+    for (int i = 0; i < pieces; ++i) {
+      core::LocalLinearModel m;
+      m.intercept = AwkwardDouble(&rng);
+      for (int j = 0; j < d; ++j) m.slope.push_back(AwkwardDouble(&rng));
+      m.prototype_id = static_cast<int32_t>(Between(&rng, -1, 1 << 20));
+      m.weight = AwkwardDouble(&rng);
+      a.pieces.push_back(std::move(m));
+    }
+    a.cache_delta = AwkwardDouble(&rng);
+    a.used_fallback = Between(&rng, 0, 1) == 1;
+    a.exec.tuples_examined = AwkwardCount(&rng);
+    a.exec.tuples_matched = AwkwardCount(&rng);
+    a.exec.nanos = AwkwardCount(&rng);
+    a.exec.chunks_completed = AwkwardCount(&rng);
+    a.exec.chunks_total = AwkwardCount(&rng);
+    const uint64_t id = trial % 3 == 0 ? std::numeric_limits<uint64_t>::max()
+                                       : static_cast<uint64_t>(trial);
+
+    // Onto a buffer that already holds bytes, as a batch buffer does.
+    RefEncoder ref;
+    ref.out = {0xAB, 0xCD};
+    ref.EndFrame(ref.BeginFrame(FrameType::kAnswer, id));
+    const size_t frame = ref.BeginFrame(FrameType::kAnswer, id);
+    ref.Answer(a);
+    ref.EndFrame(frame);
+
+    std::vector<uint8_t> got = {0xAB, 0xCD};
+    AppendFrame(&got, FrameType::kAnswer, id, nullptr, 0);
+    AppendAnswerFrame(&got, id, a);
+    ASSERT_EQ(got, ref.out) << "trial " << trial;
+
+    RefEncoder payload;
+    payload.Answer(a);
+    ASSERT_EQ(EncodeAnswer(a), payload.out) << "trial " << trial;
+  }
+}
+
+TEST(WordEncodeTest, RequestAndStatusEncodingsMatchTheReference) {
+  util::Rng rng(2025);
+  for (int trial = 0; trial < 300; ++trial) {
+    WireRequest r;
+    r.dataset = RandomText(&rng, 40);
+    r.kind = Between(&rng, 0, 1) == 0 ? service::QueryKind::kQ1MeanValue
+                                       : service::QueryKind::kQ2Regression;
+    const int d = static_cast<int>(Between(&rng, 0, 16));
+    for (int j = 0; j < d; ++j) r.q.center.push_back(AwkwardDouble(&rng));
+    r.q.theta = AwkwardDouble(&rng);
+    switch (Between(&rng, 0, 2)) {
+      case 0: r.deadline_budget_nanos = 0; break;
+      case 1:
+        r.deadline_budget_nanos = std::numeric_limits<uint64_t>::max();
+        break;
+      default:
+        r.deadline_budget_nanos = static_cast<uint64_t>(Between(&rng, 1, 1 << 30));
+    }
+    const uint64_t id = static_cast<uint64_t>(trial) + 1;
+
+    RefEncoder ref;
+    size_t frame = ref.BeginFrame(FrameType::kRequest, id);
+    ref.Request(r);
+    ref.EndFrame(frame);
+    std::vector<uint8_t> got;
+    AppendRequestFrame(&got, id, r);
+    ASSERT_EQ(got, ref.out) << "trial " << trial;
+    RefEncoder payload;
+    payload.Request(r);
+    ASSERT_EQ(EncodeRequest(r), payload.out) << "trial " << trial;
+
+    const util::Status status(
+        static_cast<util::StatusCode>(Between(
+            &rng, 1, static_cast<int64_t>(util::StatusCode::kUnavailable))),
+        RandomText(&rng, 200));
+    RefEncoder ref_status;
+    frame = ref_status.BeginFrame(FrameType::kError, id);
+    ref_status.Status(status);
+    ref_status.EndFrame(frame);
+    got.clear();
+    AppendStatusFrame(&got, id, status);
+    ASSERT_EQ(got, ref_status.out) << "trial " << trial;
+    RefEncoder status_payload;
+    status_payload.Status(status);
+    ASSERT_EQ(EncodeStatus(status), status_payload.out) << "trial " << trial;
+  }
 }
 
 }  // namespace
