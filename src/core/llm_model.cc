@@ -215,7 +215,7 @@ util::Result<TrainStep> LlmModel::Observe(const query::Query& q, double y) {
     SweepRows(q, /*with_overlap=*/false, &hood);
     if (hood.nearest() < 0) {
       return util::Status::InvalidArgument(
-          "query has no nearest prototype (non-finite coordinates)");
+          "query has no finite distance to any prototype");
     }
   }
   ++t_;
@@ -370,7 +370,7 @@ util::Status LlmModel::CheckPredictable(const query::Query& q,
   }
   if (hood.nearest() < 0) {
     return util::Status::InvalidArgument(
-        "query has no nearest prototype (non-finite coordinates)");
+        "query has no finite distance to any prototype");
   }
   return util::Status::OK();
 }

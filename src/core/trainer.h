@@ -93,7 +93,8 @@ class Trainer {
                                      LlmModel* model,
                                      util::ThreadPool* pool = nullptr) const;
 
-  /// Trains from pre-computed pairs (used by benches that reuse workloads).
+  /// Trains from pre-computed pairs, one Observe per pair in order: the
+  /// serial reference the lookahead-equivalence tests hold Train to.
   util::Result<TrainingReport> TrainFromPairs(
       const std::vector<query::QueryAnswer>& pairs, LlmModel* model) const;
 

@@ -3,7 +3,6 @@
 #include <sys/stat.h>
 
 #include <algorithm>
-#include <cmath>
 #include <thread>
 #include <utility>
 
@@ -179,15 +178,6 @@ void ModelCatalog::SetupDrift(Entry* e, const core::LlmModel& model) {
 }
 
 bool ModelCatalog::ReportObservation(const std::string& name) {
-  return ReportObservationImpl(name, nullptr);
-}
-
-bool ModelCatalog::ReportObservation(const std::string& name, double residual) {
-  return ReportObservationImpl(name, &residual);
-}
-
-bool ModelCatalog::ReportObservationImpl(const std::string& name,
-                                         const double* residual) {
   std::shared_ptr<Entry> e = FindEntry(name);
   if (!e || !e->opts.drift.enabled) return false;
   // Trained-state publication happens-after monitor setup, so a non-null
@@ -195,47 +185,9 @@ bool ModelCatalog::ReportObservationImpl(const std::string& name,
   if (std::atomic_load(&e->trained) == nullptr || !e->drift_live()) {
     return false;
   }
-  if (residual != nullptr && std::isfinite(*residual)) {
-    util::MutexLock lock(&e->residual_mu);
-    e->residual_sse += *residual * *residual;
-    ++e->residual_count;
-  }
   const int64_t interval = std::max<int64_t>(1, e->opts.drift.report_interval);
   const int64_t n = e->observations.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (n % interval != 0) return false;
-  return ProbeStillWorthRunning(e.get());
-}
-
-bool ModelCatalog::ProbeStillWorthRunning(Entry* e) {
-  // If drift_mu is taken, a probe/retrain is already in flight: scheduling
-  // another is pointless, and the window must stay *unconsumed* — its
-  // residuals are evidence for the next boundary, not this one's to burn.
-  // (Lock order drift_mu → residual_mu matches MaybeRetrain's reset.)
-  if (!e->drift_mu.TryLock()) return false;
-  util::MutexLock drift_lock(&e->drift_mu, util::MutexLock::Adopt{});
-  double sse = 0.0;
-  int64_t count = 0;
-  {
-    // Consume the window: this boundary judges the residuals so far.
-    util::MutexLock lock(&e->residual_mu);
-    sse = e->residual_sse;
-    count = e->residual_count;
-    e->residual_sse = 0.0;
-    e->residual_count = 0;
-  }
-  const int64_t min_metered = e->opts.drift.min_metered_residuals;
-  if (min_metered <= 0 || count < min_metered) {
-    return true;  // No (or not enough) free evidence: probe as before.
-  }
-  if (!e->monitor->calibrated()) return true;  // Probe repairs the baseline.
-  const double metered_rmse = std::sqrt(sse / static_cast<double>(count));
-  const double threshold =
-      std::max(e->opts.drift.config.absolute_threshold,
-               e->opts.drift.config.degradation_factor * e->monitor->baseline_rmse());
-  // Same strictly-greater criterion as DriftMonitor::Probe: residuals at or
-  // under the drift threshold are steady state, and the window's probe is
-  // skipped — its `probe_queries` exact scans never reach the worker pool.
-  return metered_rmse > threshold;
+  return n % interval == 0;
 }
 
 util::Result<RetrainOutcome> ModelCatalog::MaybeRetrain(const std::string& name) {
@@ -324,13 +276,6 @@ util::Result<RetrainOutcome> ModelCatalog::MaybeRetrain(const std::string& name)
   out.retrained = true;
   std::atomic_store(&e->trained,
                     std::shared_ptr<const TrainedState>(std::move(state)));
-  {
-    // Residuals metered against the old generation say nothing about the
-    // fresh model; start the next gating window clean.
-    util::MutexLock residual_lock(&e->residual_mu);
-    e->residual_sse = 0.0;
-    e->residual_count = 0;
-  }
   return out;
 }
 

@@ -68,18 +68,6 @@ struct DriftPolicy {
   /// Seed of the probe-query stream — a workload distinct from the training
   /// stream so probes measure generalization, not memorized pairs.
   uint64_t probe_seed = 101;
-
-  /// Metered-residual probe gating. Served *exact* answers carry a free
-  /// drift signal: the residual between the exact answer and the model's
-  /// prediction for the same query, reported via
-  /// ReportObservation(name, residual). When at least this many residuals
-  /// arrived in an interval window, the window's scheduled probe is skipped
-  /// unless the metered RMSE already exceeds the drift threshold — the
-  /// `probe_queries` exact scans then only run to *confirm* drift on the
-  /// calibrated stream, not to discover it. With fewer samples (e.g. a
-  /// model-only router that never executes exactly) probes fire every
-  /// interval as before. <= 0 disables gating entirely.
-  int64_t min_metered_residuals = 16;
 };
 
 /// \brief Per-dataset training recipe.
@@ -168,21 +156,11 @@ class ModelCatalog {
 
   /// Counts one served query against the dataset's drift policy. Returns
   /// true when a drift probe is due (every `report_interval` observations on
-  /// a drift-enabled, trained dataset, subject to the metered-residual gate
-  /// below) — the caller should then schedule MaybeRetrain off the hot
-  /// path. False for unknown, untrained or drift-disabled datasets. Off
-  /// interval boundaries the cost is one relaxed fetch_add.
+  /// a drift-enabled, trained dataset) — the caller should then schedule
+  /// MaybeRetrain off the hot path, which turns the probe away if another
+  /// is already running. False for unknown, untrained or drift-disabled
+  /// datasets. Past the entry lookup the cost is one relaxed fetch_add.
   bool ReportObservation(const std::string& name);
-
-  /// Same, but additionally meters `residual` — the signed difference
-  /// between a served *exact* answer and the model's prediction for the
-  /// same query, a free drift sample the serving path already paid for.
-  /// When an interval window accumulated at least
-  /// DriftPolicy::min_metered_residuals of these, the boundary returns true
-  /// (probe due) only if the window's residual RMSE exceeds the drift
-  /// threshold — healthy metered traffic keeps `probe_queries` exact scans
-  /// off the worker pool entirely.
-  bool ReportObservation(const std::string& name, double residual);
 
   /// Probes the dataset's model for drift and, if the threshold trips,
   /// retrains a copy off the shared model and atomically publishes it as
@@ -225,9 +203,8 @@ class ModelCatalog {
     // observes a trained state also observes them; drift_live() below is
     // the one sanctioned lock-free read.
     // Serializes probe + retrain + generation swap. Lock order: the
-    // catalog's train_mu_ before drift_mu before residual_mu, never the
-    // reverse.
-    util::Mutex drift_mu QREG_ACQUIRED_BEFORE(residual_mu);
+    // catalog's train_mu_ before drift_mu, never the reverse.
+    util::Mutex drift_mu;
     // Null = drift off.
     std::unique_ptr<core::DriftMonitor> monitor QREG_GUARDED_BY(drift_mu);
     std::unique_ptr<query::WorkloadGenerator> probe_gen
@@ -243,14 +220,6 @@ class ModelCatalog {
     bool drift_live() const QREG_NO_THREAD_SAFETY_ANALYSIS {
       return monitor != nullptr;
     }
-
-    // Metered-residual window (see ReportObservation(name, residual)).
-    // Held only for a few arithmetic ops, and never while acquiring
-    // drift_mu. Reset at every interval boundary and on a generation swap
-    // (old-model residuals say nothing about the new).
-    util::Mutex residual_mu;
-    double residual_sse QREG_GUARDED_BY(residual_mu) = 0.0;
-    int64_t residual_count QREG_GUARDED_BY(residual_mu) = 0;
   };
 
   CatalogSnapshot MakeSnapshot(const Entry& e,
@@ -258,14 +227,6 @@ class ModelCatalog {
   /// Trains (or warm-loads) `e` and publishes its first generation.
   util::Status TrainEntry(Entry* e, util::ThreadPool* train_pool)
       QREG_REQUIRES(train_mu_);
-
-  /// Shared implementation of the two ReportObservation overloads
-  /// (`residual` null = unmetered observation).
-  bool ReportObservationImpl(const std::string& name, const double* residual);
-
-  /// Interval-boundary decision: should the due probe actually fire?
-  /// Consumes (and resets) the entry's metered-residual window.
-  bool ProbeStillWorthRunning(Entry* e);
 
   /// Creates and calibrates the entry's drift monitor against `model`.
   /// Called before the first trained-state publication; a calibration

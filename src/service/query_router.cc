@@ -121,8 +121,8 @@ util::Status QueryRouter::Route(const Request& request,
   }
 
   // Accuracy policy: pick the answering path. The hybrid vigilance test
-  // sweeps the prototypes once, and the model answer, the deadline fallback
-  // and the drift sample read the same sweep from `route`.
+  // sweeps the prototypes once, and the model answer and the deadline
+  // fallback read the same sweep from `route`.
   switch (config_.policy) {
     case RoutePolicy::kModelOnly:
       if (!snap.model) {
@@ -183,7 +183,7 @@ ExecResult QueryRouter::ExecuteUnrecorded(const Request& request) {
     CachedAnswer cached;
     if (cache_.Lookup(shard, request.q, &cached)) {
       Answer a = AnswerFromCache(request.kind, std::move(cached));
-      MaybeReportObservation(request, &route, &a);
+      MaybeReportObservation(request, snap);
       return a;
     }
   }
@@ -230,43 +230,20 @@ ExecResult QueryRouter::ExecuteUnrecorded(const Request& request) {
       cache_.Insert(shard, std::move(to_cache));
     }
   }
-  MaybeReportObservation(request, &route, &result.value());
+  MaybeReportObservation(request, snap);
   return result;
 }
 
 void QueryRouter::MaybeReportObservation(const Request& request,
-                                         RouteDecision* route,
-                                         const Answer* answer) {
-  const CatalogSnapshot& snap = route->snap;
+                                         const CatalogSnapshot& snap) {
   // Freshness maintenance, off the serving path: every report_interval
   // successful answers of a drift-enabled dataset, probe it on the pool.
   // The snapshot flag keeps the common drift-free path free of a second
   // catalog lookup per query.
   if (!snap.drift_enabled) return;
-  bool due = false;
-  // A served exact Q1 answer is a free drift sample: the scan already paid
-  // for the ground truth, so one microsecond model prediction turns it into
-  // a residual that lets the catalog skip probes while traffic looks
-  // healthy. Fallback answers are excluded (their exact attempt died), and
-  // so are out-of-region queries: the drift threshold was calibrated on an
-  // in-distribution probe stream, and extrapolation error past the
-  // vigilance radius would read as perpetual "drift" under a hybrid policy
-  // (which routes exactly *because* the query is out of region). Under
-  // kHybrid this leaves metering to the rare in-region exact answer, so
-  // such datasets simply keep the unmetered every-interval probes.
-  if (answer != nullptr && answer->source == AnswerSource::kExact &&
-      !answer->used_fallback && request.kind == QueryKind::kQ1MeanValue &&
-      snap.model != nullptr && snap.model->num_prototypes() > 0 &&
-      InRegion(request, route)) {
-    auto predicted = snap.model->PredictMean(request.q, Hood(request, route));
-    due = predicted.ok()
-              ? catalog_->ReportObservation(request.dataset,
-                                            answer->mean - *predicted)
-              : catalog_->ReportObservation(request.dataset);
-  } else {
-    due = catalog_->ReportObservation(request.dataset);
+  if (catalog_->ReportObservation(request.dataset)) {
+    ScheduleDriftProbe(request.dataset);
   }
-  if (due) ScheduleDriftProbe(request.dataset);
 }
 
 ExecResult QueryRouter::ExecuteModel(const Request& request,

@@ -235,8 +235,8 @@ class QueryRouter {
  private:
   /// What admission, the snapshot and the accuracy policy decided for one
   /// request, plus the query's neighbourhood in `snap.model` once a step has
-  /// swept it. The hybrid vigilance test, the model answer, the deadline
-  /// fallback and the drift sample all read that one sweep.
+  /// swept it. The hybrid vigilance test, the model answer and the deadline
+  /// fallback all read that one sweep.
   struct RouteDecision {
     CatalogSnapshot snap;
     bool use_model = false;
@@ -278,14 +278,10 @@ class QueryRouter {
   void ScheduleDriftProbe(const std::string& dataset);
 
   /// Counts a served answer toward the dataset's drift policy and schedules
-  /// a probe when one is due. When `answer` is a served *in-region* exact Q1
-  /// answer, the residual against the model's prediction rides along as a
-  /// free drift sample (see ModelCatalog::ReportObservation(name, residual)).
-  /// The vigilance test and the prediction reuse the route's sweep, so the
-  /// prototypes are never swept twice for the same query. No-op unless the
-  /// snapshot says drift maintenance is live.
-  void MaybeReportObservation(const Request& request, RouteDecision* route,
-                              const Answer* answer);
+  /// a probe when one is due. No-op unless the snapshot says drift
+  /// maintenance is live.
+  void MaybeReportObservation(const Request& request,
+                              const CatalogSnapshot& snap);
 
   /// Cache-group key "dataset/g<generation>/kind": the generation tag makes
   /// every pre-retrain entry unreachable the moment a new model publishes.

@@ -5,66 +5,6 @@
 namespace qreg {
 namespace util {
 
-Status CsvReader::Open(const std::string& path) {
-  if (in_.is_open()) return Status::FailedPrecondition("CsvReader already open");
-  in_.open(path, std::ios::in);
-  if (!in_.is_open()) return Status::IoError("cannot open for reading: " + path);
-  path_ = path;
-  line_ = 0;
-  return Status::OK();
-}
-
-std::vector<std::string> CsvReader::ParseLine(const std::string& line) {
-  std::vector<std::string> fields;
-  std::string cur;
-  bool in_quotes = false;
-  for (size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          cur += '"';
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        cur += c;
-      }
-    } else if (c == '"') {
-      in_quotes = true;
-    } else if (c == ',') {
-      fields.push_back(std::move(cur));
-      cur.clear();
-    } else {
-      cur += c;
-    }
-  }
-  fields.push_back(std::move(cur));
-  return fields;
-}
-
-bool CsvReader::ReadRow(std::vector<std::string>* fields) {
-  fields->clear();
-  if (!in_.is_open()) return false;
-  std::string record;
-  std::string line;
-  // Accumulate physical lines until quotes are balanced (embedded newlines).
-  bool have_any = false;
-  while (std::getline(in_, line)) {
-    ++line_;
-    have_any = true;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    record += record.empty() ? line : "\n" + line;
-    int quotes = 0;
-    for (char c : record) quotes += (c == '"');
-    if (quotes % 2 == 0) break;
-  }
-  if (!have_any) return false;
-  *fields = ParseLine(record);
-  return true;
-}
-
 Status CsvWriter::Open(const std::string& path) {
   if (out_.is_open()) return Status::FailedPrecondition("CsvWriter already open");
   out_.open(path, std::ios::out | std::ios::trunc);

@@ -3,7 +3,6 @@
 #ifndef QREG_UTIL_CSV_H_
 #define QREG_UTIL_CSV_H_
 
-#include <cstdint>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -12,33 +11,6 @@
 
 namespace qreg {
 namespace util {
-
-/// \brief Reads a CSV file row by row (RFC-4180-style quoting).
-class CsvReader {
- public:
-  CsvReader() = default;
-
-  /// Opens `path` for reading.
-  Status Open(const std::string& path);
-
-  /// Reads the next record into `fields` (cleared first). Returns true if a
-  /// record was read, false at end of file. Handles quoted fields containing
-  /// commas, escaped quotes (""), and embedded newlines.
-  bool ReadRow(std::vector<std::string>* fields);
-
-  /// 1-based line number of the record most recently returned.
-  int64_t line_number() const { return line_; }
-
-  bool is_open() const { return in_.is_open(); }
-
-  /// Parses one CSV record from a string (exposed for testing).
-  static std::vector<std::string> ParseLine(const std::string& line);
-
- private:
-  std::ifstream in_;
-  std::string path_;
-  int64_t line_ = 0;
-};
 
 /// \brief Streams rows to a CSV file; fields containing separators are quoted.
 class CsvWriter {

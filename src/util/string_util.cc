@@ -2,7 +2,6 @@
 
 #include <cstdarg>
 #include <cstdio>
-#include <cstring>
 
 namespace qreg {
 namespace util {
@@ -22,43 +21,6 @@ std::string Format(const char* fmt, ...) {
   std::vsnprintf(out.data(), out.size() + 1, fmt, ap2);
   va_end(ap2);
   return out;
-}
-
-std::vector<std::string> Split(const std::string& s, char delim) {
-  std::vector<std::string> parts;
-  size_t start = 0;
-  while (true) {
-    const size_t pos = s.find(delim, start);
-    if (pos == std::string::npos) {
-      parts.push_back(s.substr(start));
-      break;
-    }
-    parts.push_back(s.substr(start, pos - start));
-    start = pos + 1;
-  }
-  return parts;
-}
-
-std::string Trim(const std::string& s) {
-  size_t b = 0;
-  size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
-}
-
-std::string Join(const std::vector<std::string>& parts, const std::string& sep) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out += sep;
-    out += parts[i];
-  }
-  return out;
-}
-
-bool StartsWith(const std::string& s, const std::string& prefix) {
-  return s.size() >= prefix.size() &&
-         std::memcmp(s.data(), prefix.data(), prefix.size()) == 0;
 }
 
 }  // namespace util

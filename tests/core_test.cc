@@ -336,6 +336,29 @@ TEST(LlmModelTest, EmptyModelPredictionFails) {
   EXPECT_FALSE(model.PredictValue(Query({0.1, 0.1}, 0.1), {0.1, 0.1}).ok());
 }
 
+TEST(LlmModelTest, QueryWithNoFiniteDistanceIsInvalidArgument) {
+  // A finite center so far out that every squared distance overflows to
+  // +inf: the sweep finds no nearest prototype, and every path that needs
+  // one refuses with a typed error instead of reading prototype -1.
+  LlmModel model(LlmConfig::ForDimension(2, 0.25));
+  ASSERT_TRUE(model.Observe(Query({0.2, 0.2}, 0.1), 1.0).ok());
+  ASSERT_TRUE(model.Observe(Query({0.8, 0.8}, 0.1), 2.0).ok());
+  ASSERT_EQ(model.num_prototypes(), 2u);
+
+  const Query far({1e200, 1e200}, 0.1);
+  Neighbourhood hood;
+  model.Sweep(far, &hood);
+  EXPECT_EQ(hood.nearest(), -1);
+  EXPECT_TRUE(std::isinf(hood.nearest_distance()));
+  EXPECT_EQ(model.PredictMean(far).status().code(),
+            util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(model.RegressionQuery(far).status().code(),
+            util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(model.Observe(far, 0.0).status().code(),
+            util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(model.num_prototypes(), 2u);
+}
+
 TEST(LlmModelTest, ParameterBytesScaleWithK) {
   LlmModel model(LlmConfig::ForDimension(2, 0.1));
   EXPECT_EQ(model.ParameterBytes(), 0);

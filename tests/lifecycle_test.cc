@@ -594,8 +594,7 @@ struct DriftFixture {
   std::unique_ptr<storage::ScanIndex> index;
   ModelCatalog catalog;
 
-  explicit DriftFixture(int64_t drift_interval = 1 << 20,
-                        int64_t min_metered_residuals = 16) {
+  explicit DriftFixture(int64_t drift_interval = 1 << 20) {
     util::Rng rng(11);
     for (int i = 0; i < 4000; ++i) {
       const double x = rng.Uniform();
@@ -615,7 +614,6 @@ struct DriftFixture {
     opts.drift.config.absolute_threshold = 0.3;
     opts.drift.report_interval = drift_interval;
     opts.drift.retrain_max_pairs = 4000;
-    opts.drift.min_metered_residuals = min_metered_residuals;
     ExpectOk(catalog.Register("ds", &table, index.get(), opts));
   }
 
@@ -681,7 +679,6 @@ TEST(DriftRetrainTest, MaintenanceApisAreInertDuringInFlightTraining) {
   // Before TrainAll: no model, hence no drift monitor, hence every
   // maintenance entry point refuses.
   EXPECT_FALSE(catalog.ReportObservation("ds"));
-  EXPECT_FALSE(catalog.ReportObservation("ds", 0.25));
   auto early = catalog.MaybeRetrain("ds");
   ASSERT_FALSE(early.ok());
   EXPECT_EQ(early.status().code(), util::StatusCode::kFailedPrecondition);
@@ -768,105 +765,50 @@ TEST(DriftRetrainTest, ReportObservationFiresEveryInterval) {
 
 TEST(DriftRetrainTest, RouterAutoProbeRetrainsInlineOnSyncPool) {
   // report_interval = 1 and a synchronous pool: every served answer runs
-  // the maintenance pass inline — fully deterministic end-to-end.
-  DriftFixture fx(/*drift_interval=*/1);
-  ASSERT_TRUE(fx.catalog.TrainAll().ok());
-  RouterConfig cfg;
-  cfg.policy = RoutePolicy::kModelOnly;
-  cfg.enable_cache = false;
-  cfg.num_threads = 0;
-  QueryRouter router(&fx.catalog, cfg);
+  // the maintenance pass inline — fully deterministic end-to-end, whether
+  // the model or the exact engine answered.
+  for (RoutePolicy policy : {RoutePolicy::kModelOnly, RoutePolicy::kExactOnly}) {
+    SCOPED_TRACE(policy == RoutePolicy::kModelOnly ? "kModelOnly" : "kExactOnly");
+    DriftFixture fx(/*drift_interval=*/1);
+    ASSERT_TRUE(fx.catalog.TrainAll().ok());
+    RouterConfig cfg;
+    cfg.policy = policy;
+    cfg.enable_cache = false;
+    cfg.num_threads = 0;
+    QueryRouter router(&fx.catalog, cfg);
+    const AnswerSource source = policy == RoutePolicy::kModelOnly
+                                    ? AnswerSource::kModel
+                                    : AnswerSource::kExact;
 
-  Request r = Request::Q1("ds", query::Query({0.5}, 0.1));
-  ASSERT_TRUE(router.Execute(r).ok());        // Steady data: probe is quiet.
-  EXPECT_EQ(router.Stats().retrains, 0);
+    // An in-region query, so the model-only router answers it too.
+    Request r = Request::Q1("ds", query::Query({0.5}, 0.1));
+    auto trained_snap = fx.catalog.Get("ds");
+    ASSERT_TRUE(trained_snap.ok());
+    ASSERT_NE(trained_snap->model, nullptr);
+    ASSERT_LE(trained_snap->model->NearestPrototypeDistance(r.q),
+              cfg.rho_scale * trained_snap->vigilance);
 
-  fx.ShiftDistribution();
-  ASSERT_TRUE(router.Execute(r).ok());        // Shifted: probe retrains.
-  EXPECT_EQ(router.Stats().retrains, 1);
-  auto snap = fx.catalog.Get("ds");
-  ASSERT_TRUE(snap.ok());
-  EXPECT_EQ(snap->generation, 2);
-}
+    // Steady data: every query is an interval boundary (interval = 1) and
+    // each probe is quiet, so the generation stays put.
+    for (int i = 0; i < 3; ++i) {
+      auto got = router.Execute(r);
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_EQ(got->source, source);
+    }
+    EXPECT_EQ(router.Stats().retrains, 0);
+    auto steady = fx.catalog.Get("ds");
+    ASSERT_TRUE(steady.ok());
+    EXPECT_EQ(steady->generation, 1);
 
-TEST(DriftRetrainTest, MeteredHealthyResidualsGateScheduledProbes) {
-  // Residuals piggybacked from served exact answers are a free drift
-  // pre-filter: a window whose metered RMSE sits under the drift threshold
-  // skips its scheduled probe; a bad window (or one with too few samples)
-  // still fires it.
-  DriftFixture fx(/*drift_interval=*/4, /*min_metered_residuals=*/3);
-  ASSERT_TRUE(fx.catalog.TrainAll().ok());
-
-  // Healthy window: 4 small residuals, boundary on the 4th → probe skipped
-  // (RMSE 0.01 is far under the 0.3 absolute threshold).
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_FALSE(fx.catalog.ReportObservation("ds", 0.01));
-  }
-  EXPECT_FALSE(fx.catalog.ReportObservation("ds", 0.01));
-
-  // Bad window: residuals past the threshold → the boundary fires.
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_FALSE(fx.catalog.ReportObservation("ds", 5.0));
-  }
-  EXPECT_TRUE(fx.catalog.ReportObservation("ds", 5.0));
-
-  // Unmetered window (e.g. a model-only router): no free evidence, so the
-  // boundary fires exactly as before the gating existed.
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_FALSE(fx.catalog.ReportObservation("ds"));
-  }
-  EXPECT_TRUE(fx.catalog.ReportObservation("ds"));
-
-  // Under-sampled window: healthy residuals, but fewer than the minimum —
-  // two samples cannot clear a 3-sample gate, so the probe fires.
-  EXPECT_FALSE(fx.catalog.ReportObservation("ds", 0.01));
-  EXPECT_FALSE(fx.catalog.ReportObservation("ds", 0.01));
-  EXPECT_FALSE(fx.catalog.ReportObservation("ds"));
-  EXPECT_TRUE(fx.catalog.ReportObservation("ds"));
-}
-
-TEST(DriftRetrainTest, RouterPipesExactResidualsIntoProbeGating) {
-  // End-to-end: an exact-only router serves ground truth anyway; the router
-  // meters the model's residual on each answer, and the probe only runs
-  // (and retrains) once those free residuals actually look bad.
-  DriftFixture fx(/*drift_interval=*/1, /*min_metered_residuals=*/1);
-  ASSERT_TRUE(fx.catalog.TrainAll().ok());
-  RouterConfig cfg;
-  cfg.policy = RoutePolicy::kExactOnly;
-  cfg.enable_cache = false;
-  cfg.num_threads = 0;  // Probes (when due) run inline: deterministic.
-  QueryRouter router(&fx.catalog, cfg);
-
-  // The probe query must be in-region: the router only meters residuals of
-  // in-region exact answers (out-of-region extrapolation error would read
-  // as perpetual drift against the in-distribution baseline).
-  Request r = Request::Q1("ds", query::Query({0.5}, 0.1));
-  auto trained_snap = fx.catalog.Get("ds");
-  ASSERT_TRUE(trained_snap.ok());
-  ASSERT_NE(trained_snap->model, nullptr);
-  ASSERT_LE(trained_snap->model->NearestPrototypeDistance(r.q),
-            cfg.rho_scale * trained_snap->vigilance);
-
-  // Steady data: every query is an interval boundary (interval = 1), but
-  // the metered residuals are healthy, so no probe ever runs — and the
-  // generation stays put.
-  for (int i = 0; i < 3; ++i) {
+    // Shifted: the inline probe confirms drift and publishes generation 2.
+    fx.ShiftDistribution();
     auto got = router.Execute(r);
     ASSERT_TRUE(got.ok()) << got.status();
-    EXPECT_EQ(got->source, AnswerSource::kExact);
+    EXPECT_EQ(router.Stats().retrains, 1);
+    auto snap = fx.catalog.Get("ds");
+    ASSERT_TRUE(snap.ok());
+    EXPECT_EQ(snap->generation, 2);
   }
-  EXPECT_EQ(router.Stats().retrains, 0);
-
-  // Shift the data: exact answers move away from the stale model, the
-  // metered residual blows past the threshold, the gated probe fires
-  // inline, confirms drift, and publishes generation 2.
-  fx.ShiftDistribution();
-  auto got = router.Execute(r);
-  ASSERT_TRUE(got.ok()) << got.status();
-  EXPECT_EQ(router.Stats().retrains, 1);
-  auto snap = fx.catalog.Get("ds");
-  ASSERT_TRUE(snap.ok());
-  EXPECT_EQ(snap->generation, 2);
 }
 
 TEST(DriftRetrainTest, MaybeRetrainErrorsAreTyped) {

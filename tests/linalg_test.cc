@@ -1,5 +1,5 @@
-// Unit + property tests for src/linalg: vector ops, Matrix, Cholesky,
-// Householder QR, and both OLS paths (streaming accumulator and batch QR).
+// Unit + property tests for src/linalg: Matrix, Cholesky, Householder QR,
+// and both OLS paths (streaming accumulator and batch QR).
 
 #include <gtest/gtest.h>
 
@@ -9,50 +9,11 @@
 #include "linalg/matrix.h"
 #include "linalg/ols.h"
 #include "linalg/qr.h"
-#include "linalg/vector_ops.h"
 #include "util/rng.h"
 
 namespace qreg {
 namespace linalg {
 namespace {
-
-// ---------- vector_ops ----------
-
-TEST(VectorOpsTest, DotAndNorms) {
-  Vec a{1.0, 2.0, 3.0};
-  Vec b{4.0, -5.0, 6.0};
-  EXPECT_DOUBLE_EQ(Dot(a, b), 4.0 - 10.0 + 18.0);
-  EXPECT_DOUBLE_EQ(Norm2Squared(a), 14.0);
-  EXPECT_DOUBLE_EQ(Norm2(a), std::sqrt(14.0));
-  EXPECT_DOUBLE_EQ(Distance2Squared(a, a), 0.0);
-  EXPECT_DOUBLE_EQ(Distance2(a, b), std::sqrt(9.0 + 49.0 + 9.0));
-}
-
-TEST(VectorOpsTest, ArithmeticAndAxpy) {
-  Vec a{1.0, 2.0};
-  Vec b{3.0, 4.0};
-  EXPECT_EQ(Add(a, b), (Vec{4.0, 6.0}));
-  EXPECT_EQ(Sub(b, a), (Vec{2.0, 2.0}));
-  EXPECT_EQ(Scale(a, 2.0), (Vec{2.0, 4.0}));
-  Vec y{1.0, 1.0};
-  AxPy(0.5, b, &y);
-  EXPECT_EQ(y, (Vec{2.5, 3.0}));
-}
-
-TEST(VectorOpsTest, MeanVariance) {
-  Vec v{1.0, 2.0, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(Mean(v), 2.5);
-  EXPECT_DOUBLE_EQ(Variance(v), 1.25);
-  EXPECT_DOUBLE_EQ(Mean({}), 0.0);
-}
-
-TEST(VectorOpsTest, ElementwiseRange) {
-  std::vector<Vec> vs{{1.0, 5.0}, {3.0, -1.0}, {2.0, 2.0}};
-  Vec lo, hi;
-  ElementwiseRange(vs, &lo, &hi);
-  EXPECT_EQ(lo, (Vec{1.0, -1.0}));
-  EXPECT_EQ(hi, (Vec{3.0, 5.0}));
-}
 
 // ---------- Matrix ----------
 

@@ -4,13 +4,16 @@
 // deadlines are rejected at admission without touching the δ-cache; a
 // saturated server sheds with typed kResourceExhausted frames (never a
 // dropped connection); shutdown drains everything already decoded; malformed
-// streams get a typed error frame and a clean close; a port already held is
-// a typed Start() failure that leaves no listener behind.
+// streams get a typed error frame and a clean close; a query with no finite
+// distance to any prototype gets a typed error frame on a connection that
+// keeps serving; a port already held is a typed Start() failure that leaves
+// no listener behind.
 
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -920,6 +923,78 @@ TEST(NetServerTest, UnknownDatasetComesBackAsTypedNotFound) {
   EXPECT_EQ(answer.status().code(), util::StatusCode::kNotFound);
 
   client.Close();
+  server.Shutdown();
+}
+
+// A finite center whose squared distance to every prototype overflows to
+// +inf: the model-only router refuses it with kInvalidArgument. Over the
+// wire that is one kError frame for the request's id, and the same
+// connection goes on serving.
+TEST(NetServerTest, QueryWithNoFiniteDistanceGetsTypedErrorFrame) {
+  service::RouterConfig cfg;
+  cfg.policy = service::RoutePolicy::kModelOnly;
+  cfg.enable_cache = false;
+  cfg.num_threads = 1;
+  service::QueryRouter router(SharedCatalog(), cfg);
+  Server server(&router);
+  const auto ep = server.Start();
+  ASSERT_TRUE(ep.ok()) << ep.status();
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  timeval timeout{};
+  timeout.tv_sec = 5;
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)),
+            0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(ep->port);
+  ASSERT_EQ(inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+
+  // Sends one request frame and reads back the one response frame.
+  FrameDecoder decoder;
+  const auto round_trip = [&](uint64_t request_id, const WireRequest& request,
+                              Frame* response) {
+    std::vector<uint8_t> out;
+    AppendRequestFrame(&out, request_id, request);
+    if (::write(fd, out.data(), out.size()) !=
+        static_cast<ssize_t>(out.size())) {
+      return false;
+    }
+    uint8_t buf[4096];
+    while (decoder.Next(response) != FrameDecoder::Event::kFrame) {
+      const ssize_t n = ::read(fd, buf, sizeof(buf));
+      if (n <= 0) return false;
+      decoder.Feed(buf, static_cast<size_t>(n));
+    }
+    return true;
+  };
+
+  Frame frame;
+  ASSERT_TRUE(round_trip(
+      7, WireRequest::Q1("r1", query::Query({1e200, 1e200}, 0.1)), &frame));
+  ASSERT_EQ(frame.header.type, FrameType::kError);
+  EXPECT_EQ(frame.header.request_id, 7u);
+  util::Status transported;
+  ASSERT_TRUE(
+      DecodeStatus(frame.payload.data(), frame.payload.size(), &transported)
+          .ok());
+  EXPECT_EQ(transported.code(), util::StatusCode::kInvalidArgument);
+
+  ASSERT_TRUE(round_trip(
+      8, WireRequest::Q1("r1", query::Query({0.4, 0.6}, 0.12)), &frame));
+  ASSERT_EQ(frame.header.type, FrameType::kAnswer);
+  EXPECT_EQ(frame.header.request_id, 8u);
+  auto answer = DecodeAnswer(frame.payload.data(), frame.payload.size());
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  EXPECT_EQ(answer->source, service::AnswerSource::kModel);
+  ::close(fd);
+
+  const service::ServiceSnapshot snap = router.Stats();
+  EXPECT_EQ(snap.net_answered_on_loop, 2);
+  EXPECT_EQ(snap.errors, 1);
+  EXPECT_EQ(snap.net_protocol_errors, 0);
   server.Shutdown();
 }
 

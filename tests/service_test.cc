@@ -1070,6 +1070,36 @@ TEST(QueryRouterTest, NonFiniteCenterOrBadThetaIsRejected) {
   EXPECT_TRUE(router.Execute(Request::Q1("r1", query::Query({0.5, 0.5}, 0.1))).ok());
 }
 
+TEST(QueryRouterTest, QueryWithNoFiniteDistanceToAnyPrototype) {
+  // A finite center whose squared distance to every prototype overflows to
+  // +inf passes the router's query checks, but the model has no nearest
+  // prototype for it: a model-only router refuses it with kInvalidArgument
+  // on both entry points, and a hybrid router sends it to the exact path,
+  // whose ball holds no tuple.
+  const query::Query far({1e200, 1e200}, 0.1);
+  RouterConfig cfg;
+  cfg.enable_cache = false;
+  cfg.policy = RoutePolicy::kModelOnly;
+  QueryRouter model_only(SharedCatalog(), cfg);
+  for (const Request& r : {Request::Q1("r1", far), Request::Q2("r1", far)}) {
+    auto got = model_only.Execute(r);
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), util::StatusCode::kInvalidArgument);
+    const std::optional<ExecResult> inline_got = model_only.TryExecuteInline(r);
+    ASSERT_TRUE(inline_got.has_value());
+    ASSERT_FALSE(inline_got->ok());
+    EXPECT_EQ(inline_got->status().code(), util::StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(model_only.Stats().errors, 4);
+
+  cfg.policy = RoutePolicy::kHybrid;
+  QueryRouter hybrid(SharedCatalog(), cfg);
+  EXPECT_FALSE(hybrid.TryExecuteInline(Request::Q1("r1", far)).has_value());
+  auto exact = hybrid.Execute(Request::Q1("r1", far));
+  ASSERT_FALSE(exact.ok());
+  EXPECT_EQ(exact.status().code(), util::StatusCode::kNotFound);
+}
+
 TEST(QueryRouterTest, HybridRoutesByTrainedRegion) {
   TestData* d = SharedData();
   RouterConfig cfg;

@@ -1,4 +1,4 @@
-// Unit tests for src/util: Status/Result, Rng, string utilities, CSV,
+// Unit tests for src/util: Status/Result, Rng, Format, CsvWriter,
 // TablePrinter, env knobs.
 
 #include <gtest/gtest.h>
@@ -218,34 +218,6 @@ TEST(StringUtilTest, FormatBasics) {
   EXPECT_EQ(Format("%d-%s", 5, "x"), "5-x");
   EXPECT_EQ(Format("%.2f", 3.14159), "3.14");
   EXPECT_EQ(Format("empty"), "empty");
-}
-
-TEST(StringUtilTest, SplitKeepsEmptyFields) {
-  auto parts = Split("a,,b,", ',');
-  ASSERT_EQ(parts.size(), 4u);
-  EXPECT_EQ(parts[0], "a");
-  EXPECT_EQ(parts[1], "");
-  EXPECT_EQ(parts[2], "b");
-  EXPECT_EQ(parts[3], "");
-}
-
-TEST(StringUtilTest, TrimWhitespace) {
-  EXPECT_EQ(Trim("  hi \t\n"), "hi");
-  EXPECT_EQ(Trim(""), "");
-  EXPECT_EQ(Trim("   "), "");
-  EXPECT_EQ(Trim("x"), "x");
-}
-
-TEST(StringUtilTest, JoinRoundTripsSplit) {
-  std::vector<std::string> parts{"a", "b", "c"};
-  EXPECT_EQ(Join(parts, ","), "a,b,c");
-  EXPECT_EQ(Split(Join(parts, "|"), '|'), parts);
-}
-
-TEST(StringUtilTest, StartsWith) {
-  EXPECT_TRUE(StartsWith("foobar", "foo"));
-  EXPECT_FALSE(StartsWith("foo", "foobar"));
-  EXPECT_TRUE(StartsWith("x", ""));
 }
 
 // ---------- CSV ----------

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Project-invariant linter (DESIGN.md §13). Pure stdlib; runs in CI.
 
-Rules, each scoped to src/ (comments and string literals are stripped first,
-so prose mentions don't trip the net):
+Rules 1-6 scan src/ with comments and string literals stripped first, so
+prose mentions don't trip the net; rule 7 reads the #include lines of src/,
+bench/, examples/ and perfbench/:
 
   1. `errno` only in src/net/backend* — everything else goes through the
      SyscallIoError / SyscallInterrupted seam in net/backend_socket.h.
@@ -26,6 +27,9 @@ so prose mentions don't trip the net):
      `GetOrTrain` token in src/net/ or src/service/query_router.*. Models
      are trained at set-up (ModelCatalog::TrainAll) and retrained on drift
      (ModelCatalog::MaybeRetrain); a request only reads the published one.
+  7. Every header under src/ is #included by some file under src/, bench/,
+     examples/ or perfbench/ other than its own .cc. A module that only
+     tests reach is surface to maintain that no binary serves.
 
 Exit 0 when clean; exit 1 with file:line diagnostics otherwise.
 """
@@ -148,12 +152,40 @@ def check_nodiscard(violations):
         )
 
 
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"', re.MULTILINE)
+# Trees whose includes keep a src/ header alive (tests/ does not).
+SERVED_TREES = ("src", "bench", "examples", "perfbench")
+
+
+def check_headers_served(violations):
+    """Rule 7: every src/ header has an includer outside tests/ and its own
+    .cc. Quoted includes resolve against src/ and the includer's directory."""
+    included = set()
+    for tree in SERVED_TREES:
+        for path in (REPO / tree).rglob("*"):
+            if path.suffix not in (".cc", ".h"):
+                continue
+            own_header = path.with_suffix(".h") if path.suffix == ".cc" else None
+            for name in INCLUDE_RE.findall(path.read_text(encoding="utf-8")):
+                for target in (SRC / name, path.parent / name):
+                    if target.resolve() != own_header:
+                        included.add(target.resolve())
+    for header in sorted(SRC.rglob("*.h")):
+        if header.resolve() not in included:
+            violations.append(
+                f"{header.relative_to(REPO)}: included only by tests or its "
+                f"own .cc (delete it, or include it from src/, bench/, "
+                f"examples/ or perfbench/)"
+            )
+
+
 def main():
     violations = []
     for path in sorted(SRC.rglob("*")):
         if path.suffix in (".cc", ".h"):
             check_file(path, violations)
     check_nodiscard(violations)
+    check_headers_served(violations)
     if violations:
         print(f"lint_invariants: {len(violations)} violation(s)")
         for v in violations:
