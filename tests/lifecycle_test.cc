@@ -763,52 +763,59 @@ TEST(DriftRetrainTest, ReportObservationFiresEveryInterval) {
   EXPECT_FALSE(fx.catalog.ReportObservation("unknown"));
 }
 
-TEST(DriftRetrainTest, RouterAutoProbeRetrainsInlineOnSyncPool) {
-  // report_interval = 1 and a synchronous pool: every served answer runs
-  // the maintenance pass inline — fully deterministic end-to-end, whether
-  // the model or the exact engine answered.
-  for (RoutePolicy policy : {RoutePolicy::kModelOnly, RoutePolicy::kExactOnly}) {
-    SCOPED_TRACE(policy == RoutePolicy::kModelOnly ? "kModelOnly" : "kExactOnly");
-    DriftFixture fx(/*drift_interval=*/1);
-    ASSERT_TRUE(fx.catalog.TrainAll().ok());
-    RouterConfig cfg;
-    cfg.policy = policy;
-    cfg.enable_cache = false;
-    cfg.num_threads = 0;
-    QueryRouter router(&fx.catalog, cfg);
-    const AnswerSource source = policy == RoutePolicy::kModelOnly
-                                    ? AnswerSource::kModel
-                                    : AnswerSource::kExact;
+// report_interval = 1 and a synchronous pool: every served answer runs the
+// maintenance pass inline — fully deterministic end-to-end, whether the model
+// or the exact engine answered.
+void ExpectRouterAutoProbeRetrainsInline(RoutePolicy policy) {
+  DriftFixture fx(/*drift_interval=*/1);
+  ASSERT_TRUE(fx.catalog.TrainAll().ok());
+  RouterConfig cfg;
+  cfg.policy = policy;
+  cfg.enable_cache = false;
+  cfg.num_threads = 0;
+  QueryRouter router(&fx.catalog, cfg);
+  const AnswerSource source = policy == RoutePolicy::kModelOnly
+                                  ? AnswerSource::kModel
+                                  : AnswerSource::kExact;
 
-    // An in-region query, so the model-only router answers it too.
-    Request r = Request::Q1("ds", query::Query({0.5}, 0.1));
-    auto trained_snap = fx.catalog.Get("ds");
-    ASSERT_TRUE(trained_snap.ok());
-    ASSERT_NE(trained_snap->model, nullptr);
-    ASSERT_LE(trained_snap->model->NearestPrototypeDistance(r.q),
-              cfg.rho_scale * trained_snap->vigilance);
+  // An in-region query, so the model-only router answers it too.
+  Request r = Request::Q1("ds", query::Query({0.5}, 0.1));
+  auto trained_snap = fx.catalog.Get("ds");
+  ASSERT_TRUE(trained_snap.ok());
+  ASSERT_NE(trained_snap->model, nullptr);
+  ASSERT_LE(trained_snap->model->NearestPrototypeDistance(r.q),
+            cfg.rho_scale * trained_snap->vigilance);
 
-    // Steady data: every query is an interval boundary (interval = 1) and
-    // each probe is quiet, so the generation stays put.
-    for (int i = 0; i < 3; ++i) {
-      auto got = router.Execute(r);
-      ASSERT_TRUE(got.ok()) << got.status();
-      EXPECT_EQ(got->source, source);
-    }
-    EXPECT_EQ(router.Stats().retrains, 0);
-    auto steady = fx.catalog.Get("ds");
-    ASSERT_TRUE(steady.ok());
-    EXPECT_EQ(steady->generation, 1);
-
-    // Shifted: the inline probe confirms drift and publishes generation 2.
-    fx.ShiftDistribution();
+  // Steady data: every query is an interval boundary (interval = 1) and
+  // each probe is quiet, so the generation stays put.
+  for (int i = 0; i < 3; ++i) {
     auto got = router.Execute(r);
     ASSERT_TRUE(got.ok()) << got.status();
-    EXPECT_EQ(router.Stats().retrains, 1);
-    auto snap = fx.catalog.Get("ds");
-    ASSERT_TRUE(snap.ok());
-    EXPECT_EQ(snap->generation, 2);
+    EXPECT_EQ(got->source, source);
   }
+  EXPECT_EQ(router.Stats().retrains, 0);
+  auto steady = fx.catalog.Get("ds");
+  ASSERT_TRUE(steady.ok());
+  EXPECT_EQ(steady->generation, 1);
+
+  // Shifted: the inline probe confirms drift and publishes generation 2.
+  fx.ShiftDistribution();
+  auto got = router.Execute(r);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(router.Stats().retrains, 1);
+  auto snap = fx.catalog.Get("ds");
+  ASSERT_TRUE(snap.ok());
+  EXPECT_EQ(snap->generation, 2);
+}
+
+TEST(DriftRetrainTest, RouterAutoProbeRetrainsInlineOnSyncPool) {
+  ExpectRouterAutoProbeRetrainsInline(RoutePolicy::kModelOnly);
+}
+
+TEST(DriftRetrainTest, RouterPipesExactResidualsIntoProbeGating) {
+  // An exact-only router serves ground truth; each answer still counts
+  // toward the interval, so the same inline probe confirms the shift.
+  ExpectRouterAutoProbeRetrainsInline(RoutePolicy::kExactOnly);
 }
 
 TEST(DriftRetrainTest, MaybeRetrainErrorsAreTyped) {
