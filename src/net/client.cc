@@ -8,45 +8,12 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 
 #include "net/backend_socket.h"
 #include "util/string_util.h"
-#include "util/timer.h"
 
 namespace qreg {
 namespace net {
-
-namespace {
-
-// SplitMix64: a tiny, well-mixed hash — plenty for backoff jitter.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
-int64_t RetryPolicy::BackoffNanos(int retry) const {
-  if (retry < 1) retry = 1;
-  int64_t backoff = std::max<int64_t>(base_backoff_nanos, 0);
-  const int64_t cap = std::max<int64_t>(max_backoff_nanos, backoff);
-  for (int k = 1; k < retry && backoff < cap; ++k) backoff *= 2;
-  backoff = std::min(backoff, cap);
-  // Jitter in [backoff/2, backoff]: deterministic in (seed, retry), so a
-  // fixed seed yields one exact, assertable schedule.
-  const int64_t half = backoff / 2;
-  if (half > 0) {
-    const uint64_t h = Mix64(jitter_seed ^ (static_cast<uint64_t>(retry) *
-                                            0x9e3779b97f4a7c15ull));
-    backoff = (backoff - half) +
-              static_cast<int64_t>(h % static_cast<uint64_t>(half + 1));
-  }
-  return backoff;
-}
 
 Client::~Client() { Close(); }
 
@@ -60,12 +27,6 @@ void Client::Close() {
 
 util::Status Client::Connect(const std::string& host, uint16_t port) {
   if (connected()) return util::Status::FailedPrecondition("already connected");
-  // Remembered even when the dial fails, so Reconnect() can keep trying an
-  // endpoint that is merely down right now.
-  host_ = host;
-  port_ = port;
-  endpoint_set_ = true;
-
   addrinfo hints{};
   hints.ai_family = AF_INET;
   hints.ai_socktype = SOCK_STREAM;
@@ -101,15 +62,6 @@ util::Status Client::Connect(const std::string& host, uint16_t port) {
   }
   ::freeaddrinfo(addrs);
   return last;
-}
-
-util::Status Client::Reconnect() {
-  if (!endpoint_set_) {
-    return util::Status::FailedPrecondition(
-        "Reconnect() before any Connect(): no endpoint to redial");
-  }
-  Close();
-  return Connect(host_, port_);
 }
 
 void Client::set_recv_timeout_millis(int millis) {
@@ -277,137 +229,6 @@ util::Status Client::Ping() {
     QREG_RETURN_NOT_OK(ReadFrame(&frame));
   } while (frame.header.type != FrameType::kPong);
   return util::Status::OK();
-}
-
-// ------------------------------------------------------------- client pool --
-
-ClientPool::~ClientPool() { Close(); }
-
-void ClientPool::Close() {
-  clients_.clear();
-  stripes_.clear();
-}
-
-util::Status ClientPool::Connect(const std::string& host, uint16_t port,
-                                 size_t connections) {
-  if (connections == 0) {
-    return util::Status::InvalidArgument("ClientPool needs >= 1 connection");
-  }
-  if (connected()) return util::Status::FailedPrecondition("already connected");
-  clients_.reserve(connections);
-  for (size_t i = 0; i < connections; ++i) {
-    auto client = std::make_unique<Client>();
-    client->set_recv_timeout_millis(recv_timeout_millis_);
-    const util::Status st = client->Connect(host, port);
-    if (!st.ok()) {
-      Close();  // All-or-nothing.
-      return st;
-    }
-    clients_.push_back(std::move(client));
-  }
-  stripes_.assign(clients_.size(), StripeState());
-  return util::Status::OK();
-}
-
-void ClientPool::set_recv_timeout_millis(int millis) {
-  recv_timeout_millis_ = millis;
-  for (auto& client : clients_) client->set_recv_timeout_millis(millis);
-}
-
-bool ClientPool::EnsureLive(size_t i) {
-  Client* client = clients_[i].get();
-  if (client->connected()) return true;
-  StripeState& stripe = stripes_[i];
-  const int64_t now = util::NowNanos();
-  if (stripe.next_redial_nanos != 0 && now < stripe.next_redial_nanos) {
-    return false;  // Still inside this stripe's redial backoff window.
-  }
-  if (client->Reconnect().ok()) {
-    stripe = StripeState();
-    return true;
-  }
-  ++stripe.consecutive_failures;
-  stripe.next_redial_nanos =
-      now + policy_.BackoffNanos(stripe.consecutive_failures);
-  return false;
-}
-
-std::vector<util::Result<service::Answer>> ClientPool::ExecuteBatch(
-    const std::vector<WireRequest>& batch) {
-  std::vector<util::Result<service::Answer>> results(
-      batch.size(), util::Status::IoError("no response received"));
-  if (batch.empty()) return results;
-  if (!connected()) {
-    for (auto& slot : results) {
-      slot = util::Status::FailedPrecondition("not connected");
-    }
-    return results;
-  }
-
-  // Pass 1 carries the whole batch; each later pass backs off, then carries
-  // only the slots whose failure is worth re-issuing: IsRetryable() status,
-  // no deadline budget (a retry would silently grant a fresh one), and
-  // retry_budget not yet exhausted.
-  std::vector<size_t> todo(batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) todo[i] = i;
-  int budget = policy_.retry_budget;
-  const int max_attempts = std::max(1, policy_.max_attempts);
-
-  for (int attempt = 1; attempt <= max_attempts && !todo.empty(); ++attempt) {
-    if (attempt > 1) {
-      std::this_thread::sleep_for(
-          std::chrono::nanoseconds(policy_.BackoffNanos(attempt - 1)));
-    }
-
-    // Route around dead stripes: only live (possibly just-redialed)
-    // connections carry this pass. All dead → back off and try the redials
-    // again next pass.
-    std::vector<size_t> live;
-    for (size_t i = 0; i < clients_.size(); ++i) {
-      if (EnsureLive(i)) live.push_back(i);
-    }
-    if (live.empty()) continue;
-
-    // Stripe round-robin over the live connections: pending request j rides
-    // live[j % fan]. Each stripe pipelines independently on its own thread,
-    // so a multi-loop server sees concurrent traffic on every connection it
-    // sharded across its loops.
-    const size_t fan = std::min(live.size(), todo.size());
-    std::vector<std::vector<WireRequest>> stripes(fan);
-    for (size_t j = 0; j < todo.size(); ++j) {
-      stripes[j % fan].push_back(batch[todo[j]]);
-    }
-    std::vector<std::vector<util::Result<service::Answer>>> stripe_results(
-        fan);
-    std::vector<std::thread> threads;
-    threads.reserve(fan);
-    for (size_t s = 0; s < fan; ++s) {
-      threads.emplace_back([this, s, &live, &stripes, &stripe_results] {
-        stripe_results[s] = clients_[live[s]]->ExecuteBatch(stripes[s]);
-      });
-    }
-    for (std::thread& t : threads) t.join();
-
-    for (size_t j = 0; j < todo.size(); ++j) {
-      const size_t s = j % fan;
-      const size_t slot = j / fan;
-      if (slot < stripe_results[s].size()) {
-        results[todo[j]] = std::move(stripe_results[s][slot]);
-      }
-    }
-
-    std::vector<size_t> next_todo;
-    for (size_t idx : todo) {
-      if (results[idx].ok()) continue;
-      if (!util::IsRetryable(results[idx].status().code())) continue;
-      if (batch[idx].deadline_budget_nanos > 0) continue;  // Never retried.
-      if (budget <= 0) continue;
-      --budget;
-      next_todo.push_back(idx);
-    }
-    todo = std::move(next_todo);
-  }
-  return results;
 }
 
 }  // namespace net

@@ -94,11 +94,6 @@ util::Status ServerConfig::Validate() const {
         "connection could otherwise never hit its own cap",
         max_conn_pending_write_bytes, max_loop_pending_write_bytes));
   }
-  if (arena.max_pooled_buffers == 0 || arena.max_retained_bytes == 0) {
-    return util::Status::InvalidArgument(
-        "ServerConfig: arena pooling caps must be >= 1 (a zero-buffer "
-        "WireArena would defeat the arena encode path entirely)");
-  }
   if (backend == BackendKind::kSim && sim == nullptr) {
     return util::Status::InvalidArgument(
         "ServerConfig: backend == kSim requires a SimTransport in `sim`");
@@ -159,7 +154,7 @@ struct Server::Completion {
   std::vector<uint8_t> bytes;  // The job's arena buffer, now full of frames.
 };
 
-Server::Loop::Loop(WireArena::Options arena_options) : arena(arena_options) {}
+Server::Loop::Loop() = default;
 Server::Loop::~Loop() = default;
 
 Server::Server(service::QueryRouter* router, ServerConfig config)
@@ -178,7 +173,7 @@ util::Result<Endpoint> Server::Start() {
   loops_.clear();
   loops_.reserve(nloops);
   for (size_t i = 0; i < nloops; ++i) {
-    loops_.push_back(std::make_unique<Loop>(config_.arena));
+    loops_.push_back(std::make_unique<Loop>());
     loops_.back()->index = i;
   }
 
@@ -219,10 +214,10 @@ util::Result<Endpoint> Server::Start() {
   }
 
   state_.store(State::kRunning);
-  executors_.reserve(config_.executor_threads);
-  for (size_t i = 0; i < config_.executor_threads; ++i) {
-    executors_.emplace_back([this] { ExecutorLoop(); });
-  }
+  // Unbounded queue: the event loops must never block on Submit(), and one
+  // batch in flight per live connection already bounds it.
+  executors_ = std::make_unique<util::ThreadPool>(config_.executor_threads,
+                                                  SIZE_MAX);
   for (auto& loop : loops_) {
     Loop* l = loop.get();
     l->thread = std::thread([this, l] { EventLoop(l); });
@@ -244,15 +239,9 @@ void Server::Shutdown() {
     if (loop->thread.joinable()) loop->thread.join();
   }
 
-  {
-    util::MutexLock job_lock(&job_mu_);
-    executors_stop_ = true;
-  }
-  job_cv_.NotifyAll();
-  for (std::thread& t : executors_) {
-    if (t.joinable()) t.join();
-  }
-  executors_.clear();
+  // The loops are joined, so nothing submits any more; destroying the pool
+  // runs every queued job before its workers exit.
+  executors_.reset();
 
   for (auto& loop : loops_) {
     if (loop->listen_h >= 0) {
@@ -278,45 +267,36 @@ void Server::WakeLoop(Loop* loop) {
 
 // --------------------------------------------------------------- executors --
 
-void Server::ExecutorLoop() {
-  for (;;) {
-    BatchJob job;
-    {
-      util::MutexLock lock(&job_mu_);
-      while (!executors_stop_ && jobs_.empty()) job_cv_.Wait(&job_mu_);
-      if (jobs_.empty()) return;  // executors_stop_ and nothing left.
-      job = std::move(jobs_.front());
-      jobs_.pop_front();
-    }
-
-    std::vector<service::Request> batch;
-    batch.reserve(job.items.size());
-    for (PendingRequest& item : job.items) batch.push_back(std::move(item.request));
-    const std::vector<service::ExecResult> results =
-        router_->ExecuteBatch(batch);
-
-    // Arena encode: every response frame of the batch lands in place in the
-    // job's connection-owned buffer — no per-frame payload allocations. The
-    // buffer rides the completion back to the loop that lent it.
-    Completion done;
-    done.conn_id = job.conn_id;
-    done.num_requests = job.items.size();
-    done.bytes = std::move(job.buf);
-    for (size_t i = 0; i < results.size() && i < job.items.size(); ++i) {
-      AppendResultFrame(&done.bytes, job.items[i].request_id, results[i]);
-    }
-    // A wake is owed only to an empty queue: the loop takes the whole queue
-    // at once, so a completion pushed behind another rides the wake the
-    // first one already sent.
-    Loop* loop = loops_[job.loop_index].get();
-    bool wake = false;
-    {
-      util::MutexLock lock(&loop->done_mu);
-      wake = loop->done.empty();
-      loop->done.push_back(std::move(done));
-    }
-    if (wake) WakeLoop(loop);
+void Server::RunBatch(BatchJob* job) {
+  std::vector<service::Request> batch;
+  batch.reserve(job->items.size());
+  for (PendingRequest& item : job->items) {
+    batch.push_back(std::move(item.request));
   }
+  const std::vector<service::ExecResult> results =
+      router_->ExecuteBatch(batch);
+
+  // Arena encode: every response frame of the batch lands in place in the
+  // job's connection-owned buffer — no per-frame payload allocations. The
+  // buffer rides the completion back to the loop that lent it.
+  Completion done;
+  done.conn_id = job->conn_id;
+  done.num_requests = job->items.size();
+  done.bytes = std::move(job->buf);
+  for (size_t i = 0; i < results.size() && i < job->items.size(); ++i) {
+    AppendResultFrame(&done.bytes, job->items[i].request_id, results[i]);
+  }
+  // A wake is owed only to an empty queue: the loop takes the whole queue
+  // at once, so a completion pushed behind another rides the wake the
+  // first one already sent.
+  Loop* loop = loops_[job->loop_index].get();
+  bool wake = false;
+  {
+    util::MutexLock lock(&loop->done_mu);
+    wake = loop->done.empty();
+    loop->done.push_back(std::move(done));
+  }
+  if (wake) WakeLoop(loop);
 }
 
 // -------------------------------------------------------------- event loop --
@@ -688,11 +668,8 @@ void Server::DispatchIfReady(Loop* loop, Connection* conn,
   // The response buffer is lent to the executor here and comes back with
   // the completion; after the flush it returns to this loop's arena.
   job.buf = loop->arena.Acquire();
-  {
-    util::MutexLock lock(&job_mu_);
-    jobs_.push_back(std::move(job));
-  }
-  job_cv_.NotifyOne();
+  executors_->Submit(
+      [this, job = std::move(job)]() mutable { RunBatch(&job); });
 }
 
 void Server::CommitStaged(Connection* conn) {

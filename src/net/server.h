@@ -62,6 +62,7 @@
 #include "util/mutex.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
+#include "util/thread_pool.h"
 
 namespace qreg {
 namespace net {
@@ -152,9 +153,6 @@ struct ServerConfig {
   /// server. Required (Validate) iff backend == kSim.
   SimTransport* sim = nullptr;
 
-  /// Per-loop WireArena pooling caps (response-buffer reuse).
-  WireArena::Options arena;
-
   /// Clock that decode-time deadline mapping *and* every connection
   /// lifecycle timeout (idle, read-progress, drain) read (null = system
   /// clock). Borrowed; must outlive the server. Tests inject a FakeClock and
@@ -165,9 +163,8 @@ struct ServerConfig {
   /// zero executor threads, zero or > kMaxEventLoops event loops, a bind
   /// address inet_pton rejects, a zero connection cap, a negative drain /
   /// idle / read-progress timeout, a per-connection pending-write cap above
-  /// the per-loop aggregate cap, zero-capacity arena pooling, or
-  /// backend == kSim without a transport. Start() calls this before touching
-  /// the network.
+  /// the per-loop aggregate cap, or backend == kSim without a transport.
+  /// Start() calls this before touching the network.
   util::Status Validate() const;
 };
 
@@ -233,7 +230,7 @@ class Server {
   /// only cross-thread seam (executors push finished batches).
   struct Loop {
     // Out-of-line (Connection/Completion are incomplete here).
-    explicit Loop(WireArena::Options arena_options);
+    Loop();
     ~Loop();
 
     size_t index = 0;
@@ -267,7 +264,10 @@ class Server {
   };
 
   void EventLoop(Loop* loop);
-  void ExecutorLoop();
+  /// Executor side of a dispatch: runs the batch through the router,
+  /// encodes its responses into the job's buffer and hands the completion
+  /// back to the owning loop.
+  void RunBatch(BatchJob* job);
   void WakeLoop(Loop* loop);
 
   // Event-loop helpers (only called on `loop`'s own thread).
@@ -334,13 +334,8 @@ class Server {
   std::atomic<State> state_{State::kIdle};
   std::atomic<bool> shutdown_requested_{false};
 
-  std::vector<std::thread> executors_;
-
-  // Executor work queue (all loops → shared executor pool).
-  util::Mutex job_mu_;
-  util::CondVar job_cv_;
-  std::deque<BatchJob> jobs_ QREG_GUARDED_BY(job_mu_);
-  bool executors_stop_ QREG_GUARDED_BY(job_mu_) = false;
+  // Batch executors shared by all loops; null outside Start()..Shutdown().
+  std::unique_ptr<util::ThreadPool> executors_;
 
   util::Mutex shutdown_mu_;  // Serializes Shutdown() callers.
 };

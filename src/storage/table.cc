@@ -7,37 +7,6 @@
 namespace qreg {
 namespace storage {
 
-Schema Schema::Default(size_t d) {
-  Schema s;
-  s.feature_names.reserve(d);
-  for (size_t i = 0; i < d; ++i) {
-    s.feature_names.push_back(util::Format("x%zu", i + 1));
-  }
-  s.output_name = "u";
-  return s;
-}
-
-int64_t Table::SchemaBytes() const {
-  // Vector-of-string backbone plus each name's heap allocation. Names at or
-  // under the implementation's SSO capacity live inline in the string
-  // object; anything longer allocates capacity() + 1 bytes out of line.
-  static const size_t kSsoCapacity = std::string().capacity();
-  auto string_bytes = [](const std::string& s) {
-    int64_t bytes = static_cast<int64_t>(sizeof(std::string));
-    if (s.capacity() > kSsoCapacity) {
-      bytes += static_cast<int64_t>(s.capacity()) + 1;
-    }
-    return bytes;
-  };
-  int64_t total = static_cast<int64_t>(schema_.feature_names.capacity() *
-                                       sizeof(std::string));
-  for (const std::string& name : schema_.feature_names) {
-    total += string_bytes(name) - static_cast<int64_t>(sizeof(std::string));
-  }
-  total += string_bytes(schema_.output_name);
-  return total;
-}
-
 util::Status Table::Append(const std::vector<double>& x, double u) {
   if (x.size() != d_) {
     return util::Status::InvalidArgument(

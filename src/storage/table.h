@@ -8,7 +8,6 @@
 #define QREG_STORAGE_TABLE_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "util/status.h"
@@ -16,27 +15,14 @@
 namespace qreg {
 namespace storage {
 
-/// \brief Attribute names for a (x_1..x_d, u) relation.
-struct Schema {
-  std::vector<std::string> feature_names;
-  std::string output_name = "u";
-
-  /// Default schema x1..xd / u.
-  static Schema Default(size_t d);
-
-  size_t dimension() const { return feature_names.size(); }
-};
-
 /// \brief Append-only in-memory relation of d input features and one output.
 class Table {
  public:
-  /// Creates an empty table with the default schema for dimension d.
-  explicit Table(size_t d) : schema_(Schema::Default(d)), d_(d) {}
-  explicit Table(Schema schema) : schema_(std::move(schema)), d_(schema_.dimension()) {}
+  /// Creates an empty table of dimension d.
+  explicit Table(size_t d) : d_(d) {}
 
   size_t dimension() const { return d_; }
   int64_t num_rows() const { return static_cast<int64_t>(us_.size()); }
-  const Schema& schema() const { return schema_; }
 
   void Reserve(int64_t rows) {
     xs_.reserve(static_cast<size_t>(rows) * d_);
@@ -82,17 +68,11 @@ class Table {
     return static_cast<int64_t>(us_.capacity() * sizeof(double));
   }
 
-  /// Resident bytes of the Schema (attribute-name string storage).
-  int64_t SchemaBytes() const;
-
-  /// Approximate resident bytes: features + output + schema strings,
-  /// reported separately above so benches can track bytes/row per column.
-  int64_t MemoryBytes() const {
-    return FeatureBytes() + OutputBytes() + SchemaBytes();
-  }
+  /// Resident bytes of both columns, reported separately above so benches
+  /// can track bytes/row per column.
+  int64_t MemoryBytes() const { return FeatureBytes() + OutputBytes(); }
 
  private:
-  Schema schema_;
   size_t d_;
   std::vector<double> xs_;  // row-major, n * d
   std::vector<double> us_;  // n

@@ -37,29 +37,6 @@ enum class StatusCode : int {
 /// \brief Human-readable name for a StatusCode ("OK", "Invalid argument", ...).
 const char* StatusCodeToString(StatusCode code);
 
-/// \brief Single source of truth for "may a client safely retry this?" —
-/// shared by the net::Client retry layer and the shed-path tests, so the two
-/// sides of the wire never disagree about what a typed rejection means.
-///
-/// Retryable: kUnavailable (the server is going away / refusing new work),
-/// kResourceExhausted (a bounded queue was momentarily full — the shed
-/// ladder's signal), and kIoError (a transport failure on a protocol whose
-/// requests are all read-only, hence idempotent). Everything else is not:
-/// kInvalidArgument (the request itself is wrong), kDeadlineExceeded (the
-/// caller's budget is spent — retrying would grant a fresh one), kCancelled
-/// (the caller gave up), and the remaining codes, which describe the request
-/// or server state rather than a transient condition.
-inline bool IsRetryable(StatusCode code) {
-  switch (code) {
-    case StatusCode::kUnavailable:
-    case StatusCode::kResourceExhausted:
-    case StatusCode::kIoError:
-      return true;
-    default:
-      return false;
-  }
-}
-
 /// \brief Result of an operation that can fail without a value payload.
 ///
 /// Cheap to copy in the OK case (no allocation); error states carry a message.

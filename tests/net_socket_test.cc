@@ -79,15 +79,43 @@ void RunBitForBitOverWire(ServerConfig server_cfg, size_t client_conns) {
   ASSERT_TRUE(ep.ok()) << ep.status();
   ASSERT_EQ(server.num_loops(), server_cfg.event_loops);
 
-  ClientPool pool;
-  ASSERT_TRUE(pool.Connect(ep->address, ep->port, client_conns).ok());
+  // One connection lands on exactly one event loop, so only several of them
+  // reach every loop of a multi-loop server.
+  std::vector<std::unique_ptr<Client>> clients(client_conns);
+  for (std::unique_ptr<Client>& client : clients) {
+    client = std::make_unique<Client>();
+    ASSERT_TRUE(client->Connect(ep->address, ep->port).ok());
+  }
 
   const std::vector<service::Request> requests =
       MixedWorkload(120, /*seed=*/101);
   std::vector<WireRequest> wire_batch;
   for (const service::Request& r : requests) wire_batch.push_back(ToWire(r));
 
-  const auto over_wire = pool.ExecuteBatch(wire_batch);
+  // Request j rides connection j % client_conns; every connection pipelines
+  // its stripe on its own thread, and the answers scatter back into batch
+  // order.
+  std::vector<std::vector<WireRequest>> stripes(client_conns);
+  for (size_t j = 0; j < wire_batch.size(); ++j) {
+    stripes[j % client_conns].push_back(wire_batch[j]);
+  }
+  std::vector<std::vector<util::Result<service::Answer>>> stripe_results(
+      client_conns);
+  {
+    std::vector<std::thread> threads;
+    threads.reserve(client_conns);
+    for (size_t s = 0; s < client_conns; ++s) {
+      threads.emplace_back([&, s] {
+        stripe_results[s] = clients[s]->ExecuteBatch(stripes[s]);
+      });
+    }
+    for (std::thread& t : threads) t.join();
+  }
+  std::vector<util::Result<service::Answer>> over_wire;
+  for (size_t j = 0; j < wire_batch.size(); ++j) {
+    over_wire.push_back(
+        std::move(stripe_results[j % client_conns][j / client_conns]));
+  }
   ASSERT_EQ(over_wire.size(), requests.size());
 
   for (size_t i = 0; i < requests.size(); ++i) {
@@ -141,7 +169,7 @@ void RunBitForBitOverWire(ServerConfig server_cfg, size_t client_conns) {
     EXPECT_EQ(sum.bytes_out, snap.net_bytes_out);
   }
 
-  pool.Close();
+  for (std::unique_ptr<Client>& client : clients) client->Close();
   server.Shutdown();
 }
 
@@ -245,18 +273,6 @@ TEST(NetServerTest, ConfigValidateRejectsBadConfigsBeforeAnySocket) {
               util::StatusCode::kInvalidArgument);
   }
   {
-    // Zero-buffer arena pooling would silently disable the arena encode
-    // path (every Acquire a fresh allocation, every Release a free).
-    ServerConfig cfg;
-    cfg.arena.max_pooled_buffers = 0;
-    EXPECT_EQ(cfg.Validate().code(), util::StatusCode::kInvalidArgument);
-  }
-  {
-    ServerConfig cfg;
-    cfg.arena.max_retained_bytes = 0;
-    EXPECT_EQ(cfg.Validate().code(), util::StatusCode::kInvalidArgument);
-  }
-  {
     // kSim without a transport has nothing to simulate on.
     ServerConfig cfg;
     cfg.backend = BackendKind::kSim;
@@ -347,8 +363,11 @@ TEST(NetServerTest, MultiLoopShutdownDrainsEveryLoopsDecodedRequests) {
   // without reading a single response.
   constexpr size_t kConns = 6;
   constexpr int kPerConn = 20;
-  ClientPool pool;
-  ASSERT_TRUE(pool.Connect(ep->address, ep->port, kConns).ok());
+  std::vector<std::unique_ptr<Client>> clients(kConns);
+  for (std::unique_ptr<Client>& client : clients) {
+    client = std::make_unique<Client>();
+    ASSERT_TRUE(client->Connect(ep->address, ep->port).ok());
+  }
   const std::vector<service::Request> requests =
       MixedWorkload(kPerConn, /*seed=*/77);
   for (size_t c = 0; c < kConns; ++c) {
@@ -356,7 +375,7 @@ TEST(NetServerTest, MultiLoopShutdownDrainsEveryLoopsDecodedRequests) {
       WireRequest wire = ToWire(requests[static_cast<size_t>(i)]);
       wire.kind = service::QueryKind::kQ1MeanValue;  // Small answer frames.
       ASSERT_TRUE(
-          pool.client(c)->SendRequest(wire, static_cast<uint64_t>(i) + 1).ok());
+          clients[c]->SendRequest(wire, static_cast<uint64_t>(i) + 1).ok());
     }
   }
 
@@ -373,7 +392,7 @@ TEST(NetServerTest, MultiLoopShutdownDrainsEveryLoopsDecodedRequests) {
     int answered = 0;
     for (;;) {
       uint64_t id = 0;
-      auto response = pool.client(c)->ReadResponse(&id);
+      auto response = clients[c]->ReadResponse(&id);
       if (!response.ok() &&
           response.status().code() == util::StatusCode::kIoError) {
         break;  // Clean EOF after the drained responses.
@@ -899,11 +918,8 @@ TEST(NetClientTest, RecvTimeoutReturnsTypedDeadlineExceededOnStalledServer) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), util::StatusCode::kDeadlineExceeded);
   // The timed-out stream is desynced (the answer could still arrive later),
-  // so the client closes it — and the failure is deliberately *not*
-  // retryable: re-issuing a request whose wait expired would silently grant
-  // it a fresh window.
+  // so the client closes it.
   EXPECT_FALSE(client.connected());
-  EXPECT_FALSE(util::IsRetryable(result.status().code()));
   ::close(lfd);
 }
 
@@ -1017,326 +1033,58 @@ TEST(NetServerTest, PingPongAndServerIsSingleUse) {
             util::StatusCode::kFailedPrecondition);
 }
 
-// --------------------------------------------------------------- ClientPool --
+// ------------------------------------------------------- client failures --
 
-// A pool server + reference router pair for the ClientPool tests.
-struct PoolFixture {
-  service::QueryRouter router;
-  service::QueryRouter ref;
-  Server server;
-  Endpoint ep;
-
-  static service::RouterConfig RouterCfg(size_t threads) {
-    service::RouterConfig cfg;
-    cfg.policy = service::RoutePolicy::kHybrid;
-    cfg.enable_cache = false;
-    cfg.num_threads = threads;
-    return cfg;
-  }
-
-  PoolFixture()
-      : router(SharedCatalog(), RouterCfg(2)),
-        ref(SharedCatalog(), RouterCfg(0)),
-        server(&router) {
-    const util::Result<Endpoint> started = server.Start();
-    EXPECT_TRUE(started.ok()) << started.status();
-    if (started.ok()) ep = *started;
-  }
-};
-
-TEST(ClientPoolTest, ScatterBackIsPositionalAcrossStripes) {
-  PoolFixture fx;
-  ClientPool pool;
-  ASSERT_TRUE(pool.Connect(fx.ep.address, fx.ep.port, 3).ok());
-  ASSERT_EQ(pool.size(), 3u);
-
-  // 20 requests over 3 connections: stripes of 7/7/6, interleaved i % 3. A
-  // scatter-back bug (stripe-major instead of positional) would pair slot i
-  // with the wrong reference answer — the per-slot means differ by design.
-  const std::vector<service::Request> requests = MixedWorkload(20, /*seed=*/9);
-  std::vector<WireRequest> batch;
-  for (const service::Request& r : requests) batch.push_back(ToWire(r));
-  const auto results = pool.ExecuteBatch(batch);
-  ASSERT_EQ(results.size(), batch.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    const auto want = fx.ref.Execute(requests[i]);
-    ASSERT_EQ(results[i].ok(), want.ok()) << "slot " << i;
-    if (!want.ok()) continue;
-    EXPECT_TRUE(BitEq(results[i]->mean, want->mean)) << "slot " << i;
-    EXPECT_EQ(results[i]->exec.tuples_matched, want->exec.tuples_matched)
-        << "slot " << i;
-  }
-  pool.Close();
-}
-
-TEST(ClientPoolTest, DeadStripeIsRedialedLazilyAndNeverPoisonsSiblings) {
-  PoolFixture fx;
-  ClientPool pool;
-  ASSERT_TRUE(pool.Connect(fx.ep.address, fx.ep.port, 3).ok());
-
-  // Kill connection 1 out from under the pool. The server is still up, so
-  // the next batch must lazily redial that stripe and answer every slot —
-  // one dead connection never poisons its siblings' results, and with a
-  // reachable server it costs nothing but the reconnect.
-  pool.client(1)->Close();
-  ASSERT_FALSE(pool.client(1)->connected());
-
-  const std::vector<service::Request> requests = MixedWorkload(12, /*seed=*/13);
-  std::vector<WireRequest> batch;
-  for (const service::Request& r : requests) batch.push_back(ToWire(r));
-  const auto results = pool.ExecuteBatch(batch);
-  ASSERT_EQ(results.size(), batch.size());
-  for (size_t i = 0; i < results.size(); ++i) {
-    const auto want = fx.ref.Execute(requests[i]);
-    ASSERT_EQ(results[i].ok(), want.ok())
-        << "slot " << i << ": " << results[i].status();
-    if (want.ok()) {
-      EXPECT_TRUE(BitEq(results[i]->mean, want->mean)) << "slot " << i;
-    }
-  }
-  EXPECT_TRUE(pool.client(1)->connected());  // The redial actually happened.
-  pool.Close();
-}
-
-TEST(RetryPolicyTest, BackoffScheduleIsDeterministicSeededJitteredAndCapped) {
-  RetryPolicy policy;
-  policy.base_backoff_nanos = 1000000;    // 1 ms
-  policy.max_backoff_nanos = 8000000;     // 8 ms cap
-  policy.jitter_seed = 42;
-
-  // Same seed → the exact same schedule, call after call: the determinism
-  // the chaos/retry tests (and any bug report with a seed in it) lean on.
-  RetryPolicy same = policy;
-  for (int k = 1; k <= 10; ++k) {
-    EXPECT_EQ(policy.BackoffNanos(k), same.BackoffNanos(k)) << "retry " << k;
-  }
-
-  // Every value sits in [nominal/2, nominal] where nominal doubles per
-  // retry until the cap: jittered, never wilder than exponential.
-  for (int k = 1; k <= 10; ++k) {
-    int64_t nominal = policy.base_backoff_nanos;
-    for (int i = 1; i < k && nominal < policy.max_backoff_nanos; ++i) {
-      nominal *= 2;
-    }
-    nominal = std::min(nominal, policy.max_backoff_nanos);
-    const int64_t got = policy.BackoffNanos(k);
-    EXPECT_GE(got, nominal - nominal / 2) << "retry " << k;
-    EXPECT_LE(got, nominal) << "retry " << k;
-  }
-  EXPECT_LE(policy.BackoffNanos(63), policy.max_backoff_nanos);
-
-  // A different seed actually moves the jitter somewhere in the schedule.
-  RetryPolicy other = policy;
-  other.jitter_seed = 43;
-  bool differs = false;
-  for (int k = 1; k <= 10 && !differs; ++k) {
-    differs = other.BackoffNanos(k) != policy.BackoffNanos(k);
-  }
-  EXPECT_TRUE(differs);
-}
-
-TEST(ClientPoolTest, RetryRecoversBatchAfterResetFirstAttempt) {
-  // Port handoff: a throwaway listener owns an ephemeral port first; the
-  // pool's connection lands in its backlog. The listener RSTs that
-  // connection (SO_LINGER{1,0} close) and vacates the port, a real server
-  // takes it over, and the retrying pool must finish the scripted
-  // reset-first-attempt scenario at 100% success.
+TEST(NetClientTest, ResetConnectionFailsEveryBatchSlotAndDisconnects) {
+  // A throwaway listener accepts the client's connection and resets it
+  // (SO_LINGER{1,0} close sends RST, not FIN). The stream is dead, so every
+  // slot of the next batch fails as a transport error and the client closes
+  // its socket: connected() is a truthful liveness signal.
   const int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(lfd, 0);
-  const int one = 1;
-  ::setsockopt(lfd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  ASSERT_EQ(::listen(lfd, 4), 0);
+  ASSERT_EQ(::listen(lfd, 1), 0);
   socklen_t len = sizeof(addr);
   ASSERT_EQ(::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
   const uint16_t port = ntohs(addr.sin_port);
 
-  ClientPool pool;
-  RetryPolicy policy;
-  policy.max_attempts = 3;
-  policy.base_backoff_nanos = 1000000;  // Keep the test fast.
-  policy.jitter_seed = 7;
-  pool.set_retry_policy(policy);
-  ASSERT_TRUE(pool.Connect("127.0.0.1", port, 1).ok());
-
-  // RST the pooled connection and vacate the port.
-  const int accepted = ::accept(lfd, nullptr, nullptr);
-  ASSERT_GE(accepted, 0);
-  struct linger hard_reset = {1, 0};
-  ::setsockopt(accepted, SOL_SOCKET, SO_LINGER, &hard_reset,
-               sizeof(hard_reset));
-  ::close(accepted);  // RST, not FIN: the first attempt dies as kIoError.
-  ::close(lfd);
-
-  // The real server inherits the exact endpoint the pool remembers.
-  service::RouterConfig rcfg;
-  rcfg.policy = service::RoutePolicy::kHybrid;
-  rcfg.enable_cache = false;
-  rcfg.num_threads = 2;
-  service::QueryRouter router(SharedCatalog(), rcfg);
-  service::RouterConfig refcfg = rcfg;
-  refcfg.num_threads = 0;
-  service::QueryRouter ref(SharedCatalog(), refcfg);
-  ServerConfig scfg;
-  scfg.port = port;
-  Server server(&router, scfg);
-  ASSERT_TRUE(server.Start().ok());
-
-  const std::vector<service::Request> requests = MixedWorkload(8, /*seed=*/17);
-  std::vector<WireRequest> batch;
-  for (const service::Request& r : requests) batch.push_back(ToWire(r));
-  const auto results = pool.ExecuteBatch(batch);
-  ASSERT_EQ(results.size(), batch.size());
-  for (size_t i = 0; i < results.size(); ++i) {
-    const auto want = ref.Execute(requests[i]);
-    ASSERT_TRUE(results[i].ok())
-        << "slot " << i << ": " << results[i].status();
-    ASSERT_TRUE(want.ok());
-    EXPECT_TRUE(BitEq(results[i]->mean, want->mean)) << "slot " << i;
-  }
-  pool.Close();
-  server.Shutdown();
-}
-
-TEST(ClientPoolTest, DeadlineCarryingRequestsAreNeverRetried) {
-  // Same reset-first-attempt handoff, but one request carries a client
-  // deadline budget. Retrying it would silently grant the query a fresh
-  // budget, so the pool must leave it failed even though a retry against
-  // the healthy server would trivially succeed — that success on the
-  // budget-free sibling slot is the proof the retry machinery ran.
-  const int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(lfd, 0);
-  const int one = 1;
-  ::setsockopt(lfd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  ASSERT_EQ(::listen(lfd, 4), 0);
-  socklen_t len = sizeof(addr);
-  ASSERT_EQ(::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
-  const uint16_t port = ntohs(addr.sin_port);
-
-  ClientPool pool;
-  RetryPolicy policy;
-  policy.max_attempts = 3;
-  policy.base_backoff_nanos = 1000000;
-  pool.set_retry_policy(policy);
-  ASSERT_TRUE(pool.Connect("127.0.0.1", port, 1).ok());
-
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", port).ok());
   const int accepted = ::accept(lfd, nullptr, nullptr);
   ASSERT_GE(accepted, 0);
   struct linger hard_reset = {1, 0};
   ::setsockopt(accepted, SOL_SOCKET, SO_LINGER, &hard_reset,
                sizeof(hard_reset));
   ::close(accepted);
-  ::close(lfd);
 
-  service::RouterConfig rcfg;
-  rcfg.num_threads = 1;
-  service::QueryRouter router(SharedCatalog(), rcfg);
-  ServerConfig scfg;
-  scfg.port = port;
-  Server server(&router, scfg);
-  ASSERT_TRUE(server.Start().ok());
-
-  WireRequest plain = WireRequest::Q1("r1", query::Query({0.4, 0.6}, 0.12));
-  WireRequest budgeted = plain;
-  budgeted.deadline_budget_nanos = 30ll * 1000000000;  // Generous: 30s.
-  const auto results = pool.ExecuteBatch({plain, budgeted});
-  ASSERT_EQ(results.size(), 2u);
-
-  // The budget-free request rode the retry to success...
-  ASSERT_TRUE(results[0].ok()) << results[0].status();
-  // ...the deadline-carrying one was provably never re-issued: the only
-  // attempt it ever got was the reset one, and that failure stands.
-  ASSERT_FALSE(results[1].ok());
-  EXPECT_EQ(results[1].status().code(), util::StatusCode::kIoError);
-
-  pool.Close();
-  server.Shutdown();
-}
-
-TEST(ClientPoolTest, RoutesAroundPermanentlyDeadStripe) {
-  PoolFixture fx;
-  ClientPool pool;
-  ASSERT_TRUE(pool.Connect(fx.ep.address, fx.ep.port, 2).ok());
-
-  // Find a port that is genuinely dead (bind, look, close — nothing listens
-  // there afterwards), and point stripe 1's endpoint at it. Every redial of
-  // that stripe now fails with ECONNREFUSED.
-  uint16_t dead_port = 0;
-  {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    ASSERT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    ASSERT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-    socklen_t len = sizeof(addr);
-    ASSERT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
-    dead_port = ntohs(addr.sin_port);
-    ::close(fd);
-  }
-  pool.client(1)->Close();
-  EXPECT_FALSE(pool.client(1)->Connect("127.0.0.1", dead_port).ok());
-
-  // The batch routes entirely around the dead stripe: every slot answers
-  // bit-for-bit over stripe 0 alone, and the dead stripe stays dead.
-  const std::vector<service::Request> requests = MixedWorkload(10, /*seed=*/23);
+  const std::vector<service::Request> requests = MixedWorkload(4, /*seed=*/17);
   std::vector<WireRequest> batch;
   for (const service::Request& r : requests) batch.push_back(ToWire(r));
-  const auto results = pool.ExecuteBatch(batch);
+  const auto results = client.ExecuteBatch(batch);
   ASSERT_EQ(results.size(), batch.size());
   for (size_t i = 0; i < results.size(); ++i) {
-    const auto want = fx.ref.Execute(requests[i]);
-    ASSERT_TRUE(results[i].ok())
+    ASSERT_FALSE(results[i].ok()) << "slot " << i;
+    EXPECT_EQ(results[i].status().code(), util::StatusCode::kIoError)
         << "slot " << i << ": " << results[i].status();
-    ASSERT_TRUE(want.ok());
-    EXPECT_TRUE(BitEq(results[i]->mean, want->mean)) << "slot " << i;
   }
-  EXPECT_FALSE(pool.client(1)->connected());
-  pool.Close();
+  EXPECT_FALSE(client.connected());
+  ::close(lfd);
 }
 
-TEST(ClientPoolTest, EmptyBatchAndEdgeConfigs) {
-  PoolFixture fx;
-  {
-    // Zero connections is a typed config error, not a crash later.
-    ClientPool pool;
-    EXPECT_EQ(pool.Connect(fx.ep.address, fx.ep.port, 0).code(),
-              util::StatusCode::kInvalidArgument);
-    EXPECT_FALSE(pool.connected());
+TEST(NetClientTest, BatchOnNeverConnectedClientIsTypedFailedPrecondition) {
+  Client client;
+  const auto results = client.ExecuteBatch(
+      {WireRequest::Q1("r1", query::Query({0.5}, 0.1)),
+       WireRequest::Q1("r1", query::Query({0.4}, 0.1))});
+  ASSERT_EQ(results.size(), 2u);
+  for (const auto& result : results) {
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), util::StatusCode::kFailedPrecondition);
   }
-  {
-    // An empty batch round-trips as an empty result set on a live pool.
-    ClientPool pool;
-    ASSERT_TRUE(pool.Connect(fx.ep.address, fx.ep.port, 2).ok());
-    EXPECT_TRUE(pool.ExecuteBatch({}).empty());
-    // Fewer requests than connections: the extra connection just idles.
-    const std::vector<service::Request> requests =
-        MixedWorkload(1, /*seed=*/21);
-    const auto results = pool.ExecuteBatch({ToWire(requests[0])});
-    ASSERT_EQ(results.size(), 1u);
-    const auto want = fx.ref.Execute(requests[0]);
-    ASSERT_EQ(results[0].ok(), want.ok());
-    if (want.ok()) {
-      EXPECT_TRUE(BitEq(results[0]->mean, want->mean));
-    }
-    pool.Close();
-  }
-  {
-    // ExecuteBatch on a never-connected pool: typed per-slot errors.
-    ClientPool pool;
-    const auto results =
-        pool.ExecuteBatch({WireRequest::Q1("r1", query::Query({0.5}, 0.1))});
-    ASSERT_EQ(results.size(), 1u);
-    EXPECT_EQ(results[0].status().code(),
-              util::StatusCode::kFailedPrecondition);
-  }
+  EXPECT_FALSE(client.connected());
 }
 
 }  // namespace

@@ -41,15 +41,7 @@ std::vector<int64_t> CollectIds(const SpatialIndex& index, const double* center,
   return collect.TakeIds();
 }
 
-// ---------- Schema / Table ----------
-
-TEST(SchemaTest, DefaultNames) {
-  Schema s = Schema::Default(3);
-  ASSERT_EQ(s.dimension(), 3u);
-  EXPECT_EQ(s.feature_names[0], "x1");
-  EXPECT_EQ(s.feature_names[2], "x3");
-  EXPECT_EQ(s.output_name, "u");
-}
+// ---------- Table ----------
 
 TEST(TableTest, AppendAndAccess) {
   Table t(2);
@@ -105,11 +97,10 @@ TEST(TableTest, MemoryBytesGrows) {
 
 TEST(TableTest, MemoryBytesBreakdown) {
   Table t(3);
-  // An empty table still holds its schema strings.
+  // An empty table holds nothing.
   EXPECT_EQ(t.FeatureBytes(), 0);
   EXPECT_EQ(t.OutputBytes(), 0);
-  EXPECT_GT(t.SchemaBytes(), 0);
-  EXPECT_EQ(t.MemoryBytes(), t.SchemaBytes());
+  EXPECT_EQ(t.MemoryBytes(), 0);
 
   for (int i = 0; i < 500; ++i) {
     t.AppendUnchecked(std::vector<double>(3, 0.5).data(), 1.0);
@@ -118,33 +109,7 @@ TEST(TableTest, MemoryBytesBreakdown) {
   // and the total is exactly the sum of the parts.
   EXPECT_GE(t.FeatureBytes(), t.num_rows() * 3 * static_cast<int64_t>(sizeof(double)));
   EXPECT_GE(t.OutputBytes(), t.num_rows() * static_cast<int64_t>(sizeof(double)));
-  EXPECT_EQ(t.MemoryBytes(), t.FeatureBytes() + t.OutputBytes() + t.SchemaBytes());
-}
-
-TEST(TableTest, SchemaBytesCountsLongNames) {
-  Schema small = Schema::Default(2);
-  Table t_small(small);
-
-  Schema big;
-  big.feature_names = {
-      std::string(200, 'a'),
-      std::string(200, 'b'),
-  };
-  big.output_name = std::string(300, 'u');
-  Table t_big(big);
-  // Heap-allocated long names must show up in the accounting.
-  EXPECT_GT(t_big.SchemaBytes(), t_small.SchemaBytes() + 500);
-
-  // A name just past the SSO capacity heap-allocates and must be counted
-  // too (the band a sizeof-based threshold would miss).
-  const size_t sso = std::string().capacity();
-  Schema mid;
-  mid.feature_names = {std::string(sso + 1, 'm')};
-  Table t_mid(mid);
-  Schema inline_only;
-  inline_only.feature_names = {std::string(1, 'i')};
-  Table t_inline(inline_only);
-  EXPECT_GT(t_mid.SchemaBytes(), t_inline.SchemaBytes());
+  EXPECT_EQ(t.MemoryBytes(), t.FeatureBytes() + t.OutputBytes());
 }
 
 // ---------- LpNorm ----------

@@ -44,28 +44,6 @@ TEST(StatusTest, AllCodesHaveNames) {
   }
 }
 
-TEST(StatusTest, IsRetryableClassifiesTransientFailuresOnly) {
-  // The one shared answer to "is re-issuing this request safe and useful?"
-  // — the wire client's retry layer and the server's shed/goodbye paths
-  // must agree on it, so it lives here, next to the codes themselves.
-  EXPECT_TRUE(IsRetryable(StatusCode::kUnavailable));        // Going away.
-  EXPECT_TRUE(IsRetryable(StatusCode::kResourceExhausted));  // Shed.
-  EXPECT_TRUE(IsRetryable(StatusCode::kIoError));            // Transport.
-
-  // A retry cannot fix a bad request, and must never grant an expired
-  // deadline (or an explicit cancel) a second life.
-  EXPECT_FALSE(IsRetryable(StatusCode::kOk));
-  EXPECT_FALSE(IsRetryable(StatusCode::kInvalidArgument));
-  EXPECT_FALSE(IsRetryable(StatusCode::kOutOfRange));
-  EXPECT_FALSE(IsRetryable(StatusCode::kNotFound));
-  EXPECT_FALSE(IsRetryable(StatusCode::kAlreadyExists));
-  EXPECT_FALSE(IsRetryable(StatusCode::kFailedPrecondition));
-  EXPECT_FALSE(IsRetryable(StatusCode::kNotImplemented));
-  EXPECT_FALSE(IsRetryable(StatusCode::kInternal));
-  EXPECT_FALSE(IsRetryable(StatusCode::kDeadlineExceeded));
-  EXPECT_FALSE(IsRetryable(StatusCode::kCancelled));
-}
-
 TEST(StatusTest, UnavailableFactoryCarriesCode) {
   const Status s = Status::Unavailable("going away");
   EXPECT_EQ(s.code(), StatusCode::kUnavailable);
