@@ -383,14 +383,12 @@ int Run(bool smoke) {
   }
 
   // The serving config: model-only routing (microseconds per answer, so the
-  // knee is frame-pumping-bound — the regime the loop ladder measures), shed
-  // on overload (bounded queue), no cache so every request pays its real
-  // routing cost.
+  // knee is frame-pumping-bound — the regime the loop ladder measures), no
+  // cache so every request pays its real routing cost.
   service::RouterConfig cfg;
   cfg.policy = service::RoutePolicy::kModelOnly;
   cfg.enable_cache = false;
   cfg.num_threads = 2;
-  cfg.queue_capacity = 1024;
   service::QueryRouter router(&catalog, cfg);
 
   const query::WorkloadConfig wl = query::WorkloadConfig::Cube(

@@ -1,4 +1,4 @@
-// Service-layer throughput: batched QPS vs worker-thread count, the
+// Service-layer throughput: batched QPS vs running-thread count, the
 // δ-overlap semantic cache's hit rate / speedup vs δ_min on a clustered
 // workload, and the cache's cost or gain on exact- vs model-routed traffic. This is the serving-side complement of the paper's Figure 12
 // scalability experiment: instead of scaling the *data*, we scale the
@@ -48,9 +48,6 @@ int Run() {
   const BenchEnv env = BenchEnv::FromEnv();
   const int64_t queries =
       util::GetEnvInt64("QREG_SERVICE_QUERIES", std::max<int64_t>(2000, env.test_queries));
-  // Every router's queue holds a whole batch: a shed slot fails in
-  // microseconds and would inflate the QPS columns.
-  const size_t batch_slots = static_cast<size_t>(queries);
   PrintHeader("bench_service_throughput",
               "service layer: QPS vs threads, cache hit rate vs delta_min", env);
 
@@ -77,9 +74,12 @@ int Run() {
             << " prototypes in " << util::Format("%.2f", train_watch.ElapsedSeconds())
             << " s\n\n";
 
-  // --- Series A: QPS vs worker threads (cache off) ----------------------
+  // --- Series A: QPS vs running threads (cache off) ---------------------
   // "exact" runs every query through the DBMS engine (heavy, embarrassingly
-  // parallel); "hybrid" answers in-region queries from the model.
+  // parallel); "hybrid" answers in-region queries from the model. A batch
+  // runs on the calling thread plus the router's helper workers, so the
+  // "threads" column counts both; the 1-thread row is the synchronous
+  // baseline.
   const std::vector<service::Request> uniform = MakeRequests(
       "r1", query::WorkloadConfig::Cube(2, p.center_lo, p.center_hi,
                                         p.theta_mean, p.theta_stddev,
@@ -90,29 +90,27 @@ int Run() {
       {"threads", "exact qps", "exact speedup", "hybrid qps", "hybrid speedup",
        "hybrid p99 ms", "exact-fallback rate"});
   double exact_base = 0.0, hybrid_base = 0.0;
-  for (size_t threads : {size_t{0}, size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+  for (size_t workers : {size_t{0}, size_t{1}, size_t{3}, size_t{7}}) {
     service::RouterConfig exact_cfg;
     exact_cfg.policy = service::RoutePolicy::kExactOnly;
     exact_cfg.enable_cache = false;
-    exact_cfg.num_threads = threads;
-    exact_cfg.queue_capacity = batch_slots;
+    exact_cfg.num_threads = workers;
     service::QueryRouter exact_router(&catalog, exact_cfg);
     const double exact_qps = MeasureQps(&exact_router, uniform);
 
     service::RouterConfig hybrid_cfg;
     hybrid_cfg.policy = service::RoutePolicy::kHybrid;
     hybrid_cfg.enable_cache = false;
-    hybrid_cfg.num_threads = threads;
-    hybrid_cfg.queue_capacity = batch_slots;
+    hybrid_cfg.num_threads = workers;
     service::QueryRouter hybrid_router(&catalog, hybrid_cfg);
     const double hybrid_qps = MeasureQps(&hybrid_router, uniform);
     const service::ServiceSnapshot s = hybrid_router.Stats();
 
-    if (threads == 0) {
+    if (workers == 0) {
       exact_base = exact_qps;
       hybrid_base = hybrid_qps;
     }
-    scaling.AddRow({threads == 0 ? "sync" : util::Format("%zu", threads),
+    scaling.AddRow({util::Format("%zu", workers + 1),
                     util::Format("%.0f", exact_qps),
                     util::Format("%.2fx", exact_base > 0 ? exact_qps / exact_base : 0.0),
                     util::Format("%.0f", hybrid_qps),
@@ -141,7 +139,6 @@ int Run() {
   nocache_cfg.policy = service::RoutePolicy::kExactOnly;
   nocache_cfg.enable_cache = false;
   nocache_cfg.num_threads = 2;
-  nocache_cfg.queue_capacity = batch_slots;
   service::QueryRouter nocache_router(&catalog, nocache_cfg);
   const double nocache_qps = MeasureQps(&nocache_router, clustered);
   cache_table.AddRow({"off", "0.000", util::Format("%.0f", nocache_qps), "1.00x", "0"});
@@ -154,7 +151,6 @@ int Run() {
     cfg.cache.delta_min = delta_min;
     cfg.cache.capacity_per_shard = 4096;
     cfg.num_threads = 2;
-    cfg.queue_capacity = batch_slots;
     service::QueryRouter router(&catalog, cfg);
     const double qps = MeasureQps(&router, clustered);
     const service::AnswerCacheStats cs = router.CacheStats();
@@ -246,7 +242,6 @@ int Run() {
   final_cfg.num_threads = 2;
   std::vector<service::Request> mixed = clustered;
   mixed.insert(mixed.end(), wide.begin(), wide.end());
-  final_cfg.queue_capacity = mixed.size();
   service::QueryRouter final_router(&catalog, final_cfg);
   (void)final_router.ExecuteBatch(mixed);
   std::cout << "\nservice snapshot (hybrid, delta_min=0.9, narrow + wide "

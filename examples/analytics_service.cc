@@ -245,10 +245,6 @@ int Demo() {
   cfg.policy = service::RoutePolicy::kHybrid;
   cfg.cache.delta_min = 0.9;
   cfg.num_threads = 4;
-  // The queue holds the whole demo burst: with the default shed-on-overload
-  // policy, a smaller queue would (correctly) shed part of the burst to the
-  // cache or reject it with kResourceExhausted — see the "shed" stats row.
-  cfg.queue_capacity = 4096;
   service::QueryRouter router(&catalog, cfg);
 
   // Single queries against both datasets.

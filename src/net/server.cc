@@ -611,7 +611,7 @@ void Server::HandleFrame(Loop* loop, Connection* conn, const Frame& frame) {
       pending.request.q = std::move(decoded->q);
       if (decoded->deadline_budget_nanos > 0) {
         // Decode-time deadline mapping: the client's relative budget starts
-        // ticking here, so admission rejection and the shed/degrade ladder
+        // ticking here, so admission rejection and the deadline fallback
         // see exactly what an in-process caller would have passed.
         pending.request.deadline = util::Deadline::AfterNanos(
             static_cast<int64_t>(decoded->deadline_budget_nanos), config_.clock);

@@ -25,8 +25,8 @@
 // QueryRouter::ExecuteBatch call; frames arriving while that batch is in
 // flight wait for the next dispatch. Each connection gets its responses in
 // request order, one kAnswer or kError frame per request echoing its id — a
-// saturated router sheds with a typed kResourceExhausted *frame*, never a
-// dropped connection.
+// connection over its max_pipeline bound is shed with a typed
+// kResourceExhausted *frame*, never a dropped connection.
 //
 // Response path: the owning loop Acquire()s a buffer from its WireArena at
 // dispatch time; the executor encodes every response frame of the batch

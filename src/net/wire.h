@@ -133,7 +133,7 @@ class FrameDecoder {
 /// local lifecycle handles, plus a relative deadline budget. The server maps
 /// `deadline_budget_nanos` onto a util::Deadline *at decode time*, so the
 /// budget starts ticking the moment the frame is parsed and admission-time
-/// rejection / the shed-degrade ladder work unchanged over the wire.
+/// rejection / the deadline fallback work unchanged over the wire.
 struct WireRequest {
   std::string dataset;
   service::QueryKind kind = service::QueryKind::kQ1MeanValue;

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <utility>
 
+#include "util/run_chunks.h"
 #include "util/string_util.h"
 #include "util/timer.h"
 
@@ -15,27 +15,11 @@ const char* QueryKindName(QueryKind kind) {
   return kind == QueryKind::kQ1MeanValue ? "Q1" : "Q2";
 }
 
-namespace {
-
-// One definition of "a cache hit becomes an Answer" shared by the normal
-// lookup path and the shed path, so they can never drift apart.
-Answer AnswerFromCache(QueryKind kind, CachedAnswer cached) {
-  Answer a;
-  a.kind = kind;
-  a.source = AnswerSource::kCache;
-  a.mean = cached.mean;
-  a.pieces = std::move(cached.pieces);
-  a.cache_delta = cached.delta;
-  return a;
-}
-
-}  // namespace
-
 QueryRouter::QueryRouter(ModelCatalog* catalog, RouterConfig config)
     : catalog_(catalog),
       config_(config),
       cache_(config.cache),
-      pool_(config.num_threads, config.queue_capacity) {}
+      pool_(config.num_threads) {}
 
 std::string QueryRouter::ShardKey(const Request& request, int64_t generation) {
   return request.dataset + "/g" + std::to_string(generation) + "/" +
@@ -182,7 +166,12 @@ ExecResult QueryRouter::ExecuteUnrecorded(const Request& request) {
     shard = ShardKey(request, snap.generation);
     CachedAnswer cached;
     if (cache_.Lookup(shard, request.q, &cached)) {
-      Answer a = AnswerFromCache(request.kind, std::move(cached));
+      Answer a;
+      a.kind = request.kind;
+      a.source = AnswerSource::kCache;
+      a.mean = cached.mean;
+      a.pieces = std::move(cached.pieces);
+      a.cache_delta = cached.delta;
       MaybeReportObservation(request, snap);
       return a;
     }
@@ -294,51 +283,6 @@ ExecResult QueryRouter::ExecuteExact(const Request& request,
   return a;
 }
 
-ExecResult QueryRouter::ExecuteShed(const Request& request) {
-  util::Stopwatch watch;
-  QueryOutcome o;
-  o.shed = true;
-  // Same invariants as the normal path: a cancelled or already-expired
-  // request gets no answer, cached or otherwise — its outcome must not
-  // depend on pool load.
-  if (request.cancel.cancelled()) {
-    o.latency_nanos = watch.ElapsedNanos();
-    o.cancelled = true;
-    stats_.Record(o);
-    return util::Status::Cancelled("request cancelled before execution");
-  }
-  if (request.deadline.expired()) {
-    o.latency_nanos = watch.ElapsedNanos();
-    o.deadline_exceeded = true;
-    stats_.Record(o);
-    return util::Status::DeadlineExceeded(
-        "request deadline expired before execution");
-  }
-  // The cache holds exact answers only, so a shed request is served one or
-  // rejected. A kModelOnly router never admits an answer: its shed requests
-  // are rejected without a probe.
-  if (config_.enable_cache && config_.policy != RoutePolicy::kModelOnly) {
-    // Generation lookup via Get(): cheap (no training), and a shed request
-    // must never read a stale generation's answers either.
-    auto snap = catalog_->Get(request.dataset);
-    CachedAnswer cached;
-    if (snap.ok() &&
-        cache_.Lookup(ShardKey(request, snap->generation), request.q, &cached)) {
-      Answer a = AnswerFromCache(request.kind, std::move(cached));
-      a.exec.nanos = watch.ElapsedNanos();
-      o.latency_nanos = a.exec.nanos;
-      o.ok = true;
-      o.cache_hit = true;
-      stats_.Record(o);
-      return a;
-    }
-  }
-  o.latency_nanos = watch.ElapsedNanos();
-  stats_.Record(o);
-  return util::Status::ResourceExhausted(
-      "router worker queue is saturated and the answer is not cached");
-}
-
 util::Result<RetrainOutcome> QueryRouter::MaybeRetrain(const std::string& dataset) {
   util::Result<RetrainOutcome> out = catalog_->MaybeRetrain(dataset);
   if (out.ok() && out->retrained) {
@@ -361,24 +305,11 @@ std::vector<ExecResult> QueryRouter::ExecuteBatch(
     const std::vector<Request>& batch) {
   std::vector<ExecResult> results(
       batch.size(), ExecResult(util::Status::Internal("request not executed")));
-  if (pool_.num_threads() == 0) {
-    for (size_t i = 0; i < batch.size(); ++i) results[i] = Execute(batch[i]);
-    return results;
-  }
-  util::BlockingCounter done(static_cast<int64_t>(batch.size()));
-  for (size_t i = 0; i < batch.size(); ++i) {
-    auto task = [this, &batch, &results, &done, i] {
-      results[i] = Execute(batch[i]);
-      done.DecrementCount();
-    };
-    if (!pool_.TrySubmit(task)) {
-      // Graceful degradation: serve stale-but-bounded answers from the
-      // δ-cache, or fail fast with a typed status — never block the batch.
-      results[i] = ExecuteShed(batch[i]);
-      done.DecrementCount();
-    }
-  }
-  done.Wait();
+  // The caller runs its share of the batch and pool workers only help, so a
+  // busy pool slows a batch down but never refuses a request in it.
+  util::RunChunks(
+      &pool_, batch.size(),
+      [&](size_t i) { results[i] = Execute(batch[i]); }, nullptr);
   return results;
 }
 

@@ -15,9 +15,10 @@
 // requests never touch the cache, since a prediction costs about what a
 // lookup does.
 //
-// Batches execute in parallel on a fixed ThreadPool. With 0 worker threads
-// the router is fully synchronous, which benches use as the single-threaded
-// baseline and tests use for bit-for-bit determinism checks.
+// Batches run through util::RunChunks: the calling thread executes its share
+// and a fixed ThreadPool's workers help. With 0 workers the router is fully
+// synchronous, which benches use as the single-threaded baseline and tests
+// use for bit-for-bit determinism checks.
 // TryExecuteInline serves a model-routed request on the caller's thread and
 // declines everything else; the wire server's event loops use it, so a
 // model answer costs no thread hand-off.
@@ -77,15 +78,10 @@ struct RouterConfig {
   bool enable_cache = true;
   AnswerCacheConfig cache;
 
-  /// Worker threads for ExecuteBatch; 0 executes batches synchronously on
-  /// the calling thread.
+  /// Helper workers for ExecuteBatch. The calling thread always runs part
+  /// of its batch too, so a batch runs on num_threads + 1 threads; 0 runs
+  /// batches synchronously on the caller.
   size_t num_threads = 0;
-
-  /// Worker-queue bound. ExecuteBatch never blocks on a full queue: a
-  /// request that cannot be enqueued is shed — answered from the δ-overlap
-  /// cache if possible, otherwise rejected in-slot with a typed
-  /// kResourceExhausted status.
-  size_t queue_capacity = 256;
 };
 
 /// \brief One query against a registered dataset.
@@ -198,10 +194,11 @@ class QueryRouter {
   /// model-routed requests through it.
   std::optional<ExecResult> TryExecuteInline(const Request& request);
 
-  /// Serves a batch in parallel on the worker pool; results are positionally
-  /// aligned with `batch`. Per-request failures (e.g. empty subspace on the
-  /// exact path, or a shed on a full queue) are returned in-slot, never
-  /// thrown across the batch.
+  /// Serves a batch on the calling thread with the pool's workers helping;
+  /// results are positionally aligned with `batch` and equal to what
+  /// Execute returns for each request. A busy pool slows the batch but never
+  /// refuses a request in it. Per-request failures (e.g. empty subspace on
+  /// the exact path) are returned in-slot, never thrown across the batch.
   std::vector<ExecResult> ExecuteBatch(const std::vector<Request>& batch);
 
   /// Drift maintenance: probes the dataset's model and, when the drift
@@ -229,7 +226,7 @@ class QueryRouter {
   /// serving stack.
   ServiceStats* stats_sink() { return &stats_; }
 
-  /// The batch worker pool — exposed so tests can saturate it on purpose.
+  /// The batch helper pool — exposed so tests can occupy it on purpose.
   util::ThreadPool* pool_for_testing() { return &pool_; }
 
  private:
@@ -267,10 +264,6 @@ class QueryRouter {
   ExecResult ExecuteExact(const Request& request,
                           const query::ExactEngine& engine,
                           const util::ExecControl* control) const;
-
-  /// Saturation path: answer from the cache or reject with
-  /// kResourceExhausted — never touches the engines. Records stats.
-  ExecResult ExecuteShed(const Request& request);
 
   /// Fire-and-forget drift probe on the worker pool (inline when the pool
   /// is synchronous; dropped when the pool is saturated — the next interval

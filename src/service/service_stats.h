@@ -69,7 +69,8 @@ struct ServiceSnapshot {
   int64_t cache_hits = 0;
   int64_t exact_fallbacks = 0;  ///< Queries answered by the exact engine.
   int64_t model_answers = 0;    ///< Queries answered by the LLM model.
-  int64_t shed = 0;  ///< Queries shed under saturation (cache-served or rejected).
+  int64_t shed = 0;  ///< Requests refused by the server's per-connection
+                     ///< admission bound (kResourceExhausted frames).
 
   // Request-lifecycle counters.
   int64_t deadline_exceeded = 0;  ///< Returned kDeadlineExceeded to the caller.
@@ -125,7 +126,7 @@ struct QueryOutcome {
   bool ok = false;
   bool cache_hit = false;
   bool used_exact = false;
-  bool shed = false;               ///< Handled on the saturation path.
+  bool shed = false;               ///< Refused by server admission.
   bool deadline_exceeded = false;  ///< Failed with kDeadlineExceeded.
   bool cancelled = false;          ///< Failed with kCancelled.
   bool degraded = false;           ///< Model fallback under deadline pressure.

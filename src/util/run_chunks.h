@@ -2,7 +2,8 @@
 // [0, chunks) on a ThreadPool, with the calling thread participating. The
 // exact engine uses it for a query's scan partitions (intra-query
 // parallelism); the trainer uses it for a lookahead window of independent
-// training scans (inter-query parallelism).
+// training scans and the query router for a batch's requests (inter-query
+// parallelism).
 //
 // Pool workers help through an atomic claim counter and the caller always
 // participates, so nesting on a shared pool (a chunk that itself calls

@@ -5,8 +5,8 @@
 //
 // Design points (following the in-RDBMS serving architectures the service
 // layer is modeled on):
-//   - bounded queue: a saturated service applies backpressure at Submit()
-//     (or sheds via TrySubmit()) instead of buffering unboundedly;
+//   - bounded queue: a saturated pool applies backpressure at Submit()
+//     (or declines via TrySubmit()) instead of buffering unboundedly;
 //   - 0 workers = synchronous mode: Submit() runs the task on the calling
 //     thread. This gives benches and tests a single-threaded baseline with
 //     identical code paths.
@@ -14,7 +14,7 @@
 #ifndef QREG_UTIL_THREAD_POOL_H_
 #define QREG_UTIL_THREAD_POOL_H_
 
-#include <cstdint>
+#include <cstddef>
 #include <deque>
 #include <functional>
 #include <thread>
@@ -25,31 +25,6 @@
 
 namespace qreg {
 namespace util {
-
-/// \brief Blocks until a preset number of events have been counted down.
-/// Used to await completion of a batch of pool tasks without futures.
-class BlockingCounter {
- public:
-  explicit BlockingCounter(int64_t initial_count) : count_(initial_count) {}
-
-  BlockingCounter(const BlockingCounter&) = delete;
-  BlockingCounter& operator=(const BlockingCounter&) = delete;
-
-  void DecrementCount() QREG_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    if (--count_ <= 0) cv_.NotifyAll();
-  }
-
-  void Wait() QREG_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    while (count_ > 0) cv_.Wait(&mu_);
-  }
-
- private:
-  Mutex mu_;
-  CondVar cv_;
-  int64_t count_ QREG_GUARDED_BY(mu_);
-};
 
 /// \brief Fixed-size worker pool over a bounded MPMC queue.
 class ThreadPool {
@@ -74,7 +49,6 @@ class ThreadPool {
   bool TrySubmit(std::function<void()> task);
 
   size_t num_threads() const { return workers_.size(); }
-  size_t queue_capacity() const { return capacity_; }
 
   /// Tasks queued but not yet picked up by a worker (approximate).
   size_t queue_depth() const;

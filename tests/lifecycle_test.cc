@@ -5,7 +5,7 @@
 //     any partition; a mid-scan trip aborts within one chunk-claim with
 //     partial-work accounting (FakeClock + blocking gates, no sleeps);
 //   - the router degrades exact → model answer (used_fallback) under
-//     deadline pressure, prefers the δ-cache over both, and sheds with the
+//     deadline pressure, prefers the δ-cache over both, and fails with the
 //     typed status when no fallback exists; cancellation never degrades;
 //   - MaybeRetrain probes drift after an injected distribution shift, swaps
 //     the model generation, and generation-tagged cache keys stop every
@@ -471,20 +471,19 @@ TEST(LifecycleRouterTest, ExpiredDeadlineRejectedBeforeCacheLookup) {
   EXPECT_EQ(stats.degraded, 0);  // Admission rejection, not degrade.
 }
 
-TEST(LifecycleRouterTest, CancelledRequestOnShedPathStaysCancelled) {
-  // The outcome of a cancelled request must not depend on pool load: even
-  // when the saturated-batch path could answer it from the δ-cache, it
-  // returns kCancelled like the normal path would.
+TEST(LifecycleRouterTest, CancelledRequestOnBusyPoolStaysCancelled) {
+  // The outcome of a cancelled request must not depend on pool load: with
+  // the router's lone worker busy and the answer in the δ-cache, a batch
+  // still returns kCancelled like a single Execute would.
   RouterConfig cfg;
   cfg.policy = RoutePolicy::kExactOnly;  // Only exact answers are cached.
   cfg.enable_cache = true;
   cfg.cache.delta_min = 1.0;
   cfg.num_threads = 1;
-  cfg.queue_capacity = 1;
   QueryRouter router(testsupport::SharedCatalog(), cfg);
 
-  // Warm the cache inline, then saturate: gate the lone worker and fill
-  // the 1-slot queue (gate handshake, no sleeps).
+  // Warm the cache inline, then occupy the lone worker (gate handshake, no
+  // sleeps).
   Request warm = Request::Q1("r1", query::Query({0.5, 0.5}, 0.1));
   ASSERT_TRUE(router.Execute(warm).ok());
   ASSERT_EQ(router.CacheStats().inserts, 1);
@@ -494,31 +493,36 @@ TEST(LifecycleRouterTest, CancelledRequestOnShedPathStaysCancelled) {
     worker_started.Open();
     release_worker.Wait();
   });
-  worker_started.Wait();                // Worker dequeued the blocker...
-  ASSERT_TRUE(pool->TrySubmit([] {}));  // ...and the queue slot is full.
+  worker_started.Wait();
 
   Request cancelled_repeat = warm;  // Identical query: the cache has it.
   cancelled_repeat.cancel = util::CancellationToken::Cancellable();
   cancelled_repeat.cancel.Cancel();
-  auto results = router.ExecuteBatch({cancelled_repeat});
+  // Two slots, so the batch offers the busy worker a helper task (a single
+  // slot runs inline without touching the pool).
+  auto results = router.ExecuteBatch({cancelled_repeat, cancelled_repeat});
   release_worker.Open();
 
-  ASSERT_EQ(results.size(), 1u);
-  ASSERT_FALSE(results[0].ok());
-  EXPECT_EQ(results[0].status().code(), util::StatusCode::kCancelled);
+  ASSERT_EQ(results.size(), 2u);
+  for (const auto& r : results) {
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), util::StatusCode::kCancelled);
+  }
   service::ServiceSnapshot stats = router.Stats();
-  EXPECT_EQ(stats.cancelled, 1);
+  EXPECT_EQ(stats.cancelled, 2);
+  EXPECT_EQ(stats.shed, 0);
+  EXPECT_EQ(router.CacheStats().hits, 0);  // Lookup never happened.
 }
 
-TEST(LifecycleRouterTest, ExpiredDeadlineOnShedPathStaysTypedReject) {
-  // Mirror of the cancelled-on-shed invariant: an already-expired request
-  // must not be answered from the δ-cache just because the pool was full.
+TEST(LifecycleRouterTest, ExpiredDeadlineOnBusyPoolStaysTypedReject) {
+  // Mirror of the cancelled-on-busy-pool invariant: an already-expired
+  // request must not be answered from the δ-cache just because the pool
+  // was busy.
   RouterConfig cfg;
   cfg.policy = RoutePolicy::kExactOnly;  // Only exact answers are cached.
   cfg.enable_cache = true;
   cfg.cache.delta_min = 1.0;
   cfg.num_threads = 1;
-  cfg.queue_capacity = 1;
   QueryRouter router(testsupport::SharedCatalog(), cfg);
 
   Request warm = Request::Q1("r1", query::Query({0.5, 0.5}, 0.1));
@@ -531,20 +535,22 @@ TEST(LifecycleRouterTest, ExpiredDeadlineOnShedPathStaysTypedReject) {
     release_worker.Wait();
   });
   worker_started.Wait();
-  ASSERT_TRUE(pool->TrySubmit([] {}));  // Queue slot now full.
 
   FakeClock clock(1000);
   Request expired_repeat = warm;  // Identical query: the cache has it.
   expired_repeat.deadline = util::Deadline::AtNanos(500, &clock);
-  auto results = router.ExecuteBatch({expired_repeat});
+  auto results = router.ExecuteBatch({expired_repeat, expired_repeat});
   release_worker.Open();
 
-  ASSERT_EQ(results.size(), 1u);
-  ASSERT_FALSE(results[0].ok());
-  EXPECT_EQ(results[0].status().code(), util::StatusCode::kDeadlineExceeded);
+  ASSERT_EQ(results.size(), 2u);
+  for (const auto& r : results) {
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), util::StatusCode::kDeadlineExceeded);
+  }
   service::ServiceSnapshot stats = router.Stats();
-  EXPECT_EQ(stats.deadline_exceeded, 1);
-  EXPECT_EQ(stats.shed, 1);
+  EXPECT_EQ(stats.deadline_exceeded, 2);
+  EXPECT_EQ(stats.shed, 0);
+  EXPECT_EQ(router.CacheStats().hits, 0);  // Lookup never happened.
 }
 
 TEST(LifecycleRouterTest, ErrorPathCarriesPartialExecStats) {

@@ -496,15 +496,16 @@ TEST(NetServerTest, ExpiredClientDeadlineRejectedAtAdmissionWithoutCacheTouch) {
   server.Shutdown();
 }
 
-TEST(NetServerTest, SaturatedRouterShedsWithTypedFramesNotConnectionDrops) {
+TEST(NetServerTest, PipelinedExactBurstOnOneWorkerIsAllAnswered) {
   service::RouterConfig cfg;
-  // Exact-only, so every request reaches the saturated executor pool: the
-  // event loop answers model-routed requests itself and never sheds them.
+  // Exact-only, so every request reaches the executors: the event loop
+  // answers model-routed requests itself.
   cfg.policy = service::RoutePolicy::kExactOnly;
-  cfg.enable_cache = false;  // Shed must reject, not answer from cache.
+  cfg.enable_cache = false;  // Every answer is a fresh scan.
   cfg.num_threads = 1;
-  cfg.queue_capacity = 4;
   service::QueryRouter router(SharedCatalog(), cfg);
+  cfg.num_threads = 0;
+  service::QueryRouter ref(SharedCatalog(), cfg);
 
   Server server(&router);
   const auto ep = server.Start();
@@ -516,31 +517,41 @@ TEST(NetServerTest, SaturatedRouterShedsWithTypedFramesNotConnectionDrops) {
   std::vector<WireRequest> batch;
   for (const service::Request& r : requests) batch.push_back(ToWire(r));
 
+  // One helper worker and a 200-deep pipeline: the executors' batches run on
+  // their own threads with the worker helping, so nothing is refused.
   const auto results = client.ExecuteBatch(batch);
   ASSERT_EQ(results.size(), batch.size());
-
-  int64_t ok = 0, shed = 0, other = 0;
-  for (const auto& r : results) {
-    if (r.ok()) {
-      ++ok;
-    } else if (r.status().code() == util::StatusCode::kResourceExhausted) {
-      ++shed;
-    } else {
-      ++other;
-      ADD_FAILURE() << "unexpected failure: " << r.status();
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const service::ExecResult want = ref.Execute(requests[i]);
+    ASSERT_EQ(results[i].ok(), want.ok()) << "slot " << i << ": "
+                                          << results[i].status();
+    if (!want.ok()) {
+      EXPECT_EQ(results[i].status().code(), want.status().code());
+      continue;
+    }
+    EXPECT_EQ(results[i]->source, service::AnswerSource::kExact);
+    EXPECT_TRUE(BitEq(results[i]->mean, want->mean)) << "slot " << i;
+    ASSERT_EQ(results[i]->pieces.size(), want->pieces.size()) << "slot " << i;
+    for (size_t p = 0; p < want->pieces.size(); ++p) {
+      EXPECT_TRUE(BitEq(results[i]->pieces[p].intercept,
+                        want->pieces[p].intercept));
+      ASSERT_EQ(results[i]->pieces[p].slope.size(),
+                want->pieces[p].slope.size());
+      for (size_t s = 0; s < want->pieces[p].slope.size(); ++s) {
+        EXPECT_TRUE(
+            BitEq(results[i]->pieces[p].slope[s], want->pieces[p].slope[s]));
+      }
     }
   }
-  // Every request got a typed response — the overload story is frames, not
-  // resets. The tiny queue guarantees the shed path actually engaged.
-  EXPECT_EQ(ok + shed, static_cast<int64_t>(batch.size()));
-  EXPECT_GT(shed, 0);
-  EXPECT_GT(ok, 0);
-  EXPECT_GE(router.Stats().shed, shed);
+  EXPECT_EQ(router.Stats().shed, 0);
 
-  // The connection survived saturation: one more request round-trips.
+  // The connection still round-trips.
   auto after = client.Execute(ToWire(requests[0]));
-  EXPECT_TRUE(after.ok() ||
-              after.status().code() == util::StatusCode::kResourceExhausted);
+  const service::ExecResult want_after = ref.Execute(requests[0]);
+  ASSERT_EQ(after.ok(), want_after.ok());
+  if (after.ok()) {
+    EXPECT_TRUE(BitEq(after->mean, want_after->mean));
+  }
 
   client.Close();
   server.Shutdown();

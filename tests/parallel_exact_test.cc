@@ -23,6 +23,7 @@
 #include "storage/scan_index.h"
 #include "test_support.h"
 #include "util/cancellation.h"
+#include "util/run_chunks.h"
 #include "util/thread_pool.h"
 
 namespace qreg {
@@ -307,9 +308,9 @@ TEST(ParallelExactTest, EmptySubspaceIsNotFound) {
 // ---------- Shared-pool nesting ----------
 
 TEST(ParallelExactTest, NestedOnSharedPoolCompletes) {
-  // Queries running *on* the pool they also fan chunks out to: TrySubmit
-  // falls back to caller-runs-chunks, so this must terminate and agree with
-  // the inline baseline.
+  // Queries fanned out by RunChunks on the pool their scans also fan chunks
+  // out to: TrySubmit falls back to caller-runs-chunks, so this must
+  // terminate and agree with the inline baseline.
   Fixture* f = SharedFixture();
   const std::vector<Query> qs = TestQueries(12, 61);
 
@@ -325,15 +326,13 @@ TEST(ParallelExactTest, NestedOnSharedPoolCompletes) {
   ExactEngine engine(f->dataset->table, *f->scan, storage::LpNorm::L2(), par);
 
   std::vector<double> means(qs.size(), 0.0);
-  util::BlockingCounter done(static_cast<int64_t>(qs.size()));
-  for (size_t i = 0; i < qs.size(); ++i) {
-    pool.Submit([&engine, &qs, &means, &done, i] {
-      auto r = engine.MeanValue(qs[i]);
-      means[i] = r.ok() ? r->mean : std::nan("");
-      done.DecrementCount();
-    });
-  }
-  done.Wait();
+  util::RunChunks(
+      &pool, qs.size(),
+      [&](size_t i) {
+        auto r = engine.MeanValue(qs[i]);
+        means[i] = r.ok() ? r->mean : std::nan("");
+      },
+      nullptr);
   for (size_t i = 0; i < qs.size(); ++i) {
     auto want = inline_engine.MeanValue(qs[i]);
     if (want.ok()) {

@@ -51,16 +51,13 @@ CatalogOptions TestOptions() { return DefaultCatalogOptions(); }
 // ---------- ThreadPool ----------
 
 TEST(ThreadPoolTest, ExecutesAllSubmittedTasks) {
-  util::ThreadPool pool(4, /*queue_capacity=*/16);
   std::atomic<int> count{0};
-  util::BlockingCounter done(1000);
-  for (int i = 0; i < 1000; ++i) {
-    pool.Submit([&count, &done] {
-      count.fetch_add(1, std::memory_order_relaxed);
-      done.DecrementCount();
-    });
-  }
-  done.Wait();
+  {
+    util::ThreadPool pool(4, /*queue_capacity=*/16);
+    for (int i = 0; i < 1000; ++i) {
+      pool.Submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
+    }
+  }  // The destructor drains the queue, then joins.
   EXPECT_EQ(count.load(), 1000);
 }
 
@@ -1292,97 +1289,80 @@ TEST(QueryRouterTest, TryExecuteInlineServesOnlyTheModelPath) {
   EXPECT_EQ(exact_only.CacheStats().lookups, 0);
 }
 
-// ---------- Overload shedding (graceful degradation) ----------
+// ---------- A busy pool slows a batch, never refuses it ----------
 
-TEST(OverloadSheddingTest, SaturatedBatchShedsToCacheOrRejects) {
+TEST(QueryRouterTest, BusyPoolBatchRunsOnTheCaller) {
   RouterConfig cfg;
   cfg.policy = RoutePolicy::kExactOnly;  // Only exact answers are cached.
   cfg.enable_cache = true;
   cfg.cache.delta_min = 1.0;  // Only exact repeats hit: deterministic.
   cfg.num_threads = 1;
-  cfg.queue_capacity = 1;
   QueryRouter router(SharedCatalog(), cfg);
+  RouterConfig seq_cfg = cfg;
+  seq_cfg.num_threads = 0;
+  QueryRouter sequential(SharedCatalog(), seq_cfg);
 
-  // Warm the cache inline (single Execute never touches the pool).
-  Request warm = Request::Q1("r1", query::Query({0.5, 0.5}, 0.1));
+  // Warm both caches (a single Execute never touches the pool).
+  const Request warm = Request::Q1("r1", query::Query({0.5, 0.5}, 0.1));
+  const Request cold = Request::Q1("r1", query::Query({0.2, 0.8}, 0.1));
   ASSERT_TRUE(router.Execute(warm).ok());
+  ASSERT_TRUE(sequential.Execute(warm).ok());
 
-  // Saturate: gate the lone worker, then fill the 1-slot queue.
-  std::mutex gate;
-  gate.lock();
+  // Gate the lone worker; a watchdog opens the gate after 5 s so a batch
+  // that waits on the worker fails the test instead of hanging it.
+  testsupport::Gate worker_started, release_worker, batch_returned;
   util::ThreadPool* pool = router.pool_for_testing();
-  pool->Submit([&gate] { gate.lock(); gate.unlock(); });
-  while (pool->queue_depth() > 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  pool->Submit([&] {
+    worker_started.Open();
+    release_worker.Wait();
+  });
+  worker_started.Wait();
+  std::atomic<bool> watchdog_fired{false};
+  std::thread watchdog([&] {
+    if (!batch_returned.WaitFor(std::chrono::seconds(5))) {
+      watchdog_fired = true;
+    }
+    release_worker.Open();
+  });
+
+  const std::vector<ExecResult> got = router.ExecuteBatch({warm, cold});
+  const bool returned_first = !watchdog_fired;
+  batch_returned.Open();
+  watchdog.join();
+  EXPECT_TRUE(returned_first) << "the batch waited for the gated worker";
+
+  const std::vector<Request> batch = {warm, cold};
+  const std::vector<AnswerSource> sources = {AnswerSource::kCache,
+                                             AnswerSource::kExact};
+  ASSERT_EQ(got.size(), batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const ExecResult want = sequential.Execute(batch[i]);
+    ASSERT_TRUE(got[i].ok()) << "slot " << i << ": " << got[i].status();
+    ASSERT_TRUE(want.ok());
+    EXPECT_EQ(got[i]->source, sources[i]) << "slot " << i;
+    EXPECT_EQ(want->source, sources[i]) << "slot " << i;
+    EXPECT_EQ(got[i]->mean, want->mean) << "slot " << i;
+    EXPECT_EQ(got[i]->cache_delta, want->cache_delta) << "slot " << i;
   }
-  ASSERT_TRUE(pool->TrySubmit([] {}));
 
-  // Every batch slot now fails TrySubmit: the cached query is served from
-  // the δ-cache, the cold one is rejected with the typed status.
-  Request cold = Request::Q1("r1", query::Query({0.2, 0.8}, 0.1));
-  auto results = router.ExecuteBatch({warm, cold});
-  gate.unlock();
-
-  ASSERT_EQ(results.size(), 2u);
-  ASSERT_TRUE(results[0].ok());
-  EXPECT_EQ(results[0]->source, AnswerSource::kCache);
-  EXPECT_EQ(results[0]->mean, router.Execute(warm)->mean);
-  ASSERT_FALSE(results[1].ok());
-  EXPECT_EQ(results[1].status().code(), util::StatusCode::kResourceExhausted);
-
-  ServiceSnapshot stats = router.Stats();
-  EXPECT_EQ(stats.shed, 2);
-  EXPECT_EQ(stats.errors, 1);
-}
-
-TEST(OverloadSheddingTest, ModelOnlyShedRequestsAreRejectedWithoutAProbe) {
-  // Only exact answers are cached, so a kModelOnly router's cache never
-  // fills: a shed request there is always rejected, and never probes.
-  RouterConfig cfg;
-  cfg.policy = RoutePolicy::kModelOnly;
-  cfg.enable_cache = true;
-  cfg.cache.delta_min = 1.0;
-  cfg.num_threads = 1;
-  cfg.queue_capacity = 1;
-  QueryRouter router(SharedCatalog(), cfg);
-
-  Request warm = Request::Q1("r1", query::Query({0.5, 0.5}, 0.1));
-  ASSERT_TRUE(router.Execute(warm).ok());
-
-  std::mutex gate;
-  gate.lock();
-  util::ThreadPool* pool = router.pool_for_testing();
-  pool->Submit([&gate] { gate.lock(); gate.unlock(); });
-  while (pool->queue_depth() > 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  // With the worker free again it helps: a larger batch gets every request
+  // answered or refused exactly as the sequential router does.
+  const std::vector<Request> mixed = MixedWorkload(100, 41);
+  const std::vector<ExecResult> helped = router.ExecuteBatch(mixed);
+  ASSERT_EQ(helped.size(), mixed.size());
+  for (size_t i = 0; i < mixed.size(); ++i) {
+    const ExecResult want = sequential.Execute(mixed[i]);
+    ASSERT_EQ(helped[i].ok(), want.ok()) << "request " << i;
+    if (!want.ok()) {
+      EXPECT_EQ(helped[i].status().code(), want.status().code());
+      continue;
+    }
+    EXPECT_EQ(helped[i]->mean, want->mean) << "request " << i;
+    ASSERT_EQ(helped[i]->pieces.size(), want->pieces.size()) << "request " << i;
+    for (size_t p = 0; p < want->pieces.size(); ++p) {
+      EXPECT_EQ(helped[i]->pieces[p].intercept, want->pieces[p].intercept);
+    }
   }
-  ASSERT_TRUE(pool->TrySubmit([] {}));
-
-  auto results = router.ExecuteBatch({warm, warm});
-  gate.unlock();
-
-  ASSERT_EQ(results.size(), 2u);
-  for (const auto& r : results) {
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.status().code(), util::StatusCode::kResourceExhausted);
-  }
-  ServiceSnapshot stats = router.Stats();
-  EXPECT_EQ(stats.shed, 2);
-  EXPECT_EQ(stats.cache_hits, 0);
-  EXPECT_EQ(router.CacheStats().lookups, 0);
-  EXPECT_EQ(router.CacheStats().inserts, 0);
-}
-
-TEST(OverloadSheddingTest, UnsaturatedBatchNeverSheds) {
-  RouterConfig cfg;
-  cfg.policy = RoutePolicy::kModelOnly;
-  cfg.enable_cache = false;
-  cfg.num_threads = 2;
-  cfg.queue_capacity = 256;
-  QueryRouter router(SharedCatalog(), cfg);
-
-  auto results = router.ExecuteBatch(MixedWorkload(100, 41));
-  for (const auto& r : results) ASSERT_TRUE(r.ok());
   EXPECT_EQ(router.Stats().shed, 0);
 }
 
@@ -1445,9 +1425,6 @@ TEST(QueryRouterTest, ParallelBatchMatchesSequentialBitForBit) {
   const std::vector<Request> batch = MixedWorkload(200, 31, 0.05, 0.95);
   RouterConfig par_cfg = seq_cfg;
   par_cfg.num_threads = 4;
-  // Room for the whole batch: every request must really execute for the
-  // bit-for-bit comparison (shedding is covered by OverloadShedding tests).
-  par_cfg.queue_capacity = batch.size();
   QueryRouter parallel(SharedCatalog(), par_cfg);
 
   std::vector<ExecResult> want;

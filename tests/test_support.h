@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -68,6 +69,12 @@ class Gate {
   void Wait() {
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait(lock, [this] { return open_; });
+  }
+
+  /// Waits at most `timeout`; true if the gate opened in time.
+  bool WaitFor(std::chrono::milliseconds timeout) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, timeout, [this] { return open_; });
   }
 
   bool opened() const {
