@@ -1,7 +1,7 @@
 // google-benchmark micro-benchmarks of the individual components: selection
 // access paths, streaming OLS, the AVQ/SGD training step, the prediction
 // algorithms and the served model path, MARS fitting, model
-// (de)serialization, and answer-frame encoding.
+// (de)serialization, and answer-frame encoding and decoding.
 
 #include <benchmark/benchmark.h>
 
@@ -234,12 +234,10 @@ void BM_DegreeOfOverlap(benchmark::State& state) {
 }
 BENCHMARK(BM_DegreeOfOverlap);
 
-// ---------- Wire encoding ----------
+// ---------- Wire encoding and decoding ----------
 
-// One answer frame onto a reused buffer, as the server's event loop encodes
-// it: a Q1 answer (arg 0) or a Q2 answer of `arg` pieces in d = 2.
-void BM_AnswerFrameEncode(benchmark::State& state) {
-  const int64_t pieces = state.range(0);
+// A Q1 answer (`pieces` 0) or a Q2 answer of `pieces` pieces in d = 2.
+service::Answer BenchAnswer(int64_t pieces) {
   service::Answer answer;
   answer.kind = pieces == 0 ? service::QueryKind::kQ1MeanValue
                             : service::QueryKind::kQ2Regression;
@@ -254,6 +252,13 @@ void BM_AnswerFrameEncode(benchmark::State& state) {
     answer.pieces.push_back(std::move(m));
   }
   answer.exec.nanos = 1500;
+  return answer;
+}
+
+// One answer frame onto a reused buffer, as the server's event loop encodes
+// it; arg = pieces.
+void BM_AnswerFrameEncode(benchmark::State& state) {
+  const service::Answer answer = BenchAnswer(state.range(0));
   std::vector<uint8_t> buf;
   uint64_t id = 0;
   for (auto _ : state) {
@@ -266,6 +271,30 @@ void BM_AnswerFrameEncode(benchmark::State& state) {
   state.SetLabel(std::to_string(buf.size()) + " B");
 }
 BENCHMARK(BM_AnswerFrameEncode)->Arg(0)->Arg(17);
+
+// One answer frame read back as the client reads a response: fed to a
+// long-lived decoder, popped into a reused Frame (checking the frame), and
+// decoded into an Answer; arg = pieces.
+void BM_AnswerFrameDecode(benchmark::State& state) {
+  std::vector<uint8_t> bytes;
+  net::AppendAnswerFrame(&bytes, 1, BenchAnswer(state.range(0)));
+  net::FrameDecoder decoder;
+  net::Frame frame;
+  for (auto _ : state) {
+    decoder.Feed(bytes.data(), bytes.size());
+    if (decoder.Next(&frame) != net::FrameDecoder::Event::kFrame) {
+      state.SkipWithError("frame did not decode");
+      break;
+    }
+    util::Result<service::Answer> answer =
+        net::DecodeAnswer(frame.payload.data(), frame.payload.size());
+    benchmark::DoNotOptimize(answer);
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(bytes.size()));
+  state.SetLabel(std::to_string(bytes.size()) + " B");
+}
+BENCHMARK(BM_AnswerFrameDecode)->Arg(0)->Arg(17);
 
 }  // namespace
 }  // namespace qreg

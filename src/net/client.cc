@@ -97,11 +97,15 @@ util::Status Client::WriteAll(const uint8_t* data, size_t n) {
   return util::Status::OK();
 }
 
-util::Status Client::ReadFrame(Frame* frame) {
+util::Status Client::ReadFrame() {
   if (!connected()) return util::Status::FailedPrecondition("not connected");
+  // One huge response must not pin its payload for the client's lifetime.
+  if (read_frame_.payload.capacity() > kMaxRetainedBytes) {
+    std::vector<uint8_t>().swap(read_frame_.payload);
+  }
   uint8_t buf[65536];
   for (;;) {
-    switch (decoder_.Next(frame)) {
+    switch (decoder_.Next(&read_frame_)) {
       case FrameDecoder::Event::kFrame:
         return util::Status::OK();
       case FrameDecoder::Event::kError:
@@ -139,8 +143,8 @@ util::Status Client::SendRequest(const WireRequest& request,
 
 util::Result<service::Answer> Client::ReadResponse(uint64_t* request_id) {
   for (;;) {
-    Frame frame;
-    QREG_RETURN_NOT_OK(ReadFrame(&frame));
+    QREG_RETURN_NOT_OK(ReadFrame());
+    const Frame& frame = read_frame_;
     if (request_id != nullptr) *request_id = frame.header.request_id;
     switch (frame.header.type) {
       case FrameType::kAnswer:
@@ -184,7 +188,7 @@ std::vector<util::Result<service::Answer>> Client::ExecuteBatch(
   }
   const util::Status sent = WriteAll(send_buf_.data(), send_buf_.size());
   // A huge batch must not pin its encode buffer for the client's lifetime.
-  if (send_buf_.capacity() > kMaxRetainedSendBytes) {
+  if (send_buf_.capacity() > kMaxRetainedBytes) {
     std::vector<uint8_t>().swap(send_buf_);
   }
   if (!sent.ok()) {
@@ -224,10 +228,9 @@ util::Status Client::Ping() {
   std::vector<uint8_t> out;
   AppendFrame(&out, FrameType::kPing, next_id_++, nullptr, 0);
   QREG_RETURN_NOT_OK(WriteAll(out.data(), out.size()));
-  Frame frame;
   do {
-    QREG_RETURN_NOT_OK(ReadFrame(&frame));
-  } while (frame.header.type != FrameType::kPong);
+    QREG_RETURN_NOT_OK(ReadFrame());
+  } while (read_frame_.header.type != FrameType::kPong);
   return util::Status::OK();
 }
 

@@ -75,17 +75,20 @@ class Client {
   util::Status WriteAll(const uint8_t* data, size_t n);
   /// Applies recv_timeout_millis_ to the socket as SO_RCVTIMEO.
   util::Status ApplyRecvTimeout();
-  /// Reads until the decoder yields a frame (or fails).
-  util::Status ReadFrame(Frame* frame);
+  /// Reads until the decoder yields a frame into read_frame_ (or fails).
+  util::Status ReadFrame();
 
   int fd_ = -1;
   uint64_t next_id_ = 1;
   int recv_timeout_millis_ = 0;
   FrameDecoder decoder_;
-  /// The sender's encode buffer, reused so a request costs no allocation;
-  /// freed after a batch that grew it past kMaxRetainedSendBytes.
-  static constexpr size_t kMaxRetainedSendBytes = 1u << 20;
+  /// A reused buffer that grew past this is freed rather than kept.
+  static constexpr size_t kMaxRetainedBytes = 1u << 20;
+  /// The sender's encode buffer, reused so a request costs no allocation.
   std::vector<uint8_t> send_buf_;
+  /// The reader's last frame, reused so a response's payload lands in the
+  /// capacity an earlier one left instead of a fresh allocation.
+  Frame read_frame_;
 };
 
 }  // namespace net

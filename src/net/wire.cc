@@ -211,7 +211,7 @@ class FieldReader {
 };
 
 // Field tags. New fields must take fresh tags; retiring a field retires its
-// tag forever (a v1 decoder skips what it does not know).
+// tag forever (an older decoder skips what it does not know).
 enum RequestTag : uint16_t {
   kReqDataset = 1,
   kReqKind = 2,
@@ -291,20 +291,51 @@ void WriteStatusFields(const util::Status& status, FieldWriter* w) {
   w->PutString(kStatusMessage, status.message());
 }
 
+constexpr uint32_t kCheckPrime = 16777619u;  // The FNV-1a 32-bit prime.
+
+/// One step of a frame-check lane: a bijection of `h` for every word `w`.
+inline uint32_t CheckStep(uint32_t h, uint32_t w) {
+  return (h ^ w) * kCheckPrime;
+}
+
 }  // namespace
 
 // ------------------------------------------------------------------ frames --
 
 uint32_t FrameChecksum(const uint8_t* header20, const uint8_t* payload,
                        size_t payload_len) {
-  uint32_t h = 2166136261u;  // FNV-1a.
-  for (size_t i = 0; i < kHeaderBytes - 4; ++i) {
-    h = (h ^ header20[i]) * 16777619u;
+  // Word k of the stream (the 20 header bytes, then the payload) feeds lane
+  // k mod 2. The header is five words, so payload word j lands in lane
+  // (5 + j) mod 2: the low half of each 8-byte payload step goes to lane 1,
+  // the high half to lane 0.
+  uint32_t h0 = 2166136261u;  // FNV-1a offset basis.
+  uint32_t h1 = 0x9E3779B9u;  // 2^32 / golden ratio.
+  h0 = CheckStep(h0, GetU32(header20));
+  h1 = CheckStep(h1, GetU32(header20 + 4));
+  h0 = CheckStep(h0, GetU32(header20 + 8));
+  h1 = CheckStep(h1, GetU32(header20 + 12));
+  h0 = CheckStep(h0, GetU32(header20 + 16));
+  size_t i = 0;
+  for (; i + 8 <= payload_len; i += 8) {
+    const uint64_t w = GetU64(payload + i);
+    h1 = CheckStep(h1, static_cast<uint32_t>(w));
+    h0 = CheckStep(h0, static_cast<uint32_t>(w >> 32));
   }
-  for (size_t i = 0; i < payload_len; ++i) {
-    h = (h ^ payload[i]) * 16777619u;
+  // Up to seven bytes remain: at most one whole word (lane 1), then a
+  // zero-padded partial word in the lane that comes next. Nothing past
+  // payload_len is read.
+  uint32_t* next_lane = &h1;
+  if (payload_len - i >= 4) {
+    h1 = CheckStep(h1, GetU32(payload + i));
+    i += 4;
+    next_lane = &h0;
   }
-  return h;
+  if (i < payload_len) {
+    uint32_t tail = 0;
+    std::memcpy(&tail, payload + i, payload_len - i);
+    *next_lane = CheckStep(*next_lane, tail);
+  }
+  return h0 ^ h1;
 }
 
 namespace {
@@ -545,6 +576,13 @@ util::Result<query::ExecStats> DecodeExec(const uint8_t* data, size_t n) {
 
 util::Result<service::Answer> DecodeAnswer(const uint8_t* data, size_t n) {
   service::Answer answer;
+  // A counting pass sizes `pieces` once; a malformed field stops it here and
+  // is reported by the decoding pass below.
+  size_t pieces = 0;
+  for (FieldReader count(data, n); count.Next();) {
+    if (count.tag() == kAnsPiece) ++pieces;
+  }
+  answer.pieces.reserve(pieces);
   FieldReader r(data, n);
   while (r.Next()) {
     switch (r.tag()) {

@@ -1,4 +1,4 @@
-// Wire protocol v1 for the network front-end (DESIGN.md §12).
+// Wire protocol v2 for the network front-end (DESIGN.md §12).
 //
 // Every message on the socket is one length-prefixed *frame*:
 //
@@ -6,12 +6,12 @@
 //   │ magic  │ version │ type │ request_id │ payload_len │ checksum │ payload…
 //   │ u32    │ u16     │ u16  │ u64        │ u32         │ u32      │
 //   └────────┴─────────┴──────┴────────────┴─────────────┴──────────┘
-//     24-byte little-endian header; checksum = FNV-1a over the first 20
-//     header bytes plus the payload.
+//     24-byte little-endian header; checksum = FrameChecksum over the
+//     first 20 header bytes plus the payload (two word-wide lanes).
 //
 // Payloads are sequences of explicitly-tagged fields
 // ([u16 tag][u32 len][len bytes], recursively for nested messages) — never a
-// raw struct memcpy — so decoders skip unknown tags and a v1 reader stays
+// raw struct memcpy — so decoders skip unknown tags and a reader stays
 // compatible with payloads that grow new fields. Doubles travel as their
 // IEEE-754 bit patterns: a decoded Answer is bit-for-bit the encoded one.
 //
@@ -41,7 +41,9 @@ namespace net {
 constexpr uint32_t kMagic = 0x47455251u;
 
 /// Current protocol version; a decoder rejects anything newer or older.
-constexpr uint16_t kWireVersion = 1;
+/// Version 2 replaced version 1's byte-at-a-time FNV-1a frame check with
+/// FrameChecksum's word-wide one; the frame layout and payloads are as in 1.
+constexpr uint16_t kWireVersion = 2;
 
 /// Frame header size on the wire.
 constexpr size_t kHeaderBytes = 24;
@@ -75,8 +77,16 @@ struct Frame {
   std::vector<uint8_t> payload;
 };
 
-/// FNV-1a over the first 20 bytes of the encoded header plus the payload —
-/// cheap, dependency-free corruption detection (not cryptographic).
+/// The frame check over the first 20 bytes of the encoded header plus the
+/// payload: cheap, dependency-free corruption detection (not cryptographic).
+/// The 20 header bytes and the payload form one stream of little-endian u32
+/// words, the last one zero-padded (nothing past `payload_len` is read).
+/// Word k feeds lane k mod 2 as `h = (h ^ w) * 16777619`, lane 0 starting
+/// at 2166136261 and lane 1 at 0x9E3779B9, and the check is `h0 ^ h1`. Each
+/// step is a bijection of its lane, so any change confined to one 4-byte
+/// word (every single-bit or single-byte flip) changes the check, and the
+/// two lanes run in parallel, a multiply per 8 bytes on each dependency
+/// chain.
 uint32_t FrameChecksum(const uint8_t* header20, const uint8_t* payload,
                        size_t payload_len);
 

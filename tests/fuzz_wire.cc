@@ -7,8 +7,9 @@
 // boundary, early-poison prefix (bad magic at 4 bytes, bad version at 6),
 // and partial-payload resume gets exercised, not just whole-buffer decodes.
 // ASan (bundled with -fsanitize=fuzzer,address) catches the interesting
-// failures: out-of-bounds header reads, checksum scans past the payload,
-// or unbounded buffering after a poison.
+// failures: out-of-bounds header reads, frame-check reads past the payload
+// (the zero-padded tail word must stop at payload_len), or unbounded
+// buffering after a poison.
 
 #include <cstddef>
 #include <cstdint>

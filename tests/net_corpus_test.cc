@@ -74,6 +74,25 @@ service::Answer CanonicalFullAnswer() {
   return answer;
 }
 
+// A model Q2 answer at d = 2 with 17 pieces, the size perfbench's Q2 model
+// answers have: its frame check runs the main loop for ~160 steps.
+service::Answer CanonicalQ2Answer17() {
+  service::Answer answer;
+  answer.kind = service::QueryKind::kQ2Regression;
+  answer.source = service::AnswerSource::kModel;
+  answer.mean = 0.4375;
+  for (int i = 0; i < 17; ++i) {
+    core::LocalLinearModel piece;
+    piece.intercept = 0.5 + 0.0625 * i;
+    piece.slope = std::vector<double>{0.25 * i, -0.125 * (17 - i)};
+    piece.prototype_id = 3 * i + 1;
+    piece.weight = 1.0 / 16;
+    answer.pieces.push_back(std::move(piece));
+  }
+  answer.exec.nanos = 1500;
+  return answer;
+}
+
 util::Status CanonicalErrorStatus() {
   return util::Status::ResourceExhausted("router saturated: queue full");
 }
@@ -120,6 +139,12 @@ std::vector<uint8_t> BuildAnswerMinimal() {
   return out;
 }
 
+std::vector<uint8_t> BuildAnswerQ2With17Pieces() {
+  std::vector<uint8_t> out;
+  AppendFrame(&out, FrameType::kAnswer, 16, EncodeAnswer(CanonicalQ2Answer17()));
+  return out;
+}
+
 std::vector<uint8_t> BuildErrorStatus() {
   std::vector<uint8_t> out;
   AppendFrame(&out, FrameType::kError, 5, EncodeStatus(CanonicalErrorStatus()));
@@ -160,7 +185,7 @@ std::vector<uint8_t> BuildBadMagic() {
 
 std::vector<uint8_t> BuildBadVersion() {
   std::vector<uint8_t> out = BuildRequestQ1();
-  out[4] = 2;  // Version 2 of a version-1 protocol; rejected pre-checksum.
+  out[4] = 1;  // The retired version 1 (FNV-1a check); rejected pre-checksum.
   return out;
 }
 
@@ -177,7 +202,7 @@ std::vector<uint8_t> BuildOversizedPayload() {
 
 std::vector<uint8_t> BuildChecksumFlip() {
   std::vector<uint8_t> out = BuildRequestQ1();
-  out.back() ^= 0x01;  // One payload bit: FNV-1a must catch it.
+  out.back() ^= 0x01;  // One payload bit: the frame check must catch it.
   return out;
 }
 
@@ -207,6 +232,7 @@ const CorpusEntry kCorpus[] = {
     {"request_q2_deadline.bin", Outcome::kFrame, BuildRequestQ2Deadline},
     {"answer_full.bin", Outcome::kFrame, BuildAnswerFull},
     {"answer_minimal.bin", Outcome::kFrame, BuildAnswerMinimal},
+    {"answer_q2_17.bin", Outcome::kFrame, BuildAnswerQ2With17Pieces},
     {"error_status.bin", Outcome::kFrame, BuildErrorStatus},
     {"ping.bin", Outcome::kFrame, BuildPing},
     {"pong.bin", Outcome::kFrame, BuildPong},
@@ -370,6 +396,17 @@ TEST(NetCorpusTest, ValidPayloadsRoundTrip) {
     EXPECT_EQ(ans->pieces.size(), 2u);
     EXPECT_TRUE(ans->used_fallback);
     EXPECT_EQ(ans->exec.tuples_matched, 512);
+    EXPECT_EQ(EncodeAnswer(*ans), run.frames[0].payload);
+  }
+  {
+    const std::vector<uint8_t> bytes = MustLoad("answer_q2_17.bin");
+    const DecodeRun run = RunDecoder(bytes, bytes.size());
+    ASSERT_EQ(run.frames.size(), 1u);
+    const util::Result<service::Answer> ans = DecodeAnswer(
+        run.frames[0].payload.data(), run.frames[0].payload.size());
+    ASSERT_TRUE(ans.ok()) << ans.status();
+    EXPECT_EQ(ans->pieces.size(), 17u);
+    EXPECT_EQ(ans->pieces[16].prototype_id, 49);
     EXPECT_EQ(EncodeAnswer(*ans), run.frames[0].payload);
   }
   {

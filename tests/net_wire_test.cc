@@ -11,6 +11,7 @@
 
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -109,12 +110,15 @@ TEST(WireFrameTest, BadMagicPoisonsWithTypedError) {
 }
 
 TEST(WireFrameTest, UnknownVersionIsTypedError) {
-  std::vector<uint8_t> bytes = OneFrame(FrameType::kRequest, 5, {1, 2});
-  bytes[4] = 99;  // version low byte
-  FrameDecoder decoder;
-  Frame frame;
-  ASSERT_EQ(DecodeAll(bytes, &frame, &decoder), FrameDecoder::Event::kError);
-  EXPECT_EQ(decoder.error().code(), util::StatusCode::kNotImplemented);
+  // 1 is the retired byte-at-a-time-checksum version: no shim accepts it.
+  for (const uint8_t version : {1, 3, 99}) {
+    std::vector<uint8_t> bytes = OneFrame(FrameType::kRequest, 5, {1, 2});
+    bytes[4] = version;  // version low byte
+    FrameDecoder decoder;
+    Frame frame;
+    ASSERT_EQ(DecodeAll(bytes, &frame, &decoder), FrameDecoder::Event::kError);
+    EXPECT_EQ(decoder.error().code(), util::StatusCode::kNotImplemented);
+  }
 }
 
 TEST(WireFrameTest, OversizedLengthRejectedFromHeaderAlone) {
@@ -523,6 +527,26 @@ TEST(WireArenaTest, PoolIsBounded) {
 // DESIGN.md §12 written out by hand. The word-wide encoders must produce
 // exactly its bytes.
 
+// The v2 frame check as specified, one byte at a time: copy the 20 header
+// bytes and the payload into one stream, zero-pad it to whole 4-byte words,
+// assemble each little-endian word from its bytes, and feed word k to lane
+// k mod 2.
+uint32_t RefFrameCheck(const uint8_t* header20, const uint8_t* payload,
+                       size_t payload_len) {
+  std::vector<uint8_t> stream(header20, header20 + 20);
+  stream.insert(stream.end(), payload, payload + payload_len);
+  while (stream.size() % 4 != 0) stream.push_back(0);
+  uint32_t lane[2] = {2166136261u, 0x9E3779B9u};
+  for (size_t k = 0; k * 4 < stream.size(); ++k) {
+    uint32_t w = 0;
+    for (int b = 0; b < 4; ++b) {
+      w |= static_cast<uint32_t>(stream[k * 4 + b]) << (8 * b);
+    }
+    lane[k % 2] = (lane[k % 2] ^ w) * 16777619u;
+  }
+  return lane[0] ^ lane[1];
+}
+
 class RefEncoder {
  public:
   void U16(uint16_t v) {
@@ -574,12 +598,7 @@ class RefEncoder {
   void EndFrame(size_t at) {
     const uint32_t len = static_cast<uint32_t>(out.size() - at - kHeaderBytes);
     Patch32(at + 16, len);
-    uint32_t h = 2166136261u;  // FNV-1a over header bytes 0..19 + payload.
-    for (size_t i = at; i < out.size(); ++i) {
-      if (i >= at + 20 && i < at + kHeaderBytes) continue;
-      h = (h ^ out[i]) * 16777619u;
-    }
-    Patch32(at + 20, h);
+    Patch32(at + 20, RefFrameCheck(&out[at], &out[at] + kHeaderBytes, len));
   }
 
   void Answer(const service::Answer& a) {
@@ -743,6 +762,71 @@ TEST(WordEncodeTest, RequestAndStatusEncodingsMatchTheReference) {
     RefEncoder status_payload;
     status_payload.Status(status);
     ASSERT_EQ(EncodeStatus(status), status_payload.out) << "trial " << trial;
+  }
+}
+
+// ------------------------------------------------------------ frame check --
+
+TEST(FrameCheckTest, MatchesTheReferenceAtTheEndOfExactBuffers) {
+  // Every tail shape (no tail word, a whole word, a partial word in either
+  // lane), with the header and the payload each in a heap block of exactly
+  // its size, so the sanitizer builds catch a read past payload_len.
+  util::Rng rng(7);
+  for (size_t len = 0; len < 20; ++len) {
+    SCOPED_TRACE(len);
+    std::unique_ptr<uint8_t[]> header(new uint8_t[20]);
+    std::unique_ptr<uint8_t[]> payload(new uint8_t[len]);
+    for (size_t i = 0; i < 20; ++i) header[i] = static_cast<uint8_t>(rng.NextU64());
+    for (size_t i = 0; i < len; ++i) payload[i] = static_cast<uint8_t>(rng.NextU64());
+    EXPECT_EQ(FrameChecksum(header.get(), payload.get(), len),
+              RefFrameCheck(header.get(), payload.get(), len));
+
+    // The same payload framed: the check lands in header bytes 20..23.
+    std::vector<uint8_t> got;
+    AppendFrame(&got, FrameType::kRequest, len, payload.get(), len);
+    RefEncoder ref;
+    const size_t at = ref.BeginFrame(FrameType::kRequest, len);
+    ref.out.insert(ref.out.end(), payload.get(), payload.get() + len);
+    ref.EndFrame(at);
+    EXPECT_EQ(got, ref.out);
+  }
+}
+
+TEST(FrameCheckTest, EveryBitFlipOfAQ2AnswerFrameIsATypedError) {
+  // A 17-piece Q2 answer, the size a model answer has at d = 2: every one
+  // of its bits, flipped alone, must end in a typed error. The decoder's
+  // payload limit is the frame's own payload size, so a flip that grows
+  // payload_len is refused from the header instead of waiting for bytes.
+  service::Answer answer;
+  answer.kind = service::QueryKind::kQ2Regression;
+  answer.source = service::AnswerSource::kModel;
+  answer.mean = 0.4375;
+  util::Rng rng(43);
+  for (int i = 0; i < 17; ++i) {
+    core::LocalLinearModel m;
+    m.intercept = rng.Uniform();
+    m.slope = std::vector<double>{rng.Uniform(), rng.Uniform()};
+    m.prototype_id = i;
+    m.weight = 1.0 / 17;
+    answer.pieces.push_back(std::move(m));
+  }
+  std::vector<uint8_t> good;
+  AppendAnswerFrame(&good, 99, answer);
+  const size_t payload_len = good.size() - kHeaderBytes;
+  ASSERT_GT(payload_len, 1000u);
+
+  for (size_t bit = 0; bit < good.size() * 8; ++bit) {
+    std::vector<uint8_t> bytes = good;
+    bytes[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    FrameDecoder decoder(payload_len);
+    Frame frame;
+    ASSERT_EQ(DecodeAll(bytes, &frame, &decoder), FrameDecoder::Event::kError)
+        << "byte " << bit / 8 << " bit " << bit % 8;
+    const util::StatusCode code = decoder.error().code();
+    EXPECT_TRUE(code == util::StatusCode::kInvalidArgument ||
+                code == util::StatusCode::kNotImplemented ||
+                code == util::StatusCode::kOutOfRange)
+        << "byte " << bit / 8 << " bit " << bit % 8 << ": " << decoder.error();
   }
 }
 
