@@ -6,12 +6,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <thread>
 
 #include "eval/fvu_eval.h"
 #include "eval/metrics.h"
 #include "linalg/matrix.h"
 #include "plr/mars.h"
-#include "util/csv.h"
 #include "util/env.h"
 #include "util/rng.h"
 #include "util/string_util.h"
@@ -27,7 +27,6 @@ BenchEnv BenchEnv::FromEnv() {
   env.train_cap = util::GetEnvInt64("QREG_TRAIN_CAP", 30000);
   env.test_queries = util::GetEnvInt64("QREG_TEST_QUERIES", 2000);
   env.seed = static_cast<uint64_t>(util::GetEnvInt64("QREG_SEED", 42));
-  env.write_csv = util::GetEnvBool("QREG_CSV", false);
   return env;
 }
 
@@ -252,21 +251,14 @@ std::string OutDir() {
   return dir;
 }
 
-bool WriteOutFile(const std::string& filename, const std::string& content) {
-  const std::string path = OutDir() + "/" + filename;
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const size_t written = std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
-  return written == content.size();
-}
-
 namespace {
 
-// Renders a cell as raw JSON: finite numbers stay numbers, everything else
-// (including "nan"/"inf", which strtod accepts but JSON forbids) becomes a
-// quoted string (bench tables never contain quotes or backslashes).
+// Renders a cell as raw JSON: finite numbers and true/false stay literals,
+// everything else (including "nan"/"inf", which strtod accepts but JSON
+// forbids) becomes a quoted string (bench tables never contain quotes or
+// backslashes).
 std::string JsonValue(const std::string& cell) {
+  if (cell == "true" || cell == "false") return cell;
   char* end = nullptr;
   const double parsed = std::strtod(cell.c_str(), &end);
   const bool numeric = !cell.empty() && end != nullptr && *end == '\0' &&
@@ -276,36 +268,43 @@ std::string JsonValue(const std::string& cell) {
 
 }  // namespace
 
-void EmitTable(const std::string& bench_name, const std::string& table_name,
+bool EmitTable(const std::string& bench_name, const std::string& table_name,
                const util::TablePrinter& table, const BenchEnv& env) {
   std::cout << "\n-- " << table_name << " --\n";
   table.Print(std::cout);
-  if (env.write_csv) {
-    const std::string path = util::Format("%s/%s_%s.csv", OutDir().c_str(),
-                                          bench_name.c_str(), table_name.c_str());
-    util::CsvWriter csv;
-    if (csv.Open(path).ok()) {
-      (void)csv.WriteRow(table.header());
-      for (const auto& row : table.rows()) (void)csv.WriteRow(row);
-      (void)csv.Close();
+
+  std::string json = util::Format(
+      "{\n  \"bench\": \"%s\",\n  \"table\": \"%s\",\n"
+      "  \"hardware_concurrency\": %u,\n"
+      "  \"rows_r1\": %lld, \"rows_r2\": %lld, \"train_cap\": %lld, "
+      "\"test_queries\": %lld, \"seed\": %llu,\n  \"records\": [",
+      bench_name.c_str(), table_name.c_str(),
+      std::thread::hardware_concurrency(), static_cast<long long>(env.rows_r1),
+      static_cast<long long>(env.rows_r2), static_cast<long long>(env.train_cap),
+      static_cast<long long>(env.test_queries),
+      static_cast<unsigned long long>(env.seed));
+  const std::vector<std::string>& header = table.header();
+  const auto& rows = table.rows();
+  for (size_t r = 0; r < rows.size(); ++r) {
+    json += r == 0 ? "\n    {" : ",\n    {";
+    for (size_t c = 0; c < rows[r].size() && c < header.size(); ++c) {
+      if (c > 0) json += ", ";
+      json += "\"" + header[c] + "\": " + JsonValue(rows[r][c]);
     }
+    json += "}";
   }
-  if (util::GetEnvBool("QREG_JSON", false)) {
-    std::string json = "[\n";
-    const std::vector<std::string>& header = table.header();
-    const auto& rows = table.rows();
-    for (size_t r = 0; r < rows.size(); ++r) {
-      json += "  {";
-      for (size_t c = 0; c < rows[r].size() && c < header.size(); ++c) {
-        if (c > 0) json += ", ";
-        json += "\"" + header[c] + "\": " + JsonValue(rows[r][c]);
-      }
-      json += r + 1 < rows.size() ? "},\n" : "}\n";
-    }
-    json += "]\n";
-    (void)WriteOutFile(
-        util::Format("%s_%s.json", bench_name.c_str(), table_name.c_str()), json);
+  json += rows.empty() ? "]\n}\n" : "\n  ]\n}\n";
+
+  const std::string path = util::Format("%s/%s_%s.json", OutDir().c_str(),
+                                        bench_name.c_str(), table_name.c_str());
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  bool ok = f != nullptr;
+  if (ok) {
+    ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
+    ok = std::fclose(f) == 0 && ok;
   }
+  if (!ok) std::cerr << "failed to write " << path << "\n";
+  return ok;
 }
 
 }  // namespace bench

@@ -6,8 +6,11 @@
 //   QREG_SCALE                    multiplies both sizes (default 1)
 //   QREG_TRAIN_CAP                max training pairs per model (default 30,000)
 //   QREG_TEST_QUERIES             evaluation queries per point (default 2,000)
-//   QREG_CSV                      "1" writes bench/out/<name>.csv next to stdout
 //   QREG_SEED                     master seed (default 42)
+//   QREG_OUT_DIR                  where result files go (default bench/out)
+//
+// Every table a bench prints is also written, through EmitTable, to
+// <out dir>/<bench>_<table>.json; that is the only result file a bench writes.
 
 #ifndef QREG_BENCH_BENCH_COMMON_H_
 #define QREG_BENCH_BENCH_COMMON_H_
@@ -37,7 +40,6 @@ struct BenchEnv {
   int64_t train_cap;
   int64_t test_queries;
   uint64_t seed;
-  bool write_csv;
 
   static BenchEnv FromEnv();
 };
@@ -130,13 +132,12 @@ void PrintHeader(const std::string& bench, const std::string& paper_ref,
 /// first call.
 std::string OutDir();
 
-/// \brief Writes `content` to OutDir()/filename; false on I/O failure.
-bool WriteOutFile(const std::string& filename, const std::string& content);
-
-/// \brief Prints a table; mirrors it to OutDir()/<bench>_<table>.csv when
-/// QREG_CSV is truthy and to .json (an array of row objects keyed by the
-/// header, values as raw JSON numbers where parsable) when QREG_JSON is.
-void EmitTable(const std::string& bench_name, const std::string& table_name,
+/// \brief Prints a table and writes it to OutDir()/<bench>_<table>.json as
+/// one object: `bench`, `table`, `hardware_concurrency`, the env's sizes and
+/// seed, and `records`, one object per row keyed by the header (cells that
+/// parse as finite numbers, and true/false, stay JSON literals; the rest are
+/// strings). Reports a failed write on stderr and returns false.
+bool EmitTable(const std::string& bench_name, const std::string& table_name,
                const util::TablePrinter& table, const BenchEnv& env);
 
 }  // namespace bench

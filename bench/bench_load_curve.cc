@@ -32,8 +32,14 @@
 //                       capacity-relative fractions)
 //   QREG_LOAD_LOOPS     comma-separated loop ladder (overrides {1,2,4})
 //
-// Output: bench/out/bench_load_curve_l<L>.json per loop count plus the
-// combined bench/out/bench_load_curve.json ("runs" array + knee_scaling).
+// Output: one EmitTable file per table under bench/out/:
+//   bench_load_curve_rungs_l<L>.json       one record per rung at L loops
+//   bench_load_curve_knees.json            one record per loop count: conns,
+//                                          knee, pre-knee p99 ratio and the
+//                                          net counters
+//   bench_load_curve_loop_attribution.json one record per (loop count, loop)
+//   bench_load_curve_inprocess.json        in-process QPS/p50/p99, the wire
+//                                          capacity and the knee scaling
 //
 // `--smoke` shrinks everything (tiny dataset, short rungs) and exits
 // non-zero unless every curve is non-empty with a strictly monotone
@@ -260,19 +266,10 @@ RungResult RunRung(uint16_t port, const std::vector<net::WireRequest>& pool,
   return r;
 }
 
-/// JSON for one loop-count run (also embedded verbatim in the combined
-/// document). `indent` prefixes every line so the object nests cleanly.
-std::string LoopRunJson(const LoopRun& run, double inproc_p99_ms,
-                        const std::string& indent) {
-  std::ostringstream os;
-  os << indent << "{\n";
-  os << indent
-     << util::Format("  \"event_loops\": %zu, \"conns\": %d,\n", run.loops,
-                     run.conns);
-  os << indent << util::Format("  \"knee_qps\": %.1f,\n", run.knee_qps);
-  // Best (lowest) pre-knee service-p99 ratio vs the in-process run. This is
-  // the acceptance-facing number; it is CPU-topology sensitive (on a
-  // single-core host the event loop preempts the executors and inflates it).
+/// Best (lowest) pre-knee service-p99 ratio vs the in-process run. This is
+/// the acceptance-facing number; it is CPU-topology sensitive (on a
+/// single-core host the event loop preempts the executors and inflates it).
+double PrekneeServiceP99Ratio(const LoopRun& run, double inproc_p99_ms) {
   double ratio = 0.0;
   for (const RungResult& r : run.curve) {
     if (r.offered_qps <= run.knee_qps && r.service_p99_ms > 0.0 &&
@@ -281,72 +278,32 @@ std::string LoopRunJson(const LoopRun& run, double inproc_p99_ms,
       if (ratio == 0.0 || rr < ratio) ratio = rr;
     }
   }
-  os << indent
-     << util::Format("  \"preknee_service_p99_ratio\": %.2f,\n", ratio);
-  const service::ServiceSnapshot& snap = run.snap;
-  os << indent
-     << util::Format(
-            "  \"net\": {\"connections_accepted\": %lld, "
-            "\"connections_closed\": "
-            "%lld, \"frames_decoded\": %lld, \"protocol_errors\": %lld, "
-            "\"bytes_in\": %lld, \"bytes_out\": %lld, "
-            "\"idle_closed\": %lld, \"read_timeout_closed\": %lld, "
-            "\"backpressure_closed\": %lld},\n",
-            static_cast<long long>(snap.net_connections_accepted),
-            static_cast<long long>(snap.net_connections_closed),
-            static_cast<long long>(snap.net_frames_decoded),
-            static_cast<long long>(snap.net_protocol_errors),
-            static_cast<long long>(snap.net_bytes_in),
-            static_cast<long long>(snap.net_bytes_out),
-            static_cast<long long>(snap.net_idle_closed),
-            static_cast<long long>(snap.net_read_timeout_closed),
-            static_cast<long long>(snap.net_backpressure_closed));
-  // Per-loop accept/frame attribution: a healthy multi-loop run spreads the
-  // work; one hot row means the accept sharding is skewed on this host.
-  os << indent << "  \"net_loops\": [";
-  for (size_t i = 0; i < snap.net_loops.size(); ++i) {
-    const service::NetActivity& l = snap.net_loops[i];
-    os << util::Format(
-        "%s{\"conns\": %lld, \"frames\": %lld, \"bytes_out\": %lld, "
-        "\"idle_closed\": %lld, \"read_timeout_closed\": %lld, "
-        "\"backpressure_closed\": %lld}",
-        i == 0 ? "" : ", ",
-        static_cast<long long>(l.connections_accepted),
-        static_cast<long long>(l.frames_decoded),
-        static_cast<long long>(l.bytes_out),
-        static_cast<long long>(l.idle_closed),
-        static_cast<long long>(l.read_timeout_closed),
-        static_cast<long long>(l.backpressure_closed));
+  return ratio;
+}
+
+/// `head` followed by one column per NetActivity counter.
+std::vector<std::string> WithNetColumns(std::vector<std::string> head) {
+  for (const char* c :
+       {"connections_accepted", "connections_closed", "frames_decoded",
+        "protocol_errors", "bytes_in", "bytes_out", "idle_closed",
+        "read_timeout_closed", "backpressure_closed", "answered_on_loop",
+        "dispatched_to_executors"}) {
+    head.push_back(c);
   }
-  os << "],\n";
-  os << indent << "  \"curve\": [\n";
-  for (size_t i = 0; i < run.curve.size(); ++i) {
-    const RungResult& r = run.curve[i];
-    os << indent
-       << util::Format(
-              "    {\"offered_qps\": %.1f, \"achieved_qps\": %.1f, "
-              "\"p50_ms\": "
-              "%.4f, \"p99_ms\": %.4f, \"service_p99_ms\": %.4f, "
-              "\"shed_rate\": "
-              "%.4f, \"sent\": %lld, "
-              "\"answered\": %lld, \"shed\": %lld, \"errors\": %lld, "
-              "\"drops\": "
-              "%lld, \"idle_closed\": %lld, \"read_timeout_closed\": %lld, "
-              "\"backpressure_closed\": %lld}%s\n",
-              r.offered_qps, r.achieved_qps, r.p50_ms, r.p99_ms,
-              r.service_p99_ms, r.shed_rate, static_cast<long long>(r.sent),
-              static_cast<long long>(r.answered),
-              static_cast<long long>(r.shed),
-              static_cast<long long>(r.errors),
-              static_cast<long long>(r.drops),
-              static_cast<long long>(r.idle_closed),
-              static_cast<long long>(r.read_timeout_closed),
-              static_cast<long long>(r.backpressure_closed),
-              i + 1 < run.curve.size() ? "," : "");
+  return head;
+}
+
+/// `row` followed by `net`'s counters, in WithNetColumns order.
+std::vector<std::string> WithNetCells(std::vector<std::string> row,
+                                      const service::NetActivity& net) {
+  for (int64_t v :
+       {net.connections_accepted, net.connections_closed, net.frames_decoded,
+        net.protocol_errors, net.bytes_in, net.bytes_out, net.idle_closed,
+        net.read_timeout_closed, net.backpressure_closed, net.answered_on_loop,
+        net.dispatched_to_executors}) {
+    row.push_back(util::Format("%lld", static_cast<long long>(v)));
   }
-  os << indent << "  ]\n";
-  os << indent << "}";
-  return os.str();
+  return row;
 }
 
 int Run(bool smoke) {
@@ -531,9 +488,13 @@ int Run(bool smoke) {
 
     std::cout << util::Format("--- event_loops = %zu (%d conns) ---\n", loops,
                               run.conns);
-    util::TablePrinter table({"offered_qps", "achieved_qps", "p50_ms",
-                              "p99_ms", "service_p99_ms", "shed_rate",
-                              "drops", "bp_closed"});
+    util::TablePrinter table(
+        {"offered_qps", "achieved_qps", "p50_ms", "p99_ms", "service_p99_ms",
+         "shed_rate", "sent", "answered", "shed", "errors", "drops",
+         "idle_closed", "read_timeout_closed", "backpressure_closed"});
+    const auto count = [](int64_t v) {
+      return util::Format("%lld", static_cast<long long>(v));
+    };
     for (double rate : rates) {
       const service::ServiceSnapshot before = router.Stats();
       RungResult r = RunRung(ep->port, pool, rate, seconds, run.conns);
@@ -541,27 +502,30 @@ int Run(bool smoke) {
       // pushes every close into the stats the moment it happens, so the
       // difference around the rung is exact attribution.
       const service::ServiceSnapshot after = router.Stats();
-      r.idle_closed = after.net_idle_closed - before.net_idle_closed;
+      r.idle_closed = after.net.idle_closed - before.net.idle_closed;
       r.read_timeout_closed =
-          after.net_read_timeout_closed - before.net_read_timeout_closed;
+          after.net.read_timeout_closed - before.net.read_timeout_closed;
       r.backpressure_closed =
-          after.net_backpressure_closed - before.net_backpressure_closed;
+          after.net.backpressure_closed - before.net.backpressure_closed;
       run.curve.push_back(r);
-      table.AddRow({util::Format("%.0f", r.offered_qps),
-                    util::Format("%.0f", r.achieved_qps),
-                    util::Format("%.3f", r.p50_ms),
-                    util::Format("%.3f", r.p99_ms),
+      table.AddRow({util::Format("%.1f", r.offered_qps),
+                    util::Format("%.1f", r.achieved_qps),
+                    util::Format("%.4f", r.p50_ms),
+                    util::Format("%.4f", r.p99_ms),
                     util::Format("%.4f", r.service_p99_ms),
-                    util::Format("%.4f", r.shed_rate),
-                    util::Format("%lld", static_cast<long long>(r.drops)),
-                    util::Format("%lld",
-                                 static_cast<long long>(r.backpressure_closed))});
+                    util::Format("%.4f", r.shed_rate), count(r.sent),
+                    count(r.answered), count(r.shed), count(r.errors),
+                    count(r.drops), count(r.idle_closed),
+                    count(r.read_timeout_closed),
+                    count(r.backpressure_closed)});
     }
     run.snap = router.Stats();
     server.Shutdown();
     router.ResetStats();
-    EmitTable("bench_load_curve", util::Format("load_curve_l%zu", loops), table,
-              env);
+    if (!EmitTable("bench_load_curve", util::Format("rungs_l%zu", loops),
+                   table, env)) {
+      return 1;
+    }
 
     for (const RungResult& r : run.curve) {
       if (r.offered_qps > 0.0 && r.achieved_qps / r.offered_qps >= 0.9) {
@@ -571,23 +535,10 @@ int Run(bool smoke) {
     std::cout << util::Format("knee(loops=%zu): ~%.0f qps\n\n", loops,
                               run.knee_qps);
 
-    const std::string per_loop_name =
-        util::Format("bench_load_curve_l%zu.json", loops);
-    std::ostringstream per;
-    per << "{\n  \"bench\": \"bench_load_curve\",\n";
-    per << util::Format(
-        "  \"inprocess\": {\"qps\": %.1f, \"p50_ms\": %.4f, "
-        "\"p99_ms\": %.4f},\n",
-        capacity_qps, inproc_p50, inproc_p99);
-    per << "  \"run\":\n" << LoopRunJson(run, inproc_p99, "  ") << "\n}\n";
-    if (!WriteOutFile(per_loop_name, per.str())) {
-      std::cerr << "failed to write " << per_loop_name << "\n";
-      return 1;
-    }
     runs.push_back(std::move(run));
   }
 
-  // --- Combined document --------------------------------------------------
+  // --- Cross-run tables ---------------------------------------------------
   // Loop scaling: the best knee over the ladder relative to one loop.
   double knee1 = 0.0, knee2 = 0.0, knee_top = 0.0;
   for (const LoopRun& run : runs) {
@@ -597,34 +548,36 @@ int Run(bool smoke) {
   }
   const double knee_scaling = knee1 > 0.0 ? knee_top / knee1 : 0.0;
 
-  std::ostringstream combined;
-  combined << "{\n  \"bench\": \"bench_load_curve\",\n";
-  combined << util::Format(
-      "  \"inprocess\": {\"qps\": %.1f, \"p50_ms\": %.4f, \"p99_ms\": "
-      "%.4f},\n",
-      capacity_qps, inproc_p50, inproc_p99);
-  combined << util::Format("  \"wire_capacity_qps\": %.1f,\n", wire_capacity);
-  combined << util::Format("  \"hardware_concurrency\": %u,\n",
-                           std::thread::hardware_concurrency());
-  combined << util::Format("  \"knee_scaling\": %.2f,\n", knee_scaling);
-  combined << "  \"runs\": [\n";
-  for (size_t i = 0; i < runs.size(); ++i) {
-    combined << LoopRunJson(runs[i], inproc_p99, "    ")
-             << (i + 1 < runs.size() ? ",\n" : "\n");
+  util::TablePrinter knees(WithNetColumns(
+      {"event_loops", "conns", "knee_qps", "preknee_service_p99_ratio"}));
+  // Per-loop accept/frame attribution: a healthy multi-loop run spreads the
+  // work; one hot row means the accept sharding is skewed on this host.
+  util::TablePrinter attribution(WithNetColumns({"event_loops", "loop"}));
+  for (const LoopRun& run : runs) {
+    knees.AddRow(WithNetCells(
+        {util::Format("%zu", run.loops), util::Format("%d", run.conns),
+         util::Format("%.1f", run.knee_qps),
+         util::Format("%.2f", PrekneeServiceP99Ratio(run, inproc_p99))},
+        run.snap.net));
+    for (size_t i = 0; i < run.snap.net_loops.size(); ++i) {
+      attribution.AddRow(WithNetCells(
+          {util::Format("%zu", run.loops), util::Format("%zu", i)},
+          run.snap.net_loops[i]));
+    }
   }
-  combined << "  ]\n}\n";
-  if (!WriteOutFile("bench_load_curve.json", combined.str())) {
-    std::cerr << "failed to write bench_load_curve.json\n";
+  util::TablePrinter inprocess(
+      {"qps", "p50_ms", "p99_ms", "wire_capacity_qps", "knee_scaling"});
+  inprocess.AddRow({util::Format("%.1f", capacity_qps),
+                    util::Format("%.4f", inproc_p50),
+                    util::Format("%.4f", inproc_p99),
+                    util::Format("%.1f", wire_capacity),
+                    util::Format("%.2f", knee_scaling)});
+  if (!EmitTable("bench_load_curve", "knees", knees, env) ||
+      !EmitTable("bench_load_curve", "loop_attribution", attribution, env) ||
+      !EmitTable("bench_load_curve", "inprocess", inprocess, env)) {
     return 1;
   }
-
-  std::cout << "knees:";
-  for (const LoopRun& run : runs) {
-    std::cout << util::Format(" l%zu ~%.0f qps", run.loops, run.knee_qps);
-  }
-  std::cout << util::Format("  (scaling %.2fx)\n", knee_scaling);
-  std::cout << "JSON curves written to " << OutDir()
-            << "/bench_load_curve*.json\n";
+  std::cout << "\ntables written to " << OutDir() << "/bench_load_curve_*.json\n";
 
   int64_t total_drops = 0;
   for (const LoopRun& run : runs) {

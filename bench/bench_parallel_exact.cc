@@ -9,10 +9,10 @@
 // bit-for-bit identical to the inline run's: the bench is a determinism
 // gate and exits 1 on any divergence.
 //
-// Always writes machine-readable JSON to OutDir() (default bench/out/):
-//   bench_parallel_exact.json — one record per (path, threads) with ms and
-//   speedup over the inline run — the artifact CI uploads for cross-PR
-//   perf-trajectory tracking.
+// Each access path's table is written to OutDir() (default bench/out/) by
+// EmitTable as bench_parallel_exact_<path>_d<d>.json: one record per thread
+// count with ms and speedup over the inline run — the artifact CI uploads
+// for cross-PR perf-trajectory tracking.
 //
 // Extra env knobs: QREG_PARALLEL_D (default 2), QREG_PARALLEL_QUERIES
 // (default 24), QREG_MAX_THREADS (default 8).
@@ -114,7 +114,6 @@ void Run() {
   std::vector<int64_t> thread_counts = {0};
   for (int64_t t = 1; t <= max_threads; t *= 2) thread_counts.push_back(t);
 
-  std::string json = "[\n";
   bool all_identical = true;
 
   struct Path {
@@ -127,8 +126,9 @@ void Run() {
   };
 
   for (const Path& path : paths) {
-    util::TablePrinter table(
-        {"threads", "q1_ms", "q1_speedup", "q2_ms", "q2_speedup", "identical"});
+    util::TablePrinter table({"path", "threads", "rows", "d", "q1_ms",
+                              "q1_speedup", "q2_ms", "q2_speedup",
+                              "identical_to_inline"});
 
     ExactAnswers reference;  // The inline run's answers.
     Timing inline_timing;
@@ -157,32 +157,17 @@ void Run() {
           t.q1_ms > 0.0 ? inline_timing.q1_ms / t.q1_ms : 0.0;
       const double q2_speedup =
           t.q2_ms > 0.0 ? inline_timing.q2_ms / t.q2_ms : 0.0;
-      table.AddRow({util::Format("%lld", static_cast<long long>(threads)),
-                    util::Format("%.4f", t.q1_ms),
-                    util::Format("%.2f", q1_speedup),
-                    util::Format("%.4f", t.q2_ms),
-                    util::Format("%.2f", q2_speedup),
-                    identical ? "yes" : "NO"});
-
-      json += util::Format(
-          "  {\"path\": \"%s\", \"threads\": %lld, \"rows\": %lld, \"d\": %zu, "
-          "\"hardware_concurrency\": %u, "
-          "\"q1_ms\": %.6f, \"q1_speedup\": %.4f, \"q2_ms\": %.6f, "
-          "\"q2_speedup\": %.4f, \"identical_to_inline\": %s},\n",
-          path.name, static_cast<long long>(threads),
-          static_cast<long long>(env.rows_r2), d,
-          std::thread::hardware_concurrency(), t.q1_ms, q1_speedup, t.q2_ms,
-          q2_speedup, identical ? "true" : "false");
+      table.AddRow({path.name,
+                    util::Format("%lld", static_cast<long long>(threads)),
+                    util::Format("%lld", static_cast<long long>(env.rows_r2)),
+                    util::Format("%zu", d), util::Format("%.6f", t.q1_ms),
+                    util::Format("%.4f", q1_speedup),
+                    util::Format("%.6f", t.q2_ms),
+                    util::Format("%.4f", q2_speedup),
+                    identical ? "true" : "false"});
     }
-    EmitTable("parallel_exact", util::Format("%s_d%zu", path.name, d), table,
-              env);
-  }
-  if (json.size() > 2 && json[json.size() - 2] == ',') {
-    json.erase(json.size() - 2, 1);  // Trailing comma of the last record.
-  }
-  json += "]\n";
-  if (!WriteOutFile("bench_parallel_exact.json", json)) {
-    std::cerr << "warning: could not write bench_parallel_exact.json\n";
+    EmitTable("bench_parallel_exact", util::Format("%s_d%zu", path.name, d),
+              table, env);
   }
 
   std::cout << util::Format(

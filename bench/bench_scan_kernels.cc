@@ -31,13 +31,13 @@
 // inside the ball) vs filtered (boundary-leaf rows run through the block
 // filter), counted by a bench-local kernel.
 //
-// Always writes machine-readable JSON to OutDir() (default bench/out/):
-//   bench_scan_kernels.json       — one record per (d, selectivity, path)
-//   bench_cache_read_path.json    — one record per (reader count, writer)
-//   bench_cache_write_path.json   — one record per occupancy
-//   bench_contained_subtrees.json — one record per θ
-// picked up by the CI bench-smoke artifact upload. The table JSON includes
-// bytes/row from the Table::MemoryBytes breakdown.
+// Each table is written to OutDir() (default bench/out/) by EmitTable:
+//   bench_scan_kernels_matrix.json             — one record per (d, selectivity)
+//   bench_scan_kernels_cache_read_path.json    — one record per (readers, writer)
+//   bench_scan_kernels_cache_write_path.json   — one record per occupancy
+//   bench_scan_kernels_contained_subtrees.json — one record per θ
+// picked up by the CI artifact upload. The matrix records include bytes/row
+// from the Table::MemoryBytes breakdown.
 //
 // --smoke: scaled-down sizes for CI, plus a hard gate: exits non-zero if
 // blockvisit is not at least as fast as rowvisitor on the d=6, 10% L2
@@ -195,6 +195,9 @@ ScanCell RunScanCell(size_t d, double selectivity, int64_t rows, int64_t reps,
   return cell;
 }
 
+// cache_churn's δ_min, which the write-path replay admits at.
+constexpr double kChurnDeltaMin = 0.93;
+
 // cache_churn's traffic shape: radii in a narrow band around 0.1, centers
 // jittered around a fixed set of hot spots.
 std::vector<query::Query> ChurnQueries(int64_t n, uint64_t seed) {
@@ -310,7 +313,7 @@ struct Replay {
 Replay ReplayChurn(bool enable_grid, size_t occupancy,
                    const std::vector<query::Query>& qs) {
   service::AnswerCacheConfig cfg;
-  cfg.delta_min = 0.93;
+  cfg.delta_min = kChurnDeltaMin;
   cfg.capacity_per_shard = occupancy;
   cfg.enable_grid = enable_grid;
   service::AnswerCache cache(cfg);
@@ -455,9 +458,8 @@ int Run(bool smoke) {
   const double selectivities[] = {0.01, 0.10, 0.90};
 
   util::TablePrinter table(
-      {"d", "selectivity", "rowvisitor_rps", "blockvisit_rps", "speedup",
-       "matched", "bytes_per_row"});
-  std::string json = "[\n";
+      {"d", "selectivity", "rows", "reps", "norm", "rowvisitor_rows_per_sec",
+       "blockvisit_rows_per_sec", "speedup", "matched", "bytes_per_row"});
   double gate_row_rps = 0.0, gate_block_rps = 0.0;  // d=6, 10% profile.
   for (size_t d : dims) {
     for (double sel : selectivities) {
@@ -467,31 +469,17 @@ int Run(bool smoke) {
         gate_row_rps = cell.row_rps;
         gate_block_rps = cell.block_rps;
       }
-      table.AddRow({util::Format("%zu", d), util::Format("%.0f%%", sel * 100),
-                    util::Format("%.3g", cell.row_rps),
-                    util::Format("%.3g", cell.block_rps),
-                    util::Format("%.2f", cell.speedup),
+      table.AddRow({util::Format("%zu", d), util::Format("%.2f", sel),
+                    util::Format("%lld", static_cast<long long>(rows)),
+                    util::Format("%lld", static_cast<long long>(reps)), "l2",
+                    util::Format("%.1f", cell.row_rps),
+                    util::Format("%.1f", cell.block_rps),
+                    util::Format("%.4f", cell.speedup),
                     util::Format("%lld", static_cast<long long>(cell.matched)),
-                    util::Format("%.1f", cell.bytes_per_row)});
-      json += util::Format(
-          "  {\"d\": %zu, \"selectivity\": %.2f, \"rows\": %lld, "
-          "\"reps\": %lld, \"norm\": \"l2\", "
-          "\"rowvisitor_rows_per_sec\": %.1f, "
-          "\"blockvisit_rows_per_sec\": %.1f, \"speedup\": %.4f, "
-          "\"matched\": %lld, \"bytes_per_row\": %.2f},\n",
-          d, sel, static_cast<long long>(rows), static_cast<long long>(reps),
-          cell.row_rps, cell.block_rps, cell.speedup,
-          static_cast<long long>(cell.matched), cell.bytes_per_row);
+                    util::Format("%.2f", cell.bytes_per_row)});
     }
   }
-  if (json.size() > 2 && json[json.size() - 2] == ',') {
-    json.erase(json.size() - 2, 1);
-  }
-  json += "]\n";
-  if (!WriteOutFile("bench_scan_kernels.json", json)) {
-    std::cerr << "warning: could not write bench_scan_kernels.json\n";
-  }
-  EmitTable("scan_kernels", util::Format("matrix_rows%lld", static_cast<long long>(rows)), table, env);
+  EmitTable("bench_scan_kernels", "matrix", table, env);
 
   // ---- Cache read path: shared readers, alone and beside one writer ----
   const std::vector<int> reader_counts =
@@ -500,31 +488,17 @@ int Run(bool smoke) {
 
   util::TablePrinter cache_table(
       {"readers", "writer", "lookups_per_sec", "inserts_per_sec", "hit_rate"});
-  std::string cache_json = "[\n";
   for (int readers : reader_counts) {
     for (const bool writer : {false, true}) {
       const CacheCell cell = RunCacheCell(readers, lookups_each, writer);
       cache_table.AddRow({util::Format("%d", readers), writer ? "1" : "0",
-                          util::Format("%.3g", cell.lookups_per_sec),
-                          util::Format("%.3g", cell.inserts_per_sec),
-                          util::Format("%.3f", cell.hit_rate)});
-      cache_json += util::Format(
-          "  {\"readers\": %d, \"writer\": %d, \"lookups_per_sec\": %.1f, "
-          "\"inserts_per_sec\": %.1f, \"hit_rate\": %.4f, "
-          "\"hardware_concurrency\": %u},\n",
-          readers, writer ? 1 : 0, cell.lookups_per_sec, cell.inserts_per_sec,
-          cell.hit_rate, std::thread::hardware_concurrency());
+                          util::Format("%.1f", cell.lookups_per_sec),
+                          util::Format("%.1f", cell.inserts_per_sec),
+                          util::Format("%.4f", cell.hit_rate)});
     }
   }
-  if (cache_json.size() > 2 && cache_json[cache_json.size() - 2] == ',') {
-    cache_json.erase(cache_json.size() - 2, 1);
-  }
-  cache_json += "]\n";
-  if (!WriteOutFile("bench_cache_read_path.json", cache_json)) {
-    std::cerr << "warning: could not write bench_cache_read_path.json\n";
-  }
   std::cout << "\ncache read path (Lookup):\n";
-  EmitTable("scan_kernels", "cache_read_path", cache_table, env);
+  EmitTable("bench_scan_kernels", "cache_read_path", cache_table, env);
 
   // ---- Cache write path: lookup, insert on miss, at occupancy ----
   const std::vector<size_t> occupancies =
@@ -532,75 +506,47 @@ int Run(bool smoke) {
             : std::vector<size_t>{64, 1024, 4096};
   const int64_t churn_ops = smoke ? 10000 : 50000;
 
-  util::TablePrinter write_table({"occupancy", "ns_per_insert", "ns_per_lookup",
-                                  "hit_rate", "linear_ns_per_insert",
-                                  "linear_ns_per_lookup"});
-  std::string write_json = "[\n";
+  util::TablePrinter write_table(
+      {"occupancy", "ops", "d", "delta_min", "ns_per_insert", "ns_per_lookup",
+       "hit_rate", "linear_ns_per_insert", "linear_ns_per_lookup"});
   for (size_t occupancy : occupancies) {
     const WriteCell cell = RunWriteCell(occupancy, churn_ops, env.seed);
     write_table.AddRow({util::Format("%zu", occupancy),
-                        util::Format("%.0f", cell.ns_per_insert),
-                        util::Format("%.0f", cell.ns_per_lookup),
-                        util::Format("%.3f", cell.hit_rate),
-                        util::Format("%.0f", cell.linear_ns_per_insert),
-                        util::Format("%.0f", cell.linear_ns_per_lookup)});
-    write_json += util::Format(
-        "  {\"occupancy\": %zu, \"ops\": %lld, \"d\": 2, "
-        "\"delta_min\": 0.93, \"ns_per_insert\": %.1f, "
-        "\"ns_per_lookup\": %.1f, \"hit_rate\": %.4f, "
-        "\"linear_ns_per_insert\": %.1f, \"linear_ns_per_lookup\": %.1f},\n",
-        occupancy, static_cast<long long>(churn_ops), cell.ns_per_insert,
-        cell.ns_per_lookup, cell.hit_rate, cell.linear_ns_per_insert,
-        cell.linear_ns_per_lookup);
-  }
-  if (write_json.size() > 2 && write_json[write_json.size() - 2] == ',') {
-    write_json.erase(write_json.size() - 2, 1);
-  }
-  write_json += "]\n";
-  if (!WriteOutFile("bench_cache_write_path.json", write_json)) {
-    std::cerr << "warning: could not write bench_cache_write_path.json\n";
+                        util::Format("%lld", static_cast<long long>(churn_ops)),
+                        "2", util::Format("%.2f", kChurnDeltaMin),
+                        util::Format("%.1f", cell.ns_per_insert),
+                        util::Format("%.1f", cell.ns_per_lookup),
+                        util::Format("%.4f", cell.hit_rate),
+                        util::Format("%.1f", cell.linear_ns_per_insert),
+                        util::Format("%.1f", cell.linear_ns_per_lookup)});
   }
   std::cout << "\ncache write path (lookup, insert on miss; grid vs linear twin):\n";
-  EmitTable("scan_kernels", "cache_write_path", write_table, env);
+  EmitTable("bench_scan_kernels", "cache_write_path", write_table, env);
 
   // ---- Contained subtrees: kd-tree Q1/Q2 over R1, d = 2 ----
   const int64_t subtree_rows = 300000;
   const int64_t subtree_queries = smoke ? 200 : 2000;
   const DataBundle r1 = MakeR1Bundle(2, subtree_rows, env.seed);
   util::TablePrinter subtree_table(
-      {"theta", "mean_value_us", "regression_us", "rows_summarised",
-       "rows_filtered", "summaries", "matched"});
-  std::string subtree_json = "[\n";
+      {"dataset", "d", "rows", "queries", "theta", "mean_value_us",
+       "regression_us", "rows_summarised_per_query", "rows_filtered_per_query",
+       "summaries_per_query", "matched_per_query"});
   for (double theta : {0.05, 0.1, 0.2}) {
     const SubtreeCell cell =
         RunSubtreeCell(r1, theta, subtree_queries, env.seed + 101);
-    subtree_table.AddRow({util::Format("%.2f", theta),
-                          util::Format("%.1f", cell.mean_value_us),
-                          util::Format("%.1f", cell.regression_us),
-                          util::Format("%.0f", cell.summarised_rows),
-                          util::Format("%.0f", cell.filtered_rows),
-                          util::Format("%.1f", cell.summaries),
-                          util::Format("%.0f", cell.matched)});
-    subtree_json += util::Format(
-        "  {\"dataset\": \"R1\", \"d\": 2, \"rows\": %lld, "
-        "\"queries\": %lld, \"theta\": %.2f, \"mean_value_us\": %.2f, "
-        "\"regression_us\": %.2f, \"rows_summarised_per_query\": %.1f, "
-        "\"rows_filtered_per_query\": %.1f, \"summaries_per_query\": %.2f, "
-        "\"matched_per_query\": %.1f},\n",
-        static_cast<long long>(subtree_rows),
-        static_cast<long long>(subtree_queries), theta, cell.mean_value_us,
-        cell.regression_us, cell.summarised_rows, cell.filtered_rows,
-        cell.summaries, cell.matched);
-  }
-  if (subtree_json.size() > 2 && subtree_json[subtree_json.size() - 2] == ',') {
-    subtree_json.erase(subtree_json.size() - 2, 1);
-  }
-  subtree_json += "]\n";
-  if (!WriteOutFile("bench_contained_subtrees.json", subtree_json)) {
-    std::cerr << "warning: could not write bench_contained_subtrees.json\n";
+    subtree_table.AddRow(
+        {r1.profile.name, "2",
+         util::Format("%lld", static_cast<long long>(subtree_rows)),
+         util::Format("%lld", static_cast<long long>(subtree_queries)),
+         util::Format("%.2f", theta), util::Format("%.2f", cell.mean_value_us),
+         util::Format("%.2f", cell.regression_us),
+         util::Format("%.1f", cell.summarised_rows),
+         util::Format("%.1f", cell.filtered_rows),
+         util::Format("%.2f", cell.summaries),
+         util::Format("%.1f", cell.matched)});
   }
   std::cout << "\ncontained subtrees (kd-tree, R1, d=2, per query):\n";
-  EmitTable("scan_kernels", "contained_subtrees", subtree_table, env);
+  EmitTable("bench_scan_kernels", "contained_subtrees", subtree_table, env);
 
   const double gate_speedup = gate_block_rps / std::max(1e-9, gate_row_rps);
   std::cout << util::Format(

@@ -107,8 +107,8 @@ int Serve(uint16_t port, size_t loops) {
   // executor pool.
   std::printf("requests answered on the event loops: %lld, dispatched to "
               "executors: %lld\n",
-              static_cast<long long>(snap.net_answered_on_loop),
-              static_cast<long long>(snap.net_dispatched_to_executors));
+              static_cast<long long>(snap.net.answered_on_loop),
+              static_cast<long long>(snap.net.dispatched_to_executors));
   return 0;
 }
 

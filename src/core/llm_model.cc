@@ -184,12 +184,6 @@ void LlmModel::SweepRows(const query::Query& q, bool with_overlap,
   out->nearest_d2_ = nearest_d2;
 }
 
-int32_t LlmModel::NearestPrototype(const query::Query& q) const {
-  Neighbourhood hood;
-  SweepRows(q, /*with_overlap=*/false, &hood);
-  return hood.nearest();
-}
-
 double LlmModel::NearestPrototypeDistance(const query::Query& q) const {
   Neighbourhood hood;
   SweepRows(q, /*with_overlap=*/false, &hood);
@@ -350,14 +344,6 @@ void LlmModel::ResetPlasticity(int64_t max_wins) {
     p.wins = max_wins;
   }
   gamma_history_.clear();
-}
-
-std::vector<int32_t> LlmModel::OverlapSet(const query::Query& q) const {
-  Neighbourhood hood;
-  Sweep(q, &hood);
-  std::vector<int32_t> overlap(hood.overlap_size());
-  for (size_t i = 0; i < overlap.size(); ++i) overlap[i] = hood.overlap_index(i);
-  return overlap;
 }
 
 util::Status LlmModel::CheckPredictable(const query::Query& q,

@@ -256,12 +256,6 @@ class LlmModel {
   util::Result<double> PredictValue(const query::Query& q,
                                     const std::vector<double>& x) const;
 
-  /// Overlap set W(q): indexes of prototypes with δ(q, w_k) > 0 (Eq. 10).
-  std::vector<int32_t> OverlapSet(const query::Query& q) const;
-
-  /// Index of the L2-nearest prototype in query space; -1 if none.
-  int32_t NearestPrototype(const query::Query& q) const;
-
   /// L2 query-space distance from q to its nearest prototype; +inf when the
   /// model has no prototypes. The service router's accuracy policy compares
   /// this against the vigilance ρ to decide model vs. exact execution.

@@ -135,7 +135,7 @@ util::Result<TrainingReport> Trainer::Train(query::WorkloadGenerator* workload,
 
   report.final_gamma = model->CurrentGamma();
   report.num_prototypes = model->num_prototypes();
-  if (report.converged && config_.freeze_on_convergence) model->Freeze();
+  if (report.converged) model->Freeze();  // Algorithm 1 stops learning.
   return report;
 }
 
@@ -161,7 +161,7 @@ util::Result<TrainingReport> Trainer::TrainFromPairs(
   }
   report.final_gamma = model->CurrentGamma();
   report.num_prototypes = model->num_prototypes();
-  if (report.converged && config_.freeze_on_convergence) model->Freeze();
+  if (report.converged) model->Freeze();  // Algorithm 1 stops learning.
   return report;
 }
 

@@ -36,8 +36,6 @@ struct TrainerConfig {
   /// Record Γ every `trace_every` pairs into TrainingReport::gamma_trace
   /// (0 disables tracing).
   int64_t trace_every = 0;
-  /// Freeze the model once converged (Algorithm 1 semantics).
-  bool freeze_on_convergence = true;
 };
 
 /// \brief Outcome of a training run.

@@ -15,6 +15,10 @@ namespace service {
 
 namespace {
 
+// Seed of the drift probe-query stream: a workload distinct from the
+// training stream, so probes measure generalization, not memorized pairs.
+constexpr uint64_t kDriftProbeSeed = 101;
+
 bool FileExists(const std::string& path) {
   struct stat st;
   return !path.empty() && ::stat(path.c_str(), &st) == 0;
@@ -157,7 +161,7 @@ util::Status ModelCatalog::TrainEntry(Entry* e, util::ThreadPool* train_pool) {
 void ModelCatalog::SetupDrift(Entry* e, const core::LlmModel& model) {
   if (!e->opts.drift.enabled) return;
   query::WorkloadConfig probe_cfg = e->opts.workload;
-  probe_cfg.seed = e->opts.drift.probe_seed;
+  probe_cfg.seed = kDriftProbeSeed;
   auto monitor = std::make_unique<core::DriftMonitor>(e->opts.drift.config);
   auto probe_gen = std::make_unique<query::WorkloadGenerator>(probe_cfg);
   util::Status calibrated = monitor->Calibrate(model, *e->engine, probe_gen.get());

@@ -64,10 +64,6 @@ struct DriftPolicy {
   /// Pair budget for a drift-triggered retrain (Algorithm 1 resumed on the
   /// new data distribution).
   int64_t retrain_max_pairs = 10000;
-
-  /// Seed of the probe-query stream — a workload distinct from the training
-  /// stream so probes measure generalization, not memorized pairs.
-  uint64_t probe_seed = 101;
 };
 
 /// \brief Per-dataset training recipe.

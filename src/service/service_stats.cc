@@ -59,17 +59,7 @@ ServiceSnapshot ServiceStats::Snapshot() const {
   s.cancelled = cancelled_;
   s.degraded = degraded_;
   s.retrains = retrains_;
-  s.net_connections_accepted = net_.connections_accepted;
-  s.net_connections_closed = net_.connections_closed;
-  s.net_frames_decoded = net_.frames_decoded;
-  s.net_protocol_errors = net_.protocol_errors;
-  s.net_bytes_in = net_.bytes_in;
-  s.net_bytes_out = net_.bytes_out;
-  s.net_idle_closed = net_.idle_closed;
-  s.net_read_timeout_closed = net_.read_timeout_closed;
-  s.net_backpressure_closed = net_.backpressure_closed;
-  s.net_answered_on_loop = net_.answered_on_loop;
-  s.net_dispatched_to_executors = net_.dispatched_to_executors;
+  s.net = net_;
   s.net_loops = net_loops_;
   s.elapsed_seconds = clock_.ElapsedSeconds();
   s.qps = s.elapsed_seconds > 0.0
@@ -101,42 +91,28 @@ void ServiceStats::Reset() {
 }
 
 void ServiceSnapshot::PrintTo(std::ostream& os) const {
+  const auto count = [](int64_t v) {
+    return util::Format("%lld", static_cast<long long>(v));
+  };
   util::TablePrinter t({"metric", "value"});
-  t.AddRow({"queries", util::Format("%lld", static_cast<long long>(total_queries))});
-  t.AddRow({"errors", util::Format("%lld", static_cast<long long>(errors))});
-  t.AddRow({"shed", util::Format("%lld", static_cast<long long>(shed))});
-  t.AddRow({"deadline exceeded",
-            util::Format("%lld", static_cast<long long>(deadline_exceeded))});
-  t.AddRow({"cancelled", util::Format("%lld", static_cast<long long>(cancelled))});
-  t.AddRow({"degraded (fallback)",
-            util::Format("%lld", static_cast<long long>(degraded))});
-  t.AddRow({"retrains", util::Format("%lld", static_cast<long long>(retrains))});
-  t.AddRow({"net connections accepted",
-            util::Format("%lld", static_cast<long long>(net_connections_accepted))});
-  t.AddRow({"net connections closed",
-            util::Format("%lld", static_cast<long long>(net_connections_closed))});
-  t.AddRow({"net frames decoded",
-            util::Format("%lld", static_cast<long long>(net_frames_decoded))});
-  t.AddRow({"net protocol errors",
-            util::Format("%lld", static_cast<long long>(net_protocol_errors))});
-  t.AddRow({"net bytes in",
-            util::Format("%lld", static_cast<long long>(net_bytes_in))});
-  t.AddRow({"net bytes out",
-            util::Format("%lld", static_cast<long long>(net_bytes_out))});
-  t.AddRow({"net idle closed",
-            util::Format("%lld", static_cast<long long>(net_idle_closed))});
-  t.AddRow({"net read-timeout closed",
-            util::Format("%lld",
-                         static_cast<long long>(net_read_timeout_closed))});
-  t.AddRow({"net backpressure closed",
-            util::Format("%lld",
-                         static_cast<long long>(net_backpressure_closed))});
-  t.AddRow({"net answered on loop",
-            util::Format("%lld",
-                         static_cast<long long>(net_answered_on_loop))});
-  t.AddRow({"net dispatched to executors",
-            util::Format("%lld",
-                         static_cast<long long>(net_dispatched_to_executors))});
+  t.AddRow({"queries", count(total_queries)});
+  t.AddRow({"errors", count(errors)});
+  t.AddRow({"shed", count(shed)});
+  t.AddRow({"deadline exceeded", count(deadline_exceeded)});
+  t.AddRow({"cancelled", count(cancelled)});
+  t.AddRow({"degraded (fallback)", count(degraded)});
+  t.AddRow({"retrains", count(retrains)});
+  t.AddRow({"net connections accepted", count(net.connections_accepted)});
+  t.AddRow({"net connections closed", count(net.connections_closed)});
+  t.AddRow({"net frames decoded", count(net.frames_decoded)});
+  t.AddRow({"net protocol errors", count(net.protocol_errors)});
+  t.AddRow({"net bytes in", count(net.bytes_in)});
+  t.AddRow({"net bytes out", count(net.bytes_out)});
+  t.AddRow({"net idle closed", count(net.idle_closed)});
+  t.AddRow({"net read-timeout closed", count(net.read_timeout_closed)});
+  t.AddRow({"net backpressure closed", count(net.backpressure_closed)});
+  t.AddRow({"net answered on loop", count(net.answered_on_loop)});
+  t.AddRow({"net dispatched to executors", count(net.dispatched_to_executors)});
   for (size_t i = 0; i < net_loops.size(); ++i) {
     const NetActivity& l = net_loops[i];
     t.AddRow({util::Format("net loop %zu (conns/frames/bytes out/on loop/"

@@ -22,8 +22,8 @@ namespace service {
 struct NetActivity {
   int64_t connections_accepted = 0;
   int64_t connections_closed = 0;
-  int64_t frames_decoded = 0;
-  int64_t protocol_errors = 0;
+  int64_t frames_decoded = 0;   ///< Complete frames (any type) parsed.
+  int64_t protocol_errors = 0;  ///< Malformed frames / payloads rejected.
   int64_t bytes_in = 0;
   int64_t bytes_out = 0;
   // Lifecycle expiries (all also counted in connections_closed): why the
@@ -80,21 +80,11 @@ struct ServiceSnapshot {
   int64_t retrains = 0;  ///< Drift-triggered model retrains (generation swaps).
 
   // Wire-level counters, recorded by the net::Server fronting this router
-  // (all zero for a purely in-process service). The scalar net_* fields are
-  // the rollup across every event loop; `net_loops` holds the per-loop
-  // breakdown when the server records with a loop index, so a skewed accept
-  // shard or one starving loop is visible in one snapshot.
-  int64_t net_connections_accepted = 0;
-  int64_t net_connections_closed = 0;
-  int64_t net_frames_decoded = 0;   ///< Complete frames (any type) parsed.
-  int64_t net_protocol_errors = 0;  ///< Malformed frames / payloads rejected.
-  int64_t net_bytes_in = 0;
-  int64_t net_bytes_out = 0;
-  int64_t net_idle_closed = 0;
-  int64_t net_read_timeout_closed = 0;
-  int64_t net_backpressure_closed = 0;
-  int64_t net_answered_on_loop = 0;         ///< Requests the loops answered.
-  int64_t net_dispatched_to_executors = 0;  ///< Requests sent to executors.
+  // (all zero for a purely in-process service). `net` is the rollup across
+  // every event loop; `net_loops` holds the per-loop breakdown when the
+  // server records with a loop index, so a skewed accept shard or one
+  // starving loop is visible in one snapshot.
+  NetActivity net;
   std::vector<NetActivity> net_loops;  ///< Per-event-loop totals (may be empty).
 
   double elapsed_seconds = 0.0;  ///< Since construction or Reset().

@@ -254,12 +254,17 @@ class PredictionTest : public ::testing::Test {
 };
 
 TEST_F(PredictionTest, OverlapSetFindsNearbyPrototype) {
-  auto w = model_->OverlapSet(Query({0.2}, 0.1));
-  ASSERT_EQ(w.size(), 1u);
+  Neighbourhood hood;
+  model_->Sweep(Query({0.2}, 0.1), &hood);
+  ASSERT_EQ(hood.overlap_size(), 1u);
+  EXPECT_EQ(hood.overlap_index(0), 0);  // The left prototype, spawned first.
+  EXPECT_EQ(hood.nearest(), 0);
   // Far query overlapping nothing.
-  EXPECT_TRUE(model_->OverlapSet(Query({10.0}, 0.1)).empty());
+  model_->Sweep(Query({10.0}, 0.1), &hood);
+  EXPECT_EQ(hood.overlap_size(), 0u);
   // Huge ball overlaps both.
-  EXPECT_EQ(model_->OverlapSet(Query({1.0}, 5.0)).size(), 2u);
+  model_->Sweep(Query({1.0}, 5.0), &hood);
+  EXPECT_EQ(hood.overlap_size(), 2u);
 }
 
 TEST_F(PredictionTest, PredictMeanNearPrototypeIsLocalValue) {
@@ -868,12 +873,10 @@ void ExpectSameModels(const std::vector<LocalLinearModel>& got,
 void ExpectMatchesReference(const LlmModel& m, const Query& q,
                             const std::string& label) {
   const std::string where = label + " at " + q.ToString();
-  EXPECT_EQ(m.NearestPrototype(q), RefNearestPrototype(m, q)) << where;
   EXPECT_EQ(Bits(m.NearestPrototypeDistance(q)),
             Bits(RefNearestPrototypeDistance(m, q)))
       << where;
   const std::vector<int32_t> overlap = RefOverlapSet(m, q);
-  EXPECT_EQ(m.OverlapSet(q), overlap) << where;
 
   Neighbourhood hood;
   m.Sweep(q, &hood);
@@ -931,7 +934,9 @@ void ExpectMatchesReferenceOnWorkload(const LlmModel& m,
     std::vector<double> c(d);
     for (double& v : c) v = rng.Uniform(3.0, 6.0);
     const Query far(c, rng.Uniform(0.01, 0.2));
-    ASSERT_TRUE(m.OverlapSet(far).empty()) << label;
+    Neighbourhood hood;
+    m.Sweep(far, &hood);
+    ASSERT_EQ(hood.overlap_size(), 0u) << label;
     ExpectMatchesReference(m, far, label + " outside");
   }
   for (int i = 0; i < 10; ++i) {
@@ -1007,7 +1012,9 @@ TEST(SweepReferenceTest, ReloadedObservedAndReplasticizedModelsMatch) {
 TEST(SweepReferenceTest, ManyOverlapsSpillPastTheInlineBuffer) {
   const LlmModel m = TrainOnCube(LlmConfig::ForDimension(1, 0.01), 4000, 31);
   const Query wide({0.5}, 1.0);
-  ASSERT_GT(m.OverlapSet(wide).size(), Neighbourhood::kInlineOverlaps);
+  Neighbourhood hood;
+  m.Sweep(wide, &hood);
+  ASSERT_GT(hood.overlap_size(), Neighbourhood::kInlineOverlaps);
   ExpectMatchesReference(m, wide, "spill");
   ExpectMatchesReferenceOnWorkload(m, "d=1 fine", 32);
 }
@@ -1031,14 +1038,17 @@ TEST(SweepReferenceTest, TouchingBallsAndTiedDistancesMatch) {
 
   // Equidistant from prototypes 0 and 1: the first index wins.
   const Query tie({0.5, 0.5}, 0.25);
-  EXPECT_EQ(m.NearestPrototype(tie), 0);
+  Neighbourhood hood;
+  m.Sweep(tie, &hood);
+  EXPECT_EQ(hood.nearest(), 0);
   ExpectMatchesReference(m, tie, "tie");
   const Query tie_apart({0.5, 0.5}, 0.01);  // Overlaps both, tied nearest.
   ExpectMatchesReference(m, tie_apart, "tie with overlap");
 
   // Overlapping nothing: Case 3 extrapolates the nearest prototype.
   const Query none({0.5, 1.25}, 0.01);
-  EXPECT_TRUE(m.OverlapSet(none).empty());
+  m.Sweep(none, &hood);
+  EXPECT_EQ(hood.overlap_size(), 0u);
   ExpectMatchesReference(m, none, "empty overlap");
 }
 

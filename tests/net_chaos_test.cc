@@ -166,13 +166,13 @@ TEST(NetChaosTest, SlowLorisDiesAtFrameStartAnchoredReadTimeout) {
   SimConn* victim = transport.Connect();
   ASSERT_NE(victim, nullptr);
   const std::vector<uint8_t> frame = RequestFrame(ToWire(requests[1]), 2);
-  const int64_t base_in = router.Stats().net_bytes_in;
+  const int64_t base_in = router.Stats().net.bytes_in;
   for (int i = 0; i < 3; ++i) {
     victim->SendToServer(frame.data() + i, 1);
     // The drip byte must be *read* (anchoring/holding the window) before
     // virtual time moves, or the anchor itself would drift.
     ASSERT_TRUE(WaitFor([&] {
-      return router.Stats().net_bytes_in == base_in + i + 1;
+      return router.Stats().net.bytes_in == base_in + i + 1;
     }));
     clock.AdvanceNanos(4000 * kMillis);
     transport.Poke();
@@ -181,12 +181,12 @@ TEST(NetChaosTest, SlowLorisDiesAtFrameStartAnchoredReadTimeout) {
   ASSERT_TRUE(victim->WaitForServerClose());
 
   EXPECT_TRUE(
-      WaitFor([&] { return router.Stats().net_read_timeout_closed == 1; }));
+      WaitFor([&] { return router.Stats().net.read_timeout_closed == 1; }));
   const service::ServiceSnapshot snap = router.Stats();
-  EXPECT_EQ(snap.net_read_timeout_closed, 1);
-  EXPECT_EQ(snap.net_idle_closed, 0);
-  EXPECT_EQ(snap.net_backpressure_closed, 0);
-  EXPECT_EQ(snap.net_protocol_errors, 0);  // Slow is not malformed.
+  EXPECT_EQ(snap.net.read_timeout_closed, 1);
+  EXPECT_EQ(snap.net.idle_closed, 0);
+  EXPECT_EQ(snap.net.backpressure_closed, 0);
+  EXPECT_EQ(snap.net.protocol_errors, 0);  // Slow is not malformed.
 
   server.Shutdown();
   EXPECT_EQ(server.loop_arena(0).acquired(), server.loop_arena(0).released());
@@ -209,14 +209,14 @@ TEST(NetChaosTest, HalfOpenStallDiesAtReadTimeoutNotIdle) {
   ASSERT_NE(victim, nullptr);
   const std::vector<uint8_t> frame = RequestFrame(ToWire(requests[1]), 2);
   victim->SendToServer(frame.data(), 10);
-  ASSERT_TRUE(WaitFor([&] { return router.Stats().net_bytes_in == 10; }));
+  ASSERT_TRUE(WaitFor([&] { return router.Stats().net.bytes_in == 10; }));
 
   clock.AdvanceNanos(10001 * kMillis);
   transport.Poke();
   ASSERT_TRUE(victim->WaitForServerClose());
   EXPECT_TRUE(
-      WaitFor([&] { return router.Stats().net_read_timeout_closed == 1; }));
-  EXPECT_EQ(router.Stats().net_idle_closed, 0);
+      WaitFor([&] { return router.Stats().net.read_timeout_closed == 1; }));
+  EXPECT_EQ(router.Stats().net.idle_closed, 0);
 
   // The server is unharmed: a healthy probe still answers bit-for-bit.
   ProbeHealthy(&transport, requests[0], &ref, 1);
@@ -243,20 +243,20 @@ TEST(NetChaosTest, SilentConnectionIsIdleClosedExactlyOnce) {
   SimConn* victim = transport.Connect();
   ASSERT_NE(victim, nullptr);
   ASSERT_TRUE(
-      WaitFor([&] { return router.Stats().net_connections_accepted == 1; }));
+      WaitFor([&] { return router.Stats().net.connections_accepted == 1; }));
   ProbeHealthy(&transport, requests[0], &ref, 1);
   ASSERT_TRUE(
-      WaitFor([&] { return router.Stats().net_connections_closed == 1; }));
+      WaitFor([&] { return router.Stats().net.connections_closed == 1; }));
 
   clock.AdvanceNanos(30001 * kMillis);
   transport.Poke();
   ASSERT_TRUE(victim->WaitForServerClose());
 
-  EXPECT_TRUE(WaitFor([&] { return router.Stats().net_idle_closed == 1; }));
+  EXPECT_TRUE(WaitFor([&] { return router.Stats().net.idle_closed == 1; }));
   const service::ServiceSnapshot snap = router.Stats();
-  EXPECT_EQ(snap.net_idle_closed, 1);
-  EXPECT_EQ(snap.net_read_timeout_closed, 0);  // Not mid-frame: idle's kill.
-  EXPECT_EQ(snap.net_connections_closed, 2);
+  EXPECT_EQ(snap.net.idle_closed, 1);
+  EXPECT_EQ(snap.net.read_timeout_closed, 0);  // Not mid-frame: idle's kill.
+  EXPECT_EQ(snap.net.connections_closed, 2);
 
   server.Shutdown();
   EXPECT_EQ(server.loop_arena(0).acquired(), server.loop_arena(0).released());
@@ -306,7 +306,7 @@ TEST(NetChaosTest, StalledReaderEvictedAtConnCapWithUnavailableGoodbye) {
   victim->SendToServer(burst);
 
   EXPECT_TRUE(
-      WaitFor([&] { return router.Stats().net_backpressure_closed == 1; }));
+      WaitFor([&] { return router.Stats().net.backpressure_closed == 1; }));
 
   // A healthy sibling on the same loop is untouched by the eviction.
   ProbeHealthy(&transport, requests[0], &ref, 1);
@@ -327,9 +327,9 @@ TEST(NetChaosTest, StalledReaderEvictedAtConnCapWithUnavailableGoodbye) {
   EXPECT_EQ(transported.code(), util::StatusCode::kUnavailable);
   ASSERT_TRUE(victim->WaitForServerClose());
 
-  EXPECT_EQ(router.Stats().net_backpressure_closed, 1);
-  EXPECT_EQ(router.Stats().net_idle_closed, 0);
-  EXPECT_EQ(router.Stats().net_read_timeout_closed, 0);
+  EXPECT_EQ(router.Stats().net.backpressure_closed, 1);
+  EXPECT_EQ(router.Stats().net.idle_closed, 0);
+  EXPECT_EQ(router.Stats().net.read_timeout_closed, 0);
 
   server.Shutdown();
   // Eviction's whole point: the undeliverable answers went home to the
@@ -368,9 +368,9 @@ TEST(NetChaosTest, AggregateCapEvictsHeaviestWriterOnly) {
   heavy->SendToServer(burst);
 
   EXPECT_TRUE(
-      WaitFor([&] { return router.Stats().net_backpressure_closed == 1; }));
+      WaitFor([&] { return router.Stats().net.backpressure_closed == 1; }));
   ProbeHealthy(&transport, requests[0], &ref, 100);
-  EXPECT_EQ(router.Stats().net_backpressure_closed, 1);  // Exactly one victim.
+  EXPECT_EQ(router.Stats().net.backpressure_closed, 1);  // Exactly one victim.
 
   heavy->ResumeWrites();  // Take the goodbye so drain never waits on us.
   ASSERT_TRUE(heavy->WaitForServerClose());
@@ -419,8 +419,8 @@ TEST(NetChaosTest, ResetStormLeavesHealthyTrafficBitForBit) {
   // 5 victims + 3 probes, all accounted closed; resets are transport
   // deaths, not protocol violations.
   EXPECT_TRUE(
-      WaitFor([&] { return router.Stats().net_connections_closed == 8; }));
-  EXPECT_EQ(router.Stats().net_protocol_errors, 0);
+      WaitFor([&] { return router.Stats().net.connections_closed == 8; }));
+  EXPECT_EQ(router.Stats().net.protocol_errors, 0);
 
   server.Shutdown();
   EXPECT_EQ(server.loop_arena(0).acquired(), server.loop_arena(0).released());
@@ -475,14 +475,14 @@ TEST(NetChaosTest, ChaosSoakKillsEachVictimByItsOwnCounter) {
 
   // The eviction lands in real time (no clock motion needed)...
   EXPECT_TRUE(
-      WaitFor([&] { return router.Stats().net_backpressure_closed == 1; }));
+      WaitFor([&] { return router.Stats().net.backpressure_closed == 1; }));
 
   // ...then the loris drips under a frame-start-anchored window.
-  const int64_t base_in = router.Stats().net_bytes_in;
+  const int64_t base_in = router.Stats().net.bytes_in;
   for (int i = 0; i < 3; ++i) {
     loris->SendToServer(loris_frame.data() + i, 1);
     ASSERT_TRUE(WaitFor([&] {
-      return router.Stats().net_bytes_in == base_in + i + 1;
+      return router.Stats().net.bytes_in == base_in + i + 1;
     }));
     clock.AdvanceNanos(4000 * kMillis);
     transport.Poke();
@@ -501,13 +501,13 @@ TEST(NetChaosTest, ChaosSoakKillsEachVictimByItsOwnCounter) {
 
   ProbeHealthy(&transport, requests[2], &ref, 3);
 
-  EXPECT_TRUE(WaitFor([&] { return router.Stats().net_idle_closed == 1; }));
+  EXPECT_TRUE(WaitFor([&] { return router.Stats().net.idle_closed == 1; }));
   const service::ServiceSnapshot snap = router.Stats();
-  EXPECT_EQ(snap.net_idle_closed, 1);           // The idler.
-  EXPECT_EQ(snap.net_read_timeout_closed, 1);   // The loris.
-  EXPECT_EQ(snap.net_backpressure_closed, 1);   // The deaf reader.
-  EXPECT_EQ(snap.net_protocol_errors, 0);
-  EXPECT_EQ(snap.net_connections_accepted, 8);  // 5 victims + 3 probes.
+  EXPECT_EQ(snap.net.idle_closed, 1);           // The idler.
+  EXPECT_EQ(snap.net.read_timeout_closed, 1);   // The loris.
+  EXPECT_EQ(snap.net.backpressure_closed, 1);   // The deaf reader.
+  EXPECT_EQ(snap.net.protocol_errors, 0);
+  EXPECT_EQ(snap.net.connections_accepted, 8);  // 5 victims + 3 probes.
 
   server.Shutdown();
   EXPECT_EQ(server.loop_arena(0).acquired(), server.loop_arena(0).released());

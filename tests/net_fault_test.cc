@@ -160,12 +160,12 @@ TEST(NetFaultTest, ByteAtATimeDeliveryDecodesBitForBit) {
   // what the client sent, and frames_decoded counts each frame once.
   EXPECT_TRUE(WaitFor([&] {
     const service::ServiceSnapshot snap = router.Stats();
-    return snap.net_bytes_in == static_cast<int64_t>(sent_bytes) &&
-           snap.net_frames_decoded ==
+    return snap.net.bytes_in == static_cast<int64_t>(sent_bytes) &&
+           snap.net.frames_decoded ==
                static_cast<int64_t>(requests.size()) &&
-           snap.net_bytes_out == static_cast<int64_t>(received_bytes);
-  })) << "bytes_in=" << router.Stats().net_bytes_in << " want=" << sent_bytes;
-  EXPECT_EQ(router.Stats().net_protocol_errors, 0);
+           snap.net.bytes_out == static_cast<int64_t>(received_bytes);
+  })) << "bytes_in=" << router.Stats().net.bytes_in << " want=" << sent_bytes;
+  EXPECT_EQ(router.Stats().net.protocol_errors, 0);
 
   server.Shutdown();
   EXPECT_EQ(server.loop_arena(0).acquired(), server.loop_arena(0).released());
@@ -196,8 +196,8 @@ TEST(NetFaultTest, EagainMidHeaderLeavesDecoderResumable) {
   ASSERT_TRUE(CollectFrames(conn, &decoder, 1, &frames));
   EXPECT_EQ(frames[0].header.request_id, 7u);
   ExpectAnswerMatchesReference(frames[0], requests[0], &ref);
-  EXPECT_EQ(router.Stats().net_protocol_errors, 0);
-  EXPECT_EQ(router.Stats().net_frames_decoded, 1);
+  EXPECT_EQ(router.Stats().net.protocol_errors, 0);
+  EXPECT_EQ(router.Stats().net.frames_decoded, 1);
 
   server.Shutdown();
   EXPECT_EQ(server.loop_arena(0).acquired(), server.loop_arena(0).released());
@@ -235,8 +235,8 @@ TEST(NetFaultTest, ResetMidBatchCompletesDispatchedRequestsAndReleasesArena) {
            static_cast<int64_t>(requests.size());
   })) << "executed " << router.Stats().total_queries;
   EXPECT_TRUE(
-      WaitFor([&] { return router.Stats().net_connections_closed == 1; }));
-  EXPECT_EQ(router.Stats().net_frames_decoded,
+      WaitFor([&] { return router.Stats().net.connections_closed == 1; }));
+  EXPECT_EQ(router.Stats().net.frames_decoded,
             static_cast<int64_t>(requests.size()));
 
   server.Shutdown();
@@ -282,7 +282,7 @@ TEST(NetFaultTest, ShortWriteFlushRetriesPreserveFrameOrder) {
     ExpectAnswerMatchesReference(frames[i], requests[i], &ref);
   }
   EXPECT_TRUE(WaitFor([&] {
-    return router.Stats().net_bytes_out ==
+    return router.Stats().net.bytes_out ==
            static_cast<int64_t>(received_bytes);
   }));
 
@@ -309,11 +309,11 @@ TEST(NetFaultTest, EofMidFrameTearsDownWithoutProtocolError) {
 
   ASSERT_TRUE(conn->WaitForServerClose());
   EXPECT_TRUE(
-      WaitFor([&] { return router.Stats().net_connections_closed == 1; }));
+      WaitFor([&] { return router.Stats().net.connections_closed == 1; }));
   const service::ServiceSnapshot snap = router.Stats();
-  EXPECT_EQ(snap.net_protocol_errors, 0);
-  EXPECT_EQ(snap.net_frames_decoded, 0);
-  EXPECT_EQ(snap.net_bytes_in, 10);
+  EXPECT_EQ(snap.net.protocol_errors, 0);
+  EXPECT_EQ(snap.net.frames_decoded, 0);
+  EXPECT_EQ(snap.net.bytes_in, 10);
   EXPECT_EQ(conn->from_server_bytes(), 0u);  // EOF answers nothing.
 
   server.Shutdown();
@@ -351,7 +351,7 @@ TEST(NetFaultTest, GarbageStreamGetsTypedErrorFrameThenClose) {
 
   ASSERT_TRUE(conn->WaitForServerClose());
   EXPECT_TRUE(
-      WaitFor([&] { return router.Stats().net_protocol_errors == 1; }));
+      WaitFor([&] { return router.Stats().net.protocol_errors == 1; }));
 
   server.Shutdown();
   EXPECT_EQ(server.loop_arena(0).acquired(), server.loop_arena(0).released());
@@ -395,10 +395,10 @@ TEST(NetFaultTest, OversizedFramePoisonPersistsAcrossLaterValidFrames) {
 
   ASSERT_TRUE(conn->WaitForServerClose());
   EXPECT_TRUE(
-      WaitFor([&] { return router.Stats().net_protocol_errors == 1; }));
+      WaitFor([&] { return router.Stats().net.protocol_errors == 1; }));
   const service::ServiceSnapshot snap = router.Stats();
-  EXPECT_EQ(snap.net_protocol_errors, 1);  // Exactly one, not one per frame.
-  EXPECT_EQ(snap.net_frames_decoded, 0);   // The valid frame died unparsed.
+  EXPECT_EQ(snap.net.protocol_errors, 1);  // Exactly one, not one per frame.
+  EXPECT_EQ(snap.net.frames_decoded, 0);   // The valid frame died unparsed.
   EXPECT_EQ(snap.total_queries, 0);
 
   server.Shutdown();
@@ -599,10 +599,10 @@ TEST(NetFaultTest, RunToCompletionCountersArePinned) {
   }
   EXPECT_TRUE(WaitFor([&] {
     const service::ServiceSnapshot snap = router.Stats();
-    return snap.net_answered_on_loop == 2 &&
-           snap.net_dispatched_to_executors == 2;
-  })) << "on loop " << router.Stats().net_answered_on_loop << ", executors "
-      << router.Stats().net_dispatched_to_executors;
+    return snap.net.answered_on_loop == 2 &&
+           snap.net.dispatched_to_executors == 2;
+  })) << "on loop " << router.Stats().net.answered_on_loop << ", executors "
+      << router.Stats().net.dispatched_to_executors;
 
   // Burst 2 — in, in — arrives with no batch in flight: both on the loop.
   wire.clear();
@@ -619,12 +619,12 @@ TEST(NetFaultTest, RunToCompletionCountersArePinned) {
 
   server.Shutdown();
   const service::ServiceSnapshot snap = router.Stats();
-  EXPECT_EQ(snap.net_answered_on_loop, 4);
-  EXPECT_EQ(snap.net_dispatched_to_executors, 2);
+  EXPECT_EQ(snap.net.answered_on_loop, 4);
+  EXPECT_EQ(snap.net.dispatched_to_executors, 2);
   ASSERT_EQ(snap.net_loops.size(), 1u);
   EXPECT_EQ(snap.net_loops[0].answered_on_loop, 4);
   EXPECT_EQ(snap.net_loops[0].dispatched_to_executors, 2);
-  EXPECT_EQ(snap.net_frames_decoded, 6);
+  EXPECT_EQ(snap.net.frames_decoded, 6);
   // Loop answers are recorded exactly as Execute records them.
   EXPECT_EQ(snap.total_queries, 6);
   EXPECT_EQ(snap.model_answers, 5);
@@ -726,8 +726,8 @@ TEST(NetFaultTest, DeclinedRequestsReachTheExecutorsUnchanged) {
     }
 
     const service::ServiceSnapshot snap = router.Stats();
-    EXPECT_EQ(snap.net_answered_on_loop, 0);
-    EXPECT_EQ(snap.net_dispatched_to_executors, 1);
+    EXPECT_EQ(snap.net.answered_on_loop, 0);
+    EXPECT_EQ(snap.net.dispatched_to_executors, 1);
     // The reference ran the request twice (the answer check re-executes it).
     const service::ServiceSnapshot ref_snap = ref.Stats();
     const int64_t runs = want.ok() ? 2 : 1;

@@ -150,10 +150,10 @@ void RunBitForBitOverWire(ServerConfig server_cfg, size_t client_conns) {
   // bytes, hence the bounded wait rather than an immediate snapshot.
   EXPECT_TRUE(WaitFor([&] {
     const service::ServiceSnapshot snap = wire_router.Stats();
-    return snap.net_connections_accepted >=
+    return snap.net.connections_accepted >=
                static_cast<int64_t>(client_conns) &&
-           snap.net_frames_decoded >= static_cast<int64_t>(requests.size()) &&
-           snap.net_bytes_in > 0 && snap.net_bytes_out > 0;
+           snap.net.frames_decoded >= static_cast<int64_t>(requests.size()) &&
+           snap.net.bytes_in > 0 && snap.net.bytes_out > 0;
   }));
 
   // Per-loop attribution must roll up to exactly the aggregate counters.
@@ -163,10 +163,10 @@ void RunBitForBitOverWire(ServerConfig server_cfg, size_t client_conns) {
     EXPECT_LE(snap.net_loops.size(), server.num_loops());
     service::NetActivity sum;
     for (const service::NetActivity& l : snap.net_loops) sum += l;
-    EXPECT_EQ(sum.frames_decoded, snap.net_frames_decoded);
-    EXPECT_EQ(sum.connections_accepted, snap.net_connections_accepted);
-    EXPECT_EQ(sum.bytes_in, snap.net_bytes_in);
-    EXPECT_EQ(sum.bytes_out, snap.net_bytes_out);
+    EXPECT_EQ(sum.frames_decoded, snap.net.frames_decoded);
+    EXPECT_EQ(sum.connections_accepted, snap.net.connections_accepted);
+    EXPECT_EQ(sum.bytes_in, snap.net.bytes_in);
+    EXPECT_EQ(sum.bytes_out, snap.net.bytes_out);
   }
 
   for (std::unique_ptr<Client>& client : clients) client->Close();
@@ -383,7 +383,7 @@ TEST(NetServerTest, MultiLoopShutdownDrainsEveryLoopsDecodedRequests) {
   // semantics require every decoded request on every loop to be answered
   // and flushed before its connection closes.
   ASSERT_TRUE(WaitFor([&] {
-    return router.Stats().net_frames_decoded >=
+    return router.Stats().net.frames_decoded >=
            static_cast<int64_t>(kConns) * kPerConn;
   }));
   server.Shutdown();
@@ -405,8 +405,8 @@ TEST(NetServerTest, MultiLoopShutdownDrainsEveryLoopsDecodedRequests) {
   }
 
   const service::ServiceSnapshot snap = router.Stats();
-  EXPECT_EQ(snap.net_protocol_errors, 0);
-  EXPECT_EQ(snap.net_connections_closed, static_cast<int64_t>(kConns));
+  EXPECT_EQ(snap.net.protocol_errors, 0);
+  EXPECT_EQ(snap.net.connections_closed, static_cast<int64_t>(kConns));
 }
 
 TEST(NetServerTest, GlobalConnectionCapHoldsAcrossLoops) {
@@ -609,8 +609,8 @@ TEST(NetServerTest, InRegionPipelinedBatchIsAnsweredOnTheLoop) {
 
   // The loop records its counters before it flushes the answers.
   const service::ServiceSnapshot snap = router.Stats();
-  EXPECT_EQ(snap.net_answered_on_loop, static_cast<int64_t>(in_region.size()));
-  EXPECT_EQ(snap.net_dispatched_to_executors, 0);
+  EXPECT_EQ(snap.net.answered_on_loop, static_cast<int64_t>(in_region.size()));
+  EXPECT_EQ(snap.net.dispatched_to_executors, 0);
   EXPECT_EQ(snap.model_answers, static_cast<int64_t>(in_region.size()));
   EXPECT_EQ(snap.total_queries, static_cast<int64_t>(in_region.size()));
 
@@ -678,9 +678,9 @@ TEST(NetServerTest, MixedBurstComesBackInRequestOrder) {
   // How the three frames split across reads decides where the last one
   // ran; the first always runs on the loop, the exact one never does.
   const service::ServiceSnapshot snap = router.Stats();
-  EXPECT_GE(snap.net_answered_on_loop, 1);
-  EXPECT_GE(snap.net_dispatched_to_executors, 1);
-  EXPECT_EQ(snap.net_answered_on_loop + snap.net_dispatched_to_executors, 3);
+  EXPECT_GE(snap.net.answered_on_loop, 1);
+  EXPECT_GE(snap.net.dispatched_to_executors, 1);
+  EXPECT_EQ(snap.net.answered_on_loop + snap.net.dispatched_to_executors, 3);
   EXPECT_EQ(snap.exact_fallbacks, 1);
   EXPECT_EQ(snap.model_answers, 2);
 
@@ -747,7 +747,7 @@ TEST(NetServerTest, ShutdownDrainsDecodedRequestsThenCloses) {
   // Wait until the server has *decoded* all 50, then shut down: drain
   // semantics require every decoded request to be answered and flushed.
   ASSERT_TRUE(WaitFor(
-      [&] { return router.Stats().net_frames_decoded >= kRequests; }));
+      [&] { return router.Stats().net.frames_decoded >= kRequests; }));
   server.Shutdown();
 
   int answered = 0;
@@ -767,9 +767,9 @@ TEST(NetServerTest, ShutdownDrainsDecodedRequestsThenCloses) {
   // And the drained server refused nothing mid-flight: no protocol errors,
   // connection accounted closed.
   const service::ServiceSnapshot snap = router.Stats();
-  EXPECT_EQ(snap.net_protocol_errors, 0);
+  EXPECT_EQ(snap.net.protocol_errors, 0);
   EXPECT_TRUE(WaitFor([&] {
-    return router.Stats().net_connections_closed >= 1;
+    return router.Stats().net.connections_closed >= 1;
   }));
 }
 
@@ -822,7 +822,7 @@ TEST(NetServerTest, MalformedStreamGetsTypedErrorFrameAndCleanClose) {
   ::close(fd);
   EXPECT_TRUE(got_error_frame);
   EXPECT_TRUE(got_eof);
-  EXPECT_TRUE(WaitFor([&] { return router.Stats().net_protocol_errors >= 1; }));
+  EXPECT_TRUE(WaitFor([&] { return router.Stats().net.protocol_errors >= 1; }));
 
   // The poisoned connection took nothing else down: a fresh client works.
   Client client;
@@ -896,8 +896,8 @@ TEST(NetServerTest, OversizedFramePoisonPersistsOverSocket) {
   ::close(fd);
   EXPECT_EQ(error_frames, 1);
   EXPECT_TRUE(got_eof);
-  EXPECT_TRUE(WaitFor([&] { return router.Stats().net_protocol_errors == 1; }));
-  EXPECT_EQ(router.Stats().net_frames_decoded, 0);
+  EXPECT_TRUE(WaitFor([&] { return router.Stats().net.protocol_errors == 1; }));
+  EXPECT_EQ(router.Stats().net.frames_decoded, 0);
   EXPECT_EQ(router.Stats().total_queries, 0);
 
   server.Shutdown();
@@ -1019,9 +1019,9 @@ TEST(NetServerTest, QueryWithNoFiniteDistanceGetsTypedErrorFrame) {
   ::close(fd);
 
   const service::ServiceSnapshot snap = router.Stats();
-  EXPECT_EQ(snap.net_answered_on_loop, 2);
+  EXPECT_EQ(snap.net.answered_on_loop, 2);
   EXPECT_EQ(snap.errors, 1);
-  EXPECT_EQ(snap.net_protocol_errors, 0);
+  EXPECT_EQ(snap.net.protocol_errors, 0);
   server.Shutdown();
 }
 

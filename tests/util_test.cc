@@ -1,14 +1,12 @@
-// Unit tests for src/util: Status/Result, Rng, Format, CsvWriter,
-// TablePrinter, env knobs.
+// Unit tests for src/util: Status/Result, Rng, Format, TablePrinter, env
+// knobs.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 
-#include "util/csv.h"
 #include "util/env.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -196,41 +194,6 @@ TEST(StringUtilTest, FormatBasics) {
   EXPECT_EQ(Format("%d-%s", 5, "x"), "5-x");
   EXPECT_EQ(Format("%.2f", 3.14159), "3.14");
   EXPECT_EQ(Format("empty"), "empty");
-}
-
-// ---------- CSV ----------
-
-TEST(CsvTest, EscapesSpecialCharacters) {
-  EXPECT_EQ(CsvWriter::EscapeField("plain"), "plain");
-  EXPECT_EQ(CsvWriter::EscapeField("a,b"), "\"a,b\"");
-  EXPECT_EQ(CsvWriter::EscapeField("say \"hi\""), "\"say \"\"hi\"\"\"");
-  EXPECT_EQ(CsvWriter::EscapeField("line\nbreak"), "\"line\nbreak\"");
-}
-
-TEST(CsvTest, WritesRowsToFile) {
-  const std::string path = testing::TempDir() + "/qreg_csv_test.csv";
-  CsvWriter w;
-  ASSERT_TRUE(w.Open(path).ok());
-  ASSERT_TRUE(w.WriteRow({"a", "b,c"}).ok());
-  ASSERT_TRUE(w.WriteNumericRow({1.5, 2.25}).ok());
-  ASSERT_TRUE(w.Close().ok());
-
-  std::ifstream in(path);
-  std::string line1, line2;
-  std::getline(in, line1);
-  std::getline(in, line2);
-  EXPECT_EQ(line1, "a,\"b,c\"");
-  EXPECT_EQ(line2, "1.5,2.25");
-}
-
-TEST(CsvTest, WriteWithoutOpenFails) {
-  CsvWriter w;
-  EXPECT_EQ(w.WriteRow({"x"}).code(), StatusCode::kFailedPrecondition);
-}
-
-TEST(CsvTest, OpenInvalidPathFails) {
-  CsvWriter w;
-  EXPECT_EQ(w.Open("/nonexistent_dir_qreg/x.csv").code(), StatusCode::kIoError);
 }
 
 // ---------- TablePrinter ----------
