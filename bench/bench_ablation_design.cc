@@ -100,7 +100,7 @@ void Run() {
     run_variant(v);
   }
 
-  EmitTable("ablation", "design_choices", table, env);
+  EmitTable("bench_ablation_design", "design_choices", table, env);
 
   std::cout << "\nreading: the learning-rate/seeding ablations (global-hyperbolic,\n"
                "constant-eta, literal-theorem4, zero-init-y) lose 2-3x RMSE against\n"

@@ -11,6 +11,9 @@
 //
 // Every table a bench prints is also written, through EmitTable, to
 // <out dir>/<bench>_<table>.json; that is the only result file a bench writes.
+// <bench> is the binary's name (bench_fig07_q1_rmse_vs_a writes
+// bench_fig07_q1_rmse_vs_a_rmse_vs_a_R1.json), and record keys are the
+// table's column names: snake_case, with the unit as a suffix (hybrid_p99_ms).
 
 #ifndef QREG_BENCH_BENCH_COMMON_H_
 #define QREG_BENCH_BENCH_COMMON_H_
@@ -133,7 +136,7 @@ void PrintHeader(const std::string& bench, const std::string& paper_ref,
 std::string OutDir();
 
 /// \brief Prints a table and writes it to OutDir()/<bench>_<table>.json as
-/// one object: `bench`, `table`, `hardware_concurrency`, the env's sizes and
+/// one object (`bench_name` is the bench binary's name): `bench`, `table`, `hardware_concurrency`, the env's sizes and
 /// seed, and `records`, one object per row keyed by the header (cells that
 /// parse as finite numbers, and true/false, stay JSON literals; the rest are
 /// strings). Reports a failed write on stderr and returns false.

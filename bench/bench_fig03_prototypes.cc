@@ -54,10 +54,10 @@ void Run() {
                        util::Format("%.3f", p.w.theta),
                        util::Format("%lld", static_cast<long long>(p.wins))});
       }
-      EmitTable("fig03", "prototypes_example1", protos, env);
+      EmitTable("bench_fig03_prototypes", "prototypes_example1", protos, env);
     }
   }
-  EmitTable("fig03", "k_vs_a", k_table, env);
+  EmitTable("bench_fig03_prototypes", "k_vs_a", k_table, env);
 
   std::cout << "\npaper shape check: K is small (≈5) at coarse vigilance and\n"
                "grows monotonically as a decreases (finer quantization).\n";

@@ -90,7 +90,7 @@ void Run() {
     fvu_reg.Add(actual, reg_pred);
     fvu_plr.Add(actual, plr_pred);
   }
-  EmitTable("fig05", "series", series, env);
+  EmitTable("bench_fig05_local_linearity", "series", series, env);
 
   util::TablePrinter summary({"method", "pieces", "FVU_grid", "CoD_grid"});
   summary.AddRow({"LLM", util::Format("%d", model.num_prototypes()),
@@ -101,7 +101,7 @@ void Run() {
   summary.AddRow({"PLR", util::Format("%d", mars.ok() ? mars->num_hinges() : 0),
                   util::Format("%.4f", fvu_plr.Fvu()),
                   util::Format("%.4f", fvu_plr.CoD())});
-  EmitTable("fig05", "summary", summary, env);
+  EmitTable("bench_fig05_local_linearity", "summary", summary, env);
 
   std::cout << "\npaper shape check: LLM and PLR FVU << REG FVU; the global\n"
                "line cannot represent the S-curve, local pieces can.\n";

@@ -73,7 +73,7 @@ void Run() {
                   GammaAt(t_r1d2, pairs), GammaAt(t_r1d5, pairs),
                   GammaAt(t_r2d2, pairs), GammaAt(t_r2d5, pairs)});
   }
-  EmitTable("fig06", "gamma_vs_pairs", table, env);
+  EmitTable("bench_fig06_convergence", "gamma_vs_pairs", table, env);
 
   util::TablePrinter conv({"dataset", "d", "converged", "pairs|T|", "K",
                            "final_Gamma", "query_exec_%", "train_ms"});
@@ -93,7 +93,7 @@ void Run() {
   add("R1", 5, t_r1d5);
   add("R2", 2, t_r2d2);
   add("R2", 5, t_r2d5);
-  EmitTable("fig06", "convergence_summary", conv, env);
+  EmitTable("bench_fig06_convergence", "convergence_summary", conv, env);
 
   std::cout << "\npaper shape check: Gamma decays by orders of magnitude with\n"
                "|T| and crosses gamma=0.01 at a few thousand pairs; nearly all\n"

@@ -49,7 +49,8 @@ void Run() {
       }
       table.AddRow(rows[ai]);
     }
-    EmitTable("fig07", util::Format("rmse_vs_a_%s", ds_name), table, env);
+    EmitTable("bench_fig07_q1_rmse_vs_a",
+              util::Format("rmse_vs_a_%s", ds_name), table, env);
   }
 
   std::cout << "\npaper shape check: RMSE grows as a -> 1 (coarser\n"

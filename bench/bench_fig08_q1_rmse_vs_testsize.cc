@@ -41,7 +41,8 @@ void Run() {
       }
     }
     for (auto& row : rows) table.AddRow(row);
-    EmitTable("fig08", util::Format("rmse_vs_testsize_%s", ds_name), table, env);
+    EmitTable("bench_fig08_q1_rmse_vs_testsize",
+              util::Format("rmse_vs_testsize_%s", ds_name), table, env);
   }
 
   std::cout << "\npaper shape check: RMSE is essentially constant across |V|\n"

@@ -67,7 +67,7 @@ void Run() {
                       util::Format("%.4f", 1.0 - reg_fvu),
                       util::Format("%.4f", 1.0 - plr_fvu)});
       }
-      EmitTable("fig09",
+      EmitTable("bench_fig09_q2_fvu",
                 util::Format("fvu_vs_a_%s_d%zu", ds_name, d), table, env);
     }
   }

@@ -52,7 +52,8 @@ void Run() {
                     util::Format("%.4f", plr_cod),
                     util::Format("%.4f", q2.llm_fvu)});
     }
-    EmitTable("fig10", util::Format("cod_vs_k_d%zu", d), table, env);
+    EmitTable("bench_fig10_cod_and_k",
+              util::Format("cod_vs_k_d%zu", d), table, env);
   }
 
   // Right: K vs a for d ∈ {2, 3, 5}.
@@ -71,7 +72,7 @@ void Run() {
     }
   }
   for (auto& row : rows) ktab.AddRow(row);
-  EmitTable("fig10", "k_vs_a", ktab, env);
+  EmitTable("bench_fig10_cod_and_k", "k_vs_a", ktab, env);
 
   std::cout << "\npaper shape check: CoD_LLM rises with K and beats REG (whose\n"
                "CoD can be low/negative on non-linear subspaces); PLR tops the\n"

@@ -91,7 +91,7 @@ void Run() {
                       util::Format("%.4f", r.llm), util::Format("%.4f", r.reg),
                       util::Format("%.4f", r.plr)});
       }
-      EmitTable("fig11",
+      EmitTable("bench_fig11_datavalue_rmse",
                 util::Format("a2_rmse_%s_d%zu", ds_name, d), table, env);
     }
   }

@@ -142,8 +142,10 @@ void Run() {
                  util::Format("%.2f", t.plr_q2_ms)});
       if (n == sizes.front()) small = std::move(bundle);  // keep for reuse
     }
-    EmitTable("fig12", util::Format("q1_time_d%zu", d), q1, env);
-    EmitTable("fig12", util::Format("q2_time_d%zu", d), q2, env);
+    EmitTable("bench_fig12_scalability",
+              util::Format("q1_time_d%zu", d), q1, env);
+    EmitTable("bench_fig12_scalability",
+              util::Format("q2_time_d%zu", d), q2, env);
     std::cout << util::Format("model: K=%d, params=%lld bytes\n",
                               tm.model->num_prototypes(),
                               static_cast<long long>(tm.model->ParameterBytes()));

@@ -65,7 +65,8 @@ void Run() {
            util::Format("%d", tm.model->num_prototypes()),
            util::Format("%.4f", rmse), util::Format("%.4f", q2.llm_cod)});
     }
-    EmitTable("fig13", util::Format("theta_tradeoff_d%zu", d), table, env);
+    EmitTable("bench_fig13_theta_tradeoff",
+              util::Format("theta_tradeoff_d%zu", d), table, env);
   }
 
   std::cout << "\npaper shape check: RMSE e falls as mu_theta grows (answers\n"

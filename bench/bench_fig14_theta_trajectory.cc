@@ -61,7 +61,8 @@ void Run() {
            util::Format("%lld", static_cast<long long>(tm.report.pairs_used)),
            util::Format("%.4f", rmse), util::Format("%.4f", q2.llm_cod)});
     }
-    EmitTable("fig14", util::Format("trajectory_d%zu", d), table, env);
+    EmitTable("bench_fig14_theta_trajectory",
+              util::Format("trajectory_d%zu", d), table, env);
   }
 
   std::cout << "\npaper shape check: the trajectory runs from (large |T|,\n"

@@ -357,7 +357,7 @@ int Run(bool smoke) {
   // Same mixed workload, same router, same pooled ExecuteBatch execution
   // mode the server uses — the snapshot percentiles are therefore directly
   // comparable to the service-side percentiles each answer frame reports
-  // (this mirrors bench_service_throughput's "hybrid p99 ms" column).
+  // (this mirrors bench_service_throughput's "hybrid_p99_ms" column).
   const std::vector<service::Request> inproc = ToInProcess(pool);
   (void)router.ExecuteBatch(inproc);  // Warm-up.
   router.ResetStats();

@@ -87,8 +87,8 @@ int Run() {
       queries);
 
   util::TablePrinter scaling(
-      {"threads", "exact qps", "exact speedup", "hybrid qps", "hybrid speedup",
-       "hybrid p99 ms", "exact-fallback rate"});
+      {"threads", "exact_qps", "exact_speedup", "hybrid_qps", "hybrid_speedup",
+       "hybrid_p99_ms", "exact_fallback_rate"});
   double exact_base = 0.0, hybrid_base = 0.0;
   for (size_t workers : {size_t{0}, size_t{1}, size_t{3}, size_t{7}}) {
     service::RouterConfig exact_cfg;
@@ -134,7 +134,7 @@ int Run() {
       queries);
 
   util::TablePrinter cache_table(
-      {"delta_min", "hit rate", "qps", "speedup vs nocache", "evictions"});
+      {"delta_min", "hit_rate", "qps", "speedup_vs_nocache", "evictions"});
   service::RouterConfig nocache_cfg;
   nocache_cfg.policy = service::RoutePolicy::kExactOnly;
   nocache_cfg.enable_cache = false;
@@ -197,8 +197,8 @@ int Run() {
       {"narrow (model-routed)", &clustered, service::RoutePolicy::kHybrid, false},
       {"narrow (model-routed)", &clustered, service::RoutePolicy::kHybrid, true},
   };
-  util::TablePrinter route_table({"traffic", "policy", "cache", "us/request",
-                                  "hit rate", "scan share", "lookups"});
+  util::TablePrinter route_table({"traffic", "policy", "cache", "us_per_request",
+                                  "hit_rate", "scan_share", "lookups"});
   int64_t model_routed_lookups = 0;
   for (const RouteCase& c : route_cases) {
     std::vector<double> us;

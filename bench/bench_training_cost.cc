@@ -11,6 +11,11 @@
 // elapsed time of Trainer::Train, and speedup = train_ms / wall_ms is what
 // the read-ahead buys on the machine running the bench.
 //
+// The index_build table records the other set-up step under those queries:
+// the median wall time of kBuildReps k-d tree bulk loads over each table
+// (the build runs its top levels on all cores), with rows/s and the node
+// count.
+//
 // Paper-claim gate: §VI's shape is "exact execution dominates training".
 // The bench exits non-zero if any row's query-execution share of the
 // training work is below kMinQueryExecShare.
@@ -18,8 +23,10 @@
 #include <algorithm>
 #include <iostream>
 #include <thread>
+#include <vector>
 
 #include "bench/bench_common.h"
+#include "storage/kdtree.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
 #include "util/thread_pool.h"
@@ -30,6 +37,7 @@ namespace bench {
 namespace {
 
 constexpr double kMinQueryExecShare = 0.9;
+constexpr int kBuildReps = 5;
 
 int Run() {
   BenchEnv env = BenchEnv::FromEnv();
@@ -40,12 +48,28 @@ int Run() {
   util::TablePrinter table({"rows", "access", "pairs|T|", "train_ms",
                             "wall_ms", "speedup", "query_exec_%",
                             "update_us/pair"});
+  util::TablePrinter index_table({"rows", "build_ms", "rows_per_s", "nodes"});
   const unsigned cores = std::thread::hardware_concurrency();
   util::ThreadPool pool(cores > 1 ? cores - 1 : 0);
   double min_share = 1.0;
 
   for (int64_t rows : {100000L, 300000L, 1000000L}) {
     DataBundle bundle = MakeR2Bundle(2, rows, env.seed);
+    std::vector<double> build_ms;
+    int64_t nodes = 0;
+    for (int rep = 0; rep < kBuildReps; ++rep) {
+      util::Stopwatch build;
+      const storage::KdTree tree(bundle.table());
+      build_ms.push_back(build.ElapsedMillis());
+      nodes = tree.num_nodes();
+    }
+    std::sort(build_ms.begin(), build_ms.end());
+    const double median_ms = build_ms[kBuildReps / 2];
+    index_table.AddRow(
+        {util::Format("%lld", static_cast<long long>(rows)),
+         util::Format("%.2f", median_ms),
+         util::Format("%.0f", static_cast<double>(rows) / (median_ms / 1e3)),
+         util::Format("%lld", static_cast<long long>(nodes))});
     for (bool use_scan : {false, true}) {
       core::LlmConfig cfg = core::LlmConfig::ForDomain(
           2, 0.25, 0.01, bundle.profile.x_range, bundle.profile.theta_range);
@@ -79,7 +103,8 @@ int Run() {
            util::Format("%.2f", update_us_per_pair)});
     }
   }
-  EmitTable("training_cost", "split", table, env);
+  EmitTable("bench_training_cost", "split", table, env);
+  EmitTable("bench_training_cost", "index_build", index_table, env);
 
   std::cout << "\npaper shape check: the query-execution share dominates and\n"
                "grows with dataset size / slower access paths (paper: 99.62%);\n"

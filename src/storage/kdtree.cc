@@ -2,9 +2,16 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cmath>
+#include <memory>
 #include <numeric>
 #include <queue>
+#include <thread>
+#include <utility>
+
+#include "util/run_chunks.h"
+#include "util/thread_pool.h"
 
 namespace qreg {
 namespace storage {
@@ -21,6 +28,11 @@ const std::array<int32_t, kScanBlockRows> kAllLanes = [] {
 
 // Widest table whose containment-test corner fits in a stack buffer.
 constexpr size_t kStackCornerDims = 16;
+
+// Levels whose two children are built as pool chunks: 2^3 = 8 subtrees
+// below them, enough to keep a few cores busy while the upper levels'
+// serial selections stay a small share of the work.
+constexpr int kParallelLevels = 3;
 
 // Bounding box of rows ids[0, rows) into lo/hi. KD > 0 fixes the dimension
 // at compile time, which keeps the running bounds in registers (the output
@@ -49,36 +61,78 @@ void RowBounds(const Table& table, const int32_t* ids, int32_t rows, size_t d,
   }
 }
 
+// One (split key, row id) pair of a node's median selection.
+struct KeyedId {
+  double key;
+  int32_t id;
+};
+
+// Nodes of a subtree over m and over m + 1 rows when every node over
+// leaf_size rows splits at its median. The halves of m and of m + 1 are
+// both k = m / 2 or k + 1, so one recursion on k serves the pair: O(log m).
+std::pair<int64_t, int64_t> NodesForPair(int64_t m, int64_t leaf_size) {
+  if (m < leaf_size) return {1, 1};
+  if (m == leaf_size) return {1, 3};  // m + 1 splits into two leaves.
+  const std::pair<int64_t, int64_t> half = NodesForPair(m / 2, leaf_size);
+  if (m % 2 == 0) return {1 + 2 * half.first, 1 + half.first + half.second};
+  return {1 + half.first + half.second, 1 + 2 * half.second};
+}
+
+int64_t NodesFor(int64_t m, int leaf_size) {
+  return NodesForPair(m, leaf_size).first;
+}
+
 }  // namespace
+
+struct KdTree::BuildContext {
+  util::ThreadPool* pool = nullptr;
+  std::unique_ptr<KeyedId[]> keys;  // n entries; a node uses [begin, end).
+  // Set when a node over leaf_size_ rows stayed a leaf (all rows identical).
+  std::atomic<bool> has_holes{false};
+};
 
 KdTree::KdTree(const Table& table, int leaf_size)
     : table_(table), leaf_size_(std::max(1, leaf_size)) {
   const int64_t n = table_.num_rows();
+  if (n == 0) return;
+  const size_t d = table_.dimension();
+  const unsigned cores = std::thread::hardware_concurrency();
+  util::ThreadPool pool(n >= kParallelBuildRows && cores > 1 ? cores - 1 : 0);
   ids_.resize(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) ids_[static_cast<size_t>(i)] = static_cast<int32_t>(i);
-  if (n > 0) {
-    const size_t d = table_.dimension();
-    const size_t max_nodes = static_cast<size_t>(2 * n / leaf_size_ + 2);
-    nodes_.reserve(max_nodes);
-    boxes_.reserve(max_nodes * 2 * d);
-    root_ = Build(0, static_cast<int32_t>(n));
-    // Leaf-blocked re-layout: copy rows into permuted contiguous storage so
-    // every subtree's [begin, end) range is one row-major span.
-    xs_perm_.resize(static_cast<size_t>(n) * d);
-    us_perm_.resize(static_cast<size_t>(n));
-    row_ids_.resize(static_cast<size_t>(n));
-    for (int64_t i = 0; i < n; ++i) {
+  std::iota(ids_.begin(), ids_.end(), 0);
+  const size_t slots = static_cast<size_t>(NodesFor(n, leaf_size_));
+  nodes_.resize(slots);
+  boxes_.resize(slots * 2 * d);
+  {
+    BuildContext ctx;
+    ctx.pool = &pool;
+    // Default-initialised: every entry is written before it is read.
+    ctx.keys.reset(new KeyedId[static_cast<size_t>(n)]);
+    root_ = 0;
+    Build(root_, 0, static_cast<int32_t>(n), 0, &ctx);
+    if (ctx.has_holes.load()) CompactSlots();
+  }  // The key scratch is released before the re-layout allocates.
+  // Leaf-blocked re-layout: copy rows into permuted contiguous storage so
+  // every subtree's [begin, end) range is one row-major span.
+  xs_perm_.resize(static_cast<size_t>(n) * d);
+  us_perm_.resize(static_cast<size_t>(n));
+  row_ids_.resize(static_cast<size_t>(n));
+  const int64_t chunks = static_cast<int64_t>(pool.num_threads()) + 1;
+  util::RunChunks(&pool, static_cast<size_t>(chunks), [this, n, d, chunks](size_t c) {
+    const int64_t begin = n * static_cast<int64_t>(c) / chunks;
+    const int64_t end = n * static_cast<int64_t>(c + 1) / chunks;
+    for (int64_t i = begin; i < end; ++i) {
       const int32_t id = ids_[static_cast<size_t>(i)];
       const double* src = table_.x(id);
       std::copy(src, src + d, &xs_perm_[static_cast<size_t>(i) * d]);
       us_perm_[static_cast<size_t>(i)] = table_.u(id);
       row_ids_[static_cast<size_t>(i)] = id;
     }
-    // The build permutation is fully captured by row_ids_ now; release the
-    // int32 scratch instead of carrying n dead entries for the tree's life.
-    std::vector<int32_t>().swap(ids_);
-    ComputeSummaries();
-  }
+  }, nullptr);
+  // The build permutation is fully captured by row_ids_ now; release the
+  // int32 scratch instead of carrying n dead entries for the tree's life.
+  std::vector<int32_t>().swap(ids_);
+  ComputeSummaries(&pool);
 }
 
 void KdTree::ComputeBox(int32_t node_idx) {
@@ -97,18 +151,17 @@ void KdTree::ComputeBox(int32_t node_idx) {
   }
 }
 
-int32_t KdTree::Build(int32_t begin, int32_t end) {
-  const int32_t node_idx = static_cast<int32_t>(nodes_.size());
-  nodes_.emplace_back();
-  nodes_.back().begin = begin;
-  nodes_.back().end = end;
-  const size_t d = table_.dimension();
-  boxes_.resize(nodes_.size() * 2 * d);
+void KdTree::Build(int32_t node_idx, int32_t begin, int32_t end, int depth,
+                   BuildContext* ctx) {
+  Node& node = nodes_[static_cast<size_t>(node_idx)];
+  node.begin = begin;
+  node.end = end;
   ComputeBox(node_idx);
 
-  if (end - begin <= leaf_size_) return node_idx;
+  if (end - begin <= leaf_size_) return;
 
   // Split on the widest box dimension at the median.
+  const size_t d = table_.dimension();
   const double* lo = BoxLo(node_idx);
   const double* hi = BoxHi(node_idx);
   size_t split_dim = 0;
@@ -120,54 +173,105 @@ int32_t KdTree::Build(int32_t begin, int32_t end) {
       split_dim = j;
     }
   }
-  if (widest <= 0.0) return node_idx;  // All points identical: stay a leaf.
+  if (widest <= 0.0) {  // All points identical: stay a leaf.
+    ctx->has_holes.store(true);
+    return;
+  }
 
   const int32_t mid = begin + (end - begin) / 2;
-  std::nth_element(ids_.begin() + begin, ids_.begin() + mid, ids_.begin() + end,
-                   [this, split_dim](int32_t a, int32_t b) {
-                     return table_.x(a)[split_dim] < table_.x(b)[split_dim];
-                   });
+  KeyedId* keys = ctx->keys.get();
+  for (int32_t i = begin; i < end; ++i) {
+    const int32_t id = ids_[static_cast<size_t>(i)];
+    keys[i] = {table_.x(id)[split_dim], id};
+  }
+  std::nth_element(keys + begin, keys + mid, keys + end,
+                   [](const KeyedId& a, const KeyedId& b) { return a.key < b.key; });
+  for (int32_t i = begin; i < end; ++i) ids_[static_cast<size_t>(i)] = keys[i].id;
 
-  const int32_t left = Build(begin, mid);
-  const int32_t right = Build(mid, end);
-  nodes_[static_cast<size_t>(node_idx)].left = left;
-  nodes_[static_cast<size_t>(node_idx)].right = right;
-  return node_idx;
+  // Fixed pre-order slots: the left subtree fills the NodesFor(mid - begin)
+  // slots after this node, and the right subtree starts past them.
+  const int32_t left = node_idx + 1;
+  const int32_t right = left + static_cast<int32_t>(NodesFor(mid - begin, leaf_size_));
+  node.left = left;
+  node.right = right;
+  if (depth < kParallelLevels) {
+    util::RunChunks(ctx->pool, 2, [&](size_t c) {
+      if (c == 0) {
+        Build(left, begin, mid, depth + 1, ctx);
+      } else {
+        Build(right, mid, end, depth + 1, ctx);
+      }
+    }, nullptr);
+  } else {
+    Build(left, begin, mid, depth + 1, ctx);
+    Build(right, mid, end, depth + 1, ctx);
+  }
 }
 
-void KdTree::ComputeSummaries() {
+void KdTree::CompactSlots() {
+  // Slots are the full tree's pre-order, so the written ones in slot order
+  // are the real tree's pre-order. An unwritten slot keeps its default
+  // empty range; every real node holds at least one row.
+  const size_t box_doubles = 2 * table_.dimension();
+  std::vector<int32_t> moved_to(nodes_.size(), -1);
+  size_t used = 0;
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    if (nodes_[i].end == nodes_[i].begin) continue;
+    moved_to[i] = static_cast<int32_t>(used);
+    if (used != i) {
+      nodes_[used] = nodes_[i];
+      std::copy_n(&boxes_[i * box_doubles], box_doubles, &boxes_[used * box_doubles]);
+    }
+    ++used;
+  }
+  nodes_.resize(used);
+  boxes_.resize(used * box_doubles);
+  for (Node& node : nodes_) {
+    if (node.left < 0) continue;
+    node.left = moved_to[static_cast<size_t>(node.left)];
+    node.right = moved_to[static_cast<size_t>(node.right)];
+  }
+}
+
+void KdTree::ComputeSummaries(util::ThreadPool* pool) {
   const size_t d = table_.dimension();
-  // Build emits nodes in pre-order, so every child has a larger index than
+  // Leaves first, in node chunks: Kahan-compensated sums over their rows.
+  const size_t count = nodes_.size();
+  const size_t chunks = pool->num_threads() + 1;
+  util::RunChunks(pool, chunks, [this, d, count, chunks](size_t c) {
+    for (size_t idx = count * c / chunks; idx < count * (c + 1) / chunks; ++idx) {
+      Node& node = nodes_[idx];
+      if (node.left >= 0) continue;
+      double sum = 0.0, carry = 0.0, sum2 = 0.0, carry2 = 0.0;
+      for (int32_t i = node.begin; i < node.end; ++i) {
+        const double u = us_perm_[static_cast<size_t>(i)];
+        const double y = u - carry;
+        const double t = sum + y;
+        carry = (t - sum) - y;
+        sum = t;
+        const double y2 = u * u - carry2;
+        const double t2 = sum2 + y2;
+        carry2 = (t2 - sum2) - y2;
+        sum2 = t2;
+      }
+      node.sum_u = sum;
+      node.sum_u2 = sum2;
+      const double* xs = xs_perm_.data() + static_cast<size_t>(node.begin) * d;
+      const double* xs_end = xs_perm_.data() + static_cast<size_t>(node.end) * d;
+      node.finite =
+          std::all_of(xs, xs_end, [](double v) { return std::isfinite(v); });
+    }
+  }, nullptr);
+  // Nodes are numbered in pre-order, so every child has a larger index than
   // its parent: a reverse sweep sees both children before their parent.
-  for (size_t idx = nodes_.size(); idx-- > 0;) {
+  for (size_t idx = count; idx-- > 0;) {
     Node& node = nodes_[idx];
-    if (node.left >= 0) {
-      const Node& l = nodes_[static_cast<size_t>(node.left)];
-      const Node& r = nodes_[static_cast<size_t>(node.right)];
-      node.sum_u = l.sum_u + r.sum_u;
-      node.sum_u2 = l.sum_u2 + r.sum_u2;
-      node.finite = l.finite && r.finite;
-      continue;
-    }
-    // Leaf: Kahan-compensated sums over its rows.
-    double sum = 0.0, carry = 0.0, sum2 = 0.0, carry2 = 0.0;
-    for (int32_t i = node.begin; i < node.end; ++i) {
-      const double u = us_perm_[static_cast<size_t>(i)];
-      const double y = u - carry;
-      const double t = sum + y;
-      carry = (t - sum) - y;
-      sum = t;
-      const double y2 = u * u - carry2;
-      const double t2 = sum2 + y2;
-      carry2 = (t2 - sum2) - y2;
-      sum2 = t2;
-    }
-    node.sum_u = sum;
-    node.sum_u2 = sum2;
-    const double* xs = xs_perm_.data() + static_cast<size_t>(node.begin) * d;
-    const double* xs_end = xs_perm_.data() + static_cast<size_t>(node.end) * d;
-    node.finite =
-        std::all_of(xs, xs_end, [](double v) { return std::isfinite(v); });
+    if (node.left < 0) continue;
+    const Node& l = nodes_[static_cast<size_t>(node.left)];
+    const Node& r = nodes_[static_cast<size_t>(node.right)];
+    node.sum_u = l.sum_u + r.sum_u;
+    node.sum_u2 = l.sum_u2 + r.sum_u2;
+    node.finite = l.finite && r.finite;
   }
 }
 

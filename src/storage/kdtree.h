@@ -22,6 +22,23 @@
 // boundary rather than its volume. A subtree holding a non-finite feature
 // is never pruned or treated as contained, so the filter alone decides its
 // rows (a box's min/max skip NaN coordinates).
+//
+// Parallel bulk load, same tree as a serial build. If every node over more
+// than leaf_size rows splits at its median, a subtree over m rows has
+// NodesFor(m) nodes, a function of m alone. So nodes_ and boxes_ are sized
+// once, node i's left child sits at i + 1 and its right child at
+// i + 1 + NodesFor(left rows): fixed pre-order slots, where each subtree
+// writes only its own slice and no task allocates. The top three levels
+// build their two children through util::RunChunks on a pool of
+// hardware_concurrency() - 1 workers (0 workers, inline, below a row
+// cutoff). A median is chosen by copying the node's (split key, row id)
+// pairs into one n-entry scratch array and running nth_element on the key:
+// introselect's moves depend only on comparison outcomes, so the
+// permutation is the one an indirect comparator over the same keys gives.
+// A node whose rows are all identical stays a leaf and leaves its would-be
+// subtree's slots empty; one serial pass then compacts the slots in
+// pre-order, so node numbering is the serial recursion's too. The
+// re-layout and the leaf summaries run in chunks on the same pool.
 
 #ifndef QREG_STORAGE_KDTREE_H_
 #define QREG_STORAGE_KDTREE_H_
@@ -34,11 +51,20 @@
 #include "util/status.h"
 
 namespace qreg {
+namespace util {
+class ThreadPool;
+}  // namespace util
+
 namespace storage {
 
 /// \brief k-d tree access path (median splits on the widest dimension).
 class KdTree : public SpatialIndex {
  public:
+  /// Tables with at least this many rows build on a pool of
+  /// hardware_concurrency() - 1 workers; smaller ones build inline, where
+  /// starting workers would cost more than they save.
+  static constexpr int64_t kParallelBuildRows = 32768;
+
   /// Builds over all current rows of `table` (which must outlive the tree).
   /// leaf_size trades pruning power for per-leaf scan cost; 32 is a good
   /// default for d <= 8.
@@ -85,9 +111,17 @@ class KdTree : public SpatialIndex {
     double* corner;  // d doubles of scratch for the containment test
   };
 
-  int32_t Build(int32_t begin, int32_t end);
+  // Pool, key scratch and hole flag shared by one constructor's build tasks.
+  struct BuildContext;
+
+  /// Builds the subtree over ids_[begin, end) into the pre-order slots that
+  /// start at node_idx; the top kParallelLevels levels split on the pool.
+  void Build(int32_t node_idx, int32_t begin, int32_t end, int depth,
+             BuildContext* ctx);
+  /// Drops the empty slots that unsplittable (all-identical) nodes left.
+  void CompactSlots();
   void ComputeBox(int32_t node_idx);
-  void ComputeSummaries();
+  void ComputeSummaries(util::ThreadPool* pool);
 
   void VisitNode(int32_t node_idx, const Ball& ball, BlockKernel* kernel,
                  SelectionStats* stats) const;

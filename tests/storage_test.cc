@@ -1,14 +1,21 @@
 // Unit + property tests for src/storage: Table, LpNorm, ScanIndex, KdTree.
 // The key property: the k-d tree returns exactly the same row sets as the
 // brute-force scan for random workloads across dimensions and norms.
+// KdTreeBuildTest checks that the pooled bulk load builds the very tree of
+// a serial recursion (a test-local reference), through public API only.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <numeric>
+#include <queue>
 
+#include "data/generator.h"
 #include "query/scan_kernels.h"
+#include "storage/block_filter.h"
 #include "storage/kdtree.h"
 #include "storage/lp_norm.h"
 #include "storage/scan_index.h"
@@ -298,6 +305,334 @@ TEST(KdTreeTest, ExaminesFewerTuplesThanScan) {
   EXPECT_EQ(ss.tuples_matched, ts.tuples_matched);
   EXPECT_LT(ts.tuples_examined, ss.tuples_examined / 4)
       << "kd-tree should prune most of the table for a small ball";
+}
+
+
+// ---------- KdTree bulk load: the pooled build is the serial tree ----------
+
+// The serial bulk load the pooled one must reproduce: one recursion with an
+// indirect nth_element over row ids and nodes appended in pre-order, then
+// the same leaf-blocked re-layout, Kahan leaf sums and radius visit.
+class ReferenceTree {
+ public:
+  ReferenceTree(const Table& table, int leaf_size)
+      : table_(table), d_(table.dimension()), leaf_size_(leaf_size) {
+    const int64_t n = table.num_rows();
+    ids_.resize(static_cast<size_t>(n));
+    std::iota(ids_.begin(), ids_.end(), 0);
+    Build(0, static_cast<int32_t>(n), 0);
+    for (int32_t id : ids_) {
+      xs_.insert(xs_.end(), table.x(id), table.x(id) + d_);
+      us_.push_back(table.u(id));
+      row_ids_.push_back(id);
+    }
+    for (size_t idx = nodes_.size(); idx-- > 0;) Summarize(&nodes_[idx]);
+  }
+
+  int64_t num_nodes() const { return static_cast<int64_t>(nodes_.size()); }
+  const std::vector<int64_t>& row_ids() const { return row_ids_; }
+
+  // True when some node over leaf_size rows below the root stayed a leaf.
+  bool HasEarlyLeafBelowRoot() const {
+    for (const Node& node : nodes_) {
+      if (node.depth > 0 && node.left < 0 && node.end - node.begin > leaf_size_) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  // KdTree::MakePartitions' frontier walk over this tree's nodes.
+  std::vector<ScanPartition> MakePartitions(size_t target) const {
+    auto rows_of = [this](int32_t idx) {
+      return nodes_[static_cast<size_t>(idx)].end - nodes_[static_cast<size_t>(idx)].begin;
+    };
+    auto cmp = [&rows_of](int32_t a, int32_t b) { return rows_of(a) < rows_of(b); };
+    std::priority_queue<int32_t, std::vector<int32_t>, decltype(cmp)> frontier(cmp);
+    frontier.push(0);
+    std::vector<int32_t> done;
+    while (frontier.size() + done.size() < std::max<size_t>(target, 1) &&
+           !frontier.empty()) {
+      const int32_t idx = frontier.top();
+      frontier.pop();
+      const Node& n = nodes_[static_cast<size_t>(idx)];
+      if (n.left < 0) {
+        done.push_back(idx);
+        continue;
+      }
+      frontier.push(n.left);
+      frontier.push(n.right);
+    }
+    while (!frontier.empty()) {
+      done.push_back(frontier.top());
+      frontier.pop();
+    }
+    std::sort(done.begin(), done.end(), [this](int32_t a, int32_t b) {
+      return nodes_[static_cast<size_t>(a)].begin < nodes_[static_cast<size_t>(b)].begin;
+    });
+    std::vector<ScanPartition> plan;
+    for (int32_t idx : done) {
+      ScanPartition p;
+      p.begin = nodes_[static_cast<size_t>(idx)].begin;
+      p.end = nodes_[static_cast<size_t>(idx)].end;
+      p.node = idx;
+      plan.push_back(p);
+    }
+    return plan;
+  }
+
+  void BlockVisit(const double* center, double radius, const LpNorm& norm,
+                  BlockKernel* kernel, SelectionStats* stats) const {
+    const BlockFilter filter = SelectBlockFilter(norm, d_);
+    std::vector<double> corner(d_);
+    SelectionStats local;
+    Visit(0, center, radius, norm, filter, corner.data(), kernel,
+          stats != nullptr ? stats : &local);
+  }
+
+ private:
+  struct Node {
+    int32_t left = -1, right = -1, begin = 0, end = 0, depth = 0;
+    std::vector<double> lo, hi;
+    double sum_u = 0.0, sum_u2 = 0.0;
+    bool finite = true;
+  };
+
+  int32_t Build(int32_t begin, int32_t end, int32_t depth) {
+    const int32_t idx = static_cast<int32_t>(nodes_.size());
+    nodes_.emplace_back();
+    Node& node = nodes_.back();
+    node.begin = begin;
+    node.end = end;
+    node.depth = depth;
+    node.lo.assign(table_.x(ids_[static_cast<size_t>(begin)]),
+                   table_.x(ids_[static_cast<size_t>(begin)]) + d_);
+    node.hi = node.lo;
+    for (int32_t i = begin + 1; i < end; ++i) {
+      const double* row = table_.x(ids_[static_cast<size_t>(i)]);
+      for (size_t j = 0; j < d_; ++j) {
+        node.lo[j] = row[j] < node.lo[j] ? row[j] : node.lo[j];
+        node.hi[j] = row[j] > node.hi[j] ? row[j] : node.hi[j];
+      }
+    }
+    if (end - begin <= leaf_size_) return idx;
+    size_t split_dim = 0;
+    double widest = -1.0;
+    for (size_t j = 0; j < d_; ++j) {
+      if (node.hi[j] - node.lo[j] > widest) {
+        widest = node.hi[j] - node.lo[j];
+        split_dim = j;
+      }
+    }
+    if (widest <= 0.0) return idx;
+    const int32_t mid = begin + (end - begin) / 2;
+    std::nth_element(ids_.begin() + begin, ids_.begin() + mid, ids_.begin() + end,
+                     [this, split_dim](int32_t a, int32_t b) {
+                       return table_.x(a)[split_dim] < table_.x(b)[split_dim];
+                     });
+    const int32_t left = Build(begin, mid, depth + 1);
+    const int32_t right = Build(mid, end, depth + 1);
+    nodes_[static_cast<size_t>(idx)].left = left;
+    nodes_[static_cast<size_t>(idx)].right = right;
+    return idx;
+  }
+
+  void Summarize(Node* node) const {
+    if (node->left >= 0) {
+      const Node& l = nodes_[static_cast<size_t>(node->left)];
+      const Node& r = nodes_[static_cast<size_t>(node->right)];
+      node->sum_u = l.sum_u + r.sum_u;
+      node->sum_u2 = l.sum_u2 + r.sum_u2;
+      node->finite = l.finite && r.finite;
+      return;
+    }
+    query::KahanSum sum, sum2;
+    for (int32_t i = node->begin; i < node->end; ++i) {
+      const double u = us_[static_cast<size_t>(i)];
+      sum.Add(u);
+      sum2.Add(u * u);
+    }
+    node->sum_u = sum.value();
+    node->sum_u2 = sum2.value();
+    node->finite = std::all_of(xs_.begin() + static_cast<size_t>(node->begin) * d_,
+                               xs_.begin() + static_cast<size_t>(node->end) * d_,
+                               [](double v) { return std::isfinite(v); });
+  }
+
+  BlockSpan Span(int32_t b, int32_t rows) const {
+    BlockSpan span;
+    span.xs = &xs_[static_cast<size_t>(b) * d_];
+    span.us = &us_[static_cast<size_t>(b)];
+    span.ids = &row_ids_[static_cast<size_t>(b)];
+    span.rows = rows;
+    span.d = d_;
+    return span;
+  }
+
+  void Visit(int32_t idx, const double* c, double radius, const LpNorm& norm,
+             const BlockFilter& filter, double* corner, BlockKernel* kernel,
+             SelectionStats* stats) const {
+    const Node& node = nodes_[static_cast<size_t>(idx)];
+    if (node.finite &&
+        norm.MinDistanceToBox(c, node.lo.data(), node.hi.data(), d_) > radius) {
+      return;
+    }
+    int32_t sel[kScanBlockRows];
+    double scratch[kScanBlockRows];
+    bool inside = false;
+    if (node.finite) {
+      for (size_t j = 0; j < d_; ++j) {
+        corner[j] = std::fabs(node.hi[j] - c[j]) > std::fabs(node.lo[j] - c[j])
+                        ? node.hi[j]
+                        : node.lo[j];
+      }
+      inside = filter.Run(corner, 1, d_, c, radius, sel, scratch) == 1;
+    }
+    if (inside) {
+      stats->tuples_examined += node.end - node.begin;
+      stats->tuples_matched += node.end - node.begin;
+      SubtreeSummary summary;
+      summary.count = node.end - node.begin;
+      summary.sum_u = node.sum_u;
+      summary.sum_u2 = node.sum_u2;
+      if (kernel->OnSubtree(summary)) return;
+      int32_t all[kScanBlockRows];
+      std::iota(all, all + kScanBlockRows, 0);
+      for (int32_t b = node.begin; b < node.end; b += kScanBlockRows) {
+        BlockSpan span = Span(b, std::min<int32_t>(kScanBlockRows, node.end - b));
+        span.sel = all;
+        span.count = span.rows;
+        kernel->OnBlock(span);
+      }
+      return;
+    }
+    if (node.left < 0) {
+      for (int32_t b = node.begin; b < node.end; b += kScanBlockRows) {
+        BlockSpan span = Span(b, std::min<int32_t>(kScanBlockRows, node.end - b));
+        span.count = filter.Run(span.xs, span.rows, d_, c, radius, sel, scratch);
+        span.sel = sel;
+        stats->tuples_examined += span.rows;
+        stats->tuples_matched += span.count;
+        if (span.count > 0) kernel->OnBlock(span);
+      }
+      return;
+    }
+    Visit(node.left, c, radius, norm, filter, corner, kernel, stats);
+    Visit(node.right, c, radius, norm, filter, corner, kernel, stats);
+  }
+
+  const Table& table_;
+  size_t d_;
+  int32_t leaf_size_;
+  std::vector<int32_t> ids_;
+  std::vector<Node> nodes_;
+  std::vector<double> xs_;
+  std::vector<double> us_;
+  std::vector<int64_t> row_ids_;
+};
+
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+// Asserts that `tree` is `ref` node for node, row for row and answer for
+// answer: node count, every leaf and partition plan, the row permutation,
+// and bit-identical Q1/Q2 sums and SelectionStats over `balls` random balls
+// under each of four norms.
+void ExpectSameTree(const Table& table, int leaf_size, int balls, uint64_t seed) {
+  const KdTree tree(table, leaf_size);
+  const ReferenceTree ref(table, leaf_size);
+  const size_t d = table.dimension();
+  ASSERT_EQ(tree.num_nodes(), ref.num_nodes());
+
+  auto expect_same_plan = [&](size_t target) {
+    const std::vector<ScanPartition> got = tree.MakePartitions(target);
+    const std::vector<ScanPartition> want = ref.MakePartitions(target);
+    ASSERT_EQ(got.size(), want.size()) << "target=" << target;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].node, want[i].node) << "target=" << target << " i=" << i;
+      EXPECT_EQ(got[i].begin, want[i].begin) << "target=" << target << " i=" << i;
+      EXPECT_EQ(got[i].end, want[i].end) << "target=" << target << " i=" << i;
+    }
+  };
+  // Every leaf, then the plans the engine asks for.
+  expect_same_plan(static_cast<size_t>(tree.num_nodes()));
+  for (size_t target : {1u, 2u, 3u, 5u, 8u, 64u}) expect_same_plan(target);
+
+  // The row permutation: CollectIdsBlockKernel declines every subtree, so a
+  // covering ball streams all rows in storage order.
+  const std::vector<double> center(d, 0.5);
+  query::CollectIdsBlockKernel all_rows;
+  tree.BlockVisit(center.data(), 1e9, LpNorm::L2(), &all_rows, nullptr);
+  EXPECT_EQ(all_rows.TakeIds(), ref.row_ids());
+
+  std::vector<double> mins, maxs;
+  table.FeatureRanges(&mins, &maxs);
+  util::Rng rng(seed);
+  std::vector<double> c(d);
+  for (int ball = 0; ball < balls; ++ball) {
+    for (size_t j = 0; j < d; ++j) c[j] = rng.Uniform(mins[j], maxs[j]);
+    const double radius = rng.Uniform(0.005, 0.06) * std::sqrt(static_cast<double>(d));
+    for (double p : {1.0, 2.0, 3.0, LpNorm::kInf}) {
+      const LpNorm norm(p);
+      query::SumBlockKernel q1, ref_q1;
+      SelectionStats stats, ref_stats;
+      tree.BlockVisit(c.data(), radius, norm, &q1, &stats);
+      ref.BlockVisit(c.data(), radius, norm, &ref_q1, &ref_stats);
+      ASSERT_TRUE(SameBits(q1.sum(), ref_q1.sum())) << "ball=" << ball << " p=" << p;
+      ASSERT_EQ(q1.count(), ref_q1.count()) << "ball=" << ball << " p=" << p;
+      ASSERT_EQ(stats.tuples_examined, ref_stats.tuples_examined)
+          << "ball=" << ball << " p=" << p;
+      ASSERT_EQ(stats.tuples_matched, ref_stats.tuples_matched);
+
+      query::GramBlockKernel q2(d), ref_q2(d);
+      tree.BlockVisit(c.data(), radius, norm, &q2, nullptr);
+      ref.BlockVisit(c.data(), radius, norm, &ref_q2, nullptr);
+      ASSERT_EQ(q2.acc().count(), ref_q2.acc().count());
+      const auto fit = q2.acc().Solve();
+      const auto ref_fit = ref_q2.acc().Solve();
+      ASSERT_EQ(fit.ok(), ref_fit.ok());
+      if (!fit.ok()) continue;
+      ASSERT_TRUE(SameBits(fit->intercept, ref_fit->intercept))
+          << "ball=" << ball << " p=" << p;
+      ASSERT_TRUE(SameBits(fit->ssr, ref_fit->ssr));
+      ASSERT_TRUE(SameBits(fit->tss, ref_fit->tss));
+      for (size_t j = 0; j < d; ++j) {
+        ASSERT_TRUE(SameBits(fit->slope[j], ref_fit->slope[j]));
+      }
+    }
+  }
+}
+
+TEST(KdTreeBuildTest, R1PooledBuildIsTheSerialTree) {
+  auto ds = data::MakeR1(2, 300000, 42);
+  ASSERT_TRUE(ds.ok());
+  ExpectSameTree(ds->table, 32, 1000, 7);
+}
+
+TEST(KdTreeBuildTest, RowCutoffEdgesBuildTheSerialTree) {
+  for (int64_t n : {KdTree::kParallelBuildRows - 1, KdTree::kParallelBuildRows,
+                    KdTree::kParallelBuildRows + 1}) {
+    SCOPED_TRACE(n);
+    ExpectSameTree(MakeRandomTable(2, n, static_cast<uint64_t>(n)), 32, 200, 11);
+  }
+}
+
+TEST(KdTreeBuildTest, OneAndFiveDimensionsBuildTheSerialTree) {
+  ExpectSameTree(MakeRandomTable(1, 70000, 3), 32, 250, 13);
+  // d = 5 takes the generic (runtime-dimension) box path.
+  ExpectSameTree(MakeRandomTable(5, 60000, 5), 16, 250, 17);
+}
+
+TEST(KdTreeBuildTest, IdenticalRowsLeafInsidePooledSubtree) {
+  // 40k copies of one point among 40k uniform rows: medians fall inside the
+  // identical block, so some node below the root holds only that point and
+  // stays a leaf over more than leaf_size rows, leaving empty slots that the
+  // compaction pass must remove.
+  Table table = MakeRandomTable(2, 40000, 19);
+  const double point[2] = {0.5, 0.5};
+  util::Rng rng(23);
+  for (int i = 0; i < 40000; ++i) table.AppendUnchecked(point, rng.Uniform(-1, 1));
+  ASSERT_TRUE(ReferenceTree(table, 32).HasEarlyLeafBelowRoot());
+  ExpectSameTree(table, 32, 250, 29);
 }
 
 }  // namespace
