@@ -36,7 +36,6 @@ void OlsAccumulator::Add(const double* x, double u) {
   // Augmented feature vector z = [1, x_0, ..., x_{d-1}] accumulated into the
   // upper triangle; the lower triangle is mirrored in Solve().
   ++n_;
-  xtx_(0, 0) += 1.0;
   xtu_[0] += u;
   for (size_t i = 0; i < d_; ++i) {
     xtx_(0, i + 1) += x[i];
@@ -46,7 +45,6 @@ void OlsAccumulator::Add(const double* x, double u) {
     }
   }
   utu_ += u * u;
-  usum_ += u;
 }
 
 void OlsAccumulator::AddBlock(const double* xs, const double* us,
@@ -63,7 +61,6 @@ util::Status OlsAccumulator::Merge(const OlsAccumulator& other) {
   }
   n_ += other.n_;
   utu_ += other.utu_;
-  usum_ += other.usum_;
   for (size_t i = 0; i <= d_; ++i) {
     xtu_[i] += other.xtu_[i];
     for (size_t j = i; j <= d_; ++j) {
@@ -77,7 +74,8 @@ util::Result<OlsFit> OlsAccumulator::Solve() const {
   if (n_ < 1) {
     return util::Status::FailedPrecondition("OLS over an empty subspace");
   }
-  // Mirror the accumulated upper triangle.
+  // Mirror the accumulated upper triangle; the corner Σ1 is the row count
+  // (exact in a double below 2^53).
   Matrix a(d_ + 1, d_ + 1);
   for (size_t i = 0; i <= d_; ++i) {
     for (size_t j = i; j <= d_; ++j) {
@@ -85,6 +83,7 @@ util::Result<OlsFit> OlsAccumulator::Solve() const {
       a(j, i) = xtx_(i, j);
     }
   }
+  a(0, 0) = static_cast<double>(n_);
   QREG_ASSIGN_OR_RETURN(std::vector<double> beta,
                         CholeskySolveRegularized(a, xtu_));
 
@@ -92,7 +91,7 @@ util::Result<OlsFit> OlsAccumulator::Solve() const {
   fit.n = n_;
   fit.intercept = beta[0];
   fit.slope.assign(beta.begin() + 1, beta.end());
-  fit.u_mean = usum_ / static_cast<double>(n_);
+  fit.u_mean = xtu_[0] / static_cast<double>(n_);
 
   // SSR = u'u - 2 b'X'u + b'X'X b, computed from the accumulated moments.
   double bxtxb = 0.0;
@@ -106,14 +105,6 @@ util::Result<OlsFit> OlsAccumulator::Solve() const {
   fit.ssr = std::max(0.0, utu_ - 2.0 * bxtu + bxtxb);
   fit.tss = std::max(0.0, utu_ - static_cast<double>(n_) * fit.u_mean * fit.u_mean);
   return fit;
-}
-
-void OlsAccumulator::Reset() {
-  n_ = 0;
-  utu_ = 0.0;
-  usum_ = 0.0;
-  xtx_ = Matrix(d_ + 1, d_ + 1);
-  xtu_.assign(d_ + 1, 0.0);
 }
 
 util::Result<OlsFit> FitOls(const Matrix& x, const std::vector<double>& u) {

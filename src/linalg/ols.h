@@ -3,8 +3,9 @@
 //
 // Two paths are provided:
 //  - OlsAccumulator: one-pass streaming accumulation of the moment matrix
-//    [1 x]^T [1 x] and moment vector [1 x]^T u. This is how an in-DBMS
-//    aggregate would evaluate Q2 without materializing the subspace.
+//    [1 x]^T [1 x] and moment vector [1 x]^T u, each moment kept once. This
+//    is how an in-DBMS aggregate would evaluate Q2 without materializing
+//    the subspace.
 //  - FitOls: batch fit from an explicit design, via QR (robust path).
 
 #ifndef QREG_LINALG_OLS_H_
@@ -75,15 +76,12 @@ class OlsAccumulator {
   /// what an analyst gets from a tiny query ball.
   util::Result<OlsFit> Solve() const;
 
-  void Reset();
-
  private:
   size_t d_;
   int64_t n_ = 0;
-  Matrix xtx_;                // (d+1) x (d+1) moments of [1, x].
-  std::vector<double> xtu_;   // (d+1) moments of [1, x]^T u.
+  Matrix xtx_;                // (d+1)² moments of [1, x]; n goes at (0, 0).
+  std::vector<double> xtu_;   // (d+1) moments of [1, x]^T u; [0] is Σu.
   double utu_ = 0.0;          // sum of u^2.
-  double usum_ = 0.0;         // sum of u.
 };
 
 /// \brief Batch OLS (adds an intercept column) via Householder QR.

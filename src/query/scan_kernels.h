@@ -8,18 +8,20 @@
 // partition), and Merge() folds a partition's partial into the total in
 // plan order.
 //
-// The Q1 kernel (Sum) needs only count and Σu, so it takes a subtree the
-// index found wholly inside the ball from its precomputed SubtreeSummary in
-// O(1). Gram and CollectIds need the rows themselves and decline the offer;
-// the index then streams them the subtree's rows.
+// The Q1 kernel (Sum) needs only count and Σu. Its state is a
+// storage::SubtreeSummary, the one the index keeps per k-d tree node, so it
+// takes a subtree the index found wholly inside the ball from that node's
+// summary in O(1). Gram and CollectIds need the rows themselves and decline
+// the offer; the index then streams them the subtree's rows.
 //
-// Scalar accumulators are Kahan-compensated. Compensation is an accuracy
-// measure, not the determinism mechanism: bit-for-bit reproducibility
-// across thread counts comes from the fixed partition plan and the fixed
-// plan-order merge (each partition's kernel sees exactly the same rows in
-// the same order regardless of which worker runs it). Compensation keeps
-// those per-partition partials accurate enough that plan-shape changes
-// stay within ~1 ulp of each other. Merges are plain adds, so merging one
+// The Q1 Σu is Kahan-compensated (storage::KahanSum); the Gram moments are
+// plain sums. Compensation is an accuracy measure, not the determinism
+// mechanism: bit-for-bit reproducibility across thread counts comes from
+// the fixed partition plan and the fixed plan-order merge (each
+// partition's kernel sees exactly the same rows in the same order
+// regardless of which worker runs it). Compensation keeps those
+// per-partition partials accurate enough that plan-shape changes stay
+// within ~1 ulp of each other. Merges are plain adds, so merging one
 // partial into a zeroed total reproduces the partial bit for bit
 // (0.0 + x == x).
 
@@ -36,50 +38,27 @@
 namespace qreg {
 namespace query {
 
-/// \brief Kahan-compensated running sum: adds carry the rounding residue of
-/// the previous add, so a long stream loses O(1) ulps instead of O(n).
-struct KahanSum {
-  double sum = 0.0;
-  double carry = 0.0;
-
-  void Add(double v) {
-    const double y = v - carry;
-    const double t = sum + y;
-    carry = (t - sum) - y;
-    sum = t;
-  }
-
-  /// Folds in another stream's partial with one plain add.
-  void Merge(const KahanSum& part) { sum += part.sum; }
-
-  double value() const { return sum; }
-};
-
-/// \brief Q1 transition state: compensated Σu and the subspace cardinality.
+/// \brief Q1 transition state: a thin kernel over one
+/// storage::SubtreeSummary (count, compensated Σu), the same state the
+/// k-d tree keeps per node.
 class SumBlockKernel : public storage::BlockKernel {
  public:
   void OnBlock(const storage::BlockSpan& span) override {
-    for (int32_t k = 0; k < span.count; ++k) sum_.Add(span.UAt(k));
-    count_ += span.count;
+    for (int32_t k = 0; k < span.count; ++k) state_.Add(span.UAt(k));
   }
 
   bool OnSubtree(const storage::SubtreeSummary& summary) override {
-    sum_.Add(summary.sum_u);
-    count_ += summary.count;
+    state_.AddSubtree(summary);
     return true;
   }
 
-  void Merge(const SumBlockKernel& part) {
-    sum_.Merge(part.sum_);
-    count_ += part.count_;
-  }
+  void Merge(const SumBlockKernel& part) { state_.Merge(part.state_); }
 
-  double sum() const { return sum_.value(); }
-  int64_t count() const { return count_; }
+  double sum() const { return state_.sum_u.value(); }
+  int64_t count() const { return state_.count; }
 
  private:
-  KahanSum sum_;
-  int64_t count_ = 0;
+  storage::SubtreeSummary state_;
 };
 
 /// \brief Q2 transition state: fused Gram-matrix/moment-vector update over

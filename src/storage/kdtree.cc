@@ -141,7 +141,7 @@ void KdTree::ComputeBox(int32_t node_idx) {
   double* lo = &boxes_[static_cast<size_t>(node_idx) * 2 * d];
   double* hi = lo + d;
   const int32_t* ids = ids_.data() + node.begin;
-  const int32_t rows = node.end - node.begin;
+  const auto rows = static_cast<int32_t>(node.summary.count);
   switch (d) {
     case 1: return RowBounds<1>(table_, ids, rows, d, lo, hi);
     case 2: return RowBounds<2>(table_, ids, rows, d, lo, hi);
@@ -155,7 +155,7 @@ void KdTree::Build(int32_t node_idx, int32_t begin, int32_t end, int depth,
                    BuildContext* ctx) {
   Node& node = nodes_[static_cast<size_t>(node_idx)];
   node.begin = begin;
-  node.end = end;
+  node.summary.count = end - begin;
   ComputeBox(node_idx);
 
   if (end - begin <= leaf_size_) return;
@@ -216,7 +216,7 @@ void KdTree::CompactSlots() {
   std::vector<int32_t> moved_to(nodes_.size(), -1);
   size_t used = 0;
   for (size_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i].end == nodes_[i].begin) continue;
+    if (nodes_[i].summary.count == 0) continue;
     moved_to[i] = static_cast<int32_t>(used);
     if (used != i) {
       nodes_[used] = nodes_[i];
@@ -235,29 +235,21 @@ void KdTree::CompactSlots() {
 
 void KdTree::ComputeSummaries(util::ThreadPool* pool) {
   const size_t d = table_.dimension();
-  // Leaves first, in node chunks: Kahan-compensated sums over their rows.
+  // Leaves first, in node chunks: one row at a time into a zeroed summary.
   const size_t count = nodes_.size();
   const size_t chunks = pool->num_threads() + 1;
   util::RunChunks(pool, chunks, [this, d, count, chunks](size_t c) {
     for (size_t idx = count * c / chunks; idx < count * (c + 1) / chunks; ++idx) {
       Node& node = nodes_[idx];
       if (node.left >= 0) continue;
-      double sum = 0.0, carry = 0.0, sum2 = 0.0, carry2 = 0.0;
-      for (int32_t i = node.begin; i < node.end; ++i) {
-        const double u = us_perm_[static_cast<size_t>(i)];
-        const double y = u - carry;
-        const double t = sum + y;
-        carry = (t - sum) - y;
-        sum = t;
-        const double y2 = u * u - carry2;
-        const double t2 = sum2 + y2;
-        carry2 = (t2 - sum2) - y2;
-        sum2 = t2;
+      const int32_t end = node.end();
+      SubtreeSummary leaf;
+      for (int32_t i = node.begin; i < end; ++i) {
+        leaf.Add(us_perm_[static_cast<size_t>(i)]);
       }
-      node.sum_u = sum;
-      node.sum_u2 = sum2;
+      node.summary = leaf;
       const double* xs = xs_perm_.data() + static_cast<size_t>(node.begin) * d;
-      const double* xs_end = xs_perm_.data() + static_cast<size_t>(node.end) * d;
+      const double* xs_end = xs_perm_.data() + static_cast<size_t>(end) * d;
       node.finite =
           std::all_of(xs, xs_end, [](double v) { return std::isfinite(v); });
     }
@@ -269,8 +261,8 @@ void KdTree::ComputeSummaries(util::ThreadPool* pool) {
     if (node.left < 0) continue;
     const Node& l = nodes_[static_cast<size_t>(node.left)];
     const Node& r = nodes_[static_cast<size_t>(node.right)];
-    node.sum_u = l.sum_u + r.sum_u;
-    node.sum_u2 = l.sum_u2 + r.sum_u2;
+    node.summary = l.summary;
+    node.summary.Merge(r.summary);
     node.finite = l.finite && r.finite;
   }
 }
@@ -321,21 +313,19 @@ void KdTree::VisitNode(int32_t node_idx, const Ball& ball, BlockKernel* kernel,
     return;  // Ball cannot intersect this subtree.
   }
   if (InsideBall(node_idx, ball)) {  // Every row selected, none filtered.
-    const int64_t rows = node.end - node.begin;
-    stats->tuples_examined += rows;
-    stats->tuples_matched += rows;
-    SubtreeSummary summary;
-    summary.count = rows;
-    summary.sum_u = node.sum_u;
-    summary.sum_u2 = node.sum_u2;
-    if (!kernel->OnSubtree(summary)) EmitRows(node.begin, node.end, kernel);
+    stats->tuples_examined += node.summary.count;
+    stats->tuples_matched += node.summary.count;
+    if (!kernel->OnSubtree(node.summary)) {
+      EmitRows(node.begin, node.end(), kernel);
+    }
     return;
   }
   if (node.left < 0) {  // Boundary leaf: stream its span block-at-a-time.
     double scratch[kScanBlockRows];
     int32_t sel[kScanBlockRows];
-    for (int32_t b = node.begin; b < node.end; b += kScanBlockRows) {
-      const int32_t rows = std::min<int32_t>(kScanBlockRows, node.end - b);
+    const int32_t end = node.end();
+    for (int32_t b = node.begin; b < end; b += kScanBlockRows) {
+      const int32_t rows = std::min<int32_t>(kScanBlockRows, end - b);
       const double* xs = PermRow(b);
       const int32_t count =
           ball.filter.Run(xs, rows, d, ball.center, ball.radius, sel, scratch);
@@ -387,8 +377,7 @@ std::vector<ScanPartition> KdTree::MakePartitions(size_t target) const {
   // Grow a frontier of subtree roots: always split the widest (most rows)
   // splittable node next, so partition sizes stay balanced.
   auto rows_of = [this](int32_t idx) {
-    const Node& n = nodes_[static_cast<size_t>(idx)];
-    return n.end - n.begin;
+    return nodes_[static_cast<size_t>(idx)].summary.count;
   };
   auto cmp = [&rows_of](int32_t a, int32_t b) { return rows_of(a) < rows_of(b); };
   std::priority_queue<int32_t, std::vector<int32_t>, decltype(cmp)> frontier(cmp);
@@ -419,7 +408,7 @@ std::vector<ScanPartition> KdTree::MakePartitions(size_t target) const {
     ScanPartition p;
     const Node& n = nodes_[static_cast<size_t>(idx)];
     p.begin = n.begin;
-    p.end = n.end;
+    p.end = n.end();
     p.node = idx;
     plan.push_back(p);
   }

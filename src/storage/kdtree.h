@@ -11,14 +11,15 @@
 // span of row-major storage. Radius selection streams those spans through
 // the branch-free block filter instead of pointer-chasing per-row ids.
 //
-// Aggregate tree: each node also stores a summary of its rows — count, Σu
-// (Kahan-summed in a leaf, left + right above it) and Σu² — built once from
-// the data. A radius visit tests each unpruned node for containment by
-// running the scan's own block filter on the box's farthest corner; every
-// filter is monotone in each |x_j − c_j|, so an accepted corner means every
-// row of the box is accepted. A contained subtree is offered to the
-// kernel's OnSubtree (O(1) for the Q1 kernels) and otherwise streamed to
-// OnBlock unfiltered, so the scan's filter cost grows with the ball's
+// Aggregate tree: each node also stores the Q1 transition state of its
+// rows, a SubtreeSummary (count and Σu: Add per row in a leaf, the left
+// child's plus Merge(right) above it), built once from the data. A radius
+// visit tests each unpruned node for containment by running the scan's own
+// block filter on the box's farthest corner; every filter is monotone in
+// each |x_j − c_j|, so an accepted corner means every row of the box is
+// accepted. A contained subtree's summary is offered to the kernel's
+// OnSubtree (O(1) for the Q1 kernel) and otherwise its rows are streamed
+// to OnBlock unfiltered, so the scan's filter cost grows with the ball's
 // boundary rather than its volume. A subtree holding a non-finite feature
 // is never pruned or treated as contained, so the filter alone decides its
 // rows (a box's min/max skip NaN coordinates).
@@ -95,11 +96,13 @@ class KdTree : public SpatialIndex {
   struct Node {
     int32_t left = -1;    // child node index, -1 for leaf
     int32_t right = -1;
-    int32_t begin = 0;    // range in the permuted row storage
-    int32_t end = 0;
-    double sum_u = 0.0;   // Σu over [begin, end)
-    double sum_u2 = 0.0;  // Σu² over [begin, end)
+    int32_t begin = 0;    // first row in the permuted row storage
     bool finite = true;   // every feature of every row is finite
+    // The node's rows [begin, end()) and their Q1 state: Build sets the
+    // count, ComputeSummaries the Σu.
+    SubtreeSummary summary;
+
+    int32_t end() const { return begin + static_cast<int32_t>(summary.count); }
   };
 
   // One radius selection's resolved arguments.

@@ -9,10 +9,11 @@
 // the same SelectionStats; BlockVisit is the one-partition plan.
 //
 // A tree path may also find a whole subtree inside the ball. It then offers
-// the kernel that subtree's precomputed SubtreeSummary (count, Σu, Σu²)
-// through OnSubtree; a kernel that only needs those sums takes the subtree
-// in O(1), and any other kernel gets the subtree's rows as OnBlock spans
-// with every lane selected, in the same order a filtered visit would give.
+// the kernel that subtree's precomputed SubtreeSummary — the Q1 transition
+// state (count, compensated Σu) that the Q1 kernel itself accumulates —
+// through OnSubtree; a kernel that only needs those takes the subtree in
+// O(1), and any other kernel gets the subtree's rows as OnBlock spans with
+// every lane selected, in the same order a filtered visit would give.
 
 #ifndef QREG_STORAGE_SPATIAL_INDEX_H_
 #define QREG_STORAGE_SPATIAL_INDEX_H_
@@ -35,14 +36,45 @@ struct SelectionStats {
   int64_t tuples_matched = 0;  ///< Rows inside the ball.
 };
 
-/// \brief Sufficient statistics of a subtree that lies wholly inside the
-/// ball: every one of its `count` rows is selected. Computed once at index
-/// build time from the data alone.
+/// \brief Kahan-compensated running sum: adds carry the rounding residue of
+/// the previous add, so a long stream loses O(1) ulps instead of O(n).
+struct KahanSum {
+  double sum = 0.0;
+  double carry = 0.0;
+
+  void Add(double v) {
+    const double y = v - carry;
+    const double t = sum + y;
+    carry = (t - sum) - y;
+    sum = t;
+  }
+
+  /// Folds in another stream's partial with one plain add.
+  void Merge(const KahanSum& part) { sum += part.sum; }
+
+  double value() const { return sum; }
+};
+
+/// \brief Q1 transition state (count, compensated Σu) over a set of rows:
+/// a k-d tree node's summary and the Q1 kernel's running state. Add takes
+/// one row; AddSubtree a subtree inside the ball, its Σu as one compensated
+/// add; Merge a disjoint partial (a scan partition, a right child), plainly.
 struct SubtreeSummary {
   int64_t count = 0;
-  double sum_u = 0.0;   ///< Σu over the subtree's rows.
-  // Σu² is read by no kernel today; a Q2 Gram summary needs it for the TSS.
-  double sum_u2 = 0.0;  ///< Σu² over the subtree's rows.
+  KahanSum sum_u;  ///< Σu over the rows.
+
+  void Add(double u) {
+    sum_u.Add(u);
+    ++count;
+  }
+  void AddSubtree(const SubtreeSummary& s) {
+    sum_u.Add(s.sum_u.value());
+    count += s.count;
+  }
+  void Merge(const SubtreeSummary& part) {
+    sum_u.Merge(part.sum_u);
+    count += part.count;
+  }
 };
 
 /// \brief One filtered candidate block: `rows` contiguous row-major feature

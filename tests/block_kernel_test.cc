@@ -7,7 +7,7 @@
 //   - the engine's block-kernel answers stay bit-for-bit identical across
 //     thread counts and survive a mid-scan ExecControl trip with consistent
 //     partial-work accounting;
-//   - the k-d tree's contained-subtree summaries: count, Σu and Σu² agree
+//   - the k-d tree's contained-subtree summaries: count and Σu agree
 //     with brute force up to table-covering balls, counters match a row
 //     kernel, knife-edge radii at a box's farthest corner select exactly
 //     the brute force rows, non-finite rows are never summarized, and
@@ -109,32 +109,25 @@ std::vector<Row> BruteForceFilterRows(const storage::Table& table,
   return rows;
 }
 
-// Counts rows, sums u and u² (no engine kernel reads a summary's Σu²), and
-// takes every offered subtree from its summary.
+// Counts rows, sums u, and takes every offered subtree from its summary.
 class CountingKernel : public storage::BlockKernel {
  public:
   void OnBlock(const storage::BlockSpan& span) override {
-    for (int32_t k = 0; k < span.count; ++k) {
-      const double u = span.UAt(k);
-      sum_u.Add(u);
-      sum_u2.Add(u * u);
-    }
+    for (int32_t k = 0; k < span.count; ++k) sum_u.Add(span.UAt(k));
     rows += span.count;
   }
   bool OnSubtree(const storage::SubtreeSummary& summary) override {
     ++summaries;
     largest = std::max(largest, summary.count);
     rows += summary.count;
-    sum_u.Add(summary.sum_u);
-    sum_u2.Add(summary.sum_u2);
+    sum_u.Add(summary.sum_u.value());
     return true;
   }
 
   int64_t summaries = 0;
   int64_t largest = 0;  ///< Rows of the largest summarized subtree.
   int64_t rows = 0;
-  KahanSum sum_u;       ///< Σu over rows and summaries.
-  KahanSum sum_u2;      ///< Σu² over rows and summaries.
+  storage::KahanSum sum_u;  ///< Σu over rows and summaries.
 };
 
 std::vector<Row> SortedById(std::vector<Row> rows) {
@@ -213,11 +206,10 @@ TEST_P(BlockRowEquivalenceTest, SummariesMatchBruteForceUpToCoveringBalls) {
       std::vector<double> c(d);
       for (auto& v : c) v = rng.Uniform(-0.1, 1.1);
       const std::vector<Row> want = BruteForceRows(table, c.data(), radius, norm);
-      double want_sum = 0.0, want_abs = 0.0, want_sq = 0.0;
+      double want_sum = 0.0, want_abs = 0.0;
       for (const Row& r : want) {
         want_sum += r.u;
         want_abs += std::fabs(r.u);
-        want_sq += r.u * r.u;
       }
 
       SumBlockKernel sum;
@@ -237,7 +229,6 @@ TEST_P(BlockRowEquivalenceTest, SummariesMatchBruteForceUpToCoveringBalls) {
       EXPECT_EQ(counting.rows, n) << where;
       EXPECT_NEAR(sum.sum(), want_sum, 1e-12 * want_abs) << where;
       EXPECT_NEAR(counting.sum_u.value(), want_sum, 1e-12 * want_abs) << where;
-      EXPECT_NEAR(counting.sum_u2.value(), want_sq, 1e-12 * want_sq) << where;
       // Summaries skip the filter, not the accounting.
       EXPECT_EQ(sum_stats.tuples_examined, row_stats.tuples_examined) << where;
       EXPECT_EQ(sum_stats.tuples_matched, row_stats.tuples_matched) << where;
@@ -380,12 +371,11 @@ TEST(KdTreeSummaryTest, DegenerateTables) {
     // All rows identical: one unsplittable leaf, contained at radius 0.
     storage::Table same(3);
     const double point[3] = {0.3, 0.7, 0.1};
-    double want_sum = 0.0, want_sq = 0.0;
+    double want_sum = 0.0;
     for (int i = 0; i < 200; ++i) {
       const double u = 0.01 * i - 1.0;
       same.AppendUnchecked(point, u);
       want_sum += u;
-      want_sq += u * u;
     }
     storage::KdTree same_tree(same, 16);
     EXPECT_EQ(same_tree.num_nodes(), 1);
@@ -393,7 +383,6 @@ TEST(KdTreeSummaryTest, DegenerateTables) {
     same_tree.BlockVisit(point, 0.0, norm, &counting, nullptr);
     EXPECT_EQ(counting.summaries, 1);
     EXPECT_EQ(counting.rows, 200);
-    EXPECT_NEAR(counting.sum_u2.value(), want_sq, 1e-12 * want_sq);
     EXPECT_NEAR(counting.sum_u.value(), want_sum, 1e-12 * 200.0);
     const double away[3] = {0.9, 0.9, 0.9};
     SumBlockKernel none;
@@ -564,7 +553,7 @@ TEST(BlockKernelEngineTest, MidScanTripLeavesConsistentChunkAccounting) {
 
 TEST(KahanSumTest, CompensatesWhereNaiveSumLoses) {
   // 1e16 + 1.0 is absorbed by a naive double sum; Kahan carries it.
-  KahanSum kahan;
+  storage::KahanSum kahan;
   double naive = 0.0;
   kahan.Add(1e16);
   naive += 1e16;

@@ -235,6 +235,52 @@ TEST(OlsTest, AccumulatorMatchesBatchFit) {
   EXPECT_NEAR(stream->tss, batch->tss, 1e-6 * (1.0 + batch->tss));
 }
 
+TEST(OlsTest, NearSingularGramMatchesQrOnFittedValues) {
+  // Unit-scale features where x1 = x0 + 1e-9·N(0, 1): κ(X) ≈ 1e9, so the
+  // Gram's κ ≈ 1e18 exceeds 1/ε and x1 − x0 is invisible to the moments.
+  // The regularised normal equations fit the other d directions; QR
+  // (cond ≈ 1e9 < 1/ε) fits all d + 1. The slopes of x0 and x1 are then
+  // unidentified and differ by orders of magnitude between the two, so
+  // only well-posed quantities are compared. Dropping one direction costs
+  // that direction's share of the noise: the accumulator's SSR exceeds
+  // QR's by a χ²₁·σ² draw (expected σ̂² = SSR / (n − d − 1)) and its
+  // fitted values differ from QR's by about its square root in 2-norm.
+  // Tolerances: SSR gap in [−1e-9·SSR, 9σ̂²] and fitted-value 2-norm gap
+  // at most 3σ̂ (three standard deviations of one χ²₁ direction); u_mean
+  // is Σu / n from the same adds in the same order on both paths.
+  const size_t n = 500, d = 3;
+  for (uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE(seed);
+    util::Rng rng(seed);
+    Matrix x(n, d);
+    std::vector<double> u(n);
+    for (size_t i = 0; i < n; ++i) {
+      x(i, 0) = rng.Uniform(0, 1);
+      x(i, 1) = x(i, 0) + 1e-9 * rng.Gaussian(0.0, 1.0);
+      x(i, 2) = rng.Uniform(0, 1);
+      u[i] = 0.5 + 2.0 * x(i, 0) - x(i, 2) + 0.1 * rng.Gaussian(0.0, 1.0);
+    }
+    auto qr = FitOls(x, u);
+    ASSERT_TRUE(qr.ok());
+    OlsAccumulator acc(d);
+    for (size_t i = 0; i < n; ++i) acc.Add(x.RowPtr(i), u[i]);
+    auto ne = acc.Solve();
+    ASSERT_TRUE(ne.ok());
+
+    const double sigma2 = qr->ssr / static_cast<double>(n - d - 1);
+    EXPECT_GE(ne->ssr - qr->ssr, -1e-9 * qr->ssr);
+    EXPECT_LE(ne->ssr - qr->ssr, 9.0 * sigma2);
+    double gap2 = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      const std::vector<double> xi(x.RowPtr(i), x.RowPtr(i) + d);
+      const double diff = ne->Predict(xi) - qr->Predict(xi);
+      gap2 += diff * diff;
+    }
+    EXPECT_LE(std::sqrt(gap2), 3.0 * std::sqrt(sigma2));
+    EXPECT_DOUBLE_EQ(ne->u_mean, qr->u_mean);
+  }
+}
+
 TEST(OlsTest, MergeEqualsSinglePass) {
   util::Rng rng(47);
   const size_t d = 2;
@@ -288,14 +334,6 @@ TEST(OlsTest, FvuGreaterThanOneForBadFit) {
   fit.tss = 4.0;
   EXPECT_GT(fit.FVU(), 1.0);
   EXPECT_LT(fit.CoD(), 0.0);
-}
-
-TEST(OlsTest, ResetClearsState) {
-  OlsAccumulator acc(1);
-  acc.Add({1.0}, 2.0);
-  acc.Reset();
-  EXPECT_EQ(acc.count(), 0);
-  EXPECT_FALSE(acc.Solve().ok());
 }
 
 // Parameterized property: the accumulator recovers planted linear models at

@@ -394,7 +394,7 @@ class ReferenceTree {
   struct Node {
     int32_t left = -1, right = -1, begin = 0, end = 0, depth = 0;
     std::vector<double> lo, hi;
-    double sum_u = 0.0, sum_u2 = 0.0;
+    double sum_u = 0.0;
     bool finite = true;
   };
 
@@ -442,18 +442,14 @@ class ReferenceTree {
       const Node& l = nodes_[static_cast<size_t>(node->left)];
       const Node& r = nodes_[static_cast<size_t>(node->right)];
       node->sum_u = l.sum_u + r.sum_u;
-      node->sum_u2 = l.sum_u2 + r.sum_u2;
       node->finite = l.finite && r.finite;
       return;
     }
-    query::KahanSum sum, sum2;
+    KahanSum sum;
     for (int32_t i = node->begin; i < node->end; ++i) {
-      const double u = us_[static_cast<size_t>(i)];
-      sum.Add(u);
-      sum2.Add(u * u);
+      sum.Add(us_[static_cast<size_t>(i)]);
     }
     node->sum_u = sum.value();
-    node->sum_u2 = sum2.value();
     node->finite = std::all_of(xs_.begin() + static_cast<size_t>(node->begin) * d_,
                                xs_.begin() + static_cast<size_t>(node->end) * d_,
                                [](double v) { return std::isfinite(v); });
@@ -493,8 +489,7 @@ class ReferenceTree {
       stats->tuples_matched += node.end - node.begin;
       SubtreeSummary summary;
       summary.count = node.end - node.begin;
-      summary.sum_u = node.sum_u;
-      summary.sum_u2 = node.sum_u2;
+      summary.sum_u.sum = node.sum_u;
       if (kernel->OnSubtree(summary)) return;
       int32_t all[kScanBlockRows];
       std::iota(all, all + kScanBlockRows, 0);

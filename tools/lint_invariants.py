@@ -3,7 +3,7 @@
 
 Rules 1-6 scan src/ with comments and string literals stripped first, so
 prose mentions don't trip the net; rule 7 reads the #include lines of src/,
-bench/, examples/ and perfbench/:
+bench/, examples/ and perfbench/, and rule 8 those of src/:
 
   1. `errno` only in src/net/backend* — everything else goes through the
      SyscallIoError / SyscallInterrupted seam in net/backend_socket.h.
@@ -30,6 +30,13 @@ bench/, examples/ and perfbench/:
   7. Every header under src/ is #included by some file under src/, bench/,
      examples/ or perfbench/ other than its own .cc. A module that only
      tests reach is surface to maintain that no binary serves.
+  8. Module layering: a src/ module #includes only its own headers and
+     those of modules of a lower rank — util 0; linalg and storage 1; data
+     and plr 2; query 3; core 4; eval 5; service 6; net 7. State that two
+     layers share lives in the lower one (storage::SubtreeSummary is the
+     k-d tree's node summary and the Q1 kernel's state), never as a copy
+     below a boundary the lower layer cannot cross. A new module needs a
+     rank here first.
 
 Exit 0 when clean; exit 1 with file:line diagnostics otherwise.
 """
@@ -179,6 +186,57 @@ def check_headers_served(violations):
             )
 
 
+# Rule 8: a module may include only modules of a strictly lower rank.
+MODULE_RANKS = {
+    "util": 0,
+    "linalg": 1,
+    "storage": 1,
+    "data": 2,
+    "plr": 2,
+    "query": 3,
+    "core": 4,
+    "eval": 5,
+    "service": 6,
+    "net": 7,
+}
+
+
+def check_layering(violations):
+    """Rule 8: every quoted include of a src/ file names its own module or
+    one of a lower rank. Includes resolve as in rule 7."""
+    for path in sorted(SRC.rglob("*")):
+        if path.suffix not in (".cc", ".h"):
+            continue
+        rel = path.relative_to(REPO)
+        module = path.relative_to(SRC).parts[0]
+        if module not in MODULE_RANKS:
+            violations.append(
+                f"{rel}: module {module}/ has no rank (add it to MODULE_RANKS)"
+            )
+            continue
+        text = path.read_text(encoding="utf-8")
+        for match in INCLUDE_RE.finditer(text):
+            name = match.group(1)
+            target = SRC / name
+            if not target.exists():
+                target = path.parent / name
+            try:
+                parts = target.resolve().relative_to(SRC.resolve()).parts
+            except ValueError:
+                continue  # Not a src/ header.
+            dep = parts[0]
+            if dep == module:
+                continue
+            if MODULE_RANKS.get(dep, len(MODULE_RANKS)) >= MODULE_RANKS[module]:
+                lineno = text.count("\n", 0, match.start()) + 1
+                violations.append(
+                    f"{rel}:{lineno}: {module}/ (rank {MODULE_RANKS[module]}) "
+                    f"includes {name}, of {dep}/ (rank "
+                    f"{MODULE_RANKS.get(dep, 'none')}); a module includes "
+                    f"only lower-ranked ones"
+                )
+
+
 def main():
     violations = []
     for path in sorted(SRC.rglob("*")):
@@ -186,6 +244,7 @@ def main():
             check_file(path, violations)
     check_nodiscard(violations)
     check_headers_served(violations)
+    check_layering(violations)
     if violations:
         print(f"lint_invariants: {len(violations)} violation(s)")
         for v in violations:
