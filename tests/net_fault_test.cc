@@ -15,6 +15,7 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "net/backend_sim.h"
@@ -631,6 +632,91 @@ TEST(NetFaultTest, RunToCompletionCountersArePinned) {
   EXPECT_EQ(snap.exact_fallbacks, 1);
   EXPECT_EQ(snap.errors, 0);
   EXPECT_EQ(server.loop_arena(0).acquired(), server.loop_arena(0).released());
+}
+
+// Where the frames the loop emits while decoding fall relative to the batch
+// dispatched from the same read. One atomic burst decodes in one read: the
+// ping, the malformed payload and the shed request are answered during
+// decoding, and only then are the exact-routed request and the in-region one
+// behind it dispatched as one batch, so the loop's three frames go out first.
+// This holds only within one read: when a burst is split across reads (as in
+// ReorderedReadinessIsDeterministicAcrossRuns), a batch can finish before the
+// loop has read a later ping, and their order is open.
+TEST(NetFaultTest, LoopFramesOfOneReadPrecedeItsBatch) {
+  testsupport::FakeClock clock(1000000000);  // Lifecycle timers never fire.
+  SimTransport transport;
+  service::QueryRouter router(SharedCatalog(), RouterCfg(1));
+  service::QueryRouter ref(SharedCatalog(), RouterCfg(0));
+  ServerConfig cfg = SimConfig(&transport);
+  cfg.clock = &clock;
+  cfg.max_pipeline = 2;
+  Server server(&router, cfg);
+  ASSERT_TRUE(server.Start().ok());
+  SimConn* conn = transport.Connect();
+  ASSERT_NE(conn, nullptr);
+
+  const std::vector<service::Request> in = InRegionRequests(&ref, 2, 79);
+  ASSERT_EQ(in.size(), 2u);
+  // θ far above the trained radii: exact-routed, and the ball covers rows.
+  const service::Request exact =
+      service::Request::Q2("r1", query::Query({0.5, 0.5}, 0.5));
+
+  // exact (1), ping (2), malformed payload (3), in-region (4), and
+  // in-region (5), which finds 1 and 4 outstanding and is shed.
+  std::vector<uint8_t> wire = RequestFrame(ToWire(exact), 1);
+  AppendFrame(&wire, FrameType::kPing, 2, nullptr, 0);
+  // Frame-layer valid; the first field claims 100 bytes with only 4 present.
+  const std::vector<uint8_t> malformed = {0x01, 0x00, 0x64, 0x00, 0x00,
+                                          0x00, 0xDE, 0xAD, 0xBE, 0xEF};
+  AppendFrame(&wire, FrameType::kRequest, 3, malformed);
+  for (uint64_t id : {4, 5}) {
+    const std::vector<uint8_t> frame = RequestFrame(ToWire(in[id - 4]), id);
+    wire.insert(wire.end(), frame.begin(), frame.end());
+  }
+  conn->SendToServer(wire);
+
+  FrameDecoder decoder;
+  std::vector<Frame> frames;
+  ASSERT_TRUE(CollectFrames(conn, &decoder, 5, &frames));
+  const auto expect_status = [](const Frame& f, util::StatusCode code) {
+    ASSERT_EQ(f.header.type, FrameType::kError);
+    util::Status transported;
+    ASSERT_TRUE(
+        DecodeStatus(f.payload.data(), f.payload.size(), &transported).ok());
+    EXPECT_EQ(transported.code(), code) << transported;
+  };
+  EXPECT_EQ(frames[0].header.request_id, 2u);
+  EXPECT_EQ(frames[0].header.type, FrameType::kPong);
+  EXPECT_EQ(frames[1].header.request_id, 3u);
+  expect_status(frames[1], util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(frames[2].header.request_id, 5u);
+  expect_status(frames[2], util::StatusCode::kResourceExhausted);
+
+  // The batch's answers, bit for bit the in-process ones but for the
+  // wall-clock latency each answer carries.
+  const std::vector<std::pair<uint64_t, service::Request>> batch = {
+      {1, exact}, {4, in[0]}};
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const Frame& f = frames[3 + i];
+    EXPECT_EQ(f.header.request_id, batch[i].first);
+    ASSERT_EQ(f.header.type, FrameType::kAnswer);
+    util::Result<service::Answer> got =
+        DecodeAnswer(f.payload.data(), f.payload.size());
+    ASSERT_TRUE(got.ok()) << got.status();
+    service::ExecResult want = ref.Execute(batch[i].second);
+    ASSERT_TRUE(want.ok()) << want.status();
+    got->exec.nanos = 0;
+    want->exec.nanos = 0;
+    EXPECT_EQ(EncodeAnswer(*got), EncodeAnswer(*want)) << "id "
+                                                       << batch[i].first;
+  }
+
+  server.Shutdown();
+  const service::ServiceSnapshot snap = router.Stats();
+  EXPECT_EQ(snap.net.answered_on_loop, 0);
+  EXPECT_EQ(snap.net.dispatched_to_executors, 2);
+  EXPECT_EQ(snap.net.protocol_errors, 1);
+  EXPECT_EQ(snap.shed, 1);
 }
 
 // Everything the router declines still reaches the executors and comes back
