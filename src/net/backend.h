@@ -2,7 +2,7 @@
 //
 // An EventBackend is the seam between the server's per-loop state machine
 // (connection table, decoder, dispatch, drain) and the mechanism that moves
-// bytes: readiness demultiplexing, accept, scatter reads, gather writes.
+// bytes: readiness demultiplexing, accept, scatter reads, writes.
 // The loop logic is written once against this interface; what plugs in
 // underneath is chosen per ServerConfig:
 //
@@ -121,9 +121,10 @@ class EventBackend {
   /// one per buffer).
   virtual IoResult Read(int handle, const iovec* iov, int iovcnt) = 0;
 
-  /// Gather write of `iov[0..iovcnt)` (sendmsg + MSG_NOSIGNAL on real
-  /// sockets: one syscall per flush burst and no SIGPIPE).
-  virtual IoResult Write(int handle, const iovec* iov, int iovcnt) = 0;
+  /// Writes up to `n` bytes from `data`, one contiguous span: a connection's
+  /// whole unflushed output (send + MSG_NOSIGNAL on real sockets: one
+  /// syscall per flush burst and no SIGPIPE).
+  virtual IoResult Write(int handle, const uint8_t* data, size_t n) = 0;
 
   /// Closes `handle` (fd close / sim-side teardown).
   virtual void Close(int handle) = 0;

@@ -114,8 +114,8 @@ class EpollBackend final : public EventBackend {
     return SocketRead(handle, iov, iovcnt);
   }
 
-  IoResult Write(int handle, const iovec* iov, int iovcnt) override {
-    return SocketWrite(handle, iov, iovcnt);
+  IoResult Write(int handle, const uint8_t* data, size_t n) override {
+    return SocketWrite(handle, data, n);
   }
 
   void Close(int handle) override { ::close(handle); }

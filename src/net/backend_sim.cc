@@ -196,7 +196,7 @@ class SimBackend final : public EventBackend {
     return IoResult::Ok(copied);
   }
 
-  IoResult Write(int handle, const iovec* iov, int iovcnt) override {
+  IoResult Write(int handle, const uint8_t* data, size_t n) override {
     util::MutexLock lock(&shared_->mu);
     auto it = shared_->conns.find(handle);
     if (it == shared_->conns.end()) return IoResult::Error(EBADF);
@@ -224,17 +224,11 @@ class SimBackend final : public EventBackend {
       return IoResult::WouldBlock();
     }
 
-    const size_t n = std::min(cap, IovTotal(iov, iovcnt));
-    if (n == 0) return IoResult::WouldBlock();
-    size_t copied = 0;
-    for (int i = 0; i < iovcnt && copied < n; ++i) {
-      const uint8_t* src = static_cast<const uint8_t*>(iov[i].iov_base);
-      const size_t take = std::min(n - copied, iov[i].iov_len);
-      c.to_client.insert(c.to_client.end(), src, src + take);
-      copied += take;
-    }
+    const size_t take = std::min(cap, n);
+    if (take == 0) return IoResult::WouldBlock();
+    c.to_client.insert(c.to_client.end(), data, data + take);
     shared_->cv.NotifyAll();  // Wake a test blocked in WaitForFromServer.
-    return IoResult::Ok(copied);
+    return IoResult::Ok(take);
   }
 
   void Close(int handle) override {

@@ -1,5 +1,5 @@
 // Socket plumbing under the epoll backend and the client (listener setup,
-// accept, readv/sendmsg I/O, errno checks, eventfd wakeup).
+// accept, readv/send I/O, errno checks, eventfd wakeup).
 
 #include "net/backend_socket.h"
 
@@ -95,13 +95,10 @@ IoResult SocketRead(int fd, const iovec* iov, int iovcnt) {
   }
 }
 
-IoResult SocketWrite(int fd, const iovec* iov, int iovcnt) {
-  msghdr msg{};
-  msg.msg_iov = const_cast<iovec*>(iov);
-  msg.msg_iovlen = static_cast<size_t>(iovcnt);
+IoResult SocketWrite(int fd, const uint8_t* data, size_t n) {
   for (;;) {
-    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
-    if (n >= 0) return IoResult::Ok(static_cast<size_t>(n));
+    const ssize_t sent = ::send(fd, data, n, MSG_NOSIGNAL);
+    if (sent >= 0) return IoResult::Ok(static_cast<size_t>(sent));
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) return IoResult::WouldBlock();
     return IoResult::Error(errno);

@@ -1,5 +1,5 @@
 // Socket plumbing under the epoll backend (and the client's errno checks):
-// listener setup, accept, readv/sendmsg I/O, and the eventfd wakeup channel.
+// listener setup, accept, readv/send I/O, and the eventfd wakeup channel.
 // Internal to src/net/ — server code talks to EventBackend, never to these
 // directly.
 
@@ -41,7 +41,7 @@ util::Result<uint16_t> SocketListenerPort(int listener);
 int SocketAccept(int listener);
 
 IoResult SocketRead(int fd, const iovec* iov, int iovcnt);
-IoResult SocketWrite(int fd, const iovec* iov, int iovcnt);
+IoResult SocketWrite(int fd, const uint8_t* data, size_t n);
 
 /// \brief eventfd wakeup: Wake() from any thread makes the fd readable,
 /// interrupting a demultiplexer wait that watches it. Wakes coalesce in the

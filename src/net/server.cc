@@ -23,8 +23,12 @@ struct PendingRequest {
   service::Request request;
 };
 
-// Chunks gathered into one flush call. Well under IOV_MAX everywhere.
-constexpr size_t kMaxIov = 64;
+// Capacity an output buffer keeps once fully flushed. Served answers are
+// small (a 17-piece Q2 answer frame is 1,280 bytes), so a busy connection
+// reuses its capacity and never reaches this; a burst past it (a reader that
+// fell behind) gives its memory back. At the default 1,024 connections this
+// bounds idle output capacity at 64 MiB.
+constexpr size_t kMaxRetainedOutBytes = 64u << 10;
 
 // Encodes one request's response frame in place: its answer, or its typed
 // failure.
@@ -106,14 +110,12 @@ struct Server::Connection {
   int handle = -1;  // Backend handle (an fd for the real backends).
   FrameDecoder decoder;
 
-  // Output: a queue of encoded response chunks (arena buffers from executor
-  // completions, plus the loop's own staging buffer once committed), flushed
-  // with one scatter-gather backend Write per burst. out_pos is the
-  // already-flushed prefix of the *front* chunk.
-  std::deque<std::vector<uint8_t>> outq;
+  // Output: every response frame in the order the loop emits it (its own
+  // answers, pongs, error frames and sheds as they happen; a batch's answers
+  // when its completion arrives), flushed with one backend Write per
+  // writability burst. out[0, out_pos) is already flushed.
+  std::vector<uint8_t> out;
   size_t out_pos = 0;
-  // Loop-side frames: answers the loop served itself, pongs, error frames.
-  std::vector<uint8_t> loop_out;
 
   std::vector<PendingRequest> pending;
   size_t in_flight = 0;  // Requests inside the currently-executing batch.
@@ -138,20 +140,21 @@ struct Server::Connection {
       : id(id_in), handle(handle_in), decoder(kMaxPayloadBytes) {}
 
   size_t outstanding() const { return pending.size() + in_flight; }
-  bool flushed() const { return outq.empty() && loop_out.empty(); }
+  bool flushed() const { return out_pos == out.size(); }
 };
 
 struct Server::BatchJob {
   size_t loop_index = 0;
   uint64_t conn_id = 0;
   std::vector<PendingRequest> items;
-  std::vector<uint8_t> buf;  // Arena buffer the executor encodes into.
 };
 
+// A finished batch: its results, positionally aligned with the request ids.
+// The owning loop encodes them.
 struct Server::Completion {
   uint64_t conn_id = 0;
-  size_t num_requests = 0;
-  std::vector<uint8_t> bytes;  // The job's arena buffer, now full of frames.
+  std::vector<uint64_t> request_ids;
+  std::vector<service::ExecResult> results;
 };
 
 Server::Loop::Loop() = default;
@@ -249,14 +252,6 @@ void Server::Shutdown() {
       loop->backend->Close(loop->listen_h);
       loop->listen_h = -1;
     }
-    // Completions that arrived after the loop exited (executors drain every
-    // queued job before stopping): their buffers still go home to the arena,
-    // preserving acquired() == released() no matter how shutdown raced.
-    util::MutexLock done_lock(&loop->done_mu);
-    for (Completion& done : loop->done) {
-      loop->arena.Release(std::move(done.bytes));
-    }
-    loop->done.clear();
   }
   state_.store(State::kStopped);
 }
@@ -268,24 +263,17 @@ void Server::WakeLoop(Loop* loop) {
 // --------------------------------------------------------------- executors --
 
 void Server::RunBatch(BatchJob* job) {
+  Completion done;
+  done.conn_id = job->conn_id;
+  done.request_ids.reserve(job->items.size());
   std::vector<service::Request> batch;
   batch.reserve(job->items.size());
   for (PendingRequest& item : job->items) {
+    done.request_ids.push_back(item.request_id);
     batch.push_back(std::move(item.request));
   }
-  const std::vector<service::ExecResult> results =
-      router_->ExecuteBatch(batch);
+  done.results = router_->ExecuteBatch(batch);
 
-  // Arena encode: every response frame of the batch lands in place in the
-  // job's connection-owned buffer — no per-frame payload allocations. The
-  // buffer rides the completion back to the loop that lent it.
-  Completion done;
-  done.conn_id = job->conn_id;
-  done.num_requests = job->items.size();
-  done.bytes = std::move(job->buf);
-  for (size_t i = 0; i < results.size() && i < job->items.size(); ++i) {
-    AppendResultFrame(&done.bytes, job->items[i].request_id, results[i]);
-  }
   // A wake is owed only to an empty queue: the loop takes the whole queue
   // at once, so a completion pushed behind another rides the wake the
   // first one already sent.
@@ -391,9 +379,9 @@ void Server::EventLoop(Loop* loop) {
     }
     if (!loop->backend->Wait(timeout_ms, &events).ok()) break;
 
-    // Completed batches → connection output queues (the arena buffer each
-    // executor filled comes home here), flushed eagerly while the socket is
-    // almost certainly writable.
+    // Completed batches: the loop encodes each one's answers onto its
+    // connection's output, flushed eagerly while the socket is almost
+    // certainly writable.
     {
       std::deque<Completion>& finished = loop->finished;
       {
@@ -403,19 +391,14 @@ void Server::EventLoop(Loop* loop) {
       const int64_t done_nanos = Now();
       for (Completion& done : finished) {
         auto it = loop->conns.find(done.conn_id);
-        if (it == loop->conns.end()) {
-          // Connection died mid-batch: the response is undeliverable, but
-          // the buffer still goes home (acquired() == released()).
-          loop->arena.Release(std::move(done.bytes));
-          continue;
-        }
+        // A connection that died mid-batch cannot take its answers.
+        if (it == loop->conns.end()) continue;
         Connection* c = it->second.get();
-        c->in_flight -= std::min(c->in_flight, done.num_requests);
-        if (!done.bytes.empty() && !c->evicted) {
-          c->outq.push_back(std::move(done.bytes));
-        } else {
-          // Empty batch, or an evicted peer that will never read it.
-          loop->arena.Release(std::move(done.bytes));
+        c->in_flight -= std::min(c->in_flight, done.request_ids.size());
+        if (!c->evicted) {  // An evicted peer will never read them.
+          for (size_t i = 0; i < done.results.size(); ++i) {
+            AppendResultFrame(&c->out, done.request_ids[i], done.results[i]);
+          }
         }
         c->last_activity_nanos = done_nanos;
         service::NetActivity activity;
@@ -486,15 +469,6 @@ void Server::AcceptNew(Loop* loop) {
   if (!activity.empty()) stats_->RecordNet(loop->index, activity);
 }
 
-// The loop-side staging buffer for small frames the loop itself emits
-// (pongs, protocol-error frames); committed into the output queue by
-// FlushWrites so it rides the same scatter-gather path as batch responses.
-static std::vector<uint8_t>* StagedOut(WireArena* arena,
-                                       std::vector<uint8_t>* staged) {
-  if (staged->empty()) *staged = arena->Acquire();
-  return staged;
-}
-
 void Server::HandleReadable(Loop* loop, Connection* conn) {
   const uint64_t conn_id = conn->id;
   const int64_t now = Now();
@@ -542,8 +516,7 @@ void Server::HandleReadable(Loop* loop, Connection* conn) {
       // Defined protocol-error state: report the typed error on request_id 0,
       // flush everything already owed, then close. Never resync on garbage.
       ++activity.protocol_errors;
-      AppendStatusFrame(StagedOut(&loop->arena, &conn->loop_out), 0,
-                        conn->decoder.error());
+      AppendStatusFrame(&conn->out, 0, conn->decoder.error());
       conn->read_closed = true;
       conn->close_after_flush = true;
     }
@@ -573,8 +546,8 @@ void Server::HandleReadable(Loop* loop, Connection* conn) {
 void Server::HandleFrame(Loop* loop, Connection* conn, const Frame& frame) {
   switch (frame.header.type) {
     case FrameType::kPing: {
-      AppendFrame(StagedOut(&loop->arena, &conn->loop_out), FrameType::kPong,
-                  frame.header.request_id, nullptr, 0);
+      AppendFrame(&conn->out, FrameType::kPong, frame.header.request_id,
+                  nullptr, 0);
       return;
     }
     case FrameType::kRequest: {
@@ -586,8 +559,8 @@ void Server::HandleFrame(Loop* loop, Connection* conn, const Frame& frame) {
         service::NetActivity activity;
         ++activity.protocol_errors;
         stats_->RecordNet(loop->index, activity);
-        AppendStatusFrame(StagedOut(&loop->arena, &conn->loop_out),
-                          frame.header.request_id, decoded.status());
+        AppendStatusFrame(&conn->out, frame.header.request_id,
+                          decoded.status());
         return;
       }
       if (conn->outstanding() >= config_.max_pipeline) {
@@ -597,8 +570,7 @@ void Server::HandleFrame(Loop* loop, Connection* conn, const Frame& frame) {
         outcome.ok = false;
         outcome.shed = true;
         stats_->Record(outcome);
-        AppendStatusFrame(StagedOut(&loop->arena, &conn->loop_out),
-                          frame.header.request_id,
+        AppendStatusFrame(&conn->out, frame.header.request_id,
                           util::Status::ResourceExhausted(util::Format(
                               "connection pipeline full (%zu in flight)",
                               conn->outstanding())));
@@ -624,7 +596,7 @@ void Server::HandleFrame(Loop* loop, Connection* conn, const Frame& frame) {
       ++activity.protocol_errors;
       stats_->RecordNet(loop->index, activity);
       AppendStatusFrame(
-          StagedOut(&loop->arena, &conn->loop_out), frame.header.request_id,
+          &conn->out, frame.header.request_id,
           util::Status::InvalidArgument(util::Format(
               "wire protocol: unexpected frame type %u from client",
               static_cast<unsigned>(frame.header.type))));
@@ -647,16 +619,13 @@ void Server::DispatchIfReady(Loop* loop, Connection* conn,
     const std::optional<service::ExecResult> result =
         router_->TryExecuteInline(item.request);
     if (!result) break;
-    AppendResultFrame(StagedOut(&loop->arena, &conn->loop_out),
-                      item.request_id, *result);
+    AppendResultFrame(&conn->out, item.request_id, *result);
   }
   activity->answered_on_loop += static_cast<int64_t>(served);
   conn->pending.erase(
       conn->pending.begin(),
       conn->pending.begin() + static_cast<std::ptrdiff_t>(served));
   if (conn->pending.empty()) return;
-  // The loop's staged frames go ahead of the batch's in the output queue.
-  CommitStaged(conn);
 
   BatchJob job;
   job.loop_index = loop->index;
@@ -665,58 +634,22 @@ void Server::DispatchIfReady(Loop* loop, Connection* conn,
   conn->pending.clear();
   conn->in_flight = job.items.size();
   activity->dispatched_to_executors += static_cast<int64_t>(job.items.size());
-  // The response buffer is lent to the executor here and comes back with
-  // the completion; after the flush it returns to this loop's arena.
-  job.buf = loop->arena.Acquire();
   executors_->Submit(
       [this, job = std::move(job)]() mutable { RunBatch(&job); });
 }
 
-void Server::CommitStaged(Connection* conn) {
-  if (!conn->loop_out.empty()) {
-    conn->outq.push_back(std::move(conn->loop_out));
-    conn->loop_out.clear();
-  }
-}
-
 void Server::FlushWrites(Loop* loop, Connection* conn) {
-  // Commit the loop's staged frames so they flush in arrival order with the
-  // batch responses.
-  CommitStaged(conn);
-
   service::NetActivity activity;
-  while (!conn->outq.empty()) {
-    // Scatter-gather: one backend Write drains up to kMaxIov queued chunks —
-    // a whole pipelined batch of response frames — instead of one write per
-    // frame (sendmsg(MSG_NOSIGNAL) on the real backends).
-    iovec iov[kMaxIov];
-    size_t niov = 0;
-    size_t skip = conn->out_pos;
-    for (auto& chunk : conn->outq) {
-      if (niov == kMaxIov) break;
-      iov[niov].iov_base = chunk.data() + skip;
-      iov[niov].iov_len = chunk.size() - skip;
-      ++niov;
-      skip = 0;
-    }
+  while (!conn->flushed()) {
+    // One backend Write drains everything queued — a whole pipelined batch
+    // of response frames — instead of one write per frame
+    // (send(MSG_NOSIGNAL) on the real backends).
     const IoResult r =
-        loop->backend->Write(conn->handle, iov, static_cast<int>(niov));
+        loop->backend->Write(conn->handle, conn->out.data() + conn->out_pos,
+                             conn->out.size() - conn->out_pos);
     if (r.kind == IoResult::Kind::kOk) {
       activity.bytes_out += r.bytes;
-      size_t left = r.bytes;
-      while (left > 0) {
-        std::vector<uint8_t>& front = conn->outq.front();
-        const size_t avail = front.size() - conn->out_pos;
-        if (left >= avail) {
-          left -= avail;
-          conn->out_pos = 0;
-          loop->arena.Release(std::move(front));
-          conn->outq.pop_front();
-        } else {
-          conn->out_pos += left;
-          left = 0;
-        }
-      }
+      conn->out_pos += r.bytes;
       continue;
     }
     if (r.kind == IoResult::Kind::kWouldBlock) break;
@@ -724,6 +657,10 @@ void Server::FlushWrites(Loop* loop, Connection* conn) {
     if (!activity.empty()) stats_->RecordNet(loop->index, activity);
     CloseConnection(loop, conn->id);
     return;
+  }
+  CompactConsumed(&conn->out, &conn->out_pos);
+  if (conn->out.empty() && conn->out.capacity() > kMaxRetainedOutBytes) {
+    std::vector<uint8_t>().swap(conn->out);
   }
   if (!activity.empty()) {
     stats_->RecordNet(loop->index, activity);
@@ -739,14 +676,6 @@ void Server::CloseConnection(Loop* loop, uint64_t id) {
   loop->backend->Deregister(c->handle);
   loop->backend->Close(c->handle);
   loop->by_handle.erase(c->handle);
-  // Unflushed chunks — the committed queue *and* the uncommitted staging
-  // buffer — go home to the arena, not to the allocator.
-  for (std::vector<uint8_t>& chunk : c->outq) {
-    loop->arena.Release(std::move(chunk));
-  }
-  if (!c->loop_out.empty()) {
-    loop->arena.Release(std::move(c->loop_out));
-  }
   loop->pending_out_total -= c->pending_out;
   loop->conns.erase(it);
   open_conns_.fetch_sub(1, std::memory_order_relaxed);
@@ -834,14 +763,8 @@ void Server::ProcessTimers(Loop* loop, int64_t now) {
   if (!activity.empty()) stats_->RecordNet(loop->index, activity);
 }
 
-size_t Server::PendingBytes(const Connection& c) {
-  size_t total = c.loop_out.size();
-  for (const std::vector<uint8_t>& chunk : c.outq) total += chunk.size();
-  return total - c.out_pos;
-}
-
 void Server::UpdatePendingAccounting(Loop* loop, Connection* conn) {
-  const size_t fresh = PendingBytes(*conn);
+  const size_t fresh = conn->out.size() - conn->out_pos;
   loop->pending_out_total += fresh;
   loop->pending_out_total -= conn->pending_out;
   conn->pending_out = fresh;
@@ -874,25 +797,18 @@ void Server::Evict(Loop* loop, Connection* conn) {
   ++activity.backpressure_closed;
   stats_->RecordNet(loop->index, activity);
 
-  // The queued responses are undeliverable — this peer is not reading. They
-  // go home to the arena *now*, so eviction caps memory immediately instead
-  // of when the socket finally dies.
-  for (std::vector<uint8_t>& chunk : conn->outq) {
-    loop->arena.Release(std::move(chunk));
-  }
-  conn->outq.clear();
+  // The queued responses are undeliverable — this peer is not reading. Their
+  // memory is freed *now*, so eviction caps memory immediately instead of
+  // when the socket finally dies.
+  std::vector<uint8_t>().swap(conn->out);
   conn->out_pos = 0;
-  if (!conn->loop_out.empty()) {
-    loop->arena.Release(std::move(conn->loop_out));
-    conn->loop_out.clear();
-  }
   conn->pending.clear();  // Undispatched requests die with the connection.
 
   // One typed goodbye so a recovering peer learns *why* (and that a retry
   // elsewhere is safe), then close as soon as it flushes — or when the
   // grace timer fires, for a reader that never resumes.
   AppendStatusFrame(
-      StagedOut(&loop->arena, &conn->loop_out), 0,
+      &conn->out, 0,
       util::Status::Unavailable(
           "write backpressure: pending responses exceeded the server cap"));
   conn->evicted = true;

@@ -3,7 +3,7 @@
 // Architecture: N independent event loops (config.event_loops), each owning
 // its *own* EventBackend (the demultiplexer/I-O seam — epoll, or the
 // deterministic SimBackend in tests, selected by config.backend), listener,
-// connection table, arena, and completion queue — no socket is ever touched
+// connection table and completion queue — no socket is ever touched
 // by two threads — plus one shared fixed pool of batch-executor threads
 // running the router. A loop answers a model-routed request itself
 // (QueryRouter::TryExecuteInline: microseconds, and nothing on that path can
@@ -28,14 +28,19 @@
 // connection over its max_pipeline bound is shed with a typed
 // kResourceExhausted *frame*, never a dropped connection.
 //
-// Response path: the owning loop Acquire()s a buffer from its WireArena at
-// dispatch time; the executor encodes every response frame of the batch
+// Response path: the loop is the only thread that encodes. Each connection
+// owns one output buffer, and the loop appends every response frame to it
 // in place (AppendAnswerFrame/AppendStatusFrame — no per-frame allocation)
-// and the buffer rides the completion back to its loop, is queued as one
-// output chunk, flushed with one scatter-gather backend Write per
-// writability burst (not one per frame), and finally Release()d to the
-// arena. Answers the loop serves itself are encoded the same way into the
-// connection's own arena staging buffer, ahead of the batch's.
+// in the order it has them: its own answers, pongs, error frames and sheds
+// as they happen, and a batch's answers when the executor's completion
+// (request ids plus ExecResults, no bytes) arrives. So the frames the loop
+// emits while decoding one read go out ahead of the batch dispatched from
+// that read. One backend Write per writability burst (not one per frame)
+// sends the unflushed tail. The flushed prefix is dropped by the
+// FrameDecoder's rule (CompactConsumed: when all of it is flushed, or once
+// the prefix reaches 4 KiB), so a reader that never fully drains cannot
+// grow the buffer past the pending-write cap; and a fully flushed buffer
+// keeps at most 64 KiB of capacity, so idle connections hold little.
 //
 // Shutdown: Shutdown() stops every listener, lets in-flight and
 // already-decoded requests finish, flushes every response on every loop,
@@ -132,15 +137,15 @@ struct ServerConfig {
 
   /// Per-connection cap on pending (queued, unflushed) response bytes. A
   /// peer that stops reading past this point is evicted: its queued
-  /// responses are released back to the arena, one typed kUnavailable
-  /// "going away" frame is staged best-effort, and the connection closes
+  /// responses are freed at once, one typed kUnavailable "going away"
+  /// frame is queued best-effort, and the connection closes
   /// (NetActivity::backpressure_closed). 0 disables.
   size_t max_conn_pending_write_bytes = 64u << 20;
 
   /// Aggregate pending-write cap across all connections of one loop.
   /// Exceeding it evicts the connection(s) with the most pending bytes until
-  /// the loop is back under the cap — one stalled reader cannot starve its
-  /// loop's arena. Must be >= the per-connection cap when both are set
+  /// the loop is back under the cap — one stalled reader cannot hold its
+  /// loop's memory. Must be >= the per-connection cap when both are set
   /// (Validate). 0 disables.
   size_t max_loop_pending_write_bytes = 0;
 
@@ -197,11 +202,6 @@ class Server {
   /// Number of event loops actually running (0 before Start()).
   size_t num_loops() const { return loops_.size(); }
 
-  /// Loop `i`'s arena, for post-Shutdown() leak-invariant checks
-  /// (acquired() == released() no matter how each connection died).
-  /// Requires i < num_loops(); call only while the server is not running.
-  const WireArena& loop_arena(size_t i) const { return loops_[i]->arena; }
-
   /// Graceful stop: stop accepting, drain in-flight work, flush responses,
   /// close connections, join threads. Idempotent; safe from any thread
   /// (including concurrently with itself, not from server threads).
@@ -225,7 +225,7 @@ class Server {
   };
 
   /// Everything one event loop owns. Only the loop's thread touches the
-  /// connection table, arena, or backend (Wake() excepted — it is the one
+  /// connection table or backend (Wake() excepted — it is the one
   /// thread-safe backend call); the mutex-guarded completion queue is the
   /// only cross-thread seam (executors push finished batches).
   struct Loop {
@@ -242,7 +242,6 @@ class Server {
     std::unordered_map<uint64_t, std::unique_ptr<Connection>> conns;
     std::unordered_map<int, uint64_t> by_handle;  // Backend handle → conn id.
     uint64_t next_conn_id = 1;
-    WireArena arena;
 
     // Timer wheel: connection deadlines ordered by expiry (config clock
     // nanos). The loop's Wait() sleeps exactly until the earliest entry —
@@ -264,9 +263,8 @@ class Server {
   };
 
   void EventLoop(Loop* loop);
-  /// Executor side of a dispatch: runs the batch through the router,
-  /// encodes its responses into the job's buffer and hands the completion
-  /// back to the owning loop.
+  /// Executor side of a dispatch: runs the batch through the router and
+  /// hands the results back to the owning loop, which encodes them.
   void RunBatch(BatchJob* job);
   void WakeLoop(Loop* loop);
 
@@ -280,8 +278,6 @@ class Server {
   /// BatchJob, counting both into `activity`.
   void DispatchIfReady(Loop* loop, Connection* conn,
                        service::NetActivity* activity);
-  /// Moves the loop's staged frames to the back of the output queue.
-  static void CommitStaged(Connection* conn);
   void FlushWrites(Loop* loop, Connection* conn);
   void CloseConnection(Loop* loop, uint64_t id);
 
@@ -309,15 +305,14 @@ class Server {
   /// NetActivity counter (idle_closed / read_timeout_closed).
   void ProcessTimers(Loop* loop, int64_t now);
 
-  static size_t PendingBytes(const Connection& conn);
   void UpdatePendingAccounting(Loop* loop, Connection* conn);
 
   /// Enforces both pending-write caps; may Evict `conn` (per-connection
   /// cap) and/or the loop's heaviest writers (aggregate cap).
   void MaybeEvict(Loop* loop, Connection* conn);
 
-  /// Backpressure eviction: drop the undeliverable queue back to the arena,
-  /// stage one typed kUnavailable goodbye, count backpressure_closed, and
+  /// Backpressure eviction: free the undeliverable output, queue one typed
+  /// kUnavailable goodbye, count backpressure_closed, and
   /// close as soon as the goodbye flushes (or the grace timer fires).
   void Evict(Loop* loop, Connection* conn);
 

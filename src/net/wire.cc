@@ -387,14 +387,18 @@ void AppendFrame(std::vector<uint8_t>* out, FrameType type, uint64_t request_id,
   EndFrame(frame, payload_len);
 }
 
+void CompactConsumed(std::vector<uint8_t>* buf, size_t* pos) {
+  if (*pos > 0 && (*pos == buf->size() || *pos >= kCompactPrefixBytes)) {
+    buf->erase(buf->begin(), buf->begin() + static_cast<ptrdiff_t>(*pos));
+    *pos = 0;
+  }
+}
+
 void FrameDecoder::Feed(const uint8_t* data, size_t n) {
   if (poisoned()) return;
   // Compact the consumed prefix before growing, so a long-lived connection's
   // buffer stays proportional to its unread bytes.
-  if (pos_ > 0 && (pos_ == buf_.size() || pos_ >= 4096)) {
-    buf_.erase(buf_.begin(), buf_.begin() + static_cast<ptrdiff_t>(pos_));
-    pos_ = 0;
-  }
+  CompactConsumed(&buf_, &pos_);
   buf_.insert(buf_.end(), data, data + n);
 }
 
@@ -667,29 +671,6 @@ util::Status DecodeStatus(const uint8_t* data, size_t n, util::Status* decoded) 
   }
   *decoded = util::Status(static_cast<util::StatusCode>(code), std::move(message));
   return util::Status::OK();
-}
-
-// ------------------------------------------------------------ arena encode --
-
-std::vector<uint8_t> WireArena::Acquire() {
-  ++acquired_;
-  if (!pool_.empty()) {
-    std::vector<uint8_t> buf = std::move(pool_.back());
-    pool_.pop_back();
-    buf.clear();  // Keeps capacity — that is the whole point.
-    ++reused_;
-    return buf;
-  }
-  return {};
-}
-
-void WireArena::Release(std::vector<uint8_t> buf) {
-  ++released_;
-  if (pool_.size() >= options_.max_pooled_buffers ||
-      buf.capacity() > options_.max_retained_bytes) {
-    return;  // Over the caps: let it free here.
-  }
-  pool_.push_back(std::move(buf));
 }
 
 }  // namespace net

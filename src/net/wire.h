@@ -99,6 +99,19 @@ inline void AppendFrame(std::vector<uint8_t>* out, FrameType type,
   AppendFrame(out, type, request_id, payload.data(), payload.size());
 }
 
+/// The consumed prefix of a byte buffer is dropped once it is the whole
+/// buffer or at least this long. Compacting on every partial consume would
+/// move the unread tail each time; never compacting would let a peer that
+/// never fully drains grow the buffer without bound. At 4 KiB the dead
+/// prefix stays small, and a buffer drained in small steps is compacted at
+/// most once per 4 KiB consumed.
+constexpr size_t kCompactPrefixBytes = 4096;
+
+/// Drops `(*buf)[0, *pos)`, the bytes already consumed, under the rule above
+/// and rebases `*pos`. FrameDecoder applies it to its input, net::Server to
+/// each connection's output.
+void CompactConsumed(std::vector<uint8_t>* buf, size_t* pos);
+
 /// \brief Incremental frame decoder: feed raw socket bytes, pop frames.
 ///
 /// Any protocol violation poisons the decoder: the typed error is latched,
@@ -169,60 +182,14 @@ util::Result<service::Answer> DecodeAnswer(const uint8_t* data, size_t n);
 /// `status` must be non-OK (an OK kError frame is a contradiction).
 std::vector<uint8_t> EncodeStatus(const util::Status& status);
 
-// ------------------------------------------------------------ arena encode --
-
-/// \brief Pool of reusable byte buffers for connection-owned frame encoding.
-///
-/// Acquire() hands out a cleared buffer that keeps its previous capacity, so
-/// steady-state response encoding allocates nothing: a buffer travels through
-/// the dispatch → encode → flush cycle by value (vector move) and comes home
-/// via Release(). The pool bounds both the number of idle buffers and the
-/// capacity it will re-pool, so one huge answer cannot pin its footprint
-/// forever. Not thread-safe — each of the server's event loops owns one and
-/// serializes Acquire/Release on its own thread.
-class WireArena {
- public:
-  struct Options {
-    size_t max_pooled_buffers = 64;
-    /// A released buffer whose capacity exceeds this is freed, not pooled.
-    size_t max_retained_bytes = 1u << 20;
-  };
-
-  WireArena() = default;
-  explicit WireArena(Options options) : options_(options) {}
-
-  WireArena(const WireArena&) = delete;
-  WireArena& operator=(const WireArena&) = delete;
-
-  /// An empty buffer, reusing pooled capacity when available.
-  std::vector<uint8_t> Acquire();
-
-  /// Returns a buffer to the pool (or frees it when over the caps).
-  void Release(std::vector<uint8_t> buf);
-
-  size_t pooled() const { return pool_.size(); }
-  uint64_t acquired() const { return acquired_; }
-  uint64_t reused() const { return reused_; }  ///< Acquires served from pool.
-
-  /// Buffers handed back (pooled *or* freed over the caps). The server's
-  /// leak invariant — every acquired buffer comes home no matter how its
-  /// connection died — is `acquired() == released()` after shutdown.
-  uint64_t released() const { return released_; }
-
- private:
-  Options options_;
-  std::vector<std::vector<uint8_t>> pool_;
-  uint64_t acquired_ = 0;
-  uint64_t reused_ = 0;
-  uint64_t released_ = 0;
-};
+// ---------------------------------------------------------- frame encode --
 
 /// In-place frame encoders: append one complete frame — header plus
 /// tagged-field payload, with payload_len, nested lengths, and checksum
 /// filled in — directly onto `out`, which grows once per frame. Bit-for-bit
 /// identical to `AppendFrame(out, ..., EncodeAnswer(...))` without the
 /// intermediate payload vector; the server encodes its responses this way
-/// on reusable connection-owned buffers, and the client its requests.
+/// onto each connection's output buffer, and the client its requests.
 void AppendAnswerFrame(std::vector<uint8_t>* out, uint64_t request_id,
                        const service::Answer& answer);
 void AppendRequestFrame(std::vector<uint8_t>* out, uint64_t request_id,

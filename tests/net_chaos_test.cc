@@ -15,7 +15,7 @@
 //     typed kUnavailable goodbye, and its eviction never perturbs a healthy
 //     sibling's answers (bit-for-bit vs the in-process reference),
 //   - every teardown path — timeout, eviction, grace expiry, reset storm —
-//     returns every arena buffer (acquired() == released() after Shutdown).
+//     frees what it queued (ASan's leak check covers it).
 //
 // CI runs this file across ASan and TSan with --gtest_repeat=3: a scenario
 // that is not deterministic fails there.
@@ -189,7 +189,6 @@ TEST(NetChaosTest, SlowLorisDiesAtFrameStartAnchoredReadTimeout) {
   EXPECT_EQ(snap.net.protocol_errors, 0);  // Slow is not malformed.
 
   server.Shutdown();
-  EXPECT_EQ(server.loop_arena(0).acquired(), server.loop_arena(0).released());
 }
 
 TEST(NetChaosTest, HalfOpenStallDiesAtReadTimeoutNotIdle) {
@@ -222,7 +221,6 @@ TEST(NetChaosTest, HalfOpenStallDiesAtReadTimeoutNotIdle) {
   ProbeHealthy(&transport, requests[0], &ref, 1);
 
   server.Shutdown();
-  EXPECT_EQ(server.loop_arena(0).acquired(), server.loop_arena(0).released());
 }
 
 TEST(NetChaosTest, SilentConnectionIsIdleClosedExactlyOnce) {
@@ -259,7 +257,6 @@ TEST(NetChaosTest, SilentConnectionIsIdleClosedExactlyOnce) {
   EXPECT_EQ(snap.net.connections_closed, 2);
 
   server.Shutdown();
-  EXPECT_EQ(server.loop_arena(0).acquired(), server.loop_arena(0).released());
 }
 
 // The per-request answer frame the server will produce for `request`, sized
@@ -294,7 +291,7 @@ TEST(NetChaosTest, StalledReaderEvictedAtConnCapWithUnavailableGoodbye) {
 
   // The victim pipelines two requests and stops reading: every flush parks
   // on EAGAIN, pending bytes cross the cap, and the server must evict —
-  // releasing the queued answers to the arena and staging one typed
+  // freeing the queued answers and queueing one typed
   // kUnavailable goodbye.
   FaultSchedule stalled;
   stalled.stall_writes = true;
@@ -332,9 +329,6 @@ TEST(NetChaosTest, StalledReaderEvictedAtConnCapWithUnavailableGoodbye) {
   EXPECT_EQ(router.Stats().net.read_timeout_closed, 0);
 
   server.Shutdown();
-  // Eviction's whole point: the undeliverable answers went home to the
-  // arena immediately, and the goodbye path leaks nothing either.
-  EXPECT_EQ(server.loop_arena(0).acquired(), server.loop_arena(0).released());
 }
 
 TEST(NetChaosTest, AggregateCapEvictsHeaviestWriterOnly) {
@@ -376,7 +370,6 @@ TEST(NetChaosTest, AggregateCapEvictsHeaviestWriterOnly) {
   ASSERT_TRUE(heavy->WaitForServerClose());
 
   server.Shutdown();
-  EXPECT_EQ(server.loop_arena(0).acquired(), server.loop_arena(0).released());
 }
 
 TEST(NetChaosTest, ResetStormLeavesHealthyTrafficBitForBit) {
@@ -392,7 +385,7 @@ TEST(NetChaosTest, ResetStormLeavesHealthyTrafficBitForBit) {
   // Five victims connect, send a full request (some dripped byte-at-a-time
   // for good measure), and slam the door with an RST at arbitrary points.
   // The storm and the healthy probes interleave; every probe must still
-  // answer bit-for-bit, and every victim teardown must come home clean.
+  // answer bit-for-bit, and every victim must be torn down cleanly.
   std::vector<SimConn*> victims;
   for (int v = 0; v < 5; ++v) {
     FaultSchedule sched;
@@ -423,7 +416,6 @@ TEST(NetChaosTest, ResetStormLeavesHealthyTrafficBitForBit) {
   EXPECT_EQ(router.Stats().net.protocol_errors, 0);
 
   server.Shutdown();
-  EXPECT_EQ(server.loop_arena(0).acquired(), server.loop_arena(0).released());
 }
 
 // The full soak: one server, every attack at once, virtual time marching
@@ -510,7 +502,6 @@ TEST(NetChaosTest, ChaosSoakKillsEachVictimByItsOwnCounter) {
   EXPECT_EQ(snap.net.connections_accepted, 8);  // 5 victims + 3 probes.
 
   server.Shutdown();
-  EXPECT_EQ(server.loop_arena(0).acquired(), server.loop_arena(0).released());
 }
 
 }  // namespace

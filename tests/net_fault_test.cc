@@ -3,7 +3,6 @@
 // mid-header, ECONNRESET mid-pipelined-batch, short-write flushes, EOF
 // mid-frame, reordered readiness — must leave the server in its *defined*
 // state: decoders resume bit-for-bit, dispatched batches still execute,
-// every arena buffer comes home (acquired() == released() after Shutdown),
 // frame order survives partial flushes, and the net_* counters are exact,
 // not approximate. CI runs this file across ASan and TSan with
 // --gtest_repeat=3: a schedule that is not deterministic fails there.
@@ -169,7 +168,6 @@ TEST(NetFaultTest, ByteAtATimeDeliveryDecodesBitForBit) {
   EXPECT_EQ(router.Stats().net.protocol_errors, 0);
 
   server.Shutdown();
-  EXPECT_EQ(server.loop_arena(0).acquired(), server.loop_arena(0).released());
 }
 
 TEST(NetFaultTest, EagainMidHeaderLeavesDecoderResumable) {
@@ -201,20 +199,22 @@ TEST(NetFaultTest, EagainMidHeaderLeavesDecoderResumable) {
   EXPECT_EQ(router.Stats().net.frames_decoded, 1);
 
   server.Shutdown();
-  EXPECT_EQ(server.loop_arena(0).acquired(), server.loop_arena(0).released());
 }
 
-TEST(NetFaultTest, ResetMidBatchCompletesDispatchedRequestsAndReleasesArena) {
+TEST(NetFaultTest, ResetMidBatchCompletesDispatchedRequests) {
   SimTransport transport;
-  service::QueryRouter router(SharedCatalog(), RouterCfg(1));
+  // Exact-only, so the whole burst goes to the executors as one batch
+  // (under kHybrid the loop would answer these in-region requests itself).
+  service::RouterConfig cfg = RouterCfg(1);
+  cfg.policy = service::RoutePolicy::kExactOnly;
+  service::QueryRouter router(SharedCatalog(), cfg);
   Server server(&router, SimConfig(&transport));
   ASSERT_TRUE(server.Start().ok());
 
   // The whole pipelined batch decodes and dispatches; the very first
   // response write hits ECONNRESET. The batch must still execute to
-  // completion (the router is not entangled with the connection's fate) and
-  // the response buffer must return to the arena even though its bytes are
-  // undeliverable.
+  // completion (the router is not entangled with the connection's fate),
+  // even though its answers are undeliverable.
   FaultSchedule schedule;
   schedule.writes = {FaultSchedule::Reset()};
   SimConn* conn = transport.Connect(schedule);
@@ -239,12 +239,10 @@ TEST(NetFaultTest, ResetMidBatchCompletesDispatchedRequestsAndReleasesArena) {
       WaitFor([&] { return router.Stats().net.connections_closed == 1; }));
   EXPECT_EQ(router.Stats().net.frames_decoded,
             static_cast<int64_t>(requests.size()));
+  EXPECT_EQ(router.Stats().net.dispatched_to_executors,
+            static_cast<int64_t>(requests.size()));
 
   server.Shutdown();
-  // The leak invariant survives a mid-batch reset: the buffer the executor
-  // filled came home via CloseConnection, not the allocator.
-  EXPECT_GE(server.loop_arena(0).acquired(), 1u);
-  EXPECT_EQ(server.loop_arena(0).acquired(), server.loop_arena(0).released());
 }
 
 TEST(NetFaultTest, ShortWriteFlushRetriesPreserveFrameOrder) {
@@ -288,7 +286,6 @@ TEST(NetFaultTest, ShortWriteFlushRetriesPreserveFrameOrder) {
   }));
 
   server.Shutdown();
-  EXPECT_EQ(server.loop_arena(0).acquired(), server.loop_arena(0).released());
 }
 
 TEST(NetFaultTest, EofMidFrameTearsDownWithoutProtocolError) {
@@ -318,7 +315,6 @@ TEST(NetFaultTest, EofMidFrameTearsDownWithoutProtocolError) {
   EXPECT_EQ(conn->from_server_bytes(), 0u);  // EOF answers nothing.
 
   server.Shutdown();
-  EXPECT_EQ(server.loop_arena(0).acquired(), server.loop_arena(0).released());
 }
 
 TEST(NetFaultTest, GarbageStreamGetsTypedErrorFrameThenClose) {
@@ -355,7 +351,6 @@ TEST(NetFaultTest, GarbageStreamGetsTypedErrorFrameThenClose) {
       WaitFor([&] { return router.Stats().net.protocol_errors == 1; }));
 
   server.Shutdown();
-  EXPECT_EQ(server.loop_arena(0).acquired(), server.loop_arena(0).released());
 }
 
 TEST(NetFaultTest, OversizedFramePoisonPersistsAcrossLaterValidFrames) {
@@ -403,7 +398,6 @@ TEST(NetFaultTest, OversizedFramePoisonPersistsAcrossLaterValidFrames) {
   EXPECT_EQ(snap.total_queries, 0);
 
   server.Shutdown();
-  EXPECT_EQ(server.loop_arena(0).acquired(), server.loop_arena(0).released());
 }
 
 // Flattens a response frame sequence into comparable bytes, zeroing the one
@@ -492,8 +486,6 @@ TEST(NetFaultTest, ReorderedReadinessIsDeterministicAcrossRuns) {
     golden_a.push_back(NormalizedStream(frames_a));
     golden_b.push_back(NormalizedStream(frames_b));
     server.Shutdown();
-    EXPECT_EQ(server.loop_arena(0).acquired(),
-              server.loop_arena(0).released());
   }
   EXPECT_EQ(golden_a[0], golden_a[1]);
   EXPECT_EQ(golden_a[0], golden_a[2]);
@@ -532,7 +524,6 @@ TEST(NetFaultTest, ExpiredDeadlineBudgetRejectedOverSim) {
   EXPECT_EQ(transported.code(), util::StatusCode::kDeadlineExceeded);
 
   server.Shutdown();
-  EXPECT_EQ(server.loop_arena(0).acquired(), server.loop_arena(0).released());
 }
 
 // ---------------------------------------------------------------------------
@@ -631,7 +622,6 @@ TEST(NetFaultTest, RunToCompletionCountersArePinned) {
   EXPECT_EQ(snap.model_answers, 5);
   EXPECT_EQ(snap.exact_fallbacks, 1);
   EXPECT_EQ(snap.errors, 0);
-  EXPECT_EQ(server.loop_arena(0).acquired(), server.loop_arena(0).released());
 }
 
 // Where the frames the loop emits while decoding fall relative to the batch
@@ -790,8 +780,6 @@ TEST(NetFaultTest, DeclinedRequestsReachTheExecutorsUnchanged) {
     std::vector<Frame> frames;
     ASSERT_TRUE(CollectFrames(conn, &decoder, 1, &frames));
     server.Shutdown();
-    EXPECT_EQ(server.loop_arena(0).acquired(),
-              server.loop_arena(0).released());
     ASSERT_EQ(frames[0].header.request_id, 9u);
 
     const service::ExecResult want = ref.Execute(k.request);

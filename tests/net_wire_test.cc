@@ -457,67 +457,30 @@ TEST(InplaceEncodeTest, AppendsAfterExistingBytesAndStillDecodes) {
   EXPECT_EQ(decoder.Next(&frame), FrameDecoder::Event::kNeedMore);
 }
 
-// ------------------------------------------------------------- wire arena --
+// ------------------------------------------------------- prefix compaction --
 
-TEST(WireArenaTest, ReusesReleasedBuffers) {
-  WireArena arena;
-  std::vector<uint8_t> buf = arena.Acquire();
-  EXPECT_EQ(arena.acquired(), 1);
-  EXPECT_EQ(arena.reused(), 0);
+TEST(CompactConsumedTest, DropsPrefixOnlyWhenWholeOrLargeEnough) {
+  std::vector<uint8_t> buf(2 * kCompactPrefixBytes);
+  for (size_t i = 0; i < buf.size(); ++i) buf[i] = static_cast<uint8_t>(i);
 
-  buf.assign(512, 0xAB);
-  const size_t cap = buf.capacity();
-  arena.Release(std::move(buf));
-  EXPECT_EQ(arena.pooled(), 1u);
+  size_t pos = kCompactPrefixBytes - 1;  // Short partial prefix: kept.
+  CompactConsumed(&buf, &pos);
+  EXPECT_EQ(pos, kCompactPrefixBytes - 1);
+  EXPECT_EQ(buf.size(), 2 * kCompactPrefixBytes);
 
-  std::vector<uint8_t> again = arena.Acquire();
-  EXPECT_EQ(arena.acquired(), 2);
-  EXPECT_EQ(arena.reused(), 1);  // Came from the pool...
-  EXPECT_TRUE(again.empty());    // ...cleared...
-  EXPECT_GE(again.capacity(), cap);  // ...with its allocation retained.
-  EXPECT_EQ(arena.pooled(), 0u);
-}
+  pos = kCompactPrefixBytes;  // Long enough: dropped, tail intact.
+  CompactConsumed(&buf, &pos);
+  EXPECT_EQ(pos, 0u);
+  ASSERT_EQ(buf.size(), kCompactPrefixBytes);
+  EXPECT_EQ(buf[0], static_cast<uint8_t>(kCompactPrefixBytes));
 
-TEST(WireArenaTest, OversizedBuffersAreNotRetained) {
-  WireArena::Options opts;
-  opts.max_retained_bytes = 1024;
-  WireArena arena(opts);
-
-  std::vector<uint8_t> huge = arena.Acquire();
-  huge.resize(4096);  // Capacity now exceeds the retention bound.
-  arena.Release(std::move(huge));
-  EXPECT_EQ(arena.pooled(), 0u);  // Dropped, not pooled.
-
-  std::vector<uint8_t> small = arena.Acquire();
-  small.resize(100);
-  arena.Release(std::move(small));
-  EXPECT_EQ(arena.pooled(), 1u);
-}
-
-TEST(WireArenaTest, PoolIsBounded) {
-  WireArena::Options opts;
-  opts.max_pooled_buffers = 2;
-  WireArena arena(opts);
-  for (int i = 0; i < 5; ++i) {
-    std::vector<uint8_t> buf = arena.Acquire();
-    buf.resize(16);
-    arena.Release(std::move(buf));
-  }
-  // Release is called once per loop with an empty pool slot available only
-  // twice... but each Acquire drains one, so the pool never exceeds the cap.
-  EXPECT_LE(arena.pooled(), 2u);
-
-  // Fill without draining: release three distinct buffers in a row.
-  std::vector<uint8_t> a = arena.Acquire();
-  std::vector<uint8_t> b = arena.Acquire();
-  std::vector<uint8_t> c = arena.Acquire();
-  a.resize(8);
-  b.resize(8);
-  c.resize(8);
-  arena.Release(std::move(a));
-  arena.Release(std::move(b));
-  arena.Release(std::move(c));
-  EXPECT_EQ(arena.pooled(), 2u);  // Third one dropped at the cap.
+  pos = 1;  // Short, but not everything: kept.
+  CompactConsumed(&buf, &pos);
+  EXPECT_EQ(pos, 1u);
+  pos = buf.size();  // Everything consumed: dropped.
+  CompactConsumed(&buf, &pos);
+  EXPECT_EQ(pos, 0u);
+  EXPECT_TRUE(buf.empty());
 }
 
 
